@@ -1,8 +1,9 @@
 """Command-line interface.
 
 All angles at this boundary are degrees.  Exit codes: 0 success, 1 validation
-failure, 2 usage error.  Set QUADFOLD_CONFIG to a JSON file to override
-tolerances and sample counts.
+failure, 2 usage error.  Set QUADFOLD_CONFIG to a JSON object file to
+override `tau_unit`, `tau_compat`, `tau_flat`, `samples` and `frames`; any
+other key is a usage error.
 """
 
 from __future__ import annotations
@@ -40,18 +41,24 @@ def _parse_alphas(text: str, count: int):
     return [math.radians(float(p)) for p in parts]
 
 
+def _branch_token(text: str) -> BranchId:
+    try:
+        return BranchId.from_token(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _deg_list(values):
     return " ".join(_F(math.degrees(v)) for v in values)
 
 
 def _cmd_vertex_solve(args, cfg):
     v = Vertex4(_parse_alphas(args.alphas, 4))
-    branch = BranchId.from_token(args.branch)
     cls = classify(v)
-    sol = solve_on_branch(v, math.radians(args.rho1), branch)
+    sol = solve_on_branch(v, math.radians(args.rho1), args.branch)
     print(f"class: {cls.tag.value}"
           + (" (flat-foldable)" if cls.flat_foldable else ""))
-    print(f"branch: {branch.value}")
+    print(f"branch: {args.branch.value}")
     print(f"xi_deg: {_F(math.degrees(sol.xi))}")
     print(f"rho_deg: {_deg_list(sol.rho)}")
     return 0
@@ -59,9 +66,8 @@ def _cmd_vertex_solve(args, cfg):
 
 def _cmd_vertex_interval(args, cfg):
     v = Vertex4(_parse_alphas(args.alphas, 4))
-    branch = BranchId.from_token(args.branch)
-    iv = fold_interval(v, branch)
-    print(f"branch: {branch.value}")
+    iv = fold_interval(v, args.branch)
+    print(f"branch: {args.branch.value}")
     print(f"interval_deg: [{_F(math.degrees(iv.lo))}, {_F(math.degrees(iv.hi))}]")
     return 0
 
@@ -105,7 +111,7 @@ def _parse_branch_spec(spec, p):
         raise argparse.ArgumentTypeError(
             f"branch spec needs {p.n} column groups, got {len(cols)}"
         )
-    per_col = [[BranchId.from_token(t) for t in col.split(",")] for col in cols]
+    per_col = [[_branch_token(t) for t in col.split(",")] for col in cols]
     for col in per_col:
         if len(col) != p.m:
             raise argparse.ArgumentTypeError(
@@ -150,7 +156,7 @@ def _cmd_pattern_sweep(args, cfg):
     p = _load_pattern(args.pattern)
     branches = _parse_branch_spec(args.branches, p)
     result = sweep(p, branches, args.frames or cfg.frames,
-                   n_samples=cfg.samples)
+                   n_samples=cfg.samples, compat_tol=cfg.tolerances.compat)
     os.makedirs(args.out_dir, exist_ok=True)
     tree = build_tree(p)
     for k, (state, t) in enumerate(zip(result.frames, result.driving_angles)):
@@ -198,12 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="four sector angles, comma separated (deg)")
     s.add_argument("--rho1", type=float, required=True,
                    help="driving angle (deg)")
-    s.add_argument("--branch", required=True,
+    s.add_argument("--branch", required=True, type=_branch_token,
                    help="branch: 1, 2 or line")
     s.set_defaults(fn=_cmd_vertex_solve)
     s = vxs.add_parser("interval", help="fold interval of a branch")
     s.add_argument("--alphas", required=True)
-    s.add_argument("--branch", required=True)
+    s.add_argument("--branch", required=True, type=_branch_token)
     s.set_defaults(fn=_cmd_vertex_interval)
 
     un = sub.add_parser("unit", help="two-vertex transmission units")

@@ -1,20 +1,19 @@
 """Numerical tolerances and run configuration.
 
-The module-level constants are the library defaults. `Tolerances` bundles
-them for call sites that let users override (the CLI reads overrides from a
-JSON config file referenced by the QUADFOLD_CONFIG environment variable).
+The module-level constants are the library defaults.  The CLI lets a JSON
+file named by the QUADFOLD_CONFIG environment variable override exactly the
+values it passes on: three tolerances (`Tolerances`) and two counts.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 
 # classification sums (radians)
 TAU_ANGLE = 1e-9
-# identity / residual checks on closed-form relations
-TAU_EVAL = 1e-9
 # arccos arguments are clamped into [-1, 1] only when this close to the bound
 TAU_CLAMP = 1e-12
 # bisection tolerance for fold-interval endpoints and crease-driven inversion
@@ -41,26 +40,20 @@ DEFAULT_SAMPLES = 200
 
 @dataclass(frozen=True)
 class Tolerances:
-    angle: float = TAU_ANGLE
-    eval: float = TAU_EVAL
-    clamp: float = TAU_CLAMP
-    root: float = TAU_ROOT
-    class_band: float = TAU_CLASS_BAND
+    """The tolerances the CLI passes on: unit validation, cut-crease
+    compatibility and the flat-crease threshold of mountain/valley labels."""
+
     unit: float = TAU_UNIT
     compat: float = TAU_COMPAT
-    direction: float = TAU_DIR
-    layout: float = TAU_LAYOUT
-    rigid: float = TAU_RIGID
-    closure: float = TAU_CLOSURE
     flat: float = TAU_FLAT
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"tolerance {f.name!r} must be positive")
-
-
-DEFAULT_TOL = Tolerances()
+            x = getattr(self, f.name)
+            if type(x) not in (int, float) or not (math.isfinite(x) and x > 0):
+                raise ValueError(
+                    f"tau_{f.name} must be a positive finite number, got {x!r}"
+                )
 
 
 @dataclass
@@ -73,30 +66,44 @@ class CliConfig:
     tolerances: Tolerances = field(default_factory=Tolerances)
     samples: int = DEFAULT_SAMPLES
     frames: int = 30
-    out_dir: str = "."
-    angle_unit: str = "degrees"
 
     def __post_init__(self):
-        if self.samples < 2:
-            raise ValueError("sample counts must be >= 2 for interval checks")
-        if self.angle_unit != "degrees":
-            raise ValueError("only 'degrees' is supported at the CLI boundary")
+        for name, least in (("samples", 2), ("frames", 1)):
+            x = getattr(self, name)
+            if type(x) is not int or x < least:
+                raise ValueError(
+                    f"{name} must be an integer >= {least}, got {x!r}"
+                )
 
     @classmethod
     def from_env(cls) -> "CliConfig":
-        """Build a config, applying overrides from $QUADFOLD_CONFIG if set."""
+        """Build a config, applying overrides from $QUADFOLD_CONFIG if set.
+
+        Raises ValueError for anything but a JSON object whose keys are among
+        CONFIG_KEYS and whose values are in range.
+        """
         path = os.environ.get("QUADFOLD_CONFIG")
         if not path:
             return cls()
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        tol_kwargs = {}
-        for f in fields(Tolerances):
-            key = f"tau_{f.name}"
-            if key in raw:
-                tol_kwargs[f.name] = float(raw[key])
-        kwargs = {}
-        for key in ("samples", "frames", "out_dir", "angle_unit"):
-            if key in raw:
-                kwargs[key] = raw[key]
-        return cls(tolerances=Tolerances(**tol_kwargs), **kwargs)
+        if not isinstance(raw, dict):
+            raise ValueError(
+                f"expected a JSON object, got {type(raw).__name__}"
+            )
+        unknown = sorted(set(raw) - set(CONFIG_KEYS))
+        if unknown:
+            raise ValueError(
+                "unknown key " + ", ".join(map(repr, unknown))
+                + "; allowed keys are " + ", ".join(CONFIG_KEYS)
+            )
+        tolerances = Tolerances(**{
+            f.name: raw[f"tau_{f.name}"] for f in fields(Tolerances)
+            if f"tau_{f.name}" in raw
+        })
+        return cls(tolerances, **{k: raw[k] for k in _COUNTS if k in raw})
+
+
+_COUNTS = ("samples", "frames")
+# every key $QUADFOLD_CONFIG may set
+CONFIG_KEYS = tuple(f"tau_{f.name}" for f in fields(Tolerances)) + _COUNTS

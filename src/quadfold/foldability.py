@@ -12,6 +12,7 @@ whole interval of the driving angle.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from .errors import (
     QuadfoldError,
     WrongClass,
 )
-from .pattern import QuadPattern
+from .pattern import QuadPattern, branch_chains
 from .vertex import BranchId, normalize_angle, solve_at_crease
 
 BranchChoice = Union[None, BranchId, Sequence]
@@ -348,42 +349,17 @@ def certify(p: QuadPattern, branch_choice: BranchChoice = None,
 def enumerate_branch_choices(p: QuadPattern):
     """All per-column-uniform branch grids built from each column's units.
 
-    Columns built from units admit per-column chains; this enumerates the
-    consistent chains per column (bounded by the branch count) and yields
-    their cartesian products as full branch grids.
+    Yields the cartesian product of the columns' branch chains (see
+    `branch_chains`) as full branch grids, in a fixed order; a pattern
+    without a plan yields its default assignment.
     """
-    from .units import valid_branch_pairs
-
-    per_column = []
-    for j in range(p.n):
-        units = [u for u in (p.plan.columns[j] if p.plan else ())]
-        if not units:
-            per_column.append([tuple(p.branch_default[i][j]
-                                     for i in range(p.m))])
-            continue
-        pair_sets = [
-            {(bt, bb) for bt, bb, _ in valid_branch_pairs(u)} for u in units
-        ]
-        chains = [[b] for b in {bt for bt, _ in pair_sets[0]}]
-        for pairs in pair_sets:
-            nxt = []
-            for chain in chains:
-                for bt, bb in pairs:
-                    if bt is chain[-1]:
-                        nxt.append(chain + [bb])
-            chains = nxt
-        per_column.append([tuple(c) for c in chains])
-
-    def rec(j, acc):
-        if j == p.n:
-            yield tuple(
-                tuple(acc[jj][i] for jj in range(p.n)) for i in range(p.m)
-            )
-            return
-        for chain in per_column[j]:
-            yield from rec(j + 1, acc + [chain])
-
-    yield from rec(0, [])
+    if p.plan is None:
+        per_column = [[tuple(p.branch_default[i][j] for i in range(p.m))]
+                      for j in range(p.n)]
+    else:
+        per_column = branch_chains(p.plan)
+    for chains in itertools.product(*per_column):
+        yield tuple(tuple(chain[i] for chain in chains) for i in range(p.m))
 
 
 def mv_assignment(p: QuadPattern, branch_choice: BranchChoice = None,

@@ -186,17 +186,7 @@ class QuadPattern:
         branch_default = tuple(tuple(row) for row in branch_default)
         lengths = lengths or PlanLengths()
         if check:
-            for i in range(m - 1):
-                for j in range(n - 1):
-                    total = (vertices[i][j].alpha[3]
-                             + vertices[i + 1][j].alpha[0]
-                             + vertices[i + 1][j + 1].alpha[1]
-                             + vertices[i][j + 1].alpha[2])
-                    if abs(total - TWO_PI) > math.sqrt(TAU_ANGLE):
-                        raise IncompatibleUnits(
-                            f"inner panel ({i},{j}) sector angles sum to "
-                            f"{total!r}, expected 2*pi"
-                        )
+            _check_panel_sums(vertices)
         grid, dirs = _layout(vertices, lengths, check=check)
         return cls(m, n, vertices, branch_default, None, lengths, grid, dirs)
 
@@ -370,6 +360,20 @@ def _layout(vertices, lengths: PlanLengths, *, check: bool = True):
     return grid, tuple(tuple(row) for row in dirs)
 
 
+def _check_panel_sums(vertices):
+    """Every inner panel's four sector angles must sum to 2*pi."""
+    for i in range(len(vertices) - 1):
+        for j in range(len(vertices[0]) - 1):
+            total = (vertices[i][j].alpha[3] + vertices[i + 1][j].alpha[0]
+                     + vertices[i + 1][j + 1].alpha[1]
+                     + vertices[i][j + 1].alpha[2])
+            if abs(total - TWO_PI) > math.sqrt(TAU_ANGLE):
+                raise IncompatibleUnits(
+                    f"inner panel ({i},{j}) sector angles sum to {total!r}, "
+                    "expected 2*pi; adjacent columns do not fit"
+                )
+
+
 def _check_layout_angles(vertices, grid):
     """Measured sector angles of the placed layout must match the data."""
     m, n = len(vertices), len(vertices[0])
@@ -433,17 +437,7 @@ def stitch(plan: StitchPlan, *, validate: bool = True,
             vertices[k + 1][j] = u.bottom
             branches[k + 1][j] = u.branch_bottom
 
-    for i in range(m - 1):
-        for j in range(n - 1):
-            total = (vertices[i][j].alpha[3] + vertices[i + 1][j].alpha[0]
-                     + vertices[i + 1][j + 1].alpha[1]
-                     + vertices[i][j + 1].alpha[2])
-            if abs(total - TWO_PI) > math.sqrt(TAU_ANGLE):
-                raise IncompatibleUnits(
-                    f"inner panel ({i},{j}) sector angles sum to {total!r}, "
-                    "expected 2*pi; adjacent columns do not fit"
-                )
-
+    _check_panel_sums(vertices)
     vertices = tuple(tuple(row) for row in vertices)
     branches = tuple(tuple(row) for row in branches)
     grid, dirs = _layout(vertices, plan.lengths, check=True)
@@ -516,23 +510,21 @@ def count_dof(plan: StitchPlan, table: Optional[dict] = None) -> DofReport:
     return report
 
 
+def branch_chains(plan: StitchPlan) -> list:
+    """Each column's consistent, transmitting branch chains, top vertex
+    first: one list per column, in the list order of valid_branch_pairs."""
+    out = []
+    for col in plan.columns:
+        chains = [(bt, bb) for bt, bb, _ in valid_branch_pairs(col[0])]
+        for u in col[1:]:
+            pairs = valid_branch_pairs(u)
+            chains = [c + (bb,) for c in chains
+                      for bt, bb, _ in pairs if bt is c[-1]]
+        out.append(chains)
+    return out
+
+
 def count_branches(plan: StitchPlan) -> int:
     """Number of branch assignments of the whole pattern: the product over
     columns of each column's consistent, transmitting branch chains."""
-    total = 1
-    for col in plan.columns:
-        pair_sets = [
-            {(bt, bb) for bt, bb, _ in valid_branch_pairs(u)} for u in col
-        ]
-        # chain DP over per-vertex branch choices
-        counts = {}
-        for bt, bb in pair_sets[0]:
-            counts[bb] = counts.get(bb, 0) + 1
-        for pairs in pair_sets[1:]:
-            nxt = {}
-            for bt, bb in pairs:
-                if bt in counts:
-                    nxt[bb] = nxt.get(bb, 0) + counts[bt]
-            counts = nxt
-        total *= sum(counts.values())
-    return total
+    return math.prod(len(chains) for chains in branch_chains(plan))

@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .config import DEFAULT_SAMPLES, TAU_CLOSURE, TAU_RIGID
+from .config import DEFAULT_SAMPLES, TAU_CLOSURE, TAU_COMPAT, TAU_RIGID
 from .errors import ClosureViolation, RigidityViolation
 from .foldability import BranchChoice, Propagation, build_tree, certify, propagate
 from .pattern import QuadPattern
@@ -33,8 +33,10 @@ def _rot3(ux: float, uy: float, uz: float, angle: float):
 
 
 def _mat_mul(a, b):
+    # the explicit 0.0 + ... is the left-to-right float sum sum() computes
     return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
+        tuple(0.0 + a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
+              for j in range(3))
         for i in range(3)
     )
 
@@ -233,18 +235,20 @@ class SweepResult:
 
 def sweep(p: QuadPattern, branch_choice: BranchChoice = None,
           n_frames: int = 30, *, fraction: float = 1.0,
-          n_samples: int = DEFAULT_SAMPLES) -> SweepResult:
+          n_samples: int = DEFAULT_SAMPLES,
+          compat_tol: float = TAU_COMPAT) -> SweepResult:
     """Realize the folding motion over the certified interval.
 
     Frames run from the trivial state (driving angle 0) to `fraction` of the
     certified interval endpoint.  Each frame is fully verified; the maxima of
-    the per-frame residuals are reported.
+    the per-frame residuals are reported.  `compat_tol` is the certification
+    bound (see `certify`).
     """
     if n_frames < 1:
         raise ValueError("need at least one frame")
     if not (0.0 < fraction <= 1.0):
         raise ValueError("fraction must lie in (0, 1]")
-    report = certify(p, branch_choice, n_samples)
+    report = certify(p, branch_choice, n_samples, compat_tol=compat_tol)
     if not report.verdict:
         raise ClosureViolation(
             f"cannot sweep an uncertified pattern: {report.reason}"

@@ -39,6 +39,7 @@ transmissions and branch identifiers BRANCH_1 / BRANCH_2 refer to those.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from enum import Enum
@@ -292,108 +293,6 @@ def xi_of(v: Vertex4, rho1: float) -> float:
 _EVAL_CLAMP = 1e-9
 
 
-def _xi_raw(a1, a2, rho1):
-    arg = math.cos(a1) * math.cos(a2) - math.sin(a1) * math.sin(a2) * math.cos(rho1)
-    return math.acos(max(-1.0, min(1.0, arg)))
-
-
-def _generic_rhos(alpha, r, branch: BranchId, clamp_tol=_EVAL_CLAMP):
-    a1, a2, a3, a4 = alpha
-    rr = abs(r)
-    xi = _xi_raw(a1, a2, rr)
-    sx = math.sin(xi)
-    if sx < 1e-14:
-        raise OutOfDomain("xi hit 0 or pi; transmission undefined here")
-    A = (math.cos(a2) * math.cos(xi) - math.cos(a1)) / (math.sin(a2) * sx)
-    B = (math.cos(a4) - math.cos(a3) * math.cos(xi)) / (math.sin(a3) * sx)
-    C = (math.cos(a3) * math.cos(a4) - math.cos(xi)) / (math.sin(a3) * math.sin(a4))
-    D = (math.cos(a1) * math.cos(xi) - math.cos(a2)) / (math.sin(a1) * sx)
-    E = (math.cos(a3) - math.cos(a4) * math.cos(xi)) / (math.sin(a4) * sx)
-    aA = clamped_acos(A, clamp_tol)
-    aB = clamped_acos(B, clamp_tol)
-    aC = clamped_acos(C, clamp_tol)
-    aD = clamped_acos(D, clamp_tol)
-    aE = clamped_acos(E, clamp_tol)
-    if branch is BranchId.BRANCH_1:
-        raw = (rr, aA - aB, aC, aD - aE)
-    else:
-        raw = (rr, aA + aB, -aC, aD + aE)
-    if r < 0:
-        raw = tuple(-x for x in raw)
-    return raw
-
-
-_WRAP_SLACK = 1e-9
-
-
-def _wrap_margin(raw, raw0) -> float:
-    """Margin before any unnormalized component leaves [-pi, pi].
-
-    The configuration curves are continuous and monotone in the unnormalized
-    (lifted) folding angles; once a lift passes +-pi the crease is folded
-    completely flat and the normalized representative wraps.  The usable
-    parameter interval of a branch stops there.
-    """
-    worst = max(abs(x - x0) for x, x0 in zip(raw, raw0))
-    return (math.pi + _WRAP_SLACK - worst) / math.pi
-
-
-def _generic_margin(alpha, r, branch: BranchId, raw0) -> float:
-    """Combined validity margin at |r|: arccos arguments inside [-1, 1] and
-    no folding angle past +-pi.  Negative means the branch ended earlier."""
-    a1, a2, a3, a4 = alpha
-    xi = _xi_raw(a1, a2, abs(r))
-    sx = math.sin(xi)
-    if sx < 1e-14:
-        return -1.0
-    args = (
-        (math.cos(a2) * math.cos(xi) - math.cos(a1)) / (math.sin(a2) * sx),
-        (math.cos(a4) - math.cos(a3) * math.cos(xi)) / (math.sin(a3) * sx),
-        (math.cos(a3) * math.cos(a4) - math.cos(xi)) / (math.sin(a3) * math.sin(a4)),
-        (math.cos(a1) * math.cos(xi) - math.cos(a2)) / (math.sin(a1) * sx),
-        (math.cos(a3) - math.cos(a4) * math.cos(xi)) / (math.sin(a4) * sx),
-    )
-    m = 1.0 - max(abs(x) for x in args)
-    if m < -1e-13:
-        return m
-    raw = _generic_rhos(alpha, abs(r), branch)
-    return min(m, _wrap_margin(raw, raw0))
-
-
-def _sl_margin(alpha, r, raw0) -> float:
-    a1, a2 = alpha[0], alpha[1]
-    xi = _xi_raw(a1, a2, abs(r))
-    sx = math.sin(xi)
-    if sx < 1e-14:
-        return -1.0
-    args = (
-        (math.cos(a2) * math.cos(xi) - math.cos(a1)) / (math.sin(a2) * sx),
-        (math.cos(a1) * math.cos(xi) - math.cos(a2)) / (math.sin(a1) * sx),
-    )
-    m = 1.0 - max(abs(x) for x in args)
-    if m < -1e-13:
-        return m
-    raw = _sl_rhos(alpha, abs(r))
-    return min(m, _wrap_margin(raw, raw0))
-
-
-def _sl_rhos(alpha, r, clamp_tol=_EVAL_CLAMP):
-    """Curve branch of a straight-line vertex in canonical labels
-    (a1 + a4 = pi, a2 + a3 = pi): rho3 = -rho1, rho2/rho4 doubled arccos."""
-    a1, a2 = alpha[0], alpha[1]
-    rr = abs(r)
-    xi = _xi_raw(a1, a2, rr)
-    sx = math.sin(xi)
-    if sx < 1e-14:
-        raise OutOfDomain("xi hit 0 or pi; transmission undefined here")
-    A = (math.cos(a2) * math.cos(xi) - math.cos(a1)) / (math.sin(a2) * sx)
-    D = (math.cos(a1) * math.cos(xi) - math.cos(a2)) / (math.sin(a1) * sx)
-    raw = (rr, 2.0 * clamped_acos(A, clamp_tol), -rr, 2.0 * clamped_acos(D, clamp_tol))
-    if r < 0:
-        raw = tuple(-x for x in raw)
-    return raw
-
-
 def _ff_coefficient(alpha, branch: BranchId) -> float:
     a1, a2 = alpha[0], alpha[1]
     if branch is BranchId.BRANCH_1:
@@ -420,17 +319,136 @@ def _segment_rhos(slots, r):
 
 
 class _BranchParam:
-    """Parametrized branch: rho(r) over a symmetric closed interval."""
+    """Parametrized branch: rho(r) over a symmetric closed interval.
 
-    def __init__(self, fn: Callable[[float], tuple], r_max: float,
-                 kind: str, raw_fn=None):
+    `fn` returns the unnormalized (lifted) folding angles in stored labels;
+    `base` holds the multiples of 2*pi they start from at the flat state.
+    """
+
+    __slots__ = ("fn", "kind", "base", "r_max")
+
+    def __init__(self, fn: Callable[[float], tuple], kind: str):
         self.fn = fn
-        self.r_max = r_max
         self.kind = kind  # "curve" | "segment"
-        self.raw_fn = raw_fn or fn
+        self.base = tuple(TWO_PI * round(x / TWO_PI) for x in fn(1e-9))
+        self.r_max = math.pi
 
     def rho(self, r: float) -> tuple:
         return tuple(normalize_angle(x) for x in self.fn(r))
+
+    def lift(self, r: float) -> tuple:
+        """Folding angles as continuous, monotone functions of r: the
+        normalized representatives wrap at +-pi, these do not."""
+        x, b = self.fn(r), self.base
+        if r >= 0:
+            return (x[0] - b[0], x[1] - b[1], x[2] - b[2], x[3] - b[3])
+        return (x[0] + b[0], x[1] + b[1], x[2] + b[2], x[3] + b[3])
+
+
+_WRAP_SLACK = 1e-9
+
+
+class _ArccosCurve(_BranchParam):
+    """Curve branch given by arccos transmissions.
+
+    `args(rr)` gives the arccos arguments at driving magnitude rr >= 0 and
+    subclasses define `combine(args, rr)`, the lifted folding angles there in
+    stored labels; negative r mirrors every angle.  The branch ends where an
+    arccos argument leaves [-1, 1] or a folding angle passes +-pi (the crease
+    lies completely flat there and its normalized representative wraps).
+    """
+
+    __slots__ = ("alpha",)
+    straight_line = False
+
+    def __init__(self, alpha: tuple):
+        self.alpha = alpha
+        super().__init__(self._raw, "curve")
+        self.r_max = _curve_interval(self.margin)
+
+    def args(self, rr: float) -> tuple:
+        """(A, B, C, D, E) of the generic closed forms, or only (A, D) for a
+        straight-line vertex in canonical labels.  OutOfDomain where xi hits
+        0 or pi."""
+        a1, a2, a3, a4 = self.alpha
+        arg = math.cos(a1) * math.cos(a2) - math.sin(a1) * math.sin(a2) * math.cos(rr)
+        xi = math.acos(max(-1.0, min(1.0, arg)))
+        sx = math.sin(xi)
+        if sx < 1e-14:
+            raise OutOfDomain("xi hit 0 or pi; transmission undefined here")
+        A = (math.cos(a2) * math.cos(xi) - math.cos(a1)) / (math.sin(a2) * sx)
+        D = (math.cos(a1) * math.cos(xi) - math.cos(a2)) / (math.sin(a1) * sx)
+        if self.straight_line:
+            return A, D
+        B = (math.cos(a4) - math.cos(a3) * math.cos(xi)) / (math.sin(a3) * sx)
+        C = (math.cos(a3) * math.cos(a4) - math.cos(xi)) / (math.sin(a3) * math.sin(a4))
+        E = (math.cos(a3) - math.cos(a4) * math.cos(xi)) / (math.sin(a4) * sx)
+        return A, B, C, D, E
+
+    def _raw(self, r: float) -> tuple:
+        rr = abs(r)
+        raw = self.combine(self.args(rr), rr)
+        if r < 0:
+            return (-raw[0], -raw[1], -raw[2], -raw[3])
+        return raw
+
+    def margin(self, r: float) -> float:
+        """Validity margin at |r|; negative means the branch ended earlier."""
+        rr = abs(r)
+        try:
+            args = self.args(rr)
+        except OutOfDomain:
+            return -1.0
+        m = 1.0 - max(map(abs, args))
+        if m < -1e-13:
+            return m
+        worst = max(map(abs, map(operator.sub, self.combine(args, rr), self.base)))
+        return min(m, (math.pi + _WRAP_SLACK - worst) / math.pi)
+
+
+class _GenericCurve(_ArccosCurve):
+    """Curve branch 1 or 2 of a vertex through the general closed forms."""
+
+    __slots__ = ("branch",)
+
+    def __init__(self, alpha: tuple, branch: BranchId):
+        self.branch = branch
+        super().__init__(alpha)
+
+    def combine(self, args, rr: float) -> tuple:
+        A, B, C, D, E = args
+        tol = _EVAL_CLAMP
+        aA = clamped_acos(A, tol)
+        aB = clamped_acos(B, tol)
+        aC = clamped_acos(C, tol)
+        aD = clamped_acos(D, tol)
+        aE = clamped_acos(E, tol)
+        if self.branch is BranchId.BRANCH_1:
+            return (rr, aA - aB, aC, aD - aE)
+        return (rr, aA + aB, -aC, aD + aE)
+
+
+class _StraightLineCurve(_ArccosCurve):
+    """Curve branch of a straight-line vertex.  In canonical labels
+    (a1 + a4 = pi, a2 + a3 = pi) rho3 = -rho1 and rho2/rho4 are doubled
+    arccos; `shift` relabels canonical to stored angles (see `_unshift`)."""
+
+    __slots__ = ("shift",)
+    straight_line = True
+
+    def __init__(self, canonical_alpha: tuple, shift: int):
+        self.shift = shift
+        super().__init__(canonical_alpha)
+
+    def combine(self, args, rr: float) -> tuple:
+        A, D = args
+        return _unshift((rr, 2.0 * clamped_acos(A, _EVAL_CLAMP), -rr,
+                         2.0 * clamped_acos(D, _EVAL_CLAMP)), self.shift)
+
+
+def _unshift(t: tuple, k: int) -> tuple:
+    """Stored rho_i = canonical rho_{i-k}."""
+    return (t[-k], t[1 - k], t[2 - k], t[3 - k])
 
 
 def _segment_slots(pair) -> tuple:
@@ -439,32 +457,25 @@ def _segment_slots(pair) -> tuple:
     return tuple(i - 1 for i in pair)
 
 
-def _raw_baseline(raw_fn) -> tuple:
-    """Multiples of 2*pi the raw components start from at the flat state."""
-    raw = raw_fn(1e-9)
-    return tuple(TWO_PI * round(x / TWO_PI) for x in raw)
-
-
-def _curve_interval(alpha, margin_fn) -> float:
-    """Largest r in (0, pi] on which the branch stays valid: every arccos
-    argument inside [-1, 1] and no folding angle wrapped past +-pi; the
-    endpoint is located by bisection on the first violated condition."""
+def _curve_interval(margin) -> float:
+    """Largest r in (0, pi] with `margin(r)` non-negative, located by
+    bisection on the first violated condition."""
     hi = math.pi
-    if margin_fn(alpha, hi) >= -1e-13:
+    if margin(hi) >= -1e-13:
         return hi
     n = 64
     good = 0.0
     bad = hi
     for k in range(1, n + 1):
         r = hi * k / n
-        if margin_fn(alpha, r) >= -1e-13:
+        if margin(r) >= -1e-13:
             good = r
         else:
             bad = r
             break
     while bad - good > TAU_ROOT:
         mid = 0.5 * (good + bad)
-        if margin_fn(alpha, mid) >= -1e-13:
+        if margin(mid) >= -1e-13:
             good = mid
         else:
             bad = mid
@@ -495,9 +506,8 @@ def _branch_param_cached(alpha: tuple, branch: BranchId) -> _BranchParam:
         if branch is BranchId.BRANCH_2 and abs(a1 + a2 - math.pi) <= TAU_ANGLE:
             # pole of the tan-half coefficient: branch 2 is the segment
             # rho2 = rho4 free, rho1 = rho3 = 0
-            return _BranchParam(lambda r: _segment_rhos((1, 3), r), math.pi,
-                                "segment")
-        return _BranchParam(lambda r, b=branch: _ff_rhos(a, r, b), math.pi, "curve")
+            return _BranchParam(lambda r: _segment_rhos((1, 3), r), "segment")
+        return _BranchParam(lambda r, b=branch: _ff_rhos(a, r, b), "curve")
 
     if cls.tag is ClassTag.ADJACENT_COLLINEAR:
         if branch is not BranchId.LINE_SEGMENT_1:
@@ -505,37 +515,25 @@ def _branch_param_cached(alpha: tuple, branch: BranchId) -> _BranchParam:
                 "adjacent-collinear vertex admits only its line-segment motion"
             )
         slots = _segment_slots(cls.collinear_pairs[0])
-        return _BranchParam(lambda r: _segment_rhos(slots, r), math.pi, "segment")
+        return _BranchParam(lambda r: _segment_rhos(slots, r), "segment")
 
     if cls.tag is ClassTag.DOUBLE_COLLINEAR:
         if branch is BranchId.LINE_SEGMENT_1:
-            return _BranchParam(lambda r: _segment_rhos((0, 2), r), math.pi,
-                                "segment")
+            return _BranchParam(lambda r: _segment_rhos((0, 2), r), "segment")
         if branch is BranchId.LINE_SEGMENT_2:
-            return _BranchParam(lambda r: _segment_rhos((1, 3), r), math.pi,
-                                "segment")
+            return _BranchParam(lambda r: _segment_rhos((1, 3), r), "segment")
         raise WrongClass("double-collinear vertex has only two line segments")
 
     if cls.tag is ClassTag.STRAIGHT_LINE:
         # canonical form puts the collinear pair on (c1, c3); a (c2, c4)
         # vertex is relabelled by a cyclic shift of 1
         shift = 0 if cls.collinear_pairs[0] == (1, 3) else 1
-        ac = v.shifted(shift).alpha
-
-        def unshift(t, k=shift):
-            # stored rho_i = canonical rho_{i-k}
-            return tuple(t[(i - k) % 4] for i in range(4))
-
         if branch is BranchId.LINE_SEGMENT_1:
             return _BranchParam(
-                lambda r: unshift(_segment_rhos((0, 2), r)), math.pi, "segment"
+                lambda r: _unshift(_segment_rhos((0, 2), r), shift), "segment"
             )
         if branch is BranchId.BRANCH_2:
-            raw0 = _raw_baseline(lambda r: _sl_rhos(ac, r))
-            r_max = _curve_interval(
-                ac, lambda al, r, z=raw0: _sl_margin(al, r, z)
-            )
-            return _BranchParam(lambda r: unshift(_sl_rhos(ac, r)), r_max, "curve")
+            return _StraightLineCurve(v.shifted(shift).alpha, shift)
         raise WrongClass(
             "straight-line vertex has only LINE_SEGMENT_1 and BRANCH_2"
         )
@@ -551,12 +549,7 @@ def _generic_param(a: tuple, branch: BranchId) -> _BranchParam:
     """Curve parametrization through the general closed forms (no
     flat-foldable shortcut): used directly by solve_generic so the special
     and general transmissions stay independently testable."""
-    raw0 = _raw_baseline(lambda r, b=branch: _generic_rhos(a, r, b))
-    r_max = _curve_interval(
-        a, lambda al, r, b=branch, z=raw0: _generic_margin(al, r, b, z)
-    )
-    return _BranchParam(lambda r, b=branch: _generic_rhos(a, r, b), r_max,
-                        "curve")
+    return _GenericCurve(a, branch)
 
 
 def _eval_param(v: Vertex4, p: _BranchParam, r: float,
@@ -569,7 +562,7 @@ def _eval_param(v: Vertex4, p: _BranchParam, r: float,
         zero = (0.0, 0.0, 0.0, 0.0)
         return VertexSolution(rho=zero, xi=xi_of(v, 0.0), branch=branch,
                               raw_rho=zero)
-    raw = p.raw_fn(r)
+    raw = p.fn(r)
     rho = tuple(normalize_angle(x) for x in raw)
     return VertexSolution(rho=rho, xi=xi_of(v, rho[0]), branch=branch, raw_rho=raw)
 
@@ -679,12 +672,7 @@ def monotonicity_check(v: Vertex4, branch: BranchId,
         raise ValueError("need at least 3 samples")
     # monotonicity is a statement about the continuous (unnormalized) lifts
     # of the folding angles; the normalized representatives wrap at +-pi
-    base = tuple(TWO_PI * round(x / TWO_PI) for x in p.raw_fn(1e-9))
-
-    def lift(r):
-        s = 1.0 if r >= 0 else -1.0
-        return tuple(x - s * b for x, b in zip(p.raw_fn(r), base))
-
+    lift = p.lift
     rs = [p.r_max * (2.0 * k / (n_samples - 1) - 1.0) for k in range(n_samples)]
     prev = lift(rs[0])
     min_slope = [math.inf] * 3
@@ -721,11 +709,8 @@ def _bisect_component(p: _BranchParam, comp: int, target: float) -> float:
     monotone over the whole parameter interval (the normalized value wraps at
     the interval endpoints where a crease folds completely flat).
     """
-    base = tuple(TWO_PI * round(x / TWO_PI) for x in p.raw_fn(1e-9))
-
     def lift(r):
-        s = 1.0 if r >= 0 else -1.0
-        return p.raw_fn(r)[comp] - s * base[comp]
+        return p.lift(r)[comp]
 
     lo, hi = -p.r_max, p.r_max
     vlo, vhi = lift(lo), lift(hi)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,9 +8,11 @@ from quadfold import (
     EmptyInterval,
     OutOfDomain,
     PropagationConflict,
+    StitchPlan,
     Vertex4,
     build_tree,
     certify,
+    count_branches,
     enumerate_branch_choices,
     mv_assignment,
     propagate,
@@ -112,6 +115,26 @@ class TestCertify:
             rep = certify(pat_b, ch, 60)
             assert rep.verdict, rep.reason
             assert rep.max_residual < 1e-8
+
+    def test_choices_match_branch_count(self, pat_a, pat_b):
+        choices = {}
+        for name, p in (("a", pat_a), ("b", pat_b)):
+            choices[name] = list(enumerate_branch_choices(p))
+            assert count_branches(p.plan) == len(choices[name])
+            assert len(set(choices[name])) == len(choices[name])
+        # the two showcases side by side do not stitch (their panels do not
+        # close), but their branch chains combine column by column; the
+        # enumeration reads only the plan and the grid size
+        side_by_side = StitchPlan(columns=pat_a.plan.columns
+                                  + pat_b.plan.columns)
+        grid = SimpleNamespace(plan=side_by_side, m=pat_a.m,
+                               n=pat_a.n + pat_b.n)
+        got = list(enumerate_branch_choices(grid))
+        assert count_branches(side_by_side) == len(got)
+        assert got == [
+            tuple(ra + rb for ra, rb in zip(ca, cb))
+            for ca in choices["a"] for cb in choices["b"]
+        ]
 
     def test_invalid_branch_choice_fails(self, pat_b):
         # outer column mixing branches between stacked units is inconsistent

@@ -18,7 +18,7 @@ from quadfold import (
     stitch,
 )
 from quadfold.cli import main
-from quadfold.fixtures import showcase_a_plan, square_grid_plan
+from quadfold.fixtures import showcase_a_plan, showcase_b_plan, square_grid_plan
 
 deg = math.radians
 
@@ -242,3 +242,67 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "(33 samples)" in out
+
+    def _fold_file(self, tmp_path, plan):
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps(plan.to_json()))
+        fold_file = tmp_path / "p.fold"
+        assert main(["pattern", "stitch", str(plan_file),
+                     "-o", str(fold_file)]) == 0
+        return fold_file
+
+    def _set_config(self, tmp_path, monkeypatch, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        monkeypatch.setenv("QUADFOLD_CONFIG", str(cfg))
+
+    def test_sweep_honours_tau_compat(self, tmp_path, capsys, monkeypatch):
+        fold_file = self._fold_file(tmp_path, showcase_b_plan())
+        sweep = ["pattern", "sweep", str(fold_file), "--frames", "2",
+                 "--out-dir", str(tmp_path / "frames")]
+        self._set_config(tmp_path, monkeypatch, {"samples": 33})
+        assert main(sweep) == 0
+        self._set_config(tmp_path, monkeypatch,
+                         {"samples": 33, "tau_compat": 1e-15})
+        assert main(["pattern", "certify", str(fold_file)]) == 1
+        assert main(sweep) == 1
+        assert "exceeds tolerance 1.0e-15" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["vertex", "solve", "--alphas", "80,95,75,110", "--rho1", "60",
+         "--branch", "x"],
+        ["vertex", "interval", "--alphas", "80,95,75,110", "--branch", "x"],
+    ])
+    def test_bad_branch_token_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unknown branch token 'x'" in capsys.readouterr().err
+
+    def test_bad_branches_spec_token_is_usage_error(self, tmp_path, capsys):
+        fold_file = self._fold_file(tmp_path, showcase_a_plan())
+        with pytest.raises(SystemExit) as exc:
+            main(["pattern", "certify", str(fold_file),
+                  "--branches", "1,1,1;1,x,1;1,1,1"])
+        assert exc.value.code == 2
+        assert "unknown branch token 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, named", [
+        ({"tau_compt": 1e-6}, "tau_compt"),
+        ({"tau_rigid": 1e-6}, "tau_rigid"),
+        ({"samples": "33"}, "samples"),
+        ({"samples": 1}, "samples"),
+        ({"frames": 0}, "frames"),
+        ({"frames": 2.0}, "frames"),
+        ({"tau_flat": -1e-9}, "tau_flat"),
+        ({"tau_unit": None}, "tau_unit"),
+        ([{"samples": 33}], "object"),
+    ])
+    def test_bad_config_is_usage_error(self, doc, named, tmp_path, capsys,
+                                       monkeypatch):
+        self._set_config(tmp_path, monkeypatch, doc)
+        rc = main(["vertex", "interval", "--alphas", "80,95,75,110",
+                   "--branch", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "bad QUADFOLD_CONFIG" in err and named in err

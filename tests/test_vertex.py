@@ -264,15 +264,12 @@ class TestFoldInterval:
         assert (iv.lo, iv.hi) == pytest.approx((-math.pi, math.pi))
 
     def test_generic_endpoint_is_argument_boundary(self):
-        from quadfold.vertex import _generic_margin, _raw_baseline, _generic_rhos
+        from quadfold.vertex import _generic_param
 
         iv = fold_interval(GEN, BranchId.BRANCH_1)
-        raw0 = _raw_baseline(lambda r: _generic_rhos(GEN.alpha, r,
-                                                     BranchId.BRANCH_1))
-        m_in = _generic_margin(GEN.alpha, iv.hi, BranchId.BRANCH_1, raw0)
-        m_out = _generic_margin(GEN.alpha, iv.hi + 1e-7, BranchId.BRANCH_1, raw0)
-        assert m_in >= -1e-12
-        assert m_out < 0
+        curve = _generic_param(GEN.alpha, BranchId.BRANCH_1)
+        assert curve.margin(iv.hi) >= -1e-12
+        assert curve.margin(iv.hi + 1e-7) < 0
 
     def test_interval_symmetric(self, rng):
         for _ in range(20):
