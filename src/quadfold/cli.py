@@ -48,6 +48,20 @@ def _branch_token(text: str) -> BranchId:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _count_at_least(least: int):
+    """argparse type: an integer >= `least`."""
+    def parse(text: str) -> int:
+        try:
+            x = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if x < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {x}")
+        return x
+    return parse
+
+
 def _deg_list(values):
     return " ".join(_F(math.degrees(v)) for v in values)
 
@@ -85,8 +99,8 @@ def _cmd_unit_solve_ff(args, cfg):
 def _cmd_unit_validate(args, cfg):
     with open(args.file, encoding="utf-8") as fh:
         unit = Unit.from_json(json.load(fh))
-    report = validate_unit(unit, args.samples or cfg.samples,
-                           tol=cfg.tolerances.unit)
+    samples = cfg.samples if args.samples is None else args.samples
+    report = validate_unit(unit, samples, tol=cfg.tolerances.unit)
     print(f"samples: {report.n_samples}")
     print(f"max_residual: {report.max_residual:.3e}")
     if report.degenerate_shared:
@@ -134,8 +148,8 @@ def _cmd_pattern_stitch(args, cfg):
 def _cmd_pattern_certify(args, cfg):
     p = _load_pattern(args.pattern)
     branches = _parse_branch_spec(args.branches, p)
-    report = certify(p, branches, args.samples or cfg.samples,
-                     compat_tol=cfg.tolerances.compat)
+    samples = cfg.samples if args.samples is None else args.samples
+    report = certify(p, branches, samples, compat_tol=cfg.tolerances.compat)
     print(report.summary())
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -155,8 +169,9 @@ def _cmd_pattern_count(args, cfg):
 def _cmd_pattern_sweep(args, cfg):
     p = _load_pattern(args.pattern)
     branches = _parse_branch_spec(args.branches, p)
-    result = sweep(p, branches, args.frames or cfg.frames,
-                   n_samples=cfg.samples, compat_tol=cfg.tolerances.compat)
+    frames = cfg.frames if args.frames is None else args.frames
+    result = sweep(p, branches, frames, n_samples=cfg.samples,
+                   compat_tol=cfg.tolerances.compat)
     os.makedirs(args.out_dir, exist_ok=True)
     tree = build_tree(p)
     for k, (state, t) in enumerate(zip(result.frames, result.driving_angles)):
@@ -222,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_unit_solve_ff)
     s = uns.add_parser("validate", help="validate a unit JSON file")
     s.add_argument("file")
-    s.add_argument("--samples", type=int, default=None)
+    s.add_argument("--samples", type=_count_at_least(2), default=None)
     s.set_defaults(fn=_cmd_unit_validate)
 
     pt = sub.add_parser("pattern", help="stitched blankets")
@@ -236,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--branches", default=None,
                    help="per-vertex branches: columns ';'-separated, rows "
                         "','-separated (default: stored assignment)")
-    s.add_argument("--samples", type=int, default=None)
+    s.add_argument("--samples", type=_count_at_least(2), default=None)
     s.add_argument("--report", default=None, help="write JSON report here")
     s.set_defaults(fn=_cmd_pattern_certify)
     s = pts.add_parser("count", help="independent sector angles and branches")
@@ -244,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_pattern_count)
     s = pts.add_parser("sweep", help="realize the folding motion")
     s.add_argument("pattern")
-    s.add_argument("--frames", type=int, default=None)
+    s.add_argument("--frames", type=_count_at_least(1), default=None)
     s.add_argument("--out-dir", required=True)
     s.add_argument("--format", choices=("obj", "fold"), default="obj")
     s.add_argument("--branches", default=None)

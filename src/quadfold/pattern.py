@@ -410,11 +410,14 @@ def stitch(plan: StitchPlan, *, validate: bool = True,
     m, n = plan.n_rows, plan.n_cols
     vertices = [[None] * n for _ in range(m)]
     branches = [[None] * n for _ in range(m)]
+    reports = {}  # Unit -> its validation report: equal units validate once
 
     for j, col in enumerate(plan.columns):
         for k, u in enumerate(col):
             if validate:
-                rep = validate_unit(u, unit_samples)
+                rep = reports.get(u)
+                if rep is None:
+                    rep = reports[u] = validate_unit(u, unit_samples)
                 if not rep.valid():
                     raise ValidationFailed(
                         f"unit {k} of column {j} fails validation "

@@ -348,14 +348,84 @@ class _BranchParam:
 _WRAP_SLACK = 1e-9
 
 
+def _sector_trig(alpha: tuple, straight_line: bool) -> tuple:
+    """The sector trig of the transmissions: (c1, s1, c2, s2, c1*c2, s1*s2)
+    and (c3, s3, c4, s4, c3*c4, s3*s4) with ci = cos(ai), si = sin(ai).  The
+    second is None for a straight-line vertex (canonical labels), whose
+    transmissions read only a1 and a2."""
+    a1, a2, a3, a4 = alpha
+    c1, s1, c2, s2 = math.cos(a1), math.sin(a1), math.cos(a2), math.sin(a2)
+    t12 = (c1, s1, c2, s2, c1 * c2, s1 * s2)
+    if straight_line:
+        return t12, None
+    c3, s3, c4, s4 = math.cos(a3), math.sin(a3), math.cos(a4), math.sin(a4)
+    return t12, (c3, s3, c4, s4, c3 * c4, s3 * s4)
+
+
+def _arccos_args(trig: tuple, rr: float) -> tuple:
+    """(A, B, C, D, E) of the generic closed forms at driving magnitude
+    rr >= 0, or only (A, D) for a straight-line vertex; `trig` comes from
+    `_sector_trig`.  OutOfDomain where xi hits 0 or pi."""
+    (c1, s1, c2, s2, c12, s12), t34 = trig
+    x = c12 - s12 * math.cos(rr)
+    # max(-1.0, min(1.0, x)), NaN included, without two builtin calls
+    x = x if x < 1.0 else 1.0
+    xi = math.acos(x if x > -1.0 else -1.0)
+    sx = math.sin(xi)
+    if sx < 1e-14:
+        raise OutOfDomain("xi hit 0 or pi; transmission undefined here")
+    cx = math.cos(xi)
+    A = (c2 * cx - c1) / (s2 * sx)
+    D = (c1 * cx - c2) / (s1 * sx)
+    if t34 is None:
+        return A, D
+    c3, s3, c4, s4, c34, s34 = t34
+    B = (c4 - c3 * cx) / (s3 * sx)
+    C = (c34 - cx) / s34
+    E = (c3 - c4 * cx) / (s4 * sx)
+    return A, B, C, D, E
+
+
+# Each folding angle as a function of the arccos arguments `g` (as returned
+# by `_arccos_args`) and the driving magnitude rr >= 0.  A component applies
+# arccos only to the arguments it reads.
+_GENERIC_RHOS = {  # stored labels; g = (A, B, C, D, E)
+    BranchId.BRANCH_1: (
+        lambda g, rr: rr,
+        lambda g, rr: (clamped_acos(g[0], _EVAL_CLAMP)
+                       - clamped_acos(g[1], _EVAL_CLAMP)),
+        lambda g, rr: clamped_acos(g[2], _EVAL_CLAMP),
+        lambda g, rr: (clamped_acos(g[3], _EVAL_CLAMP)
+                       - clamped_acos(g[4], _EVAL_CLAMP)),
+    ),
+    BranchId.BRANCH_2: (
+        lambda g, rr: rr,
+        lambda g, rr: (clamped_acos(g[0], _EVAL_CLAMP)
+                       + clamped_acos(g[1], _EVAL_CLAMP)),
+        lambda g, rr: -clamped_acos(g[2], _EVAL_CLAMP),
+        lambda g, rr: (clamped_acos(g[3], _EVAL_CLAMP)
+                       + clamped_acos(g[4], _EVAL_CLAMP)),
+    ),
+}
+_STRAIGHT_LINE_RHOS = (  # canonical labels; g = (A, D)
+    lambda g, rr: rr,
+    lambda g, rr: 2.0 * clamped_acos(g[0], _EVAL_CLAMP),
+    lambda g, rr: -rr,
+    lambda g, rr: 2.0 * clamped_acos(g[1], _EVAL_CLAMP),
+)
+
+
 class _ArccosCurve(_BranchParam):
     """Curve branch given by arccos transmissions.
 
-    `args(rr)` gives the arccos arguments at driving magnitude rr >= 0 and
-    subclasses define `combine(args, rr)`, the lifted folding angles there in
-    stored labels; negative r mirrors every angle.  The branch ends where an
-    arccos argument leaves [-1, 1] or a folding angle passes +-pi (the crease
-    lies completely flat there and its normalized representative wraps).
+    `_arccos_args` gives the arccos arguments at driving magnitude rr >= 0
+    and subclasses define `combine(args, rr)`, the lifted folding angles
+    there in stored labels, and `rho_fn(comp)`, the expression of one of
+    them; negative r mirrors every angle.  The branch ends where an arccos
+    argument leaves [-1, 1] or a folding angle passes +-pi (the crease lies
+    completely flat there and its normalized representative wraps).  The
+    sector trig is recomputed per evaluation, not stored: the params are
+    cached per vertex.
     """
 
     __slots__ = ("alpha",)
@@ -364,39 +434,25 @@ class _ArccosCurve(_BranchParam):
     def __init__(self, alpha: tuple):
         self.alpha = alpha
         super().__init__(self._raw, "curve")
-        self.r_max = _curve_interval(self.margin)
+        trig = self.trig()
+        self.r_max = _curve_interval(lambda r: self.margin(r, trig))
 
-    def args(self, rr: float) -> tuple:
-        """(A, B, C, D, E) of the generic closed forms, or only (A, D) for a
-        straight-line vertex in canonical labels.  OutOfDomain where xi hits
-        0 or pi."""
-        a1, a2, a3, a4 = self.alpha
-        arg = math.cos(a1) * math.cos(a2) - math.sin(a1) * math.sin(a2) * math.cos(rr)
-        xi = math.acos(max(-1.0, min(1.0, arg)))
-        sx = math.sin(xi)
-        if sx < 1e-14:
-            raise OutOfDomain("xi hit 0 or pi; transmission undefined here")
-        A = (math.cos(a2) * math.cos(xi) - math.cos(a1)) / (math.sin(a2) * sx)
-        D = (math.cos(a1) * math.cos(xi) - math.cos(a2)) / (math.sin(a1) * sx)
-        if self.straight_line:
-            return A, D
-        B = (math.cos(a4) - math.cos(a3) * math.cos(xi)) / (math.sin(a3) * sx)
-        C = (math.cos(a3) * math.cos(a4) - math.cos(xi)) / (math.sin(a3) * math.sin(a4))
-        E = (math.cos(a3) - math.cos(a4) * math.cos(xi)) / (math.sin(a4) * sx)
-        return A, B, C, D, E
+    def trig(self) -> tuple:
+        return _sector_trig(self.alpha, self.straight_line)
 
     def _raw(self, r: float) -> tuple:
         rr = abs(r)
-        raw = self.combine(self.args(rr), rr)
+        raw = self.combine(_arccos_args(self.trig(), rr), rr)
         if r < 0:
             return (-raw[0], -raw[1], -raw[2], -raw[3])
         return raw
 
-    def margin(self, r: float) -> float:
-        """Validity margin at |r|; negative means the branch ended earlier."""
+    def margin(self, r: float, trig: tuple = None) -> float:
+        """Validity margin at |r|; negative means the branch ended earlier.
+        `trig` is `self.trig()`, passed in by callers that scan many r."""
         rr = abs(r)
         try:
-            args = self.args(rr)
+            args = _arccos_args(trig or self.trig(), rr)
         except OutOfDomain:
             return -1.0
         m = 1.0 - max(map(abs, args))
@@ -404,6 +460,30 @@ class _ArccosCurve(_BranchParam):
             return m
         worst = max(map(abs, map(operator.sub, self.combine(args, rr), self.base)))
         return min(m, (math.pi + _WRAP_SLACK - worst) / math.pi)
+
+    def component_lift(self, comp: int) -> Callable[[float], float]:
+        """r -> self.lift(r)[comp], equal bit for bit and raising
+        OutOfDomain at the same r, but evaluating only that component: the
+        sector trig is computed once here, and each call takes arccos only
+        of the arguments the component reads (the others are still
+        range-checked)."""
+        trig = self.trig()
+        fn = self.rho_fn(comp)
+        b = self.base[comp]
+        hi, lo = 1.0 + _EVAL_CLAMP, -1.0 - _EVAL_CLAMP
+
+        def lift(r: float) -> float:
+            rr = abs(r)
+            g = _arccos_args(trig, rr)
+            for x in g:  # every argument, as in the full evaluation
+                if x > hi or x < lo:
+                    clamped_acos(x, _EVAL_CLAMP)  # raises OutOfDomain
+            x = fn(g, rr)
+            if r >= 0:
+                return x - b
+            return -x + b
+
+        return lift
 
 
 class _GenericCurve(_ArccosCurve):
@@ -415,17 +495,12 @@ class _GenericCurve(_ArccosCurve):
         self.branch = branch
         super().__init__(alpha)
 
+    def rho_fn(self, comp: int):
+        return _GENERIC_RHOS[self.branch][comp]
+
     def combine(self, args, rr: float) -> tuple:
-        A, B, C, D, E = args
-        tol = _EVAL_CLAMP
-        aA = clamped_acos(A, tol)
-        aB = clamped_acos(B, tol)
-        aC = clamped_acos(C, tol)
-        aD = clamped_acos(D, tol)
-        aE = clamped_acos(E, tol)
-        if self.branch is BranchId.BRANCH_1:
-            return (rr, aA - aB, aC, aD - aE)
-        return (rr, aA + aB, -aC, aD + aE)
+        f1, f2, f3, f4 = _GENERIC_RHOS[self.branch]
+        return (f1(args, rr), f2(args, rr), f3(args, rr), f4(args, rr))
 
 
 class _StraightLineCurve(_ArccosCurve):
@@ -440,10 +515,13 @@ class _StraightLineCurve(_ArccosCurve):
         self.shift = shift
         super().__init__(canonical_alpha)
 
+    def rho_fn(self, comp: int):
+        return _STRAIGHT_LINE_RHOS[(comp - self.shift) % 4]
+
     def combine(self, args, rr: float) -> tuple:
-        A, D = args
-        return _unshift((rr, 2.0 * clamped_acos(A, _EVAL_CLAMP), -rr,
-                         2.0 * clamped_acos(D, _EVAL_CLAMP)), self.shift)
+        f1, f2, f3, f4 = _STRAIGHT_LINE_RHOS
+        return _unshift((f1(args, rr), f2(args, rr), f3(args, rr),
+                         f4(args, rr)), self.shift)
 
 
 def _unshift(t: tuple, k: int) -> tuple:
@@ -702,16 +780,14 @@ def monotonicity_check(v: Vertex4, branch: BranchId,
 # ---------------------------------------------------------------------------
 
 
-def _bisect_component(p: _BranchParam, comp: int, target: float) -> float:
+def _bisect_component(p: _ArccosCurve, comp: int, target: float) -> float:
     """Invert the strictly monotone map r -> rho[comp] by bisection.
 
     Works on the unnormalized lift of the component, which is continuous and
     monotone over the whole parameter interval (the normalized value wraps at
     the interval endpoints where a crease folds completely flat).
     """
-    def lift(r):
-        return p.lift(r)[comp]
-
+    lift = p.component_lift(comp)
     lo, hi = -p.r_max, p.r_max
     vlo, vhi = lift(lo), lift(hi)
     for t in (target, target - TWO_PI, target + TWO_PI):
@@ -744,9 +820,13 @@ def solve_at_crease(v: Vertex4, crease: int, angle: float,
                     branch: BranchId) -> VertexSolution:
     """Solve the vertex so that crease `crease` (1..4) folds by `angle`.
 
-    Uses the closed-form inversion where one exists (crease 1 always; crease 3
-    for every class; any crease of a flat-foldable vertex) and monotone
-    bisection otherwise.
+    Closed-form inversions: any crease of a flat-foldable vertex or of a
+    segment branch; crease 1 and crease 3 of a generic vertex; the creases
+    of the collinear pair of a straight-line vertex (c1/c3 for pair (1, 3),
+    c2/c4 for pair (2, 4)).  Monotone bisection on the branch parameter
+    inverts the rest: c2/c4 of a generic vertex and the two creases off the
+    collinear pair of a straight-line vertex.  The bisection stops where
+    the bracket is narrower than 1e-15 or after 90 halvings.
     """
     if crease not in (1, 2, 3, 4):
         raise ValueError("crease index must be 1..4")

@@ -287,6 +287,29 @@ class TestCli:
         assert exc.value.code == 2
         assert "unknown branch token 'x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["pattern", "certify", "{fold}", "--samples", "1"], "--samples"),
+        (["pattern", "certify", "{fold}", "--samples", "0"], "--samples"),
+        (["unit", "validate", "{unit}", "--samples", "1"], "--samples"),
+        (["pattern", "sweep", "{fold}", "--frames", "-2",
+          "--out-dir", "{out}"], "--frames"),
+        (["pattern", "sweep", "{fold}", "--frames", "0",
+          "--out-dir", "{out}"], "--frames"),
+    ])
+    def test_bad_count_flag_is_usage_error(self, argv, flag, tmp_path,
+                                           capsys):
+        unit_file = tmp_path / "unit.json"
+        unit_file.write_text(json.dumps(
+            next(showcase_a_plan().units()).to_json()))
+        paths = {"fold": str(self._fold_file(tmp_path, showcase_a_plan())),
+                 "unit": str(unit_file), "out": str(tmp_path / "frames")}
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(**paths) for a in argv])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument {flag}" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("doc, named", [
         ({"tau_compt": 1e-6}, "tau_compt"),
         ({"tau_rigid": 1e-6}, "tau_rigid"),

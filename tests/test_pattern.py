@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,14 +14,18 @@ from quadfold import (
     PlanLengths,
     StitchPlan,
     Unit,
+    ValidationFailed,
     Vertex4,
     count_branches,
     count_dof,
     make_straightline_unit,
     stitch,
     unit_from_descriptor,
+    validate_unit,
 )
+from quadfold import pattern as pattern_mod
 from quadfold.fixtures import (
+    herringbone_plan,
     showcase_a_plan,
     showcase_b_plan,
     single_ff_unit_plan,
@@ -82,6 +87,35 @@ class TestStitch:
         u2 = make_straightline_unit(Vertex4.from_degrees((95, 85, 75, 105)))
         with pytest.raises(IncompatibleUnits):
             stitch(StitchPlan(columns=((u1,), (u2,))))
+
+    def test_each_distinct_unit_validated_once(self, monkeypatch):
+        plan = herringbone_plan(4, 3)
+        seen = []
+
+        def counting(u, n_samples):
+            seen.append(u)
+            return validate_unit(u, n_samples)
+
+        monkeypatch.setattr(pattern_mod, "validate_unit", counting)
+        stitch(plan)
+        units = list(plan.units())
+        assert len(units) == 9
+        assert len(seen) == len(set(seen)) == len(set(units)) == 2
+
+    def test_repeated_failing_unit_reports_first_position(self, monkeypatch):
+        plan = herringbone_plan(4, 3)
+        bad = plan.columns[0][1]
+        assert bad != plan.columns[0][0] and plan.columns[1][1] == bad
+
+        def failing(u, n_samples):
+            rep = validate_unit(u, n_samples)
+            if u == bad:
+                return replace(rep, max_residual_24=1.0)
+            return rep
+
+        monkeypatch.setattr(pattern_mod, "validate_unit", failing)
+        with pytest.raises(ValidationFailed, match="unit 1 of column 0 "):
+            stitch(plan)
 
     def test_ragged_columns_rejected(self):
         u = make_straightline_unit(Vertex4.from_degrees((70, 80, 100, 110)))

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quadfold import (
     BranchId,
@@ -8,6 +9,7 @@ from quadfold import (
     DegenerateVertex,
     InvalidSectorAngles,
     OutOfDomain,
+    QuadfoldError,
     Vertex4,
     WrongClass,
     classify,
@@ -22,7 +24,9 @@ from quadfold import (
     solve_straightline,
     xi_of,
 )
-from conftest import random_generic_vertex
+from quadfold import vertex as vertex_mod
+from quadfold.vertex import TWO_PI, _branch_param, _generic_param
+from conftest import random_generic_vertex, random_straightline_vertex
 
 deg = math.radians
 
@@ -264,8 +268,6 @@ class TestFoldInterval:
         assert (iv.lo, iv.hi) == pytest.approx((-math.pi, math.pi))
 
     def test_generic_endpoint_is_argument_boundary(self):
-        from quadfold.vertex import _generic_param
-
         iv = fold_interval(GEN, BranchId.BRANCH_1)
         curve = _generic_param(GEN.alpha, BranchId.BRANCH_1)
         assert curve.margin(iv.hi) >= -1e-12
@@ -358,3 +360,125 @@ def test_class_a_motion_only():
     for b in (BranchId.BRANCH_1, BranchId.BRANCH_2, BranchId.LINE_SEGMENT_2):
         with pytest.raises(WrongClass):
             solve_on_branch(v, 0.1, b)
+
+
+# ---------------------------------------------------------------------------
+# the crease-inversion kernel evaluates one component, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _outcome(fn, *args):
+    """repr of the result (so -0.0 differs from 0.0), or the exception type."""
+    try:
+        return repr(fn(*args))
+    except QuadfoldError as exc:
+        return type(exc)
+
+
+_sector_deg = st.floats(min_value=20.0, max_value=160.0)
+
+
+@st.composite
+def _arccos_curves(draw):
+    """A generic vertex's curve (either branch) or the curve of a
+    straight-line vertex with collinear pair (1, 3) or (2, 4)."""
+    kind = draw(st.sampled_from(("generic", "sl13", "sl24")))
+    a1, a2 = draw(_sector_deg), draw(_sector_deg)
+    if kind == "generic":
+        a3 = draw(_sector_deg)
+        assume(20.0 < 360.0 - a1 - a2 - a3 < 160.0)
+        v = Vertex4.from_degrees((a1, a2, a3, 360.0 - a1 - a2 - a3))
+        assume(classify(v).tag is ClassTag.GENERIC)
+        return _generic_param(v.alpha, draw(st.sampled_from(
+            (BranchId.BRANCH_1, BranchId.BRANCH_2))))
+    if kind == "sl13":
+        v = Vertex4.from_degrees((a1, a2, 180.0 - a2, 180.0 - a1))
+    else:
+        v = Vertex4.from_degrees((a1, 180.0 - a1, a2, 180.0 - a2))
+    cls = classify(v)
+    assume(cls.tag is ClassTag.STRAIGHT_LINE and not cls.flat_foldable)
+    return _branch_param(v, BranchId.BRANCH_2)
+
+
+@given(_arccos_curves(),
+       st.lists(st.floats(min_value=-math.pi, max_value=math.pi),
+                min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_component_lift_is_bit_identical_to_lift(p, rs):
+    # random r reach beyond the fold interval, where both must raise alike
+    for r in [-p.r_max, 0.0, -0.0, p.r_max] + rs:
+        for comp in range(4):
+            assert (_outcome(p.component_lift(comp), r)
+                    == _outcome(lambda x: p.lift(x)[comp], r))
+
+
+def _reference_bisect_component(p, comp: int, target: float) -> float:
+    """Verbatim copy of the bisection as it stood before the one-component
+    lift: every step evaluates the full `p.lift(r)`."""
+    def lift(r):
+        return p.lift(r)[comp]
+
+    lo, hi = -p.r_max, p.r_max
+    vlo, vhi = lift(lo), lift(hi)
+    for t in (target, target - TWO_PI, target + TWO_PI):
+        a, b, fa, fb = lo, hi, vlo - t, vhi - t
+        if fa == 0.0:
+            return a
+        if fb == 0.0:
+            return b
+        if fa * fb > 0.0:
+            continue
+        for _ in range(90):
+            mid = 0.5 * (a + b)
+            fm = lift(mid) - t
+            if fm == 0.0:
+                return mid
+            if (fm > 0.0) == (fb > 0.0):
+                b, fb = mid, fm
+            else:
+                a, fa = mid, fm
+            if b - a < 1e-15:
+                break
+        return 0.5 * (a + b)
+    raise OutOfDomain(
+        f"target angle {target!r} outside the image of rho{comp + 1} "
+        "on this branch"
+    )
+
+
+def test_crease_inversion_matches_reference_bisection(rng, monkeypatch):
+    """Every bisected inversion (generic c2/c4 on both branches, c1/c3 of a
+    straight-line vertex whose collinear pair is (2, 4)) returns the same
+    rho, repr for repr, as solve_at_crease over the reference bisection."""
+    cases = []
+    for _ in range(40):
+        v = random_generic_vertex(rng)
+        for branch in (BranchId.BRANCH_1, BranchId.BRANCH_2):
+            cases += [(v, crease, branch) for crease in (2, 4)]
+        v = random_straightline_vertex(rng).shifted(1)
+        assert classify(v).collinear_pairs == ((2, 4),)
+        cases += [(v, crease, BranchId.BRANCH_2) for crease in (1, 3)]
+    calls = []
+    for v, crease, branch in cases:
+        hi = fold_interval(v, branch).hi
+        for f in rng.uniform(-1.0, 1.0, size=9):
+            target = solve_on_branch(v, f * hi, branch).rho[crease - 1]
+            calls.append((v, crease, target, branch))
+        # an angle the crease may not reach: both paths must refuse alike
+        calls.append((v, crease, rng.uniform(-math.pi, math.pi), branch))
+    assert len(calls) >= 2000
+
+    def rhos():
+        return [_outcome(lambda *a: solve_at_crease(*a).rho, *c)
+                for c in calls]
+
+    got = rhos()
+    bisected = []
+
+    def reference(p, comp, target):
+        bisected.append(comp)
+        return _reference_bisect_component(p, comp, target)
+
+    monkeypatch.setattr(vertex_mod, "_bisect_component", reference)
+    assert got == rhos()
+    assert len(bisected) == len(calls)
