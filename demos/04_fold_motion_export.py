@@ -11,15 +11,7 @@ any origami viewer can load.
 import math
 import os
 
-from quadfold import (
-    build_tree,
-    export_fold,
-    export_obj,
-    fold_dumps,
-    propagate,
-    stitch,
-    sweep,
-)
+from quadfold import export_fold, export_obj, fold_dumps, stitch, sweep
 from quadfold.fixtures import showcase_a_plan, showcase_b_plan
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
@@ -36,16 +28,12 @@ for name, plan in (("showcase_a", showcase_a_plan()),
 
     frame_dir = os.path.join(OUT, f"{name}_frames")
     os.makedirs(frame_dir, exist_ok=True)
-    tree = build_tree(pattern)
-    for k, (state, t) in enumerate(zip(motion.frames,
-                                       motion.driving_angles)):
+    for k, state in enumerate(motion.frames):
         with open(os.path.join(frame_dir, f"frame_{k:03d}.obj"), "w",
                   encoding="utf-8") as fh:
             fh.write(export_obj(state, pattern))
     # also a mid-fold FOLD frame with fold angles and M/V letters
-    mid = len(motion.frames) // 2
-    prop = propagate(tree, motion.driving_angles[mid], None)
-    doc = export_fold(motion.frames[mid], pattern=pattern, angles=prop)
+    doc = export_fold(motion.frames[len(motion.frames) // 2], pattern=pattern)
     with open(os.path.join(OUT, f"{name}_midfold.fold"), "w",
               encoding="utf-8") as fh:
         fh.write(fold_dumps(doc))

@@ -16,7 +16,7 @@ import sys
 
 from .config import CliConfig
 from .errors import QuadfoldError
-from .foldability import build_tree, certify, mv_assignment, propagate
+from .foldability import certify, mv_assignment
 from .foldio import export_fold, export_obj, export_svg, fold_dumps, import_fold
 from .pattern import StitchPlan, count_dof, stitch
 from .realize import sweep
@@ -173,15 +173,13 @@ def _cmd_pattern_sweep(args, cfg):
     result = sweep(p, branches, frames, n_samples=cfg.samples,
                    compat_tol=cfg.tolerances.compat)
     os.makedirs(args.out_dir, exist_ok=True)
-    tree = build_tree(p)
-    for k, (state, t) in enumerate(zip(result.frames, result.driving_angles)):
+    for k, state in enumerate(result.frames):
         if args.format == "obj":
             path = os.path.join(args.out_dir, f"frame_{k:03d}.obj")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(export_obj(state, p))
         else:
-            prop = propagate(tree, t, branches)
-            doc = export_fold(state, pattern=p, angles=prop)
+            doc = export_fold(state, pattern=p)
             path = os.path.join(args.out_dir, f"frame_{k:03d}.fold")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(fold_dumps(doc))

@@ -138,14 +138,14 @@ class Propagation:
         raise ValueError("boundary edges do not fold")
 
 
-def propagate(tree: TreeStructure, rho_top, branch_choice: BranchChoice = None,
-              *, compat_tol: float = TAU_COMPAT) -> Propagation:
+def propagate(tree: TreeStructure, rho_top,
+              branch_choice: BranchChoice = None) -> Propagation:
     """Solve every vertex of the tree from the driving angle.
 
     `rho_top` is the driving angle: the fold angle of the top-left vertex's
     left crease.  A full sequence of top-row angles is also accepted; the
     first entry drives and the rest are checked against the transmitted
-    values (PropagationConflict on disagreement).
+    values (PropagationConflict when they differ by more than TAU_COMPAT).
     """
     p = tree.pattern
     if isinstance(rho_top, (int, float)):
@@ -168,7 +168,7 @@ def propagate(tree: TreeStructure, rho_top, branch_choice: BranchChoice = None,
             raise OutOfDomain(f"top-row vertex (0,{j}): {exc}") from exc
     for k, want in enumerate(expected):
         got = sols[0][k].rho[3]
-        if abs(normalize_angle(got - want)) > compat_tol:
+        if abs(normalize_angle(got - want)) > TAU_COMPAT:
             raise PropagationConflict(
                 f"provided top-row angle {k + 1} = {want!r} conflicts with "
                 f"the transmitted value {got!r}"
@@ -263,13 +263,17 @@ def _probe(tree, t, branches) -> bool:
     return worst <= math.pi - _PI_MARGIN
 
 
-def _driving_limit(tree, branches, coarse: int = 48) -> float:
-    """Largest |driving angle| the whole tree can reach, by bisection."""
+def _driving_limit(tree, branches) -> float:
+    """Largest |driving angle| the whole tree can reach, by bisection.
+
+    The bisection stops after 60 halvings, or once the midpoint rounds to
+    `good` or `bad`: every later step would probe that same point again.
+    """
     if _probe(tree, math.pi, branches):
         return math.pi
     good, bad = 0.0, math.pi
-    for k in range(1, coarse + 1):
-        t = math.pi * k / coarse
+    for k in range(1, 49):
+        t = math.pi * k / 48
         if _probe(tree, t, branches):
             good = t
         else:
@@ -277,6 +281,8 @@ def _driving_limit(tree, branches, coarse: int = 48) -> float:
             break
     for _ in range(60):
         mid = 0.5 * (good + bad)
+        if mid == good or mid == bad:
+            break
         if _probe(tree, mid, branches):
             good = mid
         else:

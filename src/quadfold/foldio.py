@@ -65,8 +65,9 @@ def export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
     """Build a FOLD document for a pattern (crease pattern) or folded frame.
 
     For a FoldedState the owning pattern must be supplied; `angles` (a
-    Propagation or edge-angle dict) fills edges_foldAngle, and `mv` overrides
-    the assignment letters derived from the angle signs.
+    Propagation or edge-angle dict, by default the angles the state was
+    folded by) fills edges_foldAngle, and `mv` overrides the assignment
+    letters derived from the angle signs.
     """
     if isinstance(obj, QuadPattern):
         p = obj
@@ -80,6 +81,8 @@ def export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
         coords = [[float(x) for x in obj.coords[r, c]]
                   for r in range(p.m + 2) for c in range(p.n + 2)]
         frame_class = "foldedForm"
+        if angles is None:
+            angles = obj.angles
     else:
         raise SerializationError(f"cannot export {type(obj).__name__}")
 
@@ -185,8 +188,7 @@ def export_obj(state: FoldedState, pattern: QuadPattern) -> str:
 _SVG_COLORS = {"M": "#d62728", "V": "#1f77b4", "F": "#999999", "B": "#000000"}
 
 
-def export_svg(pattern: QuadPattern, mv: Optional[dict] = None,
-               *, stroke_width: float = 0.01) -> str:
+def export_svg(pattern: QuadPattern, mv: Optional[dict] = None) -> str:
     """Printable crease pattern: mountains red, valleys blue, flat grey,
     boundary black."""
     if pattern.m < 1 or pattern.n < 1:
@@ -214,10 +216,10 @@ def export_svg(pattern: QuadPattern, mv: Optional[dict] = None,
         xb, yb = pattern.grid[b]
         lines.append(
             '<line x1="{}" y1="{}" x2="{}" y2="{}" stroke="{}" '
-            'stroke-width="{}"/>'.format(
+            'stroke-width="0.01"/>'.format(
                 _FLOAT_FMT.format(xa), _FLOAT_FMT.format(-ya),
                 _FLOAT_FMT.format(xb), _FLOAT_FMT.format(-yb),
-                _SVG_COLORS[letter], _FLOAT_FMT.format(stroke_width)
+                _SVG_COLORS[letter]
             )
         )
     lines.append("</svg>")

@@ -173,21 +173,20 @@ class QuadPattern:
         self.grid.flags.writeable = False
 
     @classmethod
-    def from_vertices(cls, vertices, branch_default, lengths=None, *,
-                      check: bool = True) -> "QuadPattern":
+    def from_vertices(cls, vertices, branch_default,
+                      lengths=None) -> "QuadPattern":
         """Build a blanket directly from a vertex grid (no unit provenance).
 
         Rigid-foldability certification applies to any grid of developable
         vertices; this constructor supports blankets that were not stitched
-        from units.  Panel angle sums are validated unless `check` is false.
+        from units.  Panel angle sums are validated.
         """
         vertices = tuple(tuple(row) for row in vertices)
         m, n = len(vertices), len(vertices[0])
         branch_default = tuple(tuple(row) for row in branch_default)
         lengths = lengths or PlanLengths()
-        if check:
-            _check_panel_sums(vertices)
-        grid, dirs = _layout(vertices, lengths, check=check)
+        _check_panel_sums(vertices)
+        grid, dirs = _layout(vertices, lengths, check=True)
         return cls(m, n, vertices, branch_default, None, lengths, grid, dirs)
 
     def vertex(self, i: int, j: int) -> Vertex4:
@@ -195,9 +194,6 @@ class QuadPattern:
 
     def point(self, r: int, c: int) -> np.ndarray:
         return self.grid[r, c]
-
-    def grid_shape(self) -> tuple:
-        return (self.m + 2, self.n + 2)
 
     def point_index(self, r: int, c: int) -> int:
         return r * (self.n + 2) + c
@@ -399,8 +395,7 @@ def _check_layout_angles(vertices, grid):
                     )
 
 
-def stitch(plan: StitchPlan, *, validate: bool = True,
-           unit_samples: int = 33) -> QuadPattern:
+def stitch(plan: StitchPlan, *, validate: bool = True) -> QuadPattern:
     """Assemble a plan into a pattern, checking shared vertices and panels.
 
     Raises IncompatibleUnits for mismatched shared sector angles or branch
@@ -417,7 +412,7 @@ def stitch(plan: StitchPlan, *, validate: bool = True,
             if validate:
                 rep = reports.get(u)
                 if rep is None:
-                    rep = reports[u] = validate_unit(u, unit_samples)
+                    rep = reports[u] = validate_unit(u, 33)
                 if not rep.valid():
                     raise ValidationFailed(
                         f"unit {k} of column {j} fails validation "

@@ -87,7 +87,7 @@ class FoldedState:
     """Rigidly folded embedding of the whole grid at one driving angle."""
 
     coords: np.ndarray            # (m+2, n+2, 3)
-    face_transforms: dict         # (r, c) -> 4x4
+    angles: Union[Propagation, dict]  # the crease angles folded by
     driving_angle: float
     rigidity_residual: float      # worst relative length/planarity deviation
     closure_residual: float       # worst vertex/cycle closure
@@ -100,9 +100,7 @@ def _face_points(grid, r, c):
     return [grid[r, c], grid[r + 1, c], grid[r + 1, c + 1], grid[r, c + 1]]
 
 
-def realize(p: QuadPattern, angles: Union[Propagation, dict], *,
-            rigid_tol: float = TAU_RIGID, closure_tol: float = TAU_CLOSURE,
-            check: bool = True) -> FoldedState:
+def realize(p: QuadPattern, angles: Union[Propagation, dict]) -> FoldedState:
     """Fold the pattern by the given crease angles.
 
     The top-left face stays in the plane; every other face picks up the
@@ -198,19 +196,18 @@ def realize(p: QuadPattern, angles: Union[Propagation, dict], *,
     else:
         driving = math.nan
 
-    if check:
-        # inconsistent input angles show up as closure mismatch first;
-        # rigidity failures on top of closure are a symptom, not the cause
-        if closure > closure_tol:
-            raise ClosureViolation(
-                f"fold angles are inconsistent: closure residual "
-                f"{closure:.3e} exceeds {closure_tol:.1e}"
-            )
-        if rigidity > rigid_tol:
-            raise RigidityViolation(
-                f"panel deformation {rigidity:.3e} exceeds {rigid_tol:.1e}"
-            )
-    return FoldedState(coords=coords, face_transforms=transforms,
+    # inconsistent input angles show up as closure mismatch first;
+    # rigidity failures on top of closure are a symptom, not the cause
+    if closure > TAU_CLOSURE:
+        raise ClosureViolation(
+            f"fold angles are inconsistent: closure residual "
+            f"{closure:.3e} exceeds {TAU_CLOSURE:.1e}"
+        )
+    if rigidity > TAU_RIGID:
+        raise RigidityViolation(
+            f"panel deformation {rigidity:.3e} exceeds {TAU_RIGID:.1e}"
+        )
+    return FoldedState(coords=coords, angles=angles,
                        driving_angle=driving, rigidity_residual=rigidity,
                        closure_residual=closure)
 

@@ -267,13 +267,13 @@ def validate_unit(u: Unit, n_samples: int = 200, tol: float = TAU_UNIT) -> UnitR
     return UnitReport(worst24, worst47, n_samples, (-s_max, s_max), True)
 
 
-def _discover_signs(u: Unit, n_probe: int = 9):
-    """Pick the sign pair from a few samples; None when a side never folds."""
+def _discover_signs(u: Unit):
+    """Pick the sign pair from 9 samples; None when a side never folds."""
     t_max = _shared_interval(u)
     s2 = s4 = None
     if t_max > 1e-9:
-        for k in range(1, n_probe + 1):
-            st = u.solve(t_max * k / (n_probe + 1))
+        for k in range(1, 10):
+            st = u.solve(t_max * k / 10)
             if s2 is None and abs(st.rho[4]) > 1e-9:
                 s2 = 1 if st.rho[1] * st.rho[4] > 0 else -1
             if s4 is None and abs(st.rho[6]) > 1e-9:
@@ -306,7 +306,7 @@ def identical_vertex_unit(v: Vertex4, branch: BranchId, *, mirrored: bool = True
     return _finalize(unit, n_samples)
 
 
-def make_straightline_unit(v: Vertex4, n_samples: int = 200) -> Unit:
+def make_straightline_unit(v: Vertex4) -> Unit:
     """Identical-vertex unit over a straight-line vertex (curve branch).
 
     The bottom vertex is the mirror image of `v`, which keeps the shared-panel
@@ -320,7 +320,7 @@ def make_straightline_unit(v: Vertex4, n_samples: int = 200) -> Unit:
                     branch_top=BranchId.LINE_SEGMENT_1,
                     branch_bottom=BranchId.LINE_SEGMENT_1,
                     signs=(1, 1), kind="straight_line")
-        report = validate_unit(unit, n_samples)
+        report = validate_unit(unit)
         if not report.valid():
             raise ValidationFailed(
                 f"unit validation failed: max residual {report.max_residual:.3e}"
@@ -329,11 +329,10 @@ def make_straightline_unit(v: Vertex4, n_samples: int = 200) -> Unit:
     if tag is not ClassTag.STRAIGHT_LINE:
         raise WrongClass("make_straightline_unit requires a straight-line vertex")
     return identical_vertex_unit(v, BranchId.BRANCH_2, kind="straight_line",
-                                 n_samples=n_samples)
+                                 n_samples=200)
 
 
-def make_flatfoldable_basic_unit(alpha1: float, alpha2: float,
-                                 n_samples: int = 200) -> Unit:
+def make_flatfoldable_basic_unit(alpha1: float, alpha2: float) -> Unit:
     """Identical-vertex flat-foldable unit from its two free sector angles."""
     _check_open_interval(alpha1, "alpha1")
     _check_open_interval(alpha2, "alpha2")
@@ -343,7 +342,7 @@ def make_flatfoldable_basic_unit(alpha1: float, alpha2: float,
     unit = Unit(top=v, bottom=v, branch_top=BranchId.BRANCH_1,
                 branch_bottom=BranchId.BRANCH_1, signs=(1, 1),
                 kind="flat_foldable_basic")
-    return _finalize(unit, n_samples)
+    return _finalize(unit, 200)
 
 
 def _check_open_interval(x: float, name: str):
@@ -385,13 +384,12 @@ def solve_ff_unit(alpha1: float, alpha2: float, alpha3: float,
     return unit
 
 
-def valid_branch_pairs(u: Unit, *, transmitting_only: bool = True,
-                       n_samples: int = 33, tol: float = TAU_UNIT) -> list:
+def valid_branch_pairs(u: Unit) -> list:
     """Branch pairs (over the curve branches available to each vertex) on
     which the unit's transmission conditions hold.
 
-    With `transmitting_only` the pairs whose connecting crease never folds
-    are dropped; those motions do not couple a stitched column.
+    The pairs whose connecting crease never folds are dropped; those motions
+    do not couple a stitched column.
     """
 
     def curve_branches(v):
@@ -409,16 +407,15 @@ def valid_branch_pairs(u: Unit, *, transmitting_only: bool = True,
             cand = replace(u, branch_top=bt, branch_bottom=bb)
             try:
                 s2, s4 = _discover_signs(cand)
-                if s2 is None and s4 is None and transmitting_only:
-                    if _shared_interval(cand) <= 1e-9:
-                        continue
+                if s2 is None and s4 is None and _shared_interval(cand) <= 1e-9:
+                    continue
                 cand = replace(cand, signs=(s2 or 1, s4 or 1))
-                report = validate_unit(cand, n_samples)
+                report = validate_unit(cand, 33)
             except (EmptyInterval, OutOfDomain, DegenerateVertex, WrongClass):
                 continue
-            if transmitting_only and report.degenerate_shared:
+            if report.degenerate_shared:
                 continue
-            if report.valid(tol):
+            if report.valid():
                 pairs.append((bt, bb, cand.signs))
     return pairs
 
@@ -441,8 +438,7 @@ class InfeasibilityReport:
 
 
 def infeasibility_witness(alpha1: float, alpha2: float, alpha3: float,
-                          alpha4: float, pole_tol: float = 1e-12
-                          ) -> InfeasibilityReport:
+                          alpha4: float) -> InfeasibilityReport:
     """Show that the mixed branch pairings admit no sector-angle solution."""
     for x, name in ((alpha1, "alpha1"), (alpha2, "alpha2"),
                     (alpha3, "alpha3"), (alpha4, "alpha4")):
@@ -456,7 +452,7 @@ def infeasibility_witness(alpha1: float, alpha2: float, alpha3: float,
     poles = []
     for prod in (t4 * t3, t2 * t1):
         den = 1.0 - prod
-        if abs(den) < pole_tol:
+        if abs(den) < 1e-12:
             unbounded.append(math.inf)
             poles.append(True)
         else:

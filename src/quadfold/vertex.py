@@ -167,8 +167,8 @@ class Vertex4:
         a = self.alpha
         return Vertex4((a[3], a[2], a[1], a[0]))
 
-    def isclose(self, other: "Vertex4", tol: float = TAU_ANGLE) -> bool:
-        return all(abs(x - y) <= tol for x, y in zip(self.alpha, other.alpha))
+    def isclose(self, other: "Vertex4") -> bool:
+        return all(abs(x - y) <= TAU_ANGLE for x, y in zip(self.alpha, other.alpha))
 
     def __repr__(self):
         return "Vertex4(deg=[{:.6g}, {:.6g}, {:.6g}, {:.6g}])".format(*self.degrees)
@@ -201,9 +201,6 @@ class FoldInterval:
     def __post_init__(self):
         if not (self.lo <= 0.0 <= self.hi):
             raise ValueError("fold interval must contain 0")
-
-    def contains(self, x: float, slack: float = 1e-12) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
 
 
 def _near(x: float, target: float, tol: float) -> bool:
@@ -293,44 +290,20 @@ def xi_of(v: Vertex4, rho1: float) -> float:
 _EVAL_CLAMP = 1e-9
 
 
-def _ff_coefficient(alpha, branch: BranchId) -> float:
-    a1, a2 = alpha[0], alpha[1]
-    if branch is BranchId.BRANCH_1:
-        return math.sin((a2 - a1) / 2.0) / math.sin((a2 + a1) / 2.0)
-    den = math.cos((a2 + a1) / 2.0)
-    if abs(den) < 1e-12:
-        raise DegenerateVertex(
-            "branch 2 of this flat-foldable vertex degenerates to a line "
-            "segment (a1 + a2 = pi)"
-        )
-    return -math.cos((a2 - a1) / 2.0) / den
-
-
-def _ff_rhos(alpha, r, branch: BranchId):
-    K = _ff_coefficient(alpha, branch)
-    r2 = 2.0 * math.atan2(K * math.sin(r / 2.0), math.cos(r / 2.0))
-    if branch is BranchId.BRANCH_1:
-        return (r, r2, r, -r2)
-    return (r, r2, -r, r2)
-
-
-def _segment_rhos(slots, r):
-    return tuple(r if k in slots else 0.0 for k in range(4))
-
-
 class _BranchParam:
     """Parametrized branch: rho(r) over a symmetric closed interval.
 
-    `fn` returns the unnormalized (lifted) folding angles in stored labels;
-    `base` holds the multiples of 2*pi they start from at the flat state.
+    Subclasses define `fn(r)`, the unnormalized (lifted) folding angles in
+    stored labels; `base` holds the multiples of 2*pi they start from at the
+    flat state.  Curve subclasses also define `invert(comp, angle)`: the r
+    at which rho[comp] equals `angle` in closed form, or None where the
+    branch has none and `solve_at_crease` bisects.
     """
 
-    __slots__ = ("fn", "kind", "base", "r_max")
+    __slots__ = ("base", "r_max")
 
-    def __init__(self, fn: Callable[[float], tuple], kind: str):
-        self.fn = fn
-        self.kind = kind  # "curve" | "segment"
-        self.base = tuple(TWO_PI * round(x / TWO_PI) for x in fn(1e-9))
+    def __init__(self):
+        self.base = tuple(TWO_PI * round(x / TWO_PI) for x in self.fn(1e-9))
         self.r_max = math.pi
 
     def rho(self, r: float) -> tuple:
@@ -343,6 +316,59 @@ class _BranchParam:
         if r >= 0:
             return (x[0] - b[0], x[1] - b[1], x[2] - b[2], x[3] - b[3])
         return (x[0] + b[0], x[1] + b[1], x[2] + b[2], x[3] + b[3])
+
+
+class _Segment(_BranchParam):
+    """Line-segment branch: the creases in `slots` (0-based) fold by r, the
+    others stay flat."""
+
+    __slots__ = ("slots",)
+
+    def __init__(self, slots: tuple):
+        self.slots = slots
+        super().__init__()
+
+    def fn(self, r: float) -> tuple:
+        return tuple(r if k in self.slots else 0.0 for k in range(4))
+
+
+class _FFCurve(_BranchParam):
+    """Curve branch of a flat-foldable vertex: tan(rho2 / 2) = K tan(rho1 / 2)
+    with K fixed by a1, a2 and the branch; rho3 = rho1 and rho4 = -rho2 on
+    branch 1, rho3 = -rho1 and rho4 = rho2 on branch 2."""
+
+    __slots__ = ("branch", "K")
+
+    def __init__(self, alpha: tuple, branch: BranchId):
+        a1, a2 = alpha[0], alpha[1]
+        self.branch = branch
+        if branch is BranchId.BRANCH_1:
+            self.K = math.sin((a2 - a1) / 2.0) / math.sin((a2 + a1) / 2.0)
+        else:  # a1 + a2 = pi is the pole, a segment in _branch_param_cached
+            self.K = -math.cos((a2 - a1) / 2.0) / math.cos((a2 + a1) / 2.0)
+        super().__init__()
+
+    def fn(self, r: float) -> tuple:
+        r2 = 2.0 * math.atan2(self.K * math.sin(r / 2.0), math.cos(r / 2.0))
+        if self.branch is BranchId.BRANCH_1:
+            return (r, r2, r, -r2)
+        return (r, r2, -r, r2)
+
+    def invert(self, comp: int, angle: float) -> float:
+        branch1 = self.branch is BranchId.BRANCH_1
+        if comp == 0:
+            return angle
+        if comp == 2:
+            return (1.0 if branch1 else -1.0) * angle
+        K = -self.K if comp == 3 and branch1 else self.K
+        if abs(K) < 1e-14:
+            raise OutOfDomain(
+                f"crease {comp + 1} never folds on this branch (zero "
+                "transmission)"
+            )
+        return normalize_angle(
+            2.0 * math.atan2(math.sin(angle / 2.0), K * math.cos(angle / 2.0))
+        )
 
 
 _WRAP_SLACK = 1e-9
@@ -433,14 +459,14 @@ class _ArccosCurve(_BranchParam):
 
     def __init__(self, alpha: tuple):
         self.alpha = alpha
-        super().__init__(self._raw, "curve")
+        super().__init__()
         trig = self.trig()
         self.r_max = _curve_interval(lambda r: self.margin(r, trig))
 
     def trig(self) -> tuple:
         return _sector_trig(self.alpha, self.straight_line)
 
-    def _raw(self, r: float) -> tuple:
+    def fn(self, r: float) -> tuple:
         rr = abs(r)
         raw = self.combine(_arccos_args(self.trig(), rr), rr)
         if r < 0:
@@ -502,6 +528,19 @@ class _GenericCurve(_ArccosCurve):
         f1, f2, f3, f4 = _GENERIC_RHOS[self.branch]
         return (f1(args, rr), f2(args, rr), f3(args, rr), f4(args, rr))
 
+    def invert(self, comp: int, angle: float):
+        """Closed form at c1 and at c3, whose fold angle fixes xi through
+        the sector pair (a3, a4); None at c2/c4."""
+        if comp == 0:
+            return angle
+        if comp != 2:
+            return None
+        (_, _, _, _, c12, s12), (_, _, _, _, c34, s34) = self.trig()
+        cxi = c34 - s34 * math.cos(angle)
+        mag = clamped_acos((c12 - cxi) / s12)
+        same_sign = self.branch is BranchId.BRANCH_1
+        return mag if (angle > 0) == same_sign else -mag
+
 
 class _StraightLineCurve(_ArccosCurve):
     """Curve branch of a straight-line vertex.  In canonical labels
@@ -523,16 +562,20 @@ class _StraightLineCurve(_ArccosCurve):
         return _unshift((f1(args, rr), f2(args, rr), f3(args, rr),
                          f4(args, rr)), self.shift)
 
+    def invert(self, comp: int, angle: float):
+        """Closed form on the collinear pair (rho3 = -rho1 in canonical
+        labels); None off it."""
+        comp_c = (comp - self.shift) % 4
+        if comp_c == 0:
+            return angle
+        if comp_c == 2:
+            return -angle
+        return None
+
 
 def _unshift(t: tuple, k: int) -> tuple:
     """Stored rho_i = canonical rho_{i-k}."""
     return (t[-k], t[1 - k], t[2 - k], t[3 - k])
-
-
-def _segment_slots(pair) -> tuple:
-    """0-based rho components that move on the line-segment branch for a
-    collinear crease pair given in 1-based labels."""
-    return tuple(i - 1 for i in pair)
 
 
 def _curve_interval(margin) -> float:
@@ -584,22 +627,21 @@ def _branch_param_cached(alpha: tuple, branch: BranchId) -> _BranchParam:
         if branch is BranchId.BRANCH_2 and abs(a1 + a2 - math.pi) <= TAU_ANGLE:
             # pole of the tan-half coefficient: branch 2 is the segment
             # rho2 = rho4 free, rho1 = rho3 = 0
-            return _BranchParam(lambda r: _segment_rhos((1, 3), r), "segment")
-        return _BranchParam(lambda r, b=branch: _ff_rhos(a, r, b), "curve")
+            return _Segment((1, 3))
+        return _FFCurve(a, branch)
 
     if cls.tag is ClassTag.ADJACENT_COLLINEAR:
         if branch is not BranchId.LINE_SEGMENT_1:
             raise WrongClass(
                 "adjacent-collinear vertex admits only its line-segment motion"
             )
-        slots = _segment_slots(cls.collinear_pairs[0])
-        return _BranchParam(lambda r: _segment_rhos(slots, r), "segment")
+        return _Segment(tuple(i - 1 for i in cls.collinear_pairs[0]))
 
     if cls.tag is ClassTag.DOUBLE_COLLINEAR:
         if branch is BranchId.LINE_SEGMENT_1:
-            return _BranchParam(lambda r: _segment_rhos((0, 2), r), "segment")
+            return _Segment((0, 2))
         if branch is BranchId.LINE_SEGMENT_2:
-            return _BranchParam(lambda r: _segment_rhos((1, 3), r), "segment")
+            return _Segment((1, 3))
         raise WrongClass("double-collinear vertex has only two line segments")
 
     if cls.tag is ClassTag.STRAIGHT_LINE:
@@ -607,9 +649,7 @@ def _branch_param_cached(alpha: tuple, branch: BranchId) -> _BranchParam:
         # vertex is relabelled by a cyclic shift of 1
         shift = 0 if cls.collinear_pairs[0] == (1, 3) else 1
         if branch is BranchId.LINE_SEGMENT_1:
-            return _BranchParam(
-                lambda r: _unshift(_segment_rhos((0, 2), r), shift), "segment"
-            )
+            return _Segment((shift, shift + 2))
         if branch is BranchId.BRANCH_2:
             return _StraightLineCurve(v.shifted(shift).alpha, shift)
         raise WrongClass(
@@ -695,20 +735,18 @@ def solve_flatfoldable(v: Vertex4, rho1: float, branch: BranchId) -> VertexSolut
     """Solve a flat-foldable vertex with the tan-half-angle transmissions."""
     if branch not in CURVE_BRANCHES:
         raise WrongClass("solve_flatfoldable takes BRANCH_1 or BRANCH_2")
-    cls = classify(v)
-    if not cls.flat_foldable:
+    if not classify(v).flat_foldable:
         raise WrongClass("vertex is not flat-foldable (a1+a3 != pi)")
-    a1, a2 = v.alpha[0], v.alpha[1]
-    if abs(a1 - math.pi / 2) <= TAU_ANGLE and abs(a2 - math.pi / 2) <= TAU_ANGLE:
-        raise DegenerateVertex("flat-foldable vertex with a1 = a2 = pi/2")
-    if branch is BranchId.BRANCH_2 and abs(a1 + a2 - math.pi) <= TAU_ANGLE:
-        # segment branch: only the flat point can be addressed through rho1
+    p = _branch_param(v, branch)
+    if isinstance(p, _Segment):
+        # branch 2 at the pole (a1 + a2 = pi): only the flat point can be
+        # addressed through rho1
         if abs(rho1) > TAU_ANGLE:
             raise OutOfDomain(
                 "branch 2 degenerates to a segment with rho1 = 0 here"
             )
         return VertexSolution((0.0,) * 4, xi_of(v, 0.0), branch, (0.0,) * 4)
-    return solve_on_branch(v, rho1, branch)
+    return _eval_param(v, p, rho1, branch)
 
 
 def fold_interval(v: Vertex4, branch: BranchId) -> FoldInterval:
@@ -719,10 +757,7 @@ def fold_interval(v: Vertex4, branch: BranchId) -> FoldInterval:
     when rho1 is identically zero on the segment.
     """
     p = _branch_param(v, branch)
-    if p.kind == "segment":
-        rho_probe = p.fn(1.0)
-        if rho_probe[0] != 0.0:
-            return FoldInterval(-math.pi, math.pi, branch)
+    if isinstance(p, _Segment) and 0 not in p.slots:
         return FoldInterval(0.0, 0.0, branch)
     return FoldInterval(-p.r_max, p.r_max, branch)
 
@@ -744,7 +779,7 @@ def monotonicity_check(v: Vertex4, branch: BranchId,
         raise WrongClass("monotonicity scan applies to generic or straight-line "
                          "vertices")
     p = _branch_param(v, branch)
-    if p.kind != "curve":
+    if isinstance(p, _Segment):
         raise WrongClass("monotonicity scan applies to curve branches")
     if n_samples < 3:
         raise ValueError("need at least 3 samples")
@@ -820,13 +855,15 @@ def solve_at_crease(v: Vertex4, crease: int, angle: float,
                     branch: BranchId) -> VertexSolution:
     """Solve the vertex so that crease `crease` (1..4) folds by `angle`.
 
-    Closed-form inversions: any crease of a flat-foldable vertex or of a
-    segment branch; crease 1 and crease 3 of a generic vertex; the creases
-    of the collinear pair of a straight-line vertex (c1/c3 for pair (1, 3),
-    c2/c4 for pair (2, 4)).  Monotone bisection on the branch parameter
-    inverts the rest: c2/c4 of a generic vertex and the two creases off the
-    collinear pair of a straight-line vertex.  The bisection stops where
-    the bracket is narrower than 1e-15 or after 90 halvings.
+    The branch parametrization decides how: a segment branch drives any
+    crease on its moving line directly; a curve branch's `invert` gives the
+    parameter in closed form at any crease of a flat-foldable vertex, at
+    c1/c3 of a generic vertex and at the collinear pair of a straight-line
+    vertex (c1/c3 for pair (1, 3), c2/c4 for pair (2, 4)).  Monotone
+    bisection on the branch parameter inverts the rest: c2/c4 of a generic
+    vertex and the two creases off the collinear pair of a straight-line
+    vertex.  The bisection stops where the bracket is narrower than 1e-15
+    or after 90 halvings.
     """
     if crease not in (1, 2, 3, 4):
         raise ValueError("crease index must be 1..4")
@@ -834,66 +871,24 @@ def solve_at_crease(v: Vertex4, crease: int, angle: float,
     if abs(angle) < 1e-15:
         return VertexSolution((0.0,) * 4, xi_of(v, 0.0), branch, (0.0,) * 4)
 
-    cls = classify(v)
     p = _branch_param(v, branch)
-
-    if p.kind == "segment":
-        probe = p.fn(1.0)
-        if probe[comp] == 0.0:
+    if isinstance(p, _Segment):
+        if comp not in p.slots:
             raise OutOfDomain(
                 f"crease {crease} does not fold on this segment; cannot drive"
             )
         sol = p.rho(angle)
         return VertexSolution(sol, xi_of(v, sol[0]), branch, p.fn(angle))
-
-    # closed forms
-    r = None
-    if cls.flat_foldable:
-        K = _ff_coefficient(v.alpha, branch)
-        sgn3 = 1.0 if branch is BranchId.BRANCH_1 else -1.0
-        if comp == 0:
-            r = angle
-        elif comp == 2:
-            r = sgn3 * angle
-        else:
-            Keff = K if comp == 1 else (-K if branch is BranchId.BRANCH_1 else K)
-            if abs(Keff) < 1e-14:
-                raise OutOfDomain(
-                    f"crease {crease} never folds on this branch (zero "
-                    "transmission)"
-                )
-            r = normalize_angle(
-                2.0 * math.atan2(math.sin(angle / 2.0), Keff * math.cos(angle / 2.0))
-            )
-    elif cls.tag is ClassTag.GENERIC:
-        if comp == 0:
-            r = angle
-        elif comp == 2:
-            a1, a2, a3, a4 = v.alpha
-            cxi = (math.cos(a3) * math.cos(a4)
-                   - math.sin(a3) * math.sin(a4) * math.cos(angle))
-            cr = (math.cos(a1) * math.cos(a2) - cxi) / (math.sin(a1) * math.sin(a2))
-            mag = clamped_acos(cr)
-            same_sign = branch is BranchId.BRANCH_1
-            r = mag if (angle > 0) == same_sign else -mag
-    elif cls.tag is ClassTag.STRAIGHT_LINE:
-        shift = 0 if cls.collinear_pairs[0] == (1, 3) else 1
-        comp_c = (comp - shift) % 4  # component in canonical labels
-        if comp_c == 0:
-            r = angle
-        elif comp_c == 2:
-            r = -angle
-
+    r = p.invert(comp, angle)
     if r is None:
         r = _bisect_component(p, comp, angle)
-
     if abs(r) > p.r_max + 1e-9:
         raise OutOfDomain(
             f"driving crease {crease} to {angle!r} needs parameter {r!r} "
             f"outside [-{p.r_max!r}, {p.r_max!r}]"
         )
     r = max(-p.r_max, min(p.r_max, r))
-    sol = solve_on_branch(v, r, branch)
+    sol = _eval_param(v, p, r, branch)
     if abs(normalize_angle(sol.rho[comp] - angle)) > 1e-7:
         raise OutOfDomain(
             f"crease {crease} cannot reach {angle!r} on branch {branch.value}"

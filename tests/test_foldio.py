@@ -63,6 +63,14 @@ class TestFold:
         # trivial export: interior creases flat, ring is boundary
         assert set(doc["edges_assignment"]) == {"B", "F"}
 
+    def test_folded_frame_exports_its_own_angles(self, pat_a):
+        prop = propagate(build_tree(pat_a), deg(12), None)
+        state = realize(pat_a, prop)
+        doc = export_fold(state, pattern=pat_a)
+        assert doc == export_fold(state, pattern=pat_a, angles=prop)
+        assert "V" in doc["edges_assignment"]
+        assert "M" in doc["edges_assignment"]
+
     def test_mv_letters_match_angle_signs(self, pat_a):
         tree = build_tree(pat_a)
         prop = propagate(tree, deg(12), None)

@@ -244,7 +244,7 @@ class TestPlanJson:
         p2 = stitch(plan2)
         for i in range(p1.m):
             for j in range(p1.n):
-                assert p1.vertex(i, j).isclose(p2.vertex(i, j), 1e-9)
+                assert p1.vertex(i, j).isclose(p2.vertex(i, j))
 
     def test_constructor_descriptors(self):
         u = unit_from_descriptor(

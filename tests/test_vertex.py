@@ -11,6 +11,7 @@ from quadfold import (
     OutOfDomain,
     QuadfoldError,
     Vertex4,
+    VertexSolution,
     WrongClass,
     classify,
     fold_interval,
@@ -25,8 +26,12 @@ from quadfold import (
     xi_of,
 )
 from quadfold import vertex as vertex_mod
-from quadfold.vertex import TWO_PI, _branch_param, _generic_param
-from conftest import random_generic_vertex, random_straightline_vertex
+from quadfold.vertex import TWO_PI, _branch_param, _generic_param, clamped_acos
+from conftest import (
+    random_ff_vertex,
+    random_generic_vertex,
+    random_straightline_vertex,
+)
 
 deg = math.radians
 
@@ -482,3 +487,142 @@ def test_crease_inversion_matches_reference_bisection(rng, monkeypatch):
     monkeypatch.setattr(vertex_mod, "_bisect_component", reference)
     assert got == rhos()
     assert len(bisected) == len(calls)
+
+
+def _reference_ff_coefficient(alpha, branch: BranchId) -> float:
+    a1, a2 = alpha[0], alpha[1]
+    if branch is BranchId.BRANCH_1:
+        return math.sin((a2 - a1) / 2.0) / math.sin((a2 + a1) / 2.0)
+    den = math.cos((a2 + a1) / 2.0)
+    if abs(den) < 1e-12:
+        raise DegenerateVertex(
+            "branch 2 of this flat-foldable vertex degenerates to a line "
+            "segment (a1 + a2 = pi)"
+        )
+    return -math.cos((a2 - a1) / 2.0) / den
+
+
+def _reference_solve_at_crease(v, crease: int, angle: float, branch):
+    """solve_at_crease as it dispatched before the branch parametrizations
+    owned their inversions: classify the vertex again and pick the closed
+    form by class.  Verbatim but for the segment test, which read a string
+    tag that no longer exists."""
+    if crease not in (1, 2, 3, 4):
+        raise ValueError("crease index must be 1..4")
+    comp = crease - 1
+    if abs(angle) < 1e-15:
+        return VertexSolution((0.0,) * 4, xi_of(v, 0.0), branch, (0.0,) * 4)
+
+    cls = classify(v)
+    p = _branch_param(v, branch)
+
+    if isinstance(p, vertex_mod._Segment):
+        probe = p.fn(1.0)
+        if probe[comp] == 0.0:
+            raise OutOfDomain(
+                f"crease {crease} does not fold on this segment; cannot drive"
+            )
+        sol = p.rho(angle)
+        return VertexSolution(sol, xi_of(v, sol[0]), branch, p.fn(angle))
+
+    # closed forms
+    r = None
+    if cls.flat_foldable:
+        K = _reference_ff_coefficient(v.alpha, branch)
+        sgn3 = 1.0 if branch is BranchId.BRANCH_1 else -1.0
+        if comp == 0:
+            r = angle
+        elif comp == 2:
+            r = sgn3 * angle
+        else:
+            Keff = K if comp == 1 else (-K if branch is BranchId.BRANCH_1 else K)
+            if abs(Keff) < 1e-14:
+                raise OutOfDomain(
+                    f"crease {crease} never folds on this branch (zero "
+                    "transmission)"
+                )
+            r = normalize_angle(
+                2.0 * math.atan2(math.sin(angle / 2.0), Keff * math.cos(angle / 2.0))
+            )
+    elif cls.tag is ClassTag.GENERIC:
+        if comp == 0:
+            r = angle
+        elif comp == 2:
+            a1, a2, a3, a4 = v.alpha
+            cxi = (math.cos(a3) * math.cos(a4)
+                   - math.sin(a3) * math.sin(a4) * math.cos(angle))
+            cr = (math.cos(a1) * math.cos(a2) - cxi) / (math.sin(a1) * math.sin(a2))
+            mag = clamped_acos(cr)
+            same_sign = branch is BranchId.BRANCH_1
+            r = mag if (angle > 0) == same_sign else -mag
+    elif cls.tag is ClassTag.STRAIGHT_LINE:
+        shift = 0 if cls.collinear_pairs[0] == (1, 3) else 1
+        comp_c = (comp - shift) % 4  # component in canonical labels
+        if comp_c == 0:
+            r = angle
+        elif comp_c == 2:
+            r = -angle
+
+    if r is None:
+        r = vertex_mod._bisect_component(p, comp, angle)
+
+    if abs(r) > p.r_max + 1e-9:
+        raise OutOfDomain(
+            f"driving crease {crease} to {angle!r} needs parameter {r!r} "
+            f"outside [-{p.r_max!r}, {p.r_max!r}]"
+        )
+    r = max(-p.r_max, min(p.r_max, r))
+    sol = solve_on_branch(v, r, branch)
+    if abs(normalize_angle(sol.rho[comp] - angle)) > 1e-7:
+        raise OutOfDomain(
+            f"crease {crease} cannot reach {angle!r} on branch {branch.value}"
+        )
+    return sol
+
+
+def _solution_or_error(fn, *args):
+    """repr of the solution and of its raw angles, or the exception's type
+    and message."""
+    try:
+        sol = fn(*args)
+        return repr(sol) + repr(sol.raw_rho)
+    except (QuadfoldError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_crease_inversion_matches_reference_dispatch(rng):
+    """solve_at_crease agrees with the class-dispatched reference on every
+    vertex class, branch and crease, errors and their messages included."""
+    vertices = [Vertex4.from_degrees(a) for a in (
+        (80, 100, 100, 80),    # flat-foldable, branch 2 at its pole
+        (65, 65, 115, 115),    # flat-foldable, zero transmission
+        (90, 90, 90, 90),      # flat-foldable with a1 = a2 = pi/2
+        (70, 110, 70, 110),    # double-collinear
+        (50, 180, 60, 70),     # adjacent-collinear
+    )]
+    for _ in range(12):
+        vertices += [random_ff_vertex(rng), random_generic_vertex(rng)]
+        sl = random_straightline_vertex(rng)
+        vertices += [sl, sl.shifted(1)]  # collinear pairs (1, 3), (2, 4)
+    calls = []
+    for v in vertices:
+        for branch in BranchId:
+            angles = [0.0, -0.0, 5e-16, -3.5, 4.0, math.pi,
+                      rng.uniform(-math.pi, math.pi)]
+            try:
+                hi = _branch_param(v, branch).r_max
+            except QuadfoldError:
+                hi = None
+            for f in ([] if hi is None else rng.uniform(-1.0, 1.0, size=3)):
+                rho = solve_on_branch(v, f * hi, branch).rho
+                angles += list(rho)
+            for crease in range(6):
+                calls += [(v, crease, a, branch) for a in angles]
+    assert len(calls) > 5000
+    got = [_solution_or_error(solve_at_crease, *c) for c in calls]
+    want = [_solution_or_error(_reference_solve_at_crease, *c) for c in calls]
+    assert got == want
+    # every kind of outcome is exercised
+    kinds = {w if isinstance(w, str) else w[0] for w in want}
+    assert {ValueError, OutOfDomain, WrongClass, DegenerateVertex} <= kinds
+    assert sum(isinstance(w, str) for w in want) > 2000
