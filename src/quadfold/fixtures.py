@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .pattern import PlanLengths, StitchPlan, stitch
+from .pattern import PlanLengths, StitchPlan
 from .units import FFUnitMode, Unit, identical_vertex_unit, \
     make_flatfoldable_basic_unit, solve_ff_unit
 from .vertex import BranchId, Vertex4
@@ -100,14 +100,6 @@ def showcase_b_plan() -> StitchPlan:
         (ff1, ff2),
         gen_stack(w_v),
     ), lengths=PlanLengths())
-
-
-def showcase_a_pattern():
-    return stitch(showcase_a_plan())
-
-
-def showcase_b_pattern():
-    return stitch(showcase_b_plan())
 
 
 def herringbone_plan(rows: int = 4, cols: int = 4, a_deg: float = 95.0,

@@ -46,39 +46,15 @@ class TreeStructure:
 
 
 def build_tree(p: QuadPattern) -> TreeStructure:
-    """Select the cut creases and verify the interior becomes acyclic."""
+    """Select the cut creases.
+
+    The kept creases form a comb - the top row joins the columns and each
+    column hangs below its top-row vertex - so for every m, n >= 1 they span
+    the inner vertices without a cycle.
+    """
     if p.m < 1 or p.n < 1:
         raise NotABlanket("pattern has no inner vertices")
     cuts = tuple((i, j) for i in range(1, p.m) for j in range(p.n - 1))
-
-    # the kept interior edges must form a spanning tree of the inner vertices
-    parent = list(range(p.m * p.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-        return True
-
-    kept = 0
-    for j in range(p.n):
-        for i in range(p.m - 1):
-            if not union(i * p.n + j, (i + 1) * p.n + j):
-                raise NotABlanket("interior crease graph has a cycle")
-            kept += 1
-    for j in range(p.n - 1):
-        if not union(j, j + 1):
-            raise NotABlanket("interior crease graph has a cycle")
-        kept += 1
-    if kept != p.m * p.n - 1:
-        raise NotABlanket("interior crease graph is not connected")
     return TreeStructure(pattern=p, cut_creases=cuts)
 
 
@@ -109,9 +85,6 @@ class Propagation:
         if not self.theta_phi:
             return 0.0
         return max(abs(normalize_angle(t - f)) for _, t, f in self.theta_phi)
-
-    def rho(self, i: int, j: int) -> tuple:
-        return self.solutions[i][j].rho
 
     def edge_angle(self, kind: str, a, b) -> float:
         """Fold angle of a grid edge (same addressing as QuadPattern.edges).
@@ -368,28 +341,28 @@ def enumerate_branch_choices(p: QuadPattern):
         yield tuple(tuple(chain[i] for chain in chains) for i in range(p.m))
 
 
+def mv_letter(angle: float, flat_tol: float) -> str:
+    """Positive folding angles are valleys ("V"), negative mountains ("M"),
+    magnitudes below `flat_tol` are flat ("F")."""
+    if abs(angle) < flat_tol:
+        return "F"
+    return "V" if angle > 0 else "M"
+
+
 def mv_assignment(p: QuadPattern, branch_choice: BranchChoice = None,
                   sample_rho: float = None, *,
                   flat_tol: float = TAU_FLAT) -> dict:
-    """Mountain/valley/flat labels for every crease at one driving angle.
+    """Mountain/valley/flat labels (`mv_letter`) for every crease at one
+    driving angle; boundary edges get "B".
 
-    Positive folding angles are valleys ("V"), negative mountains ("M"),
-    magnitudes below `flat_tol` are flat ("F"); boundary edges get "B".
     Requires a certified pattern to be meaningful - the caller picks a
     sample angle inside the certified interval.
     """
     if sample_rho is None:
         raise ValueError("mv_assignment needs a sample driving angle")
-    tree = build_tree(p)
-    prop = propagate(tree, sample_rho, branch_choice)
-    labels = {}
-    for kind, a, b in p.edges():
-        if kind == "boundary":
-            labels[(a, b)] = "B"
-            continue
-        angle = prop.edge_angle(kind, a, b)
-        if abs(angle) < flat_tol:
-            labels[(a, b)] = "F"
-        else:
-            labels[(a, b)] = "V" if angle > 0 else "M"
-    return labels
+    prop = propagate(build_tree(p), sample_rho, branch_choice)
+    return {
+        (a, b): "B" if kind == "boundary"
+        else mv_letter(prop.edge_angle(kind, a, b), flat_tol)
+        for kind, a, b in p.edges()
+    }

@@ -14,7 +14,9 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .config import TAU_FLAT
 from .errors import SerializationError
+from .foldability import Propagation, mv_letter
 from .pattern import QuadPattern, StitchPlan, stitch
 from .realize import FoldedState
 
@@ -50,61 +52,42 @@ def fold_dumps(doc: dict) -> str:
     return _fmt(doc)
 
 
-def _edges_of(p: QuadPattern):
-    edges = p.edges()
-    index = {}
-    for k, (kind, a, b) in enumerate(edges):
-        index[(a, b)] = k
-        index[(b, a)] = k
-    return edges, index
-
-
 def export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
                 *, pattern: Optional[QuadPattern] = None,
-                angles=None) -> dict:
+                angles: Optional[Propagation] = None) -> dict:
     """Build a FOLD document for a pattern (crease pattern) or folded frame.
 
-    For a FoldedState the owning pattern must be supplied; `angles` (a
-    Propagation or edge-angle dict, by default the angles the state was
-    folded by) fills edges_foldAngle, and `mv` overrides the assignment
-    letters derived from the angle signs.
+    For a FoldedState the owning pattern must be supplied; `angles` (by
+    default the Propagation the state was folded by) fills edges_foldAngle,
+    and `mv` overrides the assignment letters `mv_letter` derives from the
+    angle signs.
     """
     if isinstance(obj, QuadPattern):
-        p = obj
-        coords = [[float(x) for x in p.grid[r, c]]
-                  for r in range(p.m + 2) for c in range(p.n + 2)]
-        frame_class = "creasePattern"
+        p, points, frame_class = obj, obj.grid, "creasePattern"
     elif isinstance(obj, FoldedState):
         if pattern is None:
             raise SerializationError("folded frames need their pattern")
-        p = pattern
-        coords = [[float(x) for x in obj.coords[r, c]]
-                  for r in range(p.m + 2) for c in range(p.n + 2)]
-        frame_class = "foldedForm"
+        p, points, frame_class = pattern, obj.coords, "foldedForm"
         if angles is None:
             angles = obj.angles
     else:
         raise SerializationError(f"cannot export {type(obj).__name__}")
+    coords = [[float(x) for x in points[r, c]]
+              for r in range(p.m + 2) for c in range(p.n + 2)]
 
-    edges, _ = _edges_of(p)
     edges_vertices = []
     assignment = []
     fold_angle = []
-    for kind, a, b in edges:
+    for kind, a, b in p.edges():
         edges_vertices.append([p.point_index(*a), p.point_index(*b)])
         if kind == "boundary":
             assignment.append("B")
             fold_angle.append(0.0)
             continue
-        angle = 0.0
-        if angles is not None:
-            angle = (angles.edge_angle(kind, a, b)
-                     if hasattr(angles, "edge_angle") else angles[(kind, a, b)])
-        letter = None
-        if mv is not None:
-            letter = mv.get((a, b)) or mv.get((b, a))
+        angle = 0.0 if angles is None else angles.edge_angle(kind, a, b)
+        letter = None if mv is None else mv.get((a, b)) or mv.get((b, a))
         if letter is None:
-            letter = "F" if abs(angle) < 1e-9 else ("V" if angle > 0 else "M")
+            letter = mv_letter(angle, TAU_FLAT)
         if letter == "V" and angle < 0 or letter == "M" and angle > 0:
             raise SerializationError(
                 f"assignment {letter} contradicts fold angle {angle!r}"

@@ -87,53 +87,38 @@ class FoldedState:
     """Rigidly folded embedding of the whole grid at one driving angle."""
 
     coords: np.ndarray            # (m+2, n+2, 3)
-    angles: Union[Propagation, dict]  # the crease angles folded by
+    angles: Propagation           # the crease angles folded by
     driving_angle: float
     rigidity_residual: float      # worst relative length/planarity deviation
     closure_residual: float       # worst vertex/cycle closure
 
-    def point(self, r: int, c: int) -> np.ndarray:
-        return self.coords[r, c]
 
+def realize(p: QuadPattern, prop: Propagation) -> FoldedState:
+    """Fold the pattern by a propagation's crease angles.
 
-def _face_points(grid, r, c):
-    return [grid[r, c], grid[r + 1, c], grid[r + 1, c + 1], grid[r, c + 1]]
-
-
-def realize(p: QuadPattern, angles: Union[Propagation, dict]) -> FoldedState:
-    """Fold the pattern by the given crease angles.
-
-    The top-left face stays in the plane; every other face picks up the
-    composed rotation along the row-major spanning tree of face adjacencies,
-    rotating about each crossed crease line by its folding angle.  The result
-    is verified: panels congruent to the layout (edge lengths, diagonals,
-    planarity) and matching positions wherever two faces share a point.
-
-    `angles` is either a Propagation or a dict mapping (kind, a, b) grid
-    edges to fold angles.
+    One row-major walk over the faces.  The top-left face stays in the
+    plane; every other face composes the transform of its walk parent (the
+    face on its left, or above it in column 0) with the rotation about the
+    crossed crease line by that crease's folding angle.  The face then
+    places the corners no earlier face reached and is verified: each corner
+    where the earlier faces put it, and the panel congruent to the layout
+    (edge lengths, diagonals, planarity).  Every vertex's folding angles
+    must also close under the rotation oracle.
     """
     grid2 = p.grid
-
-    def edge_angle(kind, a, b):
-        if isinstance(angles, Propagation):
-            return angles.edge_angle(kind, a, b)
-        return angles[(kind, a, b)]
-
-    transforms = {(0, 0): np.eye(4)}
-    for r in range(p.m + 1):
-        for c in range(p.n + 1):
-            if (r, c) == (0, 0):
-                continue
+    coords = np.zeros((p.m + 2, p.n + 2, 3))
+    transforms = {}
+    closure = 0.0
+    rigidity = 0.0
+    for r, c in p.faces():
+        if (r, c) == (0, 0):
+            T = np.eye(4)
+        else:
             if c > 0:
-                parent = (r, c - 1)
                 # shared vertical edge
-                a_pt, b_pt = (r, c), (r + 1, c)
-                kind = "col"
+                parent, kind, a_pt, b_pt = (r, c - 1), "col", (r, c), (r + 1, c)
             else:
-                parent = (r - 1, c)
-                a_pt, b_pt = (r, c), (r, c + 1)
-                kind = "row"
-            rho = edge_angle(kind, a_pt, b_pt)
+                parent, kind, a_pt, b_pt = (r - 1, c), "row", (r, c), (r, c + 1)
             pa = np.array([*grid2[a_pt], 0.0])
             pb = np.array([*grid2[b_pt], 0.0])
             d = pb - pa
@@ -143,58 +128,44 @@ def realize(p: QuadPattern, angles: Union[Propagation, dict]) -> FoldedState:
             cb = _face_center(grid2, r, c)
             side = d[0] * (cb - ca)[1] - d[1] * (cb - ca)[0]
             sign = 1.0 if side > 0 else -1.0
-            transforms[(r, c)] = transforms[parent] @ _rot_about_line(
-                pa, d, sign * rho
+            T = transforms[parent] @ _rot_about_line(
+                pa, d, sign * prop.edge_angle(kind, a_pt, b_pt)
             )
+        transforms[(r, c)] = T
+        corners = p.face_corners(r, c)
+        flat = [grid2[q] for q in corners]
+        own = [(T @ np.array([*q2, 0.0, 1.0]))[:3] for q2 in flat]
+        # a corner belongs to the first face of the walk that has it: the
+        # face above-left of it, except on the top row and left column
+        for (qr, qc), x in zip(corners, own):
+            if (qr > r or r == 0) and (qc > c or c == 0):
+                coords[qr, qc] = x
+        folded = [coords[q] for q in corners]
+        # the face must agree with its corners' stored positions
+        for x, q3 in zip(own, folded):
+            closure = max(closure, float(np.linalg.norm(x - q3)))
+        # congruence: edges and diagonals
+        idx = ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3))
+        for a_i, b_i in idx:
+            d2 = np.linalg.norm(flat[a_i] - flat[b_i])
+            d3 = np.linalg.norm(folded[a_i] - folded[b_i])
+            rigidity = max(rigidity, abs(d3 - d2) / max(d2, 1.0))
+        # planarity; with three corners collinear (two may coincide) the face
+        # is planar and its normal is rounding noise, so the bound scales
+        # with the face
+        e1 = folded[1] - folded[0]
+        e2 = folded[3] - folded[0]
+        nrm = np.cross(e1, e2)
+        nn = np.linalg.norm(nrm)
+        scale = max(np.linalg.norm(e1), np.linalg.norm(e2), 1.0)
+        if nn > 1e-12 * scale * scale:
+            off = abs(float(np.dot(folded[2] - folded[0], nrm / nn)))
+            rigidity = max(rigidity, off / scale)
 
-    coords = np.zeros((p.m + 2, p.n + 2, 3))
-    owner = {}
-    for r in range(p.m + 1):
-        for c in range(p.n + 1):
-            for pt in ((r, c), (r + 1, c), (r + 1, c + 1), (r, c + 1)):
-                if pt not in owner:
-                    owner[pt] = (r, c)
-    for (r, c), face in owner.items():
-        pt = np.array([*grid2[r, c], 0.0, 1.0])
-        coords[r, c] = (transforms[face] @ pt)[:3]
-
-    closure = 0.0
-    rigidity = 0.0
-    for r in range(p.m + 1):
-        for c in range(p.n + 1):
-            T = transforms[(r, c)]
-            flat = _face_points(grid2, r, c)
-            folded = [coords[q] for q in ((r, c), (r + 1, c),
-                                          (r + 1, c + 1), (r, c + 1))]
-            # faces must agree with their corners' stored positions
-            for q2, q3 in zip(flat, folded):
-                own = (T @ np.array([*q2, 0.0, 1.0]))[:3]
-                closure = max(closure, float(np.linalg.norm(own - q3)))
-            # congruence: edges and diagonals
-            idx = ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3))
-            for a_i, b_i in idx:
-                d2 = np.linalg.norm(flat[a_i] - flat[b_i])
-                d3 = np.linalg.norm(folded[a_i] - folded[b_i])
-                rigidity = max(rigidity, abs(d3 - d2) / max(d2, 1.0))
-            # planarity
-            e1 = folded[1] - folded[0]
-            e2 = folded[3] - folded[0]
-            nrm = np.cross(e1, e2)
-            nn = np.linalg.norm(nrm)
-            if nn > 1e-15:
-                off = abs(float(np.dot(folded[2] - folded[0], nrm / nn)))
-                scale = max(np.linalg.norm(e1), np.linalg.norm(e2), 1.0)
-                rigidity = max(rigidity, off / scale)
-
-    if isinstance(angles, Propagation):
-        for i in range(p.m):
-            for j in range(p.n):
-                res = loop_closure_residual(p.vertex(i, j),
-                                            angles.solutions[i][j])
-                closure = max(closure, res)
-        driving = angles.driving
-    else:
-        driving = math.nan
+    for i in range(p.m):
+        for j in range(p.n):
+            res = loop_closure_residual(p.vertex(i, j), prop.solutions[i][j])
+            closure = max(closure, res)
 
     # inconsistent input angles show up as closure mismatch first;
     # rigidity failures on top of closure are a symptom, not the cause
@@ -207,8 +178,8 @@ def realize(p: QuadPattern, angles: Union[Propagation, dict]) -> FoldedState:
         raise RigidityViolation(
             f"panel deformation {rigidity:.3e} exceeds {TAU_RIGID:.1e}"
         )
-    return FoldedState(coords=coords, angles=angles,
-                       driving_angle=driving, rigidity_residual=rigidity,
+    return FoldedState(coords=coords, angles=prop,
+                       driving_angle=prop.driving, rigidity_residual=rigidity,
                        closure_residual=closure)
 
 

@@ -295,9 +295,9 @@ class _BranchParam:
 
     Subclasses define `fn(r)`, the unnormalized (lifted) folding angles in
     stored labels; `base` holds the multiples of 2*pi they start from at the
-    flat state.  Curve subclasses also define `invert(comp, angle)`: the r
-    at which rho[comp] equals `angle` in closed form, or None where the
-    branch has none and `solve_at_crease` bisects.
+    flat state.  Subclasses also define `invert(comp, angle)`: the r at
+    which rho[comp] equals `angle` in closed form, or None where the branch
+    has none and `solve_at_crease` bisects.
     """
 
     __slots__ = ("base", "r_max")
@@ -305,9 +305,6 @@ class _BranchParam:
     def __init__(self):
         self.base = tuple(TWO_PI * round(x / TWO_PI) for x in self.fn(1e-9))
         self.r_max = math.pi
-
-    def rho(self, r: float) -> tuple:
-        return tuple(normalize_angle(x) for x in self.fn(r))
 
     def lift(self, r: float) -> tuple:
         """Folding angles as continuous, monotone functions of r: the
@@ -330,6 +327,13 @@ class _Segment(_BranchParam):
 
     def fn(self, r: float) -> tuple:
         return tuple(r if k in self.slots else 0.0 for k in range(4))
+
+    def invert(self, comp: int, angle: float) -> float:
+        if comp not in self.slots:
+            raise OutOfDomain(
+                f"crease {comp + 1} does not fold on this segment; cannot drive"
+            )
+        return angle
 
 
 class _FFCurve(_BranchParam):
@@ -855,15 +859,16 @@ def solve_at_crease(v: Vertex4, crease: int, angle: float,
                     branch: BranchId) -> VertexSolution:
     """Solve the vertex so that crease `crease` (1..4) folds by `angle`.
 
-    The branch parametrization decides how: a segment branch drives any
-    crease on its moving line directly; a curve branch's `invert` gives the
-    parameter in closed form at any crease of a flat-foldable vertex, at
+    The branch parametrization's `invert` decides how: a segment branch is
+    driven directly at any crease on its moving line; a curve branch gets
+    the parameter in closed form at any crease of a flat-foldable vertex, at
     c1/c3 of a generic vertex and at the collinear pair of a straight-line
     vertex (c1/c3 for pair (1, 3), c2/c4 for pair (2, 4)).  Monotone
     bisection on the branch parameter inverts the rest: c2/c4 of a generic
     vertex and the two creases off the collinear pair of a straight-line
     vertex.  The bisection stops where the bracket is narrower than 1e-15
-    or after 90 halvings.
+    or after 90 halvings.  On every branch a parameter beyond the fold
+    interval [-pi, pi] (by more than 1e-9) is refused, never wrapped.
     """
     if crease not in (1, 2, 3, 4):
         raise ValueError("crease index must be 1..4")
@@ -872,13 +877,6 @@ def solve_at_crease(v: Vertex4, crease: int, angle: float,
         return VertexSolution((0.0,) * 4, xi_of(v, 0.0), branch, (0.0,) * 4)
 
     p = _branch_param(v, branch)
-    if isinstance(p, _Segment):
-        if comp not in p.slots:
-            raise OutOfDomain(
-                f"crease {crease} does not fold on this segment; cannot drive"
-            )
-        sol = p.rho(angle)
-        return VertexSolution(sol, xi_of(v, sol[0]), branch, p.fn(angle))
     r = p.invert(comp, angle)
     if r is None:
         r = _bisect_component(p, comp, angle)

@@ -87,6 +87,17 @@ class TestFold:
             else:
                 assert angle == 0.0
 
+    def test_derived_letters_match_mv_assignment(self, pat_a):
+        """export_fold without `mv` labels creases as mv_assignment does."""
+        grid = stitch(square_grid_plan(2, 2))  # only its top row folds
+        for p, t in ((pat_a, deg(12)), (pat_a, deg(-7)), (grid, deg(40))):
+            state = realize(p, propagate(build_tree(p), t, None))
+            mv = mv_assignment(p, None, t)
+            doc = export_fold(state, pattern=p)
+            assert doc["edges_assignment"] == [mv[(a, b)]
+                                               for _, a, b in p.edges()]
+        assert set(doc["edges_assignment"]) == {"B", "F", "V"}
+
     def test_import_checks_indices(self, pat_a):
         doc = export_fold(pat_a)
         doc["edges_vertices"][0] = [0, 10 ** 6]

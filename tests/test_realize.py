@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,12 @@ from quadfold import (
     stitch,
     sweep,
 )
-from quadfold.fixtures import showcase_a_plan, showcase_b_plan, square_grid_plan
+from quadfold.fixtures import (
+    herringbone_plan,
+    showcase_a_plan,
+    showcase_b_plan,
+    square_grid_plan,
+)
 
 deg = math.radians
 
@@ -58,14 +64,14 @@ class TestRealize:
 
     def test_inconsistent_angles_rejected(self, pat_a):
         prop = propagate(build_tree(pat_a), deg(12), None)
-        angles = {}
-        for kind, a, b in pat_a.edges():
-            if kind != "boundary":
-                angles[(kind, a, b)] = prop.edge_angle(kind, a, b)
-        key = ("col", (1, 2), (2, 2))
-        angles[key] = angles[key] + 0.2
+        sols = [list(row) for row in prop.solutions]
+        rho = sols[1][1].rho
+        # the U crease of vertex (1, 1), grid edge (1, 2)-(2, 2)
+        sols[1][1] = replace(sols[1][1], rho=(rho[0] + 0.2,) + rho[1:])
+        bad = replace(prop, solutions=tuple(tuple(row) for row in sols))
+        assert bad.edge_angle("col", (1, 2), (2, 2)) == rho[0] + 0.2
         with pytest.raises(ClosureViolation):
-            realize(pat_a, angles)
+            realize(pat_a, bad)
 
     def test_determinism(self, pat_a):
         prop = propagate(build_tree(pat_a), deg(9), None)
@@ -95,6 +101,15 @@ class TestSweep:
         assert half.driving_angles[-1] == pytest.approx(
             0.5 * full.driving_angles[-1]
         )
+
+    def test_coincident_corners_are_planar(self):
+        """At c = 60 deg the boundary stubs of faces (5, 0) and (7, 0) land
+        on one point; the planarity check must not read the rounding noise
+        of that degenerate face as a deformation."""
+        p = stitch(herringbone_plan(8, 8, 95.0, 60.0))
+        res = sweep(p, None, 4, n_samples=5)
+        assert len(res) == 4
+        assert res.max_rigidity_residual < 1e-9
 
     def test_square_grid_line_fold(self):
         p = stitch(square_grid_plan(2, 2))

@@ -506,7 +506,8 @@ def _reference_solve_at_crease(v, crease: int, angle: float, branch):
     """solve_at_crease as it dispatched before the branch parametrizations
     owned their inversions: classify the vertex again and pick the closed
     form by class.  Verbatim but for the segment test, which read a string
-    tag that no longer exists."""
+    tag that no longer exists, and for segment angles, which now go through
+    the range check instead of wrapping."""
     if crease not in (1, 2, 3, 4):
         raise ValueError("crease index must be 1..4")
     comp = crease - 1
@@ -522,12 +523,12 @@ def _reference_solve_at_crease(v, crease: int, angle: float, branch):
             raise OutOfDomain(
                 f"crease {crease} does not fold on this segment; cannot drive"
             )
-        sol = p.rho(angle)
-        return VertexSolution(sol, xi_of(v, sol[0]), branch, p.fn(angle))
 
     # closed forms
     r = None
-    if cls.flat_foldable:
+    if isinstance(p, vertex_mod._Segment):
+        r = angle
+    elif cls.flat_foldable:
         K = _reference_ff_coefficient(v.alpha, branch)
         sgn3 = 1.0 if branch is BranchId.BRANCH_1 else -1.0
         if comp == 0:
@@ -588,6 +589,18 @@ def _solution_or_error(fn, *args):
         return repr(sol) + repr(sol.raw_rho)
     except (QuadfoldError, ValueError) as exc:
         return type(exc), str(exc)
+
+
+def test_segment_drive_beyond_pi_is_refused():
+    """A segment branch refuses a driving angle outside its fold interval,
+    as a curve branch does, instead of wrapping it."""
+    v = Vertex4.from_degrees((70, 110, 70, 110))
+    with pytest.raises(OutOfDomain, match="driving crease 1 to 4.0"):
+        solve_at_crease(v, 1, 4.0, BranchId.LINE_SEGMENT_1)
+    with pytest.raises(OutOfDomain, match="outside"):
+        solve_at_crease(v, 3, -3.5, BranchId.LINE_SEGMENT_1)
+    sol = solve_at_crease(v, 1, math.pi, BranchId.LINE_SEGMENT_1)
+    assert sol.rho[0] == math.pi and sol.raw_rho[0] == math.pi
 
 
 def test_crease_inversion_matches_reference_dispatch(rng):
