@@ -100,7 +100,7 @@ def _cmd_unit_validate(args, cfg):
     with open(args.file, encoding="utf-8") as fh:
         unit = Unit.from_json(json.load(fh))
     samples = cfg.samples if args.samples is None else args.samples
-    report = validate_unit(unit, samples, tol=cfg.tolerances.unit)
+    report = validate_unit(unit, samples)
     print(f"samples: {report.n_samples}")
     print(f"max_residual: {report.max_residual:.3e}")
     if report.degenerate_shared:

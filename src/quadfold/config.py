@@ -16,8 +16,9 @@ from dataclasses import dataclass, field, fields
 TAU_ANGLE = 1e-9
 # arccos arguments are clamped into [-1, 1] only when this close to the bound
 TAU_CLAMP = 1e-12
-# bisection tolerance for fold-interval endpoints (crease-driven inversion
-# bisects to a 1e-15 bracket, at most 90 halvings, in vertex.solve_at_crease)
+# bracket at which vertex.last_valid stops bisecting for a fold-interval end
+# (crease-driven inversion bisects to a 1e-15 bracket, at most 90 halvings,
+# in vertex.solve_at_crease)
 TAU_ROOT = 1e-10
 # near-degenerate classification warning band
 TAU_CLASS_BAND = 1e-6

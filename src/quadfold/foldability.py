@@ -28,7 +28,7 @@ from .errors import (
     WrongClass,
 )
 from .pattern import QuadPattern, branch_chains
-from .vertex import BranchId, normalize_angle, solve_at_crease
+from .vertex import BranchId, last_valid, normalize_angle, solve_at_crease
 
 BranchChoice = Union[None, BranchId, Sequence]
 
@@ -236,33 +236,6 @@ def _probe(tree, t, branches) -> bool:
     return worst <= math.pi - _PI_MARGIN
 
 
-def _driving_limit(tree, branches) -> float:
-    """Largest |driving angle| the whole tree can reach, by bisection.
-
-    The bisection stops after 60 halvings, or once the midpoint rounds to
-    `good` or `bad`: every later step would probe that same point again.
-    """
-    if _probe(tree, math.pi, branches):
-        return math.pi
-    good, bad = 0.0, math.pi
-    for k in range(1, 49):
-        t = math.pi * k / 48
-        if _probe(tree, t, branches):
-            good = t
-        else:
-            bad = t
-            break
-    for _ in range(60):
-        mid = 0.5 * (good + bad)
-        if mid == good or mid == bad:
-            break
-        if _probe(tree, mid, branches):
-            good = mid
-        else:
-            bad = mid
-    return good
-
-
 def certify(p: QuadPattern, branch_choice: BranchChoice = None,
             n_samples: int = DEFAULT_SAMPLES, *,
             compat_tol: float = TAU_COMPAT) -> CompatibilityReport:
@@ -275,7 +248,7 @@ def certify(p: QuadPattern, branch_choice: BranchChoice = None,
     """
     tree = build_tree(p)
     branches = _branch_grid(p, branch_choice)
-    t_max = _driving_limit(tree, branches)
+    t_max = last_valid(lambda t: _probe(tree, t, branches), 48)
     if t_max < 1e-9:
         raise EmptyInterval(
             "no driving interval: the tree cannot move away from the "

@@ -395,7 +395,7 @@ def _check_layout_angles(vertices, grid):
                     )
 
 
-def stitch(plan: StitchPlan, *, validate: bool = True) -> QuadPattern:
+def stitch(plan: StitchPlan) -> QuadPattern:
     """Assemble a plan into a pattern, checking shared vertices and panels.
 
     Raises IncompatibleUnits for mismatched shared sector angles or branch
@@ -409,15 +409,14 @@ def stitch(plan: StitchPlan, *, validate: bool = True) -> QuadPattern:
 
     for j, col in enumerate(plan.columns):
         for k, u in enumerate(col):
-            if validate:
-                rep = reports.get(u)
-                if rep is None:
-                    rep = reports[u] = validate_unit(u, 33)
-                if not rep.valid():
-                    raise ValidationFailed(
-                        f"unit {k} of column {j} fails validation "
-                        f"(max residual {rep.max_residual:.3e})"
-                    )
+            rep = reports.get(u)
+            if rep is None:
+                rep = reports[u] = validate_unit(u, 33)
+            if not rep.valid():
+                raise ValidationFailed(
+                    f"unit {k} of column {j} fails validation "
+                    f"(max residual {rep.max_residual:.3e})"
+                )
             if k == 0:
                 vertices[0][j] = u.top
                 branches[0][j] = u.branch_top
@@ -486,10 +485,12 @@ def count_dof(plan: StitchPlan, table: Optional[dict] = None) -> DofReport:
     Each column's first unit contributes its kind's base count and every
     further stitched unit the kind's stitch increment; each inner-panel row
     whose column creases are not parallel in the layout deducts its number of
-    inner panels.  Raises NegativeDof when the total goes negative.
+    inner panels.  Raises NegativeDof when the total goes negative, and
+    whatever `stitch` raises for the plan (ValidationFailed for a failing
+    unit).
     """
     table = dict(DOF_TABLE, **(table or {}))
-    pattern = stitch(plan, validate=False)
+    pattern = stitch(plan)
     unit_terms = []
     for col in plan.columns:
         for k, u in enumerate(col):

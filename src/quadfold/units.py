@@ -39,6 +39,7 @@ from .errors import (
     WrongClass,
 )
 from .vertex import (
+    CURVE_BRANCHES,
     BranchId,
     ClassTag,
     Vertex4,
@@ -124,6 +125,9 @@ class UnitReport:
         return self.max_residual < tol
 
 
+_CREASE_LENGTHS = {"shared": 1.0}
+
+
 @dataclass(frozen=True)
 class Unit:
     top: Vertex4
@@ -133,7 +137,6 @@ class Unit:
     signs: tuple  # (s2, s4), each +1 or -1
     kind: str = "custom"
     mode: Optional[FFUnitMode] = None
-    shared_length: float = 1.0
 
     def __post_init__(self):
         if tuple(self.signs) not in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
@@ -174,7 +177,7 @@ class Unit:
             "sector_deg": list(self.sector_degrees),
             "signs": list(self.signs),
             "branches": [self.branch_top.value, self.branch_bottom.value],
-            "crease_lengths": {"shared": self.shared_length},
+            "crease_lengths": dict(_CREASE_LENGTHS),
             "kind": self.kind,
         }
         if self.mode is not None:
@@ -191,7 +194,13 @@ class Unit:
         s2, s4 = (int(x) for x in doc.get("signs", (1, 1)))
         branches = doc.get("branches", ("1", "1"))
         mode = FFUnitMode.from_token(doc["mode"]) if "mode" in doc else None
-        lengths = doc.get("crease_lengths", {})
+        lengths = doc.get("crease_lengths", _CREASE_LENGTHS)
+        if lengths != _CREASE_LENGTHS:
+            raise ValidationFailed(
+                f"crease_lengths must be {_CREASE_LENGTHS!r}, got {lengths!r}; "
+                "a plan's top_lengths, left_lengths and boundary_length set "
+                "crease lengths"
+            )
         return cls(
             top=top,
             bottom=bottom,
@@ -200,22 +209,26 @@ class Unit:
             signs=(s2, s4),
             kind=doc.get("kind", "custom"),
             mode=mode,
-            shared_length=float(lengths.get("shared", 1.0)),
         )
+
+
+def _reach(v: Vertex4, branch: BranchId, comp: int) -> float:
+    """|rho[comp]| at the end of the branch: at the fold interval's end, or
+    at pi on a segment that keeps c1 flat (its interval is [0, 0]); 0 when
+    the branch cannot be evaluated there."""
+    hi = fold_interval(v, branch).hi
+    try:
+        return abs(solve_on_branch(v, hi if hi > 0 else math.pi, branch).rho[comp])
+    except OutOfDomain:
+        return 0.0
 
 
 def _shared_interval(u: Unit) -> float:
     """Largest |t| reachable by the connecting crease on both branches."""
-    def reach(v, branch, comp):
-        iv = fold_interval(v, branch)
-        if iv.hi == 0.0:
-            return 0.0
-        return abs(solve_on_branch(v, iv.hi, branch).rho[comp])
-
-    return min(reach(u.top, u.branch_top, 2), reach(u.bottom, u.branch_bottom, 0))
+    return min(_reach(u.top, u.branch_top, 2), _reach(u.bottom, u.branch_bottom, 0))
 
 
-def validate_unit(u: Unit, n_samples: int = 200, tol: float = TAU_UNIT) -> UnitReport:
+def validate_unit(u: Unit, n_samples: int = 200) -> UnitReport:
     """Numerically check the equal-magnitude transmission conditions.
 
     Sweeps the connecting crease over the common fold interval and compares
@@ -240,16 +253,7 @@ def validate_unit(u: Unit, n_samples: int = 200, tol: float = TAU_UNIT) -> UnitR
         return UnitReport(worst24, worst47, n_samples, (-t_max, t_max), False)
 
     # shared crease never folds on this branch pair: drive the left pair
-    def left_reach(v, branch):
-        iv = fold_interval(v, branch)
-        probe_r = iv.hi if iv.hi > 0 else math.pi
-        try:
-            return abs(solve_on_branch(v, probe_r, branch).rho[1])
-        except OutOfDomain:
-            return 0.0
-
-    s_max = min(left_reach(u.top, u.branch_top),
-                left_reach(u.bottom, u.branch_bottom))
+    s_max = min(_reach(u.top, u.branch_top, 1), _reach(u.bottom, u.branch_bottom, 1))
     if s_max <= 1e-9:
         raise EmptyInterval(
             "the unit's common fold interval on this branch pair is {0}"
@@ -281,15 +285,19 @@ def _discover_signs(u: Unit):
     return s2, s4
 
 
+def _validated(u: Unit, n_samples: int, what: str) -> Unit:
+    """`u` itself when it passes `validate_unit`; ValidationFailed, with the
+    message prefix `what`, otherwise."""
+    report = validate_unit(u, n_samples)
+    if not report.valid():
+        raise ValidationFailed(f"{what}: max residual {report.max_residual:.3e}")
+    return u
+
+
 def _finalize(u: Unit, n_samples: int) -> Unit:
     s2, s4 = _discover_signs(u)
     u = replace(u, signs=(s2 if s2 else u.signs[0], s4 if s4 else u.signs[1]))
-    report = validate_unit(u, n_samples)
-    if not report.valid():
-        raise ValidationFailed(
-            f"unit validation failed: max residual {report.max_residual:.3e}"
-        )
-    return u
+    return _validated(u, n_samples, "unit validation failed")
 
 
 def identical_vertex_unit(v: Vertex4, branch: BranchId, *, mirrored: bool = True,
@@ -315,21 +323,12 @@ def make_straightline_unit(v: Vertex4) -> Unit:
     """
     tag = classify(v).tag
     if tag is ClassTag.DOUBLE_COLLINEAR:
-        bottom = v.mirrored()
-        unit = Unit(top=v, bottom=bottom,
-                    branch_top=BranchId.LINE_SEGMENT_1,
-                    branch_bottom=BranchId.LINE_SEGMENT_1,
-                    signs=(1, 1), kind="straight_line")
-        report = validate_unit(unit)
-        if not report.valid():
-            raise ValidationFailed(
-                f"unit validation failed: max residual {report.max_residual:.3e}"
-            )
-        return unit
-    if tag is not ClassTag.STRAIGHT_LINE:
+        branch = BranchId.LINE_SEGMENT_1
+    elif tag is ClassTag.STRAIGHT_LINE:
+        branch = BranchId.BRANCH_2
+    else:
         raise WrongClass("make_straightline_unit requires a straight-line vertex")
-    return identical_vertex_unit(v, BranchId.BRANCH_2, kind="straight_line",
-                                 n_samples=200)
+    return identical_vertex_unit(v, branch, kind="straight_line", n_samples=200)
 
 
 def make_flatfoldable_basic_unit(alpha1: float, alpha2: float) -> Unit:
@@ -375,35 +374,20 @@ def solve_ff_unit(alpha1: float, alpha2: float, alpha3: float,
     unit = Unit(top=top, bottom=bottom, branch_top=mode.branch,
                 branch_bottom=mode.branch, signs=mode.signs,
                 kind="flat_foldable", mode=mode)
-    report = validate_unit(unit, n_samples)
-    if not report.valid():
-        raise ValidationFailed(
-            f"mode {mode.value} unit failed validation: "
-            f"max residual {report.max_residual:.3e}"
-        )
-    return unit
+    return _validated(unit, n_samples, f"mode {mode.value} unit failed validation")
 
 
 def valid_branch_pairs(u: Unit) -> list:
     """Branch pairs (over the curve branches available to each vertex) on
     which the unit's transmission conditions hold.
 
-    The pairs whose connecting crease never folds are dropped; those motions
-    do not couple a stitched column.
+    A curve branch the vertex class lacks raises WrongClass or
+    DegenerateVertex and is skipped.  The pairs whose connecting crease never
+    folds are dropped; those motions do not couple a stitched column.
     """
-
-    def curve_branches(v):
-        tag = classify(v).tag
-        if tag is ClassTag.STRAIGHT_LINE and not classify(v).flat_foldable:
-            return (BranchId.BRANCH_2,)
-        if tag in (ClassTag.DOUBLE_COLLINEAR, ClassTag.ADJACENT_COLLINEAR,
-                   ClassTag.TRIVIAL):
-            return ()
-        return (BranchId.BRANCH_1, BranchId.BRANCH_2)
-
     pairs = []
-    for bt in curve_branches(u.top):
-        for bb in curve_branches(u.bottom):
+    for bt in CURVE_BRANCHES:
+        for bb in CURVE_BRANCHES:
             cand = replace(u, branch_top=bt, branch_bottom=bb)
             try:
                 s2, s4 = _discover_signs(cand)

@@ -220,13 +220,7 @@ def classify(v: Vertex4, *, snap: bool = False) -> VertexClass:
 
 
 @lru_cache(maxsize=16384)
-def _classify_cached(alpha: tuple, snap: bool) -> VertexClass:
-    v = Vertex4(alpha)
-    return _classify_impl(v, snap)
-
-
-def _classify_impl(v: Vertex4, snap: bool) -> VertexClass:
-    a = v.alpha
+def _classify_cached(a: tuple, snap: bool) -> VertexClass:
     warnings = []
     tol = TAU_ANGLE
 
@@ -465,7 +459,8 @@ class _ArccosCurve(_BranchParam):
         self.alpha = alpha
         super().__init__()
         trig = self.trig()
-        self.r_max = _curve_interval(lambda r: self.margin(r, trig))
+        self.r_max = last_valid(lambda r: self.margin(r, trig) >= -1e-13, 64,
+                                TAU_ROOT)
 
     def trig(self) -> tuple:
         return _sector_trig(self.alpha, self.straight_line)
@@ -582,25 +577,26 @@ def _unshift(t: tuple, k: int) -> tuple:
     return (t[-k], t[1 - k], t[2 - k], t[3 - k])
 
 
-def _curve_interval(margin) -> float:
-    """Largest r in (0, pi] with `margin(r)` non-negative, located by
-    bisection on the first violated condition."""
-    hi = math.pi
-    if margin(hi) >= -1e-13:
-        return hi
-    n = 64
-    good = 0.0
-    bad = hi
-    for k in range(1, n + 1):
-        r = hi * k / n
-        if margin(r) >= -1e-13:
-            good = r
-        else:
+def last_valid(ok: Callable[[float], bool], n_scan: int,
+               tol: float = 0.0) -> float:
+    """Largest r in [0, pi] with ok(r), for a predicate that holds from 0 up
+    to a threshold: pi when ok(pi) holds; otherwise a scan of `n_scan` equal
+    steps up to the first failure, then bisection until the bracket is at
+    most `tol`, the midpoint rounds onto an end, or 60 halvings have run."""
+    if ok(math.pi):
+        return math.pi
+    good, bad = 0.0, math.pi
+    for k in range(1, n_scan + 1):
+        r = math.pi * k / n_scan
+        if not ok(r):
             bad = r
             break
-    while bad - good > TAU_ROOT:
+        good = r
+    for _ in range(60):
         mid = 0.5 * (good + bad)
-        if margin(mid) >= -1e-13:
+        if bad - good <= tol or mid == good or mid == bad:
+            break
+        if ok(mid):
             good = mid
         else:
             bad = mid

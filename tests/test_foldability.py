@@ -18,7 +18,9 @@ from quadfold import (
     propagate,
     stitch,
 )
+from quadfold.foldability import _branch_grid, _probe
 from quadfold.fixtures import (
+    herringbone_plan,
     showcase_a_plan,
     showcase_b_plan,
     single_ff_unit_plan,
@@ -194,10 +196,54 @@ class TestCertify:
             certify(p, None, 20)
 
 
+def _reference_driving_limit(tree, branches) -> float:
+    """Verbatim copy of the driving-limit search as it stood before
+    `last_valid`: scan 48 steps, then bisect until the midpoint rounds."""
+    if _probe(tree, math.pi, branches):
+        return math.pi
+    good, bad = 0.0, math.pi
+    for k in range(1, 49):
+        t = math.pi * k / 48
+        if _probe(tree, t, branches):
+            good = t
+        else:
+            bad = t
+            break
+    for _ in range(60):
+        mid = 0.5 * (good + bad)
+        if mid == good or mid == bad:
+            break
+        if _probe(tree, mid, branches):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
+def test_driving_limit_matches_reference_search(pat_a, pat_b):
+    """certify's interval equals, repr for repr, the reference search over
+    every enumerated and every uniform branch choice of both showcases and
+    two herringbones; where the reference finds no interval certify raises
+    EmptyInterval."""
+    patterns = (pat_a, pat_b, stitch(herringbone_plan(3, 3)),
+                stitch(herringbone_plan(4, 5, 93.0, 72.0)))
+    compared = 0
+    for p in patterns:
+        tree = build_tree(p)
+        for choice in (*enumerate_branch_choices(p), BranchId.BRANCH_1,
+                       BranchId.BRANCH_2):
+            ref = _reference_driving_limit(tree, _branch_grid(p, choice))
+            if ref < 1e-9:
+                with pytest.raises(EmptyInterval):
+                    certify(p, choice, 2)
+                continue
+            assert repr(certify(p, choice, 2).interval) == repr((-ref, ref))
+            compared += 1
+    assert compared == 11
+
+
 class TestLargerBlankets:
     def test_herringbone_scales(self):
-        from quadfold.fixtures import herringbone_plan
-
         p = stitch(herringbone_plan(4, 5))
         assert (p.m, p.n) == (4, 5)
         assert build_tree(p).n_cuts == 12
@@ -207,7 +253,6 @@ class TestLargerBlankets:
 
     def test_herringbone_sweep_rigid(self):
         from quadfold import sweep
-        from quadfold.fixtures import herringbone_plan
 
         p = stitch(herringbone_plan(3, 3))
         res = sweep(p, None, 8, n_samples=60)

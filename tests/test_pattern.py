@@ -212,6 +212,12 @@ class TestCountDof:
         assert rep.terms == (3,)
         assert rep.total == 3
 
+    def test_failing_unit_is_refused(self):
+        u = make_straightline_unit(Vertex4.from_degrees((70, 80, 100, 110)))
+        bad = replace(u, signs=(-1, -1))  # the mirrored pairing needs (1, 1)
+        with pytest.raises(ValidationFailed, match="unit 0 of column 0 "):
+            count_dof(StitchPlan(columns=((bad,),)))
+
     def test_negative_total_is_a_design_error(self, plan_b):
         from quadfold import NegativeDof
 

@@ -1,22 +1,40 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from quadfold import (
     BranchId,
+    ClassTag,
     DegenerateVertex,
     EmptyInterval,
     FFUnitMode,
+    OutOfDomain,
+    QuadfoldError,
     Unit,
+    UnitReport,
+    ValidationFailed,
     Vertex4,
     WrongClass,
+    classify,
+    fold_interval,
     identical_vertex_unit,
     infeasibility_witness,
     make_flatfoldable_basic_unit,
     make_straightline_unit,
+    normalize_angle,
+    solve_at_crease,
     solve_ff_unit,
+    solve_on_branch,
     valid_branch_pairs,
     validate_unit,
+)
+from quadfold.config import TAU_UNIT
+from quadfold.fixtures import showcase_a_plan, showcase_b_plan
+from conftest import (
+    random_ff_vertex,
+    random_generic_vertex,
+    random_straightline_vertex,
 )
 
 deg = math.radians
@@ -129,6 +147,19 @@ class TestValidateUnit:
         with pytest.raises(EmptyInterval):
             validate_unit(u, 50)
 
+    def test_adjacent_collinear_segments_fold_the_connecting_crease(self):
+        # the top vertex's a3 = 180 makes c2, c3 its moving line, so c3, the
+        # connecting crease, folds although rho1 stays flat on the segment
+        top = Vertex4.from_degrees((100, 50, 180, 30))
+        u = Unit(top=top, bottom=top.mirrored(),
+                 branch_top=BranchId.LINE_SEGMENT_1,
+                 branch_bottom=BranchId.LINE_SEGMENT_1, signs=(1, 1))
+        assert u.solve(0.5).rho == (0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0)
+        rep = validate_unit(u, 50)
+        assert rep.interval == (-math.pi, math.pi)
+        assert not rep.degenerate_shared
+        assert rep.max_residual == 0.0
+
     def test_swap_invariance(self):
         u = solve_ff_unit(deg(80), deg(95), deg(60), FFUnitMode.A_MINUS)
         rep = validate_unit(u.swapped(), 100)
@@ -215,6 +246,16 @@ class TestUnitJson:
         assert u2.branch_top is u.branch_top
         assert u2.mode is u.mode
 
+    def test_other_crease_lengths_refused(self):
+        doc = make_straightline_unit(Vertex4.from_degrees((70, 80, 100, 110))
+                                     ).to_json()
+        assert doc["crease_lengths"] == {"shared": 1.0}
+        Unit.from_json(doc)
+        Unit.from_json({k: x for k, x in doc.items() if k != "crease_lengths"})
+        for lengths in ({"shared": 2.0}, {}, {"shared": 1.0, "top": 1.0}):
+            with pytest.raises(ValidationFailed, match="crease_lengths"):
+                Unit.from_json(dict(doc, crease_lengths=lengths))
+
     def test_sector_view_is_role_labelled(self):
         u = solve_ff_unit(deg(80), deg(95), deg(60), FFUnitMode.A_MINUS)
         sd = u.sector_degrees
@@ -244,3 +285,204 @@ class TestInfeasibility:
             a = rng.uniform(deg(2), deg(178), size=4)
             rep = infeasibility_witness(*a)
             assert rep.margin > 0
+
+
+# ---------------------------------------------------------------------------
+# reference: the unit pipeline as it stood before `_reach` and `_validated`,
+# copied verbatim but for the `_ref_` names it calls
+# ---------------------------------------------------------------------------
+
+
+def _ref_shared_interval(u: Unit) -> float:
+    """Largest |t| reachable by the connecting crease on both branches."""
+    def reach(v, branch, comp):
+        iv = fold_interval(v, branch)
+        if iv.hi == 0.0:
+            return 0.0
+        return abs(solve_on_branch(v, iv.hi, branch).rho[comp])
+
+    return min(reach(u.top, u.branch_top, 2), reach(u.bottom, u.branch_bottom, 0))
+
+
+def _ref_validate_unit(u: Unit, n_samples: int = 200, tol: float = TAU_UNIT) -> UnitReport:
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2")
+    s2, s4 = u.signs
+    t_max = _ref_shared_interval(u)
+
+    if t_max > 1e-9:
+        worst24 = worst47 = 0.0
+        for k in range(n_samples):
+            t = t_max * (2.0 * k / (n_samples - 1) - 1.0)
+            st = u.solve(t)
+            worst24 = max(worst24, abs(normalize_angle(st.rho[1] - s2 * st.rho[4])))
+            worst47 = max(worst47, abs(normalize_angle(st.rho[3] - s4 * st.rho[6])))
+        return UnitReport(worst24, worst47, n_samples, (-t_max, t_max), False)
+
+    # shared crease never folds on this branch pair: drive the left pair
+    def left_reach(v, branch):
+        iv = fold_interval(v, branch)
+        probe_r = iv.hi if iv.hi > 0 else math.pi
+        try:
+            return abs(solve_on_branch(v, probe_r, branch).rho[1])
+        except OutOfDomain:
+            return 0.0
+
+    s_max = min(left_reach(u.top, u.branch_top),
+                left_reach(u.bottom, u.branch_bottom))
+    if s_max <= 1e-9:
+        raise EmptyInterval(
+            "the unit's common fold interval on this branch pair is {0}"
+        )
+    worst24 = worst47 = 0.0
+    for k in range(n_samples):
+        s = s_max * (2.0 * k / (n_samples - 1) - 1.0)
+        if abs(s) < 1e-14:
+            continue
+        st_top = solve_at_crease(u.top, 2, s, u.branch_top)
+        st_bot = solve_at_crease(u.bottom, 2, s2 * s, u.branch_bottom)
+        # shared crease must agree (and stays flat on these branches)
+        worst24 = max(worst24, abs(normalize_angle(st_top.rho[2] - st_bot.rho[0])))
+        worst47 = max(worst47, abs(normalize_angle(st_top.rho[3] - s4 * st_bot.rho[3])))
+    return UnitReport(worst24, worst47, n_samples, (-s_max, s_max), True)
+
+
+def _ref_discover_signs(u: Unit):
+    """Pick the sign pair from 9 samples; None when a side never folds."""
+    t_max = _ref_shared_interval(u)
+    s2 = s4 = None
+    if t_max > 1e-9:
+        for k in range(1, 10):
+            st = u.solve(t_max * k / 10)
+            if s2 is None and abs(st.rho[4]) > 1e-9:
+                s2 = 1 if st.rho[1] * st.rho[4] > 0 else -1
+            if s4 is None and abs(st.rho[6]) > 1e-9:
+                s4 = 1 if st.rho[3] * st.rho[6] > 0 else -1
+    return s2, s4
+
+
+def _ref_finalize(u: Unit, n_samples: int) -> Unit:
+    s2, s4 = _ref_discover_signs(u)
+    u = replace(u, signs=(s2 if s2 else u.signs[0], s4 if s4 else u.signs[1]))
+    report = _ref_validate_unit(u, n_samples)
+    if not report.valid():
+        raise ValidationFailed(
+            f"unit validation failed: max residual {report.max_residual:.3e}"
+        )
+    return u
+
+
+def _ref_identical_vertex_unit(v: Vertex4, branch: BranchId, *, mirrored: bool = True,
+                               kind: str = "custom", n_samples: int = 64) -> Unit:
+    bottom = v.mirrored() if mirrored else v
+    unit = Unit(top=v, bottom=bottom, branch_top=branch, branch_bottom=branch,
+                signs=(1, 1), kind=kind)
+    return _ref_finalize(unit, n_samples)
+
+
+def _ref_make_straightline_unit(v: Vertex4) -> Unit:
+    tag = classify(v).tag
+    if tag is ClassTag.DOUBLE_COLLINEAR:
+        bottom = v.mirrored()
+        unit = Unit(top=v, bottom=bottom,
+                    branch_top=BranchId.LINE_SEGMENT_1,
+                    branch_bottom=BranchId.LINE_SEGMENT_1,
+                    signs=(1, 1), kind="straight_line")
+        report = _ref_validate_unit(unit)
+        if not report.valid():
+            raise ValidationFailed(
+                f"unit validation failed: max residual {report.max_residual:.3e}"
+            )
+        return unit
+    if tag is not ClassTag.STRAIGHT_LINE:
+        raise WrongClass("make_straightline_unit requires a straight-line vertex")
+    return _ref_identical_vertex_unit(v, BranchId.BRANCH_2, kind="straight_line",
+                                      n_samples=200)
+
+
+def _ref_valid_branch_pairs(u: Unit) -> list:
+    def curve_branches(v):
+        tag = classify(v).tag
+        if tag is ClassTag.STRAIGHT_LINE and not classify(v).flat_foldable:
+            return (BranchId.BRANCH_2,)
+        if tag in (ClassTag.DOUBLE_COLLINEAR, ClassTag.ADJACENT_COLLINEAR,
+                   ClassTag.TRIVIAL):
+            return ()
+        return (BranchId.BRANCH_1, BranchId.BRANCH_2)
+
+    pairs = []
+    for bt in curve_branches(u.top):
+        for bb in curve_branches(u.bottom):
+            cand = replace(u, branch_top=bt, branch_bottom=bb)
+            try:
+                s2, s4 = _ref_discover_signs(cand)
+                if s2 is None and s4 is None and _ref_shared_interval(cand) <= 1e-9:
+                    continue
+                cand = replace(cand, signs=(s2 or 1, s4 or 1))
+                report = _ref_validate_unit(cand, 33)
+            except (EmptyInterval, OutOfDomain, DegenerateVertex, WrongClass):
+                continue
+            if report.degenerate_shared:
+                continue
+            if report.valid():
+                pairs.append((bt, bb, cand.signs))
+    return pairs
+
+
+def _outcome(fn, *args):
+    """repr of the result, or the exception's type and message."""
+    try:
+        return repr(fn(*args))
+    except QuadfoldError as exc:
+        return type(exc), str(exc)
+
+
+def _vertices_of_every_class(rng) -> list:
+    """Seeded vertices of every class, flat-foldable ones included, each
+    also relabelled by one cyclic shift."""
+    out = []
+    for k in range(6):
+        margin_deg = (0.5, 4.0)[k % 2]
+        a, b = rng.uniform(math.radians(25), math.radians(155), size=2)
+        c = rng.uniform(math.radians(10), math.pi - b - math.radians(10))
+        out += [
+            random_generic_vertex(rng, margin_deg),
+            random_ff_vertex(rng, margin_deg),
+            random_straightline_vertex(rng, margin_deg),
+            Vertex4((a, a, math.pi - a, math.pi - a)),      # straight-line, FF
+            Vertex4((a, math.pi - a, a, math.pi - a)),      # double-collinear
+            Vertex4((math.pi, b, c, math.pi - b - c)),      # adjacent-collinear
+            # trivial: one reflex sector
+            Vertex4((math.pi + 0.2, b - 0.1, c - 0.05, math.pi - b - c - 0.05)),
+        ]
+    out.append(Vertex4.from_degrees((90, 90, 90, 90)))
+    out += [v.shifted(1) for v in out]
+    tags = {classify(v).tag for v in out}
+    assert tags == set(ClassTag)
+    return out
+
+
+def test_make_straightline_unit_matches_reference(rng):
+    for v in _vertices_of_every_class(rng):
+        assert (_outcome(make_straightline_unit, v)
+                == _outcome(_ref_make_straightline_unit, v))
+
+
+def test_valid_branch_pairs_match_reference(rng):
+    """Over mirrored, copied and mixed pairs of seeded vertices of every
+    class, and over the showcase units upright and swapped."""
+    vs = _vertices_of_every_class(rng)
+    units = [u for plan in (showcase_a_plan(), showcase_b_plan())
+             for u in plan.units()]
+    units += [u.swapped() for u in units]
+    for k, v in enumerate(vs):
+        for bottom in (v.mirrored(), v, vs[(7 * k + 3) % len(vs)]):
+            units.append(Unit(top=v, bottom=bottom,
+                              branch_top=BranchId.BRANCH_1,
+                              branch_bottom=BranchId.BRANCH_1, signs=(1, 1)))
+    found = 0
+    for u in units:
+        got = _outcome(valid_branch_pairs, u)
+        assert got == _outcome(_ref_valid_branch_pairs, u)
+        found += got != "[]"
+    assert found >= len(units) // 4

@@ -26,6 +26,7 @@ from quadfold import (
     xi_of,
 )
 from quadfold import vertex as vertex_mod
+from quadfold.config import TAU_ROOT
 from quadfold.vertex import TWO_PI, _branch_param, _generic_param, clamped_acos
 from conftest import (
     random_ff_vertex,
@@ -487,6 +488,51 @@ def test_crease_inversion_matches_reference_bisection(rng, monkeypatch):
     monkeypatch.setattr(vertex_mod, "_bisect_component", reference)
     assert got == rhos()
     assert len(bisected) == len(calls)
+
+
+def _reference_curve_interval(margin) -> float:
+    """Verbatim copy of the fold-interval search as it stood before
+    `last_valid`: scan 64 steps, then bisect to a TAU_ROOT bracket."""
+    hi = math.pi
+    if margin(hi) >= -1e-13:
+        return hi
+    n = 64
+    good = 0.0
+    bad = hi
+    for k in range(1, n + 1):
+        r = hi * k / n
+        if margin(r) >= -1e-13:
+            good = r
+        else:
+            bad = r
+            break
+    while bad - good > TAU_ROOT:
+        mid = 0.5 * (good + bad)
+        if margin(mid) >= -1e-13:
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
+def test_fold_interval_end_matches_reference_search(rng):
+    """r_max of generic curves (also on flat-foldable vertices, through the
+    general closed forms) and of straight-line curves with either collinear
+    pair equals, repr for repr, the reference search on the same margin."""
+    params = []
+    for k in range(350):
+        margin_deg = (0.5, 4.0)[k % 2]
+        for v in (random_generic_vertex(rng, margin_deg), random_ff_vertex(rng)):
+            params += [_generic_param(v.alpha, b)
+                       for b in (BranchId.BRANCH_1, BranchId.BRANCH_2)]
+        v = random_straightline_vertex(rng, margin_deg)
+        params += [_branch_param(w, BranchId.BRANCH_2) for w in (v, v.shifted(1))]
+    assert len(params) >= 2000
+    assert sum(p.r_max < math.pi for p in params) > len(params) // 2
+    for p in params:
+        trig = p.trig()
+        ref = _reference_curve_interval(lambda r: p.margin(r, trig))
+        assert repr(p.r_max) == repr(ref)
 
 
 def _reference_ff_coefficient(alpha, branch: BranchId) -> float:
