@@ -119,6 +119,10 @@ def propagate(tree: TreeStructure, rho_top,
     left crease.  A full sequence of top-row angles is also accepted; the
     first entry drives and the rest are checked against the transmitted
     values (PropagationConflict when they differ by more than TAU_COMPAT).
+
+    A blanket stitched from a few units asks the same vertex question many
+    times, so each distinct (sector angles, crease, angle, branch) is solved
+    once per call; `solve_at_crease` is a pure function of exactly that.
     """
     p = tree.pattern
     if isinstance(rho_top, (int, float)):
@@ -130,13 +134,21 @@ def propagate(tree: TreeStructure, rho_top,
             raise ValueError(f"expected 1..{p.n} top angles, got {len(seq)}")
         driving, expected = seq[0], tuple(seq[1:])
     branches = _branch_grid(p, branch_choice)
+    solved = {}
+
+    def solve(v, crease, angle, branch):
+        key = (v.alpha, crease, angle, branch)
+        sol = solved.get(key)
+        if sol is None:
+            sol = solved[key] = solve_at_crease(v, crease, angle, branch)
+        return sol
 
     sols = [[None] * p.n for _ in range(p.m)]
     for j in range(p.n):
         v = p.vertex(0, j)
         angle = driving if j == 0 else sols[0][j - 1].rho[3]
         try:
-            sols[0][j] = solve_at_crease(v, 2, angle, branches[0][j])
+            sols[0][j] = solve(v, 2, angle, branches[0][j])
         except (OutOfDomain, WrongClass) as exc:
             raise OutOfDomain(f"top-row vertex (0,{j}): {exc}") from exc
     for k, want in enumerate(expected):
@@ -151,7 +163,7 @@ def propagate(tree: TreeStructure, rho_top,
             v = p.vertex(i, j)
             angle = sols[i - 1][j].rho[2]
             try:
-                sols[i][j] = solve_at_crease(v, 1, angle, branches[i][j])
+                sols[i][j] = solve(v, 1, angle, branches[i][j])
             except (OutOfDomain, WrongClass) as exc:
                 raise OutOfDomain(f"vertex ({i},{j}): {exc}") from exc
 

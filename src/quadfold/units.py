@@ -191,9 +191,23 @@ class Unit:
             raise ValidationFailed("sector_deg must hold 8 angles")
         top = Vertex4(sector[:4])
         bottom = Vertex4(sector[4:]).shifted(2)  # role -> stored labels
-        s2, s4 = (int(x) for x in doc.get("signs", (1, 1)))
+        signs = doc.get("signs", (1, 1))
+        if (not isinstance(signs, (list, tuple)) or len(signs) != 2
+                or any(type(s) is not int or s not in (1, -1) for s in signs)):
+            raise ValidationFailed(
+                f"signs must be two of the integers 1 and -1, got {signs!r}")
         branches = doc.get("branches", ("1", "1"))
-        mode = FFUnitMode.from_token(doc["mode"]) if "mode" in doc else None
+        if not isinstance(branches, (list, tuple)) or len(branches) != 2:
+            raise ValidationFailed(
+                f"branches must hold exactly two tokens, got {branches!r}")
+        try:
+            branch_top, branch_bottom = map(BranchId.from_token, branches)
+        except ValueError as exc:
+            raise ValidationFailed(f"branches: {exc}") from exc
+        try:
+            mode = FFUnitMode.from_token(doc["mode"]) if "mode" in doc else None
+        except ValueError as exc:
+            raise ValidationFailed(f"mode: {exc}") from exc
         lengths = doc.get("crease_lengths", _CREASE_LENGTHS)
         if lengths != _CREASE_LENGTHS:
             raise ValidationFailed(
@@ -204,9 +218,9 @@ class Unit:
         return cls(
             top=top,
             bottom=bottom,
-            branch_top=BranchId.from_token(branches[0]),
-            branch_bottom=BranchId.from_token(branches[1]),
-            signs=(s2, s4),
+            branch_top=branch_top,
+            branch_bottom=branch_bottom,
+            signs=tuple(signs),
             kind=doc.get("kind", "custom"),
             mode=mode,
         )

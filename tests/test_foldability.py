@@ -1,4 +1,5 @@
 import math
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -18,7 +19,17 @@ from quadfold import (
     propagate,
     stitch,
 )
-from quadfold.foldability import _branch_grid, _probe
+from quadfold import foldability
+from quadfold.config import TAU_COMPAT
+from quadfold.errors import QuadfoldError, WrongClass
+from quadfold.foldability import (
+    BranchChoice,
+    Propagation,
+    TreeStructure,
+    _branch_grid,
+    _probe,
+)
+from quadfold.vertex import CURVE_BRANCHES, normalize_angle, solve_at_crease
 from quadfold.fixtures import (
     herringbone_plan,
     showcase_a_plan,
@@ -38,6 +49,11 @@ def pat_a():
 @pytest.fixture(scope="module")
 def pat_b():
     return stitch(showcase_b_plan())
+
+
+@pytest.fixture(scope="module")
+def herringbone_32():
+    return stitch(herringbone_plan(32, 32))
 
 
 class TestBuildTree:
@@ -242,6 +258,136 @@ def test_driving_limit_matches_reference_search(pat_a, pat_b):
     assert compared == 11
 
 
+def _reference_propagate(tree: TreeStructure, rho_top,
+                         branch_choice: BranchChoice = None) -> Propagation:
+    """Verbatim copy of `propagate` as it stood before it shared the
+    solutions of repeated vertex inputs: every vertex is solved afresh."""
+    p = tree.pattern
+    if isinstance(rho_top, (int, float)):
+        driving = float(rho_top)
+        expected = ()
+    else:
+        seq = [float(x) for x in rho_top]
+        if not seq or len(seq) > p.n:
+            raise ValueError(f"expected 1..{p.n} top angles, got {len(seq)}")
+        driving, expected = seq[0], tuple(seq[1:])
+    branches = _branch_grid(p, branch_choice)
+
+    sols = [[None] * p.n for _ in range(p.m)]
+    for j in range(p.n):
+        v = p.vertex(0, j)
+        angle = driving if j == 0 else sols[0][j - 1].rho[3]
+        try:
+            sols[0][j] = solve_at_crease(v, 2, angle, branches[0][j])
+        except (OutOfDomain, WrongClass) as exc:
+            raise OutOfDomain(f"top-row vertex (0,{j}): {exc}") from exc
+    for k, want in enumerate(expected):
+        got = sols[0][k].rho[3]
+        if abs(normalize_angle(got - want)) > TAU_COMPAT:
+            raise PropagationConflict(
+                f"provided top-row angle {k + 1} = {want!r} conflicts with "
+                f"the transmitted value {got!r}"
+            )
+    for i in range(1, p.m):
+        for j in range(p.n):
+            v = p.vertex(i, j)
+            angle = sols[i - 1][j].rho[2]
+            try:
+                sols[i][j] = solve_at_crease(v, 1, angle, branches[i][j])
+            except (OutOfDomain, WrongClass) as exc:
+                raise OutOfDomain(f"vertex ({i},{j}): {exc}") from exc
+
+    pairs = tuple(
+        ((i, j), sols[i][j].rho[3], sols[i][j + 1].rho[1])
+        for i, j in tree.cut_creases
+    )
+    return Propagation(driving=driving,
+                       solutions=tuple(tuple(row) for row in sols),
+                       theta_phi=pairs)
+
+
+def _propagation_outcome(fn, *args):
+    """repr plus every raw_rho of a propagation, or the exception's type and
+    message."""
+    try:
+        prop = fn(*args)
+    except (QuadfoldError, ValueError) as exc:
+        return type(exc), str(exc)
+    raw = tuple(sol.raw_rho for row in prop.solutions for sol in row)
+    return repr(prop), repr(raw)
+
+
+@pytest.fixture(scope="module")
+def equivalence_patterns(pat_a, pat_b):
+    return (pat_a, pat_b, stitch(herringbone_plan(4, 4)),
+            stitch(herringbone_plan(8, 8, 95.5, 71.5)))
+
+
+def test_propagate_matches_reference(equivalence_patterns):
+    """Sharing repeated vertex inputs changes no result: every enumerated
+    and uniform branch choice of both showcases and two herringbones, plus
+    a checkerboard of the two curve branches (equal inputs on different
+    branches), at seeded driving angles, the flat state (0.0 and -0.0), the
+    interval ends and beyond them, gives the reference's propagation repr
+    for repr, or its exception type and message."""
+    rnd = random.Random(20261018)
+    compared = refused = 0
+    for p in equivalence_patterns:
+        tree = build_tree(p)
+        checkerboard = tuple(
+            tuple(CURVE_BRANCHES[(i + j) % 2] for j in range(p.n))
+            for i in range(p.m))
+        for choice in (*enumerate_branch_choices(p), BranchId.BRANCH_1,
+                       BranchId.BRANCH_2, checkerboard):
+            try:
+                t_max = certify(p, choice, 2).interval[1]
+            except EmptyInterval:
+                t_max = deg(20)
+            angles = [0.0, -0.0, t_max, -t_max, 1e-16, -1e-16]
+            angles += [rnd.uniform(-t_max, t_max) for _ in range(12)]
+            angles += [s * rnd.uniform(t_max, math.pi) for s in (1, -1) * 3]
+            angles += [s * math.nextafter(t_max, 4.0) for s in (1, -1)]
+            for t in angles:
+                got = _propagation_outcome(propagate, tree, t, choice)
+                want = _propagation_outcome(_reference_propagate, tree, t,
+                                            choice)
+                assert got == want, (p.m, p.n, choice, t)
+                compared += 1
+                refused += want[0] is OutOfDomain
+    assert compared == 19 * 26
+    assert refused >= 50
+
+
+def test_top_row_sequence_matches_reference(equivalence_patterns):
+    """The top-row sequence input, accepted or in conflict, gives the
+    reference's propagation or its PropagationConflict message."""
+    outcomes = set()
+    for p in equivalence_patterns:
+        tree = build_tree(p)
+        for t in (deg(10), -deg(7), 0.0):
+            top = propagate(tree, t).solutions[0]
+            seq = [t] + [top[j].rho[3] for j in range(p.n - 1)]
+            for candidate in (seq, seq[:2], [seq[0], seq[1] + 1e-6],
+                              seq[:-1] + [seq[-1] - 0.1], seq + [0.0], []):
+                got = _propagation_outcome(propagate, tree, candidate)
+                want = _propagation_outcome(_reference_propagate, tree,
+                                            candidate)
+                assert got == want, (p.m, p.n, t, candidate)
+                outcomes.add(want[0] if isinstance(want[0], type) else "ok")
+    assert outcomes == {"ok", PropagationConflict, ValueError}
+
+
+def test_certify_matches_reference_propagate(monkeypatch):
+    """A herringbone 8x8 certify report is repr-equal to one built on the
+    reference propagation."""
+    p = stitch(herringbone_plan(8, 8, 94.0, 73.0))
+    report = certify(p)
+    monkeypatch.setattr(foldability, "propagate", _reference_propagate)
+    reference = certify(p)
+    assert repr(report) == repr(reference)
+    assert report.branch_choice == reference.branch_choice
+
+
 class TestLargerBlankets:
     def test_herringbone_scales(self):
         p = stitch(herringbone_plan(4, 5))
@@ -250,6 +396,32 @@ class TestLargerBlankets:
         rep = certify(p, None, 80)
         assert rep.verdict
         assert rep.max_residual < 1e-8
+
+    def test_herringbone_32x32(self, herringbone_32):
+        rep = certify(herringbone_32, None, 50)
+        assert rep.verdict, rep.reason
+        assert rep.max_residual < 1e-8
+        small = certify(stitch(herringbone_plan(8, 8)), None, 50)
+        assert repr(rep.interval) == repr(small.interval)
+
+    def test_propagation_solves_each_distinct_input_once(self, monkeypatch,
+                                                         herringbone_32):
+        """A herringbone asks a handful of distinct vertex questions per
+        propagation, whatever its size."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve_at_crease(*args)
+
+        monkeypatch.setattr(foldability, "solve_at_crease", counted)
+        for p in (stitch(herringbone_plan(4, 4)),
+                  stitch(herringbone_plan(8, 8)), herringbone_32):
+            tree = build_tree(p)
+            for t in (deg(15), -deg(40), deg(109)):
+                calls.clear()
+                propagate(tree, t)
+                assert 0 < len(calls) <= 8, (p.m, t, len(calls))
 
     def test_herringbone_sweep_rigid(self):
         from quadfold import sweep

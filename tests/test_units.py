@@ -256,6 +256,34 @@ class TestUnitJson:
             with pytest.raises(ValidationFailed, match="crease_lengths"):
                 Unit.from_json(dict(doc, crease_lengths=lengths))
 
+    def test_signs_must_be_integer_units(self):
+        doc = solve_ff_unit(deg(80), deg(95), deg(60), FFUnitMode.A_MINUS
+                            ).to_json()
+        assert Unit.from_json(dict(doc, signs=[1, -1])).signs == (1, -1)
+        for signs in ([1.7, -1.2], [1.0, 1], [True, 1], [1, 2], [1],
+                      [1, 1, 1], "11", None):
+            with pytest.raises(ValidationFailed, match="signs"):
+                Unit.from_json(dict(doc, signs=signs))
+
+    def test_branches_must_be_two_known_tokens(self):
+        doc = make_straightline_unit(Vertex4.from_degrees((70, 80, 100, 110))
+                                     ).to_json()
+        u = Unit.from_json(dict(doc, branches=["line1", "b1"]))
+        assert (u.branch_top, u.branch_bottom) == (BranchId.LINE_SEGMENT_1,
+                                                   BranchId.BRANCH_1)
+        for branches in (["line1", "line1", "2"], ["1"], [], "12"):
+            with pytest.raises(ValidationFailed, match="branches"):
+                Unit.from_json(dict(doc, branches=branches))
+        with pytest.raises(ValidationFailed,
+                           match="branches: unknown branch token 'x'"):
+            Unit.from_json(dict(doc, branches=["1", "x"]))
+
+    def test_unknown_mode_is_refused(self):
+        doc = solve_ff_unit(deg(80), deg(95), deg(60), FFUnitMode.A_MINUS
+                            ).to_json()
+        with pytest.raises(ValidationFailed, match="mode: unknown"):
+            Unit.from_json(dict(doc, mode="10c-1"))
+
     def test_sector_view_is_role_labelled(self):
         u = solve_ff_unit(deg(80), deg(95), deg(60), FFUnitMode.A_MINUS)
         sd = u.sector_degrees
