@@ -19,7 +19,6 @@ from .errors import (
     NegativeDof,
     NotABlanket,
     OutOfDomain,
-    PropagationConflict,
     QuadfoldError,
     RigidityViolation,
     SerializationError,

@@ -67,10 +67,6 @@ class NotABlanket(QuadfoldError):
     """Pattern is not a grid-structured quadrilateral blanket."""
 
 
-class PropagationConflict(QuadfoldError):
-    """A vertex received inconsistent fold angles during tree propagation."""
-
-
 class ClosureViolation(QuadfoldError):
     """Folded-state rotations around a vertex or cycle fail to close."""
 

@@ -23,7 +23,6 @@ from .errors import (
     EmptyInterval,
     NotABlanket,
     OutOfDomain,
-    PropagationConflict,
     QuadfoldError,
     WrongClass,
 )
@@ -111,28 +110,17 @@ class Propagation:
         raise ValueError("boundary edges do not fold")
 
 
-def propagate(tree: TreeStructure, rho_top,
+def propagate(tree: TreeStructure, driving: float,
               branch_choice: BranchChoice = None) -> Propagation:
-    """Solve every vertex of the tree from the driving angle.
-
-    `rho_top` is the driving angle: the fold angle of the top-left vertex's
-    left crease.  A full sequence of top-row angles is also accepted; the
-    first entry drives and the rest are checked against the transmitted
-    values (PropagationConflict when they differ by more than TAU_COMPAT).
+    """Solve every vertex of the tree from the driving angle: the fold
+    angle of the top-left vertex's left crease.
 
     A blanket stitched from a few units asks the same vertex question many
     times, so each distinct (sector angles, crease, angle, branch) is solved
     once per call; `solve_at_crease` is a pure function of exactly that.
     """
     p = tree.pattern
-    if isinstance(rho_top, (int, float)):
-        driving = float(rho_top)
-        expected = ()
-    else:
-        seq = [float(x) for x in rho_top]
-        if not seq or len(seq) > p.n:
-            raise ValueError(f"expected 1..{p.n} top angles, got {len(seq)}")
-        driving, expected = seq[0], tuple(seq[1:])
+    driving = float(driving)
     branches = _branch_grid(p, branch_choice)
     solved = {}
 
@@ -151,13 +139,6 @@ def propagate(tree: TreeStructure, rho_top,
             sols[0][j] = solve(v, 2, angle, branches[0][j])
         except (OutOfDomain, WrongClass) as exc:
             raise OutOfDomain(f"top-row vertex (0,{j}): {exc}") from exc
-    for k, want in enumerate(expected):
-        got = sols[0][k].rho[3]
-        if abs(normalize_angle(got - want)) > TAU_COMPAT:
-            raise PropagationConflict(
-                f"provided top-row angle {k + 1} = {want!r} conflicts with "
-                f"the transmitted value {got!r}"
-            )
     for i in range(1, p.m):
         for j in range(p.n):
             v = p.vertex(i, j)

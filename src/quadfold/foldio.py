@@ -149,6 +149,9 @@ def import_fold(doc: Union[dict, str]) -> QuadPattern:
 
 def export_obj(state: FoldedState, pattern: QuadPattern) -> str:
     """Wavefront OBJ with quad faces; vertex order is grid row-major."""
+    if not np.isfinite(state.coords).all():
+        raise SerializationError("non-finite vertex coordinate in folded "
+                                 "state; refusing to emit")
     lines = ["# quadfold folded state"]
     for r in range(pattern.m + 2):
         for c in range(pattern.n + 2):

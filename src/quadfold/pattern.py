@@ -36,9 +36,9 @@ from .errors import (
     NotABlanket,
     ValidationFailed,
 )
-from .units import FFUnitMode, Unit, identical_vertex_unit, \
-    make_flatfoldable_basic_unit, make_straightline_unit, solve_ff_unit, \
-    valid_branch_pairs, validate_unit
+from .units import FFUnitMode, Unit, identical_vertex_unit, json_numbers, \
+    json_token, make_flatfoldable_basic_unit, make_straightline_unit, \
+    solve_ff_unit, valid_branch_pairs, validate_unit
 from .vertex import BranchId, Vertex4, normalize_angle
 
 TWO_PI = 2.0 * math.pi
@@ -110,15 +110,25 @@ class StitchPlan:
 
     @classmethod
     def from_json(cls, doc: dict) -> "StitchPlan":
-        columns = []
-        for col in doc["columns"]:
-            columns.append(tuple(unit_from_descriptor(d) for d in col))
-        lengths = PlanLengths(
-            top=tuple(doc["top_lengths"]) if "top_lengths" in doc else None,
-            left=tuple(doc["left_lengths"]) if "left_lengths" in doc else None,
-            boundary=float(doc.get("boundary_length", 1.0)),
-        )
-        return cls(columns=tuple(columns), lengths=lengths)
+        if not isinstance(doc, dict):
+            raise ValidationFailed(
+                f"a plan must be a JSON object, got {doc!r}")
+        cols = doc.get("columns")
+        if not isinstance(cols, (list, tuple)) or not all(
+                isinstance(col, (list, tuple)) for col in cols):
+            raise ValidationFailed(
+                f"columns must be a list of unit lists, got {cols!r}")
+        columns = tuple(tuple(unit_from_descriptor(d) for d in col)
+                        for col in cols)
+        top, left = (tuple(json_numbers(doc, key)) if key in doc else None
+                     for key in ("top_lengths", "left_lengths"))
+        boundary = doc.get("boundary_length", 1.0)
+        if (isinstance(boundary, bool)
+                or not isinstance(boundary, (int, float))):
+            raise ValidationFailed(
+                f"boundary_length must be a number, got {boundary!r}")
+        lengths = PlanLengths(top=top, left=left, boundary=float(boundary))
+        return cls(columns=columns, lengths=lengths)
 
 
 def unit_from_descriptor(d: dict) -> Unit:
@@ -131,22 +141,30 @@ def unit_from_descriptor(d: dict) -> Unit:
     * ``{"kind": "flat_foldable_basic", "alphas_deg": [a1, a2]}``
     * ``{"kind": "flat_foldable", "alphas_deg": [a1, a2, a3], "mode": "10a-2"}``
     * ``{"kind": "custom", "mirror_of_deg": [a1..a4], "branch": "1"}``
+
+    Anything else, a missing key or a malformed value is refused with a
+    ValidationFailed that names it.
     """
+    if not isinstance(d, dict):
+        raise ValidationFailed(f"a unit descriptor must be a JSON object, "
+                               f"got {d!r}")
     if "sector_deg" in d:
         return Unit.from_json(d)
     kind = d.get("kind", "custom")
     if kind == "straight_line":
-        return make_straightline_unit(Vertex4.from_degrees(d["alphas_deg"]))
+        return make_straightline_unit(
+            Vertex4.from_degrees(json_numbers(d, "alphas_deg", 4)))
     if kind == "flat_foldable_basic":
-        a1, a2 = (math.radians(x) for x in d["alphas_deg"])
+        a1, a2 = map(math.radians, json_numbers(d, "alphas_deg", 2))
         return make_flatfoldable_basic_unit(a1, a2)
     if kind == "flat_foldable":
-        a1, a2, a3 = (math.radians(x) for x in d["alphas_deg"])
-        return solve_ff_unit(a1, a2, a3, FFUnitMode.from_token(d["mode"]))
+        a1, a2, a3 = map(math.radians, json_numbers(d, "alphas_deg", 3))
+        return solve_ff_unit(a1, a2, a3,
+                             json_token(d, "mode", FFUnitMode.from_token))
     if kind == "custom" and "mirror_of_deg" in d:
         return identical_vertex_unit(
-            Vertex4.from_degrees(d["mirror_of_deg"]),
-            BranchId.from_token(d.get("branch", "1")),
+            Vertex4.from_degrees(json_numbers(d, "mirror_of_deg", 4)),
+            json_token(d, "branch", BranchId.from_token, "1"),
         )
     raise ValidationFailed(f"cannot interpret unit descriptor {d!r}")
 
@@ -283,6 +301,14 @@ def _ray_intersection(p1, d1, p2, d2):
 def _layout(vertices, lengths: PlanLengths, *, check: bool = True):
     """Place the grid in the plane from sector angles and free lengths."""
     m, n = len(vertices), len(vertices[0])
+    for key, xs, want in (("top_lengths", lengths.top, n - 1),
+                          ("left_lengths", lengths.left, m - 1),
+                          ("boundary_length", (lengths.boundary,), 1)):
+        if xs is not None and (len(xs) != want or not all(
+                math.isfinite(x) and x > 0.0 for x in xs)):
+            raise LayoutFailure(
+                f"{key} must hold {want} positive, finite lengths for "
+                f"{m}x{n} inner vertices, got {xs!r}")
     dirs = [[None] * n for _ in range(m)]
     pos = [[None] * n for _ in range(m)]
 

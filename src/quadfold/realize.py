@@ -202,26 +202,23 @@ class SweepResult:
 
 
 def sweep(p: QuadPattern, branch_choice: BranchChoice = None,
-          n_frames: int = 30, *, fraction: float = 1.0,
-          n_samples: int = DEFAULT_SAMPLES,
+          n_frames: int = 30, *, n_samples: int = DEFAULT_SAMPLES,
           compat_tol: float = TAU_COMPAT) -> SweepResult:
     """Realize the folding motion over the certified interval.
 
-    Frames run from the trivial state (driving angle 0) to `fraction` of the
-    certified interval endpoint.  Each frame is fully verified; the maxima of
-    the per-frame residuals are reported.  `compat_tol` is the certification
+    Frames run from the trivial state (driving angle 0) to the certified
+    interval endpoint.  Each frame is fully verified; the maxima of the
+    per-frame residuals are reported.  `compat_tol` is the certification
     bound (see `certify`).
     """
     if n_frames < 1:
         raise ValueError("need at least one frame")
-    if not (0.0 < fraction <= 1.0):
-        raise ValueError("fraction must lie in (0, 1]")
     report = certify(p, branch_choice, n_samples, compat_tol=compat_tol)
     if not report.verdict:
         raise ClosureViolation(
             f"cannot sweep an uncertified pattern: {report.reason}"
         )
-    t_end = fraction * report.interval[1]
+    t_end = report.interval[1]
     tree = build_tree(p)
     frames = []
     ts = []

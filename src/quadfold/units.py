@@ -186,9 +186,8 @@ class Unit:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Unit":
-        sector = [math.radians(float(x)) for x in doc["sector_deg"]]
-        if len(sector) != 8:
-            raise ValidationFailed("sector_deg must hold 8 angles")
+        sector = [math.radians(float(x))
+                  for x in json_numbers(doc, "sector_deg", 8)]
         top = Vertex4(sector[:4])
         bottom = Vertex4(sector[4:]).shifted(2)  # role -> stored labels
         signs = doc.get("signs", (1, 1))
@@ -204,10 +203,8 @@ class Unit:
             branch_top, branch_bottom = map(BranchId.from_token, branches)
         except ValueError as exc:
             raise ValidationFailed(f"branches: {exc}") from exc
-        try:
-            mode = FFUnitMode.from_token(doc["mode"]) if "mode" in doc else None
-        except ValueError as exc:
-            raise ValidationFailed(f"mode: {exc}") from exc
+        mode = (json_token(doc, "mode", FFUnitMode.from_token)
+                if "mode" in doc else None)
         lengths = doc.get("crease_lengths", _CREASE_LENGTHS)
         if lengths != _CREASE_LENGTHS:
             raise ValidationFailed(
@@ -224,6 +221,32 @@ class Unit:
             kind=doc.get("kind", "custom"),
             mode=mode,
         )
+
+
+def json_numbers(doc: dict, key: str, count: Optional[int] = None) -> list:
+    """`doc[key]` when it is a list of JSON numbers, `count` of them unless
+    `count` is None; ValidationFailed, naming the key, otherwise."""
+    xs = doc.get(key) if isinstance(doc, dict) else None
+    if (not isinstance(xs, (list, tuple))
+            or any(isinstance(x, bool) or not isinstance(x, (int, float))
+                   for x in xs)
+            or count is not None and len(xs) != count):
+        raise ValidationFailed(
+            f"{key} must be a list of {count or 'any number of'} numbers, "
+            f"got {xs!r}")
+    return xs
+
+
+def json_token(doc: dict, key: str, parse, default: Optional[str] = None):
+    """`parse(doc[key])`, or `parse(default)` when the key is absent;
+    ValidationFailed, naming the key, when it is absent without a default
+    or `parse` refuses the token."""
+    if key not in doc and default is None:
+        raise ValidationFailed(f"missing key {key!r}")
+    try:
+        return parse(doc.get(key, default))
+    except ValueError as exc:
+        raise ValidationFailed(f"{key}: {exc}") from exc
 
 
 def _reach(v: Vertex4, branch: BranchId, comp: int) -> float:
@@ -352,10 +375,8 @@ def make_flatfoldable_basic_unit(alpha1: float, alpha2: float) -> Unit:
     if abs(alpha1 - math.pi / 2) <= TAU_ANGLE and abs(alpha2 - math.pi / 2) <= TAU_ANGLE:
         raise DegenerateVertex("alpha1 = alpha2 = pi/2 admits no transmission")
     v = Vertex4((alpha1, alpha2, math.pi - alpha1, math.pi - alpha2))
-    unit = Unit(top=v, bottom=v, branch_top=BranchId.BRANCH_1,
-                branch_bottom=BranchId.BRANCH_1, signs=(1, 1),
-                kind="flat_foldable_basic")
-    return _finalize(unit, 200)
+    return identical_vertex_unit(v, BranchId.BRANCH_1, mirrored=False,
+                                 kind="flat_foldable_basic", n_samples=200)
 
 
 def _check_open_interval(x: float, name: str):

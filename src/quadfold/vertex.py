@@ -203,36 +203,24 @@ class FoldInterval:
             raise ValueError("fold interval must contain 0")
 
 
-def _near(x: float, target: float, tol: float) -> bool:
-    return abs(x - target) <= tol
-
-
-def classify(v: Vertex4, *, snap: bool = False) -> VertexClass:
+def classify(v: Vertex4) -> VertexClass:
     """Classify a vertex by its collinear crease pairs.
 
     Collinearity of two creases is decided by whether the sector angles
     strictly between them sum to pi (within TAU_ANGLE).  Sums that miss pi by
-    less than TAU_CLASS_BAND are recorded as warnings; they are treated as
-    collinear only when `snap` is set, so near-degenerate design inputs fail
-    loudly instead of silently snapping.
+    less than TAU_CLASS_BAND are recorded as warnings but not treated as
+    collinear, so near-degenerate design inputs fail loudly instead of
+    silently snapping.
     """
-    return _classify_cached(v.alpha, snap)
-
-
-@lru_cache(maxsize=16384)
-def _classify_cached(a: tuple, snap: bool) -> VertexClass:
+    a = v.alpha
     warnings = []
-    tol = TAU_ANGLE
 
     def coll(total: float, what: str) -> bool:
-        if _near(total, math.pi, tol):
+        if abs(total - math.pi) <= TAU_ANGLE:
             return True
-        if _near(total, math.pi, TAU_CLASS_BAND):
-            warnings.append(
-                f"{what} misses pi by {total - math.pi:.3e}; "
-                + ("snapped" if snap else "not snapped")
-            )
-            return snap
+        if abs(total - math.pi) <= TAU_CLASS_BAND:
+            warnings.append(f"{what} misses pi by {total - math.pi:.3e}; "
+                            "not snapped")
         return False
 
     flat = coll(a[0] + a[2], "a1+a3 (flat-foldability)")
@@ -244,7 +232,7 @@ def _classify_cached(a: tuple, snap: bool) -> VertexClass:
             return VertexClass(ClassTag.ADJACENT_COLLINEAR, (pair,), flat,
                                tuple(warnings))
 
-    if any(x > math.pi + tol for x in a):
+    if any(x > math.pi + TAU_ANGLE for x in a):
         return VertexClass(ClassTag.TRIVIAL, (), False, tuple(warnings))
 
     c13 = coll(a[1] + a[2], "a2+a3 (creases c1,c3)")
@@ -659,14 +647,18 @@ def _branch_param_cached(alpha: tuple, branch: BranchId) -> _BranchParam:
     # generic
     if branch not in CURVE_BRANCHES:
         raise WrongClass("generic vertex has only the two curve branches")
-    return _generic_param(a, branch)
+    return _GenericCurve(a, branch)
 
 
 @lru_cache(maxsize=8192)
-def _generic_param(a: tuple, branch: BranchId) -> _BranchParam:
-    """Curve parametrization through the general closed forms (no
-    flat-foldable shortcut): used directly by solve_generic so the special
-    and general transmissions stay independently testable."""
+def _generic_param(a: tuple, branch: BranchId) -> _GenericCurve:
+    """Curve parametrization of a generic vertex through the general closed
+    forms, with no flat-foldable shortcut: solve_generic's own path, so the
+    special and general transmissions stay independently testable.  The
+    class check is cached with it, so it runs once per (alpha, branch)."""
+    v = Vertex4(a)
+    if classify(v).tag is not ClassTag.GENERIC:
+        raise WrongClass(f"solve_generic requires a generic vertex, got {v!r}")
     return _GenericCurve(a, branch)
 
 
@@ -705,8 +697,6 @@ def solve_generic(v: Vertex4, rho1: float, branch: BranchId) -> VertexSolution:
     """
     if branch not in CURVE_BRANCHES:
         raise WrongClass("solve_generic takes BRANCH_1 or BRANCH_2")
-    if classify(v).tag is not ClassTag.GENERIC:
-        raise WrongClass(f"solve_generic requires a generic vertex, got {v!r}")
     return _eval_param(v, _generic_param(v.alpha, branch), rho1, branch)
 
 

@@ -8,7 +8,6 @@ from quadfold import (
     BranchId,
     EmptyInterval,
     OutOfDomain,
-    PropagationConflict,
     StitchPlan,
     Vertex4,
     build_tree,
@@ -20,7 +19,6 @@ from quadfold import (
     stitch,
 )
 from quadfold import foldability
-from quadfold.config import TAU_COMPAT
 from quadfold.errors import QuadfoldError, WrongClass
 from quadfold.foldability import (
     BranchChoice,
@@ -29,7 +27,7 @@ from quadfold.foldability import (
     _branch_grid,
     _probe,
 )
-from quadfold.vertex import CURVE_BRANCHES, normalize_angle, solve_at_crease
+from quadfold.vertex import CURVE_BRANCHES, solve_at_crease
 from quadfold.fixtures import (
     herringbone_plan,
     showcase_a_plan,
@@ -94,19 +92,6 @@ class TestPropagate:
     def test_out_of_domain_names_vertex(self, pat_b):
         with pytest.raises(OutOfDomain, match=r"vertex"):
             propagate(build_tree(pat_b), deg(60), None)
-
-    def test_top_row_sequence_accepted(self, pat_a):
-        tree = build_tree(pat_a)
-        ref = propagate(tree, deg(10), None)
-        seq = [deg(10)] + [ref.solutions[0][j].rho[3]
-                           for j in range(pat_a.n - 1)]
-        prop = propagate(tree, seq, None)
-        assert prop.max_residual() < 1e-10
-
-    def test_top_row_conflict_detected(self, pat_a):
-        tree = build_tree(pat_a)
-        with pytest.raises(PropagationConflict):
-            propagate(tree, [deg(10), deg(3), deg(3)], None)
 
     def test_non_unit_pattern_incompatible(self, pat_b):
         # break one vertex: propagation still runs but theta != phi
@@ -258,19 +243,13 @@ def test_driving_limit_matches_reference_search(pat_a, pat_b):
     assert compared == 11
 
 
-def _reference_propagate(tree: TreeStructure, rho_top,
+def _reference_propagate(tree: TreeStructure, driving: float,
                          branch_choice: BranchChoice = None) -> Propagation:
     """Verbatim copy of `propagate` as it stood before it shared the
-    solutions of repeated vertex inputs: every vertex is solved afresh."""
+    solutions of repeated vertex inputs (every vertex is solved afresh),
+    less the top-row-sequence input form it accepted then."""
     p = tree.pattern
-    if isinstance(rho_top, (int, float)):
-        driving = float(rho_top)
-        expected = ()
-    else:
-        seq = [float(x) for x in rho_top]
-        if not seq or len(seq) > p.n:
-            raise ValueError(f"expected 1..{p.n} top angles, got {len(seq)}")
-        driving, expected = seq[0], tuple(seq[1:])
+    driving = float(driving)
     branches = _branch_grid(p, branch_choice)
 
     sols = [[None] * p.n for _ in range(p.m)]
@@ -281,13 +260,6 @@ def _reference_propagate(tree: TreeStructure, rho_top,
             sols[0][j] = solve_at_crease(v, 2, angle, branches[0][j])
         except (OutOfDomain, WrongClass) as exc:
             raise OutOfDomain(f"top-row vertex (0,{j}): {exc}") from exc
-    for k, want in enumerate(expected):
-        got = sols[0][k].rho[3]
-        if abs(normalize_angle(got - want)) > TAU_COMPAT:
-            raise PropagationConflict(
-                f"provided top-row angle {k + 1} = {want!r} conflicts with "
-                f"the transmitted value {got!r}"
-            )
     for i in range(1, p.m):
         for j in range(p.n):
             v = p.vertex(i, j)
@@ -356,25 +328,6 @@ def test_propagate_matches_reference(equivalence_patterns):
                 refused += want[0] is OutOfDomain
     assert compared == 19 * 26
     assert refused >= 50
-
-
-def test_top_row_sequence_matches_reference(equivalence_patterns):
-    """The top-row sequence input, accepted or in conflict, gives the
-    reference's propagation or its PropagationConflict message."""
-    outcomes = set()
-    for p in equivalence_patterns:
-        tree = build_tree(p)
-        for t in (deg(10), -deg(7), 0.0):
-            top = propagate(tree, t).solutions[0]
-            seq = [t] + [top[j].rho[3] for j in range(p.n - 1)]
-            for candidate in (seq, seq[:2], [seq[0], seq[1] + 1e-6],
-                              seq[:-1] + [seq[-1] - 0.1], seq + [0.0], []):
-                got = _propagation_outcome(propagate, tree, candidate)
-                want = _propagation_outcome(_reference_propagate, tree,
-                                            candidate)
-                assert got == want, (p.m, p.n, t, candidate)
-                outcomes.add(want[0] if isinstance(want[0], type) else "ok")
-    assert outcomes == {"ok", PropagationConflict, ValueError}
 
 
 def test_certify_matches_reference_propagate(monkeypatch):

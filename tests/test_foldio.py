@@ -43,6 +43,19 @@ def _numbers_close(a, b, rel=5e-11):
         assert a == b
 
 
+def _ff_plan(**edit):
+    """Plan of one flat-foldable descriptor; a None value drops the key."""
+    unit = {"kind": "flat_foldable", "alphas_deg": [80, 100, 60],
+            "mode": "10a-2"}
+    unit.update(edit)
+    return {"columns": [[{k: v for k, v in unit.items() if v is not None}]]}
+
+
+def _grid_plan(**edit):
+    """Plan of a 2x2 square grid with its top-level keys edited."""
+    return dict(square_grid_plan(2, 2).to_json(), **edit)
+
+
 class TestFold:
     def test_roundtrip_twelve_digits(self, pat_a):
         s1 = fold_dumps(export_fold(pat_a))
@@ -145,6 +158,15 @@ class TestObj:
         bad = replace(state, coords=squashed)
         with pytest.raises(SerializationError):
             export_obj(bad, p)
+
+    def test_non_finite_coordinates_refused(self):
+        p = stitch(square_grid_plan(2, 2))
+        state = realize(p, propagate(build_tree(p), 0.0, None))
+        coords = state.coords.copy()
+        coords[1, 1, 2] = math.nan
+        from dataclasses import replace
+        with pytest.raises(SerializationError, match="non-finite"):
+            export_obj(replace(state, coords=coords), p)
 
 
 class TestSvg:
@@ -348,3 +370,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert "bad QUADFOLD_CONFIG" in err and named in err
+
+    @pytest.mark.parametrize("doc, named", [
+        (_ff_plan(mode="10c-9"), "mode"),
+        (_ff_plan(mode=None), "mode"),
+        (_ff_plan(alphas_deg=[80, 100]), "alphas_deg"),
+        (_ff_plan(alphas_deg=None), "alphas_deg"),
+        (_ff_plan(alphas_deg=["80", 100, 60]), "alphas_deg"),
+        (_ff_plan(kind="flat_foldable_basic"), "alphas_deg"),
+        ({"columns": [[{"kind": "custom", "mirror_of_deg": [77, 88, 112, 83],
+                        "branch": "7"}]]}, "branch"),
+        ({"columns": [[{"sector_deg": ["x"] + [90.0] * 7}]]}, "sector_deg"),
+        ({"rows": []}, "columns"),
+        ({"columns": "nope"}, "columns"),
+        (_ff_plan()["columns"], "object"),
+        (_grid_plan(top_lengths=2.0), "top_lengths"),
+        (_grid_plan(top_lengths=[]), "top_lengths"),
+        (_grid_plan(top_lengths=[1.0, 1.0]), "top_lengths"),
+        (_grid_plan(left_lengths=[1.0, 1.0]), "left_lengths"),
+        (_grid_plan(left_lengths=[-1.0]), "left_lengths"),
+        (_grid_plan(boundary_length=math.nan), "boundary_length"),
+        (_grid_plan(boundary_length="1"), "boundary_length"),
+    ])
+    def test_malformed_plan_is_refused(self, doc, named, tmp_path, capsys):
+        """`pattern count` refuses a malformed plan with an error line that
+        names the key, never a traceback."""
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps(doc))
+        rc = main(["pattern", "count", str(plan_file)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err

@@ -162,6 +162,25 @@ class TestLayout:
         d_left = np.linalg.norm(p.point(2, 1) - p.point(1, 1))
         assert d_left == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("lengths, named", [
+        (PlanLengths(top=(2.0,)), "top_lengths must hold 2"),
+        (PlanLengths(top=(2.0, 1.5, 1.0)), "top_lengths must hold 2"),
+        (PlanLengths(left=()), "left_lengths must hold 2"),
+        (PlanLengths(top=(1.0, math.inf)), "top_lengths"),
+        (PlanLengths(left=(0.0, 1.0)), "left_lengths"),
+        (PlanLengths(boundary=math.nan), "boundary_length"),
+        (PlanLengths(boundary=-0.5), "boundary_length"),
+    ])
+    def test_lengths_must_fit_the_grid(self, plan_a, lengths, named):
+        """One length per column gap and per row gap, each positive and
+        finite, whichever way the pattern is built."""
+        with pytest.raises(LayoutFailure, match=named):
+            stitch(StitchPlan(columns=plan_a.columns, lengths=lengths))
+        p = stitch(plan_a)
+        with pytest.raises(LayoutFailure, match=named):
+            pattern_mod.QuadPattern.from_vertices(p.vertices,
+                                                  p.branch_default, lengths)
+
     def test_parallel_crease_lines_fail(self):
         # two stacked square-vertex units next to each other cannot close a
         # panel if one column's angles are inconsistent; build an impossible

@@ -95,13 +95,6 @@ class TestSweep:
         assert len(res) == 1
         assert res.driving_angles == (0.0,)
 
-    def test_fraction(self, pat_a):
-        full = sweep(pat_a, None, 3, n_samples=40)
-        half = sweep(pat_a, None, 3, fraction=0.5, n_samples=40)
-        assert half.driving_angles[-1] == pytest.approx(
-            0.5 * full.driving_angles[-1]
-        )
-
     def test_coincident_corners_are_planar(self):
         """At c = 60 deg the boundary stubs of faces (5, 0) and (7, 0) land
         on one point; the planarity check must not read the rounding noise

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,6 +12,7 @@ from quadfold import (
     OutOfDomain,
     QuadfoldError,
     Vertex4,
+    VertexClass,
     VertexSolution,
     WrongClass,
     classify,
@@ -26,7 +28,7 @@ from quadfold import (
     xi_of,
 )
 from quadfold import vertex as vertex_mod
-from quadfold.config import TAU_ROOT
+from quadfold.config import TAU_ANGLE, TAU_CLASS_BAND, TAU_ROOT
 from quadfold.vertex import TWO_PI, _branch_param, _generic_param, clamped_acos
 from conftest import (
     random_ff_vertex,
@@ -101,8 +103,6 @@ class TestClassify:
         cls = classify(v)
         assert cls.tag is ClassTag.GENERIC
         assert cls.warnings
-        snapped = classify(v, snap=True)
-        assert snapped.tag is ClassTag.STRAIGHT_LINE
 
 
 class TestXi:
@@ -685,3 +685,104 @@ def test_crease_inversion_matches_reference_dispatch(rng):
     kinds = {w if isinstance(w, str) else w[0] for w in want}
     assert {ValueError, OutOfDomain, WrongClass, DegenerateVertex} <= kinds
     assert sum(isinstance(w, str) for w in want) > 2000
+
+
+def _near(x: float, target: float, tol: float) -> bool:
+    return abs(x - target) <= tol
+
+
+def _reference_classify(a: tuple, snap: bool) -> VertexClass:
+    """Verbatim copy of the body `classify` had while it took a `snap`
+    keyword and cached per sector-angle tuple (the cache decorator is left
+    off)."""
+    warnings = []
+    tol = TAU_ANGLE
+
+    def coll(total: float, what: str) -> bool:
+        if _near(total, math.pi, tol):
+            return True
+        if _near(total, math.pi, TAU_CLASS_BAND):
+            warnings.append(
+                f"{what} misses pi by {total - math.pi:.3e}; "
+                + ("snapped" if snap else "not snapped")
+            )
+            return snap
+        return False
+
+    flat = coll(a[0] + a[2], "a1+a3 (flat-foldability)")
+
+    # one sector equal to pi: its flanking creases form a straight line
+    for i in range(4):
+        if coll(a[i], f"sector a{i + 1}"):
+            pair = ((i - 1) % 4 + 1, i + 1)  # creases c_{i-1}, c_i (1-based)
+            return VertexClass(ClassTag.ADJACENT_COLLINEAR, (pair,), flat,
+                               tuple(warnings))
+
+    if any(x > math.pi + tol for x in a):
+        return VertexClass(ClassTag.TRIVIAL, (), False, tuple(warnings))
+
+    c13 = coll(a[1] + a[2], "a2+a3 (creases c1,c3)")
+    c24 = coll(a[2] + a[3], "a3+a4 (creases c2,c4)")
+    if c13 and c24:
+        return VertexClass(ClassTag.DOUBLE_COLLINEAR, ((1, 3), (2, 4)), flat,
+                           tuple(warnings))
+    if c13:
+        return VertexClass(ClassTag.STRAIGHT_LINE, ((1, 3),), flat, tuple(warnings))
+    if c24:
+        return VertexClass(ClassTag.STRAIGHT_LINE, ((2, 4),), flat, tuple(warnings))
+    return VertexClass(ClassTag.GENERIC, (), flat, tuple(warnings))
+
+
+def test_classify_matches_reference(rng):
+    """classify gives the reference's VertexClass, repr for repr, on seeded
+    vertices of every class, with their collinear sums moved by amounts
+    inside TAU_ANGLE (still collinear) and inside TAU_CLASS_BAND (warned,
+    not snapped)."""
+    rnd = random.Random(20261018)
+    pi = math.pi
+    bases = []
+    for _ in range(40):
+        sl = random_straightline_vertex(rng)
+        bases += [random_generic_vertex(rng), random_ff_vertex(rng), sl,
+                  sl.shifted(1)]
+        a, b = rnd.uniform(0.3, 2.8), rnd.uniform(0.3, 1.4)
+        bases += [
+            Vertex4((a, pi - a, a, pi - a)),              # double-collinear
+            Vertex4((pi, b, pi - b - 0.2, 0.2)).shifted(rnd.randrange(4)),
+            Vertex4((pi + 0.3, b, 0.4, pi - 0.7 - b)),     # trivial
+        ]
+    vertices = list(bases)
+    for v in bases:
+        for size in (4e-10, 3e-9, 5e-8, 9e-7, 3e-6):
+            i, j = rnd.sample(range(4), 2)
+            d = rnd.choice((1.0, -1.0)) * size
+            x = list(v.alpha)
+            x[i] += d
+            x[j] -= d
+            vertices.append(Vertex4(x))
+    tags = set()
+    warned = 0
+    for v in vertices:
+        got, want = classify(v), _reference_classify(v.alpha, False)
+        assert repr(got) == repr(want), v.alpha
+        tags.add(want.tag)
+        warned += bool(want.warnings)
+    assert tags == set(ClassTag)
+    assert warned > 200
+
+
+def test_solve_generic_classifies_once_per_vertex_and_branch(monkeypatch):
+    """solve_generic's class check is cached with the parametrization: 20
+    calls on one vertex and branch classify it once."""
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return classify(v)
+
+    monkeypatch.setattr(vertex_mod, "classify", counted)
+    _generic_param.cache_clear()
+    v = Vertex4.from_degrees((81, 94, 76, 109))
+    for k in range(20):
+        solve_generic(v, deg(k), BranchId.BRANCH_1)
+    assert len(calls) == 1

@@ -1,24 +1,37 @@
 #!/usr/bin/env python3
-"""One sha256 over the certify reports and sweep exports of a fixed input set.
+"""One sha256 over the vertex, unit, certify and sweep outputs of a fixed
+input set.
 
     python3 tools/output_digest.py                        # this checkout's src/
     PYTHONPATH=/other/checkout/src python3 tools/output_digest.py
 
 A change that should leave every computed float alone prints the same hash
-before and after.  The hash covers the repr of the `certify` report (or the
-exception type and message) for every enumerated branch choice and both
-uniform curve-branch choices of showcases A and B, four seeded 8x8
-herringbones and a 4x4 herringbone, and the text of the FOLD and OBJ exports
-of a 6-frame `sweep` of each of those blankets that certifies on its default
-branches.  One line per text gives that text's own hash, so a diff of two
-outputs names the texts that moved; the last line is the total.  It is a
-comparison tool, not a golden: the hash is compared between two source
-trees, never stored.
+before and after.  Each output is a repr, or the exception type and message
+where the call raises:
+
+* vertex layer: `classify` of seeded vertices of every class, each also with
+  two sector angles moved by amounts that keep or break a collinear sum
+  (warnings included), and `solve_generic` (with `raw_rho`) at seeded angles
+  on both branches of seeded flat-foldable vertices;
+* unit layer: the unit, its `validate_unit` report over 200 samples and its
+  `valid_branch_pairs`, for seeded units from `solve_ff_unit` (all four
+  modes), `make_flatfoldable_basic_unit`, `make_straightline_unit` and
+  `identical_vertex_unit` (both curve branches, mirrored and plain);
+* blankets: the `certify` report for every enumerated branch choice and both
+  uniform curve-branch choices of showcases A and B, four seeded 8x8
+  herringbones and a 4x4 herringbone, and the text of the FOLD and OBJ
+  exports of a 6-frame `sweep` of each of those blankets that certifies on
+  its default branches.
+
+One line per text gives that text's own hash, so a diff of two outputs names
+the texts that moved; the last line is the total.  It is a comparison tool,
+not a golden: the hash is compared between two source trees, never stored.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import sys
 from pathlib import Path
@@ -29,14 +42,24 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 import quadfold  # noqa: E402
 from quadfold import (  # noqa: E402
     BranchId,
+    FFUnitMode,
     QuadfoldError,
+    Vertex4,
     certify,
+    classify,
     enumerate_branch_choices,
     export_fold,
     export_obj,
     fold_dumps,
+    identical_vertex_unit,
+    make_flatfoldable_basic_unit,
+    make_straightline_unit,
+    solve_ff_unit,
+    solve_generic,
     stitch,
     sweep,
+    valid_branch_pairs,
+    validate_unit,
 )
 from quadfold.fixtures import (  # noqa: E402
     herringbone_plan,
@@ -51,6 +74,111 @@ N_FRAMES = 6
 # and sweeps at 8x8.
 A_DEG = (93.0, 97.0)
 C_DEG = (70.0, 74.0)
+N_VERTICES = 8      # seeded vertices per class
+N_UNITS = 4         # seeded units per constructor (and per flat-foldable mode)
+# sector-angle moves: inside TAU_ANGLE (still collinear), inside
+# TAU_CLASS_BAND (a warning), beyond it
+NUDGES = (4e-10, 3e-9, 5e-7, 2e-6)
+
+
+def _sector(rng) -> float:
+    return math.radians(rng.uniform(25.0, 155.0))
+
+
+def _generic(rng) -> Vertex4:
+    while True:
+        a = [_sector(rng) for _ in range(3)]
+        a4 = 2.0 * math.pi - sum(a)
+        if 0.3 < a4 < math.pi - 0.3:
+            return Vertex4((*a, a4))
+
+
+def _flat_foldable(rng) -> Vertex4:
+    a1, a2 = _sector(rng), _sector(rng)
+    return Vertex4((a1, a2, math.pi - a1, math.pi - a2))
+
+
+def vertices(rng):
+    """(class name, vertex) pairs: seeded vertices of every class."""
+    pi = math.pi
+    for _ in range(N_VERTICES):
+        a, b = _sector(rng), math.radians(rng.uniform(10.0, 80.0))
+        straight = Vertex4((a, b, pi - b, pi - a))
+        yield "generic", _generic(rng)
+        yield "flat_foldable", _flat_foldable(rng)
+        yield "straight_line_13", straight
+        yield "straight_line_24", straight.shifted(1)
+        yield "double_collinear", Vertex4((a, pi - a, a, pi - a))
+        yield "adjacent_collinear", Vertex4((pi, b, pi - b - 0.2, 0.2))
+        yield "trivial", Vertex4((pi + 0.3, b, 0.4, pi - 0.7 - b))
+
+
+def _solution(fn):
+    try:
+        sol = fn()
+    except QuadfoldError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr(sol) + repr(sol.raw_rho)
+
+
+def vertex_texts():
+    rng = random.Random(SEED)
+    for k, (name, v) in enumerate(vertices(rng)):
+        yield f"classify {name} {k}", _outcome(lambda: classify(v))
+        for nudge in NUDGES:
+            i, j = rng.sample(range(4), 2)
+            a = list(v.alpha)
+            a[i] += nudge
+            a[j] -= nudge
+            w = Vertex4(a)
+            yield (f"classify {name} {k} nudged {nudge:g}",
+                   _outcome(lambda: classify(w)))
+    for k in range(N_VERTICES):
+        v = _flat_foldable(rng)
+        for b in (BranchId.BRANCH_1, BranchId.BRANCH_2):
+            for r in (rng.uniform(-math.pi, math.pi) for _ in range(4)):
+                yield (f"solve_generic flat_foldable {k} {b.value} {r!r}",
+                       _solution(lambda: solve_generic(v, r, b)))
+
+
+def units(rng):
+    """(label, constructor call) pairs: seeded units of every constructor."""
+    for k in range(N_UNITS):
+        a1, a2, a3 = _sector(rng), _sector(rng), _sector(rng)
+        for mode in FFUnitMode:
+            yield (f"solve_ff_unit {mode.value} {k}",
+                   lambda mode=mode, a=(a1, a2, a3): solve_ff_unit(*a, mode))
+        yield (f"make_flatfoldable_basic_unit {k}",
+               lambda a=(a1, a2): make_flatfoldable_basic_unit(*a))
+        a, b = _sector(rng), math.radians(rng.uniform(10.0, 80.0))
+        for shift in (0, 1):
+            v = Vertex4((a, b, math.pi - b, math.pi - a)).shifted(shift)
+            yield (f"make_straightline_unit {shift} {k}",
+                   lambda v=v: make_straightline_unit(v))
+        double = Vertex4((a, math.pi - a, a, math.pi - a))
+        yield (f"make_straightline_unit double {k}",
+               lambda v=double: make_straightline_unit(v))
+        for name, v in (("generic", _generic(rng)),
+                        ("flat_foldable", _flat_foldable(rng))):
+            for b in (BranchId.BRANCH_1, BranchId.BRANCH_2):
+                for mirrored in (True, False):
+                    yield (f"identical_vertex_unit {name} {b.value} "
+                           f"{mirrored} {k}",
+                           lambda v=v, b=b, m=mirrored: identical_vertex_unit(
+                               v, b, mirrored=m))
+
+
+def unit_texts():
+    rng = random.Random(SEED + 1)
+    for label, make in units(rng):
+        try:
+            u = make()
+        except QuadfoldError as exc:
+            yield label, f"{type(exc).__name__}: {exc}"
+            continue
+        yield label, "\n".join((repr(u),
+                                _outcome(lambda: validate_unit(u, 200)),
+                                _outcome(lambda: valid_branch_pairs(u))))
 
 
 def blankets():
@@ -73,6 +201,8 @@ def _outcome(fn):
 
 def texts():
     """Every text the digest covers, labelled, in a fixed order."""
+    yield from vertex_texts()
+    yield from unit_texts()
     for name, plan in blankets():
         p = stitch(plan)
         choices = (*enumerate_branch_choices(p), BranchId.BRANCH_1,
