@@ -112,13 +112,13 @@ def herringbone_plan(rows: int = 4, cols: int = 4, a_deg: float = 95.0,
     herringbone-style blanket with two free sector angles.
     """
     v = Vertex4.from_degrees((a_deg, 180.0 - a_deg, c_deg, 180.0 - c_deg))
-    col = []
-    top = v
-    for _ in range(rows - 1):
-        u = identical_vertex_unit(top, BranchId.BRANCH_2, kind="straight_line")
-        col.append(u)
-        top = u.bottom
-    return StitchPlan(columns=tuple(tuple(col) for _ in range(cols)))
+    # u1 hangs below u0 and u0 below u1 again: mirroring twice gives v back
+    # exactly, so every column alternates the same two units
+    u0 = identical_vertex_unit(v, BranchId.BRANCH_2, kind="straight_line")
+    u1 = identical_vertex_unit(u0.bottom, BranchId.BRANCH_2,
+                               kind="straight_line")
+    col = tuple((u0, u1)[k % 2] for k in range(rows - 1))
+    return StitchPlan(columns=(col,) * cols)
 
 
 def square_grid_plan(rows: int = 2, cols: int = 2) -> StitchPlan:

@@ -117,34 +117,57 @@ def export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
 
 
 def import_fold(doc: Union[dict, str]) -> QuadPattern:
-    """Rebuild a pattern from a FOLD document produced by export_fold."""
+    """Rebuild a pattern from a FOLD document produced by export_fold.
+
+    The pattern is re-stitched from the "quadfold:plan" block.  A document
+    whose structure disagrees with that pattern is refused: its
+    "quadfold:grid" must read [m, n], its point, edge and face counts must
+    be the pattern's, and "edges_assignment" and "edges_foldAngle", where
+    present, must hold one entry per edge, each assignment agreeing with the
+    sign of its angle.  The coordinates themselves are not compared.
+    """
     if isinstance(doc, str):
         import json
         doc = json.loads(doc)
     for key in ("vertices_coords", "edges_vertices", "faces_vertices"):
         if key not in doc:
             raise SerializationError(f"FOLD document lacks {key}")
-    n_pts = len(doc["vertices_coords"])
+    if "quadfold:plan" not in doc:
+        raise SerializationError(
+            "document lacks quadfold:plan; cannot rebuild the pattern"
+        )
+    p = stitch(StitchPlan.from_json(doc["quadfold:plan"]))
+    n_edges = len(p.edges())
+    want = {
+        "quadfold:grid": [p.m, p.n],
+        "vertices_coords": (p.m + 2) * (p.n + 2),
+        "edges_vertices": n_edges,
+        "faces_vertices": len(p.faces()),
+        "edges_assignment": n_edges,
+        "edges_foldAngle": n_edges,
+    }
+    for key, expected in want.items():
+        if key not in doc:
+            continue
+        got = doc[key] if key == "quadfold:grid" else len(doc[key])
+        if got != expected:
+            raise SerializationError(
+                f"{key} does not fit the {p.m}x{p.n} pattern of the plan: "
+                f"expected {expected!r}, got {got!r}")
+    n_pts = want["vertices_coords"]
     for ev in doc["edges_vertices"]:
         if any(not (0 <= v < n_pts) for v in ev):
             raise SerializationError("edges_vertices indices out of range")
     for fv in doc["faces_vertices"]:
         if any(not (0 <= v < n_pts) for v in fv):
             raise SerializationError("faces_vertices indices out of range")
-    ea = doc.get("edges_assignment", [])
-    fa = doc.get("edges_foldAngle", [])
-    if ea and fa:
-        for letter, ang in zip(ea, fa):
-            if letter == "V" and ang < 0 or letter == "M" and ang > 0:
-                raise SerializationError(
-                    f"assignment {letter} contradicts fold angle {ang!r}"
-                )
-    if "quadfold:plan" not in doc:
-        raise SerializationError(
-            "document lacks quadfold:plan; cannot rebuild the pattern"
-        )
-    plan = StitchPlan.from_json(doc["quadfold:plan"])
-    return stitch(plan)
+    for letter, ang in zip(doc.get("edges_assignment", ()),
+                           doc.get("edges_foldAngle", ())):
+        if letter == "V" and ang < 0 or letter == "M" and ang > 0:
+            raise SerializationError(
+                f"assignment {letter} contradicts fold angle {ang!r}"
+            )
+    return p
 
 
 def export_obj(state: FoldedState, pattern: QuadPattern) -> str:

@@ -23,7 +23,7 @@ are free design inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -36,9 +36,9 @@ from .errors import (
     NotABlanket,
     ValidationFailed,
 )
-from .units import FFUnitMode, Unit, identical_vertex_unit, json_numbers, \
-    json_token, make_flatfoldable_basic_unit, make_straightline_unit, \
-    solve_ff_unit, valid_branch_pairs, validate_unit
+from .units import UNIT_KINDS, FFUnitMode, Unit, identical_vertex_unit, \
+    json_numbers, json_token, make_flatfoldable_basic_unit, \
+    make_straightline_unit, solve_ff_unit, valid_branch_pairs, validate_unit
 from .vertex import BranchId, Vertex4, normalize_angle
 
 TWO_PI = 2.0 * math.pi
@@ -47,13 +47,13 @@ TWO_PI = 2.0 * math.pi
 # each additionally stitched unit).  Identical-vertex basic units add nothing
 # once their shared vertex is fixed; a freshly designed flat-foldable unit
 # keeps one free angle when stitched below an existing vertex.
-DOF_TABLE = {
-    "straight_line": (2, 0),
-    "flat_foldable_basic": (2, 0),
-    "flat_foldable": (3, 1),
-    "double_collinear": (1, 0),
-    "custom": (3, 0),
-}
+DOF_TABLE = dict(zip(UNIT_KINDS, (
+    (2, 0),  # straight_line
+    (2, 0),  # flat_foldable_basic
+    (3, 1),  # flat_foldable
+    (1, 0),  # double_collinear
+    (3, 0),  # custom
+)))
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,6 @@ class QuadPattern:
     vertices: tuple                  # m rows of n Vertex4
     branch_default: tuple            # m rows of n BranchId
     plan: Optional[StitchPlan]
-    lengths: PlanLengths
     grid: np.ndarray                 # (m+2, n+2, 2) planar layout
     directions: tuple                # per vertex (U, L, D, R) planar angles
 
@@ -197,15 +196,22 @@ class QuadPattern:
 
         Rigid-foldability certification applies to any grid of developable
         vertices; this constructor supports blankets that were not stitched
-        from units.  Panel angle sums are validated.
+        from units.  Panel angle sums are validated.  NotABlanket refuses an
+        empty or ragged vertex grid and a branch grid of another shape.
         """
         vertices = tuple(tuple(row) for row in vertices)
-        m, n = len(vertices), len(vertices[0])
         branch_default = tuple(tuple(row) for row in branch_default)
-        lengths = lengths or PlanLengths()
+        m, n = len(vertices), len(vertices[0]) if vertices else 0
+        for name, rows in (("vertices", vertices),
+                           ("branch_default", branch_default)):
+            if n == 0 or len(rows) != m or any(len(r) != n for r in rows):
+                raise NotABlanket(
+                    "vertices and branch_default must be grids of one "
+                    f"non-empty shape; {name} has row lengths "
+                    f"{[len(r) for r in rows]}")
         _check_panel_sums(vertices)
-        grid, dirs = _layout(vertices, lengths, check=True)
-        return cls(m, n, vertices, branch_default, None, lengths, grid, dirs)
+        return _laid_out(vertices, branch_default, None,
+                         lengths or PlanLengths())
 
     def vertex(self, i: int, j: int) -> Vertex4:
         return self.vertices[i][j]
@@ -255,19 +261,20 @@ class QuadPattern:
         """Copy with one vertex replaced, skipping all validation.
 
         Diagnostic helper: the result is generally *not* a valid blanket and
-        exists so that certification can be exercised on broken input.
+        exists so that certification can be exercised on broken input.  It
+        keeps this pattern's layout and drops the plan, since no plan
+        stitches the changed grid.
         """
         rows = [list(row) for row in self.vertices]
         rows[i][j] = v
-        vertices = tuple(tuple(row) for row in rows)
-        grid, dirs = _layout(vertices, self.lengths, check=False)
-        return QuadPattern(self.m, self.n, vertices, self.branch_default,
-                           self.plan, self.lengths, grid, dirs)
+        return replace(self, vertices=tuple(tuple(row) for row in rows),
+                       plan=None)
 
     def relayout(self, lengths: PlanLengths) -> "QuadPattern":
-        grid, dirs = _layout(self.vertices, lengths, check=True)
-        return QuadPattern(self.m, self.n, self.vertices, self.branch_default,
-                           self.plan, lengths, grid, dirs)
+        """Copy laid out with other free crease lengths, which the plan
+        (if any) then records."""
+        plan = self.plan and replace(self.plan, lengths=lengths)
+        return _laid_out(self.vertices, self.branch_default, plan, lengths)
 
 
 def _vertex_directions(v: Vertex4, dir_u=None, dir_l=None):
@@ -298,8 +305,16 @@ def _ray_intersection(p1, d1, p2, d2):
     return t1, t2
 
 
-def _layout(vertices, lengths: PlanLengths, *, check: bool = True):
-    """Place the grid in the plane from sector angles and free lengths."""
+def _laid_out(vertices, branches, plan, lengths: PlanLengths) -> QuadPattern:
+    """The pattern of a vertex grid laid out with `lengths`."""
+    grid, dirs = _layout(vertices, lengths)
+    return QuadPattern(len(vertices), len(vertices[0]), vertices, branches,
+                       plan, grid, dirs)
+
+
+def _layout(vertices, lengths: PlanLengths):
+    """Place the grid in the plane from sector angles and free lengths,
+    checking every panel and every measured sector angle."""
     m, n = len(vertices), len(vertices[0])
     for key, xs, want in (("top_lengths", lengths.top, n - 1),
                           ("left_lengths", lengths.left, m - 1),
@@ -332,16 +347,15 @@ def _layout(vertices, lengths: PlanLengths, *, check: bool = True):
             dirs[i][j] = _vertex_directions(
                 vertices[i][j], dir_u=dirs[i - 1][j][2] + math.pi
             )
-            if check:
-                mismatch = normalize_angle(
-                    dirs[i][j][1] - (dirs[i][j - 1][3] + math.pi)
+            mismatch = normalize_angle(
+                dirs[i][j][1] - (dirs[i][j - 1][3] + math.pi)
+            )
+            if abs(mismatch) > TAU_LAYOUT:
+                raise LayoutFailure(
+                    f"crease directions at vertex ({i},{j}) disagree by "
+                    f"{mismatch:.3e} rad (inconsistent panel above-left)",
+                    panel=(i - 1, j - 1),
                 )
-                if abs(mismatch) > TAU_LAYOUT:
-                    raise LayoutFailure(
-                        f"crease directions at vertex ({i},{j}) disagree by "
-                        f"{mismatch:.3e} rad (inconsistent panel above-left)",
-                        panel=(i - 1, j - 1),
-                    )
             hit = _ray_intersection(
                 pos[i - 1][j], dirs[i - 1][j][2], pos[i][j - 1], dirs[i][j - 1][3]
             )
@@ -352,7 +366,7 @@ def _layout(vertices, lengths: PlanLengths, *, check: bool = True):
                     panel=(i - 1, j - 1),
                 )
             t1, t2 = hit
-            if check and (t1 <= 0 or t2 <= 0):
+            if t1 <= 0 or t2 <= 0:
                 raise LayoutFailure(
                     f"panel ({i - 1},{j - 1}) folds back on itself "
                     f"(intersection parameters {t1:.3g}, {t2:.3g})",
@@ -377,8 +391,7 @@ def _layout(vertices, lengths: PlanLengths, *, check: bool = True):
     grid[m + 1, 0] = grid[m, 0] + grid[m + 1, 1] - grid[m, 1]
     grid[m + 1, n + 1] = grid[m, n + 1] + grid[m + 1, n] - grid[m, n]
 
-    if check:
-        _check_layout_angles(vertices, grid)
+    check_layout_angles(vertices, grid)
     return grid, tuple(tuple(row) for row in dirs)
 
 
@@ -396,8 +409,9 @@ def _check_panel_sums(vertices):
                 )
 
 
-def _check_layout_angles(vertices, grid):
-    """Measured sector angles of the placed layout must match the data."""
+def check_layout_angles(vertices, grid):
+    """Measured sector angles of the placed layout must match the data;
+    LayoutFailure names the first vertex and sector that do not."""
     m, n = len(vertices), len(vertices[0])
     for i in range(m):
         for j in range(n):
@@ -463,8 +477,7 @@ def stitch(plan: StitchPlan) -> QuadPattern:
     _check_panel_sums(vertices)
     vertices = tuple(tuple(row) for row in vertices)
     branches = tuple(tuple(row) for row in branches)
-    grid, dirs = _layout(vertices, plan.lengths, check=True)
-    return QuadPattern(m, n, vertices, branches, plan, plan.lengths, grid, dirs)
+    return _laid_out(vertices, branches, plan, plan.lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +533,7 @@ def count_dof(plan: StitchPlan, table: Optional[dict] = None) -> DofReport:
     unit_terms = []
     for col in plan.columns:
         for k, u in enumerate(col):
-            base, inc = table.get(u.kind, table["custom"])
+            base, inc = table[u.kind]
             unit_terms.append(base if k == 0 else inc)
     deductions = []
     n_inner = plan.n_cols - 1

@@ -17,7 +17,7 @@ import numpy as np
 from .config import DEFAULT_SAMPLES, TAU_CLOSURE, TAU_COMPAT, TAU_RIGID
 from .errors import ClosureViolation, RigidityViolation
 from .foldability import BranchChoice, Propagation, build_tree, certify, propagate
-from .pattern import QuadPattern
+from .pattern import QuadPattern, check_layout_angles
 from .vertex import Vertex4, VertexSolution
 
 
@@ -84,11 +84,11 @@ def _rot_about_line(point: np.ndarray, direction: np.ndarray,
 
 @dataclass(frozen=True)
 class FoldedState:
-    """Rigidly folded embedding of the whole grid at one driving angle."""
+    """Rigidly folded embedding of the whole grid at one driving angle
+    (`angles.driving`)."""
 
     coords: np.ndarray            # (m+2, n+2, 3)
     angles: Propagation           # the crease angles folded by
-    driving_angle: float
     rigidity_residual: float      # worst relative length/planarity deviation
     closure_residual: float       # worst vertex/cycle closure
 
@@ -103,9 +103,13 @@ def realize(p: QuadPattern, prop: Propagation) -> FoldedState:
     places the corners no earlier face reached and is verified: each corner
     where the earlier faces put it, and the panel congruent to the layout
     (edge lengths, diagonals, planarity).  Every vertex's folding angles
-    must also close under the rotation oracle.
+    must also close under the rotation oracle.  The walk folds the layout,
+    so a layout that does not realize the vertex data (that of a
+    `with_vertex` copy, which keeps its parent's) is refused with
+    LayoutFailure first.
     """
     grid2 = p.grid
+    check_layout_angles(p.vertices, grid2)
     coords = np.zeros((p.m + 2, p.n + 2, 3))
     transforms = {}
     closure = 0.0
@@ -179,8 +183,7 @@ def realize(p: QuadPattern, prop: Propagation) -> FoldedState:
             f"panel deformation {rigidity:.3e} exceeds {TAU_RIGID:.1e}"
         )
     return FoldedState(coords=coords, angles=prop,
-                       driving_angle=prop.driving, rigidity_residual=rigidity,
-                       closure_residual=closure)
+                       rigidity_residual=rigidity, closure_residual=closure)
 
 
 def _face_center(grid2, r, c):

@@ -127,6 +127,10 @@ class UnitReport:
 
 _CREASE_LENGTHS = {"shared": 1.0}
 
+# how a unit was designed, which sets its term in the sector-angle count
+UNIT_KINDS = ("straight_line", "flat_foldable_basic", "flat_foldable",
+              "double_collinear", "custom")
+
 
 @dataclass(frozen=True)
 class Unit:
@@ -141,6 +145,10 @@ class Unit:
     def __post_init__(self):
         if tuple(self.signs) not in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
             raise ValidationFailed(f"signs must be +/-1 pairs, got {self.signs}")
+        if self.kind not in UNIT_KINDS:
+            raise ValidationFailed(
+                f"kind must be one of {', '.join(UNIT_KINDS)}, "
+                f"got {self.kind!r}")
 
     @property
     def sector(self) -> tuple:
@@ -308,20 +316,6 @@ def validate_unit(u: Unit, n_samples: int = 200) -> UnitReport:
     return UnitReport(worst24, worst47, n_samples, (-s_max, s_max), True)
 
 
-def _discover_signs(u: Unit):
-    """Pick the sign pair from 9 samples; None when a side never folds."""
-    t_max = _shared_interval(u)
-    s2 = s4 = None
-    if t_max > 1e-9:
-        for k in range(1, 10):
-            st = u.solve(t_max * k / 10)
-            if s2 is None and abs(st.rho[4]) > 1e-9:
-                s2 = 1 if st.rho[1] * st.rho[4] > 0 else -1
-            if s4 is None and abs(st.rho[6]) > 1e-9:
-                s4 = 1 if st.rho[3] * st.rho[6] > 0 else -1
-    return s2, s4
-
-
 def _validated(u: Unit, n_samples: int, what: str) -> Unit:
     """`u` itself when it passes `validate_unit`; ValidationFailed, with the
     message prefix `what`, otherwise."""
@@ -331,10 +325,18 @@ def _validated(u: Unit, n_samples: int, what: str) -> Unit:
     return u
 
 
-def _finalize(u: Unit, n_samples: int) -> Unit:
-    s2, s4 = _discover_signs(u)
-    u = replace(u, signs=(s2 if s2 else u.signs[0], s4 if s4 else u.signs[1]))
-    return _validated(u, n_samples, "unit validation failed")
+def _with_signs(u: Unit, t_max: float) -> Unit:
+    """`u` with the sign pair read off 9 samples of the connecting crease
+    over (0, t_max], each sign 1 for a side that never folds there."""
+    s2 = s4 = None
+    if t_max > 1e-9:
+        for k in range(1, 10):
+            st = u.solve(t_max * k / 10)
+            if s2 is None and abs(st.rho[4]) > 1e-9:
+                s2 = 1 if st.rho[1] * st.rho[4] > 0 else -1
+            if s4 is None and abs(st.rho[6]) > 1e-9:
+                s4 = 1 if st.rho[3] * st.rho[6] > 0 else -1
+    return replace(u, signs=(s2 or 1, s4 or 1))
 
 
 def identical_vertex_unit(v: Vertex4, branch: BranchId, *, mirrored: bool = True,
@@ -342,13 +344,19 @@ def identical_vertex_unit(v: Vertex4, branch: BranchId, *, mirrored: bool = True
     """Unit whose bottom vertex is the same vertex, mirrored across the
     connecting crease (or the plain copy when `mirrored` is false).
 
-    The mirrored pairing transmits with signs (+1, +1) on matching branches
-    for every vertex class; the identical copy flips both signs.
+    The mirrored copy transmits with signs (+1, +1) on every branch the
+    vertex has.  The plain copy gives (+1, +1) on every line segment and on
+    BRANCH_1 of a flat-foldable vertex, and (-1, -1) on BRANCH_2 of a
+    flat-foldable vertex and on the curve of a straight-line vertex whose
+    collinear pair is (c1, c3).  A plain copy of a generic curve, or of the
+    curve of a straight-line vertex with pair (c2, c4), fails validation
+    (ValidationFailed).
     """
     bottom = v.mirrored() if mirrored else v
     unit = Unit(top=v, bottom=bottom, branch_top=branch, branch_bottom=branch,
                 signs=(1, 1), kind=kind)
-    return _finalize(unit, n_samples)
+    return _validated(_with_signs(unit, _shared_interval(unit)), n_samples,
+                      "unit validation failed")
 
 
 def make_straightline_unit(v: Vertex4) -> Unit:
@@ -425,14 +433,12 @@ def valid_branch_pairs(u: Unit) -> list:
         for bb in CURVE_BRANCHES:
             cand = replace(u, branch_top=bt, branch_bottom=bb)
             try:
-                s2, s4 = _discover_signs(cand)
-                if s2 is None and s4 is None and _shared_interval(cand) <= 1e-9:
+                t_max = _shared_interval(cand)
+                if t_max <= 1e-9:
                     continue
-                cand = replace(cand, signs=(s2 or 1, s4 or 1))
+                cand = _with_signs(cand, t_max)
                 report = validate_unit(cand, 33)
             except (EmptyInterval, OutOfDomain, DegenerateVertex, WrongClass):
-                continue
-            if report.degenerate_shared:
                 continue
             if report.valid():
                 pairs.append((bt, bb, cand.signs))

@@ -425,26 +425,32 @@ _STRAIGHT_LINE_RHOS = (  # canonical labels; g = (A, D)
     lambda g, rr: -rr,
     lambda g, rr: 2.0 * clamped_acos(g[1], _EVAL_CLAMP),
 )
+# the same in stored labels, for each relabelling shift: stored rho_i is
+# canonical rho_{i - shift}
+_SHIFTED_STRAIGHT_LINE_RHOS = {
+    shift: tuple(_STRAIGHT_LINE_RHOS[(i - shift) % 4] for i in range(4))
+    for shift in (0, 1)
+}
 
 
 class _ArccosCurve(_BranchParam):
     """Curve branch given by arccos transmissions.
 
-    `_arccos_args` gives the arccos arguments at driving magnitude rr >= 0
-    and subclasses define `combine(args, rr)`, the lifted folding angles
-    there in stored labels, and `rho_fn(comp)`, the expression of one of
-    them; negative r mirrors every angle.  The branch ends where an arccos
-    argument leaves [-1, 1] or a folding angle passes +-pi (the crease lies
-    completely flat there and its normalized representative wraps).  The
-    sector trig is recomputed per evaluation, not stored: the params are
-    cached per vertex.
+    `_arccos_args` gives the arccos arguments at driving magnitude rr >= 0,
+    and `rhos` holds the four lifted folding angles there in stored labels,
+    as functions of those arguments and rr; negative r mirrors every angle.
+    The branch ends where an arccos argument leaves [-1, 1] or a folding
+    angle passes +-pi (the crease lies completely flat there and its
+    normalized representative wraps).  The sector trig is recomputed per
+    evaluation, not stored: the params are cached per vertex.
     """
 
-    __slots__ = ("alpha",)
+    __slots__ = ("alpha", "rhos")
     straight_line = False
 
-    def __init__(self, alpha: tuple):
+    def __init__(self, alpha: tuple, rhos: tuple):
         self.alpha = alpha
+        self.rhos = rhos
         super().__init__()
         trig = self.trig()
         self.r_max = last_valid(lambda r: self.margin(r, trig) >= -1e-13, 64,
@@ -453,9 +459,13 @@ class _ArccosCurve(_BranchParam):
     def trig(self) -> tuple:
         return _sector_trig(self.alpha, self.straight_line)
 
+    def _rhos_at(self, args, rr: float) -> tuple:
+        f1, f2, f3, f4 = self.rhos
+        return (f1(args, rr), f2(args, rr), f3(args, rr), f4(args, rr))
+
     def fn(self, r: float) -> tuple:
         rr = abs(r)
-        raw = self.combine(_arccos_args(self.trig(), rr), rr)
+        raw = self._rhos_at(_arccos_args(self.trig(), rr), rr)
         if r < 0:
             return (-raw[0], -raw[1], -raw[2], -raw[3])
         return raw
@@ -471,7 +481,8 @@ class _ArccosCurve(_BranchParam):
         m = 1.0 - max(map(abs, args))
         if m < -1e-13:
             return m
-        worst = max(map(abs, map(operator.sub, self.combine(args, rr), self.base)))
+        worst = max(map(abs, map(operator.sub, self._rhos_at(args, rr),
+                                 self.base)))
         return min(m, (math.pi + _WRAP_SLACK - worst) / math.pi)
 
     def component_lift(self, comp: int) -> Callable[[float], float]:
@@ -481,7 +492,7 @@ class _ArccosCurve(_BranchParam):
         of the arguments the component reads (the others are still
         range-checked)."""
         trig = self.trig()
-        fn = self.rho_fn(comp)
+        fn = self.rhos[comp]
         b = self.base[comp]
         hi, lo = 1.0 + _EVAL_CLAMP, -1.0 - _EVAL_CLAMP
 
@@ -506,14 +517,7 @@ class _GenericCurve(_ArccosCurve):
 
     def __init__(self, alpha: tuple, branch: BranchId):
         self.branch = branch
-        super().__init__(alpha)
-
-    def rho_fn(self, comp: int):
-        return _GENERIC_RHOS[self.branch][comp]
-
-    def combine(self, args, rr: float) -> tuple:
-        f1, f2, f3, f4 = _GENERIC_RHOS[self.branch]
-        return (f1(args, rr), f2(args, rr), f3(args, rr), f4(args, rr))
+        super().__init__(alpha, _GENERIC_RHOS[branch])
 
     def invert(self, comp: int, angle: float):
         """Closed form at c1 and at c3, whose fold angle fixes xi through
@@ -532,22 +536,15 @@ class _GenericCurve(_ArccosCurve):
 class _StraightLineCurve(_ArccosCurve):
     """Curve branch of a straight-line vertex.  In canonical labels
     (a1 + a4 = pi, a2 + a3 = pi) rho3 = -rho1 and rho2/rho4 are doubled
-    arccos; `shift` relabels canonical to stored angles (see `_unshift`)."""
+    arccos; `shift` relabels canonical to stored angles (stored rho_i is
+    canonical rho_{i - shift})."""
 
     __slots__ = ("shift",)
     straight_line = True
 
     def __init__(self, canonical_alpha: tuple, shift: int):
         self.shift = shift
-        super().__init__(canonical_alpha)
-
-    def rho_fn(self, comp: int):
-        return _STRAIGHT_LINE_RHOS[(comp - self.shift) % 4]
-
-    def combine(self, args, rr: float) -> tuple:
-        f1, f2, f3, f4 = _STRAIGHT_LINE_RHOS
-        return _unshift((f1(args, rr), f2(args, rr), f3(args, rr),
-                         f4(args, rr)), self.shift)
+        super().__init__(canonical_alpha, _SHIFTED_STRAIGHT_LINE_RHOS[shift])
 
     def invert(self, comp: int, angle: float):
         """Closed form on the collinear pair (rho3 = -rho1 in canonical
@@ -558,11 +555,6 @@ class _StraightLineCurve(_ArccosCurve):
         if comp_c == 2:
             return -angle
         return None
-
-
-def _unshift(t: tuple, k: int) -> tuple:
-    """Stored rho_i = canonical rho_{i-k}."""
-    return (t[-k], t[1 - k], t[2 - k], t[3 - k])
 
 
 def last_valid(ok: Callable[[float], bool], n_scan: int,

@@ -5,8 +5,12 @@ import os
 import pytest
 
 from quadfold import (
+    FFUnitMode,
+    PlanLengths,
     SerializationError,
+    Vertex4,
     build_tree,
+    certify,
     export_fold,
     export_obj,
     export_svg,
@@ -15,6 +19,7 @@ from quadfold import (
     mv_assignment,
     propagate,
     realize,
+    solve_ff_unit,
     stitch,
 )
 from quadfold.cli import main
@@ -49,6 +54,12 @@ def _ff_plan(**edit):
             "mode": "10a-2"}
     unit.update(edit)
     return {"columns": [[{k: v for k, v in unit.items() if v is not None}]]}
+
+
+def _full_form_plan(**edit):
+    """Plan of one full-form unit document with its keys edited."""
+    unit = solve_ff_unit(deg(80), deg(100), deg(60), FFUnitMode.A_MINUS)
+    return {"columns": [[dict(unit.to_json(), **edit)]]}
 
 
 def _grid_plan(**edit):
@@ -134,6 +145,46 @@ class TestFold:
     def test_import_requires_core_fields(self):
         with pytest.raises(SerializationError):
             import_fold({"vertices_coords": []})
+
+    def test_import_refuses_a_with_vertex_export(self, pat_a):
+        """A perturbed pattern has no plan to rebuild it from, so its export
+        cannot come back as the unbroken pattern."""
+        a = list(pat_a.vertex(1, 1).alpha)
+        a[0] += deg(0.5)
+        a[2] -= deg(0.5)
+        bad = pat_a.with_vertex(1, 1, Vertex4(a))
+        assert not certify(bad, None, 60).verdict
+        doc = export_fold(bad)
+        assert "quadfold:plan" not in doc
+        with pytest.raises(SerializationError, match="quadfold:plan"):
+            import_fold(fold_dumps(doc))
+
+    def test_relayout_roundtrips_to_twelve_digits(self, pat_a):
+        q = pat_a.relayout(PlanLengths(top=(2.0, 0.5)))
+        s1 = fold_dumps(export_fold(q))
+        s2 = fold_dumps(export_fold(import_fold(s1)))
+        _numbers_close(json.loads(s1), json.loads(s2))
+
+    @pytest.mark.parametrize("key, value", [
+        ("quadfold:grid", [7, 1]),
+        ("quadfold:grid", [3, 4]),
+        ("vertices_coords", []),
+        ("vertices_coords", [[0.0, 0.0]] * 24),
+        ("edges_vertices", []),
+        ("edges_vertices", [[0, 1]] * 41),
+        ("faces_vertices", []),
+        ("faces_vertices", [[0, 5, 6, 1]] * 15),
+        ("edges_assignment", []),
+        ("edges_assignment", ["B"] * 39),
+        ("edges_foldAngle", []),
+        ("edges_foldAngle", [0] * 41),
+    ])
+    def test_import_refuses_structure_unlike_the_plan(self, pat_a, key,
+                                                      value):
+        doc = export_fold(pat_a)
+        import_fold(doc)
+        with pytest.raises(SerializationError, match=key):
+            import_fold(dict(doc, **{key: value}))
 
 
 class TestObj:
@@ -391,6 +442,8 @@ class TestCli:
         (_grid_plan(left_lengths=[-1.0]), "left_lengths"),
         (_grid_plan(boundary_length=math.nan), "boundary_length"),
         (_grid_plan(boundary_length="1"), "boundary_length"),
+        (_full_form_plan(kind="bogus"), "kind"),
+        (_full_form_plan(kind=7), "kind"),
     ])
     def test_malformed_plan_is_refused(self, doc, named, tmp_path, capsys):
         """`pattern count` refuses a malformed plan with an error line that

@@ -18,11 +18,14 @@ from quadfold import (
     Vertex4,
     count_branches,
     count_dof,
+    enumerate_branch_choices,
+    identical_vertex_unit,
     make_straightline_unit,
     stitch,
     unit_from_descriptor,
     validate_unit,
 )
+from quadfold import fixtures as fixtures_mod
 from quadfold import pattern as pattern_mod
 from quadfold.fixtures import (
     herringbone_plan,
@@ -195,6 +198,65 @@ class TestLayout:
         bad = p.with_vertex(0, 1, Vertex4.from_degrees((100, 80, 100, 80)))
         with pytest.raises(LayoutFailure):
             bad.relayout(PlanLengths())
+
+
+class TestDerivedPatterns:
+    def test_with_vertex_keeps_layout_and_drops_plan(self, plan_a):
+        p = stitch(plan_a)
+        a = list(p.vertex(1, 1).alpha)
+        a[0] += deg(0.5)
+        a[2] -= deg(0.5)
+        bad = p.with_vertex(1, 1, Vertex4(a))
+        assert bad.vertex(1, 1) == Vertex4(a)
+        assert bad.vertex(0, 0) == p.vertex(0, 0)
+        assert bad.plan is None
+        assert bad.grid is p.grid and bad.directions == p.directions
+        # no plan stitches the changed grid: only the default assignment
+        assert list(enumerate_branch_choices(bad)) == [bad.branch_default]
+
+    def test_relayout_records_its_lengths(self, plan_a):
+        lengths = PlanLengths(top=(2.0, 0.5))
+        q = stitch(plan_a).relayout(lengths)
+        assert q.plan == replace(plan_a, lengths=lengths)
+        assert np.array_equal(q.grid, stitch(q.plan).grid)
+
+    def test_relayout_without_plan(self, plan_a):
+        p = stitch(plan_a)
+        q = pattern_mod.QuadPattern.from_vertices(p.vertices,
+                                                  p.branch_default)
+        lengths = PlanLengths(left=(2.0, 0.5))
+        r = q.relayout(lengths)
+        assert r.plan is None
+        assert np.array_equal(
+            r.grid, stitch(replace(plan_a, lengths=lengths)).grid)
+
+    def test_herringbone_builds_each_unit_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return identical_vertex_unit(*args, **kwargs)
+
+        monkeypatch.setattr(fixtures_mod, "identical_vertex_unit", counted)
+        plan = herringbone_plan(8, 8)
+        assert len(calls) <= 2
+        for col in plan.columns:
+            assert len(col) == 7
+            assert all(u == col[k % 2] for k, u in enumerate(col))
+
+    def test_from_vertices_refuses_malformed_grids(self, plan_a):
+        p = stitch(plan_a)
+        vs, bs = p.vertices, p.branch_default
+        for vertices, branches in (
+                ((), ()),
+                (((),), ((),)),
+                ((vs[0], vs[1][:2], vs[2]), bs),
+                (vs, bs[:2]),
+                (vs, (bs[0], bs[1], bs[2][:2])),
+                (vs, bs + (bs[0],)),
+        ):
+            with pytest.raises(NotABlanket):
+                pattern_mod.QuadPattern.from_vertices(vertices, branches)
 
 
 class TestParallelRows:

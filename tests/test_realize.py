@@ -6,6 +6,9 @@ import pytest
 
 from quadfold import (
     ClosureViolation,
+    LayoutFailure,
+    OutOfDomain,
+    Vertex4,
     build_tree,
     propagate,
     realize,
@@ -72,6 +75,23 @@ class TestRealize:
         assert bad.edge_angle("col", (1, 2), (2, 2)) == rho[0] + 0.2
         with pytest.raises(ClosureViolation):
             realize(pat_a, bad)
+
+    @pytest.mark.parametrize("i, j", [(i, j) for i in range(3)
+                                      for j in range(3)])
+    def test_with_vertex_copy_is_refused(self, pat_a, i, j):
+        """A with_vertex copy keeps its parent's layout, which no longer
+        realizes the changed vertex, so no perturbation is folded."""
+        for k in range(4):
+            a = list(pat_a.vertex(i, j).alpha)
+            a[k] += deg(0.5)
+            a[(k + 2) % 4] -= deg(0.5)
+            bad = pat_a.with_vertex(i, j, Vertex4(a))
+            try:
+                prop = propagate(build_tree(bad), 0.05, None)
+            except OutOfDomain:
+                continue
+            with pytest.raises(LayoutFailure, match=f"vertex \\({i},{j}\\)"):
+                realize(bad, prop)
 
     def test_determinism(self, pat_a):
         prop = propagate(build_tree(pat_a), deg(9), None)

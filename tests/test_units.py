@@ -235,7 +235,62 @@ class TestIdenticalVertexUnit:
         assert validate_unit(u, 100).max_residual < 1e-8
 
 
+def _straightline_24(rng) -> Vertex4:
+    v = random_straightline_vertex(rng).shifted(1)
+    assert classify(v).collinear_pairs == ((2, 4),)
+    return v
+
+
+def _double_collinear(rng) -> Vertex4:
+    a = rng.uniform(deg(25), deg(155))
+    return Vertex4((a, math.pi - a, a, math.pi - a))
+
+
+_B1, _B2 = BranchId.BRANCH_1, BranchId.BRANCH_2
+_L1, _L2 = BranchId.LINE_SEGMENT_1, BranchId.LINE_SEGMENT_2
+
+
+@pytest.mark.parametrize("make, branch, mirrored, signs", [
+    (random_generic_vertex, _B1, True, (1, 1)),
+    (random_generic_vertex, _B2, True, (1, 1)),
+    (random_generic_vertex, _B1, False, ValidationFailed),
+    (random_generic_vertex, _B2, False, ValidationFailed),
+    (random_ff_vertex, _B1, True, (1, 1)),
+    (random_ff_vertex, _B2, True, (1, 1)),
+    (random_ff_vertex, _B1, False, (1, 1)),
+    (random_ff_vertex, _B2, False, (-1, -1)),
+    (random_straightline_vertex, _B2, True, (1, 1)),
+    (random_straightline_vertex, _B2, False, (-1, -1)),
+    (random_straightline_vertex, _L1, True, (1, 1)),
+    (random_straightline_vertex, _L1, False, (1, 1)),
+    (_straightline_24, _B2, True, (1, 1)),
+    (_straightline_24, _B2, False, ValidationFailed),
+    (_straightline_24, _L1, False, (1, 1)),
+    (_double_collinear, _L1, False, (1, 1)),
+    (_double_collinear, _L2, False, (1, 1)),
+])
+def test_identical_vertex_unit_signs(rng, make, branch, mirrored, signs):
+    """The sign pair of a mirrored or plain copy, per vertex class and
+    branch, as the docstring of identical_vertex_unit states it."""
+    for _ in range(5):
+        v = make(rng)
+        if isinstance(signs, tuple):
+            assert identical_vertex_unit(v, branch,
+                                         mirrored=mirrored).signs == signs
+        else:
+            with pytest.raises(signs):
+                identical_vertex_unit(v, branch, mirrored=mirrored)
+
+
 class TestUnitJson:
+    @pytest.mark.parametrize("kind", ["bogus", 7, None, ""])
+    def test_unknown_kind_is_refused(self, kind):
+        u = solve_ff_unit(deg(80), deg(95), deg(60), FFUnitMode.A_MINUS)
+        with pytest.raises(ValidationFailed, match="kind must be one of"):
+            replace(u, kind=kind)
+        with pytest.raises(ValidationFailed, match="kind"):
+            Unit.from_json(dict(u.to_json(), kind=kind))
+
     def test_roundtrip(self):
         u = solve_ff_unit(deg(80), deg(95), deg(60), FFUnitMode.A_MINUS)
         doc = u.to_json()

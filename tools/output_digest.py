@@ -21,7 +21,12 @@ where the call raises:
   uniform curve-branch choices of showcases A and B, four seeded 8x8
   herringbones and a 4x4 herringbone, and the text of the FOLD and OBJ
   exports of a 6-frame `sweep` of each of those blankets that certifies on
-  its default branches.
+  its default branches;
+* derived blankets: the `certify` report (49 samples) of every half-degree
+  `with_vertex` perturbation of showcases A and B (each vertex, sector pair
+  (k, k+2) moved by +-0.5 degree), the `valid_branch_pairs` of every unit of
+  both showcases and of a 4x4 herringbone, and each showcase's layout after
+  `relayout(plan.lengths)`, coordinates in full precision.
 
 One line per text gives that text's own hash, so a diff of two outputs names
 the texts that moved; the last line is the total.  It is a comparison tool,
@@ -199,10 +204,35 @@ def _outcome(fn):
         return f"{type(exc).__name__}: {exc}"
 
 
+def derived_texts():
+    for name, plan in (("showcase_a", showcase_a_plan()),
+                       ("showcase_b", showcase_b_plan())):
+        p = stitch(plan)
+        for i in range(p.m):
+            for j in range(p.n):
+                for k in range(4):
+                    a = list(p.vertex(i, j).alpha)
+                    a[k] += math.radians(0.5)
+                    a[(k + 2) % 4] -= math.radians(0.5)
+                    bad = p.with_vertex(i, j, Vertex4(a))
+                    yield (f"{name} perturbed ({i},{j}) {k} certify",
+                           _outcome(lambda: certify(bad, None, 49)))
+        yield (f"{name} relayout grid",
+               _outcome(lambda: p.relayout(plan.lengths).grid.tolist()))
+    for name, plan in (("showcase_a", showcase_a_plan()),
+                       ("showcase_b", showcase_b_plan()),
+                       ("herringbone_4x4", herringbone_plan(4, 4))):
+        for j, col in enumerate(plan.columns):
+            for k, u in enumerate(col):
+                yield (f"{name} unit ({k},{j}) valid_branch_pairs",
+                       _outcome(lambda: valid_branch_pairs(u)))
+
+
 def texts():
     """Every text the digest covers, labelled, in a fixed order."""
     yield from vertex_texts()
     yield from unit_texts()
+    yield from derived_texts()
     for name, plan in blankets():
         p = stitch(plan)
         choices = (*enumerate_branch_choices(p), BranchId.BRANCH_1,
