@@ -15,7 +15,7 @@ import os
 import sys
 
 from .config import CliConfig
-from .errors import QuadfoldError
+from .errors import QuadfoldError, SerializationError
 from .foldability import certify, mv_assignment
 from .foldio import export_fold, export_obj, export_svg, fold_dumps, import_fold
 from .pattern import StitchPlan, count_dof, stitch
@@ -96,9 +96,19 @@ def _cmd_unit_solve_ff(args, cfg):
     return 0
 
 
+def _read_json(path):
+    """The JSON document in the file at `path`.  SerializationError names a
+    file that is not UTF-8 JSON text; `main` reports an OSError such as a
+    missing file or a directory."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise SerializationError(f"{path} is not JSON: {exc}") from None
+
+
 def _cmd_unit_validate(args, cfg):
-    with open(args.file, encoding="utf-8") as fh:
-        unit = Unit.from_json(json.load(fh))
+    unit = Unit.from_json(_read_json(args.file))
     samples = cfg.samples if args.samples is None else args.samples
     report = validate_unit(unit, samples)
     print(f"samples: {report.n_samples}")
@@ -112,8 +122,7 @@ def _cmd_unit_validate(args, cfg):
 
 
 def _load_pattern(path):
-    with open(path, encoding="utf-8") as fh:
-        return import_fold(fh.read())
+    return import_fold(_read_json(path))
 
 
 def _parse_branch_spec(spec, p):
@@ -135,9 +144,7 @@ def _parse_branch_spec(spec, p):
 
 
 def _cmd_pattern_stitch(args, cfg):
-    with open(args.plan, encoding="utf-8") as fh:
-        plan = StitchPlan.from_json(json.load(fh))
-    pattern = stitch(plan)
+    pattern = stitch(StitchPlan.from_json(_read_json(args.plan)))
     doc = export_fold(pattern)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(fold_dumps(doc))
@@ -159,9 +166,7 @@ def _cmd_pattern_certify(args, cfg):
 
 
 def _cmd_pattern_count(args, cfg):
-    with open(args.plan, encoding="utf-8") as fh:
-        plan = StitchPlan.from_json(json.load(fh))
-    report = count_dof(plan)
+    report = count_dof(StitchPlan.from_json(_read_json(args.plan)))
     print(f"{report.caption()}; branches {report.branch_count}")
     return 0
 
@@ -283,10 +288,7 @@ def main(argv=None) -> int:
         return args.fn(args, cfg)
     except argparse.ArgumentTypeError as exc:
         ap.error(str(exc))  # exits with code 2
-    except QuadfoldError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (QuadfoldError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

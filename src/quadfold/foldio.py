@@ -9,6 +9,7 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Optional, Union
 
@@ -21,6 +22,7 @@ from .pattern import QuadPattern, StitchPlan, stitch
 from .realize import FoldedState
 
 _FLOAT_FMT = "{:.12g}"
+_CREASE_LETTERS = ("M", "V", "F")
 
 
 def _fmt(value) -> str:
@@ -35,7 +37,6 @@ def _fmt(value) -> str:
         s = _FLOAT_FMT.format(x)
         return "0" if s == "-0" else s
     if isinstance(value, str):
-        import json
         return json.dumps(value)
     if value is None:
         return "null"
@@ -50,6 +51,20 @@ def _fmt(value) -> str:
 def fold_dumps(doc: dict) -> str:
     """Canonical FOLD serialization: sorted keys, 12-significant-digit floats."""
     return _fmt(doc)
+
+
+def _crease_letter(mv: dict, a: tuple, b: tuple) -> Optional[str]:
+    """The letter `mv` gives the crease between grid points a and b, keyed
+    either way round, or None where it gives none.  Anything but M, V or F
+    is refused, naming the crease."""
+    letter = mv.get((a, b))
+    if letter is None:
+        letter = mv.get((b, a))
+    if letter is not None and letter not in _CREASE_LETTERS:
+        raise SerializationError(
+            f"crease {a}-{b} is assigned {letter!r}; a crease takes M, V "
+            "or F")
+    return letter
 
 
 def export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
@@ -85,7 +100,7 @@ def export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
             fold_angle.append(0.0)
             continue
         angle = 0.0 if angles is None else angles.edge_angle(kind, a, b)
-        letter = None if mv is None else mv.get((a, b)) or mv.get((b, a))
+        letter = None if mv is None else _crease_letter(mv, a, b)
         if letter is None:
             letter = mv_letter(angle, TAU_FLAT)
         if letter == "V" and angle < 0 or letter == "M" and angle > 0:
@@ -119,16 +134,24 @@ def export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
 def import_fold(doc: Union[dict, str]) -> QuadPattern:
     """Rebuild a pattern from a FOLD document produced by export_fold.
 
-    The pattern is re-stitched from the "quadfold:plan" block.  A document
-    whose structure disagrees with that pattern is refused: its
+    The pattern is re-stitched from the "quadfold:plan" block.  Text that
+    is not JSON, or a document that is not an object, is refused.  So is a
+    document whose structure disagrees with that pattern: its
     "quadfold:grid" must read [m, n], its point, edge and face counts must
     be the pattern's, and "edges_assignment" and "edges_foldAngle", where
-    present, must hold one entry per edge, each assignment agreeing with the
-    sign of its angle.  The coordinates themselves are not compared.
+    present, must hold one entry per edge, each assignment one of B, M, V
+    and F and agreeing with the sign of its angle.  The coordinates
+    themselves are not compared.
     """
     if isinstance(doc, str):
-        import json
-        doc = json.loads(doc)
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as exc:
+            raise SerializationError(f"not a JSON document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SerializationError(
+            f"a FOLD document must be a JSON object, got "
+            f"{type(doc).__name__}")
     for key in ("vertices_coords", "edges_vertices", "faces_vertices"):
         if key not in doc:
             raise SerializationError(f"FOLD document lacks {key}")
@@ -161,6 +184,10 @@ def import_fold(doc: Union[dict, str]) -> QuadPattern:
     for fv in doc["faces_vertices"]:
         if any(not (0 <= v < n_pts) for v in fv):
             raise SerializationError("faces_vertices indices out of range")
+    for k, letter in enumerate(doc.get("edges_assignment", ())):
+        if letter != "B" and letter not in _CREASE_LETTERS:
+            raise SerializationError(
+                f"edges_assignment[{k}] is {letter!r}; expected B, M, V or F")
     for letter, ang in zip(doc.get("edges_assignment", ()),
                            doc.get("edges_foldAngle", ())):
         if letter == "V" and ang < 0 or letter == "M" and ang > 0:
@@ -220,7 +247,7 @@ def export_svg(pattern: QuadPattern, mv: Optional[dict] = None) -> str:
         elif mv is None:
             letter = "F"
         else:
-            letter = mv.get((a, b)) or mv.get((b, a)) or "F"
+            letter = _crease_letter(mv, a, b) or "F"
         xa, ya = pattern.grid[a]
         xb, yb = pattern.grid[b]
         lines.append(

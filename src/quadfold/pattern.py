@@ -392,7 +392,33 @@ def _layout(vertices, lengths: PlanLengths):
     grid[m + 1, n + 1] = grid[m, n + 1] + grid[m + 1, n] - grid[m, n]
 
     check_layout_angles(vertices, grid)
+    _check_faces(grid)
     return grid, tuple(tuple(row) for row in dirs)
+
+
+def _check_faces(grid):
+    """Every face must be a simple counter-clockwise quadrilateral in its
+    corner order (`QuadPattern.face_corners`): positive signed area and at
+    most one corner turning clockwise by more than 1e-12 (longest edge)^2.
+    Coincident or collinear corners pass; a crossing (bow-tie) or inverted
+    face is refused with LayoutFailure naming it."""
+    pts = grid.tolist()
+    for r in range(len(pts) - 1):
+        for c in range(len(pts[0]) - 1):
+            q = (pts[r][c], pts[r + 1][c], pts[r + 1][c + 1], pts[r][c + 1])
+            nxt = q[1:] + q[:1]
+            ex = [b[0] - a[0] for a, b in zip(q, nxt)]  # edge k: k -> k+1
+            ey = [b[1] - a[1] for a, b in zip(q, nxt)]
+            area = sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(q, nxt))
+            tol = 1e-12 * max(x * x + y * y for x, y in zip(ex, ey))
+            clockwise = sum(ex[k - 1] * ey[k] - ey[k - 1] * ex[k] < -tol
+                            for k in range(4))
+            if not area > 0.0 or clockwise > 1:
+                raise LayoutFailure(
+                    f"face ({r},{c}) is not a simple counter-clockwise "
+                    f"quadrilateral: it crosses itself or is inverted "
+                    f"(signed area {0.5 * area:.3g}, {clockwise} corners "
+                    "turning clockwise)")
 
 
 def _check_panel_sums(vertices):
@@ -518,7 +544,7 @@ class DofReport:
         return f"{parts} = {self.total}"
 
 
-def count_dof(plan: StitchPlan, table: Optional[dict] = None) -> DofReport:
+def count_dof(plan: StitchPlan) -> DofReport:
     """Count independent sector angles unit by unit.
 
     Each column's first unit contributes its kind's base count and every
@@ -528,12 +554,11 @@ def count_dof(plan: StitchPlan, table: Optional[dict] = None) -> DofReport:
     whatever `stitch` raises for the plan (ValidationFailed for a failing
     unit).
     """
-    table = dict(DOF_TABLE, **(table or {}))
     pattern = stitch(plan)
     unit_terms = []
     for col in plan.columns:
         for k, u in enumerate(col):
-            base, inc = table[u.kind]
+            base, inc = DOF_TABLE[u.kind]
             unit_terms.append(base if k == 0 else inc)
     deductions = []
     n_inner = plan.n_cols - 1

@@ -118,20 +118,21 @@ def realize(p: QuadPattern, prop: Propagation) -> FoldedState:
         if (r, c) == (0, 0):
             T = np.eye(4)
         else:
+            # crossing from the crease's right side to its left composes
+            # +rho.  Faces are counter-clockwise (the layout guarantees it),
+            # so face (r, c) lies left of (r, c)->(r+1, c) and right of
+            # (r, c)->(r, c+1).
             if c > 0:
                 # shared vertical edge
                 parent, kind, a_pt, b_pt = (r, c - 1), "col", (r, c), (r + 1, c)
+                sign = 1.0
             else:
                 parent, kind, a_pt, b_pt = (r - 1, c), "row", (r, c), (r, c + 1)
+                sign = -1.0
             pa = np.array([*grid2[a_pt], 0.0])
             pb = np.array([*grid2[b_pt], 0.0])
             d = pb - pa
             d /= np.linalg.norm(d)
-            # crossing from the crease's right side to its left composes +rho
-            ca = _face_center(grid2, *parent)
-            cb = _face_center(grid2, r, c)
-            side = d[0] * (cb - ca)[1] - d[1] * (cb - ca)[0]
-            sign = 1.0 if side > 0 else -1.0
             T = transforms[parent] @ _rot_about_line(
                 pa, d, sign * prop.edge_angle(kind, a_pt, b_pt)
             )
@@ -184,11 +185,6 @@ def realize(p: QuadPattern, prop: Propagation) -> FoldedState:
         )
     return FoldedState(coords=coords, angles=prop,
                        rigidity_residual=rigidity, closure_residual=closure)
-
-
-def _face_center(grid2, r, c):
-    return 0.25 * (grid2[r, c] + grid2[r + 1, c]
-                   + grid2[r + 1, c + 1] + grid2[r, c + 1])
 
 
 @dataclass(frozen=True)

@@ -282,11 +282,9 @@ class _BranchParam:
     has none and `solve_at_crease` bisects.
     """
 
-    __slots__ = ("base", "r_max")
-
-    def __init__(self):
-        self.base = tuple(TWO_PI * round(x / TWO_PI) for x in self.fn(1e-9))
-        self.r_max = math.pi
+    __slots__ = ()
+    base = (0.0, 0.0, 0.0, 0.0)
+    r_max = math.pi
 
     def lift(self, r: float) -> tuple:
         """Folding angles as continuous, monotone functions of r: the
@@ -305,7 +303,6 @@ class _Segment(_BranchParam):
 
     def __init__(self, slots: tuple):
         self.slots = slots
-        super().__init__()
 
     def fn(self, r: float) -> tuple:
         return tuple(r if k in self.slots else 0.0 for k in range(4))
@@ -332,7 +329,6 @@ class _FFCurve(_BranchParam):
             self.K = math.sin((a2 - a1) / 2.0) / math.sin((a2 + a1) / 2.0)
         else:  # a1 + a2 = pi is the pole, a segment in _branch_param_cached
             self.K = -math.cos((a2 - a1) / 2.0) / math.cos((a2 + a1) / 2.0)
-        super().__init__()
 
     def fn(self, r: float) -> tuple:
         r2 = 2.0 * math.atan2(self.K * math.sin(r / 2.0), math.cos(r / 2.0))
@@ -443,15 +439,24 @@ class _ArccosCurve(_BranchParam):
     angle passes +-pi (the crease lies completely flat there and its
     normalized representative wraps).  The sector trig is recomputed per
     evaluation, not stored: the params are cached per vertex.
+
+    `outer` names the stored slots of rho2 and rho4 where each adds two
+    arccos terms: on generic branch 2, and on the straight-line curve, which
+    doubles one.  At the flat state each term is pi when a3 + a4 > pi in the
+    closed forms' labels (xi starts at a1 + a2, the arguments at -1) and 0
+    otherwise, so those slots start from 2*pi exactly when a3 + a4 > pi;
+    every other slot starts from 0.
     """
 
-    __slots__ = ("alpha", "rhos")
+    __slots__ = ("alpha", "rhos", "base", "r_max")
     straight_line = False
 
-    def __init__(self, alpha: tuple, rhos: tuple):
+    def __init__(self, alpha: tuple, rhos: tuple, outer: tuple):
         self.alpha = alpha
         self.rhos = rhos
-        super().__init__()
+        turned = alpha[2] + alpha[3] > math.pi
+        self.base = tuple(TWO_PI if turned and k in outer else 0.0
+                          for k in range(4))
         trig = self.trig()
         self.r_max = last_valid(lambda r: self.margin(r, trig) >= -1e-13, 64,
                                 TAU_ROOT)
@@ -517,7 +522,8 @@ class _GenericCurve(_ArccosCurve):
 
     def __init__(self, alpha: tuple, branch: BranchId):
         self.branch = branch
-        super().__init__(alpha, _GENERIC_RHOS[branch])
+        outer = (1, 3) if branch is BranchId.BRANCH_2 else ()
+        super().__init__(alpha, _GENERIC_RHOS[branch], outer)
 
     def invert(self, comp: int, angle: float):
         """Closed form at c1 and at c3, whose fold angle fixes xi through
@@ -544,7 +550,8 @@ class _StraightLineCurve(_ArccosCurve):
 
     def __init__(self, canonical_alpha: tuple, shift: int):
         self.shift = shift
-        super().__init__(canonical_alpha, _SHIFTED_STRAIGHT_LINE_RHOS[shift])
+        super().__init__(canonical_alpha, _SHIFTED_STRAIGHT_LINE_RHOS[shift],
+                         (1 + shift, (3 + shift) % 4))
 
     def invert(self, comp: int, angle: float):
         """Closed form on the collinear pair (rho3 = -rho1 in canonical

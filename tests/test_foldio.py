@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -142,6 +143,34 @@ class TestFold:
         with pytest.raises(SerializationError):
             import_fold(doc)
 
+    @pytest.mark.parametrize("text, named", [
+        ("5", "JSON object, got int"),
+        ("null", "JSON object, got NoneType"),
+        ("[]", "JSON object, got list"),
+        ('{"vertices_coords": [', "not a JSON document"),
+    ])
+    def test_import_refuses_a_non_object(self, text, named):
+        with pytest.raises(SerializationError, match=named):
+            import_fold(text)
+
+    @pytest.mark.parametrize("letter", ["X", "B", "v"])
+    def test_export_refuses_a_crease_letter_outside_mvf(self, pat_a, letter):
+        """A crease takes M, V or F, keyed either way round; only a boundary
+        edge is B."""
+        _, a, b = next(e for e in pat_a.edges() if e[0] != "boundary")
+        for key in ((a, b), (b, a)):
+            with pytest.raises(SerializationError,
+                               match=re.escape(f"crease {a}-{b}")):
+                export_fold(pat_a, {key: letter})
+
+    def test_import_refuses_an_assignment_outside_bmvf(self, pat_a):
+        doc = export_fold(pat_a)
+        k = doc["edges_assignment"].index("F")
+        doc["edges_assignment"][k] = "X"
+        with pytest.raises(SerializationError,
+                           match=re.escape(f"edges_assignment[{k}]")):
+            import_fold(doc)
+
     def test_import_requires_core_fields(self):
         with pytest.raises(SerializationError):
             import_fold({"vertices_coords": []})
@@ -234,6 +263,12 @@ class TestSvg:
         assert "#999999" in svg
         assert "#d62728" not in svg
 
+    def test_refuses_a_crease_letter_outside_mvf(self, pat_a):
+        _, a, b = next(e for e in pat_a.edges() if e[0] != "boundary")
+        with pytest.raises(SerializationError,
+                           match=re.escape(f"crease {a}-{b}")):
+            export_svg(pat_a, {(a, b): "X"})
+
 
 class TestCli:
     def test_vertex_solve(self, capsys):
@@ -315,6 +350,29 @@ class TestCli:
         rc = main(["pattern", "stitch", str(plan_file), "-o", str(fold_file)])
         capsys.readouterr()
         assert rc == 1
+
+    @pytest.mark.parametrize("argv, named", [
+        (["pattern", "stitch", "{bad}", "-o", "{out}"], "is not JSON"),
+        (["pattern", "count", "{bad}"], "is not JSON"),
+        (["pattern", "certify", "{bad}"], "is not JSON"),
+        (["unit", "validate", "{bad}"], "is not JSON"),
+        (["pattern", "certify", "{dir}"], "Is a directory"),
+        (["pattern", "svg", "{dir}", "-o", "{out}"], "Is a directory"),
+        (["pattern", "count", "{missing}"], "No such file"),
+    ])
+    def test_unreadable_input_is_refused(self, argv, named, tmp_path,
+                                         capsys):
+        """A file that is not JSON, a directory or a missing file gives an
+        error line and exit code 1, never a traceback."""
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"columns": [')
+        paths = {"bad": str(bad), "dir": str(tmp_path),
+                 "missing": str(tmp_path / "missing.json"),
+                 "out": str(tmp_path / "out.fold")}
+        rc = main([a.format(**paths) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and named in err
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -199,6 +200,32 @@ class TestLayout:
         with pytest.raises(LayoutFailure):
             bad.relayout(PlanLengths())
 
+    @pytest.mark.parametrize("build, face", [
+        (lambda: stitch(herringbone_plan(8, 8, 95, 40)), "(1,0)"),
+        (lambda: stitch(herringbone_plan(4, 4, 95, 75)).relayout(
+            PlanLengths(boundary=2.5)), "(1,0)"),
+        (lambda: stitch(showcase_b_plan()).relayout(PlanLengths(
+            top=(0.5391394681290733, 2.046787463340262),
+            left=(0.8747968197544411, 1.4055182136849949),
+            boundary=2.689802470666429)), "(3,1)"),
+    ])
+    def test_crossing_face_is_refused(self, build, face):
+        """Boundary or inner creases that cross make a self-intersecting
+        (bow-tie) or inverted face; the layout refuses it by name instead
+        of handing it to certify, realize and the exports."""
+        with pytest.raises(LayoutFailure, match=re.escape(f"face {face}")):
+            build()
+
+    def test_crossing_face_is_refused_from_vertices(self):
+        """from_vertices lays out through the same check: the 8x8
+        herringbone at c = 40 deg lays out with short boundary stubs and is
+        refused with the default ones."""
+        plan = herringbone_plan(8, 8, 95, 40)
+        p = stitch(replace(plan, lengths=PlanLengths(boundary=0.25)))
+        with pytest.raises(LayoutFailure, match=re.escape("face (1,0)")):
+            pattern_mod.QuadPattern.from_vertices(p.vertices,
+                                                  p.branch_default)
+
 
 class TestDerivedPatterns:
     def test_with_vertex_keeps_layout_and_drops_plan(self, plan_a):
@@ -299,12 +326,13 @@ class TestCountDof:
         with pytest.raises(ValidationFailed, match="unit 0 of column 0 "):
             count_dof(StitchPlan(columns=((bad,),)))
 
-    def test_negative_total_is_a_design_error(self, plan_b):
+    def test_negative_total_is_a_design_error(self, plan_b, monkeypatch):
         from quadfold import NegativeDof
 
-        table = {"custom": (0, 0), "flat_foldable": (0, 0)}
+        monkeypatch.setattr(pattern_mod, "DOF_TABLE", dict(
+            pattern_mod.DOF_TABLE, custom=(0, 0), flat_foldable=(0, 0)))
         with pytest.raises(NegativeDof):
-            count_dof(plan_b, table)
+            count_dof(plan_b)
 
 
 class TestCountBranches:

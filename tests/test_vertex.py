@@ -535,6 +535,55 @@ def test_fold_interval_end_matches_reference_search(rng):
         assert repr(p.r_max) == repr(ref)
 
 
+def _reference_base(p) -> tuple:
+    """Verbatim copy of the 2*pi base as `_BranchParam.__init__` found it
+    before the sector-angle rule: the multiples of 2*pi just off the flat
+    state."""
+    return tuple(TWO_PI * round(x / TWO_PI) for x in p.fn(1e-9))
+
+
+def test_curve_base_matches_reference_probe(rng):
+    """The 2*pi base of generic curves (both branches, also on flat-foldable
+    vertices through the general closed forms) and of straight-line curves
+    with either collinear pair equals the reference probe wherever the probe
+    evaluates."""
+    params = []
+    for k in range(350):
+        margin_deg = (0.5, 4.0)[k % 2]
+        for v in (random_generic_vertex(rng, margin_deg), random_ff_vertex(rng)):
+            params += [_generic_param(v.alpha, b)
+                       for b in (BranchId.BRANCH_1, BranchId.BRANCH_2)]
+        v = random_straightline_vertex(rng, margin_deg)
+        params += [_branch_param(w, BranchId.BRANCH_2) for w in (v, v.shifted(1))]
+    bases = []
+    for p in params:
+        try:
+            ref = _reference_base(p)
+        except OutOfDomain:
+            continue
+        assert p.base == ref, p.alpha
+        bases.append(ref)
+    assert len(bases) >= 2000
+    assert {b[1] for b in bases} == {0.0, TWO_PI}
+    assert {b[0] for b in bases} == {0.0, TWO_PI}  # shifted straight lines
+
+
+def test_near_double_collinear_straight_line_has_an_interval():
+    """A straight-line vertex 4.6e-5 rad from double-collinear: its curve's
+    base comes from the sector angles, where a probe just off the flat
+    state leaves the arccos domain, so the curve gets its short fold
+    interval and closes across it."""
+    v = Vertex4((1.2941388658195696, 1.8474537877702235, 1.2941851366110748,
+                 1.8474075169787183))
+    assert classify(v).tag is ClassTag.STRAIGHT_LINE
+    iv = fold_interval(v, BranchId.BRANCH_2)
+    assert iv.hi == pytest.approx(0.018767065152, rel=1e-9)
+    assert iv.lo == -iv.hi
+    for r in (1e-6, 0.5 * iv.hi, iv.hi, -iv.hi):
+        sol = solve_on_branch(v, r, BranchId.BRANCH_2)
+        assert loop_closure_residual(v, sol) < 1e-10
+
+
 def _reference_ff_coefficient(alpha, branch: BranchId) -> float:
     a1, a2 = alpha[0], alpha[1]
     if branch is BranchId.BRANCH_1:

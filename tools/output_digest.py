@@ -26,7 +26,13 @@ where the call raises:
   `with_vertex` perturbation of showcases A and B (each vertex, sector pair
   (k, k+2) moved by +-0.5 degree), the `valid_branch_pairs` of every unit of
   both showcases and of a 4x4 herringbone, and each showcase's layout after
-  `relayout(plan.lengths)`, coordinates in full precision.
+  `relayout(plan.lengths)`, coordinates in full precision;
+* relaid-out blankets: 40 seeded `relayout`s of showcases A and B and a 4x4
+  herringbone (crease lengths 0.2-3, boundary 0.2-4).  Only those whose
+  faces this tool's own geometry check finds simple and counter-clockwise
+  are kept (no two opposite edges cross, positive shoelace area), and each
+  kept one gives its `certify` report and the FOLD and OBJ text of a
+  6-frame `sweep`.
 
 One line per text gives that text's own hash, so a diff of two outputs names
 the texts that moved; the last line is the total.  It is a comparison tool,
@@ -48,6 +54,7 @@ import quadfold  # noqa: E402
 from quadfold import (  # noqa: E402
     BranchId,
     FFUnitMode,
+    PlanLengths,
     QuadfoldError,
     Vertex4,
     certify,
@@ -84,6 +91,7 @@ N_UNITS = 4         # seeded units per constructor (and per flat-foldable mode)
 # sector-angle moves: inside TAU_ANGLE (still collinear), inside
 # TAU_CLASS_BAND (a warning), beyond it
 NUDGES = (4e-10, 3e-9, 5e-7, 2e-6)
+N_RELAYOUTS = 40
 
 
 def _sector(rng) -> float:
@@ -228,6 +236,58 @@ def derived_texts():
                        _outcome(lambda: valid_branch_pairs(u)))
 
 
+def _sweep_texts(name, p):
+    try:
+        motion = sweep(p, n_frames=N_FRAMES)
+    except QuadfoldError as exc:
+        yield f"{name} sweep", f"{type(exc).__name__}: {exc}"
+        return
+    for k, state in enumerate(motion.frames):
+        yield f"{name} frame {k} fold", fold_dumps(export_fold(state, pattern=p))
+        yield f"{name} frame {k} obj", export_obj(state, p)
+
+
+def _cross(o, a, b) -> float:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _faces_simple(p) -> bool:
+    """Whether every face of the layout is a simple counter-clockwise
+    quadrilateral: neither pair of opposite edges crosses, and the shoelace
+    area is positive.  Written apart from the library's own check."""
+    g = p.grid.tolist()
+    for face in p.faces():
+        k0, k1, k2, k3 = (g[r][c] for r, c in p.face_corners(*face))
+        for (p1, p2), (q1, q2) in (((k0, k1), (k2, k3)), ((k1, k2), (k3, k0))):
+            if (_cross(p1, p2, q1) * _cross(p1, p2, q2) < 0
+                    and _cross(q1, q2, p1) * _cross(q1, q2, p2) < 0):
+                return False
+        if _cross(k0, k1, k2) + _cross(k0, k2, k3) <= 0.0:
+            return False
+    return True
+
+
+def relayout_texts():
+    rng = random.Random(SEED + 2)
+    bases = [stitch(plan) for plan in (showcase_a_plan(), showcase_b_plan(),
+                                       herringbone_plan(4, 4))]
+    for k in range(N_RELAYOUTS):
+        base = bases[k % len(bases)]
+        lengths = PlanLengths(
+            top=tuple(rng.uniform(0.2, 3.0) for _ in range(base.n - 1)),
+            left=tuple(rng.uniform(0.2, 3.0) for _ in range(base.m - 1)),
+            boundary=rng.uniform(0.2, 4.0))
+        try:
+            p = base.relayout(lengths)
+        except QuadfoldError:
+            continue
+        if not _faces_simple(p):
+            continue
+        name = f"relayout {k}"
+        yield f"{name} certify", _outcome(lambda: certify(p))
+        yield from _sweep_texts(name, p)
+
+
 def texts():
     """Every text the digest covers, labelled, in a fixed order."""
     yield from vertex_texts()
@@ -239,14 +299,8 @@ def texts():
                    BranchId.BRANCH_2)
         for k, choice in enumerate(choices):
             yield f"{name} certify {k}", _outcome(lambda: certify(p, choice))
-        try:
-            motion = sweep(p, n_frames=N_FRAMES)
-        except QuadfoldError as exc:
-            yield f"{name} sweep", f"{type(exc).__name__}: {exc}"
-            continue
-        for k, state in enumerate(motion.frames):
-            yield f"{name} frame {k} fold", fold_dumps(export_fold(state, pattern=p))
-            yield f"{name} frame {k} obj", export_obj(state, p)
+        yield from _sweep_texts(name, p)
+    yield from relayout_texts()
 
 
 def main() -> int:
