@@ -27,6 +27,7 @@ from .vertex import (
     classify,
     fold_interval,
     solve_on_branch,
+    xi_of,
 )
 
 _F = "{:.12g}".format
@@ -73,7 +74,7 @@ def _cmd_vertex_solve(args, cfg):
     print(f"class: {cls.tag.value}"
           + (" (flat-foldable)" if cls.flat_foldable else ""))
     print(f"branch: {args.branch.value}")
-    print(f"xi_deg: {_F(math.degrees(sol.xi))}")
+    print(f"xi_deg: {_F(math.degrees(xi_of(v, sol.rho[0])))}")
     print(f"rho_deg: {_deg_list(sol.rho)}")
     return 0
 

@@ -48,7 +48,8 @@ class EmptyInterval(QuadfoldError):
 
 
 class IncompatibleUnits(QuadfoldError):
-    """Stitched units disagree on shared vertices or shared panels."""
+    """Stitched units disagree on shared vertices, or an inner panel's
+    sector angles do not sum to 2*pi."""
 
 
 class LayoutFailure(QuadfoldError):

@@ -134,14 +134,15 @@ def export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
 def import_fold(doc: Union[dict, str]) -> QuadPattern:
     """Rebuild a pattern from a FOLD document produced by export_fold.
 
-    The pattern is re-stitched from the "quadfold:plan" block.  Text that
-    is not JSON, or a document that is not an object, is refused.  So is a
-    document whose structure disagrees with that pattern: its
-    "quadfold:grid" must read [m, n], its point, edge and face counts must
-    be the pattern's, and "edges_assignment" and "edges_foldAngle", where
-    present, must hold one entry per edge, each assignment one of B, M, V
-    and F and agreeing with the sign of its angle.  The coordinates
-    themselves are not compared.
+    The pattern is re-stitched from the "quadfold:plan" block, and its own
+    export defines the structure the document must have.  Text that is not
+    JSON, or a document that is not an object, is refused.  So is a document
+    whose "quadfold:grid", "edges_vertices" or "faces_vertices" differs from
+    that export's in any entry, or whose "vertices_coords",
+    "edges_assignment" or "edges_foldAngle" holds another number of
+    entries.  Each assignment must be B on a boundary edge and M, V or F on
+    a crease, agreeing with the sign of its angle, a finite number.  The
+    coordinates themselves are not compared.
     """
     if isinstance(doc, str):
         try:
@@ -160,40 +161,38 @@ def import_fold(doc: Union[dict, str]) -> QuadPattern:
             "document lacks quadfold:plan; cannot rebuild the pattern"
         )
     p = stitch(StitchPlan.from_json(doc["quadfold:plan"]))
-    n_edges = len(p.edges())
-    want = {
-        "quadfold:grid": [p.m, p.n],
-        "vertices_coords": (p.m + 2) * (p.n + 2),
-        "edges_vertices": n_edges,
-        "faces_vertices": len(p.faces()),
-        "edges_assignment": n_edges,
-        "edges_foldAngle": n_edges,
-    }
-    for key, expected in want.items():
-        if key not in doc:
-            continue
-        got = doc[key] if key == "quadfold:grid" else len(doc[key])
-        if got != expected:
+    ref = export_fold(p)
+    got = {**ref, **doc}  # an absent key is the export's
+    for key in ("quadfold:grid", "vertices_coords", "edges_vertices",
+                "faces_vertices", "edges_assignment", "edges_foldAngle"):
+        if not isinstance(got[key], list) or len(got[key]) != len(ref[key]):
             raise SerializationError(
-                f"{key} does not fit the {p.m}x{p.n} pattern of the plan: "
-                f"expected {expected!r}, got {got!r}")
-    n_pts = want["vertices_coords"]
-    for ev in doc["edges_vertices"]:
-        if any(not (0 <= v < n_pts) for v in ev):
-            raise SerializationError("edges_vertices indices out of range")
-    for fv in doc["faces_vertices"]:
-        if any(not (0 <= v < n_pts) for v in fv):
-            raise SerializationError("faces_vertices indices out of range")
-    for k, letter in enumerate(doc.get("edges_assignment", ())):
-        if letter != "B" and letter not in _CREASE_LETTERS:
+                f"{key} must be a list of {len(ref[key])} entries for "
+                f"the {p.m}x{p.n} pattern of the plan")
+    for key in ("quadfold:grid", "edges_vertices", "faces_vertices"):
+        for k, (have, want) in enumerate(zip(got[key], ref[key])):
+            if have != want:
+                raise SerializationError(
+                    f"{key}[{k}] is {have!r}; the {p.m}x{p.n} pattern of "
+                    f"the plan has {want!r} there")
+    for k, (letter, ang, want, edge) in enumerate(zip(
+            got["edges_assignment"], got["edges_foldAngle"],
+            ref["edges_assignment"], ref["edges_vertices"])):
+        where, allowed = (("boundary edge", ("B",)) if want == "B"
+                          else ("crease", _CREASE_LETTERS))
+        if letter not in allowed:
             raise SerializationError(
-                f"edges_assignment[{k}] is {letter!r}; expected B, M, V or F")
-    for letter, ang in zip(doc.get("edges_assignment", ()),
-                           doc.get("edges_foldAngle", ())):
+                f"edges_assignment[{k}] is {letter!r} on {where} {edge}; "
+                f"a {where} takes {'/'.join(allowed)}")
+        if (isinstance(ang, bool) or not isinstance(ang, (int, float))
+                or not math.isfinite(ang)):
+            raise SerializationError(
+                f"edges_foldAngle[{k}] is {ang!r} on {where} {edge}; "
+                "expected a finite number of degrees")
         if letter == "V" and ang < 0 or letter == "M" and ang > 0:
             raise SerializationError(
-                f"assignment {letter} contradicts fold angle {ang!r}"
-            )
+                f"edges_assignment[{k}] {letter} on crease {edge} "
+                f"contradicts edges_foldAngle[{k}] {ang!r}")
     return p
 
 

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import TAU_ANGLE, TAU_DIR, TAU_LAYOUT
+from .config import TAU_DIR, TAU_LAYOUT
 from .errors import (
     IncompatibleUnits,
     LayoutFailure,
@@ -174,9 +174,12 @@ def unit_from_descriptor(d: dict) -> Unit:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadPattern:
-    """Immutable stitched blanket: vertex grid, layout and branch defaults."""
+    """Immutable stitched blanket: vertex grid, layout and branch defaults.
+
+    Equality and hashing go by identity: the layout is an array.
+    """
 
     m: int
     n: int
@@ -196,8 +199,8 @@ class QuadPattern:
 
         Rigid-foldability certification applies to any grid of developable
         vertices; this constructor supports blankets that were not stitched
-        from units.  Panel angle sums are validated.  NotABlanket refuses an
-        empty or ragged vertex grid and a branch grid of another shape.
+        from units.  NotABlanket refuses an empty or ragged vertex grid and
+        a branch grid of another shape; the layout checks the panels.
         """
         vertices = tuple(tuple(row) for row in vertices)
         branch_default = tuple(tuple(row) for row in branch_default)
@@ -209,7 +212,6 @@ class QuadPattern:
                     "vertices and branch_default must be grids of one "
                     f"non-empty shape; {name} has row lengths "
                     f"{[len(r) for r in rows]}")
-        _check_panel_sums(vertices)
         return _laid_out(vertices, branch_default, None,
                          lengths or PlanLengths())
 
@@ -315,6 +317,7 @@ def _laid_out(vertices, branches, plan, lengths: PlanLengths) -> QuadPattern:
 def _layout(vertices, lengths: PlanLengths):
     """Place the grid in the plane from sector angles and free lengths,
     checking every panel and every measured sector angle."""
+    _check_panel_sums(vertices)
     m, n = len(vertices), len(vertices[0])
     for key, xs, want in (("top_lengths", lengths.top, n - 1),
                           ("left_lengths", lengths.left, m - 1),
@@ -347,15 +350,6 @@ def _layout(vertices, lengths: PlanLengths):
             dirs[i][j] = _vertex_directions(
                 vertices[i][j], dir_u=dirs[i - 1][j][2] + math.pi
             )
-            mismatch = normalize_angle(
-                dirs[i][j][1] - (dirs[i][j - 1][3] + math.pi)
-            )
-            if abs(mismatch) > TAU_LAYOUT:
-                raise LayoutFailure(
-                    f"crease directions at vertex ({i},{j}) disagree by "
-                    f"{mismatch:.3e} rad (inconsistent panel above-left)",
-                    panel=(i - 1, j - 1),
-                )
             hit = _ray_intersection(
                 pos[i - 1][j], dirs[i - 1][j][2], pos[i][j - 1], dirs[i][j - 1][3]
             )
@@ -422,13 +416,14 @@ def _check_faces(grid):
 
 
 def _check_panel_sums(vertices):
-    """Every inner panel's four sector angles must sum to 2*pi."""
+    """Every inner panel's four sector angles must sum to 2*pi within
+    TAU_LAYOUT; IncompatibleUnits names the first panel that does not."""
     for i in range(len(vertices) - 1):
         for j in range(len(vertices[0]) - 1):
             total = (vertices[i][j].alpha[3] + vertices[i + 1][j].alpha[0]
                      + vertices[i + 1][j + 1].alpha[1]
                      + vertices[i][j + 1].alpha[2])
-            if abs(total - TWO_PI) > math.sqrt(TAU_ANGLE):
+            if abs(total - TWO_PI) > TAU_LAYOUT:
                 raise IncompatibleUnits(
                     f"inner panel ({i},{j}) sector angles sum to {total!r}, "
                     "expected 2*pi; adjacent columns do not fit"
@@ -500,7 +495,6 @@ def stitch(plan: StitchPlan) -> QuadPattern:
             vertices[k + 1][j] = u.bottom
             branches[k + 1][j] = u.branch_bottom
 
-    _check_panel_sums(vertices)
     vertices = tuple(tuple(row) for row in vertices)
     branches = tuple(tuple(row) for row in branches)
     return _laid_out(vertices, branches, plan, plan.lengths)

@@ -176,14 +176,13 @@ class Vertex4:
 
 @dataclass(frozen=True)
 class VertexSolution:
-    """One configuration on one branch: four folding angles plus xi.
+    """One configuration on one branch: four folding angles.
 
     `rho` is normalized to (-pi, pi]; `raw_rho` keeps the values before the
-    2*pi reduction for debugging.
+    2*pi reduction for debugging.  The auxiliary angle is `xi_of(v, rho[0])`.
     """
 
     rho: tuple
-    xi: float
     branch: BranchId
     raw_rho: tuple = field(repr=False, default=())
 
@@ -248,8 +247,9 @@ def classify(v: Vertex4) -> VertexClass:
 
 
 def xi_of(v: Vertex4, rho1: float) -> float:
-    """Auxiliary spherical angle xi for driving angle rho1."""
-    if abs(rho1) > math.pi + 1e-12:
+    """Auxiliary spherical angle xi for driving angle rho1; OutOfDomain
+    outside [-pi, pi], NaN included."""
+    if not abs(rho1) <= math.pi + 1e-12:
         raise OutOfDomain(f"rho1 {rho1!r} outside [-pi, pi]")
     a1, a2 = v.alpha[0], v.alpha[1]
     arg = math.cos(a1) * math.cos(a2) - math.sin(a1) * math.sin(a2) * math.cos(rho1)
@@ -661,19 +661,17 @@ def _generic_param(a: tuple, branch: BranchId) -> _GenericCurve:
     return _GenericCurve(a, branch)
 
 
-def _eval_param(v: Vertex4, p: _BranchParam, r: float,
-                branch: BranchId) -> VertexSolution:
-    if abs(r) > p.r_max + 1e-12:
+def _eval_param(p: _BranchParam, r: float, branch: BranchId) -> VertexSolution:
+    if not abs(r) <= p.r_max + 1e-12:  # NaN included
         raise OutOfDomain(
             f"parameter {r!r} outside fold interval [-{p.r_max!r}, {p.r_max!r}]"
         )
     if r == 0.0:
         zero = (0.0, 0.0, 0.0, 0.0)
-        return VertexSolution(rho=zero, xi=xi_of(v, 0.0), branch=branch,
-                              raw_rho=zero)
+        return VertexSolution(rho=zero, branch=branch, raw_rho=zero)
     raw = p.fn(r)
     rho = tuple(normalize_angle(x) for x in raw)
-    return VertexSolution(rho=rho, xi=xi_of(v, rho[0]), branch=branch, raw_rho=raw)
+    return VertexSolution(rho=rho, branch=branch, raw_rho=raw)
 
 
 def solve_on_branch(v: Vertex4, r: float, branch: BranchId) -> VertexSolution:
@@ -684,7 +682,7 @@ def solve_on_branch(v: Vertex4, r: float, branch: BranchId) -> VertexSolution:
     vertices use their specialized tan-half transmissions here; use
     solve_generic to evaluate the general equations on them instead.
     """
-    return _eval_param(v, _branch_param(v, branch), r, branch)
+    return _eval_param(_branch_param(v, branch), r, branch)
 
 
 def solve_generic(v: Vertex4, rho1: float, branch: BranchId) -> VertexSolution:
@@ -696,7 +694,7 @@ def solve_generic(v: Vertex4, rho1: float, branch: BranchId) -> VertexSolution:
     """
     if branch not in CURVE_BRANCHES:
         raise WrongClass("solve_generic takes BRANCH_1 or BRANCH_2")
-    return _eval_param(v, _generic_param(v.alpha, branch), rho1, branch)
+    return _eval_param(_generic_param(v.alpha, branch), rho1, branch)
 
 
 def solve_straightline(v: Vertex4, rho1: float, branch: BranchId) -> VertexSolution:
@@ -730,12 +728,12 @@ def solve_flatfoldable(v: Vertex4, rho1: float, branch: BranchId) -> VertexSolut
     if isinstance(p, _Segment):
         # branch 2 at the pole (a1 + a2 = pi): only the flat point can be
         # addressed through rho1
-        if abs(rho1) > TAU_ANGLE:
+        if not abs(rho1) <= TAU_ANGLE:
             raise OutOfDomain(
                 "branch 2 degenerates to a segment with rho1 = 0 here"
             )
-        return VertexSolution((0.0,) * 4, xi_of(v, 0.0), branch, (0.0,) * 4)
-    return _eval_param(v, p, rho1, branch)
+        return VertexSolution((0.0,) * 4, branch, (0.0,) * 4)
+    return _eval_param(p, rho1, branch)
 
 
 def fold_interval(v: Vertex4, branch: BranchId) -> FoldInterval:
@@ -853,13 +851,16 @@ def solve_at_crease(v: Vertex4, crease: int, angle: float,
     vertex and the two creases off the collinear pair of a straight-line
     vertex.  The bisection stops where the bracket is narrower than 1e-15
     or after 90 halvings.  On every branch a parameter beyond the fold
-    interval [-pi, pi] (by more than 1e-9) is refused, never wrapped.
+    interval [-pi, pi] (by more than 1e-9) is refused, never wrapped, and
+    so is a non-finite angle.
     """
     if crease not in (1, 2, 3, 4):
         raise ValueError("crease index must be 1..4")
+    if not math.isfinite(angle):
+        raise OutOfDomain(f"crease {crease} cannot fold by {angle!r}")
     comp = crease - 1
     if abs(angle) < 1e-15:
-        return VertexSolution((0.0,) * 4, xi_of(v, 0.0), branch, (0.0,) * 4)
+        return VertexSolution((0.0,) * 4, branch, (0.0,) * 4)
 
     p = _branch_param(v, branch)
     r = p.invert(comp, angle)
@@ -871,7 +872,7 @@ def solve_at_crease(v: Vertex4, crease: int, angle: float,
             f"outside [-{p.r_max!r}, {p.r_max!r}]"
         )
     r = max(-p.r_max, min(p.r_max, r))
-    sol = _eval_param(v, p, r, branch)
+    sol = _eval_param(p, r, branch)
     if abs(normalize_angle(sol.rho[comp] - angle)) > 1e-7:
         raise OutOfDomain(
             f"crease {crease} cannot reach {angle!r} on branch {branch.value}"

@@ -93,6 +93,14 @@ class TestPropagate:
         with pytest.raises(OutOfDomain, match=r"vertex"):
             propagate(build_tree(pat_b), deg(60), None)
 
+    @pytest.mark.parametrize("driving", [math.nan, math.inf, -math.inf])
+    def test_non_finite_driving_angle_is_refused(self, driving):
+        """A non-finite driving angle is refused at the first vertex, not
+        clamped onto the end of its fold interval and folded."""
+        tree = build_tree(stitch(herringbone_plan(4, 4)))
+        with pytest.raises(OutOfDomain, match=r"top-row vertex \(0,0\)"):
+            propagate(tree, driving)
+
     def test_non_unit_pattern_incompatible(self, pat_b):
         # break one vertex: propagation still runs but theta != phi
         bad = pat_b.with_vertex(

@@ -63,6 +63,48 @@ def _full_form_plan(**edit):
     return {"columns": [[dict(unit.to_json(), **edit)]]}
 
 
+def _edge_of_kind(p, kind):
+    """Index of the first edge of `kind` in the pattern's edge order."""
+    return next(k for k, e in enumerate(p.edges()) if e[0] == kind)
+
+
+def _crease_marked_boundary(p, doc):
+    doc["edges_assignment"][_edge_of_kind(p, "col")] = "B"
+
+
+def _boundary_folded(p, doc):
+    k = _edge_of_kind(p, "boundary")
+    doc["edges_assignment"][k] = "V"
+    doc["edges_foldAngle"][k] = 30.0
+
+
+def _edges_swapped(p, doc):
+    edges = doc["edges_vertices"]
+    edges[0], edges[1] = edges[1], edges[0]
+
+
+def _edge_reversed(p, doc):
+    doc["edges_vertices"][3].reverse()
+
+
+def _edge_replaced(p, doc):
+    doc["edges_vertices"][0] = [0, 7]
+
+
+def _face_reversed(p, doc):
+    doc["faces_vertices"][2].reverse()
+
+
+def _angle_not_a_number(p, doc):
+    doc["edges_foldAngle"][_edge_of_kind(p, "col")] = "30"
+
+
+def _angle_not_finite(p, doc):
+    k = _edge_of_kind(p, "row")
+    doc["edges_assignment"][k] = "V"
+    doc["edges_foldAngle"][k] = math.nan
+
+
 def _grid_plan(**edit):
     """Plan of a 2x2 square grid with its top-level keys edited."""
     return dict(square_grid_plan(2, 2).to_json(), **edit)
@@ -216,6 +258,29 @@ class TestFold:
             import_fold(dict(doc, **{key: value}))
 
 
+    @pytest.mark.parametrize("edit, named", [
+        (_crease_marked_boundary,
+         r"edges_assignment\[\d+\] is 'B' on crease"),
+        (_boundary_folded,
+         r"edges_assignment\[\d+\] is 'V' on boundary edge"),
+        (_edges_swapped, re.escape("edges_vertices[0]")),
+        (_edge_reversed, re.escape("edges_vertices[3]")),
+        (_edge_replaced, re.escape("edges_vertices[0] is [0, 7]")),
+        (_face_reversed, re.escape("faces_vertices[2]")),
+        (_angle_not_a_number, r"edges_foldAngle\[\d+\] is '30' on crease"),
+        (_angle_not_finite, r"edges_foldAngle\[\d+\] is nan on crease"),
+    ])
+    def test_import_refuses_edges_unlike_the_plan(self, pat_a, edit, named):
+        """The plan's own export defines the edges and faces: a document
+        must list the same ones, in the same order and direction, with B
+        exactly on its boundary edges, M, V or F on its creases and a
+        finite fold angle on each."""
+        doc = export_fold(pat_a)
+        edit(pat_a, doc)
+        with pytest.raises(SerializationError, match=named):
+            import_fold(json.dumps(doc))  # fold_dumps would refuse NaN
+
+
 class TestObj:
     def test_quads_and_determinism(self, pat_a):
         prop = propagate(build_tree(pat_a), deg(10), None)
@@ -278,6 +343,19 @@ class TestCli:
         assert rc == 0
         assert "rho_deg: 60 -6.0058" in out
 
+    @pytest.mark.parametrize("alphas, rho1, branch, xi_deg", [
+        ("80,95,75,110", "60", "1", "120.375477743"),
+        ("70,80,100,110", "-30", "2", "137.90574765"),
+    ])
+    def test_vertex_solve_prints_xi_of_rho1(self, alphas, rho1, branch,
+                                            xi_deg, capsys):
+        """xi is xi_of(vertex, rho1), printed to 12 digits."""
+        rc = main(["vertex", "solve", "--alphas", alphas, "--rho1", rho1,
+                   "--branch", branch])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert f"xi_deg: {xi_deg}\n" in out
+
     def test_vertex_interval(self, capsys):
         rc = main(["vertex", "interval", "--alphas", "80,95,75,110",
                    "--branch", "1"])
@@ -336,6 +414,20 @@ class TestCli:
         assert sorted(os.listdir(out_dir)) == [
             "frame_000.obj", "frame_001.obj", "frame_002.obj", "frame_003.obj"
         ]
+
+    @pytest.mark.parametrize("rho", ["nan", "inf", "-inf"])
+    def test_svg_refuses_a_non_finite_rho(self, rho, tmp_path, capsys):
+        """A non-finite driving angle is an error line and exit code 1,
+        and no drawing is written."""
+        fold_file = tmp_path / "a.fold"
+        fold_file.write_text(fold_dumps(export_fold(stitch(
+            showcase_a_plan()))))
+        svg_file = tmp_path / "a.svg"
+        rc = main(["pattern", "svg", str(fold_file), "-o", str(svg_file),
+                   f"--rho={rho}"])
+        assert rc == 1
+        assert "cannot fold by" in capsys.readouterr().err
+        assert not svg_file.exists()
 
     def test_validation_failure_exit_code(self, tmp_path, capsys):
         # a plan with mismatched columns fails with exit code 1

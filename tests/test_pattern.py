@@ -128,6 +128,59 @@ class TestStitch:
             StitchPlan(columns=((u, u2), (u,)))
 
 
+class TestPanelClosure:
+    """A panel whose four sector angles miss 2*pi by more than 1e-9 is one
+    defect, refused with one error naming it, whatever its size and
+    whichever way the pattern is built."""
+
+    CLOSED = (0.0, 5e-10)
+    OPEN = (2e-9, 1e-7, 1e-5, 4e-5, 1e-4)
+
+    @staticmethod
+    def _stitched(eps):
+        """Two herringbone columns whose c angles differ by eps / 2, so
+        that each inner panel sums to 2*pi + eps."""
+        c = deg(75.0)
+        cols = (herringbone_plan(3, 1, 95.0, math.degrees(c)).columns[0],
+                herringbone_plan(3, 1, 95.0,
+                                 math.degrees(c + eps / 2)).columns[0])
+        return stitch(StitchPlan(columns=cols))
+
+    @staticmethod
+    def _moved(p, eps):
+        """Vertex (1, 1) of `p` with a1 moved by +eps and a2 by -eps."""
+        a = list(p.vertex(1, 1).alpha)
+        a[0] += eps
+        a[1] -= eps
+        return Vertex4(a)
+
+    def _from_vertices(self, p, eps):
+        rows = [list(row) for row in p.vertices]
+        rows[1][1] = self._moved(p, eps)
+        return pattern_mod.QuadPattern.from_vertices(rows, p.branch_default)
+
+    def _relayout(self, p, eps):
+        return p.with_vertex(1, 1, self._moved(p, eps)).relayout(
+            PlanLengths())
+
+    @pytest.mark.parametrize("eps", CLOSED)
+    def test_closed_panels_lay_out(self, plan_a, eps):
+        p = stitch(plan_a)
+        self._stitched(eps)
+        self._from_vertices(p, eps)
+        self._relayout(p, eps)
+
+    @pytest.mark.parametrize("eps", OPEN)
+    def test_open_panel_is_refused_on_every_path(self, plan_a, eps):
+        p = stitch(plan_a)
+        named = re.escape("inner panel (0,0)")
+        for build in (lambda: self._stitched(eps),
+                      lambda: self._from_vertices(p, eps),
+                      lambda: self._relayout(p, eps)):
+            with pytest.raises(IncompatibleUnits, match=named):
+                build()
+
+
 class TestLayout:
     def test_square_grid_coordinates(self):
         p = stitch(square_grid_plan(2, 2))
@@ -185,7 +238,7 @@ class TestLayout:
             pattern_mod.QuadPattern.from_vertices(p.vertices,
                                                   p.branch_default, lengths)
 
-    def test_parallel_crease_lines_fail(self):
+    def test_relayout_refuses_an_unclosed_panel(self):
         # two stacked square-vertex units next to each other cannot close a
         # panel if one column's angles are inconsistent; build an impossible
         # direction pair directly
@@ -197,7 +250,7 @@ class TestLayout:
         # stitching is fine; force a failure through with_vertex + relayout
         p = stitch(StitchPlan(columns=((u,), (u,))))
         bad = p.with_vertex(0, 1, Vertex4.from_degrees((100, 80, 100, 80)))
-        with pytest.raises(LayoutFailure):
+        with pytest.raises(IncompatibleUnits):
             bad.relayout(PlanLengths())
 
     @pytest.mark.parametrize("build, face", [
@@ -240,6 +293,13 @@ class TestDerivedPatterns:
         assert bad.grid is p.grid and bad.directions == p.directions
         # no plan stitches the changed grid: only the default assignment
         assert list(enumerate_branch_choices(bad)) == [bad.branch_default]
+
+    def test_equality_is_identity(self, plan_a):
+        """The layout is an array, so patterns compare and hash by
+        identity instead of raising."""
+        p, q = stitch(plan_a), stitch(plan_a)
+        assert p == p and p != q
+        assert len({p, q, p}) == 2
 
     def test_relayout_records_its_lengths(self, plan_a):
         lengths = PlanLengths(top=(2.0, 0.5))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -41,6 +42,18 @@ deg = math.radians
 GEN = Vertex4.from_degrees((80, 95, 75, 110))
 SL = Vertex4.from_degrees((70, 80, 100, 110))
 FF = Vertex4.from_degrees((60, 70, 120, 110))
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+# (vertex, branch) of every class's branches
+NON_FINITE_CASES = [
+    (GEN, BranchId.BRANCH_1), (GEN, BranchId.BRANCH_2),
+    (FF, BranchId.BRANCH_1), (FF, BranchId.BRANCH_2),
+    (SL, BranchId.BRANCH_2), (SL, BranchId.LINE_SEGMENT_1),
+    (SL.shifted(1), BranchId.BRANCH_2),
+    (Vertex4.from_degrees((90, 90, 90, 90)), BranchId.LINE_SEGMENT_1),
+    (Vertex4.from_degrees((90, 90, 90, 90)), BranchId.LINE_SEGMENT_2),
+    (Vertex4.from_degrees((180, 60, 80, 40)), BranchId.LINE_SEGMENT_1),
+]
 
 
 class TestVertex4:
@@ -161,7 +174,7 @@ class TestSolveGeneric:
     def test_xi_consistency_invariant(self):
         s = solve_generic(GEN, deg(45), BranchId.BRANCH_2)
         a1, a2 = GEN.alpha[0], GEN.alpha[1]
-        lhs = math.cos(s.xi)
+        lhs = math.cos(xi_of(GEN, s.rho[0]))
         rhs = (math.cos(a1) * math.cos(a2)
                - math.sin(a1) * math.sin(a2) * math.cos(s.rho[0]))
         assert lhs == pytest.approx(rhs, abs=1e-9)
@@ -354,6 +367,45 @@ class TestSolveAtCrease:
     def test_unreachable_angle(self):
         with pytest.raises(OutOfDomain):
             solve_at_crease(GEN, 2, math.pi * 0.999, BranchId.BRANCH_1)
+
+    @pytest.mark.parametrize("v, branch", NON_FINITE_CASES)
+    @pytest.mark.parametrize("angle", NON_FINITE)
+    def test_non_finite_angle_is_refused(self, v, branch, angle):
+        """NaN passes no comparison and inf no arccos: both are refused by
+        name at every crease and on every branch, never clamped onto the
+        end of the fold interval."""
+        for crease in (1, 2, 3, 4):
+            with pytest.raises(OutOfDomain, match=f"crease {crease}"):
+                solve_at_crease(v, crease, angle, branch)
+        with pytest.raises(OutOfDomain):
+            solve_on_branch(v, angle, branch)
+
+
+@pytest.mark.parametrize("angle", NON_FINITE)
+def test_non_finite_driving_angle_is_refused(angle):
+    """Each class solver and xi_of refuse a non-finite driving angle."""
+    pole = Vertex4.from_degrees((80, 100, 100, 80))  # a1 + a2 = pi
+    for solve, v, branch in (
+            (solve_generic, GEN, BranchId.BRANCH_1),
+            (solve_generic, FF, BranchId.BRANCH_2),
+            (solve_flatfoldable, FF, BranchId.BRANCH_1),
+            (solve_flatfoldable, pole, BranchId.BRANCH_2),
+            (solve_straightline, SL, BranchId.BRANCH_2),
+            (solve_straightline, SL, BranchId.LINE_SEGMENT_1)):
+        with pytest.raises(OutOfDomain):
+            solve(v, angle, branch)
+    with pytest.raises(OutOfDomain):
+        xi_of(GEN, angle)
+
+
+def test_solution_carries_no_xi():
+    """xi is a function of the vertex and rho1, so a solution does not
+    store it; xi_of gives it."""
+    assert "xi" not in {f.name for f in dataclasses.fields(VertexSolution)}
+    s = solve_on_branch(GEN, deg(60), BranchId.BRANCH_1)
+    assert not hasattr(s, "xi")
+    assert math.degrees(xi_of(GEN, s.rho[0])) == pytest.approx(
+        120.375477743, abs=1e-9)
 
 
 def test_class_a_motion_only():
@@ -607,7 +659,7 @@ def _reference_solve_at_crease(v, crease: int, angle: float, branch):
         raise ValueError("crease index must be 1..4")
     comp = crease - 1
     if abs(angle) < 1e-15:
-        return VertexSolution((0.0,) * 4, xi_of(v, 0.0), branch, (0.0,) * 4)
+        return VertexSolution((0.0,) * 4, branch, (0.0,) * 4)
 
     cls = classify(v)
     p = _branch_param(v, branch)

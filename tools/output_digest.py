@@ -11,8 +11,9 @@ where the call raises:
 
 * vertex layer: `classify` of seeded vertices of every class, each also with
   two sector angles moved by amounts that keep or break a collinear sum
-  (warnings included), and `solve_generic` (with `raw_rho`) at seeded angles
-  on both branches of seeded flat-foldable vertices;
+  (warnings included), and `solve_generic` at seeded angles on both
+  branches of seeded flat-foldable vertices, each solution as its `rho`,
+  `xi_of(v, rho[0])`, `branch` and `raw_rho`;
 * unit layer: the unit, its `validate_unit` report over 200 samples and its
   `valid_branch_pairs`, for seeded units from `solve_ff_unit` (all four
   modes), `make_flatfoldable_basic_unit`, `make_straightline_unit` and
@@ -72,6 +73,7 @@ from quadfold import (  # noqa: E402
     sweep,
     valid_branch_pairs,
     validate_unit,
+    xi_of,
 )
 from quadfold.fixtures import (  # noqa: E402
     herringbone_plan,
@@ -126,12 +128,12 @@ def vertices(rng):
         yield "trivial", Vertex4((pi + 0.3, b, 0.4, pi - 0.7 - b))
 
 
-def _solution(fn):
+def _solution(v, fn):
     try:
         sol = fn()
     except QuadfoldError as exc:
         return f"{type(exc).__name__}: {exc}"
-    return repr(sol) + repr(sol.raw_rho)
+    return repr((sol.rho, xi_of(v, sol.rho[0]), sol.branch, sol.raw_rho))
 
 
 def vertex_texts():
@@ -151,7 +153,7 @@ def vertex_texts():
         for b in (BranchId.BRANCH_1, BranchId.BRANCH_2):
             for r in (rng.uniform(-math.pi, math.pi) for _ in range(4)):
                 yield (f"solve_generic flat_foldable {k} {b.value} {r!r}",
-                       _solution(lambda: solve_generic(v, r, b)))
+                       _solution(v, lambda: solve_generic(v, r, b)))
 
 
 def units(rng):
