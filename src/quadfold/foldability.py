@@ -238,9 +238,23 @@ def certify(p: QuadPattern, branch_choice: BranchChoice = None,
     propagation succeeds (endpoints included).  The verdict is positive only
     when the interval has positive length, propagation succeeded at every
     sample, and every cut-crease residual stays below `compat_tol`.
+
+    Reports are memoised on the pattern, by branch grid, `n_samples` and
+    `compat_tol`: the pattern and the report are immutable, so asking
+    again returns the same report object.  A refusal is not memoised.
     """
-    tree = build_tree(p)
     branches = _branch_grid(p, branch_choice)
+    key = (branches, n_samples, compat_tol)
+    report = p.certified.get(key)
+    if report is None:
+        report = p.certified[key] = _certify(p, branches, n_samples,
+                                             compat_tol)
+    return report
+
+
+def _certify(p: QuadPattern, branches, n_samples: int,
+             compat_tol: float) -> CompatibilityReport:
+    tree = build_tree(p)
     t_max = last_valid(lambda t: _probe(tree, t, branches), 48)
     if t_max < 1e-9:
         raise EmptyInterval(

@@ -23,6 +23,7 @@ from .realize import FoldedState
 
 _FLOAT_FMT = "{:.12g}"
 _CREASE_LETTERS = ("M", "V", "F")
+_FLAT_DEG = math.degrees(TAU_FLAT)
 
 
 def _fmt(value) -> str:
@@ -53,6 +54,14 @@ def fold_dumps(doc: dict) -> str:
     return _fmt(doc)
 
 
+def _contradicts(letter: str, angle_deg: float) -> bool:
+    """Whether a crease letter contradicts its fold angle in degrees, as a
+    document holds it: V below zero, M above, F at or beyond the flat
+    threshold (`TAU_FLAT`)."""
+    return (letter == "V" and angle_deg < 0 or letter == "M" and angle_deg > 0
+            or letter == "F" and abs(angle_deg) >= _FLAT_DEG)
+
+
 def _crease_letter(mv: dict, a: tuple, b: tuple) -> Optional[str]:
     """The letter `mv` gives the crease between grid points a and b, keyed
     either way round, or None where it gives none.  Anything but M, V or F
@@ -75,7 +84,9 @@ def export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
     For a FoldedState the owning pattern must be supplied; `angles` (by
     default the Propagation the state was folded by) fills edges_foldAngle,
     and `mv` overrides the assignment letters `mv_letter` derives from the
-    angle signs.
+    angle signs.  A letter that contradicts its angle as `import_fold`
+    reads it (V on a negative angle, M on a positive one, F on one not
+    below `TAU_FLAT`) is refused.
     """
     if isinstance(obj, QuadPattern):
         p, points, frame_class = obj, obj.grid, "creasePattern"
@@ -103,7 +114,7 @@ def export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
         letter = None if mv is None else _crease_letter(mv, a, b)
         if letter is None:
             letter = mv_letter(angle, TAU_FLAT)
-        if letter == "V" and angle < 0 or letter == "M" and angle > 0:
+        if _contradicts(letter, math.degrees(angle)):
             raise SerializationError(
                 f"assignment {letter} contradicts fold angle {angle!r}"
             )
@@ -140,9 +151,10 @@ def import_fold(doc: Union[dict, str]) -> QuadPattern:
     whose "quadfold:grid", "edges_vertices" or "faces_vertices" differs from
     that export's in any entry, or whose "vertices_coords",
     "edges_assignment" or "edges_foldAngle" holds another number of
-    entries.  Each assignment must be B on a boundary edge and M, V or F on
-    a crease, agreeing with the sign of its angle, a finite number.  The
-    coordinates themselves are not compared.
+    entries.  Each fold angle must be a finite number.  A boundary edge
+    must be B with angle zero; a crease M, V or F agreeing with its angle:
+    V not below zero, M not above, F of magnitude below the flat threshold
+    (`TAU_FLAT` in degrees).  The coordinates themselves are not compared.
     """
     if isinstance(doc, str):
         try:
@@ -189,7 +201,11 @@ def import_fold(doc: Union[dict, str]) -> QuadPattern:
             raise SerializationError(
                 f"edges_foldAngle[{k}] is {ang!r} on {where} {edge}; "
                 "expected a finite number of degrees")
-        if letter == "V" and ang < 0 or letter == "M" and ang > 0:
+        if want == "B" and ang != 0:
+            raise SerializationError(
+                f"edges_foldAngle[{k}] is {ang!r} on boundary edge {edge}; "
+                "a boundary edge does not fold")
+        if _contradicts(letter, ang):
             raise SerializationError(
                 f"edges_assignment[{k}] {letter} on crease {edge} "
                 f"contradicts edges_foldAngle[{k}] {ang!r}")

@@ -188,6 +188,8 @@ class QuadPattern:
     plan: Optional[StitchPlan]
     grid: np.ndarray                 # (m+2, n+2, 2) planar layout
     directions: tuple                # per vertex (U, L, D, R) planar angles
+    # `certify`'s reports of this pattern, keyed by its arguments
+    certified: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.grid.flags.writeable = False

@@ -21,9 +21,9 @@ from .pattern import QuadPattern, check_layout_angles
 from .vertex import Vertex4, VertexSolution
 
 
-def _rot3(ux: float, uy: float, uz: float, angle: float):
-    """Rotation matrix about the unit axis (ux, uy, uz), as nested lists."""
-    c, s = math.cos(angle), math.sin(angle)
+def _rot3(ux, uy, uz, c, s):
+    """Rotation matrix about the unit axis (ux, uy, uz) by the angle of
+    cosine c and sine s, as nested tuples; elementwise over arrays c, s."""
     C = 1.0 - c
     return (
         (c + ux * ux * C, ux * uy * C - uz * s, ux * uz * C + uy * s),
@@ -61,7 +61,8 @@ def loop_closure_residual(v: Vertex4,
     for phi, r in zip(angles, rho):
         if r == 0.0:
             continue
-        R = _mat_mul(R, _rot3(math.cos(phi), math.sin(phi), 0.0, r))
+        R = _mat_mul(R, _rot3(math.cos(phi), math.sin(phi), 0.0,
+                              math.cos(r), math.sin(r)))
     s = 0.0
     for i in range(3):
         for j in range(3):
@@ -70,16 +71,22 @@ def loop_closure_residual(v: Vertex4,
     return math.sqrt(s)
 
 
-def _rot_about_line(point: np.ndarray, direction: np.ndarray,
-                    angle: float) -> np.ndarray:
-    """Homogeneous 4x4 rotation about the line through `point` along
-    `direction` (unit vector)."""
-    ux, uy, uz = direction
-    R = np.array(_rot3(ux, uy, uz, angle))
-    T = np.eye(4)
-    T[:3, :3] = R
-    T[:3, 3] = point - R @ point
+def _rot_about_line(point, direction, angles) -> np.ndarray:
+    """Homogeneous 4x4 rotations, one per angle, about the line through
+    `point` along `direction` (unit vector).  The trig is `math`'s, as in
+    the oracle: numpy's may differ in the last bit."""
+    c = np.array([math.cos(a) for a in angles])
+    s = np.array([math.sin(a) for a in angles])
+    R = np.array(_rot3(*direction, c, s)).transpose(2, 0, 1).copy()
+    T = np.tile(np.eye(4), (len(angles), 1, 1))
+    T[:, :3, :3] = R
+    T[:, :3, 3] = point - R @ point
     return T
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    # vecdot sums as the dot inside np.linalg.norm does: the same bits
+    return np.sqrt(np.vecdot(x, x))
 
 
 @dataclass(frozen=True)
@@ -93,98 +100,91 @@ class FoldedState:
     closure_residual: float       # worst vertex/cycle closure
 
 
-def realize(p: QuadPattern, prop: Propagation) -> FoldedState:
-    """Fold the pattern by a propagation's crease angles.
-
-    One row-major walk over the faces.  The top-left face stays in the
-    plane; every other face composes the transform of its walk parent (the
-    face on its left, or above it in column 0) with the rotation about the
-    crossed crease line by that crease's folding angle.  The face then
-    places the corners no earlier face reached and is verified: each corner
-    where the earlier faces put it, and the panel congruent to the layout
-    (edge lengths, diagonals, planarity).  Every vertex's folding angles
-    must also close under the rotation oracle.  The walk folds the layout,
-    so a layout that does not realize the vertex data (that of a
-    `with_vertex` copy, which keeps its parent's) is refused with
-    LayoutFailure first.
-    """
-    grid2 = p.grid
-    check_layout_angles(p.vertices, grid2)
-    coords = np.zeros((p.m + 2, p.n + 2, 3))
-    transforms = {}
-    closure = 0.0
-    rigidity = 0.0
+def _fold_frames(p: QuadPattern, props: Sequence[Propagation]) -> tuple:
+    """Each propagation's FoldedState, from one `realize` walk over frames."""
+    g = p.grid
+    check_layout_angles(p.vertices, g)
+    coords = np.zeros((len(props), p.m + 2, p.n + 2, 3))
+    closure, rigidity = np.zeros((2, len(props)))
+    T = np.tile(np.eye(4), (len(props), 1, 1))
     for r, c in p.faces():
-        if (r, c) == (0, 0):
-            T = np.eye(4)
-        else:
-            # crossing from the crease's right side to its left composes
-            # +rho.  Faces are counter-clockwise (the layout guarantees it),
-            # so face (r, c) lies left of (r, c)->(r+1, c) and right of
-            # (r, c)->(r, c+1).
-            if c > 0:
-                # shared vertical edge
-                parent, kind, a_pt, b_pt = (r, c - 1), "col", (r, c), (r + 1, c)
-                sign = 1.0
-            else:
-                parent, kind, a_pt, b_pt = (r - 1, c), "row", (r, c), (r, c + 1)
-                sign = -1.0
-            pa = np.array([*grid2[a_pt], 0.0])
-            pb = np.array([*grid2[b_pt], 0.0])
-            d = pb - pa
+        if (r, c) != (0, 0):
+            # crossing from a crease's right side to its left composes +rho;
+            # the layout makes faces counter-clockwise, so face (r, c) lies
+            # left of (r, c)->(r+1, c) and right of (r, c)->(r, c+1)
+            kind, b, sign = (("col", (r + 1, c), 1.0) if c > 0
+                             else ("row", (r, c + 1), -1.0))
+            pa = np.array([*g[r, c], 0.0])
+            d = np.array([*g[b], 0.0]) - pa
             d /= np.linalg.norm(d)
-            T = transforms[parent] @ _rot_about_line(
-                pa, d, sign * prop.edge_angle(kind, a_pt, b_pt)
-            )
-        transforms[(r, c)] = T
+            T = (T if c > 0 else row_start) @ _rot_about_line(pa, d, [
+                sign * prop.edge_angle(kind, (r, c), b) for prop in props])
+        if c == 0:
+            row_start = T
         corners = p.face_corners(r, c)
-        flat = [grid2[q] for q in corners]
-        own = [(T @ np.array([*q2, 0.0, 1.0]))[:3] for q2 in flat]
+        flat = [g[q] for q in corners]
+        own = [(T @ np.array([*q2, 0.0, 1.0]))[:, :3] for q2 in flat]
         # a corner belongs to the first face of the walk that has it: the
         # face above-left of it, except on the top row and left column
         for (qr, qc), x in zip(corners, own):
             if (qr > r or r == 0) and (qc > c or c == 0):
-                coords[qr, qc] = x
-        folded = [coords[q] for q in corners]
-        # the face must agree with its corners' stored positions
+                coords[:, qr, qc] = x
+        folded = [coords[:, qr, qc] for qr, qc in corners]
+        # the face must agree with its corners' stored positions (fmax, as
+        # max(), keeps the running value against a NaN)
         for x, q3 in zip(own, folded):
-            closure = max(closure, float(np.linalg.norm(x - q3)))
+            closure = np.fmax(closure, _norms(x - q3))
         # congruence: edges and diagonals
-        idx = ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3))
-        for a_i, b_i in idx:
+        for a_i, b_i in ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)):
             d2 = np.linalg.norm(flat[a_i] - flat[b_i])
-            d3 = np.linalg.norm(folded[a_i] - folded[b_i])
-            rigidity = max(rigidity, abs(d3 - d2) / max(d2, 1.0))
-        # planarity; with three corners collinear (two may coincide) the face
-        # is planar and its normal is rounding noise, so the bound scales
-        # with the face
-        e1 = folded[1] - folded[0]
-        e2 = folded[3] - folded[0]
+            d3 = _norms(folded[a_i] - folded[b_i])
+            rigidity = np.fmax(rigidity, np.abs(d3 - d2) / max(d2, 1.0))
+        # planarity; with three corners collinear (two may coincide) the
+        # normal is rounding noise, so the bound scales with the face
+        e1, e2 = folded[1] - folded[0], folded[3] - folded[0]
         nrm = np.cross(e1, e2)
-        nn = np.linalg.norm(nrm)
-        scale = max(np.linalg.norm(e1), np.linalg.norm(e2), 1.0)
-        if nn > 1e-12 * scale * scale:
-            off = abs(float(np.dot(folded[2] - folded[0], nrm / nn)))
-            rigidity = max(rigidity, off / scale)
+        nn = _norms(nrm)
+        scale = np.fmax(np.fmax(_norms(e1), _norms(e2)), 1.0)
+        bent = nn > 1e-12 * scale * scale
+        off = np.abs(np.vecdot((folded[2] - folded[0])[bent],
+                               nrm[bent] / nn[bent, None]))
+        rigidity[bent] = np.fmax(rigidity[bent], off / scale[bent])
 
-    for i in range(p.m):
-        for j in range(p.n):
-            res = loop_closure_residual(p.vertex(i, j), prop.solutions[i][j])
-            closure = max(closure, res)
+    for k, prop in enumerate(props):
+        # the oracle reads these two only, and a blanket repeats a few
+        distinct = {(v.alpha, sol.rho): (v, sol)
+                    for vs, sols in zip(p.vertices, prop.solutions)
+                    for v, sol in zip(vs, sols)}
+        closure[k] = max(closure[k], *(loop_closure_residual(v, sol)
+                                       for v, sol in distinct.values()))
+        # a closure mismatch is the cause; a rigidity failure is its symptom
+        if closure[k] > TAU_CLOSURE:
+            raise ClosureViolation(
+                f"fold angles are inconsistent: closure residual "
+                f"{closure[k]:.3e} exceeds {TAU_CLOSURE:.1e}")
+        if rigidity[k] > TAU_RIGID:
+            raise RigidityViolation(
+                f"panel deformation {rigidity[k]:.3e} exceeds {TAU_RIGID:.1e}")
+    return tuple(FoldedState(coords[k], prop, float(rigidity[k]),
+                             float(closure[k])) for k, prop in enumerate(props))
 
-    # inconsistent input angles show up as closure mismatch first;
-    # rigidity failures on top of closure are a symptom, not the cause
-    if closure > TAU_CLOSURE:
-        raise ClosureViolation(
-            f"fold angles are inconsistent: closure residual "
-            f"{closure:.3e} exceeds {TAU_CLOSURE:.1e}"
-        )
-    if rigidity > TAU_RIGID:
-        raise RigidityViolation(
-            f"panel deformation {rigidity:.3e} exceeds {TAU_RIGID:.1e}"
-        )
-    return FoldedState(coords=coords, angles=prop,
-                       rigidity_residual=rigidity, closure_residual=closure)
+
+def realize(p: QuadPattern, prop: Propagation) -> FoldedState:
+    """Fold the pattern by a propagation's crease angles.
+
+    One row-major walk over the faces.  The top-left face stays in the
+    plane; every other face composes its walk parent's transform (the face
+    on its left, or above it in column 0) with the rotation about the
+    crossed crease line by that crease's folding angle, places the corners
+    no earlier face reached and is verified: each corner where the earlier
+    faces put it, the panel congruent to the layout (edge lengths,
+    diagonals, planarity).  Every vertex's folding angles must also close
+    under the rotation oracle.  The walk folds the layout, so a layout that
+    does not realize the vertex data (that of a `with_vertex` copy, which
+    keeps its parent's) is refused with LayoutFailure first.  `sweep` folds
+    all its frames in one such walk.
+    """
+    return _fold_frames(p, (prop,))[0]
 
 
 @dataclass(frozen=True)
@@ -205,31 +205,31 @@ def sweep(p: QuadPattern, branch_choice: BranchChoice = None,
           compat_tol: float = TAU_COMPAT) -> SweepResult:
     """Realize the folding motion over the certified interval.
 
-    Frames run from the trivial state (driving angle 0) to the certified
-    interval endpoint.  Each frame is fully verified; the maxima of the
-    per-frame residuals are reported.  `compat_tol` is the certification
-    bound (see `certify`).
+    Frames run from the trivial state (driving angle 0) to the endpoint of
+    the interval `certify` (memoised per pattern) gives for these
+    arguments.  All frames are folded and verified in one `realize` walk;
+    the maxima of the per-frame residuals are reported.  `compat_tol` is
+    the certification bound (see `certify`).
     """
     if n_frames < 1:
         raise ValueError("need at least one frame")
     report = certify(p, branch_choice, n_samples, compat_tol=compat_tol)
     if not report.verdict:
         raise ClosureViolation(
-            f"cannot sweep an uncertified pattern: {report.reason}"
-        )
-    t_end = report.interval[1]
-    tree = build_tree(p)
-    frames = []
-    ts = []
-    worst_r = worst_c = 0.0
-    for k in range(n_frames):
-        t = 0.0 if n_frames == 1 else t_end * k / (n_frames - 1)
-        prop = propagate(tree, t, branch_choice)
-        state = realize(p, prop)
-        frames.append(state)
-        ts.append(t)
-        worst_r = max(worst_r, state.rigidity_residual)
-        worst_c = max(worst_c, state.closure_residual)
-    return SweepResult(frames=tuple(frames), driving_angles=tuple(ts),
-                       max_rigidity_residual=worst_r,
-                       max_closure_residual=worst_c)
+            f"cannot sweep an uncertified pattern: {report.reason}")
+    t_end, tree = report.interval[1], build_tree(p)
+    ts = tuple(0.0 if n_frames == 1 else t_end * k / (n_frames - 1)
+               for k in range(n_frames))
+    props = []
+    for t in ts:
+        try:
+            props.append(propagate(tree, t, branch_choice))
+        except Exception:
+            if props:  # frame by frame, the earlier frames come first
+                _fold_frames(p, props)
+            raise
+    frames = _fold_frames(p, props)
+    return SweepResult(
+        frames=frames, driving_angles=ts,
+        max_rigidity_residual=max(s.rigidity_residual for s in frames),
+        max_closure_residual=max(s.closure_residual for s in frames))

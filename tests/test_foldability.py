@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from types import SimpleNamespace
@@ -6,6 +7,7 @@ import pytest
 
 from quadfold import (
     BranchId,
+    ClosureViolation,
     EmptyInterval,
     OutOfDomain,
     StitchPlan,
@@ -17,6 +19,7 @@ from quadfold import (
     mv_assignment,
     propagate,
     stitch,
+    sweep,
 )
 from quadfold import foldability
 from quadfold.errors import QuadfoldError, WrongClass
@@ -340,13 +343,103 @@ def test_propagate_matches_reference(equivalence_patterns):
 
 def test_certify_matches_reference_propagate(monkeypatch):
     """A herringbone 8x8 certify report is repr-equal to one built on the
-    reference propagation."""
-    p = stitch(herringbone_plan(8, 8, 94.0, 73.0))
-    report = certify(p)
-    monkeypatch.setattr(foldability, "propagate", _reference_propagate)
-    reference = certify(p)
+    reference propagation.  The reference side certifies a separately
+    stitched pattern of the same plan: the first pattern's memoised report
+    would answer for it otherwise."""
+    plan = herringbone_plan(8, 8, 94.0, 73.0)
+    report = certify(stitch(plan))
+    calls = []
+
+    def reference_propagate(*args):
+        calls.append(args)
+        return _reference_propagate(*args)
+
+    monkeypatch.setattr(foldability, "propagate", reference_propagate)
+    reference = certify(stitch(plan))
+    assert len(calls) > 200
     assert repr(report) == repr(reference)
     assert report.branch_choice == reference.branch_choice
+
+
+class TestCertifyMemo:
+    """`certify` keeps its reports on the pattern, keyed by its arguments."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Every propagate call, through either module's binding (the
+        package binds the function `realize` over the module's name)."""
+        realize_mod = importlib.import_module("quadfold.realize")
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return propagate(*args)
+
+        monkeypatch.setattr(foldability, "propagate", counting)
+        monkeypatch.setattr(realize_mod, "propagate", counting)
+        return calls
+
+    def test_same_arguments_same_report(self):
+        p = stitch(showcase_b_plan())
+        assert certify(p) is certify(p)
+        # the branch grid is normalised before it is looked up
+        assert certify(p, p.branch_default) is certify(p)
+        assert certify(p, [list(row) for row in p.branch_default]) is \
+            certify(p)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((None, 50), {}),
+        ((None,), {"compat_tol": 1e-15}),
+        ((BranchId.BRANCH_2,), {}),
+    ])
+    def test_other_arguments_recompute(self, counted, args, kwargs):
+        p = stitch(showcase_b_plan())
+        first = certify(p)
+        counted.clear()
+        other = certify(p, *args, **kwargs)
+        assert other is not first
+        assert len(counted) > 0
+        counted.clear()
+        assert certify(p, *args, **kwargs) is other
+        assert counted == []
+        fresh = certify(stitch(showcase_b_plan()), *args, **kwargs)
+        assert repr(other) == repr(fresh)
+
+    def test_sweep_reuses_the_report(self, counted):
+        p = stitch(herringbone_plan(8, 8, 95.0, 72.0))
+        certify(p)
+        counted.clear()
+        sweep(p, n_frames=12)
+        assert len(counted) == 12
+
+    def test_uncertified_pattern_still_refused(self, pat_b):
+        bad = [list(row) for row in pat_b.branch_default]
+        bad[2][0] = BranchId.BRANCH_2
+        p = stitch(showcase_b_plan())
+        assert not certify(p, bad, 40).verdict
+        for _ in range(2):
+            with pytest.raises(ClosureViolation, match="uncertified"):
+                sweep(p, bad, 4, n_samples=40)
+
+    def test_refusals_are_not_memoised(self):
+        p = stitch(showcase_a_plan())
+        for _ in range(2):
+            with pytest.raises(ValueError, match="n_samples"):
+                certify(p, None, 1)
+        with pytest.raises(ValueError, match="3x3 grid"):
+            certify(p, [[BranchId.BRANCH_1]])
+        assert p.certified == {}
+
+    def test_copies_start_without_reports(self, pat_a):
+        report = certify(pat_a, None, 60)
+        alpha = list(pat_a.vertex(1, 1).alpha)
+        alpha[0] += deg(0.5)
+        alpha[2] -= deg(0.5)
+        bad = pat_a.with_vertex(1, 1, Vertex4(alpha))
+        assert bad.certified == {}
+        assert not certify(bad, None, 60).verdict
+        assert report.verdict and certify(pat_a, None, 60) is report
+        assert pat_a.relayout(pat_a.plan.lengths).certified == {}
 
 
 class TestLargerBlankets:

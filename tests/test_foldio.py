@@ -22,8 +22,10 @@ from quadfold import (
     realize,
     solve_ff_unit,
     stitch,
+    sweep,
 )
 from quadfold.cli import main
+from quadfold.config import TAU_FLAT
 from quadfold.fixtures import showcase_a_plan, showcase_b_plan, square_grid_plan
 
 deg = math.radians
@@ -76,6 +78,18 @@ def _boundary_folded(p, doc):
     k = _edge_of_kind(p, "boundary")
     doc["edges_assignment"][k] = "V"
     doc["edges_foldAngle"][k] = 30.0
+
+
+def _boundary_angled(p, doc):
+    doc["edges_foldAngle"][_edge_of_kind(p, "boundary")] = 30.0
+
+
+def _flat_crease_angled(angle):
+    def edit(p, doc):
+        k = _edge_of_kind(p, "row")
+        assert doc["edges_assignment"][k] == "F"
+        doc["edges_foldAngle"][k] = angle
+    return edit
 
 
 def _edges_swapped(p, doc):
@@ -213,6 +227,35 @@ class TestFold:
                            match=re.escape(f"edges_assignment[{k}]")):
             import_fold(doc)
 
+    def test_import_reads_a_nearly_flat_f(self, pat_a):
+        doc = export_fold(pat_a)
+        _flat_crease_angled(0.5 * math.degrees(TAU_FLAT))(pat_a, doc)
+        _boundary_angled(pat_a, doc)
+        doc["edges_foldAngle"][_edge_of_kind(pat_a, "boundary")] = -0.0
+        assert import_fold(doc).grid.shape == pat_a.grid.shape
+
+    def test_export_refuses_a_folded_f(self, pat_a):
+        """An `mv` override holds to import's rule: F only on a crease
+        folded less than TAU_FLAT."""
+        prop = propagate(build_tree(pat_a), deg(12), None)
+        state = realize(pat_a, prop)
+        kind, a, b = next(e for e in pat_a.edges() if e[0] != "boundary"
+                          and abs(prop.edge_angle(*e)) > 0.01)
+        with pytest.raises(SerializationError, match="assignment F "
+                           "contradicts fold angle"):
+            export_fold(state, {(a, b): "F"}, pattern=pat_a)
+        flat = export_fold(pat_a, {(a, b): "F"})
+        assert import_fold(flat).grid.shape == pat_a.grid.shape
+
+    def test_every_exported_frame_imports(self):
+        """What export writes, import reads: every frame of the showcase
+        sweeps."""
+        for plan in (showcase_a_plan(), showcase_b_plan()):
+            p = stitch(plan)
+            for state in sweep(p, None, 12, n_samples=40).frames:
+                doc = fold_dumps(export_fold(state, pattern=p))
+                assert import_fold(doc).grid.shape == p.grid.shape
+
     def test_import_requires_core_fields(self):
         with pytest.raises(SerializationError):
             import_fold({"vertices_coords": []})
@@ -263,6 +306,15 @@ class TestFold:
          r"edges_assignment\[\d+\] is 'B' on crease"),
         (_boundary_folded,
          r"edges_assignment\[\d+\] is 'V' on boundary edge"),
+        (_boundary_angled,
+         r"edges_foldAngle\[\d+\] is 30.0 on boundary edge .* does not fold"),
+        (_flat_crease_angled(30.0),
+         r"edges_assignment\[\d+\] F on crease \[\d+, \d+\] contradicts "
+         r"edges_foldAngle\[\d+\] 30.0"),
+        (_flat_crease_angled(-170.0),
+         r"F on crease .* contradicts edges_foldAngle\[\d+\] -170.0"),
+        (_flat_crease_angled(-math.degrees(TAU_FLAT)),
+         r"F on crease .* contradicts edges_foldAngle"),
         (_edges_swapped, re.escape("edges_vertices[0]")),
         (_edge_reversed, re.escape("edges_vertices[3]")),
         (_edge_replaced, re.escape("edges_vertices[0] is [0, 7]")),

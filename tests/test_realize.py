@@ -1,4 +1,7 @@
+import importlib
+import itertools
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -8,13 +11,18 @@ from quadfold import (
     ClosureViolation,
     LayoutFailure,
     OutOfDomain,
+    QuadfoldError,
+    RigidityViolation,
     Vertex4,
     build_tree,
+    certify,
+    loop_closure_residual,
     propagate,
     realize,
     stitch,
     sweep,
 )
+from quadfold.pattern import check_layout_angles
 from quadfold.fixtures import (
     herringbone_plan,
     showcase_a_plan,
@@ -22,6 +30,8 @@ from quadfold.fixtures import (
     square_grid_plan,
 )
 
+# the package binds the function `realize` over the module's name
+realize_mod = importlib.import_module("quadfold.realize")
 deg = math.radians
 
 
@@ -128,6 +138,222 @@ class TestSweep:
         p = stitch(square_grid_plan(2, 2))
         res = sweep(p, None, 5, n_samples=30)
         assert res.max_rigidity_residual < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# reference: the frame-by-frame fold
+# ---------------------------------------------------------------------------
+
+
+def _reference_rot_about_line(point, direction, angle):
+    ux, uy, uz = direction
+    c, s = math.cos(angle), math.sin(angle)
+    C = 1.0 - c
+    R = np.array((
+        (c + ux * ux * C, ux * uy * C - uz * s, ux * uz * C + uy * s),
+        (uy * ux * C + uz * s, c + uy * uy * C, uy * uz * C - ux * s),
+        (uz * ux * C - uy * s, uz * uy * C + ux * s, c + uz * uz * C),
+    ))
+    T = np.eye(4)
+    T[:3, :3] = R
+    T[:3, 3] = point - R @ point
+    return T
+
+
+def _reference_realize(p, prop):
+    """`realize` as it stood before all frames were folded in one walk: one
+    frame, one face at a time, on 3- and 4-vectors."""
+    grid2 = p.grid
+    check_layout_angles(p.vertices, grid2)
+    coords = np.zeros((p.m + 2, p.n + 2, 3))
+    transforms = {}
+    closure = 0.0
+    rigidity = 0.0
+    for r, c in p.faces():
+        if (r, c) == (0, 0):
+            T = np.eye(4)
+        else:
+            if c > 0:
+                parent, kind, a_pt, b_pt = (r, c - 1), "col", (r, c), (r + 1, c)
+                sign = 1.0
+            else:
+                parent, kind, a_pt, b_pt = (r - 1, c), "row", (r, c), (r, c + 1)
+                sign = -1.0
+            pa = np.array([*grid2[a_pt], 0.0])
+            pb = np.array([*grid2[b_pt], 0.0])
+            d = pb - pa
+            d /= np.linalg.norm(d)
+            T = transforms[parent] @ _reference_rot_about_line(
+                pa, d, sign * prop.edge_angle(kind, a_pt, b_pt)
+            )
+        transforms[(r, c)] = T
+        corners = p.face_corners(r, c)
+        flat = [grid2[q] for q in corners]
+        own = [(T @ np.array([*q2, 0.0, 1.0]))[:3] for q2 in flat]
+        for (qr, qc), x in zip(corners, own):
+            if (qr > r or r == 0) and (qc > c or c == 0):
+                coords[qr, qc] = x
+        folded = [coords[q] for q in corners]
+        for x, q3 in zip(own, folded):
+            closure = max(closure, float(np.linalg.norm(x - q3)))
+        idx = ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3))
+        for a_i, b_i in idx:
+            d2 = np.linalg.norm(flat[a_i] - flat[b_i])
+            d3 = np.linalg.norm(folded[a_i] - folded[b_i])
+            rigidity = max(rigidity, abs(d3 - d2) / max(d2, 1.0))
+        e1 = folded[1] - folded[0]
+        e2 = folded[3] - folded[0]
+        nrm = np.cross(e1, e2)
+        nn = np.linalg.norm(nrm)
+        scale = max(np.linalg.norm(e1), np.linalg.norm(e2), 1.0)
+        if nn > 1e-12 * scale * scale:
+            off = abs(float(np.dot(folded[2] - folded[0], nrm / nn)))
+            rigidity = max(rigidity, off / scale)
+
+    for i in range(p.m):
+        for j in range(p.n):
+            res = loop_closure_residual(p.vertex(i, j), prop.solutions[i][j])
+            closure = max(closure, res)
+
+    # the bounds are read where `realize` reads them, so a test may move both
+    tau_closure, tau_rigid = realize_mod.TAU_CLOSURE, realize_mod.TAU_RIGID
+    if closure > tau_closure:
+        raise ClosureViolation(
+            f"fold angles are inconsistent: closure residual "
+            f"{closure:.3e} exceeds {tau_closure:.1e}"
+        )
+    if rigidity > tau_rigid:
+        raise RigidityViolation(
+            f"panel deformation {rigidity:.3e} exceeds {tau_rigid:.1e}"
+        )
+    return coords, rigidity, closure
+
+
+def _reference_sweep(p, n_frames, n_samples, propagate_fn=propagate):
+    """`sweep`'s frame loop as it stood: propagate, then fold, frame by
+    frame; a frame's error ends the loop."""
+    t_end = certify(p, None, n_samples).interval[1]
+    tree = build_tree(p)
+    frames = []
+    for k in range(n_frames):
+        t = 0.0 if n_frames == 1 else t_end * k / (n_frames - 1)
+        frames.append(_reference_realize(p, propagate_fn(tree, t, None)))
+    return frames
+
+
+def _outcome(fn):
+    """Each frame's coordinate bytes and residual reprs, or the exception's
+    type and message.  A residual is compared as a float: the reference
+    mixes numpy and Python scalars, `realize` reports floats."""
+    try:
+        frames = fn()
+    except QuadfoldError as exc:
+        return type(exc), str(exc)
+    return [(coords.tobytes(), repr(float(rigidity)), repr(float(closure)))
+            for coords, rigidity, closure in frames]
+
+
+def _state_outcome(states):
+    for s in states:
+        assert type(s.rigidity_residual) is float
+        assert type(s.closure_residual) is float
+    return [(s.coords.tobytes(), repr(s.rigidity_residual),
+             repr(s.closure_residual)) for s in states]
+
+
+def _bench_herringbones():
+    """Five seeded 8x8 herringbones from the benchmark's (a, c) range."""
+    rng = random.Random(12)
+    return [herringbone_plan(8, 8, rng.uniform(93.0, 97.0),
+                             rng.uniform(70.0, 74.0)) for _ in range(5)]
+
+
+_FOLD_CASES = ([("showcase_a", showcase_a_plan(), 240),
+                ("showcase_b", showcase_b_plan(), 240)]
+               + [(f"herringbone_8x8_{k}", plan, 12)
+                  for k, plan in enumerate(_bench_herringbones())]
+               + [("herringbone_32x32", herringbone_plan(32, 32), 3)])
+
+
+@pytest.mark.parametrize("name, plan, n_frames", _FOLD_CASES,
+                         ids=[case[0] for case in _FOLD_CASES])
+def test_one_walk_fold_matches_reference(name, plan, n_frames):
+    """Folding every frame in one walk changes no bit: each frame's
+    coordinates and residuals from `sweep`, and from `realize` of the same
+    propagation, equal the frame-by-frame reference's."""
+    p = stitch(plan)
+    n_samples = 40
+    ref = _reference_sweep(p, n_frames, n_samples)
+    want = _outcome(lambda: ref)
+    res = sweep(p, None, n_frames, n_samples=n_samples)
+    assert _state_outcome(res.frames) == want
+    assert repr(res.max_rigidity_residual) == repr(
+        max(float(r) for _, r, _ in ref))
+    assert repr(res.max_closure_residual) == repr(
+        max(float(c) for _, _, c in ref))
+    tree = build_tree(p)
+    for k in (1, n_frames // 2, n_frames - 1):
+        prop = propagate(tree, res.driving_angles[k], None)
+        assert _state_outcome([realize(p, prop)]) == [want[k]]
+
+
+def _tampered(bad=(), fail_at=None):
+    """`propagate` with the U crease of vertex (1, 1) moved by 0.2 rad at
+    the frames in `bad`, refusing with OutOfDomain from frame `fail_at`."""
+    count = itertools.count()
+
+    def tampered(tree, t, choice=None):
+        k = next(count)
+        if fail_at is not None and k >= fail_at:
+            raise OutOfDomain(f"frame {k} refused")
+        prop = propagate(tree, t, choice)
+        if k in bad:
+            sols = [list(row) for row in prop.solutions]
+            rho = sols[1][1].rho
+            sols[1][1] = replace(sols[1][1], rho=(rho[0] + 0.2,) + rho[1:])
+            prop = replace(prop, solutions=tuple(tuple(r) for r in sols))
+        return prop
+
+    return tampered
+
+
+@pytest.mark.parametrize("bad, fail_at, tau_closure, raised", [
+    ((3,), None, None, ClosureViolation),
+    ((5, 2), None, None, ClosureViolation),
+    ((0,), None, None, ClosureViolation),
+    ((2,), 5, None, ClosureViolation),
+    ((), 4, None, OutOfDomain),
+    ((), 0, None, OutOfDomain),
+    # with the closure bound out of the way the same frames fail rigidity
+    ((3,), None, 10.0, RigidityViolation),
+    ((6,), 4, 10.0, OutOfDomain),
+])
+def test_sweep_raises_as_frame_by_frame(monkeypatch, pat_a, bad, fail_at,
+                                        tau_closure, raised):
+    """`sweep` raises what the frame-by-frame loop raised, type and
+    message: the first failing frame's ClosureViolation before its
+    RigidityViolation, and a violation in the frames before a failed
+    propagation before that failure."""
+    if tau_closure is not None:
+        monkeypatch.setattr(realize_mod, "TAU_CLOSURE", tau_closure)
+    want = _outcome(lambda: _reference_sweep(pat_a, 8, 40,
+                                             _tampered(bad, fail_at)))
+    monkeypatch.setattr(realize_mod, "propagate", _tampered(bad, fail_at))
+    with pytest.raises(raised) as exc:
+        sweep(pat_a, None, 8, n_samples=40)
+    assert (type(exc.value), str(exc.value)) == want
+
+
+def test_realize_refuses_as_frame_by_frame(pat_a):
+    """An inconsistent propagation is refused with the reference's
+    exception, type and message."""
+    tree = build_tree(pat_a)
+    bad = _tampered(bad=(0,))(tree, deg(12))
+    want = _outcome(lambda: [_reference_realize(pat_a, bad)])
+    assert want[0] is ClosureViolation
+    with pytest.raises(ClosureViolation) as exc:
+        realize(pat_a, bad)
+    assert (type(exc.value), str(exc.value)) == want
 
 
 def test_valley_sign_is_toward_the_viewer():

@@ -22,7 +22,9 @@ where the call raises:
   uniform curve-branch choices of showcases A and B, four seeded 8x8
   herringbones and a 4x4 herringbone, and the text of the FOLD and OBJ
   exports of a 6-frame `sweep` of each of those blankets that certifies on
-  its default branches;
+  its default branches, with each frame's rigidity and closure residuals
+  in full precision (so a residual bit that moves shows, not only the
+  12-digit exports);
 * derived blankets: the `certify` report (49 samples) of every half-degree
   `with_vertex` perturbation of showcases A and B (each vertex, sector pair
   (k, k+2) moved by +-0.5 degree), the `valid_branch_pairs` of every unit of
@@ -32,8 +34,8 @@ where the call raises:
   herringbone (crease lengths 0.2-3, boundary 0.2-4).  Only those whose
   faces this tool's own geometry check finds simple and counter-clockwise
   are kept (no two opposite edges cross, positive shoelace area), and each
-  kept one gives its `certify` report and the FOLD and OBJ text of a
-  6-frame `sweep`.
+  kept one gives its `certify` report and the FOLD and OBJ text and the
+  residuals of a 6-frame `sweep`.
 
 One line per text gives that text's own hash, so a diff of two outputs names
 the texts that moved; the last line is the total.  It is a comparison tool,
@@ -247,6 +249,10 @@ def _sweep_texts(name, p):
     for k, state in enumerate(motion.frames):
         yield f"{name} frame {k} fold", fold_dumps(export_fold(state, pattern=p))
         yield f"{name} frame {k} obj", export_obj(state, p)
+        # as floats: the digest is of the value, whatever its scalar type
+        yield (f"{name} frame {k} residuals",
+               repr((float(state.rigidity_residual),
+                     float(state.closure_residual))))
 
 
 def _cross(o, a, b) -> float:
