@@ -39,7 +39,14 @@ def _parse_alphas(text: str, count: int):
         raise argparse.ArgumentTypeError(
             f"expected {count} comma-separated angles, got {len(parts)}"
         )
-    return [math.radians(float(p)) for p in parts]
+    angles = []
+    for p in parts:
+        try:
+            angles.append(math.radians(float(p)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"angle {p.strip()!r} is not a number") from None
+    return angles
 
 
 def _branch_token(text: str) -> BranchId:
@@ -117,7 +124,7 @@ def _cmd_unit_validate(args, cfg):
     if report.degenerate_shared:
         print("note: connecting crease stays flat on this branch pair; "
               "validated through the side creases")
-    ok = report.valid(cfg.tolerances.unit)
+    ok = report.valid(cfg.tau_unit)
     print("valid" if ok else "INVALID")
     return 0 if ok else 1
 
@@ -157,7 +164,7 @@ def _cmd_pattern_certify(args, cfg):
     p = _load_pattern(args.pattern)
     branches = _parse_branch_spec(args.branches, p)
     samples = cfg.samples if args.samples is None else args.samples
-    report = certify(p, branches, samples, compat_tol=cfg.tolerances.compat)
+    report = certify(p, branches, samples, compat_tol=cfg.tau_compat)
     print(report.summary())
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -177,7 +184,7 @@ def _cmd_pattern_sweep(args, cfg):
     branches = _parse_branch_spec(args.branches, p)
     frames = cfg.frames if args.frames is None else args.frames
     result = sweep(p, branches, frames, n_samples=cfg.samples,
-                   compat_tol=cfg.tolerances.compat)
+                   compat_tol=cfg.tau_compat)
     os.makedirs(args.out_dir, exist_ok=True)
     for k, state in enumerate(result.frames):
         if args.format == "obj":
@@ -200,7 +207,7 @@ def _cmd_pattern_svg(args, cfg):
     mv = None
     if args.rho is not None:
         mv = mv_assignment(p, None, math.radians(args.rho),
-                           flat_tol=cfg.tolerances.flat)
+                           flat_tol=cfg.tau_flat)
     svg = export_svg(p, mv)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)

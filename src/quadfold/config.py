@@ -2,7 +2,8 @@
 
 The module-level constants are the library defaults.  The CLI lets a JSON
 file named by the QUADFOLD_CONFIG environment variable override exactly the
-values it passes on: three tolerances (`Tolerances`) and two counts.
+values it passes on, the fields of `CliConfig`: three tolerances and two
+counts.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 # classification sums (radians)
 TAU_ANGLE = 1e-9
@@ -40,36 +41,29 @@ TAU_FLAT = 1e-9
 DEFAULT_SAMPLES = 200
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """The tolerances the CLI passes on: unit validation, cut-crease
-    compatibility and the flat-crease threshold of mountain/valley labels."""
-
-    unit: float = TAU_UNIT
-    compat: float = TAU_COMPAT
-    flat: float = TAU_FLAT
-
-    def __post_init__(self):
-        for f in fields(self):
-            x = getattr(self, f.name)
-            if type(x) not in (int, float) or not (math.isfinite(x) and x > 0):
-                raise ValueError(
-                    f"tau_{f.name} must be a positive finite number, got {x!r}"
-                )
-
-
 @dataclass
 class CliConfig:
-    """Runtime configuration for the command-line interface.
+    """Runtime configuration for the command-line interface: the tolerances
+    it passes on (unit validation, cut-crease compatibility and the
+    flat-crease threshold of mountain/valley labels) and the sample and
+    frame counts.  Each field is named as its $QUADFOLD_CONFIG key.
 
     All angle I/O at the CLI boundary is in degrees; internals are radians.
     """
 
-    tolerances: Tolerances = field(default_factory=Tolerances)
+    tau_unit: float = TAU_UNIT
+    tau_compat: float = TAU_COMPAT
+    tau_flat: float = TAU_FLAT
     samples: int = DEFAULT_SAMPLES
     frames: int = 30
 
     def __post_init__(self):
+        for name in ("tau_unit", "tau_compat", "tau_flat"):
+            x = getattr(self, name)
+            if type(x) not in (int, float) or not (math.isfinite(x) and x > 0):
+                raise ValueError(
+                    f"{name} must be a positive finite number, got {x!r}"
+                )
         for name, least in (("samples", 2), ("frames", 1)):
             x = getattr(self, name)
             if type(x) is not int or x < least:
@@ -99,13 +93,8 @@ class CliConfig:
                 "unknown key " + ", ".join(map(repr, unknown))
                 + "; allowed keys are " + ", ".join(CONFIG_KEYS)
             )
-        tolerances = Tolerances(**{
-            f.name: raw[f"tau_{f.name}"] for f in fields(Tolerances)
-            if f"tau_{f.name}" in raw
-        })
-        return cls(tolerances, **{k: raw[k] for k in _COUNTS if k in raw})
+        return cls(**raw)
 
 
-_COUNTS = ("samples", "frames")
 # every key $QUADFOLD_CONFIG may set
-CONFIG_KEYS = tuple(f"tau_{f.name}" for f in fields(Tolerances)) + _COUNTS
+CONFIG_KEYS = tuple(f.name for f in fields(CliConfig))

@@ -242,7 +242,10 @@ def certify(p: QuadPattern, branch_choice: BranchChoice = None,
     Reports are memoised on the pattern, by branch grid, `n_samples` and
     `compat_tol`: the pattern and the report are immutable, so asking
     again returns the same report object.  A refusal is not memoised.
+    `n_samples` below 2 is refused before any propagation runs.
     """
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2")
     branches = _branch_grid(p, branch_choice)
     key = (branches, n_samples, compat_tol)
     report = p.certified.get(key)
@@ -261,8 +264,6 @@ def _certify(p: QuadPattern, branches, n_samples: int,
             "no driving interval: the tree cannot move away from the "
             "trivial state on these branches"
         )
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
 
     grid = [t_max * (2.0 * k / (n_samples - 1) - 1.0) for k in range(n_samples)]
     residuals = []

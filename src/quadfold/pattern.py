@@ -37,7 +37,7 @@ from .errors import (
     ValidationFailed,
 )
 from .units import UNIT_KINDS, FFUnitMode, Unit, identical_vertex_unit, \
-    json_numbers, json_token, make_flatfoldable_basic_unit, \
+    json_keys, json_numbers, json_token, make_flatfoldable_basic_unit, \
     make_straightline_unit, solve_ff_unit, valid_branch_pairs, validate_unit
 from .vertex import BranchId, Vertex4, normalize_angle
 
@@ -113,6 +113,8 @@ class StitchPlan:
         if not isinstance(doc, dict):
             raise ValidationFailed(
                 f"a plan must be a JSON object, got {doc!r}")
+        json_keys(doc, ("columns", "top_lengths", "left_lengths",
+                        "boundary_length"), "a plan")
         cols = doc.get("columns")
         if not isinstance(cols, (list, tuple)) or not all(
                 isinstance(col, (list, tuple)) for col in cols):
@@ -131,6 +133,15 @@ class StitchPlan:
         return cls(columns=columns, lengths=lengths)
 
 
+# the keys of each constructor descriptor, by kind
+_DESCRIPTOR_KEYS = {
+    "straight_line": ("kind", "alphas_deg"),
+    "flat_foldable_basic": ("kind", "alphas_deg"),
+    "flat_foldable": ("kind", "alphas_deg", "mode"),
+    "custom": ("kind", "mirror_of_deg", "branch"),
+}
+
+
 def unit_from_descriptor(d: dict) -> Unit:
     """Build a unit from a plan descriptor.
 
@@ -142,8 +153,8 @@ def unit_from_descriptor(d: dict) -> Unit:
     * ``{"kind": "flat_foldable", "alphas_deg": [a1, a2, a3], "mode": "10a-2"}``
     * ``{"kind": "custom", "mirror_of_deg": [a1..a4], "branch": "1"}``
 
-    Anything else, a missing key or a malformed value is refused with a
-    ValidationFailed that names it.
+    Anything else, a missing or unknown key or a malformed value is refused
+    with a ValidationFailed that names it.
     """
     if not isinstance(d, dict):
         raise ValidationFailed(f"a unit descriptor must be a JSON object, "
@@ -151,6 +162,8 @@ def unit_from_descriptor(d: dict) -> Unit:
     if "sector_deg" in d:
         return Unit.from_json(d)
     kind = d.get("kind", "custom")
+    if isinstance(kind, str) and kind in _DESCRIPTOR_KEYS:
+        json_keys(d, _DESCRIPTOR_KEYS[kind], f"a {kind} unit descriptor")
     if kind == "straight_line":
         return make_straightline_unit(
             Vertex4.from_degrees(json_numbers(d, "alphas_deg", 4)))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-from .config import TAU_ANGLE, TAU_UNIT
+from .config import TAU_UNIT
 from .errors import (
     DegenerateVertex,
     EmptyInterval,
@@ -196,6 +196,8 @@ class Unit:
     def from_json(cls, doc: dict) -> "Unit":
         sector = [math.radians(float(x))
                   for x in json_numbers(doc, "sector_deg", 8)]
+        json_keys(doc, ("sector_deg", "signs", "branches", "crease_lengths",
+                        "kind", "mode"), "a unit document")
         top = Vertex4(sector[:4])
         bottom = Vertex4(sector[4:]).shifted(2)  # role -> stored labels
         signs = doc.get("signs", (1, 1))
@@ -229,6 +231,16 @@ class Unit:
             kind=doc.get("kind", "custom"),
             mode=mode,
         )
+
+
+def json_keys(doc: dict, allowed: tuple, what: str):
+    """ValidationFailed, naming the key, when the object `doc` holds a key
+    outside `allowed`; `what` names the object in the message."""
+    for key in doc:
+        if key not in allowed:
+            raise ValidationFailed(
+                f"unknown key {key!r} in {what}; allowed keys are "
+                + ", ".join(allowed))
 
 
 def json_numbers(doc: dict, key: str, count: Optional[int] = None) -> list:
@@ -287,33 +299,30 @@ def validate_unit(u: Unit, n_samples: int = 200) -> UnitReport:
         raise ValueError("n_samples must be >= 2")
     s2, s4 = u.signs
     t_max = _shared_interval(u)
-
-    if t_max > 1e-9:
-        worst24 = worst47 = 0.0
-        for k in range(n_samples):
-            t = t_max * (2.0 * k / (n_samples - 1) - 1.0)
-            st = u.solve(t)
-            worst24 = max(worst24, abs(normalize_angle(st.rho[1] - s2 * st.rho[4])))
-            worst47 = max(worst47, abs(normalize_angle(st.rho[3] - s4 * st.rho[6])))
-        return UnitReport(worst24, worst47, n_samples, (-t_max, t_max), False)
-
-    # shared crease never folds on this branch pair: drive the left pair
-    s_max = min(_reach(u.top, u.branch_top, 1), _reach(u.bottom, u.branch_bottom, 1))
-    if s_max <= 1e-9:
-        raise EmptyInterval(
-            "the unit's common fold interval on this branch pair is {0}"
-        )
+    shared = t_max > 1e-9
+    if not shared:
+        t_max = min(_reach(u.top, u.branch_top, 1),
+                    _reach(u.bottom, u.branch_bottom, 1))
+        if t_max <= 1e-9:
+            raise EmptyInterval(
+                "the unit's common fold interval on this branch pair is {0}"
+            )
     worst24 = worst47 = 0.0
     for k in range(n_samples):
-        s = s_max * (2.0 * k / (n_samples - 1) - 1.0)
-        if abs(s) < 1e-14:
+        t = t_max * (2.0 * k / (n_samples - 1) - 1.0)
+        if shared:
+            st = solve_at_crease(u.top, 3, t, u.branch_top)
+            sb = solve_at_crease(u.bottom, 1, t, u.branch_bottom)
+            d24 = st.rho[1] - s2 * sb.rho[1]
+        elif abs(t) < 1e-14:
             continue
-        st_top = solve_at_crease(u.top, 2, s, u.branch_top)
-        st_bot = solve_at_crease(u.bottom, 2, s2 * s, u.branch_bottom)
-        # shared crease must agree (and stays flat on these branches)
-        worst24 = max(worst24, abs(normalize_angle(st_top.rho[2] - st_bot.rho[0])))
-        worst47 = max(worst47, abs(normalize_angle(st_top.rho[3] - s4 * st_bot.rho[3])))
-    return UnitReport(worst24, worst47, n_samples, (-s_max, s_max), True)
+        else:
+            st = solve_at_crease(u.top, 2, t, u.branch_top)
+            sb = solve_at_crease(u.bottom, 2, s2 * t, u.branch_bottom)
+            d24 = st.rho[2] - sb.rho[0]  # the shared crease, flat on both
+        worst24 = max(worst24, abs(normalize_angle(d24)))
+        worst47 = max(worst47, abs(normalize_angle(st.rho[3] - s4 * sb.rho[3])))
+    return UnitReport(worst24, worst47, n_samples, (-t_max, t_max), not shared)
 
 
 def _validated(u: Unit, n_samples: int, what: str) -> Unit:
@@ -380,8 +389,6 @@ def make_flatfoldable_basic_unit(alpha1: float, alpha2: float) -> Unit:
     """Identical-vertex flat-foldable unit from its two free sector angles."""
     _check_open_interval(alpha1, "alpha1")
     _check_open_interval(alpha2, "alpha2")
-    if abs(alpha1 - math.pi / 2) <= TAU_ANGLE and abs(alpha2 - math.pi / 2) <= TAU_ANGLE:
-        raise DegenerateVertex("alpha1 = alpha2 = pi/2 admits no transmission")
     v = Vertex4((alpha1, alpha2, math.pi - alpha1, math.pi - alpha2))
     return identical_vertex_unit(v, BranchId.BRANCH_1, mirrored=False,
                                  kind="flat_foldable_basic", n_samples=200)
@@ -407,11 +414,6 @@ def solve_ff_unit(alpha1: float, alpha2: float, alpha3: float,
     alpha4 = mode.alpha4(alpha1, alpha2, alpha3)
     if not (0.0 < alpha4 < math.pi):
         raise InvalidAngle(f"mode {mode.value} yields alpha4 = {alpha4!r}")
-    for a, b in ((alpha1, alpha2), (alpha3, alpha4)):
-        if abs(a - math.pi / 2) <= TAU_ANGLE and abs(b - math.pi / 2) <= TAU_ANGLE:
-            raise DegenerateVertex(
-                "both free angles of one vertex equal pi/2; no transmission"
-            )
     top = Vertex4((alpha1, alpha2, math.pi - alpha1, math.pi - alpha2))
     bottom = Vertex4((math.pi - alpha3, math.pi - alpha4, alpha3, alpha4))
     unit = Unit(top=top, bottom=bottom, branch_top=mode.branch,

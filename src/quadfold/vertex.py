@@ -278,8 +278,8 @@ class _BranchParam:
     Subclasses define `fn(r)`, the unnormalized (lifted) folding angles in
     stored labels; `base` holds the multiples of 2*pi they start from at the
     flat state.  Subclasses also define `invert(comp, angle)`: the r at
-    which rho[comp] equals `angle` in closed form, or None where the branch
-    has none and `solve_at_crease` bisects.
+    which rho[comp] equals `angle`, in closed form where the branch has one
+    and by bisection (`_ArccosCurve.bisect`) otherwise.
     """
 
     __slots__ = ()
@@ -327,7 +327,7 @@ class _FFCurve(_BranchParam):
         self.branch = branch
         if branch is BranchId.BRANCH_1:
             self.K = math.sin((a2 - a1) / 2.0) / math.sin((a2 + a1) / 2.0)
-        else:  # a1 + a2 = pi is the pole, a segment in _branch_param_cached
+        else:  # a1 + a2 = pi is the pole, a segment in _branch_param
             self.K = -math.cos((a2 - a1) / 2.0) / math.cos((a2 + a1) / 2.0)
 
     def fn(self, r: float) -> tuple:
@@ -490,29 +490,55 @@ class _ArccosCurve(_BranchParam):
                                  self.base)))
         return min(m, (math.pi + _WRAP_SLACK - worst) / math.pi)
 
-    def component_lift(self, comp: int) -> Callable[[float], float]:
-        """r -> self.lift(r)[comp], equal bit for bit and raising
-        OutOfDomain at the same r, but evaluating only that component: the
-        sector trig is computed once here, and each call takes arccos only
-        of the arguments the component reads (the others are still
-        range-checked)."""
+    def bisect(self, comp: int, target: float) -> float:
+        """The r where the lift of rho[comp], continuous and strictly
+        monotone over [-r_max, r_max], equals `target` or target -/+ 2*pi.
+        Each step evaluates only that component, bit for bit
+        `self.lift(r)[comp]` (every arccos argument range-checked), with the
+        sector trig computed once; an exact zero returns its point, else the
+        bracket halves to 1e-15 or 90 times and its midpoint is returned."""
         trig = self.trig()
         fn = self.rhos[comp]
-        b = self.base[comp]
-        hi, lo = 1.0 + _EVAL_CLAMP, -1.0 - _EVAL_CLAMP
+        base = self.base[comp]
+        top, bottom = 1.0 + _EVAL_CLAMP, -1.0 - _EVAL_CLAMP
 
         def lift(r: float) -> float:
             rr = abs(r)
             g = _arccos_args(trig, rr)
             for x in g:  # every argument, as in the full evaluation
-                if x > hi or x < lo:
+                if x > top or x < bottom:
                     clamped_acos(x, _EVAL_CLAMP)  # raises OutOfDomain
             x = fn(g, rr)
             if r >= 0:
-                return x - b
-            return -x + b
+                return x - base
+            return -x + base
 
-        return lift
+        lo, hi = -self.r_max, self.r_max
+        vlo, vhi = lift(lo), lift(hi)
+        for t in (target, target - TWO_PI, target + TWO_PI):
+            a, b, fa, fb = lo, hi, vlo - t, vhi - t
+            if fa == 0.0:
+                return a
+            if fb == 0.0:
+                return b
+            if fa * fb > 0.0:
+                continue
+            for _ in range(90):
+                mid = 0.5 * (a + b)
+                fm = lift(mid) - t
+                if fm == 0.0:
+                    return mid
+                if (fm > 0.0) == (fb > 0.0):
+                    b, fb = mid, fm
+                else:
+                    a, fa = mid, fm
+                if b - a < 1e-15:
+                    break
+            return 0.5 * (a + b)
+        raise OutOfDomain(
+            f"target angle {target!r} outside the image of rho{comp + 1} "
+            "on this branch"
+        )
 
 
 class _GenericCurve(_ArccosCurve):
@@ -525,13 +551,13 @@ class _GenericCurve(_ArccosCurve):
         outer = (1, 3) if branch is BranchId.BRANCH_2 else ()
         super().__init__(alpha, _GENERIC_RHOS[branch], outer)
 
-    def invert(self, comp: int, angle: float):
+    def invert(self, comp: int, angle: float) -> float:
         """Closed form at c1 and at c3, whose fold angle fixes xi through
-        the sector pair (a3, a4); None at c2/c4."""
+        the sector pair (a3, a4); bisection at c2/c4."""
         if comp == 0:
             return angle
         if comp != 2:
-            return None
+            return self.bisect(comp, angle)
         (_, _, _, _, c12, s12), (_, _, _, _, c34, s34) = self.trig()
         cxi = c34 - s34 * math.cos(angle)
         mag = clamped_acos((c12 - cxi) / s12)
@@ -553,15 +579,15 @@ class _StraightLineCurve(_ArccosCurve):
         super().__init__(canonical_alpha, _SHIFTED_STRAIGHT_LINE_RHOS[shift],
                          (1 + shift, (3 + shift) % 4))
 
-    def invert(self, comp: int, angle: float):
+    def invert(self, comp: int, angle: float) -> float:
         """Closed form on the collinear pair (rho3 = -rho1 in canonical
-        labels); None off it."""
+        labels); bisection off it."""
         comp_c = (comp - self.shift) % 4
         if comp_c == 0:
             return angle
         if comp_c == 2:
             return -angle
-        return None
+        return self.bisect(comp, angle)
 
 
 def last_valid(ok: Callable[[float], bool], n_scan: int,
@@ -590,16 +616,13 @@ def last_valid(ok: Callable[[float], bool], n_scan: int,
     return good
 
 
-def _branch_param(v: Vertex4, branch: BranchId) -> _BranchParam:
-    """Resolve a branch of `v` to an evaluable parametrization (cached).
+@lru_cache(maxsize=8192)
+def _branch_param(alpha: tuple, branch: BranchId) -> _BranchParam:
+    """Resolve a branch of the vertex with sector angles `alpha` to an
+    evaluable parametrization (cached).
 
     Raises WrongClass when the branch does not exist for the vertex class.
     """
-    return _branch_param_cached(v.alpha, branch)
-
-
-@lru_cache(maxsize=8192)
-def _branch_param_cached(alpha: tuple, branch: BranchId) -> _BranchParam:
     v = Vertex4(alpha)
     cls = classify(v)
     a = alpha
@@ -649,6 +672,10 @@ def _branch_param_cached(alpha: tuple, branch: BranchId) -> _BranchParam:
     return _GenericCurve(a, branch)
 
 
+# the same cache under the name bench/run.py reads its hit counts from
+_branch_param_cached = _branch_param
+
+
 @lru_cache(maxsize=8192)
 def _generic_param(a: tuple, branch: BranchId) -> _GenericCurve:
     """Curve parametrization of a generic vertex through the general closed
@@ -682,7 +709,7 @@ def solve_on_branch(v: Vertex4, r: float, branch: BranchId) -> VertexSolution:
     vertices use their specialized tan-half transmissions here; use
     solve_generic to evaluate the general equations on them instead.
     """
-    return _eval_param(_branch_param(v, branch), r, branch)
+    return _eval_param(_branch_param(v.alpha, branch), r, branch)
 
 
 def solve_generic(v: Vertex4, rho1: float, branch: BranchId) -> VertexSolution:
@@ -724,7 +751,7 @@ def solve_flatfoldable(v: Vertex4, rho1: float, branch: BranchId) -> VertexSolut
         raise WrongClass("solve_flatfoldable takes BRANCH_1 or BRANCH_2")
     if not classify(v).flat_foldable:
         raise WrongClass("vertex is not flat-foldable (a1+a3 != pi)")
-    p = _branch_param(v, branch)
+    p = _branch_param(v.alpha, branch)
     if isinstance(p, _Segment):
         # branch 2 at the pole (a1 + a2 = pi): only the flat point can be
         # addressed through rho1
@@ -743,7 +770,7 @@ def fold_interval(v: Vertex4, branch: BranchId) -> FoldInterval:
     [-pi, pi] when crease c1 lies on the moving line and degenerate [0, 0]
     when rho1 is identically zero on the segment.
     """
-    p = _branch_param(v, branch)
+    p = _branch_param(v.alpha, branch)
     if isinstance(p, _Segment) and 0 not in p.slots:
         return FoldInterval(0.0, 0.0, branch)
     return FoldInterval(-p.r_max, p.r_max, branch)
@@ -765,7 +792,7 @@ def monotonicity_check(v: Vertex4, branch: BranchId,
     if cls.tag not in (ClassTag.GENERIC, ClassTag.STRAIGHT_LINE):
         raise WrongClass("monotonicity scan applies to generic or straight-line "
                          "vertices")
-    p = _branch_param(v, branch)
+    p = _branch_param(v.alpha, branch)
     if isinstance(p, _Segment):
         raise WrongClass("monotonicity scan applies to curve branches")
     if n_samples < 3:
@@ -802,55 +829,19 @@ def monotonicity_check(v: Vertex4, branch: BranchId,
 # ---------------------------------------------------------------------------
 
 
-def _bisect_component(p: _ArccosCurve, comp: int, target: float) -> float:
-    """Invert the strictly monotone map r -> rho[comp] by bisection.
-
-    Works on the unnormalized lift of the component, which is continuous and
-    monotone over the whole parameter interval (the normalized value wraps at
-    the interval endpoints where a crease folds completely flat).
-    """
-    lift = p.component_lift(comp)
-    lo, hi = -p.r_max, p.r_max
-    vlo, vhi = lift(lo), lift(hi)
-    for t in (target, target - TWO_PI, target + TWO_PI):
-        a, b, fa, fb = lo, hi, vlo - t, vhi - t
-        if fa == 0.0:
-            return a
-        if fb == 0.0:
-            return b
-        if fa * fb > 0.0:
-            continue
-        for _ in range(90):
-            mid = 0.5 * (a + b)
-            fm = lift(mid) - t
-            if fm == 0.0:
-                return mid
-            if (fm > 0.0) == (fb > 0.0):
-                b, fb = mid, fm
-            else:
-                a, fa = mid, fm
-            if b - a < 1e-15:
-                break
-        return 0.5 * (a + b)
-    raise OutOfDomain(
-        f"target angle {target!r} outside the image of rho{comp + 1} "
-        "on this branch"
-    )
-
-
 def solve_at_crease(v: Vertex4, crease: int, angle: float,
                     branch: BranchId) -> VertexSolution:
     """Solve the vertex so that crease `crease` (1..4) folds by `angle`.
 
-    The branch parametrization's `invert` decides how: a segment branch is
-    driven directly at any crease on its moving line; a curve branch gets
-    the parameter in closed form at any crease of a flat-foldable vertex, at
-    c1/c3 of a generic vertex and at the collinear pair of a straight-line
-    vertex (c1/c3 for pair (1, 3), c2/c4 for pair (2, 4)).  Monotone
-    bisection on the branch parameter inverts the rest: c2/c4 of a generic
-    vertex and the two creases off the collinear pair of a straight-line
-    vertex.  The bisection stops where the bracket is narrower than 1e-15
-    or after 90 halvings.  On every branch a parameter beyond the fold
+    Each branch parametrization inverts its own creases (`invert`): a
+    segment branch is driven directly at any crease on its moving line; a
+    curve branch gets the parameter in closed form at any crease of a
+    flat-foldable vertex, at c1/c3 of a generic vertex and at the collinear
+    pair of a straight-line vertex (c1/c3 for pair (1, 3), c2/c4 for pair
+    (2, 4)), and by monotone bisection on the branch parameter at the rest:
+    c2/c4 of a generic vertex and the two creases off the collinear pair of
+    a straight-line vertex.  The bisection stops where the bracket is
+    narrower than 1e-15 or after 90 halvings.  On every branch a parameter beyond the fold
     interval [-pi, pi] (by more than 1e-9) is refused, never wrapped, and
     so is a non-finite angle.
     """
@@ -862,10 +853,8 @@ def solve_at_crease(v: Vertex4, crease: int, angle: float,
     if abs(angle) < 1e-15:
         return VertexSolution((0.0,) * 4, branch, (0.0,) * 4)
 
-    p = _branch_param(v, branch)
+    p = _branch_param(v.alpha, branch)
     r = p.invert(comp, angle)
-    if r is None:
-        r = _bisect_component(p, comp, angle)
     if abs(r) > p.r_max + 1e-9:
         raise OutOfDomain(
             f"driving crease {crease} to {angle!r} needs parameter {r!r} "

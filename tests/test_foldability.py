@@ -430,6 +430,18 @@ class TestCertifyMemo:
             certify(p, [[BranchId.BRANCH_1]])
         assert p.certified == {}
 
+    def test_n_samples_is_checked_before_any_propagation(self, counted):
+        """A bad sample count is refused before the driving-limit search
+        runs, also on a pattern whose interval is empty."""
+        from quadfold import make_flatfoldable_basic_unit
+
+        empty = stitch(StitchPlan(columns=(
+            (make_flatfoldable_basic_unit(deg(70), deg(70)),),)))
+        for p in (stitch(showcase_a_plan()), empty):
+            with pytest.raises(ValueError, match="n_samples"):
+                certify(p, None, 1)
+        assert counted == []
+
     def test_copies_start_without_reports(self, pat_a):
         report = certify(pat_a, None, 60)
         alpha = list(pat_a.vertex(1, 1).alpha)

@@ -9,6 +9,8 @@ from quadfold import (
     FFUnitMode,
     PlanLengths,
     SerializationError,
+    Unit,
+    ValidationFailed,
     Vertex4,
     build_tree,
     certify,
@@ -25,7 +27,13 @@ from quadfold import (
     sweep,
 )
 from quadfold.cli import main
-from quadfold.config import TAU_FLAT
+from quadfold.config import (
+    CONFIG_KEYS,
+    TAU_COMPAT,
+    TAU_FLAT,
+    TAU_UNIT,
+    CliConfig,
+)
 from quadfold.fixtures import showcase_a_plan, showcase_b_plan, square_grid_plan
 
 deg = math.radians
@@ -208,6 +216,26 @@ class TestFold:
     def test_import_refuses_a_non_object(self, text, named):
         with pytest.raises(SerializationError, match=named):
             import_fold(text)
+
+    @pytest.mark.parametrize("edit, named", [
+        ({"boundary": 2.0}, "'boundary'"),
+        ({"top_length": [1.0]}, "'top_length'"),
+    ])
+    def test_import_refuses_an_unknown_plan_key(self, pat_a, edit, named):
+        """The quadfold:plan block is read whole: a key it does not define
+        is refused by name, not dropped."""
+        doc = export_fold(pat_a)
+        doc["quadfold:plan"].update(edit)
+        with pytest.raises(ValidationFailed, match=named):
+            import_fold(doc)
+
+    def test_import_keeps_fold_top_level_keys(self, pat_a):
+        """FOLD's own top-level keys are FOLD's; import reads the pattern
+        from the plan and leaves them alone."""
+        doc = dict(export_fold(pat_a), file_author="someone",
+                   frame_title="a title")
+        p = import_fold(doc)
+        assert fold_dumps(export_fold(p)) == fold_dumps(export_fold(pat_a))
 
     @pytest.mark.parametrize("letter", ["X", "B", "v"])
     def test_export_refuses_a_crease_letter_outside_mvf(self, pat_a, letter):
@@ -518,10 +546,51 @@ class TestCli:
         assert rc == 1
         assert err.startswith("error: ") and named in err
 
+    @pytest.mark.parametrize("argv", [
+        ["vertex", "solve", "--alphas", "80,95,x,110", "--rho1", "10",
+         "--branch", "1"],
+        ["vertex", "interval", "--alphas", "80,95, x ,110", "--branch", "1"],
+        ["unit", "solve-ff", "--alphas", "80,x,60", "--mode", "10a-1"],
+    ])
+    def test_non_numeric_angle_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "angle 'x' is not a number" in err and "Traceback" not in err
+
+    def test_unit_validate_refuses_an_unknown_key(self, tmp_path, capsys):
+        """A unit document with the typo `sign` is refused, naming it,
+        instead of validating with the default signs."""
+        doc = solve_ff_unit(deg(80), deg(100), deg(60),
+                            FFUnitMode.A_PLUS).to_json()
+        doc["sign"] = doc.pop("signs")
+        f = tmp_path / "unit.json"
+        f.write_text(json.dumps(doc))
+        rc = main(["unit", "validate", str(f)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "unknown key 'sign'" in err
+        with pytest.raises(ValidationFailed, match="'sign'"):
+            Unit.from_json(doc)
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["vertex", "solve", "--alphas", "80,95,75"])
         assert exc.value.code == 2
+
+    def test_config_keys_are_the_settings_fields(self, tmp_path,
+                                                 monkeypatch):
+        """One settings object: each $QUADFOLD_CONFIG key is a CliConfig
+        field of that name, defaulting to the library's value."""
+        assert CONFIG_KEYS == ("tau_unit", "tau_compat", "tau_flat",
+                               "samples", "frames")
+        cfg = CliConfig()
+        assert (cfg.tau_unit, cfg.tau_compat, cfg.tau_flat, cfg.samples,
+                cfg.frames) == (TAU_UNIT, TAU_COMPAT, TAU_FLAT, 200, 30)
+        self._set_config(tmp_path, monkeypatch,
+                         {"tau_unit": 1e-6, "frames": 4})
+        assert CliConfig.from_env() == CliConfig(tau_unit=1e-6, frames=4)
 
     def test_config_override(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg.json"
@@ -646,6 +715,15 @@ class TestCli:
         (_grid_plan(boundary_length="1"), "boundary_length"),
         (_full_form_plan(kind="bogus"), "kind"),
         (_full_form_plan(kind=7), "kind"),
+        (_full_form_plan(sign=[1, 1]), "unknown key 'sign'"),
+        (_ff_plan(branch="1"), "unknown key 'branch'"),
+        ({"columns": [[{"kind": "straight_line", "branch": "1",
+                        "alphas_deg": [70, 80, 100, 110]}]]},
+         "unknown key 'branch'"),
+        ({"columns": [[{"mirror_of_deg": [77, 88, 112, 83], "mode": "10a-1"}]]},
+         "unknown key 'mode'"),
+        (_grid_plan(top_length=[1.0]), "unknown key 'top_length'"),
+        (_grid_plan(boundary=2.0), "unknown key 'boundary'"),
     ])
     def test_malformed_plan_is_refused(self, doc, named, tmp_path, capsys):
         """`pattern count` refuses a malformed plan with an error line that

@@ -569,3 +569,47 @@ def test_valid_branch_pairs_match_reference(rng):
         assert got == _outcome(_ref_valid_branch_pairs, u)
         found += got != "[]"
     assert found >= len(units) // 4
+
+
+def _flat_interval_segment(u: Unit) -> bool:
+    """Whether a vertex of `u` is adjacent-collinear on its line segment
+    with fold interval [0, 0]: where the reference read "never folds" even
+    when the segment folds the connecting crease (mended since)."""
+    return any(classify(v).tag is ClassTag.ADJACENT_COLLINEAR
+               and b is BranchId.LINE_SEGMENT_1
+               and fold_interval(v, b).hi == 0.0
+               for v, b in ((u.top, u.branch_top),
+                            (u.bottom, u.branch_bottom)))
+
+
+def test_validate_unit_matches_reference(rng):
+    """validate_unit equals the reference, repr for repr, refusals and
+    degenerate-shared reports included, over seeded vertices of every class
+    with mirrored, plain and half-turned bottoms, on every branch pair and
+    every sign pair.  The only units that differ are those of the mended
+    "never folds" (`_flat_interval_segment`), where the reference refused
+    or drove the side creases and validate_unit drives the shared crease."""
+    outcomes = {}
+    mended = 0
+    for v in _vertices_of_every_class(rng):
+        for bottom in (v.mirrored(), v, v.shifted(2)):
+            for bt in BranchId:
+                for bb in BranchId:
+                    for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                        u = Unit(top=v, bottom=bottom, branch_top=bt,
+                                 branch_bottom=bb, signs=signs)
+                        got = _outcome(validate_unit, u, 33)
+                        want = _outcome(_ref_validate_unit, u, 33)
+                        if got != want:
+                            mended += 1
+                            assert _flat_interval_segment(u), u
+                            assert "degenerate_shared=False" in got
+                            continue
+                        kind = (got[0].__name__ if isinstance(got, tuple)
+                                else "degenerate" if "shared=True" in got
+                                else "report")
+                        outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert 0 < mended < 100
+    assert set(outcomes) == {"report", "degenerate", "EmptyInterval",
+                             "WrongClass", "DegenerateVertex"}
+    assert min(outcomes.values()) > 100

@@ -455,19 +455,39 @@ def _arccos_curves(draw):
         v = Vertex4.from_degrees((a1, 180.0 - a1, a2, 180.0 - a2))
     cls = classify(v)
     assume(cls.tag is ClassTag.STRAIGHT_LINE and not cls.flat_foldable)
-    return _branch_param(v, BranchId.BRANCH_2)
+    return _branch_param(v.alpha, BranchId.BRANCH_2)
+
+
+def _bisected_comps(p) -> tuple:
+    """The stored components a curve inverts by bisection: c2/c4 of a
+    generic curve, the two creases off a straight-line curve's pair."""
+    shift = getattr(p, "shift", 0)
+    return ((1 + shift) % 4, (3 + shift) % 4)
 
 
 @given(_arccos_curves(),
        st.lists(st.floats(min_value=-math.pi, max_value=math.pi),
                 min_size=1, max_size=4))
 @settings(max_examples=300, deadline=None)
-def test_component_lift_is_bit_identical_to_lift(p, rs):
-    # random r reach beyond the fold interval, where both must raise alike
-    for r in [-p.r_max, 0.0, -0.0, p.r_max] + rs:
-        for comp in range(4):
-            assert (_outcome(p.component_lift(comp), r)
-                    == _outcome(lambda x: p.lift(x)[comp], r))
+def test_invert_bisection_is_bit_identical_to_reference(p, xs):
+    """Where a curve bisects, `p.invert` returns what the reference
+    bisection over the full `p.lift` returns, repr for repr, and raises the
+    same exception type: at angles the crease reaches (normalized, as
+    solve_at_crease passes them) and at arbitrary angles, which it may not
+    reach.  (Where several arccos arguments leave their range, the message
+    may name another one: the full lift checks them in component order.)"""
+    for comp in _bisected_comps(p):
+        targets = list(xs)
+        for r in [-p.r_max, p.r_max] + [x for x in xs if abs(x) <= p.r_max]:
+            try:
+                targets.append(normalize_angle(p.fn(r)[comp]))
+            except OutOfDomain:
+                pass
+        for t in targets:
+            if t == 0.0:  # solve_at_crease returns the flat state first
+                continue
+            assert (_outcome(p.invert, comp, t)
+                    == _outcome(_reference_bisect_component, p, comp, t))
 
 
 def _reference_bisect_component(p, comp: int, target: float) -> float:
@@ -537,7 +557,7 @@ def test_crease_inversion_matches_reference_bisection(rng, monkeypatch):
         bisected.append(comp)
         return _reference_bisect_component(p, comp, target)
 
-    monkeypatch.setattr(vertex_mod, "_bisect_component", reference)
+    monkeypatch.setattr(vertex_mod._ArccosCurve, "bisect", reference)
     assert got == rhos()
     assert len(bisected) == len(calls)
 
@@ -578,7 +598,7 @@ def test_fold_interval_end_matches_reference_search(rng):
             params += [_generic_param(v.alpha, b)
                        for b in (BranchId.BRANCH_1, BranchId.BRANCH_2)]
         v = random_straightline_vertex(rng, margin_deg)
-        params += [_branch_param(w, BranchId.BRANCH_2) for w in (v, v.shifted(1))]
+        params += [_branch_param(w.alpha, BranchId.BRANCH_2) for w in (v, v.shifted(1))]
     assert len(params) >= 2000
     assert sum(p.r_max < math.pi for p in params) > len(params) // 2
     for p in params:
@@ -606,7 +626,7 @@ def test_curve_base_matches_reference_probe(rng):
             params += [_generic_param(v.alpha, b)
                        for b in (BranchId.BRANCH_1, BranchId.BRANCH_2)]
         v = random_straightline_vertex(rng, margin_deg)
-        params += [_branch_param(w, BranchId.BRANCH_2) for w in (v, v.shifted(1))]
+        params += [_branch_param(w.alpha, BranchId.BRANCH_2) for w in (v, v.shifted(1))]
     bases = []
     for p in params:
         try:
@@ -653,8 +673,9 @@ def _reference_solve_at_crease(v, crease: int, angle: float, branch):
     """solve_at_crease as it dispatched before the branch parametrizations
     owned their inversions: classify the vertex again and pick the closed
     form by class.  Verbatim but for the segment test, which read a string
-    tag that no longer exists, and for segment angles, which now go through
-    the range check instead of wrapping."""
+    tag that no longer exists, for segment angles, which now go through
+    the range check instead of wrapping, and for the bisection, which is
+    this file's reference copy."""
     if crease not in (1, 2, 3, 4):
         raise ValueError("crease index must be 1..4")
     comp = crease - 1
@@ -662,7 +683,7 @@ def _reference_solve_at_crease(v, crease: int, angle: float, branch):
         return VertexSolution((0.0,) * 4, branch, (0.0,) * 4)
 
     cls = classify(v)
-    p = _branch_param(v, branch)
+    p = _branch_param(v.alpha, branch)
 
     if isinstance(p, vertex_mod._Segment):
         probe = p.fn(1.0)
@@ -712,7 +733,7 @@ def _reference_solve_at_crease(v, crease: int, angle: float, branch):
             r = -angle
 
     if r is None:
-        r = vertex_mod._bisect_component(p, comp, angle)
+        r = _reference_bisect_component(p, comp, angle)
 
     if abs(r) > p.r_max + 1e-9:
         raise OutOfDomain(
@@ -770,7 +791,7 @@ def test_crease_inversion_matches_reference_dispatch(rng):
             angles = [0.0, -0.0, 5e-16, -3.5, 4.0, math.pi,
                       rng.uniform(-math.pi, math.pi)]
             try:
-                hi = _branch_param(v, branch).r_max
+                hi = _branch_param(v.alpha, branch).r_max
             except QuadfoldError:
                 hi = None
             for f in ([] if hi is None else rng.uniform(-1.0, 1.0, size=3)):

@@ -17,7 +17,12 @@ where the call raises:
 * unit layer: the unit, its `validate_unit` report over 200 samples and its
   `valid_branch_pairs`, for seeded units from `solve_ff_unit` (all four
   modes), `make_flatfoldable_basic_unit`, `make_straightline_unit` and
-  `identical_vertex_unit` (both curve branches, mirrored and plain);
+  `identical_vertex_unit` (both curve branches, mirrored and plain); and
+  the `validate_unit` reports (200 and 33 samples) of degenerate-shared
+  units, whose connecting crease never folds, so the side-crease drive is
+  covered too: seeded double-collinear vertices over their mirrored, plain
+  and half-turned copies, both on LINE_SEGMENT_2 (as in
+  `square_grid_plan`), with every sign pair;
 * blankets: the `certify` report for every enumerated branch choice and both
   uniform curve-branch choices of showcases A and B, four seeded 8x8
   herringbones and a 4x4 herringbone, and the text of the FOLD and OBJ
@@ -59,6 +64,7 @@ from quadfold import (  # noqa: E402
     FFUnitMode,
     PlanLengths,
     QuadfoldError,
+    Unit,
     Vertex4,
     certify,
     classify,
@@ -198,6 +204,23 @@ def unit_texts():
                                 _outcome(lambda: valid_branch_pairs(u))))
 
 
+def degenerate_shared_texts():
+    rng = random.Random(SEED + 3)
+    line2 = BranchId.LINE_SEGMENT_2
+    for k in range(N_UNITS):
+        a = _sector(rng)
+        v = Vertex4((a, math.pi - a, a, math.pi - a))
+        for name, bottom in (("mirrored", v.mirrored()), ("plain", v),
+                             ("half-turned", v.shifted(2))):
+            for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                u = Unit(top=v, bottom=bottom, branch_top=line2,
+                         branch_bottom=line2, signs=signs)
+                for n in (200, 33):
+                    yield (f"double_collinear line2 {name} {signs} {k} "
+                           f"validate_unit {n}",
+                           _outcome(lambda: validate_unit(u, n)))
+
+
 def blankets():
     """(name, plan) pairs of the fixed input set."""
     yield "showcase_a", showcase_a_plan()
@@ -300,6 +323,7 @@ def texts():
     """Every text the digest covers, labelled, in a fixed order."""
     yield from vertex_texts()
     yield from unit_texts()
+    yield from degenerate_shared_texts()
     yield from derived_texts()
     for name, plan in blankets():
         p = stitch(plan)
