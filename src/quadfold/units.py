@@ -43,10 +43,10 @@ from .vertex import (
     BranchId,
     ClassTag,
     Vertex4,
+    _drive,
     classify,
     fold_interval,
     normalize_angle,
-    solve_at_crease,
     solve_on_branch,
 )
 
@@ -130,6 +130,17 @@ _CREASE_LENGTHS = {"shared": 1.0}
 # how a unit was designed, which sets its term in the sector-angle count
 UNIT_KINDS = ("straight_line", "flat_foldable_basic", "flat_foldable",
               "double_collinear", "custom")
+# what a kind needs of both vertex classes: (its description, the test);
+# a custom unit takes any vertices
+_KIND_NEEDS = {
+    "straight_line": ("straight-line or double-collinear",
+                      lambda c: c.tag in (ClassTag.STRAIGHT_LINE,
+                                          ClassTag.DOUBLE_COLLINEAR)),
+    "flat_foldable_basic": ("flat-foldable", lambda c: c.flat_foldable),
+    "flat_foldable": ("flat-foldable", lambda c: c.flat_foldable),
+    "double_collinear": ("double-collinear",
+                         lambda c: c.tag is ClassTag.DOUBLE_COLLINEAR),
+}
 
 
 @dataclass(frozen=True)
@@ -161,13 +172,8 @@ class Unit:
 
     def solve(self, t: float) -> UnitState:
         """Configuration with the connecting crease folded by t."""
-        st = solve_at_crease(self.top, 3, t, self.branch_top)
-        sb = solve_at_crease(self.bottom, 1, t, self.branch_bottom)
-        return UnitState(rho=(
-            t,
-            st.rho[1], st.rho[0], st.rho[3],
-            sb.rho[1], sb.rho[2], sb.rho[3],
-        ))
+        ((st, _), (sb, _)), = _drive_sides(self, 3, (t,), 1, (t,))
+        return UnitState(rho=(t, st[1], st[0], st[3], sb[1], sb[2], sb[3]))
 
     def swapped(self) -> "Unit":
         """The same unit viewed upside down (paper rotated half a turn)."""
@@ -215,6 +221,23 @@ class Unit:
             raise ValidationFailed(f"branches: {exc}") from exc
         mode = (json_token(doc, "mode", FFUnitMode.from_token)
                 if "mode" in doc else None)
+        if mode is not None and (branch_top is not mode.branch
+                                 or branch_bottom is not mode.branch
+                                 or tuple(signs) != mode.signs):
+            raise ValidationFailed(
+                f"mode: {mode.value} pairs branch {mode.branch.value} on both "
+                f"vertices with signs {list(mode.signs)}, but the unit states "
+                f"branches {list(branches)} and signs {list(signs)}")
+        kind = doc.get("kind", "custom")
+        if isinstance(kind, str) and kind in _KIND_NEEDS:
+            what, admits = _KIND_NEEDS[kind]
+            for name, v in (("top", top), ("bottom", bottom)):
+                vc = classify(v)
+                if not admits(vc):
+                    raise ValidationFailed(
+                        f"kind: {kind} needs {what} vertices, but the {name} "
+                        f"vertex is {vc.tag.value}"
+                        + (" and flat-foldable" if vc.flat_foldable else ""))
         lengths = doc.get("crease_lengths", _CREASE_LENGTHS)
         if lengths != _CREASE_LENGTHS:
             raise ValidationFailed(
@@ -228,7 +251,7 @@ class Unit:
             branch_top=branch_top,
             branch_bottom=branch_bottom,
             signs=tuple(signs),
-            kind=doc.get("kind", "custom"),
+            kind=kind,
             mode=mode,
         )
 
@@ -280,6 +303,16 @@ def _reach(v: Vertex4, branch: BranchId, comp: int) -> float:
         return 0.0
 
 
+def _drive_sides(u: Unit, crease_top: int, ts_top, crease_bottom: int,
+                 ts_bottom):
+    """(top, bottom) per sample, each a (rho, raw_rho) pair: the top vertex
+    driven at `crease_top` through `ts_top` and the bottom one at
+    `crease_bottom` through `ts_bottom`.  When both refuse, the top
+    vertex's refusal is raised."""
+    return zip(_drive(u.top, crease_top, ts_top, u.branch_top),
+               _drive(u.bottom, crease_bottom, ts_bottom, u.branch_bottom))
+
+
 def _shared_interval(u: Unit) -> float:
     """Largest |t| reachable by the connecting crease on both branches."""
     return min(_reach(u.top, u.branch_top, 2), _reach(u.bottom, u.branch_bottom, 0))
@@ -307,21 +340,18 @@ def validate_unit(u: Unit, n_samples: int = 200) -> UnitReport:
             raise EmptyInterval(
                 "the unit's common fold interval on this branch pair is {0}"
             )
+    ts = [t_max * (2.0 * k / (n_samples - 1) - 1.0) for k in range(n_samples)]
+    if shared:
+        sides = _drive_sides(u, 3, ts, 1, ts)
+        i24, j24, s = 1, 1, s2
+    else:
+        ts = [t for t in ts if not abs(t) < 1e-14]
+        sides = _drive_sides(u, 2, ts, 2, [s2 * t for t in ts])
+        i24, j24, s = 2, 0, 1  # the shared crease, flat on both
     worst24 = worst47 = 0.0
-    for k in range(n_samples):
-        t = t_max * (2.0 * k / (n_samples - 1) - 1.0)
-        if shared:
-            st = solve_at_crease(u.top, 3, t, u.branch_top)
-            sb = solve_at_crease(u.bottom, 1, t, u.branch_bottom)
-            d24 = st.rho[1] - s2 * sb.rho[1]
-        elif abs(t) < 1e-14:
-            continue
-        else:
-            st = solve_at_crease(u.top, 2, t, u.branch_top)
-            sb = solve_at_crease(u.bottom, 2, s2 * t, u.branch_bottom)
-            d24 = st.rho[2] - sb.rho[0]  # the shared crease, flat on both
-        worst24 = max(worst24, abs(normalize_angle(d24)))
-        worst47 = max(worst47, abs(normalize_angle(st.rho[3] - s4 * sb.rho[3])))
+    for (st, _), (sb, _) in sides:
+        worst24 = max(worst24, abs(normalize_angle(st[i24] - s * sb[j24])))
+        worst47 = max(worst47, abs(normalize_angle(st[3] - s4 * sb[3])))
     return UnitReport(worst24, worst47, n_samples, (-t_max, t_max), not shared)
 
 
@@ -339,12 +369,12 @@ def _with_signs(u: Unit, t_max: float) -> Unit:
     over (0, t_max], each sign 1 for a side that never folds there."""
     s2 = s4 = None
     if t_max > 1e-9:
-        for k in range(1, 10):
-            st = u.solve(t_max * k / 10)
-            if s2 is None and abs(st.rho[4]) > 1e-9:
-                s2 = 1 if st.rho[1] * st.rho[4] > 0 else -1
-            if s4 is None and abs(st.rho[6]) > 1e-9:
-                s4 = 1 if st.rho[3] * st.rho[6] > 0 else -1
+        ts = [t_max * k / 10 for k in range(1, 10)]
+        for (st, _), (sb, _) in _drive_sides(u, 3, ts, 1, ts):
+            if s2 is None and abs(sb[1]) > 1e-9:
+                s2 = 1 if st[1] * sb[1] > 0 else -1
+            if s4 is None and abs(sb[3]) > 1e-9:
+                s4 = 1 if st[3] * sb[3] > 0 else -1
     return replace(u, signs=(s2 or 1, s4 or 1))
 
 

@@ -688,16 +688,27 @@ def _generic_param(a: tuple, branch: BranchId) -> _GenericCurve:
     return _GenericCurve(a, branch)
 
 
+_FLAT = ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
+
+
+def _state(p: _BranchParam, r: float) -> tuple:
+    """(rho, raw_rho) at parameter r: the flat state exactly at r = 0 (all
+    branches pass through it), else the branch's angles and their
+    reductions to (-pi, pi]."""
+    if r == 0.0:
+        return _FLAT
+    raw = p.fn(r)
+    x1, x2, x3, x4 = raw
+    return (normalize_angle(x1), normalize_angle(x2), normalize_angle(x3),
+            normalize_angle(x4)), raw
+
+
 def _eval_param(p: _BranchParam, r: float, branch: BranchId) -> VertexSolution:
     if not abs(r) <= p.r_max + 1e-12:  # NaN included
         raise OutOfDomain(
             f"parameter {r!r} outside fold interval [-{p.r_max!r}, {p.r_max!r}]"
         )
-    if r == 0.0:
-        zero = (0.0, 0.0, 0.0, 0.0)
-        return VertexSolution(rho=zero, branch=branch, raw_rho=zero)
-    raw = p.fn(r)
-    rho = tuple(normalize_angle(x) for x in raw)
+    rho, raw = _state(p, r)
     return VertexSolution(rho=rho, branch=branch, raw_rho=raw)
 
 
@@ -759,7 +770,7 @@ def solve_flatfoldable(v: Vertex4, rho1: float, branch: BranchId) -> VertexSolut
             raise OutOfDomain(
                 "branch 2 degenerates to a segment with rho1 = 0 here"
             )
-        return VertexSolution((0.0,) * 4, branch, (0.0,) * 4)
+        rho1 = 0.0
     return _eval_param(p, rho1, branch)
 
 
@@ -829,6 +840,44 @@ def monotonicity_check(v: Vertex4, branch: BranchId,
 # ---------------------------------------------------------------------------
 
 
+def _drive(v: Vertex4, crease: int, angles, branch: BranchId) -> list:
+    """`solve_at_crease` over a sequence of angles: one (rho, raw_rho) pair
+    per angle, each bit for bit that call's solution, and the refusal of the
+    first angle that call refuses, with its type and message.  The branch is
+    resolved at the first angle that is not flat, so a vertex that lacks it
+    still drives flat at 0."""
+    if crease not in (1, 2, 3, 4):
+        raise ValueError("crease index must be 1..4")
+    comp = crease - 1
+    p = None
+    out = []
+    for angle in angles:
+        if not math.isfinite(angle):
+            raise OutOfDomain(f"crease {crease} cannot fold by {angle!r}")
+        if abs(angle) < 1e-15:
+            out.append(_FLAT)
+            continue
+        if p is None:
+            p = _branch_param(v.alpha, branch)
+            invert, r_max = p.invert, p.r_max
+            lo, slack = -r_max, r_max + 1e-9
+        r = invert(comp, angle)
+        if abs(r) > slack:
+            raise OutOfDomain(
+                f"driving crease {crease} to {angle!r} needs parameter {r!r} "
+                f"outside [-{r_max!r}, {r_max!r}]"
+            )
+        # max(-r_max, min(r_max, r)), NaN included, without two builtin calls
+        r = r if r < r_max else r_max
+        state = _state(p, r if r > lo else lo)
+        if abs(normalize_angle(state[0][comp] - angle)) > 1e-7:
+            raise OutOfDomain(
+                f"crease {crease} cannot reach {angle!r} on branch {branch.value}"
+            )
+        out.append(state)
+    return out
+
+
 def solve_at_crease(v: Vertex4, crease: int, angle: float,
                     branch: BranchId) -> VertexSolution:
     """Solve the vertex so that crease `crease` (1..4) folds by `angle`.
@@ -841,29 +890,9 @@ def solve_at_crease(v: Vertex4, crease: int, angle: float,
     (2, 4)), and by monotone bisection on the branch parameter at the rest:
     c2/c4 of a generic vertex and the two creases off the collinear pair of
     a straight-line vertex.  The bisection stops where the bracket is
-    narrower than 1e-15 or after 90 halvings.  On every branch a parameter beyond the fold
-    interval [-pi, pi] (by more than 1e-9) is refused, never wrapped, and
-    so is a non-finite angle.
+    narrower than 1e-15 or after 90 halvings.  On every branch a parameter
+    beyond the fold interval [-r_max, r_max] (by more than 1e-9) is
+    refused, never wrapped, and so is a non-finite angle.
     """
-    if crease not in (1, 2, 3, 4):
-        raise ValueError("crease index must be 1..4")
-    if not math.isfinite(angle):
-        raise OutOfDomain(f"crease {crease} cannot fold by {angle!r}")
-    comp = crease - 1
-    if abs(angle) < 1e-15:
-        return VertexSolution((0.0,) * 4, branch, (0.0,) * 4)
-
-    p = _branch_param(v.alpha, branch)
-    r = p.invert(comp, angle)
-    if abs(r) > p.r_max + 1e-9:
-        raise OutOfDomain(
-            f"driving crease {crease} to {angle!r} needs parameter {r!r} "
-            f"outside [-{p.r_max!r}, {p.r_max!r}]"
-        )
-    r = max(-p.r_max, min(p.r_max, r))
-    sol = _eval_param(p, r, branch)
-    if abs(normalize_angle(sol.rho[comp] - angle)) > 1e-7:
-        raise OutOfDomain(
-            f"crease {crease} cannot reach {angle!r} on branch {branch.value}"
-        )
-    return sol
+    (rho, raw), = _drive(v, crease, (angle,), branch)
+    return VertexSolution(rho, branch, raw)

@@ -1,5 +1,7 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -29,8 +31,11 @@ from quadfold import (
     valid_branch_pairs,
     validate_unit,
 )
+from quadfold import fixtures
 from quadfold.config import TAU_UNIT
 from quadfold.fixtures import showcase_a_plan, showcase_b_plan
+from quadfold.pattern import StitchPlan
+from quadfold.units import UNIT_KINDS
 from conftest import (
     random_ff_vertex,
     random_generic_vertex,
@@ -283,7 +288,7 @@ def test_identical_vertex_unit_signs(rng, make, branch, mirrored, signs):
 
 
 class TestUnitJson:
-    @pytest.mark.parametrize("kind", ["bogus", 7, None, ""])
+    @pytest.mark.parametrize("kind", ["bogus", 7, None, "", []])
     def test_unknown_kind_is_refused(self, kind):
         u = solve_ff_unit(deg(80), deg(95), deg(60), FFUnitMode.A_MINUS)
         with pytest.raises(ValidationFailed, match="kind must be one of"):
@@ -314,6 +319,7 @@ class TestUnitJson:
     def test_signs_must_be_integer_units(self):
         doc = solve_ff_unit(deg(80), deg(95), deg(60), FFUnitMode.A_MINUS
                             ).to_json()
+        del doc["mode"]  # a mode fixes the signs
         assert Unit.from_json(dict(doc, signs=[1, -1])).signs == (1, -1)
         for signs in ([1.7, -1.2], [1.0, 1], [True, 1], [1, 2], [1],
                       [1, 1, 1], "11", None):
@@ -338,6 +344,70 @@ class TestUnitJson:
                             ).to_json()
         with pytest.raises(ValidationFailed, match="mode: unknown"):
             Unit.from_json(dict(doc, mode="10c-1"))
+
+    def test_mode_must_match_branches_and_signs(self):
+        """The A_PLUS unit relabelled C_MINUS (branch 2) is refused, naming
+        `mode`, and so is a mode whose signs the document contradicts."""
+        doc = solve_ff_unit(deg(80), deg(100), deg(60), FFUnitMode.A_PLUS
+                            ).to_json()
+        assert Unit.from_json(doc).mode is FFUnitMode.A_PLUS
+        with pytest.raises(ValidationFailed, match="mode: 10b-2 pairs branch 2"):
+            Unit.from_json(dict(doc, mode="10b-2"))
+        with pytest.raises(ValidationFailed, match="mode: 10a-2 .* signs"):
+            Unit.from_json(dict(doc, mode="10a-2"))
+        with pytest.raises(ValidationFailed, match="mode: 10a-1"):
+            Unit.from_json(dict(doc, signs=[1, 1]))
+        with pytest.raises(ValidationFailed, match="mode: 10a-1"):
+            Unit.from_json(dict(doc, branches=["1", "2"]))
+
+    @pytest.mark.parametrize("kind, ok", [
+        ("flat_foldable", True), ("flat_foldable_basic", True),
+        ("custom", True), ("straight_line", False),
+        ("double_collinear", False)])
+    def test_kind_must_match_the_vertex_classes(self, kind, ok):
+        """A flat-foldable unit relabelled straight_line or double_collinear
+        is refused, naming `kind`; before, its one-unit plan counted
+        "2 = 2"."""
+        doc = dict(solve_ff_unit(deg(80), deg(100), deg(60),
+                                 FFUnitMode.A_PLUS).to_json(), kind=kind)
+        if ok:
+            assert Unit.from_json(doc).kind == kind
+            return
+        with pytest.raises(ValidationFailed, match=f"kind: {kind} needs"):
+            Unit.from_json(doc)
+        with pytest.raises(ValidationFailed, match="kind"):
+            StitchPlan.from_json({"columns": [[doc]]})
+
+    @pytest.mark.parametrize("make, kinds", [
+        (lambda: make_straightline_unit(Vertex4.from_degrees((70, 80, 100, 110))),
+         ("straight_line", "custom")),
+        (lambda: make_straightline_unit(Vertex4.from_degrees((70, 110, 70, 110))),
+         ("straight_line", "double_collinear", "custom")),
+        (lambda: make_flatfoldable_basic_unit(deg(70), deg(95)),
+         ("flat_foldable_basic", "flat_foldable", "custom"))])
+    def test_kinds_each_unit_admits(self, make, kinds):
+        doc = make().to_json()
+        for kind in UNIT_KINDS:
+            if kind in kinds:
+                assert Unit.from_json(dict(doc, kind=kind)).kind == kind
+            else:
+                with pytest.raises(ValidationFailed, match="kind: "):
+                    Unit.from_json(dict(doc, kind=kind))
+
+    @pytest.mark.parametrize("name", [
+        "showcase_a_plan", "showcase_b_plan", "herringbone_plan",
+        "square_grid_plan", "single_ff_unit_plan"])
+    def test_fixture_plans_round_trip(self, name):
+        plan = getattr(fixtures, name)()
+        back = StitchPlan.from_json(json.loads(json.dumps(plan.to_json())))
+        assert ([u.kind for u in back.units()]
+                == [u.kind for u in plan.units()])
+
+    @pytest.mark.parametrize("name", ["showcase_a", "showcase_b"])
+    def test_showcase_plan_files_load(self, name):
+        path = Path(__file__).resolve().parents[1] / "demos" / "output"
+        doc = json.loads((path / f"{name}_plan.json").read_text())
+        assert StitchPlan.from_json(doc).n_cols >= 2
 
     def test_sector_view_is_role_labelled(self):
         u = solve_ff_unit(deg(80), deg(95), deg(60), FFUnitMode.A_MINUS)
@@ -613,3 +683,25 @@ def test_validate_unit_matches_reference(rng):
     assert set(outcomes) == {"report", "degenerate", "EmptyInterval",
                              "WrongClass", "DegenerateVertex"}
     assert min(outcomes.values()) > 100
+
+
+def test_validate_unit_two_samples_matches_reference(rng):
+    """validate_unit over two samples, the two ends of the common interval,
+    equals the reference on every vertex class and branch pair, with
+    mirrored, plain and half-turned bottoms (the mended "never folds" units
+    aside), degenerate-shared reports included."""
+    kinds = set()
+    for v in _vertices_of_every_class(rng):
+        for bottom in (v.mirrored(), v, v.shifted(2)):
+            for bt in BranchId:
+                for bb in BranchId:
+                    for signs in ((1, -1), (-1, 1)):
+                        u = Unit(top=v, bottom=bottom, branch_top=bt,
+                                 branch_bottom=bb, signs=signs)
+                        if _flat_interval_segment(u):
+                            continue
+                        got = _outcome(validate_unit, u, 2)
+                        assert got == _outcome(_ref_validate_unit, u, 2)
+                        kinds.add(got[0] if isinstance(got, tuple)
+                                  else "shared=True" in got)
+    assert {True, False, EmptyInterval, WrongClass} <= kinds

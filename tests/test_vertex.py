@@ -771,9 +771,10 @@ def test_segment_drive_beyond_pi_is_refused():
     assert sol.rho[0] == math.pi and sol.raw_rho[0] == math.pi
 
 
-def test_crease_inversion_matches_reference_dispatch(rng):
-    """solve_at_crease agrees with the class-dispatched reference on every
-    vertex class, branch and crease, errors and their messages included."""
+def _dispatch_calls(rng) -> list:
+    """(v, crease, angle, branch) calls over every vertex class, branch and
+    crease (0 and 5 included), at 0.0, -0.0, 5e-16, -3.5, 4.0, pi, a seeded
+    angle and the angles seeded points of the branch reach."""
     vertices = [Vertex4.from_degrees(a) for a in (
         (80, 100, 100, 80),    # flat-foldable, branch 2 at its pole
         (65, 65, 115, 115),    # flat-foldable, zero transmission
@@ -799,6 +800,13 @@ def test_crease_inversion_matches_reference_dispatch(rng):
                 angles += list(rho)
             for crease in range(6):
                 calls += [(v, crease, a, branch) for a in angles]
+    return calls
+
+
+def test_crease_inversion_matches_reference_dispatch(rng):
+    """solve_at_crease agrees with the class-dispatched reference on every
+    vertex class, branch and crease, errors and their messages included."""
+    calls = _dispatch_calls(rng)
     assert len(calls) > 5000
     got = [_solution_or_error(solve_at_crease, *c) for c in calls]
     want = [_solution_or_error(_reference_solve_at_crease, *c) for c in calls]
@@ -807,6 +815,76 @@ def test_crease_inversion_matches_reference_dispatch(rng):
     kinds = {w if isinstance(w, str) else w[0] for w in want}
     assert {ValueError, OutOfDomain, WrongClass, DegenerateVertex} <= kinds
     assert sum(isinstance(w, str) for w in want) > 2000
+
+
+def _drive_or_error(v, crease, angles, branch):
+    """The kernel's (rho, raw_rho) reprs over `angles`, or the exception's
+    type and message."""
+    try:
+        return [repr(rho) + repr(raw)
+                for rho, raw in vertex_mod._drive(v, crease, angles, branch)]
+    except (QuadfoldError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _each_or_error(v, crease, angles, branch) -> list:
+    """solve_at_crease angle by angle: the reprs of each solution's rho and
+    raw_rho, or the exception's type and message."""
+    out = []
+    for a in angles:
+        try:
+            sol = solve_at_crease(v, crease, a, branch)
+            out.append(repr(sol.rho) + repr(sol.raw_rho))
+        except (QuadfoldError, ValueError) as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def test_drive_matches_solve_at_crease(rng):
+    """The crease-drive kernel over a list of angles returns, angle by
+    angle, what solve_at_crease returns, and raises the refusal of the first
+    angle solve_at_crease refuses, with its type and message: over the
+    whole list of each (vertex, crease, branch) of the dispatch calls, over
+    the angles it accepts, and with a refused angle put in their middle."""
+    groups = {}
+    for v, crease, angle, branch in _dispatch_calls(rng):
+        groups.setdefault((v, crease, branch), []).append(angle)
+    n_accepted = n_refused_inside = 0
+    for (v, crease, branch), angles in groups.items():
+        each = _each_or_error(v, crease, angles, branch)
+        errors = [w for w in each if isinstance(w, tuple)]
+        assert _drive_or_error(v, crease, angles, branch) == (
+            errors[0] if errors else each)
+        accepted = [a for a, w in zip(angles, each) if isinstance(w, str)]
+        if not accepted:
+            continue
+        assert (_drive_or_error(v, crease, accepted, branch)
+                == [w for w in each if isinstance(w, str)])
+        n_accepted += len(accepted)
+        k = len(accepted) // 2
+        for a, w in zip(angles, each):
+            if isinstance(w, tuple) and k:
+                mixed = accepted[:k] + [a] + accepted[k:]
+                assert _drive_or_error(v, crease, mixed, branch) == w
+                n_refused_inside += 1
+    assert n_accepted > 2000 and n_refused_inside > 500
+
+
+def test_drive_trivial_vertex_flat_at_zero():
+    """A trivial vertex, which has no branch, drives flat at 0 (the branch
+    is looked up only at the first angle that is not flat), and refuses the
+    first angle that is not."""
+    v = Vertex4.from_degrees((200, 40, 80, 40))
+    assert classify(v).tag is ClassTag.TRIVIAL
+    flat = ((0.0,) * 4, (0.0,) * 4)
+    for branch in BranchId:
+        assert vertex_mod._drive(v, 1, [0.0, -0.0, 5e-16], branch) == [flat] * 3
+        assert solve_at_crease(v, 1, 0.0, branch) == VertexSolution(
+            (0.0,) * 4, branch, (0.0,) * 4)
+        with pytest.raises(WrongClass, match="trivial"):
+            vertex_mod._drive(v, 1, [0.0, 0.2, math.nan], branch)
+        with pytest.raises(OutOfDomain, match="cannot fold by nan"):
+            vertex_mod._drive(v, 1, [0.0, math.nan, 0.2], branch)
 
 
 def _near(x: float, target: float, tol: float) -> bool:

@@ -13,7 +13,11 @@ where the call raises:
   two sector angles moved by amounts that keep or break a collinear sum
   (warnings included), and `solve_generic` at seeded angles on both
   branches of seeded flat-foldable vertices, each solution as its `rho`,
-  `xi_of(v, rho[0])`, `branch` and `raw_rho`;
+  `xi_of(v, rho[0])`, `branch` and `raw_rho`; and `solve_at_crease` (the
+  solution and its `raw_rho`) of seeded vertices of every class on every
+  curve and segment branch at all four creases, at 0, -0.0, 5e-16, +-pi,
+  4.0, NaN, seeded angles and angles the branch reaches, so refusals and
+  their messages are covered too;
 * unit layer: the unit, its `validate_unit` report over 200 samples and its
   `valid_branch_pairs`, for seeded units from `solve_ff_unit` (all four
   modes), `make_flatfoldable_basic_unit`, `make_straightline_unit` and
@@ -50,6 +54,7 @@ not a golden: the hash is compared between two source trees, never stored.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 import sys
@@ -72,11 +77,14 @@ from quadfold import (  # noqa: E402
     export_fold,
     export_obj,
     fold_dumps,
+    fold_interval,
     identical_vertex_unit,
     make_flatfoldable_basic_unit,
     make_straightline_unit,
+    solve_at_crease,
     solve_ff_unit,
     solve_generic,
+    solve_on_branch,
     stitch,
     sweep,
     valid_branch_pairs,
@@ -102,6 +110,10 @@ N_UNITS = 4         # seeded units per constructor (and per flat-foldable mode)
 # TAU_CLASS_BAND (a warning), beyond it
 NUDGES = (4e-10, 3e-9, 5e-7, 2e-6)
 N_RELAYOUTS = 40
+N_DRIVEN = 21       # seeded vertices driven at each crease (3 per class)
+# driving angles: flat, signed zero, below the flat cutoff, the ends of
+# [-pi, pi], beyond them and not a number
+DRIVE_ANGLES = (0.0, -0.0, 5e-16, math.pi, -math.pi, 4.0, math.nan)
 
 
 def _sector(rng) -> float:
@@ -162,6 +174,34 @@ def vertex_texts():
             for r in (rng.uniform(-math.pi, math.pi) for _ in range(4)):
                 yield (f"solve_generic flat_foldable {k} {b.value} {r!r}",
                        _solution(v, lambda: solve_generic(v, r, b)))
+
+
+def _driven(v, crease, angle, branch):
+    sol = solve_at_crease(v, crease, angle, branch)
+    return sol, sol.raw_rho
+
+
+def crease_texts():
+    """`solve_at_crease` of seeded vertices of every class on every branch
+    (curves and segments) at all four creases, over DRIVE_ANGLES, two
+    seeded angles in (-pi, pi) and the angles the branch reaches at two
+    seeded parameters; refusals give their type and message."""
+    rng = random.Random(SEED + 4)
+    for k, (name, v) in enumerate(itertools.islice(vertices(rng), N_DRIVEN)):
+        for b in BranchId:
+            angles = [*DRIVE_ANGLES,
+                      *(rng.uniform(-math.pi, math.pi) for _ in range(2))]
+            fractions = [rng.uniform(-1.0, 1.0) for _ in range(2)]
+            try:
+                hi = fold_interval(v, b).hi or math.pi
+                reached = [solve_on_branch(v, f * hi, b).rho for f in fractions]
+            except QuadfoldError:
+                reached = []
+            for crease in (1, 2, 3, 4):
+                for angle in angles + [rho[crease - 1] for rho in reached]:
+                    yield (f"solve_at_crease {name} {k} {b.value} c{crease} "
+                           f"{angle!r}",
+                           _outcome(lambda: _driven(v, crease, angle, b)))
 
 
 def units(rng):
@@ -322,6 +362,7 @@ def relayout_texts():
 def texts():
     """Every text the digest covers, labelled, in a fixed order."""
     yield from vertex_texts()
+    yield from crease_texts()
     yield from unit_texts()
     yield from degenerate_shared_texts()
     yield from derived_texts()
