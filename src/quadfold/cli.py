@@ -74,9 +74,17 @@ def _deg_list(values):
     return " ".join(_F(math.degrees(v)) for v in values)
 
 
-def _cmd_vertex_solve(args, cfg):
-    v = Vertex4(_parse_alphas(args.alphas, 4))
+def _classified(alphas: str):
+    """The vertex of `alphas` and its class, the class's warnings on stderr."""
+    v = Vertex4(_parse_alphas(alphas, 4))
     cls = classify(v)
+    for text in cls.warnings:
+        print(f"warning: {text}", file=sys.stderr)
+    return v, cls
+
+
+def _cmd_vertex_solve(args, cfg):
+    v, cls = _classified(args.alphas)
     sol = solve_on_branch(v, math.radians(args.rho1), args.branch)
     print(f"class: {cls.tag.value}"
           + (" (flat-foldable)" if cls.flat_foldable else ""))
@@ -87,7 +95,7 @@ def _cmd_vertex_solve(args, cfg):
 
 
 def _cmd_vertex_interval(args, cfg):
-    v = Vertex4(_parse_alphas(args.alphas, 4))
+    v, _ = _classified(args.alphas)
     iv = fold_interval(v, args.branch)
     print(f"branch: {args.branch.value}")
     print(f"interval_deg: [{_F(math.degrees(iv.lo))}, {_F(math.degrees(iv.hi))}]")

@@ -19,7 +19,7 @@ from .config import TAU_FLAT
 from .errors import SerializationError
 from .foldability import Propagation, mv_letter
 from .pattern import QuadPattern, StitchPlan, stitch
-from .realize import FoldedState
+from .realize import FoldedState, _norms
 
 _FLOAT_FMT = "{:.12g}"
 _CREASE_LETTERS = ("M", "V", "F")
@@ -98,8 +98,6 @@ def export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
             angles = obj.angles
     else:
         raise SerializationError(f"cannot export {type(obj).__name__}")
-    coords = [[float(x) for x in points[r, c]]
-              for r in range(p.m + 2) for c in range(p.n + 2)]
 
     edges_vertices = []
     assignment = []
@@ -130,7 +128,7 @@ def export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
         "file_creator": "quadfold",
         "file_classes": ["singleModel"],
         "frame_classes": [frame_class],
-        "vertices_coords": coords,
+        "vertices_coords": points.reshape(-1, points.shape[-1]).tolist(),
         "edges_vertices": edges_vertices,
         "edges_assignment": assignment,
         "edges_foldAngle": fold_angle,
@@ -213,26 +211,26 @@ def import_fold(doc: Union[dict, str]) -> QuadPattern:
 
 
 def export_obj(state: FoldedState, pattern: QuadPattern) -> str:
-    """Wavefront OBJ with quad faces; vertex order is grid row-major."""
-    if not np.isfinite(state.coords).all():
+    """Wavefront OBJ with quad faces; vertex order is grid row-major.  A
+    face of area at most 1e-12 (longer diagonal)^2 is refused as zero area."""
+    xs = state.coords
+    if not np.isfinite(xs).all():
         raise SerializationError("non-finite vertex coordinate in folded "
                                  "state; refusing to emit")
+    # the diagonals (r, c)->(r+1, c+1) and (r+1, c)->(r, c+1) of every face
+    d1, d2 = xs[1:, 1:] - xs[:-1, :-1], xs[:-1, 1:] - xs[1:, :-1]
+    area = 0.5 * _norms(np.cross(d1, d2))
+    flat = ~(area > 1e-12 * np.fmax(np.vecdot(d1, d1), np.vecdot(d2, d2)))
+    if flat.any():
+        r, c = np.argwhere(flat)[0].tolist()
+        raise SerializationError(
+            f"face ({r},{c}) has zero area; refusing to emit")
     lines = ["# quadfold folded state"]
-    for r in range(pattern.m + 2):
-        for c in range(pattern.n + 2):
-            x, y, z = state.coords[r, c]
-            lines.append("v " + " ".join(_FLOAT_FMT.format(v) for v in (x, y, z)))
-    for r, c in pattern.faces():
-        ids = [pattern.point_index(*q) + 1 for q in pattern.face_corners(r, c)]
-        pts = [state.coords[q] for q in pattern.face_corners(r, c)]
-        area = 0.5 * np.linalg.norm(
-            np.cross(pts[2] - pts[0], pts[3] - pts[1])
-        )
-        if area < 1e-12:
-            raise SerializationError(
-                f"face ({r},{c}) has zero area; refusing to emit"
-            )
-        lines.append("f " + " ".join(str(i) for i in ids))
+    lines += ["v " + " ".join(_FLOAT_FMT.format(v) for v in xyz)
+              for row in xs.tolist() for xyz in row]
+    lines += ["f " + " ".join(str(pattern.point_index(*q) + 1)
+                              for q in pattern.face_corners(*face))
+              for face in pattern.faces()]
     return "\n".join(lines) + "\n"
 
 
@@ -250,6 +248,7 @@ def export_svg(pattern: QuadPattern, mv: Optional[dict] = None) -> str:
     span = hi - lo
     pad = 0.05 * max(span[0], span[1], 1e-9)
     view = (lo[0] - pad, -(hi[1] + pad), span[0] + 2 * pad, span[1] + 2 * pad)
+    g = pattern.grid.tolist()
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="{}">'.format(
@@ -263,8 +262,8 @@ def export_svg(pattern: QuadPattern, mv: Optional[dict] = None) -> str:
             letter = "F"
         else:
             letter = _crease_letter(mv, a, b) or "F"
-        xa, ya = pattern.grid[a]
-        xb, yb = pattern.grid[b]
+        xa, ya = g[a[0]][a[1]]
+        xb, yb = g[b[0]][b[1]]
         lines.append(
             '<line x1="{}" y1="{}" x2="{}" y2="{}" stroke="{}" '
             'stroke-width="0.01"/>'.format(

@@ -343,31 +343,29 @@ def _layout(vertices, lengths: PlanLengths):
                 f"{key} must hold {want} positive, finite lengths for "
                 f"{m}x{n} inner vertices, got {xs!r}")
     dirs = [[None] * n for _ in range(m)]
-    pos = [[None] * n for _ in range(m)]
+    grid = np.zeros((m + 2, n + 2, 2))  # inner vertex (i, j) at (i+1, j+1)
 
     dirs[0][0] = _vertex_directions(vertices[0][0], dir_u=math.pi / 2)
-    pos[0][0] = np.zeros(2)
     for j in range(1, n):
         dirs[0][j] = _vertex_directions(
             vertices[0][j], dir_l=dirs[0][j - 1][3] + math.pi
         )
-        pos[0][j] = pos[0][j - 1] + lengths.top_at(j - 1) * _unit_vec(
+        grid[1, j + 1] = grid[1, j] + lengths.top_at(j - 1) * _unit_vec(
             dirs[0][j - 1][3]
         )
     for i in range(1, m):
         dirs[i][0] = _vertex_directions(
             vertices[i][0], dir_u=dirs[i - 1][0][2] + math.pi
         )
-        pos[i][0] = pos[i - 1][0] + lengths.left_at(i - 1) * _unit_vec(
+        grid[i + 1, 1] = grid[i, 1] + lengths.left_at(i - 1) * _unit_vec(
             dirs[i - 1][0][2]
         )
         for j in range(1, n):
             dirs[i][j] = _vertex_directions(
                 vertices[i][j], dir_u=dirs[i - 1][j][2] + math.pi
             )
-            hit = _ray_intersection(
-                pos[i - 1][j], dirs[i - 1][j][2], pos[i][j - 1], dirs[i][j - 1][3]
-            )
+            hit = _ray_intersection(grid[i, j + 1], dirs[i - 1][j][2],
+                                    grid[i + 1, j], dirs[i][j - 1][3])
             if hit is None:
                 raise LayoutFailure(
                     f"crease lines bounding panel ({i - 1},{j - 1}) are "
@@ -381,19 +379,16 @@ def _layout(vertices, lengths: PlanLengths):
                     f"(intersection parameters {t1:.3g}, {t2:.3g})",
                     panel=(i - 1, j - 1),
                 )
-            pos[i][j] = pos[i - 1][j] + t1 * _unit_vec(dirs[i - 1][j][2])
+            grid[i + 1, j + 1] = grid[i, j + 1] + t1 * _unit_vec(
+                dirs[i - 1][j][2])
 
     b = lengths.boundary
-    grid = np.zeros((m + 2, n + 2, 2))
-    for i in range(m):
-        for j in range(n):
-            grid[i + 1, j + 1] = pos[i][j]
     for j in range(n):
-        grid[0, j + 1] = pos[0][j] + b * _unit_vec(dirs[0][j][0])
-        grid[m + 1, j + 1] = pos[m - 1][j] + b * _unit_vec(dirs[m - 1][j][2])
+        grid[0, j + 1] = grid[1, j + 1] + b * _unit_vec(dirs[0][j][0])
+        grid[m + 1, j + 1] = grid[m, j + 1] + b * _unit_vec(dirs[m - 1][j][2])
     for i in range(m):
-        grid[i + 1, 0] = pos[i][0] + b * _unit_vec(dirs[i][0][1])
-        grid[i + 1, n + 1] = pos[i][n - 1] + b * _unit_vec(dirs[i][n - 1][3])
+        grid[i + 1, 0] = grid[i + 1, 1] + b * _unit_vec(dirs[i][0][1])
+        grid[i + 1, n + 1] = grid[i + 1, n] + b * _unit_vec(dirs[i][n - 1][3])
     # paper corners by parallelogram completion
     grid[0, 0] = grid[1, 0] + grid[0, 1] - grid[1, 1]
     grid[0, n + 1] = grid[1, n + 1] + grid[0, n] - grid[1, n]
@@ -448,22 +443,16 @@ def _check_panel_sums(vertices):
 def check_layout_angles(vertices, grid):
     """Measured sector angles of the placed layout must match the data;
     LayoutFailure names the first vertex and sector that do not."""
-    m, n = len(vertices), len(vertices[0])
-    for i in range(m):
-        for j in range(n):
-            p = grid[i + 1, j + 1]
-            spokes = (
-                grid[i, j + 1] - p,      # U
-                grid[i + 1, j] - p,      # L
-                grid[i + 2, j + 1] - p,  # D
-                grid[i + 1, j + 2] - p,  # R
-            )
-            ang = [math.atan2(s[1], s[0]) for s in spokes]
-            # sectors a1..a4 = R^U, U^L, L^D, D^R
-            order = (3, 0, 1, 2)
+    g = grid.tolist()
+    for i, row in enumerate(vertices):
+        for j, v in enumerate(row):
+            px, py = g[i + 1][j + 1]
+            # spokes R, U, L, D: sector a(k+1) turns from spoke k to k+1
+            ang = [math.atan2(y - py, x - px) for x, y in (
+                g[i + 1][j + 2], g[i][j + 1], g[i + 1][j], g[i + 2][j + 1])]
             for k in range(4):
-                got = (ang[order[(k + 1) % 4]] - ang[order[k]]) % TWO_PI
-                want = vertices[i][j].alpha[k]
+                got = (ang[(k + 1) % 4] - ang[k]) % TWO_PI
+                want = v.alpha[k]
                 if abs(got - want) > TAU_LAYOUT * 10:
                     raise LayoutFailure(
                         f"layout does not realize sector a{k + 1} at vertex "
@@ -585,13 +574,14 @@ def count_dof(plan: StitchPlan) -> DofReport:
 def branch_chains(plan: StitchPlan) -> list:
     """Each column's consistent, transmitting branch chains, top vertex
     first: one list per column, in the list order of valid_branch_pairs."""
+    # equal units ask once
+    pairs = {u: valid_branch_pairs(u) for u in dict.fromkeys(plan.units())}
     out = []
     for col in plan.columns:
-        chains = [(bt, bb) for bt, bb, _ in valid_branch_pairs(col[0])]
+        chains = [(bt, bb) for bt, bb, _ in pairs[col[0]]]
         for u in col[1:]:
-            pairs = valid_branch_pairs(u)
             chains = [c + (bb,) for c in chains
-                      for bt, bb, _ in pairs if bt is c[-1]]
+                      for bt, bb, _ in pairs[u] if bt is c[-1]]
         out.append(chains)
     return out
 

@@ -207,9 +207,10 @@ def classify(v: Vertex4) -> VertexClass:
 
     Collinearity of two creases is decided by whether the sector angles
     strictly between them sum to pi (within TAU_ANGLE).  Sums that miss pi by
-    less than TAU_CLASS_BAND are recorded as warnings but not treated as
-    collinear, so near-degenerate design inputs fail loudly instead of
-    silently snapping.
+    less than TAU_CLASS_BAND are not treated as collinear but recorded in the
+    result's `warnings`, so near-degenerate design inputs are reported instead
+    of silently snapping: the CLI's `vertex solve` and `vertex interval`
+    print each as a `warning:` line on stderr.
     """
     a = v.alpha
     warnings = []

@@ -34,7 +34,12 @@ from quadfold.config import (
     TAU_UNIT,
     CliConfig,
 )
-from quadfold.fixtures import showcase_a_plan, showcase_b_plan, square_grid_plan
+from quadfold.fixtures import (
+    herringbone_plan,
+    showcase_a_plan,
+    showcase_b_plan,
+    square_grid_plan,
+)
 
 deg = math.radians
 
@@ -384,6 +389,20 @@ class TestObj:
         with pytest.raises(SerializationError):
             export_obj(bad, p)
 
+    @pytest.mark.parametrize("length", [1e-6, 1e-9])
+    @pytest.mark.parametrize("plan", [herringbone_plan, showcase_a_plan])
+    def test_tiny_creases_export(self, plan, length):
+        """The zero-area bound scales with the face: a blanket relaid with
+        every crease `length` long sweeps, verifies and exports each frame."""
+        p = stitch(plan())
+        tiny = p.relayout(PlanLengths(top=(length,) * (p.n - 1),
+                                      left=(length,) * (p.m - 1),
+                                      boundary=length))
+        for state in sweep(tiny, n_frames=4).frames:
+            obj = export_obj(state, tiny)
+            f_lines = [l for l in obj.splitlines() if l.startswith("f ")]
+            assert len(f_lines) == (p.m + 1) * (p.n + 1)
+
     def test_non_finite_coordinates_refused(self):
         p = stitch(square_grid_plan(2, 2))
         state = realize(p, propagate(build_tree(p), 0.0, None))
@@ -441,6 +460,29 @@ class TestCli:
                    "--branch", "1"])
         assert rc == 0
         assert "interval_deg" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["vertex", "solve", "--rho1", "20", "--branch", "1"],
+        ["vertex", "interval", "--branch", "1"],
+    ])
+    def test_near_collinear_warnings_on_stderr(self, argv, capsys):
+        """`classify`'s near-collinear warnings go to stderr, one
+        `warning:` line each; stdout and the exit code are unchanged."""
+        near = main([*argv, "--alphas", "80,100.00001,80,99.99999"])
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "warning: a2+a3 (creases c1,c3) misses pi by 1.745e-07; "
+            "not snapped",
+            "warning: a3+a4 (creases c2,c4) misses pi by -1.745e-07; "
+            "not snapped",
+        ]
+        assert near == 0
+        if argv[1] == "solve":
+            assert captured.out.startswith("class: generic\nbranch: 1\n")
+        else:
+            assert captured.out.startswith("branch: 1\ninterval_deg: ")
+        assert main([*argv, "--alphas", "80,95,75,110"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_unit_solve_ff(self, capsys):
         rc = main(["unit", "solve-ff", "--alphas", "80,100,60",

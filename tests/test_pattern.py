@@ -410,6 +410,28 @@ class TestCountBranches:
         assert (count_branches(combined)
                 == count_branches(plan_a) * count_branches(plan_b))
 
+    @pytest.mark.parametrize("make", [
+        lambda: herringbone_plan(8, 8), showcase_a_plan, showcase_b_plan,
+    ])
+    def test_asks_once_per_distinct_unit(self, make, monkeypatch):
+        """`branch_chains` calls valid_branch_pairs once per distinct unit
+        and gives the chains of a unit-by-unit walk, in its order."""
+        plan = make()
+        walk = []
+        for col in plan.columns:
+            chains = [(bt, bb) for bt, bb, _ in
+                      pattern_mod.valid_branch_pairs(col[0])]
+            for u in col[1:]:
+                chains = [c + (bb,) for c in chains for bt, bb, _ in
+                          pattern_mod.valid_branch_pairs(u) if bt is c[-1]]
+            walk.append(chains)
+        asked = []
+        real = pattern_mod.valid_branch_pairs
+        monkeypatch.setattr(pattern_mod, "valid_branch_pairs",
+                            lambda u: asked.append(u) or real(u))
+        assert pattern_mod.branch_chains(plan) == walk
+        assert len(asked) == len(set(asked)) == len(set(plan.units()))
+
 
 class TestPlanJson:
     def test_roundtrip(self, plan_a):

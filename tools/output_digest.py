@@ -29,22 +29,28 @@ where the call raises:
   `square_grid_plan`), with every sign pair;
 * blankets: the `certify` report for every enumerated branch choice and both
   uniform curve-branch choices of showcases A and B, four seeded 8x8
-  herringbones and a 4x4 herringbone, and the text of the FOLD and OBJ
-  exports of a 6-frame `sweep` of each of those blankets that certifies on
-  its default branches, with each frame's rigidity and closure residuals
-  in full precision (so a residual bit that moves shows, not only the
-  12-digit exports);
+  herringbones and a 4x4 herringbone, the `export_svg` text of each of
+  those blankets, plain and, where it certifies, coloured by
+  `mv_assignment` at half its certified driving angle, and the text of the
+  FOLD and OBJ exports of a 6-frame `sweep` of each of those blankets that
+  certifies on its default branches, with each frame's rigidity and
+  closure residuals in full precision (so a residual bit that moves shows,
+  not only the 12-digit exports);
 * derived blankets: the `certify` report (49 samples) of every half-degree
   `with_vertex` perturbation of showcases A and B (each vertex, sector pair
   (k, k+2) moved by +-0.5 degree), the `valid_branch_pairs` of every unit of
   both showcases and of a 4x4 herringbone, and each showcase's layout after
   `relayout(plan.lengths)`, coordinates in full precision;
 * relaid-out blankets: 40 seeded `relayout`s of showcases A and B and a 4x4
-  herringbone (crease lengths 0.2-3, boundary 0.2-4).  Only those whose
-  faces this tool's own geometry check finds simple and counter-clockwise
-  are kept (no two opposite edges cross, positive shoelace area), and each
-  kept one gives its `certify` report and the FOLD and OBJ text and the
-  residuals of a 6-frame `sweep`.
+  herringbone (crease lengths 0.2-3, boundary 0.2-4).  A relayout that
+  raises gives its exception type and message.  Of the others, only those
+  whose faces this tool's own geometry check finds simple and
+  counter-clockwise are kept (no two opposite edges cross, positive
+  shoelace area), and each kept one gives its `certify` report, its SVG
+  texts as above and the FOLD and OBJ text and the residuals of a 6-frame
+  `sweep`;
+* refusals: `export_obj` of a flat 2x2 square grid with one face squashed
+  to a point.
 
 One line per text gives that text's own hash, so a diff of two outputs names
 the texts that moved; the last line is the total.  It is a comparison tool,
@@ -53,6 +59,7 @@ not a golden: the hash is compared between two source trees, never stored.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -76,10 +83,12 @@ from quadfold import (  # noqa: E402
     enumerate_branch_choices,
     export_fold,
     export_obj,
+    export_svg,
     fold_dumps,
     fold_interval,
     identical_vertex_unit,
     make_flatfoldable_basic_unit,
+    mv_assignment,
     make_straightline_unit,
     solve_at_crease,
     solve_ff_unit,
@@ -95,6 +104,7 @@ from quadfold.fixtures import (  # noqa: E402
     herringbone_plan,
     showcase_a_plan,
     showcase_b_plan,
+    square_grid_plan,
 )
 
 SEED = 7
@@ -303,6 +313,17 @@ def derived_texts():
                        _outcome(lambda: valid_branch_pairs(u)))
 
 
+def _svg_texts(name, p):
+    """The crease-pattern SVG, plain and, where the pattern certifies,
+    coloured at half its certified driving angle."""
+    yield f"{name} svg", _outcome(lambda: export_svg(p))
+    report = certify(p)
+    if report.verdict:
+        rho = 0.5 * report.interval[1]
+        yield (f"{name} svg mv {rho!r}",
+               _outcome(lambda: export_svg(p, mv_assignment(p, None, rho))))
+
+
 def _sweep_texts(name, p):
     try:
         motion = sweep(p, n_frames=N_FRAMES)
@@ -348,15 +369,28 @@ def relayout_texts():
             top=tuple(rng.uniform(0.2, 3.0) for _ in range(base.n - 1)),
             left=tuple(rng.uniform(0.2, 3.0) for _ in range(base.m - 1)),
             boundary=rng.uniform(0.2, 4.0))
+        name = f"relayout {k}"
         try:
             p = base.relayout(lengths)
-        except QuadfoldError:
+        except QuadfoldError as exc:
+            yield f"{name} refused", f"{type(exc).__name__}: {exc}"
             continue
         if not _faces_simple(p):
             continue
-        name = f"relayout {k}"
         yield f"{name} certify", _outcome(lambda: certify(p))
+        yield from _svg_texts(name, p)
         yield from _sweep_texts(name, p)
+
+
+def squashed_texts():
+    """`export_obj` of a flat 2x2 square grid whose top-left face is
+    squashed to one point: a zero-area refusal."""
+    p = stitch(square_grid_plan(2, 2))
+    state = sweep(p, n_frames=1).frames[0]
+    coords = state.coords.copy()
+    coords[0, 0] = coords[0, 1] = coords[1, 0] = coords[1, 1]
+    squashed = dataclasses.replace(state, coords=coords)
+    yield "squashed face obj", _outcome(lambda: export_obj(squashed, p))
 
 
 def texts():
@@ -372,8 +406,10 @@ def texts():
                    BranchId.BRANCH_2)
         for k, choice in enumerate(choices):
             yield f"{name} certify {k}", _outcome(lambda: certify(p, choice))
+        yield from _svg_texts(name, p)
         yield from _sweep_texts(name, p)
     yield from relayout_texts()
+    yield from squashed_texts()
 
 
 def main() -> int:
