@@ -43,7 +43,6 @@ from .pattern import (
     count_branches,
     count_dof,
     stitch,
-    unit_from_descriptor,
 )
 from .realize import (
     FoldedState,
@@ -62,6 +61,7 @@ from .units import (
     make_flatfoldable_basic_unit,
     make_straightline_unit,
     solve_ff_unit,
+    unit_from_descriptor,
     valid_branch_pairs,
     validate_unit,
 )

@@ -3,7 +3,7 @@
 All angles at this boundary are degrees.  Exit codes: 0 success, 1 validation
 failure, 2 usage error.  Set QUADFOLD_CONFIG to a JSON object file to
 override `tau_unit`, `tau_compat`, `tau_flat`, `samples` and `frames`; any
-other key is a usage error.
+other key is a usage error.  A `--samples`/`--frames` flag overrides its key.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
-from .config import CliConfig
+from .config import CONFIG_KEYS, CliConfig
 from .errors import QuadfoldError, SerializationError
 from .foldability import certify, mv_assignment
 from .foldio import export_fold, export_obj, export_svg, fold_dumps, import_fold
@@ -54,20 +55,6 @@ def _branch_token(text: str) -> BranchId:
         return BranchId.from_token(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _count_at_least(least: int):
-    """argparse type: an integer >= `least`."""
-    def parse(text: str) -> int:
-        try:
-            x = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer, got {text!r}") from None
-        if x < least:
-            raise argparse.ArgumentTypeError(f"must be >= {least}, got {x}")
-        return x
-    return parse
 
 
 def _deg_list(values):
@@ -125,8 +112,7 @@ def _read_json(path):
 
 def _cmd_unit_validate(args, cfg):
     unit = Unit.from_json(_read_json(args.file))
-    samples = cfg.samples if args.samples is None else args.samples
-    report = validate_unit(unit, samples)
+    report = validate_unit(unit, cfg.samples)
     print(f"samples: {report.n_samples}")
     print(f"max_residual: {report.max_residual:.3e}")
     if report.degenerate_shared:
@@ -171,8 +157,7 @@ def _cmd_pattern_stitch(args, cfg):
 def _cmd_pattern_certify(args, cfg):
     p = _load_pattern(args.pattern)
     branches = _parse_branch_spec(args.branches, p)
-    samples = cfg.samples if args.samples is None else args.samples
-    report = certify(p, branches, samples, compat_tol=cfg.tau_compat)
+    report = certify(p, branches, cfg.samples, compat_tol=cfg.tau_compat)
     print(report.summary())
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -190,20 +175,15 @@ def _cmd_pattern_count(args, cfg):
 def _cmd_pattern_sweep(args, cfg):
     p = _load_pattern(args.pattern)
     branches = _parse_branch_spec(args.branches, p)
-    frames = cfg.frames if args.frames is None else args.frames
-    result = sweep(p, branches, frames, n_samples=cfg.samples,
+    result = sweep(p, branches, cfg.frames, n_samples=cfg.samples,
                    compat_tol=cfg.tau_compat)
     os.makedirs(args.out_dir, exist_ok=True)
     for k, state in enumerate(result.frames):
-        if args.format == "obj":
-            path = os.path.join(args.out_dir, f"frame_{k:03d}.obj")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(export_obj(state, p))
-        else:
-            doc = export_fold(state, pattern=p)
-            path = os.path.join(args.out_dir, f"frame_{k:03d}.fold")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(fold_dumps(doc))
+        text = (export_obj(state, p) if args.format == "obj"
+                else fold_dumps(export_fold(state, pattern=p)))
+        path = os.path.join(args.out_dir, f"frame_{k:03d}.{args.format}")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     print(f"wrote {len(result.frames)} frames to {args.out_dir}")
     print(f"max rigidity residual: {result.max_rigidity_residual:.3e}")
     print(f"max closure residual: {result.max_closure_residual:.3e}")
@@ -256,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_unit_solve_ff)
     s = uns.add_parser("validate", help="validate a unit JSON file")
     s.add_argument("file")
-    s.add_argument("--samples", type=_count_at_least(2), default=None)
+    s.add_argument("--samples", type=int, default=None)
     s.set_defaults(fn=_cmd_unit_validate)
 
     pt = sub.add_parser("pattern", help="stitched blankets")
@@ -270,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--branches", default=None,
                    help="per-vertex branches: columns ';'-separated, rows "
                         "','-separated (default: stored assignment)")
-    s.add_argument("--samples", type=_count_at_least(2), default=None)
+    s.add_argument("--samples", type=int, default=None)
     s.add_argument("--report", default=None, help="write JSON report here")
     s.set_defaults(fn=_cmd_pattern_certify)
     s = pts.add_parser("count", help="independent sector angles and branches")
@@ -278,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_pattern_count)
     s = pts.add_parser("sweep", help="realize the folding motion")
     s.add_argument("pattern")
-    s.add_argument("--frames", type=_count_at_least(1), default=None)
+    s.add_argument("--frames", type=int, default=None)
     s.add_argument("--out-dir", required=True)
     s.add_argument("--format", choices=("obj", "fold"), default="obj")
     s.add_argument("--branches", default=None)
@@ -297,9 +277,17 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = CliConfig.from_env()
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"bad QUADFOLD_CONFIG: {exc}", file=sys.stderr)
         return 2
+    # a flag overrides its $QUADFOLD_CONFIG key; CliConfig checks both
+    for key in CONFIG_KEYS:
+        value = getattr(args, key, None)
+        if value is not None:
+            try:
+                cfg = replace(cfg, **{key: value})
+            except ValueError as exc:
+                ap.error(f"argument --{key}: {exc}")  # exits with code 2
     try:
         return args.fn(args, cfg)
     except argparse.ArgumentTypeError as exc:

@@ -28,7 +28,6 @@ from .units import FFUnitMode, Unit, identical_vertex_unit, \
     make_flatfoldable_basic_unit, solve_ff_unit
 from .vertex import BranchId, Vertex4
 
-_t = lambda x: math.tan(x / 2.0)
 _rad = math.radians
 
 
@@ -45,7 +44,7 @@ def showcase_a_plan() -> StitchPlan:
     f1 = 2.0 * math.pi - 2.0 * c - a
     f3 = math.pi - a
     f4 = a
-    f2 = 2.0 * math.atan(_t(f1) * _t(f3) / _t(f4))   # A-minus closure
+    f2 = FFUnitMode.A_MINUS.alpha4(f1, f4, f3)   # A-minus closure
     g = 0.5 * (f2 + f3)
 
     left_v = Vertex4((a, math.pi - a, c, math.pi - c))

@@ -76,23 +76,33 @@ def _crease_letter(mv: dict, a: tuple, b: tuple) -> Optional[str]:
     return letter
 
 
+def _check_frame_shape(state: FoldedState, pattern: QuadPattern):
+    """SerializationError unless the frame spans the pattern's point grid."""
+    want = (pattern.m + 2, pattern.n + 2, 3)
+    if state.coords.shape != want:
+        raise SerializationError(
+            f"frame coordinates have shape {state.coords.shape}; the "
+            f"{pattern.m}x{pattern.n} pattern needs {want}")
+
+
 def export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
                 *, pattern: Optional[QuadPattern] = None,
                 angles: Optional[Propagation] = None) -> dict:
     """Build a FOLD document for a pattern (crease pattern) or folded frame.
 
-    For a FoldedState the owning pattern must be supplied; `angles` (by
-    default the Propagation the state was folded by) fills edges_foldAngle,
-    and `mv` overrides the assignment letters `mv_letter` derives from the
-    angle signs.  A letter that contradicts its angle as `import_fold`
-    reads it (V on a negative angle, M on a positive one, F on one not
-    below `TAU_FLAT`) is refused.
+    For a FoldedState the owning pattern, whose point grid the state spans,
+    must be supplied; `angles` (by default the Propagation the state was
+    folded by) fills edges_foldAngle, and `mv` overrides the assignment
+    letters `mv_letter` derives from the angle signs.  A letter that
+    contradicts its angle as `import_fold` reads it (V on a negative angle,
+    M on a positive one, F on one not below `TAU_FLAT`) is refused.
     """
     if isinstance(obj, QuadPattern):
         p, points, frame_class = obj, obj.grid, "creasePattern"
     elif isinstance(obj, FoldedState):
         if pattern is None:
             raise SerializationError("folded frames need their pattern")
+        _check_frame_shape(obj, pattern)
         p, points, frame_class = pattern, obj.coords, "foldedForm"
         if angles is None:
             angles = obj.angles
@@ -212,7 +222,9 @@ def import_fold(doc: Union[dict, str]) -> QuadPattern:
 
 def export_obj(state: FoldedState, pattern: QuadPattern) -> str:
     """Wavefront OBJ with quad faces; vertex order is grid row-major.  A
-    face of area at most 1e-12 (longer diagonal)^2 is refused as zero area."""
+    face of area at most 1e-12 (longer diagonal)^2 is refused as zero area,
+    and so is a state whose coordinates are not the pattern's point grid."""
+    _check_frame_shape(state, pattern)
     xs = state.coords
     if not np.isfinite(xs).all():
         raise SerializationError("non-finite vertex coordinate in folded "

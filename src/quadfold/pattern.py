@@ -36,10 +36,9 @@ from .errors import (
     NotABlanket,
     ValidationFailed,
 )
-from .units import UNIT_KINDS, FFUnitMode, Unit, identical_vertex_unit, \
-    json_keys, json_numbers, json_token, make_flatfoldable_basic_unit, \
-    make_straightline_unit, solve_ff_unit, valid_branch_pairs, validate_unit
-from .vertex import BranchId, Vertex4, normalize_angle
+from .units import UNIT_KINDS, json_keys, json_numbers, \
+    unit_from_descriptor, valid_branch_pairs, validate_unit
+from .vertex import Vertex4, normalize_angle
 
 TWO_PI = 2.0 * math.pi
 
@@ -131,55 +130,6 @@ class StitchPlan:
                 f"boundary_length must be a number, got {boundary!r}")
         lengths = PlanLengths(top=top, left=left, boundary=float(boundary))
         return cls(columns=columns, lengths=lengths)
-
-
-# the keys of each constructor descriptor, by kind
-_DESCRIPTOR_KEYS = {
-    "straight_line": ("kind", "alphas_deg"),
-    "flat_foldable_basic": ("kind", "alphas_deg"),
-    "flat_foldable": ("kind", "alphas_deg", "mode"),
-    "custom": ("kind", "mirror_of_deg", "branch"),
-}
-
-
-def unit_from_descriptor(d: dict) -> Unit:
-    """Build a unit from a plan descriptor.
-
-    Descriptors either carry the full 8-angle form (handled by
-    :meth:`Unit.from_json`) or name a constructor:
-
-    * ``{"kind": "straight_line", "alphas_deg": [a1, a2, a3, a4]}``
-    * ``{"kind": "flat_foldable_basic", "alphas_deg": [a1, a2]}``
-    * ``{"kind": "flat_foldable", "alphas_deg": [a1, a2, a3], "mode": "10a-2"}``
-    * ``{"kind": "custom", "mirror_of_deg": [a1..a4], "branch": "1"}``
-
-    Anything else, a missing or unknown key or a malformed value is refused
-    with a ValidationFailed that names it.
-    """
-    if not isinstance(d, dict):
-        raise ValidationFailed(f"a unit descriptor must be a JSON object, "
-                               f"got {d!r}")
-    if "sector_deg" in d:
-        return Unit.from_json(d)
-    kind = d.get("kind", "custom")
-    if isinstance(kind, str) and kind in _DESCRIPTOR_KEYS:
-        json_keys(d, _DESCRIPTOR_KEYS[kind], f"a {kind} unit descriptor")
-    if kind == "straight_line":
-        return make_straightline_unit(
-            Vertex4.from_degrees(json_numbers(d, "alphas_deg", 4)))
-    if kind == "flat_foldable_basic":
-        a1, a2 = map(math.radians, json_numbers(d, "alphas_deg", 2))
-        return make_flatfoldable_basic_unit(a1, a2)
-    if kind == "flat_foldable":
-        a1, a2, a3 = map(math.radians, json_numbers(d, "alphas_deg", 3))
-        return solve_ff_unit(a1, a2, a3,
-                             json_token(d, "mode", FFUnitMode.from_token))
-    if kind == "custom" and "mirror_of_deg" in d:
-        return identical_vertex_unit(
-            Vertex4.from_degrees(json_numbers(d, "mirror_of_deg", 4)),
-            json_token(d, "branch", BranchId.from_token, "1"),
-        )
-    raise ValidationFailed(f"cannot interpret unit descriptor {d!r}")
 
 
 # ---------------------------------------------------------------------------

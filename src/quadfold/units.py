@@ -43,9 +43,9 @@ from .vertex import (
     BranchId,
     ClassTag,
     Vertex4,
+    _branch_param,
     _drive,
     classify,
-    fold_interval,
     normalize_angle,
     solve_on_branch,
 )
@@ -256,6 +256,55 @@ class Unit:
         )
 
 
+# the keys of each constructor descriptor, by kind
+_DESCRIPTOR_KEYS = {
+    "straight_line": ("kind", "alphas_deg"),
+    "flat_foldable_basic": ("kind", "alphas_deg"),
+    "flat_foldable": ("kind", "alphas_deg", "mode"),
+    "custom": ("kind", "mirror_of_deg", "branch"),
+}
+
+
+def unit_from_descriptor(d: dict) -> Unit:
+    """Build a unit from a plan descriptor.
+
+    Descriptors either carry the full 8-angle form (handled by
+    :meth:`Unit.from_json`) or name a constructor:
+
+    * ``{"kind": "straight_line", "alphas_deg": [a1, a2, a3, a4]}``
+    * ``{"kind": "flat_foldable_basic", "alphas_deg": [a1, a2]}``
+    * ``{"kind": "flat_foldable", "alphas_deg": [a1, a2, a3], "mode": "10a-2"}``
+    * ``{"kind": "custom", "mirror_of_deg": [a1..a4], "branch": "1"}``
+
+    Anything else, a missing or unknown key or a malformed value is refused
+    with a ValidationFailed that names it.
+    """
+    if not isinstance(d, dict):
+        raise ValidationFailed(f"a unit descriptor must be a JSON object, "
+                               f"got {d!r}")
+    if "sector_deg" in d:
+        return Unit.from_json(d)
+    kind = d.get("kind", "custom")
+    if isinstance(kind, str) and kind in _DESCRIPTOR_KEYS:
+        json_keys(d, _DESCRIPTOR_KEYS[kind], f"a {kind} unit descriptor")
+    if kind == "straight_line":
+        return make_straightline_unit(
+            Vertex4.from_degrees(json_numbers(d, "alphas_deg", 4)))
+    if kind == "flat_foldable_basic":
+        a1, a2 = map(math.radians, json_numbers(d, "alphas_deg", 2))
+        return make_flatfoldable_basic_unit(a1, a2)
+    if kind == "flat_foldable":
+        a1, a2, a3 = map(math.radians, json_numbers(d, "alphas_deg", 3))
+        return solve_ff_unit(a1, a2, a3,
+                             json_token(d, "mode", FFUnitMode.from_token))
+    if kind == "custom" and "mirror_of_deg" in d:
+        return identical_vertex_unit(
+            Vertex4.from_degrees(json_numbers(d, "mirror_of_deg", 4)),
+            json_token(d, "branch", BranchId.from_token, "1"),
+        )
+    raise ValidationFailed(f"cannot interpret unit descriptor {d!r}")
+
+
 def json_keys(doc: dict, allowed: tuple, what: str):
     """ValidationFailed, naming the key, when the object `doc` holds a key
     outside `allowed`; `what` names the object in the message."""
@@ -293,12 +342,11 @@ def json_token(doc: dict, key: str, parse, default: Optional[str] = None):
 
 
 def _reach(v: Vertex4, branch: BranchId, comp: int) -> float:
-    """|rho[comp]| at the end of the branch: at the fold interval's end, or
-    at pi on a segment that keeps c1 flat (its interval is [0, 0]); 0 when
+    """|rho[comp]| at the end of the branch's parameter range, r_max; 0 when
     the branch cannot be evaluated there."""
-    hi = fold_interval(v, branch).hi
     try:
-        return abs(solve_on_branch(v, hi if hi > 0 else math.pi, branch).rho[comp])
+        return abs(solve_on_branch(v, _branch_param(v.alpha, branch).r_max,
+                                   branch).rho[comp])
     except OutOfDomain:
         return 0.0
 
@@ -345,7 +393,6 @@ def validate_unit(u: Unit, n_samples: int = 200) -> UnitReport:
         sides = _drive_sides(u, 3, ts, 1, ts)
         i24, j24, s = 1, 1, s2
     else:
-        ts = [t for t in ts if not abs(t) < 1e-14]
         sides = _drive_sides(u, 2, ts, 2, [s2 * t for t in ts])
         i24, j24, s = 2, 0, 1  # the shared crease, flat on both
     worst24 = worst47 = 0.0

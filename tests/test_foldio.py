@@ -280,6 +280,20 @@ class TestFold:
         flat = export_fold(pat_a, {(a, b): "F"})
         assert import_fold(flat).grid.shape == pat_a.grid.shape
 
+    def test_export_refuses_a_frame_of_another_pattern(self, pat_a):
+        """A 4x4 herringbone frame exported with showcase A (3x3) as its
+        pattern is refused, naming both shapes; with a pattern of its own
+        shape it exports as before."""
+        own = stitch(herringbone_plan(4, 4))
+        state = sweep(own, n_frames=3).frames[1]
+        with pytest.raises(SerializationError,
+                           match=re.escape("(6, 6, 3); the 3x3 pattern "
+                                           "needs (5, 5, 3)")):
+            export_fold(state, pattern=pat_a)
+        doc = fold_dumps(export_fold(state, pattern=own))
+        assert doc == fold_dumps(export_fold(
+            state, pattern=stitch(herringbone_plan(4, 4))))
+
     def test_every_exported_frame_imports(self):
         """What export writes, import reads: every frame of the showcase
         sweeps."""
@@ -402,6 +416,19 @@ class TestObj:
             obj = export_obj(state, tiny)
             f_lines = [l for l in obj.splitlines() if l.startswith("f ")]
             assert len(f_lines) == (p.m + 1) * (p.n + 1)
+
+    def test_frame_of_another_pattern_refused(self, pat_a):
+        """A 4x4 herringbone frame exported with showcase A (3x3) as its
+        pattern is refused, naming both shapes; with a pattern of its own
+        shape it exports as before."""
+        own = stitch(herringbone_plan(4, 4))
+        state = sweep(own, n_frames=3).frames[1]
+        with pytest.raises(SerializationError,
+                           match=re.escape("(6, 6, 3); the 3x3 pattern "
+                                           "needs (5, 5, 3)")):
+            export_obj(state, pat_a)
+        assert (export_obj(state, stitch(herringbone_plan(4, 4)))
+                == export_obj(state, own))
 
     def test_non_finite_coordinates_refused(self):
         p = stitch(square_grid_plan(2, 2))
@@ -700,6 +727,9 @@ class TestCli:
           "--out-dir", "{out}"], "--frames"),
         (["pattern", "sweep", "{fold}", "--frames", "0",
           "--out-dir", "{out}"], "--frames"),
+        (["pattern", "certify", "{fold}", "--samples", "2.5"], "--samples"),
+        (["pattern", "sweep", "{fold}", "--frames", "x",
+          "--out-dir", "{out}"], "--frames"),
     ])
     def test_bad_count_flag_is_usage_error(self, argv, flag, tmp_path,
                                            capsys):
@@ -714,6 +744,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert exc.value.code == 2
         assert f"argument {flag}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, flag, shown", [
+        (["unit", "validate", "{unit}"], "--samples", "samples: {}\n"),
+        (["pattern", "certify", "{fold}"], "--samples", "({} samples)"),
+        (["pattern", "sweep", "{fold}", "--out-dir", "{out}"], "--frames",
+         "wrote {} frames"),
+    ], ids=["unit-validate", "pattern-certify", "pattern-sweep"])
+    def test_flag_overrides_config(self, argv, flag, shown, tmp_path, capsys,
+                                   monkeypatch):
+        """The one precedence rule: a flag over its $QUADFOLD_CONFIG key
+        over the default."""
+        unit_file = tmp_path / "unit.json"
+        unit_file.write_text(json.dumps(
+            next(showcase_a_plan().units()).to_json()))
+        paths = {"fold": str(self._fold_file(tmp_path, showcase_a_plan())),
+                 "unit": str(unit_file), "out": str(tmp_path / "frames")}
+        argv = [a.format(**paths) for a in argv]
+        key = flag[2:]
+        for config, extra, value in ((None, [], getattr(CliConfig(), key)),
+                                     ({key: 3}, [], 3),
+                                     ({key: 3}, [flag, "4"], 4),
+                                     (None, [flag, "4"], 4)):
+            if config is None:
+                monkeypatch.delenv("QUADFOLD_CONFIG", raising=False)
+            else:
+                self._set_config(tmp_path, monkeypatch, config)
+            capsys.readouterr()
+            assert main(argv + extra) == 0
+            assert shown.format(value) in capsys.readouterr().out
 
     @pytest.mark.parametrize("doc, named", [
         ({"tau_compt": 1e-6}, "tau_compt"),

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""One sha256 over the vertex, unit, certify and sweep outputs of a fixed
-input set.
+"""One sha256 over the vertex, unit, certify, sweep and command-line outputs
+of a fixed input set.
 
     python3 tools/output_digest.py                        # this checkout's src/
     PYTHONPATH=/other/checkout/src python3 tools/output_digest.py
@@ -50,7 +50,14 @@ where the call raises:
   texts as above and the FOLD and OBJ text and the residuals of a 6-frame
   `sweep`;
 * refusals: `export_obj` of a flat 2x2 square grid with one face squashed
-  to a point.
+  to a point;
+* command line: `quadfold.cli.main` run in a temporary directory on
+  `vertex solve`/`interval`, `unit solve-ff`/`validate` and `pattern
+  stitch`/`count`/`certify`/`sweep`/`svg` over both showcases and two plans
+  written only as unit descriptors, each with the defaults, with its flag,
+  with a `$QUADFOLD_CONFIG` file and with both, which pins the precedence
+  flag, then config, then default.  Each run gives its exit code, stdout,
+  stderr and the hash of every file it wrote.
 
 One line per text gives that text's own hash, so a diff of two outputs names
 the texts that moved; the last line is the total.  It is a comparison tool,
@@ -59,12 +66,18 @@ not a golden: the hash is compared between two source trees, never stored.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import itertools
+import json
 import math
+import os
 import random
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 # PYTHONPATH comes first on sys.path, so it picks the source tree to digest.
@@ -76,6 +89,7 @@ from quadfold import (  # noqa: E402
     FFUnitMode,
     PlanLengths,
     QuadfoldError,
+    StitchPlan,
     Unit,
     Vertex4,
     certify,
@@ -100,6 +114,7 @@ from quadfold import (  # noqa: E402
     validate_unit,
     xi_of,
 )
+from quadfold.cli import main as cli_main  # noqa: E402
 from quadfold.fixtures import (  # noqa: E402
     herringbone_plan,
     showcase_a_plan,
@@ -393,6 +408,117 @@ def squashed_texts():
     yield "squashed face obj", _outcome(lambda: export_obj(squashed, p))
 
 
+# plans written only as unit descriptors: three straight-line columns, and
+# one flat-foldable unit
+DESCRIPTOR_PLANS = {
+    "descriptors_sl": {"columns": [[{"kind": "straight_line",
+                                     "alphas_deg": [95, 85, 75, 105]}]] * 3},
+    "descriptors_ff": {"columns": [[{"kind": "flat_foldable",
+                                     "alphas_deg": [80, 100, 60],
+                                     "mode": "10a-1"}]]},
+}
+# every $QUADFOLD_CONFIG key, each away from its default
+CLI_CONFIG = {"tau_unit": 1e-7, "tau_compat": 1e-6, "tau_flat": 1e-6,
+              "samples": 33, "frames": 3}
+
+
+def _cli_commands():
+    """(argv, flag) pairs; `flag` is the argv tail a run adds with its
+    flag, or None for a command that takes none."""
+    for alphas in ("80,95,75,110", "80,100.00001,80,99.99999"):
+        for b in ("1", "2"):
+            yield (["vertex", "solve", "--rho1", "60", "--alphas", alphas,
+                    "--branch", b], None)
+            yield (["vertex", "interval", "--alphas", alphas,
+                    "--branch", b], None)
+    for mode in FFUnitMode:
+        yield (["unit", "solve-ff", "--alphas", "80,100,60",
+                "--mode", mode.value], None)
+    for name in ("ff_unit", "sl_unit", "double_collinear_unit"):
+        yield ["unit", "validate", f"in/{name}.json"], ["--samples", "64"]
+    plans = ("showcase_a", "showcase_b", *DESCRIPTOR_PLANS)
+    for name in plans:
+        yield ["pattern", "count", f"in/{name}.json"], None
+        yield (["pattern", "stitch", f"in/{name}.json", "-o", "out/p.fold"],
+               None)
+    for name in plans:
+        fold = f"in/{name}.fold"
+        yield ["pattern", "certify", fold], ["--samples", "50"]
+        yield (["pattern", "certify", fold, "--report", "out/r.json"],
+               ["--samples", "50"])
+        yield (["pattern", "sweep", fold, "--out-dir", "out/frames"],
+               ["--frames", "4"])
+        yield (["pattern", "sweep", fold, "--out-dir", "out/frames",
+                "--format", "fold"], ["--frames", "2"])
+        yield ["pattern", "svg", fold, "-o", "out/p.svg"], ["--rho", "10"]
+    yield (["pattern", "certify", "in/showcase_a.fold",
+            "--branches", "2,2,2;1,1,1;2,2,2"], ["--samples", "50"])
+
+
+def _write_inputs(root: Path):
+    """The unit, plan, FOLD and config files the commands read."""
+    inputs = root / "in"
+    inputs.mkdir()
+    docs = {f"{name}.json": doc for name, doc in DESCRIPTOR_PLANS.items()}
+    docs["showcase_a.json"] = showcase_a_plan().to_json()
+    docs["showcase_b.json"] = showcase_b_plan().to_json()
+    docs["ff_unit.json"] = solve_ff_unit(
+        math.radians(80), math.radians(100), math.radians(60),
+        FFUnitMode.A_PLUS).to_json()
+    docs["sl_unit.json"] = next(showcase_a_plan().units()).to_json()
+    docs["double_collinear_unit.json"] = next(
+        square_grid_plan(2, 2).units()).to_json()
+    docs["cfg.json"] = CLI_CONFIG
+    for name, doc in docs.items():
+        (inputs / name).write_text(json.dumps(doc), encoding="utf-8")
+    for name in ("showcase_a", "showcase_b", *DESCRIPTOR_PLANS):
+        plan = StitchPlan.from_json(docs[f"{name}.json"])
+        (inputs / f"{name}.fold").write_text(
+            fold_dumps(export_fold(stitch(plan))), encoding="utf-8")
+
+
+def _cli_run(argv, config: bool) -> str:
+    """Exit code, stdout, stderr and the written files of one run, with
+    $QUADFOLD_CONFIG naming the config file or unset, in a fresh out/."""
+    shutil.rmtree("out", ignore_errors=True)
+    os.mkdir("out")
+    if config:
+        os.environ["QUADFOLD_CONFIG"] = "in/cfg.json"
+    else:
+        os.environ.pop("QUADFOLD_CONFIG", None)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # a traceback the CLI let through
+            code = f"{type(exc).__name__}: {exc}"
+    files = [(str(f), hashlib.sha256(f.read_bytes()).hexdigest())
+             for f in sorted(Path("out").rglob("*")) if f.is_file()]
+    return repr((code, out.getvalue(), err.getvalue(), files))
+
+
+def cli_texts():
+    saved_cwd, saved_env = os.getcwd(), os.environ.get("QUADFOLD_CONFIG")
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            _write_inputs(Path(tmp))
+            for argv, flag in _cli_commands():
+                for with_flag in (False, True) if flag else (False,):
+                    run = argv + flag if with_flag else argv
+                    for config in (False, True):
+                        yield (f"cli {'config' if config else 'default'} "
+                               + " ".join(run), _cli_run(run, config))
+        finally:
+            os.chdir(saved_cwd)
+            if saved_env is None:
+                os.environ.pop("QUADFOLD_CONFIG", None)
+            else:
+                os.environ["QUADFOLD_CONFIG"] = saved_env
+
+
 def texts():
     """Every text the digest covers, labelled, in a fixed order."""
     yield from vertex_texts()
@@ -410,6 +536,7 @@ def texts():
         yield from _sweep_texts(name, p)
     yield from relayout_texts()
     yield from squashed_texts()
+    yield from cli_texts()
 
 
 def main() -> int:
