@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 
 from .config import CONFIG_KEYS, CliConfig
-from .errors import QuadfoldError, SerializationError
+from .errors import OutOfDomain, QuadfoldError, SerializationError
 from .foldability import certify, mv_assignment
 from .foldio import export_fold, export_obj, export_svg, fold_dumps, import_fold
 from .pattern import StitchPlan, count_dof, stitch
@@ -72,7 +72,17 @@ def _classified(alphas: str):
 
 def _cmd_vertex_solve(args, cfg):
     v, cls = _classified(args.alphas)
-    sol = solve_on_branch(v, math.radians(args.rho1), args.branch)
+    rho1 = math.radians(args.rho1)
+    try:
+        sol = solve_on_branch(v, rho1, args.branch)
+    except OutOfDomain:
+        iv = fold_interval(v, args.branch)
+        if iv.lo <= rho1 <= iv.hi:
+            raise
+        raise OutOfDomain(
+            f"rho1 {_F(args.rho1)} deg outside the fold interval "
+            f"[{_F(math.degrees(iv.lo))}, {_F(math.degrees(iv.hi))}] deg of "
+            f"branch {args.branch.value}") from None
     print(f"class: {cls.tag.value}"
           + (" (flat-foldable)" if cls.flat_foldable else ""))
     print(f"branch: {args.branch.value}")

@@ -430,6 +430,71 @@ _SHIFTED_STRAIGHT_LINE_RHOS = {
 }
 
 
+# The guided bisection (`_ArccosCurve.bisect`) evaluates a plain-bisection
+# midpoint only near an Illinois estimate of the root or in the zones where
+# the computed lift is not monotone at the scale of its rounding.
+_GUIDE_STEPS = 40      # Illinois steps at most
+_GUIDE_WIDTH = 1e-12   # they stop once the bracket is this narrow
+_GUIDE_KAPPA = 1e3     # safety factor on the lift's rounding noise
+_GUIDE_FLOOR = 1e-12   # the window reaches at least this beyond the bracket
+_GUIDE_ZONE = 1e-6     # midpoints this near r = 0 or +-r_max always evaluate
+_ULP = 2.0 ** -52
+_EVERYWHERE = (-math.inf, math.inf)
+
+
+def _off_zone(c: float, a: float, b: float, edge: float) -> float:
+    """c, or where c falls in an always-evaluated zone (|r| < _GUIDE_ZONE or
+    |r| > edge), the boundary of that zone nearest to c inside (a, b): the
+    zone's midpoints are evaluated anyway, so an estimate there need only
+    tell whether the root is in it."""
+    if abs(c) < _GUIDE_ZONE:
+        bounds = (-_GUIDE_ZONE, _GUIDE_ZONE)
+    elif abs(c) > edge:
+        bounds = (math.copysign(edge, c),)
+    else:
+        return c
+    inside = [x for x in bounds if a < x < b]
+    return min(inside, key=lambda x: abs(x - c)) if inside else c
+
+
+def _illinois(lift, t: float, a: float, b: float, fa: float, fb: float,
+              edge: float) -> tuple:
+    """Illinois steps (Dowell & Jarratt, BIT 1971) on lift - t from the
+    bracket [a, b], fa and fb of opposite signs, until it is narrower than
+    _GUIDE_WIDTH or lies in an always-evaluated zone (edge = r_max -
+    _GUIDE_ZONE).  Returns ((A, fA), (B, fB), points): the last bracket,
+    evaluated points with the signs of a and b, and every (r, lift(r) - t)
+    seen, a and b included.  A step onto an exact zero c returns it as both
+    ends."""
+    z = _GUIDE_ZONE
+    points = [(a, fa), (b, fb)]
+    ga, gb, side = fa, fb, 0
+    for _ in range(_GUIDE_STEPS):
+        if (b - a < _GUIDE_WIDTH or -z <= a and b <= z or a >= edge
+                or b <= -edge):
+            break
+        c = a - ga * (b - a) / (gb - ga)
+        if not a < c < b:
+            break
+        if -z < c < z or c > edge or c < -edge:
+            c = _off_zone(c, a, b, edge)
+        fc = lift(c) - t
+        points.append((c, fc))
+        if fc == 0.0:
+            return (c, fc), (c, fc), points
+        if (fc > 0.0) == (fb > 0.0):
+            b, fb, gb = c, fc, fc
+            if side > 0:
+                ga *= 0.5
+            side = 1
+        else:
+            a, fa, ga = c, fc, fc
+            if side < 0:
+                gb *= 0.5
+            side = -1
+    return (a, fa), (b, fb), points
+
+
 class _ArccosCurve(_BranchParam):
     """Curve branch given by arccos transmissions.
 
@@ -438,8 +503,10 @@ class _ArccosCurve(_BranchParam):
     as functions of those arguments and rr; negative r mirrors every angle.
     The branch ends where an arccos argument leaves [-1, 1] or a folding
     angle passes +-pi (the crease lies completely flat there and its
-    normalized representative wraps).  The sector trig is recomputed per
-    evaluation, not stored: the params are cached per vertex.
+    normalized representative wraps).  Each curve stores its constants once:
+    the sector trig (`_sector_trig`) and the lifts at r_max and at 0 that
+    every inversion starts from (`lift_max`, `lift_zero`; None where the
+    evaluation raises).
 
     `outer` names the stored slots of rho2 and rho4 where each adds two
     arccos terms: on generic branch 2, and on the straight-line curve, which
@@ -449,7 +516,8 @@ class _ArccosCurve(_BranchParam):
     every other slot starts from 0.
     """
 
-    __slots__ = ("alpha", "rhos", "base", "r_max")
+    __slots__ = ("alpha", "rhos", "base", "r_max", "trig", "lift_max",
+                 "lift_zero")
     straight_line = False
 
     def __init__(self, alpha: tuple, rhos: tuple, outer: tuple):
@@ -458,12 +526,18 @@ class _ArccosCurve(_BranchParam):
         turned = alpha[2] + alpha[3] > math.pi
         self.base = tuple(TWO_PI if turned and k in outer else 0.0
                           for k in range(4))
-        trig = self.trig()
-        self.r_max = last_valid(lambda r: self.margin(r, trig) >= -1e-13, 64,
+        self.trig = _sector_trig(alpha, self.straight_line)
+        self.r_max = last_valid(lambda r: self.margin(r) >= -1e-13, 64,
                                 TAU_ROOT)
+        self.lift_max = self._lifts_or_none(self.r_max)
+        self.lift_zero = self._lifts_or_none(0.0)
 
-    def trig(self) -> tuple:
-        return _sector_trig(self.alpha, self.straight_line)
+    def _lifts_or_none(self, r: float):
+        """`self.lift(r)`, or None where it raises OutOfDomain."""
+        try:
+            return self.lift(r)
+        except OutOfDomain:
+            return None
 
     def _rhos_at(self, args, rr: float) -> tuple:
         f1, f2, f3, f4 = self.rhos
@@ -471,17 +545,16 @@ class _ArccosCurve(_BranchParam):
 
     def fn(self, r: float) -> tuple:
         rr = abs(r)
-        raw = self._rhos_at(_arccos_args(self.trig(), rr), rr)
+        raw = self._rhos_at(_arccos_args(self.trig, rr), rr)
         if r < 0:
             return (-raw[0], -raw[1], -raw[2], -raw[3])
         return raw
 
-    def margin(self, r: float, trig: tuple = None) -> float:
-        """Validity margin at |r|; negative means the branch ended earlier.
-        `trig` is `self.trig()`, passed in by callers that scan many r."""
+    def margin(self, r: float) -> float:
+        """Validity margin at |r|; negative means the branch ended earlier."""
         rr = abs(r)
         try:
-            args = _arccos_args(trig or self.trig(), rr)
+            args = _arccos_args(self.trig, rr)
         except OutOfDomain:
             return -1.0
         m = 1.0 - max(map(abs, args))
@@ -493,12 +566,25 @@ class _ArccosCurve(_BranchParam):
 
     def bisect(self, comp: int, target: float) -> float:
         """The r where the lift of rho[comp], continuous and strictly
-        monotone over [-r_max, r_max], equals `target` or target -/+ 2*pi.
-        Each step evaluates only that component, bit for bit
-        `self.lift(r)[comp]` (every arccos argument range-checked), with the
-        sector trig computed once; an exact zero returns its point, else the
-        bracket halves to 1e-15 or 90 times and its midpoint is returned."""
-        trig = self.trig()
+        monotone over [-r_max, r_max], equals `target` or target -/+ 2*pi:
+        the plain bisection's result, repr for repr, and its refusal.  The
+        plain bisection evaluates only that component, bit for bit
+        `self.lift(r)[comp]` (every arccos argument range-checked), at both
+        ends and at each midpoint; it returns an exact zero's point, else
+        halves the bracket to 1e-15 or 90 times and returns its midpoint.
+
+        Its midpoints depend only on its decisions, so `_replay` walks them
+        and evaluates only those whose decision is in doubt: the midpoints
+        within eps of the bracket that Illinois steps reach (`_window`), and
+        every midpoint at |r| < 1e-6 or |r| > r_max - 1e-6, where the
+        computed lift is not monotone at the scale of its rounding.  The
+        others take their side unevaluated.  Then the nearest skipped
+        midpoint on each side is evaluated and must clear the target by
+        1000 times the rounding noise on its side.  If one does not, or a
+        guided evaluation raises, the same replay runs with every midpoint
+        evaluated: the plain bisection.  The lifts at the ends and at r = 0
+        are the curve's stored ones."""
+        trig = self.trig
         fn = self.rhos[comp]
         base = self.base[comp]
         top, bottom = 1.0 + _EVAL_CLAMP, -1.0 - _EVAL_CLAMP
@@ -514,32 +600,91 @@ class _ArccosCurve(_BranchParam):
                 return x - base
             return -x + base
 
-        lo, hi = -self.r_max, self.r_max
-        vlo, vhi = lift(lo), lift(hi)
+        if self.lift_max is None:
+            lift(-self.r_max)  # raises, as the plain bisection's first step
+        # lift(-r) is -lift(r) bit for bit (rounding is symmetric)
+        vhi = self.lift_max[comp]
+        v0 = None if self.lift_zero is None else self.lift_zero[comp]
         for t in (target, target - TWO_PI, target + TWO_PI):
-            a, b, fa, fb = lo, hi, vlo - t, vhi - t
+            fa, fb = -vhi - t, vhi - t
             if fa == 0.0:
-                return a
+                return -self.r_max
             if fb == 0.0:
-                return b
+                return self.r_max
             if fa * fb > 0.0:
                 continue
-            for _ in range(90):
-                mid = 0.5 * (a + b)
-                fm = lift(mid) - t
-                if fm == 0.0:
-                    return mid
-                if (fm > 0.0) == (fb > 0.0):
-                    b, fb = mid, fm
-                else:
-                    a, fa = mid, fm
-                if b - a < 1e-15:
-                    break
-            return 0.5 * (a + b)
+            up = fb > 0.0
+
+            try:
+                lo, hi, tol = self._window(lift, t, fa, fb)
+                r, left, right = self._replay(lift, t, up, (lo, hi), v0)
+                # lift - t has the sign of `up` on the upper side
+                s = 1.0 if up else -1.0
+                if ((left is None or s * (t - lift(left)) >= tol)
+                        and (right is None or s * (lift(right) - t) >= tol)):
+                    return r
+            except OutOfDomain:
+                pass
+            return self._replay(lift, t, up, _EVERYWHERE, v0)[0]
         raise OutOfDomain(
             f"target angle {target!r} outside the image of rho{comp + 1} "
             "on this branch"
         )
+
+    def _window(self, lift, t: float, fa: float, fb: float) -> tuple:
+        """(lo, hi, tol): the window [A - eps, B + eps] around the Illinois
+        bracket [A, B] whose midpoints `bisect` evaluates, and tol = kappa *
+        noise, the lift's rounding noise u / sqrt(1 - |arg|) from the
+        largest arccos argument at the bracket, times kappa.  eps =
+        max(1e-12, tol / slope), where slope is the secant from the bracket
+        end nearer the root to the nearest evaluated point whose lift
+        differs from that end's by tol or more (so rounding does not swamp
+        it); with no such point the window is everything."""
+        (A, fA), (B, fB), points = _illinois(
+            lift, t, -self.r_max, self.r_max, fa, fb,
+            self.r_max - _GUIDE_ZONE)
+        x = max(map(abs, _arccos_args(self.trig, abs(0.5 * (A + B)))))
+        tol = _GUIDE_KAPPA * _ULP / math.sqrt(max(1.0 - x, _ULP))
+        r0, f0 = (A, fA) if abs(fA) <= abs(fB) else (B, fB)
+        apart = [(abs(r - r0), abs(f - f0)) for r, f in points
+                 if abs(f - f0) >= tol]
+        if not apart:
+            return -math.inf, math.inf, tol
+        dr, df = min(apart)
+        eps = max(_GUIDE_FLOOR, tol * dr / df)
+        return A - eps, B + eps, tol
+
+    def _replay(self, lift, t: float, up: bool, window: tuple,
+                v0: float) -> tuple:
+        """The plain bisection of lift - t over [-r_max, r_max], positive at
+        r_max when `up`, with v0 the lift at 0 (None: evaluate it there):
+        halve to 1e-15 or 90 times, return an exact zero's point, else the
+        last bracket's midpoint.  Midpoints inside `window` or within
+        _GUIDE_ZONE of 0 or of +-r_max are evaluated; one below the window
+        takes the lower side unevaluated, one above it the upper.  Returns
+        (r, left, right), left and right the last midpoint skipped on each
+        side (the nearest to the root) or None."""
+        a, b = -self.r_max, self.r_max
+        lo, hi = window
+        z, edge = _GUIDE_ZONE, self.r_max - _GUIDE_ZONE
+        left = right = None
+        for _ in range(90):
+            mid = 0.5 * (a + b)
+            if lo <= mid <= hi or -z < mid < z or mid > edge or mid < -edge:
+                fm = (lift(mid) if mid or v0 is None else v0) - t
+                if fm == 0.0:
+                    return mid, left, right
+                if (fm > 0.0) == up:
+                    b = mid
+                else:
+                    a = mid
+            elif mid > hi:
+                b = right = mid
+            else:
+                a = left = mid
+            if b - a < 1e-15:
+                break
+        return 0.5 * (a + b), left, right
 
 
 class _GenericCurve(_ArccosCurve):
@@ -559,7 +704,7 @@ class _GenericCurve(_ArccosCurve):
             return angle
         if comp != 2:
             return self.bisect(comp, angle)
-        (_, _, _, _, c12, s12), (_, _, _, _, c34, s34) = self.trig()
+        (_, _, _, _, c12, s12), (_, _, _, _, c34, s34) = self.trig
         cxi = c34 - s34 * math.cos(angle)
         mag = clamped_acos((c12 - cxi) / s12)
         same_sign = self.branch is BranchId.BRANCH_1
@@ -617,7 +762,14 @@ def last_valid(ok: Callable[[float], bool], n_scan: int,
     return good
 
 
-@lru_cache(maxsize=8192)
+# The parametrization caches hold 4096 entries.  A cached arccos curve keeps
+# its sector trig and its lifts at r_max and 0, about 0.9 kB more than the
+# bare curve; at 8192 entries a stream of new vertices then raised the peak
+# RSS by a tenth, at 4096 it stays where 8192 bare curves had it.
+_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _branch_param(alpha: tuple, branch: BranchId) -> _BranchParam:
     """Resolve a branch of the vertex with sector angles `alpha` to an
     evaluable parametrization (cached).
@@ -677,7 +829,7 @@ def _branch_param(alpha: tuple, branch: BranchId) -> _BranchParam:
 _branch_param_cached = _branch_param
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _generic_param(a: tuple, branch: BranchId) -> _GenericCurve:
     """Curve parametrization of a generic vertex through the general closed
     forms, with no flat-foldable shortcut: solve_generic's own path, so the
@@ -891,7 +1043,11 @@ def solve_at_crease(v: Vertex4, crease: int, angle: float,
     (2, 4)), and by monotone bisection on the branch parameter at the rest:
     c2/c4 of a generic vertex and the two creases off the collinear pair of
     a straight-line vertex.  The bisection stops where the bracket is
-    narrower than 1e-15 or after 90 halvings.  On every branch a parameter
+    narrower than 1e-15 or after 90 halvings.  It is guided
+    (`_ArccosCurve.bisect`): it evaluates the lift only at the midpoints
+    near an Illinois estimate of the root, near r = 0 and near +-r_max,
+    checks the sides it gave the others, and returns the plain bisection's
+    parameter bit for bit.  On every branch a parameter
     beyond the fold interval [-r_max, r_max] (by more than 1e-9) is
     refused, never wrapped, and so is a non-finite angle.
     """

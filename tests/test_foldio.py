@@ -482,6 +482,18 @@ class TestCli:
         assert rc == 0
         assert f"xi_deg: {xi_deg}\n" in out
 
+    def test_vertex_solve_refuses_in_degrees(self, capsys):
+        """A driving angle beyond the fold interval is refused in degrees,
+        with the interval `vertex interval` prints."""
+        alphas = ["--alphas", "80,95,75,110", "--branch", "2"]
+        assert main(["vertex", "interval", *alphas]) == 0
+        interval = capsys.readouterr().out.split("interval_deg: ")[1].strip()
+        assert interval == "[-47.8441006027, 47.8441006027]"
+        assert main(["vertex", "solve", "--rho1", "60", *alphas]) == 1
+        assert capsys.readouterr().err == (
+            f"error: rho1 60 deg outside the fold interval {interval} deg of "
+            "branch 2\n")
+
     def test_vertex_interval(self, capsys):
         rc = main(["vertex", "interval", "--alphas", "80,95,75,110",
                    "--branch", "1"])

@@ -562,6 +562,200 @@ def test_crease_inversion_matches_reference_bisection(rng, monkeypatch):
     assert len(bisected) == len(calls)
 
 
+# ---------------------------------------------------------------------------
+# the guided bisection returns the plain bisection's parameter
+# ---------------------------------------------------------------------------
+
+
+def _hard_sector(rng) -> float:
+    """A sector angle in [20, 160] degrees, one in five exactly at an end."""
+    u = rng.uniform()
+    if u < 0.2:
+        return 20.0 if u < 0.1 else 160.0
+    return rng.uniform(20.0, 160.0)
+
+
+def _hard_curves(rng):
+    """(curve, bisected components): generic curves on either branch and
+    straight-line curves with either collinear pair, endlessly."""
+    while True:
+        a1, a2 = _hard_sector(rng), _hard_sector(rng)
+        if rng.uniform() < 0.5:
+            a3 = _hard_sector(rng)
+            a4 = 360.0 - a1 - a2 - a3
+            if not 20.0 <= a4 <= 160.0:
+                continue
+            v = Vertex4.from_degrees((a1, a2, a3, a4))
+            if classify(v).tag is not ClassTag.GENERIC:
+                continue
+            branch = (BranchId.BRANCH_1, BranchId.BRANCH_2)[rng.integers(2)]
+            p = _generic_param(v.alpha, branch)
+        else:
+            v = Vertex4.from_degrees((a1, a2, 180.0 - a2, 180.0 - a1))
+            if rng.uniform() < 0.5:
+                v = v.shifted(1)
+            cls = classify(v)
+            if cls.tag is not ClassTag.STRAIGHT_LINE or cls.flat_foldable:
+                continue
+            p = _branch_param(v.alpha, BranchId.BRANCH_2)
+        yield p, _bisected_comps(p)
+
+
+def _hard_targets(p, comp: int, rng) -> list:
+    """+-pi, a uniform angle, and the angles the component reaches at 0, at
+    +-r_max, at r within 1e-12..1e-3 of 0 and of +-r_max, and at a uniform
+    r (normalized, as solve_at_crease passes them)."""
+    rs = [0.0, p.r_max, -p.r_max]
+    for d in 10.0 ** rng.uniform(-12.0, -3.0, size=5):
+        sign = (-1.0, 1.0)[rng.integers(2)]
+        rs += [sign * d, sign * (p.r_max - d)]
+    rs.append(rng.uniform(-p.r_max, p.r_max))
+    targets = [math.pi, -math.pi, rng.uniform(-math.pi, math.pi)]
+    for r in rs:
+        try:
+            targets.append(normalize_angle(p.fn(r)[comp]))
+        except OutOfDomain:
+            pass
+    return targets
+
+
+def test_guided_bisection_is_bit_identical_on_hard_targets(rng):
+    """Over 40,000 seeded targets where the computed lift is least monotone
+    (near r = 0, near +-r_max, sectors at 20 and 160 degrees), `bisect`
+    returns the reference bisection's result repr for repr, or raises the
+    same exception type."""
+    n = 0
+    for p, comps in _hard_curves(rng):
+        for comp in comps:
+            for t in _hard_targets(p, comp, rng):
+                assert (_outcome(p.bisect, comp, t)
+                        == _outcome(_reference_bisect_component, p, comp, t)
+                        ), (p.alpha, comp, t)
+                n += 1
+        if n >= 40_000:
+            break
+
+
+def _sl_param(alpha):
+    p = _branch_param(alpha, BranchId.BRANCH_2)
+    assert classify(Vertex4(alpha)).tag is ClassTag.STRAIGHT_LINE
+    return p
+
+
+@pytest.mark.parametrize("make_param, comp, target, expected", [
+    # the computed lift is not monotone near r = 0: the plain bisection's
+    # first midpoint, r = 0, is an exact zero
+    (lambda: _generic_param(
+        Vertex4.from_degrees((20, 152.84536903823823, 90,
+                              97.15463096176177)).alpha, BranchId.BRANCH_1),
+     1, "fn0", "0.0"),
+    (lambda: _sl_param((0.8262996464265412, 0.3490658503988659,
+                        2.792526803190927, 2.3152930071632523)),
+     3, -8.716708052247668e-06, "1.1759753484342764e-05"),
+    # a target at -r_max, the plain bisection's own end
+    (lambda: _generic_param(
+        Vertex4.from_degrees((90, 105.7419361735471, 90,
+                              74.25806382645288)).alpha, BranchId.BRANCH_2),
+     3, "fn-rmax", "3.1415926101458163"),
+    # lifts so flat that exact zeros lie 2e-10 apart: a secant slope over
+    # a 1e-12 bracket overstates the local slope a thousandfold
+    (lambda: _sl_param((0.3490658503988659, 2.4976922363240894,
+                        0.6439004172657036, 2.792526803190927)),
+     1, -1.2123552648644065, "1.0645561080539627"),
+    (lambda: _generic_param((2.0676394487867347, 0.3490658503988659,
+                             1.5933001213400684, 2.2731798866539177),
+                            BranchId.BRANCH_2),
+     3, 1.5899512841381478, "-2.2046541570424183"),
+])
+def test_guided_bisection_pinned_cases(make_param, comp, target, expected):
+    """Targets where a guide that trusts a skipped midpoint too far returns
+    another parameter than the plain bisection."""
+    p = make_param()
+    if target == "fn0":
+        target = normalize_angle(p.fn(0.0)[comp])
+    elif target == "fn-rmax":
+        target = normalize_angle(p.fn(-p.r_max)[comp])
+    assert repr(p.bisect(comp, target)) == expected
+    assert repr(_reference_bisect_component(p, comp, target)) == expected
+
+
+def _herringbone_inversions(monkeypatch) -> tuple:
+    """(inversions, arccos-argument evaluations inside them) of a certify of
+    a fresh herringbone_plan(8, 8) stitch.  Each lift evaluation computes
+    the arccos arguments once; the guide also reads them once at its
+    bracket."""
+    from quadfold import certify, stitch
+    from quadfold.fixtures import herringbone_plan
+
+    counts = [0, 0]
+    inside = [False]
+    args, bisect = vertex_mod._arccos_args, vertex_mod._ArccosCurve.bisect
+
+    def counted_args(*a):
+        counts[1] += inside[0]
+        return args(*a)
+
+    def counted_bisect(self, comp, target):
+        counts[0] += 1
+        inside[0] = True
+        try:
+            return bisect(self, comp, target)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(vertex_mod, "_arccos_args", counted_args)
+    monkeypatch.setattr(vertex_mod._ArccosCurve, "bisect", counted_bisect)
+    certify(stitch(herringbone_plan(8, 8)))
+    return tuple(counts)
+
+
+def test_guided_bisection_evaluation_count(monkeypatch):
+    """A herringbone_plan(8, 8) certify evaluates the lift at most 32 times
+    per bisected inversion on average; the plain bisection, forced by a
+    window that skips nothing, takes over 45 on top of the stored lifts at
+    the ends and at 0 (51 when it evaluated those too)."""
+    inversions, evaluations = _herringbone_inversions(monkeypatch)
+    assert inversions > 1000
+    assert evaluations / inversions <= 32.0
+
+    monkeypatch.setattr(vertex_mod._ArccosCurve, "_window",
+                        lambda self, lift, t, fa, fb:
+                        (-math.inf, math.inf, math.inf))
+    plain = _herringbone_inversions(monkeypatch)
+    assert plain[0] == inversions
+    assert plain[1] / inversions > 45.0
+
+
+def test_failed_verification_returns_the_plain_result(rng, monkeypatch):
+    """With the guide's window moved off the root, the skipped midpoints
+    between the root and the window take the wrong side, the verification
+    catches it and the plain replay's result is returned."""
+    window, replay = vertex_mod._ArccosCurve._window, \
+        vertex_mod._ArccosCurve._replay
+    plain_runs = []
+
+    def moved_window(self, lift, t, fa, fb):
+        lo, hi, tol = window(self, lift, t, fa, fb)
+        return lo + 0.05, hi + 0.05, tol
+
+    def recorded_replay(self, lift, t, up, w, v0):
+        plain_runs.append(w == (-math.inf, math.inf))
+        return replay(self, lift, t, up, w, v0)
+
+    monkeypatch.setattr(vertex_mod._ArccosCurve, "_window", moved_window)
+    monkeypatch.setattr(vertex_mod._ArccosCurve, "_replay", recorded_replay)
+    n = 0
+    for _ in range(40):
+        v = random_generic_vertex(rng)
+        p = _generic_param(v.alpha, BranchId.BRANCH_1)
+        for r in rng.uniform(-0.9, 0.9, size=5) * p.r_max:
+            t = normalize_angle(p.fn(r)[1])
+            assert (repr(p.bisect(1, t))
+                    == repr(_reference_bisect_component(p, 1, t)))
+            n += 1
+    assert sum(plain_runs) == n
+
+
 def _reference_curve_interval(margin) -> float:
     """Verbatim copy of the fold-interval search as it stood before
     `last_valid`: scan 64 steps, then bisect to a TAU_ROOT bracket."""
@@ -602,8 +796,7 @@ def test_fold_interval_end_matches_reference_search(rng):
     assert len(params) >= 2000
     assert sum(p.r_max < math.pi for p in params) > len(params) // 2
     for p in params:
-        trig = p.trig()
-        ref = _reference_curve_interval(lambda r: p.margin(r, trig))
+        ref = _reference_curve_interval(p.margin)
         assert repr(p.r_max) == repr(ref)
 
 

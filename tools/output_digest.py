@@ -17,7 +17,12 @@ where the call raises:
   solution and its `raw_rho`) of seeded vertices of every class on every
   curve and segment branch at all four creases, at 0, -0.0, 5e-16, +-pi,
   4.0, NaN, seeded angles and angles the branch reaches, so refusals and
-  their messages are covered too;
+  their messages are covered too; and `solve_at_crease` at the targets where
+  the computed lift is least monotone, on seeded generic vertices (both
+  branches) and straight-line vertices (either collinear pair) with
+  sectors at 20 and 160 degrees among them: the flat state's rounding
+  residues and the angles reached at +-r_max and within 1e-12..1e-3 of 0
+  and of +-r_max;
 * unit layer: the unit, its `validate_unit` report over 200 samples and its
   `valid_branch_pairs`, for seeded units from `solve_ff_unit` (all four
   modes), `make_flatfoldable_basic_unit`, `make_straightline_unit` and
@@ -86,6 +91,7 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 import quadfold  # noqa: E402
 from quadfold import (  # noqa: E402
     BranchId,
+    ClassTag,
     FFUnitMode,
     PlanLengths,
     QuadfoldError,
@@ -139,6 +145,8 @@ N_DRIVEN = 21       # seeded vertices driven at each crease (3 per class)
 # driving angles: flat, signed zero, below the flat cutoff, the ends of
 # [-pi, pi], beyond them and not a number
 DRIVE_ANGLES = (0.0, -0.0, 5e-16, math.pi, -math.pi, 4.0, math.nan)
+N_HARD = 8          # seeded vertices per kind driven at hard targets
+HARD_OFFSETS = (1e-12, 1e-9, 1e-6, 1e-3)
 
 
 def _sector(rng) -> float:
@@ -226,6 +234,57 @@ def crease_texts():
                 for angle in angles + [rho[crease - 1] for rho in reached]:
                     yield (f"solve_at_crease {name} {k} {b.value} c{crease} "
                            f"{angle!r}",
+                           _outcome(lambda: _driven(v, crease, angle, b)))
+
+
+def _hard_sector(rng) -> float:
+    return rng.choice((20.0, 160.0, rng.uniform(20.0, 160.0)))
+
+
+def _hard_vertices(rng):
+    """(name, vertex, curve branches): seeded generic vertices and
+    straight-line vertices with either collinear pair, each drawn sector
+    20, 160 or uniform in between with equal odds."""
+    made = 0
+    while made < N_HARD:
+        a1, a2, a3 = (_hard_sector(rng) for _ in range(3))
+        a4 = 360.0 - a1 - a2 - a3
+        if not 20.0 <= a4 <= 160.0:
+            continue
+        v = Vertex4.from_degrees((a1, a2, a3, a4))
+        if classify(v).tag is ClassTag.GENERIC:
+            made += 1
+            yield "generic", v, (BranchId.BRANCH_1, BranchId.BRANCH_2)
+    made = 0
+    while made < N_HARD:
+        a1, a2 = _hard_sector(rng), _hard_sector(rng)
+        v = Vertex4.from_degrees((a1, a2, 180.0 - a2, 180.0 - a1))
+        cls = classify(v)
+        if cls.tag is ClassTag.STRAIGHT_LINE and not cls.flat_foldable:
+            made += 1
+            yield "straight_line_13", v, (BranchId.BRANCH_2,)
+            yield "straight_line_24", v.shifted(1), (BranchId.BRANCH_2,)
+
+
+def hard_crease_texts():
+    """`solve_at_crease` at every crease of `_hard_vertices` at the angles
+    reached at r = +-1e-300, where every arccos argument has its flat-state
+    value, so the angle is the flat state's rounding residue; at +-r_max;
+    and at HARD_OFFSETS from 0 and from +-r_max."""
+    rng = random.Random(SEED + 9)
+    for k, (name, v, branches) in enumerate(_hard_vertices(rng)):
+        for b in branches:
+            hi = fold_interval(v, b).hi
+            rs = [1e-300, hi]
+            for d in HARD_OFFSETS:
+                rs += [d, hi - d]
+            rhos = [solve_on_branch(v, sign * r, b).rho
+                    for r in rs for sign in (1.0, -1.0)]
+            for crease in (1, 2, 3, 4):
+                for rho in rhos:
+                    angle = rho[crease - 1]
+                    yield (f"solve_at_crease hard {name} {k} {b.value} "
+                           f"c{crease} {angle!r}",
                            _outcome(lambda: _driven(v, crease, angle, b)))
 
 
@@ -523,6 +582,7 @@ def texts():
     """Every text the digest covers, labelled, in a fixed order."""
     yield from vertex_texts()
     yield from crease_texts()
+    yield from hard_crease_texts()
     yield from unit_texts()
     yield from degenerate_shared_texts()
     yield from derived_texts()
