@@ -73,16 +73,15 @@ def _classified(alphas: str):
 def _cmd_vertex_solve(args, cfg):
     v, cls = _classified(args.alphas)
     rho1 = math.radians(args.rho1)
-    try:
-        sol = solve_on_branch(v, rho1, args.branch)
-    except OutOfDomain:
-        iv = fold_interval(v, args.branch)
-        if iv.lo <= rho1 <= iv.hi:
-            raise
+    # checked first: a segment that keeps c1 flat takes any parameter, but
+    # its rho1 is 0
+    iv = fold_interval(v, args.branch)
+    if not iv.lo <= rho1 <= iv.hi:
         raise OutOfDomain(
             f"rho1 {_F(args.rho1)} deg outside the fold interval "
             f"[{_F(math.degrees(iv.lo))}, {_F(math.degrees(iv.hi))}] deg of "
-            f"branch {args.branch.value}") from None
+            f"branch {args.branch.value}")
+    sol = solve_on_branch(v, rho1, args.branch)
     print(f"class: {cls.tag.value}"
           + (" (flat-foldable)" if cls.flat_foldable else ""))
     print(f"branch: {args.branch.value}")

@@ -90,24 +90,26 @@ class Propagation:
 
         Cut creases report the value propagated from the left column.
         """
-        (r1, c1), (r2, c2) = a, b
-        m = len(self.solutions)
-        n = len(self.solutions[0])
-        if kind == "col":
-            c = c1
-            r = min(r1, r2)
-            j = c - 1
-            if r <= m - 1:
-                return self.solutions[r][j].rho[0]      # U crease of (r, j)
-            return self.solutions[m - 1][j].rho[2]      # bottom stub
-        if kind == "row":
-            r = r1
-            c = min(c1, c2)
-            i = r - 1
-            if c == 0:
-                return self.solutions[i][0].rho[1]      # left stub
-            return self.solutions[i][c - 1].rho[3]      # R crease of (i, c-1)
-        raise ValueError("boundary edges do not fold")
+        i, j, k = crease_slot(len(self.solutions), kind, a, b)
+        return self.solutions[i][j].rho[k]
+
+
+def crease_slot(m: int, kind: str, a, b) -> tuple:
+    """(i, j, k): a grid crease of an m-row blanket (addressed as in
+    QuadPattern.edges) folds by rho[k] of inner vertex (i, j).  A cut
+    crease is the left column's R crease."""
+    (r1, c1), (r2, c2) = a, b
+    if kind == "col":
+        r = min(r1, r2)
+        if r <= m - 1:
+            return r, c1 - 1, 0                # U crease of (r, c-1)
+        return m - 1, c1 - 1, 2                # bottom stub
+    if kind == "row":
+        c = min(c1, c2)
+        if c == 0:
+            return r1 - 1, 0, 1                # left stub
+        return r1 - 1, c - 1, 3                # R crease of (r-1, c-1)
+    raise ValueError("boundary edges do not fold")
 
 
 def propagate(tree: TreeStructure, driving: float,

@@ -240,9 +240,13 @@ def export_obj(state: FoldedState, pattern: QuadPattern) -> str:
     lines = ["# quadfold folded state"]
     lines += ["v " + " ".join(_FLOAT_FMT.format(v) for v in xyz)
               for row in xs.tolist() for xyz in row]
-    lines += ["f " + " ".join(str(pattern.point_index(*q) + 1)
-                              for q in pattern.face_corners(*face))
-              for face in pattern.faces()]
+    # OBJ counts from 1; a face's corners, in `face_corners` order, are
+    # its (r, c), (r+1, c), (r+1, c+1) and (r, c+1), row-major by face
+    index = pattern.point_index(*np.indices(xs.shape[:2])) + 1
+    corners = np.stack([index[:-1, :-1], index[1:, :-1], index[1:, 1:],
+                        index[:-1, 1:]], axis=-1)
+    lines += ["f %d %d %d %d" % tuple(q)
+              for q in corners.reshape(-1, 4).tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .config import DEFAULT_SAMPLES, TAU_CLOSURE, TAU_COMPAT, TAU_RIGID
 from .errors import ClosureViolation, RigidityViolation
-from .foldability import BranchChoice, Propagation, build_tree, certify, propagate
+from .foldability import (BranchChoice, Propagation, build_tree, certify,
+                          crease_slot, propagate)
 from .pattern import QuadPattern, check_layout_angles
 from .vertex import Vertex4, VertexSolution
 
@@ -71,16 +72,21 @@ def loop_closure_residual(v: Vertex4,
     return math.sqrt(s)
 
 
-def _rot_about_line(point, direction, angles) -> np.ndarray:
-    """Homogeneous 4x4 rotations, one per angle, about the line through
-    `point` along `direction` (unit vector).  The trig is `math`'s, as in
-    the oracle: numpy's may differ in the last bit."""
-    c = np.array([math.cos(a) for a in angles])
-    s = np.array([math.sin(a) for a in angles])
-    R = np.array(_rot3(*direction, c, s)).transpose(2, 0, 1).copy()
-    T = np.tile(np.eye(4), (len(angles), 1, 1))
-    T[:, :3, :3] = R
-    T[:, :3, 3] = point - R @ point
+def _rotations(points, dirs, angles) -> np.ndarray:
+    """Homogeneous 4x4 rotations, (k, F, 4, 4): entry [i, f] turns about the
+    line through points[i] along the unit dirs[i] by angles[i, f].  The
+    trig is `math`'s, as in the oracle: numpy's may differ in the last bit."""
+    flat = angles.ravel().tolist()
+    c = np.array([math.cos(a) for a in flat]).reshape(angles.shape)
+    s = np.array([math.sin(a) for a in flat]).reshape(angles.shape)
+    # matmul takes BLAS's product only on contiguous operands; its own loop
+    # (on a transposed view, say) rounds differently, so R is stacked whole
+    R = np.stack([x for row in _rot3(*dirs.T[..., None], c, s) for x in row],
+                 axis=-1).reshape(angles.shape + (3, 3))
+    T = np.zeros(angles.shape + (4, 4))
+    T[..., 3, 3] = 1.0
+    T[..., :3, :3] = R
+    T[..., :3, 3] = points[:, None] - (R @ points[:, None, :, None])[..., 0]
     return T
 
 
@@ -100,55 +106,93 @@ class FoldedState:
     closure_residual: float       # worst vertex/cycle closure
 
 
+def _place_column(coords, T, pts, c) -> tuple:
+    """Place face column c, folded by its transforms T (face, frame, 4, 4),
+    into coords and verify it: per frame, the column's worst corner gap and
+    its worst strain (edges, diagonals, planarity)."""
+    m = T.shape[0] - 1
+    # corner k of every face in the column, (frame, face, xyz) and the
+    # layout's; a matmul operand here is contiguous, as in `_rotations`
+    at = [(dr, c + dc) for dr, dc in ((0, 0), (1, 0), (1, 1), (0, 1))]
+    own = [(T @ pts[dr:dr + m + 1, cc, None, :, None].copy())[..., :3, 0]
+           .transpose(1, 0, 2) for dr, cc in at]
+    flat = [pts[dr:dr + m + 1, cc, :2] for dr, cc in at]
+    # a corner belongs to the first face (row-major) that has it: the face
+    # above-left of it, except on the top row and left column
+    coords[:, 1:, c + 1] = own[2]
+    coords[:, 0, c + 1] = own[3][:, 0]
+    if c == 0:
+        coords[:, 1:, 0] = own[1]
+        coords[:, 0, 0] = own[0][:, 0]
+    folded = [coords[:, dr:dr + m + 1, cc] for dr, cc in at]
+    # the face must agree with its corners' stored positions
+    gaps = [_norms(x - q3) for x, q3 in zip(own, folded)]
+    # congruence: edges and diagonals
+    strains = []
+    for a_i, b_i in ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)):
+        d2 = _norms(flat[a_i] - flat[b_i])
+        d3 = _norms(folded[a_i] - folded[b_i])
+        strains.append(np.abs(d3 - d2) / np.maximum(d2, 1.0))
+    # planarity; with three corners collinear (two may coincide) the normal
+    # is rounding noise, so the bound scales with the face
+    e1, e2 = folded[1] - folded[0], folded[3] - folded[0]
+    nrm = np.cross(e1, e2)
+    nn = _norms(nrm)
+    scale = np.fmax(np.fmax(_norms(e1), _norms(e2)), 1.0)
+    bent = nn > 1e-12 * scale * scale
+    off = np.zeros_like(nn)
+    off[bent] = np.abs(np.vecdot((folded[2] - folded[0])[bent],
+                                 nrm[bent] / nn[bent, None])) / scale[bent]
+    strains.append(off)
+    # fmax, as max(), keeps the running value against a NaN
+    return (np.fmax.reduce(gaps, axis=(0, 2)),
+            np.fmax.reduce(strains, axis=(0, 2)))
+
+
 def _fold_frames(p: QuadPattern, props: Sequence[Propagation]) -> tuple:
-    """Each propagation's FoldedState, from one `realize` walk over frames."""
+    """Each propagation's FoldedState, folded one face column at a time.
+
+    Column 0 chains down its rows, one matmul per row over the frames;
+    every later column is one matmul of the column on its left with one
+    rotation per (face, frame), then `_place_column`.  Every float is the
+    one a face by face, frame by frame walk computes, and the extra memory
+    is a few stacks of one column's transforms.  The oracle and the raises
+    follow, frame by frame.
+    """
     g = p.grid
     check_layout_angles(p.vertices, g)
-    coords = np.zeros((len(props), p.m + 2, p.n + 2, 3))
-    closure, rigidity = np.zeros((2, len(props)))
-    T = np.tile(np.eye(4), (len(props), 1, 1))
-    for r, c in p.faces():
-        if (r, c) != (0, 0):
-            # crossing from a crease's right side to its left composes +rho;
-            # the layout makes faces counter-clockwise, so face (r, c) lies
-            # left of (r, c)->(r+1, c) and right of (r, c)->(r, c+1)
-            kind, b, sign = (("col", (r + 1, c), 1.0) if c > 0
-                             else ("row", (r, c + 1), -1.0))
-            pa = np.array([*g[r, c], 0.0])
-            d = np.array([*g[b], 0.0]) - pa
-            d /= np.linalg.norm(d)
-            T = (T if c > 0 else row_start) @ _rot_about_line(pa, d, [
-                sign * prop.edge_angle(kind, (r, c), b) for prop in props])
-        if c == 0:
-            row_start = T
-        corners = p.face_corners(r, c)
-        flat = [g[q] for q in corners]
-        own = [(T @ np.array([*q2, 0.0, 1.0]))[:, :3] for q2 in flat]
-        # a corner belongs to the first face of the walk that has it: the
-        # face above-left of it, except on the top row and left column
-        for (qr, qc), x in zip(corners, own):
-            if (qr > r or r == 0) and (qc > c or c == 0):
-                coords[:, qr, qc] = x
-        folded = [coords[:, qr, qc] for qr, qc in corners]
-        # the face must agree with its corners' stored positions (fmax, as
-        # max(), keeps the running value against a NaN)
-        for x, q3 in zip(own, folded):
-            closure = np.fmax(closure, _norms(x - q3))
-        # congruence: edges and diagonals
-        for a_i, b_i in ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)):
-            d2 = np.linalg.norm(flat[a_i] - flat[b_i])
-            d3 = _norms(folded[a_i] - folded[b_i])
-            rigidity = np.fmax(rigidity, np.abs(d3 - d2) / max(d2, 1.0))
-        # planarity; with three corners collinear (two may coincide) the
-        # normal is rounding noise, so the bound scales with the face
-        e1, e2 = folded[1] - folded[0], folded[3] - folded[0]
-        nrm = np.cross(e1, e2)
-        nn = _norms(nrm)
-        scale = np.fmax(np.fmax(_norms(e1), _norms(e2)), 1.0)
-        bent = nn > 1e-12 * scale * scale
-        off = np.abs(np.vecdot((folded[2] - folded[0])[bent],
-                               nrm[bent] / nn[bent, None]))
-        rigidity[bent] = np.fmax(rigidity[bent], off / scale[bent])
+    m, n, frames = p.m, p.n, len(props)
+    coords = np.zeros((frames, m + 2, n + 2, 3))
+    closure, rigidity = np.zeros((2, frames))
+    # the grid points in the plane z = 0, homogeneous
+    pts = np.concatenate([g, np.zeros(g.shape[:2] + (1,)),
+                          np.ones(g.shape[:2] + (1,))], axis=2)
+
+    def turns(kind, ends, sign):
+        # crossing crease a->b from its right side to its left composes +rho
+        slots = [crease_slot(m, kind, a, b) for a, b in ends]
+        rho = np.array([[sign * prop.solutions[i][j].rho[k] for prop in props]
+                        for i, j, k in slots])
+        (ra, ca), (rb, cb) = np.array(ends).transpose(1, 2, 0)
+        d = pts[rb, cb, :3] - pts[ra, ca, :3]
+        d /= _norms(d)[:, None]
+        return _rotations(pts[ra, ca, :3], d, rho)
+
+    # the layout makes faces counter-clockwise, so face (r, c) lies left of
+    # (r, c)->(r+1, c) and right of (r, c)->(r, c+1); the top-left face
+    # stays in the plane
+    T = np.empty((m + 1, frames, 4, 4))
+    T[0] = np.eye(4)
+    T[1:] = turns("row", [((r, 0), (r, 1)) for r in range(1, m + 1)], -1.0)
+    for r in range(m):
+        T[r + 1] = T[r] @ T[r + 1]
+    for c in range(n + 1):
+        if c > 0:
+            T = T @ turns("col", [((r, c), (r + 1, c)) for r in range(m + 1)],
+                          1.0)
+        gap, strain = _place_column(coords, T, pts, c)
+        closure = np.fmax(closure, gap)
+        rigidity = np.fmax(rigidity, strain)
 
     for k, prop in enumerate(props):
         # the oracle reads these two only, and a blanket repeats a few
@@ -172,17 +216,19 @@ def _fold_frames(p: QuadPattern, props: Sequence[Propagation]) -> tuple:
 def realize(p: QuadPattern, prop: Propagation) -> FoldedState:
     """Fold the pattern by a propagation's crease angles.
 
-    One row-major walk over the faces.  The top-left face stays in the
-    plane; every other face composes its walk parent's transform (the face
-    on its left, or above it in column 0) with the rotation about the
-    crossed crease line by that crease's folding angle, places the corners
-    no earlier face reached and is verified: each corner where the earlier
-    faces put it, the panel congruent to the layout (edge lengths,
-    diagonals, planarity).  Every vertex's folding angles must also close
-    under the rotation oracle.  The walk folds the layout, so a layout that
-    does not realize the vertex data (that of a `with_vertex` copy, which
-    keeps its parent's) is refused with LayoutFailure first.  `sweep` folds
-    all its frames in one such walk.
+    The faces fold one column at a time.  The top-left face stays in the
+    plane; every other face composes its parent's transform (the face on
+    its left, or above it in column 0) with the rotation about the crossed
+    crease line by that crease's folding angle, places the corners no
+    earlier face (row-major) reached and is verified: each corner where the
+    earlier faces put it, the panel congruent to the layout (edge lengths,
+    diagonals, planarity).  Column 0 chains down its rows; every later
+    column takes one array pass.  The result is bit for bit that of a face
+    by face walk.  Every vertex's folding angles must also close under the
+    rotation oracle.  The fold follows the layout, so a layout that does not
+    realize the vertex data (that of a `with_vertex` copy, which keeps its
+    parent's) is refused with LayoutFailure first.  `sweep` folds all its
+    frames in the same passes.
     """
     return _fold_frames(p, (prop,))[0]
 
@@ -207,8 +253,9 @@ def sweep(p: QuadPattern, branch_choice: BranchChoice = None,
 
     Frames run from the trivial state (driving angle 0) to the endpoint of
     the interval `certify` (memoised per pattern) gives for these
-    arguments.  All frames are folded and verified in one `realize` walk;
-    the maxima of the per-frame residuals are reported.  `compat_tol` is
+    arguments.  All frames are folded and verified together, in the
+    column passes of `realize`; the maxima of the per-frame residuals are
+    reported.  `compat_tol` is
     the certification bound (see `certify`).
     """
     if n_frames < 1:

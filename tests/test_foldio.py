@@ -494,6 +494,22 @@ class TestCli:
             f"error: rho1 60 deg outside the fold interval {interval} deg of "
             "branch 2\n")
 
+    def test_vertex_solve_refuses_a_segment_that_keeps_c1_flat(self, capsys):
+        """On a segment whose rho1 is identically 0 the fold interval is
+        [0, 0]: a nonzero rho1 is refused as outside it, and 0 still
+        solves to the flat state."""
+        alphas = ["--alphas", "90,90,90,90", "--branch", "line2"]
+        assert main(["vertex", "interval", *alphas]) == 0
+        assert "interval_deg: [0, 0]\n" in capsys.readouterr().out
+        assert main(["vertex", "solve", "--rho1", "20", *alphas]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: rho1 20 deg outside the fold interval [0, 0] deg of "
+            "branch line2\n")
+        assert main(["vertex", "solve", "--rho1", "0", *alphas]) == 0
+        assert "rho_deg: 0 0 0 0\n" in capsys.readouterr().out
+
     def test_vertex_interval(self, capsys):
         rc = main(["vertex", "interval", "--alphas", "80,95,75,110",
                    "--branch", "1"])

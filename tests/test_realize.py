@@ -27,6 +27,7 @@ from quadfold.fixtures import (
     herringbone_plan,
     showcase_a_plan,
     showcase_b_plan,
+    single_ff_unit_plan,
     square_grid_plan,
 )
 
@@ -272,7 +273,11 @@ _FOLD_CASES = ([("showcase_a", showcase_a_plan(), 240),
                 ("showcase_b", showcase_b_plan(), 240)]
                + [(f"herringbone_8x8_{k}", plan, 12)
                   for k, plan in enumerate(_bench_herringbones())]
-               + [("herringbone_32x32", herringbone_plan(32, 32), 3)])
+               + [("herringbone_32x32", herringbone_plan(32, 32), 3)]
+               # non-square: a fold that swaps rows and columns fails these
+               + [("herringbone_3x5", herringbone_plan(3, 5), 12),
+                  ("herringbone_5x3", herringbone_plan(5, 3), 12),
+                  ("single_ff_unit_2x1", single_ff_unit_plan(), 12)])
 
 
 @pytest.mark.parametrize("name, plan, n_frames", _FOLD_CASES,
@@ -297,10 +302,11 @@ def test_one_walk_fold_matches_reference(name, plan, n_frames):
         assert _state_outcome([realize(p, prop)]) == [want[k]]
 
 
-def _tampered(bad=(), fail_at=None):
-    """`propagate` with the U crease of vertex (1, 1) moved by 0.2 rad at
+def _tampered(bad=(), fail_at=None, at=(1, 1)):
+    """`propagate` with the U crease of vertex `at` moved by 0.2 rad at
     the frames in `bad`, refusing with OutOfDomain from frame `fail_at`."""
     count = itertools.count()
+    i, j = at
 
     def tampered(tree, t, choice=None):
         k = next(count)
@@ -309,8 +315,8 @@ def _tampered(bad=(), fail_at=None):
         prop = propagate(tree, t, choice)
         if k in bad:
             sols = [list(row) for row in prop.solutions]
-            rho = sols[1][1].rho
-            sols[1][1] = replace(sols[1][1], rho=(rho[0] + 0.2,) + rho[1:])
+            rho = sols[i][j].rho
+            sols[i][j] = replace(sols[i][j], rho=(rho[0] + 0.2,) + rho[1:])
             prop = replace(prop, solutions=tuple(tuple(r) for r in sols))
         return prop
 
@@ -341,6 +347,27 @@ def test_sweep_raises_as_frame_by_frame(monkeypatch, pat_a, bad, fail_at,
     monkeypatch.setattr(realize_mod, "propagate", _tampered(bad, fail_at))
     with pytest.raises(raised) as exc:
         sweep(pat_a, None, 8, n_samples=40)
+    assert (type(exc.value), str(exc.value)) == want
+
+
+@pytest.mark.parametrize("bad, fail_at, tau_closure, raised", [
+    ((3,), None, None, ClosureViolation),
+    ((2,), 5, None, ClosureViolation),
+    ((3,), None, 10.0, RigidityViolation),
+])
+def test_sweep_raises_as_frame_by_frame_on_3x5(monkeypatch, bad, fail_at,
+                                               tau_closure, raised):
+    """The raise order holds on a non-square blanket, with the crease moved
+    at vertex (2, 3), which a 5x3 blanket does not have."""
+    p = stitch(herringbone_plan(3, 5))
+    if tau_closure is not None:
+        monkeypatch.setattr(realize_mod, "TAU_CLOSURE", tau_closure)
+    want = _outcome(lambda: _reference_sweep(
+        p, 8, 40, _tampered(bad, fail_at, at=(2, 3))))
+    monkeypatch.setattr(realize_mod, "propagate",
+                        _tampered(bad, fail_at, at=(2, 3)))
+    with pytest.raises(raised) as exc:
+        sweep(p, None, 8, n_samples=40)
     assert (type(exc.value), str(exc.value)) == want
 
 

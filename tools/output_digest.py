@@ -34,9 +34,10 @@ where the call raises:
   `square_grid_plan`), with every sign pair;
 * blankets: the `certify` report for every enumerated branch choice and both
   uniform curve-branch choices of showcases A and B, four seeded 8x8
-  herringbones and a 4x4 herringbone, the `export_svg` text of each of
-  those blankets, plain and, where it certifies, coloured by
-  `mv_assignment` at half its certified driving angle, and the text of the
+  herringbones, a 4x4 herringbone and the non-square 3x5 and 5x3
+  herringbones, the `export_svg` text of each of those blankets, plain
+  and, where it certifies, coloured by `mv_assignment` at half its
+  certified driving angle, and the text of the
   FOLD and OBJ exports of a 6-frame `sweep` of each of those blankets that
   certifies on its default branches, with each frame's rigidity and
   closure residuals in full precision (so a residual bit that moves shows,
@@ -354,6 +355,9 @@ def blankets():
         a, c = rng.uniform(*A_DEG), rng.uniform(*C_DEG)
         yield f"herringbone_8x8_{k}", herringbone_plan(8, 8, a, c)
     yield "herringbone_4x4", herringbone_plan(4, 4)
+    # non-square: a fold that swaps rows and columns shows here
+    yield "herringbone_3x5", herringbone_plan(3, 5)
+    yield "herringbone_5x3", herringbone_plan(5, 3)
 
 
 def _outcome(fn):
