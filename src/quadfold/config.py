@@ -18,8 +18,9 @@ TAU_ANGLE = 1e-9
 # arccos arguments are clamped into [-1, 1] only when this close to the bound
 TAU_CLAMP = 1e-12
 # bracket at which vertex.last_valid stops bisecting for a fold-interval end
-# (crease-driven inversion bisects to a 1e-15 bracket, at most 90 halvings,
-# in vertex.solve_at_crease)
+# (crease-driven inversion in vertex.solve_at_crease bisects to a 1e-15
+# bracket, at most 90 halvings, evaluating only the midpoints near a
+# closed-form guess of the root and near the ends and the flat state)
 TAU_ROOT = 1e-10
 # near-degenerate classification warning band
 TAU_CLASS_BAND = 1e-6

@@ -159,6 +159,11 @@ def propagate(tree: TreeStructure, driving: float,
                        theta_phi=pairs)
 
 
+def _finite_or_none(x: float):
+    """x, or None (JSON null) where x is infinite or NaN."""
+    return x if math.isfinite(x) else None
+
+
 @dataclass(frozen=True)
 class CompatibilityReport:
     """Certification result over a sampled closed driving interval."""
@@ -188,20 +193,21 @@ class CompatibilityReport:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
+        """The report as a JSON object; a residual that is not finite (a
+        sample whose propagation failed) is written as null."""
         return {
             "verdict": self.verdict,
             "reason": self.reason,
             "interval_deg": [math.degrees(x) for x in self.interval],
             "samples_deg": [math.degrees(x) for x in self.samples],
-            "residuals": list(self.residuals),
-            "max_residual": self.max_residual,
+            "residuals": [_finite_or_none(r) for r in self.residuals],
+            "max_residual": _finite_or_none(self.max_residual),
             "per_cut": [
                 {
                     "cut": list(c),
-                    "max_residual": (max(series) if series else 0.0),
-                    "residuals": [
-                        (r if math.isfinite(r) else None) for r in series
-                    ],
+                    "max_residual": _finite_or_none(
+                        max(series) if series else 0.0),
+                    "residuals": [_finite_or_none(r) for r in series],
                 }
                 for c, series in self.per_cut
             ],

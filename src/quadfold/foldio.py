@@ -76,6 +76,29 @@ def _crease_letter(mv: dict, a: tuple, b: tuple) -> Optional[str]:
     return letter
 
 
+def _check_mv_keys(p: QuadPattern, mv: dict):
+    """SerializationError, naming the key, unless every key of `mv` is an
+    edge of `p` (either way round), a boundary edge's letter is B, and no
+    edge is given two letters (one each way round).  Crease letters are
+    checked as they are read (`_crease_letter`)."""
+    edges = {}
+    for kind, a, b in p.edges():
+        edges[a, b] = edges[b, a] = (kind, a, b)
+    for key, letter in mv.items():
+        if key not in edges:
+            raise SerializationError(
+                f"mv key {key!r} names no edge of the {p.m}x{p.n} pattern")
+        kind, a, b = edges[key]
+        if kind == "boundary" and letter != "B":
+            raise SerializationError(
+                f"boundary edge {a}-{b} is assigned {letter!r}; a boundary "
+                "edge takes B")
+        other = mv.get((b, a) if key == (a, b) else (a, b), letter)
+        if other != letter:
+            raise SerializationError(
+                f"edge {a}-{b} is assigned both {letter!r} and {other!r}")
+
+
 def _check_frame_shape(state: FoldedState, pattern: QuadPattern):
     """SerializationError unless the frame spans the pattern's point grid."""
     want = (pattern.m + 2, pattern.n + 2, 3)
@@ -95,7 +118,10 @@ def export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
     folded by) fills edges_foldAngle, and `mv` overrides the assignment
     letters `mv_letter` derives from the angle signs.  A letter that
     contradicts its angle as `import_fold` reads it (V on a negative angle,
-    M on a positive one, F on one not below `TAU_FLAT`) is refused.
+    M on a positive one, F on one not below `TAU_FLAT`) is refused, and so
+    is an `mv` key that names no edge, a boundary edge letter other than B
+    (`mv_assignment` gives B to each boundary edge) and an edge keyed both
+    ways round with two letters.
     """
     if isinstance(obj, QuadPattern):
         p, points, frame_class = obj, obj.grid, "creasePattern"
@@ -108,6 +134,8 @@ def export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
             angles = obj.angles
     else:
         raise SerializationError(f"cannot export {type(obj).__name__}")
+    if mv is not None:
+        _check_mv_keys(p, mv)
 
     edges_vertices = []
     assignment = []
@@ -255,9 +283,11 @@ _SVG_COLORS = {"M": "#d62728", "V": "#1f77b4", "F": "#999999", "B": "#000000"}
 
 def export_svg(pattern: QuadPattern, mv: Optional[dict] = None) -> str:
     """Printable crease pattern: mountains red, valleys blue, flat grey,
-    boundary black."""
+    boundary black.  `mv` is refused as `export_fold` refuses it."""
     if pattern.m < 1 or pattern.n < 1:
         raise SerializationError("empty pattern")
+    if mv is not None:
+        _check_mv_keys(pattern, mv)
     pts = pattern.grid.reshape(-1, 2)
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)

@@ -431,68 +431,50 @@ _SHIFTED_STRAIGHT_LINE_RHOS = {
 
 
 # The guided bisection (`_ArccosCurve.bisect`) evaluates a plain-bisection
-# midpoint only near an Illinois estimate of the root or in the zones where
-# the computed lift is not monotone at the scale of its rounding.
-_GUIDE_STEPS = 40      # Illinois steps at most
-_GUIDE_WIDTH = 1e-12   # they stop once the bracket is this narrow
+# midpoint only near the curve's closed-form guess of the root or in the
+# zones where the computed lift is not monotone at the scale of its rounding.
+_GUIDE_WIDTH = 1e-11   # midpoints this near the guess evaluate
 _GUIDE_KAPPA = 1e3     # safety factor on the lift's rounding noise
-_GUIDE_FLOOR = 1e-12   # the window reaches at least this beyond the bracket
 _GUIDE_ZONE = 1e-6     # midpoints this near r = 0 or +-r_max always evaluate
 _ULP = 2.0 ** -52
 _EVERYWHERE = (-math.inf, math.inf)
 
 
-def _off_zone(c: float, a: float, b: float, edge: float) -> float:
-    """c, or where c falls in an always-evaluated zone (|r| < _GUIDE_ZONE or
-    |r| > edge), the boundary of that zone nearest to c inside (a, b): the
-    zone's midpoints are evaluated anyway, so an estimate there need only
-    tell whether the root is in it."""
-    if abs(c) < _GUIDE_ZONE:
-        bounds = (-_GUIDE_ZONE, _GUIDE_ZONE)
-    elif abs(c) > edge:
-        bounds = (math.copysign(edge, c),)
-    else:
-        return c
-    inside = [x for x in bounds if a < x < b]
-    return min(inside, key=lambda x: abs(x - c)) if inside else c
+def _tan_half_root(alpha: tuple, c4: bool, angle: float,
+                   branch1: bool) -> float:
+    """The driving angle r at which crease c2 (c4 when `c4`) folds by
+    `angle`, from the degree-4 relation between adjacent fold angles
+    (Izmestiev, IMRN 2017): with x = tan(r / 2) and y = tan(angle / 2),
 
+        (k1 y^2 + k2) x^2 + b y x + (k3 y^2 + k0) = 0,
 
-def _illinois(lift, t: float, a: float, b: float, fa: float, fb: float,
-              edge: float) -> tuple:
-    """Illinois steps (Dowell & Jarratt, BIT 1971) on lift - t from the
-    bracket [a, b], fa and fb of opposite signs, until it is narrower than
-    _GUIDE_WIDTH or lies in an always-evaluated zone (edge = r_max -
-    _GUIDE_ZONE).  Returns ((A, fA), (B, fB), points): the last bracket,
-    evaluated points with the signs of a and b, and every (r, lift(r) - t)
-    seen, a and b included.  A step onto an exact zero c returns it as both
-    ends."""
-    z = _GUIDE_ZONE
-    points = [(a, fa), (b, fb)]
-    ga, gb, side = fa, fb, 0
-    for _ in range(_GUIDE_STEPS):
-        if (b - a < _GUIDE_WIDTH or -z <= a and b <= z or a >= edge
-                or b <= -edge):
-            break
-        c = a - ga * (b - a) / (gb - ga)
-        if not a < c < b:
-            break
-        if -z < c < z or c > edge or c < -edge:
-            c = _off_zone(c, a, b, edge)
-        fc = lift(c) - t
-        points.append((c, fc))
-        if fc == 0.0:
-            return (c, fc), (c, fc), points
-        if (fc > 0.0) == (fb > 0.0):
-            b, fb, gb = c, fc, fc
-            if side > 0:
-                ga *= 0.5
-            side = 1
-        else:
-            a, fa, ga = c, fc, fc
-            if side < 0:
-                gb *= 0.5
-            side = -1
-    return (a, fa), (b, fb), points
+    k1 = cos(s - p - q) - cos o, k2 = cos(p - s - q) - cos o,
+    k3 = cos(q - p - s) - cos o, k0 = cos(p + s + q) - cos o and
+    b = 4 sin p sin q, where (p, s, q, o) is (a1, a2, a3, a4) at c2 and
+    (a2, a1, a4, a3) at c4.  k0 is 0 on sectors that sum to 2*pi exactly;
+    it is kept for the sectors Vertex4 accepts up to 1e-9 off.  With
+    h = -(B + sign(B) sqrt(B^2 - 4 A C)) / 2 the roots are h / A, which
+    generic branch 1 takes with the sign of -y k2 (its slope at the flat
+    state), and C / h, which generic branch 2 and the straight-line curve
+    take; the result is 0 where h is 0.  An estimate: `_ArccosCurve.bisect`
+    uses it only to pick the midpoints it evaluates."""
+    a1, a2, a3, a4 = alpha
+    p, s, q, o = (a2, a1, a4, a3) if c4 else (a1, a2, a3, a4)
+    co = math.cos(o)
+    k2 = math.cos(p - s - q) - co
+    y = math.tan(0.5 * angle)
+    yy = y * y
+    A = (math.cos(s - p - q) - co) * yy + k2
+    B = 4.0 * math.sin(p) * math.sin(q) * y
+    C = (math.cos(q - p - s) - co) * yy + math.cos(p + s + q) - co
+    d = B * B - 4.0 * A * C
+    h = -0.5 * (B + math.copysign(math.sqrt(d) if d > 0.0 else 0.0, B))
+    if h == 0.0:
+        return 0.0
+    if branch1:
+        x = abs(h / A) if A else math.inf
+        return 2.0 * math.atan(math.copysign(x, -y * k2))
+    return 2.0 * math.atan(C / h)
 
 
 class _ArccosCurve(_BranchParam):
@@ -575,15 +557,17 @@ class _ArccosCurve(_BranchParam):
 
         Its midpoints depend only on its decisions, so `_replay` walks them
         and evaluates only those whose decision is in doubt: the midpoints
-        within eps of the bracket that Illinois steps reach (`_window`), and
+        within 1e-11 of the curve's closed-form `guess` of the root, and
         every midpoint at |r| < 1e-6 or |r| > r_max - 1e-6, where the
         computed lift is not monotone at the scale of its rounding.  The
         others take their side unevaluated.  Then the nearest skipped
         midpoint on each side is evaluated and must clear the target by
-        1000 times the rounding noise on its side.  If one does not, or a
+        tol, 1000 times the lift's rounding noise u / sqrt(1 - |arg|) from
+        the largest arccos argument at the guess.  If one does not, or a
         guided evaluation raises, the same replay runs with every midpoint
-        evaluated: the plain bisection.  The lifts at the ends and at r = 0
-        are the curve's stored ones."""
+        evaluated: the plain bisection.  So the guess picks only which
+        midpoints are evaluated, never the result.  The lifts at the ends
+        and at r = 0 are the curve's stored ones."""
         trig = self.trig
         fn = self.rhos[comp]
         base = self.base[comp]
@@ -616,8 +600,11 @@ class _ArccosCurve(_BranchParam):
             up = fb > 0.0
 
             try:
-                lo, hi, tol = self._window(lift, t, fa, fb)
-                r, left, right = self._replay(lift, t, up, (lo, hi), v0)
+                g = self.guess(comp, t)
+                x = max(map(abs, _arccos_args(trig, abs(g))))
+                tol = _GUIDE_KAPPA * _ULP / math.sqrt(max(1.0 - x, _ULP))
+                r, left, right = self._replay(
+                    lift, t, up, (g - _GUIDE_WIDTH, g + _GUIDE_WIDTH), v0)
                 # lift - t has the sign of `up` on the upper side
                 s = 1.0 if up else -1.0
                 if ((left is None or s * (t - lift(left)) >= tol)
@@ -630,29 +617,6 @@ class _ArccosCurve(_BranchParam):
             f"target angle {target!r} outside the image of rho{comp + 1} "
             "on this branch"
         )
-
-    def _window(self, lift, t: float, fa: float, fb: float) -> tuple:
-        """(lo, hi, tol): the window [A - eps, B + eps] around the Illinois
-        bracket [A, B] whose midpoints `bisect` evaluates, and tol = kappa *
-        noise, the lift's rounding noise u / sqrt(1 - |arg|) from the
-        largest arccos argument at the bracket, times kappa.  eps =
-        max(1e-12, tol / slope), where slope is the secant from the bracket
-        end nearer the root to the nearest evaluated point whose lift
-        differs from that end's by tol or more (so rounding does not swamp
-        it); with no such point the window is everything."""
-        (A, fA), (B, fB), points = _illinois(
-            lift, t, -self.r_max, self.r_max, fa, fb,
-            self.r_max - _GUIDE_ZONE)
-        x = max(map(abs, _arccos_args(self.trig, abs(0.5 * (A + B)))))
-        tol = _GUIDE_KAPPA * _ULP / math.sqrt(max(1.0 - x, _ULP))
-        r0, f0 = (A, fA) if abs(fA) <= abs(fB) else (B, fB)
-        apart = [(abs(r - r0), abs(f - f0)) for r, f in points
-                 if abs(f - f0) >= tol]
-        if not apart:
-            return -math.inf, math.inf, tol
-        dr, df = min(apart)
-        eps = max(_GUIDE_FLOOR, tol * dr / df)
-        return A - eps, B + eps, tol
 
     def _replay(self, lift, t: float, up: bool, window: tuple,
                 v0: float) -> tuple:
@@ -710,6 +674,13 @@ class _GenericCurve(_ArccosCurve):
         same_sign = self.branch is BranchId.BRANCH_1
         return mag if (angle > 0) == same_sign else -mag
 
+    def guess(self, comp: int, angle: float) -> float:
+        """The closed-form estimate of the r where rho[comp] (c2 or c4)
+        folds by `angle`, that `bisect` evaluates around
+        (`_tan_half_root`)."""
+        return _tan_half_root(self.alpha, comp == 3, angle,
+                              self.branch is BranchId.BRANCH_1)
+
 
 class _StraightLineCurve(_ArccosCurve):
     """Curve branch of a straight-line vertex.  In canonical labels
@@ -734,6 +705,15 @@ class _StraightLineCurve(_ArccosCurve):
         if comp_c == 2:
             return -angle
         return self.bisect(comp, angle)
+
+    def guess(self, comp: int, angle: float) -> float:
+        """The closed-form estimate of the r where rho[comp], canonical c2
+        or c4, folds by `angle`, that `bisect` evaluates around:
+        `_tan_half_root` on the root that generic branch 2 takes, with the
+        sectors (a1, a2, pi - a2, pi - a1) that the closed forms assume."""
+        a1, a2 = self.alpha[0], self.alpha[1]
+        return _tan_half_root((a1, a2, math.pi - a2, math.pi - a1),
+                              (comp - self.shift) % 4 == 3, angle, False)
 
 
 def last_valid(ok: Callable[[float], bool], n_scan: int,
@@ -1045,9 +1025,9 @@ def solve_at_crease(v: Vertex4, crease: int, angle: float,
     a straight-line vertex.  The bisection stops where the bracket is
     narrower than 1e-15 or after 90 halvings.  It is guided
     (`_ArccosCurve.bisect`): it evaluates the lift only at the midpoints
-    near an Illinois estimate of the root, near r = 0 and near +-r_max,
-    checks the sides it gave the others, and returns the plain bisection's
-    parameter bit for bit.  On every branch a parameter
+    near the tan-half closed-form guess of the root (`guess`), near r = 0
+    and near +-r_max, checks the sides it gave the others, and returns the
+    plain bisection's parameter bit for bit.  On every branch a parameter
     beyond the fold interval [-r_max, r_max] (by more than 1e-9) is
     refused, never wrapped, and so is a non-finite angle.
     """

@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import json
 import math
 import random
 from types import SimpleNamespace
@@ -196,6 +198,34 @@ class TestCertify:
             assert len(entry["residuals"]) == 40
             assert entry["max_residual"] == max(entry["residuals"])
         assert "rigid-foldable: yes" in rep.summary()
+
+    def test_report_json_with_failed_samples(self, pat_a):
+        """A sample whose propagation fails has an infinite residual; the
+        JSON text writes it as null, in the sample residuals and per cut,
+        and is valid JSON for a parser that refuses Infinity and NaN."""
+        alpha = list(pat_a.vertex(0, 2).alpha)
+        alpha[0] += deg(0.5)
+        alpha[2] -= deg(0.5)
+        rep = certify(pat_a.with_vertex(0, 2, Vertex4(alpha)), None, 200)
+        failed = [k for k, r in enumerate(rep.residuals)
+                  if not math.isfinite(r)]
+        assert failed and not rep.verdict
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads(rep.dumps(), parse_constant=refuse)
+        assert [doc["residuals"][k] for k in failed] == [None] * len(failed)
+        for entry in doc["per_cut"]:
+            assert entry["max_residual"] is None
+            assert [entry["residuals"][k] for k in failed] == (
+                [None] * len(failed))
+        empty = dataclasses.replace(
+            rep, residuals=(math.inf,) * len(rep.residuals),
+            max_residual=math.inf)
+        doc = json.loads(empty.dumps(), parse_constant=refuse)
+        assert doc["max_residual"] is None
+        assert doc["residuals"] == [None] * len(rep.residuals)
 
     def test_zero_transmission_column_empty_interval(self):
         # symmetric flat-foldable vertices never fold their side creases on

@@ -461,6 +461,54 @@ class TestSvg:
             export_svg(pat_a, {(a, b): "X"})
 
 
+class TestMvKeys:
+    """Both exports refuse an `mv` entry they would otherwise drop, naming
+    it; `mv_assignment`'s own output, B on every boundary edge, exports as
+    the same map without its boundary entries."""
+
+    EXPORTS = [export_svg, export_fold]
+
+    @pytest.mark.parametrize("export", EXPORTS)
+    def test_refuses_a_key_that_names_no_edge(self, pat_a, export):
+        key = ((9, 9), (9, 10))
+        with pytest.raises(SerializationError,
+                           match=re.escape(f"mv key {key!r} names no edge "
+                                           "of the 3x3 pattern")):
+            export(pat_a, {key: "M"})
+        _, a, b = next(e for e in pat_a.edges() if e[0] != "boundary")
+        with pytest.raises(SerializationError, match="names no edge"):
+            export(pat_a, {(a, (b[0] + 1, b[1])): "M"})
+
+    @pytest.mark.parametrize("export", EXPORTS)
+    def test_refuses_a_boundary_letter_other_than_b(self, pat_a, export):
+        _, a, b = next(e for e in pat_a.edges() if e[0] == "boundary")
+        for key in ((a, b), (b, a)):
+            for letter in ("M", "F", None):
+                with pytest.raises(SerializationError,
+                                   match=re.escape(f"boundary edge {a}-{b} "
+                                                   f"is assigned {letter!r}")):
+                    export(pat_a, {key: letter})
+
+    @pytest.mark.parametrize("export", EXPORTS)
+    def test_refuses_two_letters_for_one_edge(self, pat_a, export):
+        _, a, b = next(e for e in pat_a.edges() if e[0] != "boundary")
+        with pytest.raises(SerializationError,
+                           match=re.escape(f"edge {a}-{b} is assigned both")):
+            export(pat_a, {(a, b): "F", (b, a): "M"})
+        assert export(pat_a, {(a, b): "F", (b, a): "F"}) == export(
+            pat_a, {(a, b): "F"})
+
+    def test_mv_assignment_exports_as_its_creases(self, pat_a):
+        prop = propagate(build_tree(pat_a), deg(12), None)
+        state = realize(pat_a, prop)
+        mv = mv_assignment(pat_a, None, deg(12))
+        assert "B" in mv.values()
+        creases = {k: v for k, v in mv.items() if v != "B"}
+        assert export_svg(pat_a, mv) == export_svg(pat_a, creases)
+        assert (fold_dumps(export_fold(state, mv, pattern=pat_a))
+                == fold_dumps(export_fold(state, creases, pattern=pat_a)))
+
+
 class TestCli:
     def test_vertex_solve(self, capsys):
         rc = main(["vertex", "solve", "--alphas", "80,95,75,110",

@@ -710,39 +710,36 @@ def _herringbone_inversions(monkeypatch) -> tuple:
 
 
 def test_guided_bisection_evaluation_count(monkeypatch):
-    """A herringbone_plan(8, 8) certify evaluates the lift at most 32 times
+    """A herringbone_plan(8, 8) certify evaluates the lift at most 20 times
     per bisected inversion on average; the plain bisection, forced by a
-    window that skips nothing, takes over 45 on top of the stored lifts at
-    the ends and at 0 (51 when it evaluated those too)."""
+    guide window that skips nothing, takes over 45 on top of the stored
+    lifts at the ends and at 0 (51 when it evaluated those too)."""
     inversions, evaluations = _herringbone_inversions(monkeypatch)
     assert inversions > 1000
-    assert evaluations / inversions <= 32.0
+    assert evaluations / inversions <= 20.0
 
-    monkeypatch.setattr(vertex_mod._ArccosCurve, "_window",
-                        lambda self, lift, t, fa, fb:
-                        (-math.inf, math.inf, math.inf))
+    monkeypatch.setattr(vertex_mod, "_GUIDE_WIDTH", math.inf)
     plain = _herringbone_inversions(monkeypatch)
     assert plain[0] == inversions
     assert plain[1] / inversions > 45.0
 
 
 def test_failed_verification_returns_the_plain_result(rng, monkeypatch):
-    """With the guide's window moved off the root, the skipped midpoints
-    between the root and the window take the wrong side, the verification
+    """With the guess moved 0.05 off the root, the skipped midpoints
+    between the root and the guess take the wrong side, the verification
     catches it and the plain replay's result is returned."""
-    window, replay = vertex_mod._ArccosCurve._window, \
+    guess, replay = vertex_mod._GenericCurve.guess, \
         vertex_mod._ArccosCurve._replay
     plain_runs = []
 
-    def moved_window(self, lift, t, fa, fb):
-        lo, hi, tol = window(self, lift, t, fa, fb)
-        return lo + 0.05, hi + 0.05, tol
+    def moved_guess(self, comp, angle):
+        return guess(self, comp, angle) + 0.05
 
     def recorded_replay(self, lift, t, up, w, v0):
         plain_runs.append(w == (-math.inf, math.inf))
         return replay(self, lift, t, up, w, v0)
 
-    monkeypatch.setattr(vertex_mod._ArccosCurve, "_window", moved_window)
+    monkeypatch.setattr(vertex_mod._GenericCurve, "guess", moved_guess)
     monkeypatch.setattr(vertex_mod._ArccosCurve, "_replay", recorded_replay)
     n = 0
     for _ in range(40):
@@ -754,6 +751,74 @@ def test_failed_verification_returns_the_plain_result(rng, monkeypatch):
                     == repr(_reference_bisect_component(p, 1, t)))
             n += 1
     assert sum(plain_runs) == n
+
+
+def _guessed_curves(rng):
+    """Generic curves on both branches, 4 and 0.5 degrees from any
+    collinear sum, and straight-line curves with either collinear pair."""
+    for margin in (4.0, 0.5):
+        for _ in range(20):
+            v = random_generic_vertex(rng, margin)
+            for branch in (BranchId.BRANCH_1, BranchId.BRANCH_2):
+                yield _generic_param(v.alpha, branch)
+            v = random_straightline_vertex(rng, margin)
+            for shift in (0, 1):
+                yield _branch_param(v.shifted(shift).alpha, BranchId.BRANCH_2)
+
+
+def test_guess_matches_the_reference_bisection(rng):
+    """The closed-form `guess` lies within 1e-9 of the reference
+    bisection's root at interior targets: c2 and c4 of both generic
+    branches, and both creases off the pair of a straight-line curve
+    whose collinear pair is (1, 3) or (2, 4)."""
+    n = 0
+    for p in _guessed_curves(rng):
+        for comp in _bisected_comps(p):
+            for f in rng.uniform(-0.99, 0.99, size=5):
+                t = normalize_angle(p.fn(f * p.r_max)[comp])
+                assert (abs(p.guess(comp, t)
+                            - _reference_bisect_component(p, comp, t))
+                        <= 1e-9), (p.alpha, comp, t)
+                n += 1
+    assert n == 1600
+
+
+@pytest.mark.parametrize("target", [5e-324, -5e-324, 1e-300, -1e-300,
+                                    math.pi, -math.pi])
+def test_guess_at_tiny_and_extreme_targets(rng, target):
+    """Where the quadratic degenerates (a target that rounds to a zero
+    tangent, or one at +-pi) `guess` returns a finite number, and
+    `bisect` still returns the reference result or raises its type."""
+    for p in _guessed_curves(rng):
+        for comp in _bisected_comps(p):
+            assert math.isfinite(p.guess(comp, target))
+            assert (_outcome(p.bisect, comp, target)
+                    == _outcome(_reference_bisect_component, p, comp, target))
+
+
+def test_bisection_on_sectors_that_miss_two_pi(rng):
+    """Vertices whose sectors sum 1e-10 to 1e-9 away from 2*pi (which
+    Vertex4 accepts) keep `bisect` repr-identical to the reference, or
+    refusing alike; one such generic and one straight-line vertex per
+    draw, both branches, c2 and c4 or the creases off the pair."""
+    for _ in range(30):
+        generic = list(random_generic_vertex(rng).alpha)
+        straight = list(random_straightline_vertex(rng).alpha)
+        for a in (generic, straight):
+            a[rng.integers(4)] += (-1.0, 1.0)[rng.integers(2)] * 10.0 ** (
+                rng.uniform(-10.0, -9.0))
+        curves = [_generic_param(tuple(generic), b)
+                  for b in (BranchId.BRANCH_1, BranchId.BRANCH_2)]
+        v = Vertex4(straight)
+        if classify(v).tag is ClassTag.STRAIGHT_LINE:
+            curves.append(_branch_param(v.alpha, BranchId.BRANCH_2))
+        for p in curves:
+            for comp in _bisected_comps(p):
+                for f in rng.uniform(-0.99, 0.99, size=4):
+                    t = normalize_angle(p.fn(f * p.r_max)[comp])
+                    assert (_outcome(p.bisect, comp, t)
+                            == _outcome(_reference_bisect_component, p, comp,
+                                        t)), (p.alpha, comp, t)
 
 
 def _reference_curve_interval(margin) -> float:

@@ -122,6 +122,7 @@ from quadfold import (  # noqa: E402
     xi_of,
 )
 from quadfold.cli import main as cli_main  # noqa: E402
+from quadfold.vertex import _branch_param  # noqa: E402
 from quadfold.fixtures import (  # noqa: E402
     herringbone_plan,
     showcase_a_plan,
@@ -148,6 +149,11 @@ N_DRIVEN = 21       # seeded vertices driven at each crease (3 per class)
 DRIVE_ANGLES = (0.0, -0.0, 5e-16, math.pi, -math.pi, 4.0, math.nan)
 N_HARD = 8          # seeded vertices per kind driven at hard targets
 HARD_OFFSETS = (1e-12, 1e-9, 1e-6, 1e-3)
+N_FALLBACK = 6      # seeded vertices per kind where the bisection's guess
+                    # may miss
+MAX_SUM_MISS = 0.9e-9  # sectors summing this far from 2*pi pass Vertex4
+# targets whose tangent half-angle is 0 or subnormal
+TINY_TARGETS = (5e-324, -5e-324, 1e-300, -1e-300)
 
 
 def _sector(rng) -> float:
@@ -287,6 +293,82 @@ def hard_crease_texts():
                     yield (f"solve_at_crease hard {name} {k} {b.value} "
                            f"c{crease} {angle!r}",
                            _outcome(lambda: _driven(v, crease, angle, b)))
+
+
+def _fallback_vertices(rng):
+    """(name, vertex, curve branches) where the closed-form guess of the
+    guided bisection may miss its 1e-11 window, so that the bisection falls
+    back to evaluating every midpoint: showcase A's vertex (0,2) with a1 up
+    and a3 down by half a degree, seeded generic vertices up to half a
+    degree from straight-line, and seeded generic and straight-line vertices
+    (either collinear pair) with one sector moved so the four miss 2*pi by
+    up to MAX_SUM_MISS."""
+    curves = (BranchId.BRANCH_1, BranchId.BRANCH_2)
+    a = list(stitch(showcase_a_plan()).vertex(0, 2).alpha)
+    a[0] += math.radians(0.5)
+    a[2] -= math.radians(0.5)
+    yield "showcase_a (0,2) perturbed", Vertex4(a), curves
+    made = 0
+    while made < N_FALLBACK:
+        a1, b = _sector(rng), math.radians(rng.uniform(10.0, 80.0))
+        a = [a1, b, math.pi - b, math.pi - a1]
+        i, d = rng.randrange(4), math.radians(rng.uniform(-0.5, 0.5))
+        a[i] += d
+        a[(i + 2) % 4] -= d
+        v = Vertex4(a)
+        cls = classify(v)
+        if cls.tag is ClassTag.GENERIC and not cls.flat_foldable:
+            made += 1
+            yield "near_straight_line", v, curves
+    for _ in range(N_FALLBACK):
+        a1, b = _sector(rng), math.radians(rng.uniform(10.0, 80.0))
+        for name, a, branches in (
+                ("generic", list(_generic(rng).alpha), curves),
+                ("straight_line",
+                 [a1, b, math.pi - b, math.pi - a1], (BranchId.BRANCH_2,))):
+            a[rng.randrange(4)] += rng.uniform(-MAX_SUM_MISS, MAX_SUM_MISS)
+            v = Vertex4(a)
+            yield f"{name} sum_miss", v, branches
+            if name == "straight_line":
+                yield f"{name} sum_miss shifted", v.shifted(1), branches
+
+
+def fallback_crease_texts():
+    """`solve_at_crease` at every crease of `_fallback_vertices` at the
+    angles reached at three seeded parameters, at +-r_max and at
+    HARD_OFFSETS from 0 and from +-r_max; and each curve's own inversion
+    (`invert`, which `solve_at_crease` reaches only for angles of at least
+    1e-15) at TINY_TARGETS."""
+    rng = random.Random(SEED + 11)
+    for k, (name, v, branches) in enumerate(_fallback_vertices(rng)):
+        for b in branches:
+            try:
+                p = _branch_param(v.alpha, b)
+            except QuadfoldError as exc:
+                yield (f"fallback {name} {k} {b.value}",
+                       f"{type(exc).__name__}: {exc}")
+                continue
+            hi = p.r_max
+            rs = [hi, *(rng.uniform(-hi, hi) for _ in range(3))]
+            for d in HARD_OFFSETS:
+                rs += [d, hi - d]
+            rhos = []
+            for r in rs:
+                for sign in (1.0, -1.0):
+                    try:
+                        rhos.append(solve_on_branch(v, sign * r, b).rho)
+                    except QuadfoldError:
+                        pass
+            for crease in (1, 2, 3, 4):
+                for rho in rhos:
+                    angle = rho[crease - 1]
+                    yield (f"solve_at_crease fallback {name} {k} {b.value} "
+                           f"c{crease} {angle!r}",
+                           _outcome(lambda: _driven(v, crease, angle, b)))
+                for t in TINY_TARGETS:
+                    yield (f"invert fallback {name} {k} {b.value} "
+                           f"c{crease} {t!r}",
+                           _outcome(lambda: p.invert(crease - 1, t)))
 
 
 def units(rng):
@@ -587,6 +669,7 @@ def texts():
     yield from vertex_texts()
     yield from crease_texts()
     yield from hard_crease_texts()
+    yield from fallback_crease_texts()
     yield from unit_texts()
     yield from degenerate_shared_texts()
     yield from derived_texts()
