@@ -27,7 +27,13 @@ from .errors import (
     WrongClass,
 )
 from .pattern import QuadPattern, branch_chains
-from .vertex import BranchId, last_valid, normalize_angle, solve_at_crease
+from .vertex import (
+    BranchId,
+    VertexSolution,
+    _drive,
+    last_valid,
+    normalize_angle,
+)
 
 BranchChoice = Union[None, BranchId, Sequence]
 
@@ -112,51 +118,64 @@ def crease_slot(m: int, kind: str, a, b) -> tuple:
     raise ValueError("boundary edges do not fold")
 
 
+def _walk(p: QuadPattern, branches, ts) -> list:
+    """Solve every vertex of the tree at each driving angle of `ts`: an
+    m x n grid of solution lists, in the order of `ts`.
+
+    Top row first, then row by row, each vertex is driven once
+    (`vertex._drive`) over the incoming angles the walk has not solved yet,
+    and its refusal names the vertex.  A blanket stitched from a few units
+    asks the same vertex question many times, so each distinct (sector
+    angles, crease, angle, branch) is solved once per walk.
+    """
+    memo = {}
+    # the driving angle folds the top-left vertex's left crease: the walk
+    # reads it as the c4 angle of a vertex left of the blanket
+    left = [VertexSolution((0.0, 0.0, 0.0, t), None) for t in ts]
+    sols = [[None] * p.n for _ in range(p.m)]
+    for i in range(p.m):
+        for j in range(p.n):
+            if i:
+                crease, src, k = 1, sols[i - 1][j], 2
+            else:
+                crease, src, k = 2, sols[0][j - 1] if j else left, 3
+            v, branch = p.vertices[i][j], branches[i][j]
+            known = memo.setdefault((v.alpha, crease, branch), {})
+            col = sols[i][j] = []
+            for s in src:
+                sol = known.get(s.rho[k])
+                if sol is None:
+                    break
+                col.append(sol)
+            else:
+                continue
+            angles = [s.rho[k] for s in src]
+            new = [a for a in dict.fromkeys(angles) if a not in known]
+            try:
+                states = _drive(v, crease, new, branch)
+            except (OutOfDomain, WrongClass) as exc:
+                where = "top-row vertex" if i == 0 else "vertex"
+                raise OutOfDomain(f"{where} ({i},{j}): {exc}") from exc
+            for a, (rho, raw) in zip(new, states):
+                known[a] = VertexSolution(rho, branch, raw)
+            sols[i][j] = [known[a] for a in angles]
+    return sols
+
+
 def propagate(tree: TreeStructure, driving: float,
               branch_choice: BranchChoice = None) -> Propagation:
     """Solve every vertex of the tree from the driving angle: the fold
     angle of the top-left vertex's left crease.
 
-    A blanket stitched from a few units asks the same vertex question many
-    times, so each distinct (sector angles, crease, angle, branch) is solved
-    once per call; `solve_at_crease` is a pure function of exactly that.
+    This is the walk (`_walk`) of the one angle, with its refusals: a
+    vertex that cannot be driven is named in an `OutOfDomain`.
     """
-    p = tree.pattern
-    driving = float(driving)
-    branches = _branch_grid(p, branch_choice)
-    solved = {}
-
-    def solve(v, crease, angle, branch):
-        key = (v.alpha, crease, angle, branch)
-        sol = solved.get(key)
-        if sol is None:
-            sol = solved[key] = solve_at_crease(v, crease, angle, branch)
-        return sol
-
-    sols = [[None] * p.n for _ in range(p.m)]
-    for j in range(p.n):
-        v = p.vertex(0, j)
-        angle = driving if j == 0 else sols[0][j - 1].rho[3]
-        try:
-            sols[0][j] = solve(v, 2, angle, branches[0][j])
-        except (OutOfDomain, WrongClass) as exc:
-            raise OutOfDomain(f"top-row vertex (0,{j}): {exc}") from exc
-    for i in range(1, p.m):
-        for j in range(p.n):
-            v = p.vertex(i, j)
-            angle = sols[i - 1][j].rho[2]
-            try:
-                sols[i][j] = solve(v, 1, angle, branches[i][j])
-            except (OutOfDomain, WrongClass) as exc:
-                raise OutOfDomain(f"vertex ({i},{j}): {exc}") from exc
-
-    pairs = tuple(
-        ((i, j), sols[i][j].rho[3], sols[i][j + 1].rho[1])
-        for i, j in tree.cut_creases
-    )
-    return Propagation(driving=driving,
-                       solutions=tuple(tuple(row) for row in sols),
-                       theta_phi=pairs)
+    p, driving = tree.pattern, float(driving)
+    walk = _walk(p, _branch_grid(p, branch_choice), (driving,))
+    sols = tuple(tuple(sol for (sol,) in row) for row in walk)
+    pairs = tuple(((i, j), sols[i][j].rho[3], sols[i][j + 1].rho[1])
+                  for i, j in tree.cut_creases)
+    return Propagation(driving=driving, solutions=sols, theta_phi=pairs)
 
 
 def _finite_or_none(x: float):
@@ -228,12 +247,10 @@ def _probe(tree, t, branches) -> bool:
     representational margin short of any crease folding completely flat.
     """
     try:
-        prop = propagate(tree, t, branches)
+        sols = _walk(tree.pattern, branches, (t,))
     except QuadfoldError:
         return False
-    worst = max(
-        abs(x) for row in prop.solutions for sol in row for x in sol.rho
-    )
+    worst = max(abs(x) for row in sols for (sol,) in row for x in sol.rho)
     return worst <= math.pi - _PI_MARGIN
 
 
@@ -263,6 +280,18 @@ def certify(p: QuadPattern, branch_choice: BranchChoice = None,
     return report
 
 
+def _residuals(tree: TreeStructure, branches, ts) -> tuple:
+    """(per sample, per cut) |theta - phi| over the driving angles `ts`,
+    from one walk: each sample's largest over the cuts, and each cut's
+    series over the samples, in the order of `tree.cut_creases`."""
+    sols = _walk(tree.pattern, branches, ts)
+    per_cut = [[abs(normalize_angle(theta.rho[3] - phi.rho[1]))
+                for theta, phi in zip(sols[i][j], sols[i][j + 1])]
+               for i, j in tree.cut_creases]
+    worst = [max(rs) for rs in zip(*per_cut)] if per_cut else [0.0] * len(ts)
+    return worst, per_cut
+
+
 def _certify(p: QuadPattern, branches, n_samples: int,
              compat_tol: float) -> CompatibilityReport:
     tree = build_tree(p)
@@ -274,26 +303,25 @@ def _certify(p: QuadPattern, branches, n_samples: int,
         )
 
     grid = [t_max * (2.0 * k / (n_samples - 1) - 1.0) for k in range(n_samples)]
-    residuals = []
-    per_cut = {c: [] for c in tree.cut_creases}
+    cuts = tree.cut_creases
     verdict = True
     reason = "ok"
-    for t in grid:
-        try:
-            prop = propagate(tree, t, branches)
-        except QuadfoldError as exc:
-            residuals.append(math.inf)
-            for c in tree.cut_creases:
-                per_cut[c].append(math.inf)
-            verdict = False
-            reason = f"propagation failed at driving angle {t!r}: {exc}"
-            continue
-        worst = 0.0
-        for cut, theta, phi in prop.theta_phi:
-            r = abs(normalize_angle(theta - phi))
-            per_cut[cut].append(r)
-            worst = max(worst, r)
-        residuals.append(worst)
+    try:
+        residuals, per_cut = _residuals(tree, branches, grid)
+    except QuadfoldError:
+        # the walk stops at its first refusal: walk sample by sample, so
+        # that each failed sample gets its own infinite residual and reason
+        residuals, per_cut = [], [[] for _ in cuts]
+        for t in grid:
+            try:
+                worst, series = _residuals(tree, branches, (t,))
+            except QuadfoldError as exc:
+                worst, series = [math.inf], [[math.inf]] * len(cuts)
+                verdict = False
+                reason = f"propagation failed at driving angle {t!r}: {exc}"
+            residuals += worst
+            for into, rs in zip(per_cut, series):
+                into += rs
     finite = [r for r in residuals if math.isfinite(r)]
     max_res = max(finite) if finite else math.inf
     if verdict and max_res >= compat_tol:
@@ -304,9 +332,7 @@ def _certify(p: QuadPattern, branches, n_samples: int,
         interval=(-t_max, t_max),
         samples=tuple(grid),
         residuals=tuple(residuals),
-        per_cut=tuple(sorted(
-            (cut, tuple(series)) for cut, series in per_cut.items()
-        )),
+        per_cut=tuple((cut, tuple(rs)) for cut, rs in zip(cuts, per_cut)),
         max_residual=max_res,
         verdict=verdict,
         reason=reason,

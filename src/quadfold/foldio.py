@@ -178,6 +178,12 @@ def export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
     return doc
 
 
+def _finite_number(x) -> bool:
+    """A finite JSON number: an int or float, not a boolean."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
 def import_fold(doc: Union[dict, str]) -> QuadPattern:
     """Rebuild a pattern from a FOLD document produced by export_fold.
 
@@ -187,10 +193,11 @@ def import_fold(doc: Union[dict, str]) -> QuadPattern:
     whose "quadfold:grid", "edges_vertices" or "faces_vertices" differs from
     that export's in any entry, or whose "vertices_coords",
     "edges_assignment" or "edges_foldAngle" holds another number of
-    entries.  Each fold angle must be a finite number.  A boundary edge
-    must be B with angle zero; a crease M, V or F agreeing with its angle:
-    V not below zero, M not above, F of magnitude below the flat threshold
-    (`TAU_FLAT` in degrees).  The coordinates themselves are not compared.
+    entries.  Each vertex must be 2 or 3 finite numbers, all of one length,
+    and each fold angle a finite number.  A boundary edge must be B with
+    angle zero; a crease M, V or F agreeing with its angle: V not below
+    zero, M not above, F of magnitude below the flat threshold (`TAU_FLAT`
+    in degrees).  The coordinates are not compared with the layout.
     """
     if isinstance(doc, str):
         try:
@@ -217,6 +224,13 @@ def import_fold(doc: Union[dict, str]) -> QuadPattern:
             raise SerializationError(
                 f"{key} must be a list of {len(ref[key])} entries for "
                 f"the {p.m}x{p.n} pattern of the plan")
+    for k, xyz in enumerate(got["vertices_coords"]):
+        if (not isinstance(xyz, list) or len(xyz) not in (2, 3)
+                or len(xyz) != len(got["vertices_coords"][0])
+                or not all(map(_finite_number, xyz))):
+            raise SerializationError(
+                f"vertices_coords[{k}] is {xyz!r}; expected 2 or 3 finite "
+                "numbers, as many as vertices_coords[0] holds")
     for key in ("quadfold:grid", "edges_vertices", "faces_vertices"):
         for k, (have, want) in enumerate(zip(got[key], ref[key])):
             if have != want:
@@ -232,8 +246,7 @@ def import_fold(doc: Union[dict, str]) -> QuadPattern:
             raise SerializationError(
                 f"edges_assignment[{k}] is {letter!r} on {where} {edge}; "
                 f"a {where} takes {'/'.join(allowed)}")
-        if (isinstance(ang, bool) or not isinstance(ang, (int, float))
-                or not math.isfinite(ang)):
+        if not _finite_number(ang):
             raise SerializationError(
                 f"edges_foldAngle[{k}] is {ang!r} on {where} {edge}; "
                 "expected a finite number of degrees")

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 import json
 import math
 import random
@@ -24,15 +23,17 @@ from quadfold import (
     sweep,
 )
 from quadfold import foldability
+from quadfold.config import TAU_COMPAT
 from quadfold.errors import QuadfoldError, WrongClass
 from quadfold.foldability import (
     BranchChoice,
+    CompatibilityReport,
     Propagation,
     TreeStructure,
     _branch_grid,
     _probe,
 )
-from quadfold.vertex import CURVE_BRANCHES, solve_at_crease
+from quadfold.vertex import CURVE_BRANCHES, normalize_angle, solve_at_crease
 from quadfold.fixtures import (
     herringbone_plan,
     showcase_a_plan,
@@ -371,43 +372,140 @@ def test_propagate_matches_reference(equivalence_patterns):
     assert refused >= 50
 
 
-def test_certify_matches_reference_propagate(monkeypatch):
-    """A herringbone 8x8 certify report is repr-equal to one built on the
-    reference propagation.  The reference side certifies a separately
-    stitched pattern of the same plan: the first pattern's memoised report
-    would answer for it otherwise."""
-    plan = herringbone_plan(8, 8, 94.0, 73.0)
-    report = certify(stitch(plan))
-    calls = []
+def _reference_certify(p, branch_choice: BranchChoice = None,
+                       n_samples: int = 200,
+                       compat_tol: float = TAU_COMPAT) -> CompatibilityReport:
+    """Verbatim copy of `certify`'s sampling as it stood before the tree was
+    walked once over all samples: the reference driving-limit search, then
+    one reference propagation per sample."""
+    branches = _branch_grid(p, branch_choice)
+    tree = build_tree(p)
+    t_max = _reference_driving_limit(tree, branches)
+    if t_max < 1e-9:
+        raise EmptyInterval(
+            "no driving interval: the tree cannot move away from the "
+            "trivial state on these branches"
+        )
 
-    def reference_propagate(*args):
-        calls.append(args)
-        return _reference_propagate(*args)
+    grid = [t_max * (2.0 * k / (n_samples - 1) - 1.0) for k in range(n_samples)]
+    residuals = []
+    per_cut = {c: [] for c in tree.cut_creases}
+    verdict = True
+    reason = "ok"
+    for t in grid:
+        try:
+            prop = _reference_propagate(tree, t, branches)
+        except QuadfoldError as exc:
+            residuals.append(math.inf)
+            for c in tree.cut_creases:
+                per_cut[c].append(math.inf)
+            verdict = False
+            reason = f"propagation failed at driving angle {t!r}: {exc}"
+            continue
+        worst = 0.0
+        for cut, theta, phi in prop.theta_phi:
+            r = abs(normalize_angle(theta - phi))
+            per_cut[cut].append(r)
+            worst = max(worst, r)
+        residuals.append(worst)
+    finite = [r for r in residuals if math.isfinite(r)]
+    max_res = max(finite) if finite else math.inf
+    if verdict and max_res >= compat_tol:
+        verdict = False
+        reason = (f"cut-crease residual {max_res:.3e} exceeds "
+                  f"tolerance {compat_tol:.1e}")
+    return CompatibilityReport(
+        interval=(-t_max, t_max),
+        samples=tuple(grid),
+        residuals=tuple(residuals),
+        per_cut=tuple(sorted(
+            (cut, tuple(series)) for cut, series in per_cut.items()
+        )),
+        max_residual=max_res,
+        verdict=verdict,
+        reason=reason,
+        branch_choice=branches,
+    )
 
-    monkeypatch.setattr(foldability, "propagate", reference_propagate)
-    reference = certify(stitch(plan))
-    assert len(calls) > 200
+
+def test_certify_matches_reference_propagate():
+    """A herringbone 8x8 certify report, from one walk over all samples,
+    is repr-equal to the per-sample reference loop."""
+    p = stitch(herringbone_plan(8, 8, 94.0, 73.0))
+    report = certify(p)
+    reference = _reference_certify(p)
     assert repr(report) == repr(reference)
     assert report.branch_choice == reference.branch_choice
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The driving-angle sequence of every walk of the tree."""
+    calls = []
+
+    def counting(p, branches, ts):
+        calls.append(tuple(ts))
+        return walk(p, branches, ts)
+
+    walk = foldability._walk
+    monkeypatch.setattr(foldability, "_walk", counting)
+    return calls
+
+
+@pytest.fixture
+def driven(monkeypatch):
+    """The number of vertex angles driven through `foldability._drive`."""
+    count = [0]
+
+    def counting(v, crease, angles, branch):
+        count[0] += len(angles)
+        return drive(v, crease, angles, branch)
+
+    drive = foldability._drive
+    monkeypatch.setattr(foldability, "_drive", counting)
+    return count
+
+
+def test_refused_sample_walk_retries_sample_by_sample(pat_a, walks):
+    """Where the walk over all samples refuses, certify walks them one by
+    one: each failed sample keeps its own infinite residual and the report
+    equals the per-sample reference, reason included."""
+    alpha = list(pat_a.vertex(0, 2).alpha)
+    alpha[0] += deg(0.5)
+    alpha[2] -= deg(0.5)
+    p = pat_a.with_vertex(0, 2, Vertex4(alpha))
+    report = certify(p, None, 200)
+    whole = [k for k, ts in enumerate(walks) if len(ts) == 200]
+    assert len(whole) == 1
+    assert walks[whole[0] + 1:] == [(t,) for t in report.samples]
+    assert not report.verdict
+    assert "propagation failed" in report.reason
+    reference = _reference_certify(p, None, 200)
+    assert repr(report) == repr(reference)
+    assert report.reason == reference.reason
+
+
+def test_certify_shares_drives_across_samples(driven):
+    """A 200-sample certify of a herringbone, driving-limit search
+    included, drives no more vertex angles than 200 separate propagations
+    at its samples."""
+    p = stitch(herringbone_plan(8, 8, 95.0, 72.0))
+    report = certify(p, None, 200)
+    by_certify, driven[0] = driven[0], 0
+    tree = build_tree(p)
+    for t in report.samples:
+        propagate(tree, t)
+    assert 0 < by_certify <= driven[0]
 
 
 class TestCertifyMemo:
     """`certify` keeps its reports on the pattern, keyed by its arguments."""
 
     @pytest.fixture
-    def counted(self, monkeypatch):
-        """Every propagate call, through either module's binding (the
-        package binds the function `realize` over the module's name)."""
-        realize_mod = importlib.import_module("quadfold.realize")
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return propagate(*args)
-
-        monkeypatch.setattr(foldability, "propagate", counting)
-        monkeypatch.setattr(realize_mod, "propagate", counting)
-        return calls
+    def counted(self, walks):
+        """Every walk of the tree: `certify` and each `propagate`, also
+        the ones `sweep` makes, walk through `foldability._walk`."""
+        return walks
 
     def test_same_arguments_same_report(self):
         p = stitch(showcase_b_plan())
@@ -500,24 +598,17 @@ class TestLargerBlankets:
         small = certify(stitch(herringbone_plan(8, 8)), None, 50)
         assert repr(rep.interval) == repr(small.interval)
 
-    def test_propagation_solves_each_distinct_input_once(self, monkeypatch,
+    def test_propagation_solves_each_distinct_input_once(self, driven,
                                                          herringbone_32):
         """A herringbone asks a handful of distinct vertex questions per
         propagation, whatever its size."""
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return solve_at_crease(*args)
-
-        monkeypatch.setattr(foldability, "solve_at_crease", counted)
         for p in (stitch(herringbone_plan(4, 4)),
                   stitch(herringbone_plan(8, 8)), herringbone_32):
             tree = build_tree(p)
             for t in (deg(15), -deg(40), deg(109)):
-                calls.clear()
+                driven[0] = 0
                 propagate(tree, t)
-                assert 0 < len(calls) <= 8, (p.m, t, len(calls))
+                assert 0 < driven[0] <= 8, (p.m, t, driven[0])
 
     def test_herringbone_sweep_rigid(self):
         from quadfold import sweep

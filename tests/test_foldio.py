@@ -348,6 +348,32 @@ class TestFold:
             import_fold(dict(doc, **{key: value}))
 
 
+    @pytest.mark.parametrize("k, entry, named", [
+        (0, ["a", "b"], r"vertices_coords\[0\] is \['a', 'b'\]"),
+        (3, [], r"vertices_coords\[3\] is \[\]"),
+        (7, [math.nan, 0.0], r"vertices_coords\[7\] is \[nan, 0.0\]"),
+        (2, [math.inf, 0.0], r"vertices_coords\[2\] is \[inf, 0.0\]"),
+        (4, [True, 0.0], r"vertices_coords\[4\] is \[True, 0.0\]"),
+        (5, [0.0, 1.0, 2.0, 3.0], r"vertices_coords\[5\] is \[0.0, 1.0"),
+        (6, "0.0, 1.0", r"vertices_coords\[6\] is '0.0, 1.0'"),
+        (1, [0.0, 1.0, 0.0],
+         r"vertices_coords\[1\] is \[0.0, 1.0, 0.0\]; expected 2 or 3 "
+         r"finite numbers, as many as vertices_coords\[0\] holds"),
+    ])
+    def test_import_checks_each_coordinate_entry(self, pat_a, k, entry,
+                                                 named):
+        """Each vertex is a list of 2 or 3 finite numbers, not booleans,
+        and all vertices have one length; the first bad entry is named."""
+        doc = export_fold(pat_a)
+        doc["vertices_coords"][k] = entry
+        with pytest.raises(SerializationError, match=named):
+            import_fold(json.dumps(doc))  # fold_dumps would refuse NaN
+
+    def test_import_reads_three_dimensional_coordinates(self, pat_a):
+        doc = export_fold(pat_a)
+        doc["vertices_coords"] = [[x, y, 0] for x, y in doc["vertices_coords"]]
+        assert import_fold(doc).grid.shape == pat_a.grid.shape
+
     @pytest.mark.parametrize("edit, named", [
         (_crease_marked_boundary,
          r"edges_assignment\[\d+\] is 'B' on crease"),

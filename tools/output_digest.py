@@ -47,6 +47,9 @@ where the call raises:
   (k, k+2) moved by +-0.5 degree), the `valid_branch_pairs` of every unit of
   both showcases and of a 4x4 herringbone, and each showcase's layout after
   `relayout(plan.lengths)`, coordinates in full precision;
+* walks: the `certify` report (200 samples) of showcase A with vertex
+  (0,2)'s a1 and a3 moved by -+0.5 degree both ways, where some samples
+  fail to propagate, and of a 16x16 herringbone;
 * relaid-out blankets: 40 seeded `relayout`s of showcases A and B and a 4x4
   herringbone (crease lengths 0.2-3, boundary 0.2-4).  A relayout that
   raises gives its exception type and message.  Of the others, only those
@@ -473,6 +476,23 @@ def derived_texts():
                        _outcome(lambda: valid_branch_pairs(u)))
 
 
+def walk_texts():
+    """`certify` reports (200 samples) where the walk over all samples
+    refuses, so that failed samples are walked one by one: showcase A's
+    vertex (0,2) with a1 and a3 moved by -+0.5 degree both ways; and a
+    16x16 herringbone, whose walk shares each column's solves."""
+    p = stitch(showcase_a_plan())
+    for sign in (1.0, -1.0):
+        a = list(p.vertex(0, 2).alpha)
+        a[0] += sign * math.radians(0.5)
+        a[2] -= sign * math.radians(0.5)
+        bad = p.with_vertex(0, 2, Vertex4(a))
+        yield (f"showcase_a perturbed (0,2) {sign:+g} certify 200",
+               _outcome(lambda: certify(bad, None, 200)))
+    yield ("herringbone_16x16 certify",
+           _outcome(lambda: certify(stitch(herringbone_plan(16, 16)))))
+
+
 def _svg_texts(name, p):
     """The crease-pattern SVG, plain and, where the pattern certifies,
     coloured at half its certified driving angle."""
@@ -673,6 +693,7 @@ def texts():
     yield from unit_texts()
     yield from degenerate_shared_texts()
     yield from derived_texts()
+    yield from walk_texts()
     for name, plan in blankets():
         p = stitch(plan)
         choices = (*enumerate_branch_choices(p), BranchId.BRANCH_1,
