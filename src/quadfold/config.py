@@ -12,6 +12,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields
+from numbers import Integral
 
 # classification sums (radians)
 TAU_ANGLE = 1e-9
@@ -42,6 +43,18 @@ TAU_FLAT = 1e-9
 DEFAULT_SAMPLES = 200
 
 
+def check_tolerance(name: str, x) -> None:
+    """ValueError naming `name` unless x is a positive finite number."""
+    if type(x) not in (int, float) or not (math.isfinite(x) and x > 0):
+        raise ValueError(f"{name} must be a positive finite number, got {x!r}")
+
+
+def check_count(x, least: int, message: str) -> None:
+    """ValueError(message) unless x is an integer, not a bool, >= least."""
+    if isinstance(x, bool) or not isinstance(x, Integral) or x < least:
+        raise ValueError(message)
+
+
 @dataclass
 class CliConfig:
     """Runtime configuration for the command-line interface: the tolerances
@@ -60,17 +73,11 @@ class CliConfig:
 
     def __post_init__(self):
         for name in ("tau_unit", "tau_compat", "tau_flat"):
-            x = getattr(self, name)
-            if type(x) not in (int, float) or not (math.isfinite(x) and x > 0):
-                raise ValueError(
-                    f"{name} must be a positive finite number, got {x!r}"
-                )
+            check_tolerance(name, getattr(self, name))
         for name, least in (("samples", 2), ("frames", 1)):
             x = getattr(self, name)
-            if type(x) is not int or x < least:
-                raise ValueError(
-                    f"{name} must be an integer >= {least}, got {x!r}"
-                )
+            check_count(x, least,
+                        f"{name} must be an integer >= {least}, got {x!r}")
 
     @classmethod
     def from_env(cls) -> "CliConfig":

@@ -18,14 +18,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
-from .config import DEFAULT_SAMPLES, TAU_COMPAT, TAU_FLAT
-from .errors import (
-    EmptyInterval,
-    NotABlanket,
-    OutOfDomain,
-    QuadfoldError,
-    WrongClass,
-)
+from .config import (DEFAULT_SAMPLES, TAU_COMPAT, TAU_FLAT, check_count,
+                     check_tolerance)
+from .errors import EmptyInterval, NotABlanket, OutOfDomain
 from .pattern import QuadPattern, branch_chains
 from .vertex import (
     BranchId,
@@ -118,17 +113,20 @@ def crease_slot(m: int, kind: str, a, b) -> tuple:
     raise ValueError("boundary edges do not fold")
 
 
-def _walk(p: QuadPattern, branches, ts) -> list:
-    """Solve every vertex of the tree at each driving angle of `ts`: an
-    m x n grid of solution lists, in the order of `ts`.
+def _walk(p: QuadPattern, branches, ts) -> tuple:
+    """Solve every vertex of the tree at each driving angle of `ts`:
+    (sols, refused).  `refused` maps the index in `ts` of each angle a
+    vertex refuses to the OutOfDomain naming the first such vertex in the
+    walk's order, which is what a walk of that angle alone raises; `sols`
+    is an m x n grid of solution lists over the other angles, in order.
 
     Top row first, then row by row, each vertex is driven once
-    (`vertex._drive`) over the incoming angles the walk has not solved yet,
-    and its refusal names the vertex.  A blanket stitched from a few units
-    asks the same vertex question many times, so each distinct (sector
-    angles, crease, angle, branch) is solved once per walk.
+    (`vertex._drive`) over the incoming angles the walk has not solved yet.
+    A blanket stitched from a few units asks the same vertex question many
+    times, so each distinct (sector angles, crease, angle, branch) is
+    solved once per walk.
     """
-    memo = {}
+    memo, refused, live = {}, {}, range(len(ts))
     # the driving angle folds the top-left vertex's left crease: the walk
     # reads it as the c4 angle of a vertex left of the blanket
     left = [VertexSolution((0.0, 0.0, 0.0, t), None) for t in ts]
@@ -151,15 +149,39 @@ def _walk(p: QuadPattern, branches, ts) -> list:
                 continue
             angles = [s.rho[k] for s in src]
             new = [a for a in dict.fromkeys(angles) if a not in known]
-            try:
-                states = _drive(v, crease, new, branch)
-            except (OutOfDomain, WrongClass) as exc:
-                where = "top-row vertex" if i == 0 else "vertex"
-                raise OutOfDomain(f"{where} ({i},{j}): {exc}") from exc
-            for a, (rho, raw) in zip(new, states):
-                known[a] = VertexSolution(rho, branch, raw)
+            bad = {}
+            for a, out in zip(new, _drive(v, crease, new, branch)):
+                if type(out) is tuple:
+                    known[a] = VertexSolution(out[0], branch, out[1])
+                else:
+                    where = "top-row vertex" if i == 0 else "vertex"
+                    bad[a] = OutOfDomain(f"{where} ({i},{j}): {out}")
+                    bad[a].__cause__ = out
+            if bad:  # refused angles leave the walk, here and upstream
+                refused.update((at, bad[a]) for at, a in zip(live, angles)
+                               if a in bad)
+                keep = [a not in bad for a in angles]
+                live = list(itertools.compress(live, keep))
+                angles = list(itertools.compress(angles, keep))
+                sols = [[c and list(itertools.compress(c, keep)) for c in row]
+                        for row in sols]
             sols[i][j] = [known[a] for a in angles]
-    return sols
+    return sols, refused
+
+
+def _propagations(tree: TreeStructure, ts, branch_choice) -> list:
+    """`propagate` at each driving angle of `ts`, from one walk: each
+    angle's Propagation, or the OutOfDomain it raises there."""
+    p, ts = tree.pattern, [float(t) for t in ts]
+    sols, refused = _walk(p, _branch_grid(p, branch_choice), ts)
+    live = [t for k, t in enumerate(ts) if k not in refused]
+    out = [Propagation(t, g, tuple(
+               ((i, j), g[i][j].rho[3], g[i][j + 1].rho[1])
+               for i, j in tree.cut_creases))
+           for t, g in zip(live, zip(*[zip(*row) for row in sols]))]
+    for k in sorted(refused):
+        out.insert(k, refused[k])
+    return out
 
 
 def propagate(tree: TreeStructure, driving: float,
@@ -167,15 +189,13 @@ def propagate(tree: TreeStructure, driving: float,
     """Solve every vertex of the tree from the driving angle: the fold
     angle of the top-left vertex's left crease.
 
-    This is the walk (`_walk`) of the one angle, with its refusals: a
+    This is the walk (`_walk`) of the one angle, with its refusal: a
     vertex that cannot be driven is named in an `OutOfDomain`.
     """
-    p, driving = tree.pattern, float(driving)
-    walk = _walk(p, _branch_grid(p, branch_choice), (driving,))
-    sols = tuple(tuple(sol for (sol,) in row) for row in walk)
-    pairs = tuple(((i, j), sols[i][j].rho[3], sols[i][j + 1].rho[1])
-                  for i, j in tree.cut_creases)
-    return Propagation(driving=driving, solutions=sols, theta_phi=pairs)
+    prop, = _propagations(tree, (driving,), branch_choice)
+    if not isinstance(prop, Propagation):
+        raise prop
+    return prop
 
 
 def _finite_or_none(x: float):
@@ -246,12 +266,9 @@ def _probe(tree, t, branches) -> bool:
     would flip downstream inversions, so the certified interval stops a
     representational margin short of any crease folding completely flat.
     """
-    try:
-        sols = _walk(tree.pattern, branches, (t,))
-    except QuadfoldError:
-        return False
-    worst = max(abs(x) for row in sols for (sol,) in row for x in sol.rho)
-    return worst <= math.pi - _PI_MARGIN
+    sols, refused = _walk(tree.pattern, branches, (t,))
+    return not refused and max(abs(x) for row in sols for (sol,) in row
+                               for x in sol.rho) <= math.pi - _PI_MARGIN
 
 
 def certify(p: QuadPattern, branch_choice: BranchChoice = None,
@@ -267,10 +284,12 @@ def certify(p: QuadPattern, branch_choice: BranchChoice = None,
     Reports are memoised on the pattern, by branch grid, `n_samples` and
     `compat_tol`: the pattern and the report are immutable, so asking
     again returns the same report object.  A refusal is not memoised.
-    `n_samples` below 2 is refused before any propagation runs.
+    An `n_samples` that is not an integer of at least 2 (a bool is not
+    one), and a `compat_tol` that is not a positive finite number, are
+    refused with ValueError before any propagation runs.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
+    check_count(n_samples, 2, "n_samples must be >= 2")
+    check_tolerance("compat_tol", compat_tol)
     branches = _branch_grid(p, branch_choice)
     key = (branches, n_samples, compat_tol)
     report = p.certified.get(key)
@@ -278,18 +297,6 @@ def certify(p: QuadPattern, branch_choice: BranchChoice = None,
         report = p.certified[key] = _certify(p, branches, n_samples,
                                              compat_tol)
     return report
-
-
-def _residuals(tree: TreeStructure, branches, ts) -> tuple:
-    """(per sample, per cut) |theta - phi| over the driving angles `ts`,
-    from one walk: each sample's largest over the cuts, and each cut's
-    series over the samples, in the order of `tree.cut_creases`."""
-    sols = _walk(tree.pattern, branches, ts)
-    per_cut = [[abs(normalize_angle(theta.rho[3] - phi.rho[1]))
-                for theta, phi in zip(sols[i][j], sols[i][j + 1])]
-               for i, j in tree.cut_creases]
-    worst = [max(rs) for rs in zip(*per_cut)] if per_cut else [0.0] * len(ts)
-    return worst, per_cut
 
 
 def _certify(p: QuadPattern, branches, n_samples: int,
@@ -304,24 +311,18 @@ def _certify(p: QuadPattern, branches, n_samples: int,
 
     grid = [t_max * (2.0 * k / (n_samples - 1) - 1.0) for k in range(n_samples)]
     cuts = tree.cut_creases
-    verdict = True
-    reason = "ok"
-    try:
-        residuals, per_cut = _residuals(tree, branches, grid)
-    except QuadfoldError:
-        # the walk stops at its first refusal: walk sample by sample, so
-        # that each failed sample gets its own infinite residual and reason
-        residuals, per_cut = [], [[] for _ in cuts]
-        for t in grid:
-            try:
-                worst, series = _residuals(tree, branches, (t,))
-            except QuadfoldError as exc:
-                worst, series = [math.inf], [[math.inf]] * len(cuts)
-                verdict = False
-                reason = f"propagation failed at driving angle {t!r}: {exc}"
-            residuals += worst
-            for into, rs in zip(per_cut, series):
-                into += rs
+    sols, refused = _walk(p, branches, grid)
+    per_cut = [[abs(normalize_angle(theta.rho[3] - phi.rho[1]))
+                for theta, phi in zip(sols[i][j], sols[i][j + 1])]
+               for i, j in cuts]
+    verdict, reason = not refused, "ok"
+    for k in sorted(refused):  # a refused sample's residuals are infinite
+        for series in per_cut:
+            series.insert(k, math.inf)
+        reason = (f"propagation failed at driving angle {grid[k]!r}: "
+                  f"{refused[k]}")
+    residuals = ([max(rs) for rs in zip(*per_cut)] if cuts else
+                 [math.inf if k in refused else 0.0 for k in range(n_samples)])
     finite = [r for r in residuals if math.isfinite(r)]
     max_res = max(finite) if finite else math.inf
     if verdict and max_res >= compat_tol:

@@ -14,10 +14,11 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .config import DEFAULT_SAMPLES, TAU_CLOSURE, TAU_COMPAT, TAU_RIGID
+from .config import (DEFAULT_SAMPLES, TAU_CLOSURE, TAU_COMPAT, TAU_RIGID,
+                     check_count)
 from .errors import ClosureViolation, RigidityViolation
-from .foldability import (BranchChoice, Propagation, build_tree, certify,
-                          crease_slot, propagate)
+from .foldability import (BranchChoice, Propagation, _propagations,
+                          build_tree, certify, crease_slot)
 from .pattern import QuadPattern, check_layout_angles
 from .vertex import Vertex4, VertexSolution
 
@@ -253,13 +254,15 @@ def sweep(p: QuadPattern, branch_choice: BranchChoice = None,
 
     Frames run from the trivial state (driving angle 0) to the endpoint of
     the interval `certify` (memoised per pattern) gives for these
-    arguments.  All frames are folded and verified together, in the
-    column passes of `realize`; the maxima of the per-frame residuals are
-    reported.  `compat_tol` is
-    the certification bound (see `certify`).
+    arguments.  One walk gives every frame's angles; all frames are folded
+    and verified together, in the column passes of `realize`, and the
+    maxima of the per-frame residuals are reported.  Where the walk refuses
+    a frame, the frames before it are folded first, then its refusal is
+    raised.  `compat_tol` is the certification bound (see `certify`).  An
+    `n_frames` that is not an integer >= 1 (a bool is not) is refused with
+    ValueError, as are `certify`'s bad arguments.
     """
-    if n_frames < 1:
-        raise ValueError("need at least one frame")
+    check_count(n_frames, 1, "need at least one frame")
     report = certify(p, branch_choice, n_samples, compat_tol=compat_tol)
     if not report.verdict:
         raise ClosureViolation(
@@ -267,14 +270,12 @@ def sweep(p: QuadPattern, branch_choice: BranchChoice = None,
     t_end, tree = report.interval[1], build_tree(p)
     ts = tuple(0.0 if n_frames == 1 else t_end * k / (n_frames - 1)
                for k in range(n_frames))
-    props = []
-    for t in ts:
-        try:
-            props.append(propagate(tree, t, branch_choice))
-        except Exception:
-            if props:  # frame by frame, the earlier frames come first
-                _fold_frames(p, props)
-            raise
+    props = _propagations(tree, ts, branch_choice)
+    for k, prop in enumerate(props):
+        if not isinstance(prop, Propagation):
+            if k:  # frame by frame, the earlier frames come first
+                _fold_frames(p, props[:k])
+            raise prop
     frames = _fold_frames(p, props)
     return SweepResult(
         frames=frames, driving_angles=ts,

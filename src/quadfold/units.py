@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-from .config import TAU_UNIT
+from .config import TAU_UNIT, check_count
 from .errors import (
     DegenerateVertex,
     EmptyInterval,
@@ -45,6 +45,7 @@ from .vertex import (
     Vertex4,
     _branch_param,
     _drive,
+    _solved,
     classify,
     normalize_angle,
     solve_on_branch,
@@ -357,8 +358,9 @@ def _drive_sides(u: Unit, crease_top: int, ts_top, crease_bottom: int,
     driven at `crease_top` through `ts_top` and the bottom one at
     `crease_bottom` through `ts_bottom`.  When both refuse, the top
     vertex's refusal is raised."""
-    return zip(_drive(u.top, crease_top, ts_top, u.branch_top),
-               _drive(u.bottom, crease_bottom, ts_bottom, u.branch_bottom))
+    return zip(_solved(_drive(u.top, crease_top, ts_top, u.branch_top)),
+               _solved(_drive(u.bottom, crease_bottom, ts_bottom,
+                              u.branch_bottom)))
 
 
 def _shared_interval(u: Unit) -> float:
@@ -376,8 +378,7 @@ def validate_unit(u: Unit, n_samples: int = 200) -> UnitReport:
     plus the shared crease staying flat; EmptyInterval is raised when neither
     parametrization moves.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
+    check_count(n_samples, 2, "n_samples must be >= 2")
     s2, s4 = u.signs
     t_max = _shared_interval(u)
     shared = t_max > 1e-9

@@ -974,41 +974,50 @@ def monotonicity_check(v: Vertex4, branch: BranchId,
 
 
 def _drive(v: Vertex4, crease: int, angles, branch: BranchId) -> list:
-    """`solve_at_crease` over a sequence of angles: one (rho, raw_rho) pair
-    per angle, each bit for bit that call's solution, and the refusal of the
-    first angle that call refuses, with its type and message.  The branch is
-    resolved at the first angle that is not flat, so a vertex that lacks it
-    still drives flat at 0."""
+    """`solve_at_crease` over a sequence of angles: one outcome per angle,
+    either the (rho, raw_rho) pair, bit for bit that call's solution, or the
+    OutOfDomain, WrongClass or DegenerateVertex that call raises, with its
+    type and message.  The branch is resolved at the first angle that is
+    not flat, so a vertex that lacks it still drives flat at 0."""
     if crease not in (1, 2, 3, 4):
         raise ValueError("crease index must be 1..4")
     comp = crease - 1
     p = None
     out = []
     for angle in angles:
-        if not math.isfinite(angle):
-            raise OutOfDomain(f"crease {crease} cannot fold by {angle!r}")
         if abs(angle) < 1e-15:
             out.append(_FLAT)
             continue
-        if p is None:
-            p = _branch_param(v.alpha, branch)
-            invert, r_max = p.invert, p.r_max
-            lo, slack = -r_max, r_max + 1e-9
-        r = invert(comp, angle)
-        if abs(r) > slack:
-            raise OutOfDomain(
-                f"driving crease {crease} to {angle!r} needs parameter {r!r} "
-                f"outside [-{r_max!r}, {r_max!r}]"
-            )
-        # max(-r_max, min(r_max, r)), NaN included, without two builtin calls
-        r = r if r < r_max else r_max
-        state = _state(p, r if r > lo else lo)
-        if abs(normalize_angle(state[0][comp] - angle)) > 1e-7:
-            raise OutOfDomain(
-                f"crease {crease} cannot reach {angle!r} on branch {branch.value}"
-            )
+        try:
+            if not math.isfinite(angle):
+                raise OutOfDomain(f"crease {crease} cannot fold by {angle!r}")
+            if p is None:
+                p = _branch_param(v.alpha, branch)
+                invert, r_max = p.invert, p.r_max
+                lo, slack = -r_max, r_max + 1e-9
+            r = invert(comp, angle)
+            if abs(r) > slack:
+                raise OutOfDomain(
+                    f"driving crease {crease} to {angle!r} needs parameter "
+                    f"{r!r} outside [-{r_max!r}, {r_max!r}]")
+            # max(-r_max, min(r_max, r)), NaN included, without two builtins
+            r = r if r < r_max else r_max
+            state = _state(p, r if r > lo else lo)
+            if abs(normalize_angle(state[0][comp] - angle)) > 1e-7:
+                raise OutOfDomain(f"crease {crease} cannot reach {angle!r} "
+                                  f"on branch {branch.value}")
+        except (OutOfDomain, WrongClass, DegenerateVertex) as exc:
+            state = exc.with_traceback(None)
         out.append(state)
     return out
+
+
+def _solved(outcomes) -> list:
+    """`_drive`'s outcomes; the first refusal among them is raised."""
+    for out in outcomes:
+        if type(out) is not tuple:
+            raise out
+    return outcomes
 
 
 def solve_at_crease(v: Vertex4, crease: int, angle: float,
@@ -1031,5 +1040,5 @@ def solve_at_crease(v: Vertex4, crease: int, angle: float,
     beyond the fold interval [-r_max, r_max] (by more than 1e-9) is
     refused, never wrapped, and so is a non-finite angle.
     """
-    (rho, raw), = _drive(v, crease, (angle,), branch)
+    (rho, raw), = _solved(_drive(v, crease, (angle,), branch))
     return VertexSolution(rho, branch, raw)

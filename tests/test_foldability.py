@@ -99,6 +99,19 @@ class TestPropagate:
         with pytest.raises(OutOfDomain, match=r"vertex"):
             propagate(build_tree(pat_b), deg(60), None)
 
+    def test_degenerate_vertex_is_named(self):
+        """A flat-foldable vertex with a1 = a2 = pi/2 has no curve branch:
+        propagating on one names the vertex in an OutOfDomain, whose cause
+        is the vertex's DegenerateVertex."""
+        tree = build_tree(stitch(square_grid_plan(2, 2)))
+        with pytest.raises(OutOfDomain) as exc:
+            propagate(tree, 0.3, BranchId.BRANCH_1)
+        assert str(exc.value) == ("top-row vertex (0,0): flat-foldable "
+                                  "vertex with a1 = a2 = pi/2")
+        assert type(exc.value.__cause__).__name__ == "DegenerateVertex"
+        with pytest.raises(EmptyInterval):
+            certify(tree.pattern, BranchId.BRANCH_1)
+
     @pytest.mark.parametrize("driving", [math.nan, math.inf, -math.inf])
     def test_non_finite_driving_angle_is_refused(self, driving):
         """A non-finite driving angle is refused at the first vertex, not
@@ -466,23 +479,70 @@ def driven(monkeypatch):
     return count
 
 
-def test_refused_sample_walk_retries_sample_by_sample(pat_a, walks):
-    """Where the walk over all samples refuses, certify walks them one by
-    one: each failed sample keeps its own infinite residual and the report
-    equals the per-sample reference, reason included."""
+def test_refused_samples_share_one_walk(pat_a, walks):
+    """Where some samples are refused, certify still walks all samples
+    once, after the driving-limit probes: each failed sample keeps its own
+    infinite residual and the report equals the per-sample reference,
+    reason included."""
     alpha = list(pat_a.vertex(0, 2).alpha)
     alpha[0] += deg(0.5)
     alpha[2] -= deg(0.5)
     p = pat_a.with_vertex(0, 2, Vertex4(alpha))
     report = certify(p, None, 200)
-    whole = [k for k, ts in enumerate(walks) if len(ts) == 200]
-    assert len(whole) == 1
-    assert walks[whole[0] + 1:] == [(t,) for t in report.samples]
+    assert walks[-1] == report.samples
+    assert all(len(ts) == 1 for ts in walks[:-1])
     assert not report.verdict
     assert "propagation failed" in report.reason
     reference = _reference_certify(p, None, 200)
     assert repr(report) == repr(reference)
     assert report.reason == reference.reason
+
+
+def test_walk_refuses_each_angle_as_its_own_walk(monkeypatch, pat_a):
+    """With `_drive` stubbed to refuse chosen incoming angles at two
+    vertices, a walk over many driving angles gives each angle the refusal
+    (type and message) a walk of that angle alone raises, the first in the
+    walk's order, and every other angle the solutions of its own walk."""
+    drive = foldability._drive
+    # inside the certified interval (about +-19.8 degrees) vertex (0,1)
+    # refuses below -11 degrees; vertex (2,0), with another type, below -5
+    # and above 9, so below -11 both refuse
+    rules = {(pat_a.vertex(0, 1).alpha, 2): (lambda a: a > 0.2, OutOfDomain),
+             (pat_a.vertex(2, 0).alpha, 1):
+                 (lambda a: not -0.9 < a < 0.5, WrongClass)}
+    assert [v.alpha for row in pat_a.vertices for v in row].count(
+        pat_a.vertex(0, 1).alpha) == 1
+
+    def stub(v, crease, angles, branch):
+        out = drive(v, crease, angles, branch)
+        refuses, kind = rules.get((v.alpha, crease), (None, None))
+        return [kind(f"stub refuses {a!r}") if refuses and refuses(a) else o
+                for a, o in zip(angles, out)]
+
+    monkeypatch.setattr(foldability, "_drive", stub)
+    branches = _branch_grid(pat_a, None)
+    ts = [deg(x) for x in range(-19, 20)]
+    sols, refused = foldability._walk(pat_a, branches, ts)
+    alone = [foldability._walk(pat_a, branches, (t,)) for t in ts]
+    where = []
+    q = 0
+    for k, (t, (one, one_refused)) in enumerate(zip(ts, alone)):
+        if k in refused:
+            assert list(one_refused) == [0]
+            got, want = refused[k], one_refused[0]
+            assert (type(got), str(got)) == (type(want), str(want))
+            assert type(got) is OutOfDomain
+            with pytest.raises(OutOfDomain) as exc:
+                propagate(build_tree(pat_a), t)
+            assert str(exc.value) == str(got)
+            where.append(str(got).split(":")[0])
+        else:
+            assert one_refused == {}
+            assert [[col[q] for col in row] for row in sols] == \
+                [[col[0] for col in row] for row in one]
+            q += 1
+    assert q == len(sols[0][0]) == 39 - 8 - 16
+    assert where == ["top-row vertex (0,1)"] * 8 + ["vertex (2,0)"] * 16
 
 
 def test_certify_shares_drives_across_samples(driven):
@@ -537,8 +597,8 @@ class TestCertifyMemo:
         p = stitch(herringbone_plan(8, 8, 95.0, 72.0))
         certify(p)
         counted.clear()
-        sweep(p, n_frames=12)
-        assert len(counted) == 12
+        res = sweep(p, n_frames=12)
+        assert counted == [res.driving_angles]
 
     def test_uncertified_pattern_still_refused(self, pat_b):
         bad = [list(row) for row in pat_b.branch_default]
@@ -569,6 +629,40 @@ class TestCertifyMemo:
             with pytest.raises(ValueError, match="n_samples"):
                 certify(p, None, 1)
         assert counted == []
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8, True,
+                                     "1e-8", None])
+    def test_compat_tol_must_be_positive_and_finite(self, pat_b, tol):
+        """Showcase B with vertex (2,0) on BRANCH_2 is refused at the
+        default tolerance; a tolerance that is not a positive finite
+        number (NaN would certify any residual) is refused before any
+        walk, by `certify` and by `sweep`."""
+        bad = [list(row) for row in pat_b.branch_default]
+        bad[2][0] = BranchId.BRANCH_2
+        assert certify(pat_b, bad, 40).max_residual > 3.0
+        for call in (lambda: certify(pat_b, bad, 40, compat_tol=tol),
+                     lambda: sweep(pat_b, bad, 4, n_samples=40,
+                                   compat_tol=tol)):
+            with pytest.raises(ValueError, match="compat_tol must be a "
+                               "positive finite number"):
+                call()
+
+    @pytest.mark.parametrize("n", [2.5, 200.0, True, False, "200", None])
+    def test_counts_must_be_integers(self, pat_a, n):
+        """A sample or frame count that is not an integer, or is a bool,
+        gets the ValueError of a count that is too small."""
+        with pytest.raises(ValueError, match="n_samples must be >= 2"):
+            certify(pat_a, None, n)
+        with pytest.raises(ValueError, match="n_samples must be >= 2"):
+            sweep(pat_a, None, 4, n_samples=n)
+        with pytest.raises(ValueError, match="need at least one frame"):
+            sweep(pat_a, None, n)
+
+    def test_numpy_integer_counts_are_counts(self, pat_a):
+        import numpy as np
+
+        assert certify(pat_a, None, np.int64(40)) is certify(pat_a, None, 40)
+        assert len(sweep(pat_a, None, np.int32(3), n_samples=40)) == 3
 
     def test_copies_start_without_reports(self, pat_a):
         report = certify(pat_a, None, 60)

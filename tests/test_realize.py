@@ -323,6 +323,21 @@ def _tampered(bad=(), fail_at=None, at=(1, 1)):
     return tampered
 
 
+def _tampered_walk(tampered):
+    """`foldability._propagations` built frame by frame from a tampered
+    `propagate`: each frame's propagation, or the refusal it raises."""
+    def walk(tree, ts, choice=None):
+        out = []
+        for t in ts:
+            try:
+                out.append(tampered(tree, t, choice))
+            except OutOfDomain as exc:
+                out.append(exc)
+        return out
+
+    return walk
+
+
 @pytest.mark.parametrize("bad, fail_at, tau_closure, raised", [
     ((3,), None, None, ClosureViolation),
     ((5, 2), None, None, ClosureViolation),
@@ -344,7 +359,8 @@ def test_sweep_raises_as_frame_by_frame(monkeypatch, pat_a, bad, fail_at,
         monkeypatch.setattr(realize_mod, "TAU_CLOSURE", tau_closure)
     want = _outcome(lambda: _reference_sweep(pat_a, 8, 40,
                                              _tampered(bad, fail_at)))
-    monkeypatch.setattr(realize_mod, "propagate", _tampered(bad, fail_at))
+    monkeypatch.setattr(realize_mod, "_propagations",
+                        _tampered_walk(_tampered(bad, fail_at)))
     with pytest.raises(raised) as exc:
         sweep(pat_a, None, 8, n_samples=40)
     assert (type(exc.value), str(exc.value)) == want
@@ -364,8 +380,8 @@ def test_sweep_raises_as_frame_by_frame_on_3x5(monkeypatch, bad, fail_at,
         monkeypatch.setattr(realize_mod, "TAU_CLOSURE", tau_closure)
     want = _outcome(lambda: _reference_sweep(
         p, 8, 40, _tampered(bad, fail_at, at=(2, 3))))
-    monkeypatch.setattr(realize_mod, "propagate",
-                        _tampered(bad, fail_at, at=(2, 3)))
+    monkeypatch.setattr(realize_mod, "_propagations",
+                        _tampered_walk(_tampered(bad, fail_at, at=(2, 3))))
     with pytest.raises(raised) as exc:
         sweep(p, None, 8, n_samples=40)
     assert (type(exc.value), str(exc.value)) == want

@@ -165,6 +165,12 @@ class TestValidateUnit:
         assert not rep.degenerate_shared
         assert rep.max_residual == 0.0
 
+    @pytest.mark.parametrize("n", [2.5, 200.0, True, "200", None])
+    def test_sample_count_must_be_an_integer(self, n):
+        u = solve_ff_unit(deg(80), deg(100), deg(60), FFUnitMode.A_PLUS)
+        with pytest.raises(ValueError, match="n_samples must be >= 2"):
+            validate_unit(u, n)
+
     def test_swap_invariance(self):
         u = solve_ff_unit(deg(80), deg(95), deg(60), FFUnitMode.A_MINUS)
         rep = validate_unit(u.swapped(), 100)

@@ -1076,13 +1076,15 @@ def test_crease_inversion_matches_reference_dispatch(rng):
 
 
 def _drive_or_error(v, crease, angles, branch):
-    """The kernel's (rho, raw_rho) reprs over `angles`, or the exception's
-    type and message."""
+    """The kernel's outcome per angle, the (rho, raw_rho) reprs or the
+    refusal's type and message; or, where the call itself raises, the
+    exception's type and message."""
     try:
-        return [repr(rho) + repr(raw)
-                for rho, raw in vertex_mod._drive(v, crease, angles, branch)]
+        outcomes = vertex_mod._drive(v, crease, angles, branch)
     except (QuadfoldError, ValueError) as exc:
         return type(exc), str(exc)
+    return [repr(o[0]) + repr(o[1]) if type(o) is tuple else (type(o), str(o))
+            for o in outcomes]
 
 
 def _each_or_error(v, crease, angles, branch) -> list:
@@ -1100,38 +1102,43 @@ def _each_or_error(v, crease, angles, branch) -> list:
 
 def test_drive_matches_solve_at_crease(rng):
     """The crease-drive kernel over a list of angles returns, angle by
-    angle, what solve_at_crease returns, and raises the refusal of the first
-    angle solve_at_crease refuses, with its type and message: over the
-    whole list of each (vertex, crease, branch) of the dispatch calls, over
-    the angles it accepts, and with a refused angle put in their middle."""
+    angle, what solve_at_crease returns or the refusal it raises, with its
+    type and message: over the whole list of each (vertex, crease, branch)
+    of the dispatch calls, over the angles it accepts, and with a refused
+    angle put in their middle.  Only a bad crease index refuses the whole
+    call, as it refuses every angle."""
     groups = {}
     for v, crease, angle, branch in _dispatch_calls(rng):
         groups.setdefault((v, crease, branch), []).append(angle)
     n_accepted = n_refused_inside = 0
     for (v, crease, branch), angles in groups.items():
         each = _each_or_error(v, crease, angles, branch)
-        errors = [w for w in each if isinstance(w, tuple)]
-        assert _drive_or_error(v, crease, angles, branch) == (
-            errors[0] if errors else each)
+        got = _drive_or_error(v, crease, angles, branch)
+        if isinstance(got, tuple):
+            assert got[0] is ValueError and each == [got] * len(angles)
+            continue
+        assert got == each
         accepted = [a for a, w in zip(angles, each) if isinstance(w, str)]
         if not accepted:
             continue
-        assert (_drive_or_error(v, crease, accepted, branch)
-                == [w for w in each if isinstance(w, str)])
+        solved = [w for w in each if isinstance(w, str)]
+        assert _drive_or_error(v, crease, accepted, branch) == solved
         n_accepted += len(accepted)
         k = len(accepted) // 2
         for a, w in zip(angles, each):
             if isinstance(w, tuple) and k:
                 mixed = accepted[:k] + [a] + accepted[k:]
-                assert _drive_or_error(v, crease, mixed, branch) == w
+                assert (_drive_or_error(v, crease, mixed, branch)
+                        == solved[:k] + [w] + solved[k:])
                 n_refused_inside += 1
     assert n_accepted > 2000 and n_refused_inside > 500
 
 
 def test_drive_trivial_vertex_flat_at_zero():
     """A trivial vertex, which has no branch, drives flat at 0 (the branch
-    is looked up only at the first angle that is not flat), and refuses the
-    first angle that is not."""
+    is looked up only at the first angle that is not flat), and refuses
+    each angle that is not; `solve_at_crease` and the raise helper raise
+    the first refusal."""
     v = Vertex4.from_degrees((200, 40, 80, 40))
     assert classify(v).tag is ClassTag.TRIVIAL
     flat = ((0.0,) * 4, (0.0,) * 4)
@@ -1139,10 +1146,20 @@ def test_drive_trivial_vertex_flat_at_zero():
         assert vertex_mod._drive(v, 1, [0.0, -0.0, 5e-16], branch) == [flat] * 3
         assert solve_at_crease(v, 1, 0.0, branch) == VertexSolution(
             (0.0,) * 4, branch, (0.0,) * 4)
-        with pytest.raises(WrongClass, match="trivial"):
-            vertex_mod._drive(v, 1, [0.0, 0.2, math.nan], branch)
-        with pytest.raises(OutOfDomain, match="cannot fold by nan"):
-            vertex_mod._drive(v, 1, [0.0, math.nan, 0.2], branch)
+        for angles, first in (([0.0, 0.2, math.nan], WrongClass),
+                              ([0.0, math.nan, 0.2], OutOfDomain)):
+            outcomes = vertex_mod._drive(v, 1, angles, branch)
+            assert outcomes[0] == flat
+            for angle, out in zip(angles[1:], outcomes[1:]):
+                if math.isnan(angle):
+                    assert type(out) is OutOfDomain
+                    assert str(out) == "crease 1 cannot fold by nan"
+                else:
+                    assert type(out) is WrongClass
+                    assert "trivial" in str(out)
+            with pytest.raises(first) as exc:
+                vertex_mod._solved(outcomes)
+            assert exc.value is outcomes[1]
 
 
 def _near(x: float, target: float, tol: float) -> bool:

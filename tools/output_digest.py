@@ -49,7 +49,10 @@ where the call raises:
   `relayout(plan.lengths)`, coordinates in full precision;
 * walks: the `certify` report (200 samples) of showcase A with vertex
   (0,2)'s a1 and a3 moved by -+0.5 degree both ways, where some samples
-  fail to propagate, and of a 16x16 herringbone;
+  fail to propagate, and of a 16x16 herringbone; and, with vertex (0,2)'s
+  a1 and a3 or a2 and a4 so moved both ways, `propagate` at each of the
+  200 samples of that pattern's `certify` grid: the largest cut-crease
+  residual, or the refusal's type and message, which names the vertex;
 * relaid-out blankets: 40 seeded `relayout`s of showcases A and B and a 4x4
   herringbone (crease lengths 0.2-3, boundary 0.2-4).  A relayout that
   raises gives its exception type and message.  Of the others, only those
@@ -102,6 +105,7 @@ from quadfold import (  # noqa: E402
     StitchPlan,
     Unit,
     Vertex4,
+    build_tree,
     certify,
     classify,
     enumerate_branch_choices,
@@ -114,6 +118,7 @@ from quadfold import (  # noqa: E402
     make_flatfoldable_basic_unit,
     mv_assignment,
     make_straightline_unit,
+    propagate,
     solve_at_crease,
     solve_ff_unit,
     solve_generic,
@@ -493,6 +498,25 @@ def walk_texts():
            _outcome(lambda: certify(stitch(herringbone_plan(16, 16)))))
 
 
+def walk_refusal_texts():
+    """`propagate` at each of the 200 `certify` samples of showcase A with
+    vertex (0,2)'s sector pair (k, k+2), k = 0 or 1, moved by +-0.5
+    degree: one text per pattern, a line per sample giving the largest
+    cut-crease residual or the refusal's type and message."""
+    p = stitch(showcase_a_plan())
+    for k in (0, 1):
+        for sign in (1.0, -1.0):
+            a = list(p.vertex(0, 2).alpha)
+            a[k] += sign * math.radians(0.5)
+            a[k + 2] -= sign * math.radians(0.5)
+            bad = p.with_vertex(0, 2, Vertex4(a))
+            tree = build_tree(bad)
+            lines = [_outcome(lambda: propagate(tree, t).max_residual())
+                     for t in certify(bad, None, 200).samples]
+            yield (f"showcase_a perturbed (0,2) {k} {sign:+g} propagate at "
+                   f"the 200 certify samples", "\n".join(lines))
+
+
 def _svg_texts(name, p):
     """The crease-pattern SVG, plain and, where the pattern certifies,
     coloured at half its certified driving angle."""
@@ -694,6 +718,7 @@ def texts():
     yield from degenerate_shared_texts()
     yield from derived_texts()
     yield from walk_texts()
+    yield from walk_refusal_texts()
     for name, plan in blankets():
         p = stitch(plan)
         choices = (*enumerate_branch_choices(p), BranchId.BRANCH_1,
