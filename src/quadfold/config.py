@@ -12,7 +12,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields
-from numbers import Integral
+from numbers import Integral, Real
 
 # classification sums (radians)
 TAU_ANGLE = 1e-9
@@ -39,14 +39,23 @@ TAU_RIGID = 1e-9
 TAU_CLOSURE = 1e-9
 # |folding angle| below this counts as an unfolded (flat) crease
 TAU_FLAT = 1e-9
+# an interval of half-width t_max <= this (certify's: < this) is empty
+TAU_EMPTY = 1e-9
 
 DEFAULT_SAMPLES = 200
 
 
-def check_tolerance(name: str, x) -> None:
-    """ValueError naming `name` unless x is a positive finite number."""
-    if type(x) not in (int, float) or not (math.isfinite(x) and x > 0):
+def check_tolerance(name: str, x) -> float:
+    """x as a float; ValueError naming `name` unless x is a real number,
+    not a bool, that is a positive finite float."""
+    real = isinstance(x, Real) and not isinstance(x, bool)
+    try:
+        f = float(x) if real else math.nan
+    except OverflowError:  # a number beyond the float range
+        f = math.inf
+    if not (math.isfinite(f) and f > 0):
         raise ValueError(f"{name} must be a positive finite number, got {x!r}")
+    return f
 
 
 def check_count(x, least: int, message: str) -> None:

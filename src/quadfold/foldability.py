@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
-from .config import (DEFAULT_SAMPLES, TAU_COMPAT, TAU_FLAT, check_count,
-                     check_tolerance)
+from .config import (DEFAULT_SAMPLES, TAU_COMPAT, TAU_EMPTY, TAU_FLAT,
+                     check_count, check_tolerance)
 from .errors import EmptyInterval, NotABlanket, OutOfDomain
 from .pattern import QuadPattern, branch_chains
 from .vertex import (
@@ -93,6 +93,15 @@ class Propagation:
         """
         i, j, k = crease_slot(len(self.solutions), kind, a, b)
         return self.solutions[i][j].rho[k]
+
+
+def check_solved_grid(p: QuadPattern, prop: Propagation, error=ValueError):
+    """`error`, naming both shapes, unless `prop` solves p's m x n grid."""
+    rows = prop.solutions
+    if len(rows) != p.m or any(len(row) != p.n for row in rows):
+        cols = "/".join(map(str, sorted({len(row) for row in rows}) or [0]))
+        raise error(f"the propagation's grid is {len(rows)}x{cols}; the "
+                    f"pattern is {p.m}x{p.n}")
 
 
 def crease_slot(m: int, kind: str, a, b) -> tuple:
@@ -169,19 +178,18 @@ def _walk(p: QuadPattern, branches, ts) -> tuple:
     return sols, refused
 
 
-def _propagations(tree: TreeStructure, ts, branch_choice) -> list:
-    """`propagate` at each driving angle of `ts`, from one walk: each
-    angle's Propagation, or the OutOfDomain it raises there."""
+def _propagations(tree: TreeStructure, ts, branch_choice) -> tuple:
+    """`propagate` at each driving angle of `ts`, from one walk: the
+    Propagations before the first refused angle, and the OutOfDomain
+    `propagate` raises there (None when no angle is refused)."""
     p, ts = tree.pattern, [float(t) for t in ts]
     sols, refused = _walk(p, _branch_grid(p, branch_choice), ts)
-    live = [t for k, t in enumerate(ts) if k not in refused]
-    out = [Propagation(t, g, tuple(
-               ((i, j), g[i][j].rho[3], g[i][j + 1].rho[1])
-               for i, j in tree.cut_creases))
-           for t, g in zip(live, zip(*[zip(*row) for row in sols]))]
-    for k in sorted(refused):
-        out.insert(k, refused[k])
-    return out
+    first = min(refused, default=len(ts))
+    props = [Propagation(t, g, tuple(
+                 ((i, j), g[i][j].rho[3], g[i][j + 1].rho[1])
+                 for i, j in tree.cut_creases))
+             for t, g in zip(ts[:first], zip(*[zip(*row) for row in sols]))]
+    return props, refused.get(first)
 
 
 def propagate(tree: TreeStructure, driving: float,
@@ -192,10 +200,10 @@ def propagate(tree: TreeStructure, driving: float,
     This is the walk (`_walk`) of the one angle, with its refusal: a
     vertex that cannot be driven is named in an `OutOfDomain`.
     """
-    prop, = _propagations(tree, (driving,), branch_choice)
-    if not isinstance(prop, Propagation):
-        raise prop
-    return prop
+    props, refusal = _propagations(tree, (driving,), branch_choice)
+    if refusal is not None:
+        raise refusal
+    return props[0]
 
 
 def _finite_or_none(x: float):
@@ -289,7 +297,7 @@ def certify(p: QuadPattern, branch_choice: BranchChoice = None,
     refused with ValueError before any propagation runs.
     """
     check_count(n_samples, 2, "n_samples must be >= 2")
-    check_tolerance("compat_tol", compat_tol)
+    compat_tol = check_tolerance("compat_tol", compat_tol)
     branches = _branch_grid(p, branch_choice)
     key = (branches, n_samples, compat_tol)
     report = p.certified.get(key)
@@ -303,7 +311,7 @@ def _certify(p: QuadPattern, branches, n_samples: int,
              compat_tol: float) -> CompatibilityReport:
     tree = build_tree(p)
     t_max = last_valid(lambda t: _probe(tree, t, branches), 48)
-    if t_max < 1e-9:
+    if t_max < TAU_EMPTY:
         raise EmptyInterval(
             "no driving interval: the tree cannot move away from the "
             "trivial state on these branches"
@@ -321,8 +329,9 @@ def _certify(p: QuadPattern, branches, n_samples: int,
             series.insert(k, math.inf)
         reason = (f"propagation failed at driving angle {grid[k]!r}: "
                   f"{refused[k]}")
-    residuals = ([max(rs) for rs in zip(*per_cut)] if cuts else
-                 [math.inf if k in refused else 0.0 for k in range(n_samples)])
+    # the last series (0, inf where refused) shows only without cuts
+    residuals = [max(rs) for rs in zip(*per_cut, (
+        math.inf if k in refused else 0.0 for k in range(n_samples)))]
     finite = [r for r in residuals if math.isfinite(r)]
     max_res = max(finite) if finite else math.inf
     if verdict and max_res >= compat_tol:
@@ -372,10 +381,12 @@ def mv_assignment(p: QuadPattern, branch_choice: BranchChoice = None,
     driving angle; boundary edges get "B".
 
     Requires a certified pattern to be meaningful - the caller picks a
-    sample angle inside the certified interval.
+    sample angle inside the certified interval.  A `flat_tol` that is not a
+    positive finite number is refused with ValueError.
     """
     if sample_rho is None:
         raise ValueError("mv_assignment needs a sample driving angle")
+    check_tolerance("flat_tol", flat_tol)
     prop = propagate(build_tree(p), sample_rho, branch_choice)
     return {
         (a, b): "B" if kind == "boundary"

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import TAU_FLAT
 from .errors import SerializationError
-from .foldability import Propagation, mv_letter
+from .foldability import Propagation, check_solved_grid, mv_letter
 from .pattern import QuadPattern, StitchPlan, stitch
 from .realize import FoldedState, _norms
 
@@ -121,7 +121,8 @@ def export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
     M on a positive one, F on one not below `TAU_FLAT`) is refused, and so
     is an `mv` key that names no edge, a boundary edge letter other than B
     (`mv_assignment` gives B to each boundary edge) and an edge keyed both
-    ways round with two letters.
+    ways round with two letters.  `angles` that do not solve the pattern's
+    m x n grid are refused with SerializationError.
     """
     if isinstance(obj, QuadPattern):
         p, points, frame_class = obj, obj.grid, "creasePattern"
@@ -134,6 +135,8 @@ def export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
             angles = obj.angles
     else:
         raise SerializationError(f"cannot export {type(obj).__name__}")
+    if angles is not None:
+        check_solved_grid(p, angles, SerializationError)
     if mv is not None:
         _check_mv_keys(p, mv)
 

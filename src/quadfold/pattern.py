@@ -36,23 +36,11 @@ from .errors import (
     NotABlanket,
     ValidationFailed,
 )
-from .units import UNIT_KINDS, json_keys, json_numbers, \
+from .units import DOF_TABLE, json_keys, json_numbers, \
     unit_from_descriptor, valid_branch_pairs, validate_unit
 from .vertex import Vertex4, normalize_angle
 
 TWO_PI = 2.0 * math.pi
-
-# per-kind independent-sector-angle contributions: (first unit in a column,
-# each additionally stitched unit).  Identical-vertex basic units add nothing
-# once their shared vertex is fixed; a freshly designed flat-foldable unit
-# keeps one free angle when stitched below an existing vertex.
-DOF_TABLE = dict(zip(UNIT_KINDS, (
-    (2, 0),  # straight_line
-    (2, 0),  # flat_foldable_basic
-    (3, 1),  # flat_foldable
-    (1, 0),  # double_collinear
-    (3, 0),  # custom
-)))
 
 
 @dataclass(frozen=True)
@@ -496,9 +484,9 @@ def count_dof(plan: StitchPlan) -> DofReport:
     """Count independent sector angles unit by unit.
 
     Each column's first unit contributes its kind's base count and every
-    further stitched unit the kind's stitch increment; each inner-panel row
-    whose column creases are not parallel in the layout deducts its number of
-    inner panels.  Raises NegativeDof when the total goes negative, and
+    further stitched unit the kind's stitch increment (`DOF_TABLE`, from
+    `units`); each inner-panel row whose column creases are not parallel in
+    the layout deducts its number of inner panels.  Raises NegativeDof when the total goes negative, and
     whatever `stitch` raises for the plan (ValidationFailed for a failing
     unit).
     """

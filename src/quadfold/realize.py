@@ -18,7 +18,7 @@ from .config import (DEFAULT_SAMPLES, TAU_CLOSURE, TAU_COMPAT, TAU_RIGID,
                      check_count)
 from .errors import ClosureViolation, RigidityViolation
 from .foldability import (BranchChoice, Propagation, _propagations,
-                          build_tree, certify, crease_slot)
+                          build_tree, certify, check_solved_grid, crease_slot)
 from .pattern import QuadPattern, check_layout_angles
 from .vertex import Vertex4, VertexSolution
 
@@ -228,9 +228,11 @@ def realize(p: QuadPattern, prop: Propagation) -> FoldedState:
     by face walk.  Every vertex's folding angles must also close under the
     rotation oracle.  The fold follows the layout, so a layout that does not
     realize the vertex data (that of a `with_vertex` copy, which keeps its
-    parent's) is refused with LayoutFailure first.  `sweep` folds all its
-    frames in the same passes.
+    parent's) is refused with LayoutFailure first.  Before that, a
+    propagation that does not solve the pattern's m x n grid is refused
+    with ValueError.  `sweep` folds all its frames in the same passes.
     """
+    check_solved_grid(p, prop)
     return _fold_frames(p, (prop,))[0]
 
 
@@ -270,13 +272,11 @@ def sweep(p: QuadPattern, branch_choice: BranchChoice = None,
     t_end, tree = report.interval[1], build_tree(p)
     ts = tuple(0.0 if n_frames == 1 else t_end * k / (n_frames - 1)
                for k in range(n_frames))
-    props = _propagations(tree, ts, branch_choice)
-    for k, prop in enumerate(props):
-        if not isinstance(prop, Propagation):
-            if k:  # frame by frame, the earlier frames come first
-                _fold_frames(p, props[:k])
-            raise prop
-    frames = _fold_frames(p, props)
+    props, refusal = _propagations(tree, ts, branch_choice)
+    # frame by frame, the frames before a refused one come first
+    frames = _fold_frames(p, props) if props else ()
+    if refusal is not None:
+        raise refusal
     return SweepResult(
         frames=frames, driving_angles=ts,
         max_rigidity_residual=max(s.rigidity_residual for s in frames),

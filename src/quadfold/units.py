@@ -29,7 +29,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-from .config import TAU_UNIT, check_count
+from .config import (TAU_EMPTY, TAU_FLAT, TAU_UNIT, check_count,
+                     check_tolerance)
 from .errors import (
     DegenerateVertex,
     EmptyInterval,
@@ -77,26 +78,29 @@ class FFUnitMode(Enum):
 
     @property
     def branch(self) -> BranchId:
-        return BranchId.BRANCH_1 if self in (self.A_PLUS, self.A_MINUS) \
-            else BranchId.BRANCH_2
+        return _FF_MODE_ROWS[self][0]
 
     @property
     def signs(self) -> tuple:
-        if self in (self.A_MINUS, self.C_PLUS):
-            return (1, 1)
-        return (-1, -1)
+        return _FF_MODE_ROWS[self][1]
 
     def alpha4(self, a1: float, a2: float, a3: float) -> float:
-        t1, t2, t3 = _tan_half(a1), _tan_half(a2), _tan_half(a3)
-        if self is FFUnitMode.A_PLUS:
-            t4 = t2 * t3 / t1
-        elif self is FFUnitMode.A_MINUS:
-            t4 = t1 * t3 / t2
-        elif self is FFUnitMode.C_PLUS:
-            t4 = t1 * t2 / t3
-        else:
-            t4 = 1.0 / (t1 * t2 * t3)
-        return 2.0 * math.atan(t4)
+        t4 = _FF_MODE_ROWS[self][2]
+        return 2.0 * math.atan(t4(_tan_half(a1), _tan_half(a2), _tan_half(a3)))
+
+
+# each mode's row: the curve branch of both vertices, the sign pair (s2, s4)
+# and the tan-half identity t4(t1, t2, t3) that fixes alpha4
+_FF_MODE_ROWS = {
+    FFUnitMode.A_PLUS: (BranchId.BRANCH_1, (-1, -1),
+                        lambda t1, t2, t3: t2 * t3 / t1),
+    FFUnitMode.A_MINUS: (BranchId.BRANCH_1, (1, 1),
+                         lambda t1, t2, t3: t1 * t3 / t2),
+    FFUnitMode.C_PLUS: (BranchId.BRANCH_2, (1, 1),
+                        lambda t1, t2, t3: t1 * t2 / t3),
+    FFUnitMode.C_MINUS: (BranchId.BRANCH_2, (-1, -1),
+                         lambda t1, t2, t3: 1.0 / (t1 * t2 * t3)),
+}
 
 
 @dataclass(frozen=True)
@@ -123,14 +127,26 @@ class UnitReport:
         return max(self.max_residual_24, self.max_residual_47)
 
     def valid(self, tol: float = TAU_UNIT) -> bool:
-        return self.max_residual < tol
+        """The residuals stay below `tol`, a positive finite number
+        (ValueError otherwise)."""
+        return self.max_residual < check_tolerance("tol", tol)
 
 
 _CREASE_LENGTHS = {"shared": 1.0}
 
-# how a unit was designed, which sets its term in the sector-angle count
-UNIT_KINDS = ("straight_line", "flat_foldable_basic", "flat_foldable",
-              "double_collinear", "custom")
+# how a unit was designed, and its term in the independent-sector-angle
+# count (`pattern.count_dof`): (first unit in a column, each additionally
+# stitched unit).  Identical-vertex basic units add nothing once their shared
+# vertex is fixed; a freshly designed flat-foldable unit keeps one free angle
+# when stitched below an existing vertex.
+DOF_TABLE = {
+    "straight_line": (2, 0),
+    "flat_foldable_basic": (2, 0),
+    "flat_foldable": (3, 1),
+    "double_collinear": (1, 0),
+    "custom": (3, 0),
+}
+UNIT_KINDS = tuple(DOF_TABLE)
 # what a kind needs of both vertex classes: (its description, the test);
 # a custom unit takes any vertices
 _KIND_NEEDS = {
@@ -381,11 +397,11 @@ def validate_unit(u: Unit, n_samples: int = 200) -> UnitReport:
     check_count(n_samples, 2, "n_samples must be >= 2")
     s2, s4 = u.signs
     t_max = _shared_interval(u)
-    shared = t_max > 1e-9
+    shared = t_max > TAU_EMPTY
     if not shared:
         t_max = min(_reach(u.top, u.branch_top, 1),
                     _reach(u.bottom, u.branch_bottom, 1))
-        if t_max <= 1e-9:
+        if t_max <= TAU_EMPTY:
             raise EmptyInterval(
                 "the unit's common fold interval on this branch pair is {0}"
             )
@@ -416,12 +432,12 @@ def _with_signs(u: Unit, t_max: float) -> Unit:
     """`u` with the sign pair read off 9 samples of the connecting crease
     over (0, t_max], each sign 1 for a side that never folds there."""
     s2 = s4 = None
-    if t_max > 1e-9:
+    if t_max > TAU_EMPTY:
         ts = [t_max * k / 10 for k in range(1, 10)]
         for (st, _), (sb, _) in _drive_sides(u, 3, ts, 1, ts):
-            if s2 is None and abs(sb[1]) > 1e-9:
+            if s2 is None and abs(sb[1]) > TAU_FLAT:
                 s2 = 1 if st[1] * sb[1] > 0 else -1
-            if s4 is None and abs(sb[3]) > 1e-9:
+            if s4 is None and abs(sb[3]) > TAU_FLAT:
                 s4 = 1 if st[3] * sb[3] > 0 else -1
     return replace(u, signs=(s2 or 1, s4 or 1))
 
@@ -514,7 +530,7 @@ def valid_branch_pairs(u: Unit) -> list:
             cand = replace(u, branch_top=bt, branch_bottom=bb)
             try:
                 t_max = _shared_interval(cand)
-                if t_max <= 1e-9:
+                if t_max <= TAU_EMPTY:
                     continue
                 cand = _with_signs(cand, t_max)
                 report = validate_unit(cand, 33)

@@ -45,7 +45,8 @@ from functools import lru_cache
 from enum import Enum
 from typing import Callable, Sequence
 
-from .config import TAU_ANGLE, TAU_CLAMP, TAU_CLASS_BAND, TAU_ROOT
+from .config import (TAU_ANGLE, TAU_CLAMP, TAU_CLASS_BAND, TAU_ROOT,
+                     check_count)
 from .errors import (
     DegenerateVertex,
     InvalidSectorAngles,
@@ -488,7 +489,8 @@ class _ArccosCurve(_BranchParam):
     normalized representative wraps).  Each curve stores its constants once:
     the sector trig (`_sector_trig`) and the lifts at r_max and at 0 that
     every inversion starts from (`lift_max`, `lift_zero`; None where the
-    evaluation raises).
+    evaluation raises), and the (sectors, c4 slot, branch-1 root) `guide`
+    that `guess` hands `_tan_half_root`.
 
     `outer` names the stored slots of rho2 and rho4 where each adds two
     arccos terms: on generic branch 2, and on the straight-line curve, which
@@ -499,12 +501,13 @@ class _ArccosCurve(_BranchParam):
     """
 
     __slots__ = ("alpha", "rhos", "base", "r_max", "trig", "lift_max",
-                 "lift_zero")
+                 "lift_zero", "guide")
     straight_line = False
 
-    def __init__(self, alpha: tuple, rhos: tuple, outer: tuple):
+    def __init__(self, alpha: tuple, rhos: tuple, outer: tuple, guide: tuple):
         self.alpha = alpha
         self.rhos = rhos
+        self.guide = guide
         turned = alpha[2] + alpha[3] > math.pi
         self.base = tuple(TWO_PI if turned and k in outer else 0.0
                           for k in range(4))
@@ -545,6 +548,13 @@ class _ArccosCurve(_BranchParam):
         worst = max(map(abs, map(operator.sub, self._rhos_at(args, rr),
                                  self.base)))
         return min(m, (math.pi + _WRAP_SLACK - worst) / math.pi)
+
+    def guess(self, comp: int, angle: float) -> float:
+        """The closed-form estimate of the r where rho[comp] (c2 or c4 in
+        the closed forms' labels) folds by `angle`, that `bisect` evaluates
+        around (`_tan_half_root` on the curve's `guide`)."""
+        alpha, c4, branch1 = self.guide
+        return _tan_half_root(alpha, comp == c4, angle, branch1)
 
     def bisect(self, comp: int, target: float) -> float:
         """The r where the lift of rho[comp], continuous and strictly
@@ -659,7 +669,8 @@ class _GenericCurve(_ArccosCurve):
     def __init__(self, alpha: tuple, branch: BranchId):
         self.branch = branch
         outer = (1, 3) if branch is BranchId.BRANCH_2 else ()
-        super().__init__(alpha, _GENERIC_RHOS[branch], outer)
+        super().__init__(alpha, _GENERIC_RHOS[branch], outer,
+                         (alpha, 3, branch is BranchId.BRANCH_1))
 
     def invert(self, comp: int, angle: float) -> float:
         """Closed form at c1 and at c3, whose fold angle fixes xi through
@@ -674,27 +685,23 @@ class _GenericCurve(_ArccosCurve):
         same_sign = self.branch is BranchId.BRANCH_1
         return mag if (angle > 0) == same_sign else -mag
 
-    def guess(self, comp: int, angle: float) -> float:
-        """The closed-form estimate of the r where rho[comp] (c2 or c4)
-        folds by `angle`, that `bisect` evaluates around
-        (`_tan_half_root`)."""
-        return _tan_half_root(self.alpha, comp == 3, angle,
-                              self.branch is BranchId.BRANCH_1)
-
 
 class _StraightLineCurve(_ArccosCurve):
     """Curve branch of a straight-line vertex.  In canonical labels
     (a1 + a4 = pi, a2 + a3 = pi) rho3 = -rho1 and rho2/rho4 are doubled
     arccos; `shift` relabels canonical to stored angles (stored rho_i is
-    canonical rho_{i - shift})."""
+    canonical rho_{i - shift}).  Its guess takes generic branch 2's root on
+    the sectors (a1, a2, pi - a2, pi - a1) that the closed forms assume."""
 
     __slots__ = ("shift",)
     straight_line = True
 
     def __init__(self, canonical_alpha: tuple, shift: int):
         self.shift = shift
+        a1, a2, c4 = canonical_alpha[0], canonical_alpha[1], (3 + shift) % 4
         super().__init__(canonical_alpha, _SHIFTED_STRAIGHT_LINE_RHOS[shift],
-                         (1 + shift, (3 + shift) % 4))
+                         (1 + shift, c4),
+                         ((a1, a2, math.pi - a2, math.pi - a1), c4, False))
 
     def invert(self, comp: int, angle: float) -> float:
         """Closed form on the collinear pair (rho3 = -rho1 in canonical
@@ -705,15 +712,6 @@ class _StraightLineCurve(_ArccosCurve):
         if comp_c == 2:
             return -angle
         return self.bisect(comp, angle)
-
-    def guess(self, comp: int, angle: float) -> float:
-        """The closed-form estimate of the r where rho[comp], canonical c2
-        or c4, folds by `angle`, that `bisect` evaluates around:
-        `_tan_half_root` on the root that generic branch 2 takes, with the
-        sectors (a1, a2, pi - a2, pi - a1) that the closed forms assume."""
-        a1, a2 = self.alpha[0], self.alpha[1]
-        return _tan_half_root((a1, a2, math.pi - a2, math.pi - a1),
-                              (comp - self.shift) % 4 == 3, angle, False)
 
 
 def last_valid(ok: Callable[[float], bool], n_scan: int,
@@ -939,8 +937,7 @@ def monotonicity_check(v: Vertex4, branch: BranchId,
     p = _branch_param(v.alpha, branch)
     if isinstance(p, _Segment):
         raise WrongClass("monotonicity scan applies to curve branches")
-    if n_samples < 3:
-        raise ValueError("need at least 3 samples")
+    check_count(n_samples, 3, "need at least 3 samples")
     # monotonicity is a statement about the continuous (unnormalized) lifts
     # of the folding angles; the normalized representatives wrap at +-pi
     lift = p.lift

@@ -631,7 +631,8 @@ class TestCertifyMemo:
         assert counted == []
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8, True,
-                                     "1e-8", None])
+                                     "1e-8", None,
+                                     pytest.param(10 ** 400, id="1e400")])
     def test_compat_tol_must_be_positive_and_finite(self, pat_b, tol):
         """Showcase B with vertex (2,0) on BRANCH_2 is refused at the
         default tolerance; a tolerance that is not a positive finite
@@ -663,6 +664,22 @@ class TestCertifyMemo:
 
         assert certify(pat_a, None, np.int64(40)) is certify(pat_a, None, 40)
         assert len(sweep(pat_a, None, np.int32(3), n_samples=40)) == 3
+
+    def test_real_tolerances_are_tolerances(self, pat_b):
+        """A numpy float or a Fraction is a real number, as a numpy integer
+        is a count; the report, and the reason it gives, are the float's."""
+        from fractions import Fraction
+
+        import numpy as np
+
+        bad = [list(row) for row in pat_b.branch_default]
+        bad[2][0] = BranchId.BRANCH_2
+        want = certify(pat_b, bad, 40).reason
+        for tol in (np.float64(TAU_COMPAT), Fraction(1, 10 ** 8)):
+            p = stitch(showcase_b_plan())
+            report = certify(p, bad, 40, compat_tol=tol)
+            assert report.reason == want
+            assert certify(p, bad, 40) is report
 
     def test_copies_start_without_reports(self, pat_a):
         report = certify(pat_a, None, 60)
@@ -799,3 +816,12 @@ class TestMvAssignment:
     def test_requires_sample(self, pat_a):
         with pytest.raises(ValueError):
             mv_assignment(pat_a, None, None)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf, True,
+                                     "1e-9"])
+    def test_flat_tol_must_be_positive_and_finite(self, pat_a, tol):
+        """NaN or a negative bound would label no crease F, inf every
+        crease; such a bound is refused."""
+        with pytest.raises(ValueError, match="flat_tol must be a positive "
+                           "finite number"):
+            mv_assignment(pat_a, None, deg(12), flat_tol=tol)

@@ -192,6 +192,23 @@ class TestFold:
                                                for _, a, b in p.edges()]
         assert set(doc["edges_assignment"]) == {"B", "F", "V"}
 
+    def test_export_refuses_angles_of_another_pattern(self):
+        """Angles that do not solve the pattern's grid, larger or smaller,
+        are refused with both shapes named, as frames of the wrong shape
+        are."""
+        small = stitch(herringbone_plan(4, 4))
+        large = stitch(herringbone_plan(8, 8))
+        for p, q in ((small, large), (large, small)):
+            prop = propagate(build_tree(p), 0.3)
+            state = realize(p, prop)
+            other = propagate(build_tree(q), 0.3)
+            named = (f"propagation's grid is {q.m}x{q.n}; the pattern is "
+                     f"{p.m}x{p.n}")
+            for call in (lambda: export_fold(state, pattern=p, angles=other),
+                         lambda: export_fold(p, angles=other)):
+                with pytest.raises(SerializationError, match=named):
+                    call()
+
     def test_import_checks_indices(self, pat_a):
         doc = export_fold(pat_a)
         doc["edges_vertices"][0] = [0, 10 ** 6]
@@ -886,6 +903,7 @@ class TestCli:
         ({"tau_flat": -1e-9}, "tau_flat"),
         ({"tau_unit": None}, "tau_unit"),
         ([{"samples": 33}], "object"),
+        ({"tau_compat": 10 ** 400}, "tau_compat"),
     ])
     def test_bad_config_is_usage_error(self, doc, named, tmp_path, capsys,
                                        monkeypatch):

@@ -325,15 +325,16 @@ def _tampered(bad=(), fail_at=None, at=(1, 1)):
 
 def _tampered_walk(tampered):
     """`foldability._propagations` built frame by frame from a tampered
-    `propagate`: each frame's propagation, or the refusal it raises."""
+    `propagate`: the frames' propagations up to the first refused frame,
+    and that frame's refusal (None when no frame is refused)."""
     def walk(tree, ts, choice=None):
-        out = []
+        props = []
         for t in ts:
             try:
-                out.append(tampered(tree, t, choice))
+                props.append(tampered(tree, t, choice))
             except OutOfDomain as exc:
-                out.append(exc)
-        return out
+                return props, exc
+        return props, None
 
     return walk
 
@@ -397,6 +398,20 @@ def test_realize_refuses_as_frame_by_frame(pat_a):
     with pytest.raises(ClosureViolation) as exc:
         realize(pat_a, bad)
     assert (type(exc.value), str(exc.value)) == want
+
+
+def test_realize_refuses_a_propagation_of_another_pattern():
+    """A propagation of a larger or a smaller blanket is refused with
+    ValueError naming both shapes, as a branch grid of the wrong shape
+    is."""
+    small = stitch(herringbone_plan(4, 4))
+    large = stitch(herringbone_plan(8, 8))
+    for p, q in ((small, large), (large, small)):
+        other = propagate(build_tree(q), 0.3)
+        with pytest.raises(ValueError, match=(
+                f"propagation's grid is {q.m}x{q.n}; the pattern is "
+                f"{p.m}x{p.n}")):
+            realize(p, other)
 
 
 def test_valley_sign_is_toward_the_viewer():

@@ -116,6 +116,17 @@ class TestValidateUnit:
         assert rep.max_residual < 1e-8
         assert rep.n_samples == 200
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-8, True])
+    def test_valid_refuses_a_bound_that_is_not_positive_and_finite(self,
+                                                                   tol):
+        """inf would pass any unit, NaN none."""
+        u = solve_ff_unit(deg(80), deg(100), deg(60), FFUnitMode.A_PLUS)
+        report = validate_unit(u, 40)
+        assert report.valid()
+        with pytest.raises(ValueError, match="tol must be a positive "
+                           "finite number"):
+            report.valid(tol)
+
     def test_perturbed_unit_fails(self):
         u = solve_ff_unit(deg(80), deg(100), deg(60), FFUnitMode.A_PLUS)
         a3, a4 = u.sector[4], u.sector[5] + deg(1.0)

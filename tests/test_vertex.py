@@ -337,6 +337,11 @@ class TestMonotonicity:
         with pytest.raises(WrongClass):
             monotonicity_check(SL, BranchId.LINE_SEGMENT_1, 100)
 
+    @pytest.mark.parametrize("n", [3.5, 2, True, "10", None])
+    def test_sample_count_must_be_an_integer_of_at_least_3(self, n):
+        with pytest.raises(ValueError, match="need at least 3 samples"):
+            monotonicity_check(GEN, BranchId.BRANCH_1, n)
+
 
 class TestSolveAtCrease:
     @pytest.mark.parametrize("crease", [1, 2, 3, 4])

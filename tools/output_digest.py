@@ -31,7 +31,9 @@ where the call raises:
   units, whose connecting crease never folds, so the side-crease drive is
   covered too: seeded double-collinear vertices over their mirrored, plain
   and half-turned copies, both on LINE_SEGMENT_2 (as in
-  `square_grid_plan`), with every sign pair;
+  `square_grid_plan`), with every sign pair; and each `FFUnitMode`'s
+  `branch`, `signs` and `alpha4` at seeded and near-degenerate sector
+  angles, with `UNIT_KINDS` and the `DOF_TABLE` that `count_dof` reads;
 * blankets: the `certify` report for every enumerated branch choice and both
   uniform curve-branch choices of showcases A and B, four seeded 8x8
   herringbones, a 4x4 herringbone and the non-square 3x5 and 5x3
@@ -130,6 +132,8 @@ from quadfold import (  # noqa: E402
     xi_of,
 )
 from quadfold.cli import main as cli_main  # noqa: E402
+from quadfold.pattern import DOF_TABLE  # noqa: E402
+from quadfold.units import UNIT_KINDS  # noqa: E402
 from quadfold.vertex import _branch_param  # noqa: E402
 from quadfold.fixtures import (  # noqa: E402
     herringbone_plan,
@@ -147,6 +151,7 @@ A_DEG = (93.0, 97.0)
 C_DEG = (70.0, 74.0)
 N_VERTICES = 8      # seeded vertices per class
 N_UNITS = 4         # seeded units per constructor (and per flat-foldable mode)
+N_MODE_ANGLES = 20  # seeded sector triples per flat-foldable mode
 # sector-angle moves: inside TAU_ANGLE (still collinear), inside
 # TAU_CLASS_BAND (a warning), beyond it
 NUDGES = (4e-10, 3e-9, 5e-7, 2e-6)
@@ -436,6 +441,22 @@ def degenerate_shared_texts():
                            _outcome(lambda: validate_unit(u, n)))
 
 
+def mode_texts():
+    """Each flat-foldable mode's branch, signs and `alpha4` at seeded sector
+    triples and at triples near 0, pi/2 and pi; then the unit kinds and
+    their DOF terms."""
+    rng = random.Random(SEED + 9)
+    triples = [(_sector(rng), _sector(rng), _sector(rng))
+               for _ in range(N_MODE_ANGLES)]
+    triples += [(math.pi / 2,) * 3, (1e-6, 1e-6, math.pi - 1e-6),
+                (math.pi - 1e-6, 1e-6, math.pi / 2)]
+    for mode in FFUnitMode:
+        yield (f"mode {mode.value}", "\n".join(
+            [repr((mode.branch, mode.signs))]
+            + [repr(mode.alpha4(*a)) for a in triples]))
+    yield "unit kinds", repr((UNIT_KINDS, DOF_TABLE))
+
+
 def blankets():
     """(name, plan) pairs of the fixed input set."""
     yield "showcase_a", showcase_a_plan()
@@ -482,10 +503,10 @@ def derived_texts():
 
 
 def walk_texts():
-    """`certify` reports (200 samples) where the walk over all samples
-    refuses, so that failed samples are walked one by one: showcase A's
-    vertex (0,2) with a1 and a3 moved by -+0.5 degree both ways; and a
-    16x16 herringbone, whose walk shares each column's solves."""
+    """`certify` reports (200 samples) where the walk refuses some of the
+    samples: showcase A's vertex (0,2) with a1 and a3 moved by -+0.5 degree
+    both ways; and a 16x16 herringbone, whose walk shares each column's
+    solves."""
     p = stitch(showcase_a_plan())
     for sign in (1.0, -1.0):
         a = list(p.vertex(0, 2).alpha)
@@ -716,6 +737,7 @@ def texts():
     yield from fallback_crease_texts()
     yield from unit_texts()
     yield from degenerate_shared_texts()
+    yield from mode_texts()
     yield from derived_texts()
     yield from walk_texts()
     yield from walk_refusal_texts()
