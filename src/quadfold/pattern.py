@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import TAU_DIR, TAU_LAYOUT
+from .config import TAU_DIR, TAU_LAYOUT, TAU_UNIT
 from .errors import (
     IncompatibleUnits,
     LayoutFailure,
@@ -36,8 +36,8 @@ from .errors import (
     NotABlanket,
     ValidationFailed,
 )
-from .units import DOF_TABLE, json_keys, json_numbers, \
-    unit_from_descriptor, valid_branch_pairs, validate_unit
+from .units import DOF_TABLE, _acceptance_residual, json_keys, \
+    json_numbers, unit_from_descriptor, valid_branch_pairs
 from .vertex import Vertex4, normalize_angle
 
 TWO_PI = 2.0 * math.pi
@@ -402,23 +402,26 @@ def stitch(plan: StitchPlan) -> QuadPattern:
     """Assemble a plan into a pattern, checking shared vertices and panels.
 
     Raises IncompatibleUnits for mismatched shared sector angles or branch
-    assignments, ValidationFailed for a unit that fails its own sweep, and
-    LayoutFailure when the planar layout cannot be realized.
+    assignments, ValidationFailed for a unit whose transmissions do not
+    match, and LayoutFailure when the planar layout cannot be realized.  A
+    unit of two flat-foldable curves is checked exactly, from the
+    transmission constants; any other unit by a 33-sample `validate_unit`
+    sweep.
     """
     m, n = plan.n_rows, plan.n_cols
     vertices = [[None] * n for _ in range(m)]
     branches = [[None] * n for _ in range(m)]
-    reports = {}  # Unit -> its validation report: equal units validate once
+    residuals = {}  # Unit -> its acceptance residual: equal units check once
 
     for j, col in enumerate(plan.columns):
         for k, u in enumerate(col):
-            rep = reports.get(u)
-            if rep is None:
-                rep = reports[u] = validate_unit(u, 33)
-            if not rep.valid():
+            residual = residuals.get(u)
+            if residual is None:
+                residual = residuals[u] = _acceptance_residual(u, 33)
+            if not residual < TAU_UNIT:
                 raise ValidationFailed(
                     f"unit {k} of column {j} fails validation "
-                    f"(max residual {rep.max_residual:.3e})"
+                    f"(max residual {residual:.3e})"
                 )
             if k == 0:
                 vertices[0][j] = u.top

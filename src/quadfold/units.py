@@ -46,6 +46,7 @@ from .vertex import (
     Vertex4,
     _branch_param,
     _drive,
+    _FFCurve,
     _solved,
     classify,
     normalize_angle,
@@ -393,6 +394,10 @@ def validate_unit(u: Unit, n_samples: int = 200) -> UnitReport:
     the sweep drives the left-side pair instead and checks the right side
     plus the shared crease staying flat; EmptyInterval is raised when neither
     parametrization moves.
+
+    This is the sampled report.  The unit constructors, `stitch` and
+    `valid_branch_pairs` accept or refuse a pair of flat-foldable curves
+    exactly instead, from the transmission constants.
     """
     check_count(n_samples, 2, "n_samples must be >= 2")
     s2, s4 = u.signs
@@ -419,12 +424,50 @@ def validate_unit(u: Unit, n_samples: int = 200) -> UnitReport:
     return UnitReport(worst24, worst47, n_samples, (-t_max, t_max), not shared)
 
 
+def _ff_slopes(p: _FFCurve, connecting: int) -> tuple:
+    """(k2, k4): tan(rho/2) = k * tan(t/2) at creases c2 and c4 of a
+    flat-foldable curve, t being the fold of crease `connecting` (0 or 2)."""
+    m = ((1.0, p.K, 1.0, -p.K) if p.branch is BranchId.BRANCH_1
+         else (1.0, p.K, -1.0, p.K))
+    return m[1] * m[connecting], m[3] * m[connecting]
+
+
+def _sup_gap(k: float, k2: float) -> float:
+    """sup over real x of |normalize(2*atan(k*x) - 2*atan(k2*x))|: 0 for
+    equal slopes, pi when they differ in sign (or one is 0), otherwise
+    |4*atan(sqrt(k/k2)) - pi|, reached at x = 1/sqrt(k*k2) and computed
+    as 4*atan(|k - k2| / (sqrt|k| + sqrt|k2|)**2) to avoid cancellation."""
+    if k == k2:
+        return 0.0
+    if k * k2 <= 0.0:
+        return math.pi
+    return 4.0 * math.atan(abs(k - k2)
+                           / (math.sqrt(abs(k)) + math.sqrt(abs(k2))) ** 2)
+
+
+def _acceptance_residual(u: Unit, n_samples: int) -> float:
+    """The residual that accepts or refuses `u`: exact, from the
+    transmission constants, when both vertices are flat-foldable curves
+    (whose connecting crease then covers [-pi, pi]); otherwise
+    `validate_unit(u, n_samples)`'s sampled max residual.  Argument checks
+    and the branch refusals (top vertex first) are `validate_unit`'s."""
+    check_count(n_samples, 2, "n_samples must be >= 2")
+    top = _branch_param(u.top.alpha, u.branch_top)
+    bottom = _branch_param(u.bottom.alpha, u.branch_bottom)
+    if not (isinstance(top, _FFCurve) and isinstance(bottom, _FFCurve)):
+        return validate_unit(u, n_samples).max_residual
+    (t2, t4), (b2, b4) = _ff_slopes(top, 2), _ff_slopes(bottom, 0)
+    s2, s4 = u.signs
+    return max(_sup_gap(t2, s2 * b2), _sup_gap(t4, s4 * b4))
+
+
 def _validated(u: Unit, n_samples: int, what: str) -> Unit:
-    """`u` itself when it passes `validate_unit`; ValidationFailed, with the
-    message prefix `what`, otherwise."""
-    report = validate_unit(u, n_samples)
-    if not report.valid():
-        raise ValidationFailed(f"{what}: max residual {report.max_residual:.3e}")
+    """`u` itself when its acceptance residual is below TAU_UNIT, the bound
+    of `UnitReport.valid`; ValidationFailed, with the message prefix
+    `what`, otherwise."""
+    residual = _acceptance_residual(u, n_samples)
+    if not residual < TAU_UNIT:
+        raise ValidationFailed(f"{what}: max residual {residual:.3e}")
     return u
 
 
@@ -454,6 +497,9 @@ def identical_vertex_unit(v: Vertex4, branch: BranchId, *, mirrored: bool = True
     collinear pair is (c1, c3).  A plain copy of a generic curve, or of the
     curve of a straight-line vertex with pair (c2, c4), fails validation
     (ValidationFailed).
+
+    A flat-foldable vertex on a curve branch is accepted exactly, from its
+    transmission constant; any other vertex is swept at `n_samples`.
     """
     bottom = v.mirrored() if mirrored else v
     unit = Unit(top=v, bottom=bottom, branch_top=branch, branch_bottom=branch,
@@ -501,7 +547,9 @@ def solve_ff_unit(alpha1: float, alpha2: float, alpha3: float,
     top vertex is built from (alpha1, alpha2), the bottom from
     (alpha3, alpha4), each completed with the supplements that make it
     flat-foldable.  The branch pair and transmission signs are fixed by the
-    mode and verified numerically before the unit is returned.
+    mode and verified exactly, from the transmission constants, before the
+    unit is returned.  A C-mode vertex with a1 + a2 = pi moves on a segment,
+    not a curve, and a unit with one is swept at `n_samples` instead.
     """
     for x, name in ((alpha1, "alpha1"), (alpha2, "alpha2"), (alpha3, "alpha3")):
         _check_open_interval(x, name)
@@ -522,7 +570,9 @@ def valid_branch_pairs(u: Unit) -> list:
 
     A curve branch the vertex class lacks raises WrongClass or
     DegenerateVertex and is skipped.  The pairs whose connecting crease never
-    folds are dropped; those motions do not couple a stitched column.
+    folds are dropped; those motions do not couple a stitched column.  A
+    pair of flat-foldable curves is checked exactly, from the transmission
+    constants; any other pair by a 33-sample `validate_unit` sweep.
     """
     pairs = []
     for bt in CURVE_BRANCHES:
@@ -533,10 +583,10 @@ def valid_branch_pairs(u: Unit) -> list:
                 if t_max <= TAU_EMPTY:
                     continue
                 cand = _with_signs(cand, t_max)
-                report = validate_unit(cand, 33)
+                residual = _acceptance_residual(cand, 33)
             except (EmptyInterval, OutOfDomain, DegenerateVertex, WrongClass):
                 continue
-            if report.valid():
+            if residual < TAU_UNIT:
                 pairs.append((bt, bb, cand.signs))
     return pairs
 

@@ -24,10 +24,10 @@ from quadfold import (
     make_straightline_unit,
     stitch,
     unit_from_descriptor,
-    validate_unit,
 )
 from quadfold import fixtures as fixtures_mod
 from quadfold import pattern as pattern_mod
+from quadfold.units import _acceptance_residual
 from quadfold.fixtures import (
     herringbone_plan,
     showcase_a_plan,
@@ -98,9 +98,9 @@ class TestStitch:
 
         def counting(u, n_samples):
             seen.append(u)
-            return validate_unit(u, n_samples)
+            return _acceptance_residual(u, n_samples)
 
-        monkeypatch.setattr(pattern_mod, "validate_unit", counting)
+        monkeypatch.setattr(pattern_mod, "_acceptance_residual", counting)
         stitch(plan)
         units = list(plan.units())
         assert len(units) == 9
@@ -112,12 +112,10 @@ class TestStitch:
         assert bad != plan.columns[0][0] and plan.columns[1][1] == bad
 
         def failing(u, n_samples):
-            rep = validate_unit(u, n_samples)
-            if u == bad:
-                return replace(rep, max_residual_24=1.0)
-            return rep
+            residual = _acceptance_residual(u, n_samples)
+            return 1.0 if u == bad else residual
 
-        monkeypatch.setattr(pattern_mod, "validate_unit", failing)
+        monkeypatch.setattr(pattern_mod, "_acceptance_residual", failing)
         with pytest.raises(ValidationFailed, match="unit 1 of column 0 "):
             stitch(plan)
 

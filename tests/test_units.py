@@ -32,10 +32,12 @@ from quadfold import (
     validate_unit,
 )
 from quadfold import fixtures
+from quadfold import units as units_mod
 from quadfold.config import TAU_UNIT
 from quadfold.fixtures import showcase_a_plan, showcase_b_plan
-from quadfold.pattern import StitchPlan
-from quadfold.units import UNIT_KINDS
+from quadfold.pattern import StitchPlan, stitch
+from quadfold.units import UNIT_KINDS, _acceptance_residual
+from quadfold.vertex import _branch_param, _FFCurve
 from conftest import (
     random_ff_vertex,
     random_generic_vertex,
@@ -186,6 +188,92 @@ class TestValidateUnit:
         u = solve_ff_unit(deg(80), deg(95), deg(60), FFUnitMode.A_MINUS)
         rep = validate_unit(u.swapped(), 100)
         assert rep.max_residual < 1e-8
+
+
+def _ff_designs(rng, per_mode: int):
+    """Seeded `solve_ff_unit` designs of every mode in the benchmark's
+    ranges: free sectors in [50, 130] degrees, alpha4 in (20, 160), each
+    vertex at least 6 degrees from a1 = a2 = 90."""
+    for mode in FFUnitMode:
+        made = 0
+        while made < per_mode:
+            a1, a2, a3 = rng.uniform(deg(50), deg(130), size=3)
+            a4 = mode.alpha4(a1, a2, a3)
+            if not deg(20) < a4 < deg(160):
+                continue
+            if min(abs(a1 - math.pi / 2) + abs(a2 - math.pi / 2),
+                   abs(a3 - math.pi / 2) + abs(a4 - math.pi / 2)) < deg(6):
+                continue
+            made += 1
+            yield solve_ff_unit(a1, a2, a3, mode)
+
+
+def _between_samples_unit() -> Unit:
+    """An A- unit whose bottom sectors moved by d = 1.386e-9, keeping it
+    flat-foldable: its exact residual is 1.002e-8, just above TAU_UNIT,
+    while 33 and 64 samples read below it."""
+    u = solve_ff_unit(deg(80), deg(100), deg(60), FFUnitMode.A_MINUS)
+    a1, a2, a3, a4 = u.bottom.alpha
+    d = 1.386e-9
+    return replace(u, bottom=Vertex4((a1 - d, a2 + d, a3 + d, a4 - d)))
+
+
+class TestExactAcceptance:
+    """A pair of flat-foldable curves is accepted or refused from its
+    transmission constants; `validate_unit` stays the sampled report."""
+
+    def test_exact_verdict_agrees_with_the_sampled_one(self, rng):
+        checked = 0
+        for u in _ff_designs(rng, 40):
+            assert all(isinstance(_branch_param(v.alpha, b), _FFCurve)
+                       for v, b in ((u.top, u.branch_top),
+                                    (u.bottom, u.branch_bottom)))
+            for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                w = replace(u, signs=signs)
+                exact = _acceptance_residual(w, 200)
+                report = validate_unit(w, 200)
+                assert (exact < TAU_UNIT) == report.valid(), w
+                # the supremum bounds every sample, up to rounding
+                assert exact >= report.max_residual - 4 * math.ulp(math.pi)
+                checked += 1
+        assert checked == 4 * 40 * 4
+
+    def test_a_failure_between_samples_is_refused(self):
+        u = _between_samples_unit()
+        assert _acceptance_residual(u, 33) == pytest.approx(1.002e-8,
+                                                            rel=1e-3)
+        assert validate_unit(u, 33).valid()
+        assert validate_unit(u, 64).valid()
+        assert not validate_unit(u, 200).valid()
+        with pytest.raises(ValidationFailed,
+                           match="unit 0 of column 0 fails validation"):
+            stitch(StitchPlan(columns=((u,),)))
+        pair = (BranchId.BRANCH_1, BranchId.BRANCH_1, (1, 1))
+        assert pair not in valid_branch_pairs(u)
+        assert pair in valid_branch_pairs(replace(
+            u, bottom=solve_ff_unit(deg(80), deg(100), deg(60),
+                                    FFUnitMode.A_MINUS).bottom))
+
+    def test_flat_foldable_designs_sweep_nothing(self, monkeypatch):
+        def unexpected(u, n_samples):
+            raise AssertionError("sampled sweep of a flat-foldable pair")
+
+        monkeypatch.setattr(units_mod, "validate_unit", unexpected)
+        for mode in FFUnitMode:
+            u = solve_ff_unit(deg(80), deg(95), deg(60), mode)
+            stitch(StitchPlan(columns=((u,),)))
+            assert valid_branch_pairs(u)
+        make_flatfoldable_basic_unit(deg(70), deg(80))
+
+    @pytest.mark.parametrize("n", [1, 2.5, True])
+    def test_sample_counts_are_still_checked(self, n):
+        with pytest.raises(ValueError, match="n_samples must be >= 2"):
+            solve_ff_unit(deg(80), deg(100), deg(60), FFUnitMode.A_PLUS,
+                          n_samples=n)
+        v = Vertex4.from_degrees((70, 80, 110, 100))
+        assert classify(v).flat_foldable
+        with pytest.raises(ValueError, match="n_samples must be >= 2"):
+            identical_vertex_unit(v, BranchId.BRANCH_1, n_samples=n)
 
 
 class TestStraightLineUnit:

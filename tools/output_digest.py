@@ -71,7 +71,13 @@ where the call raises:
   written only as unit descriptors, each with the defaults, with its flag,
   with a `$QUADFOLD_CONFIG` file and with both, which pins the precedence
   flag, then config, then default.  Each run gives its exit code, stdout,
-  stderr and the hash of every file it wrote.
+  stderr and the hash of every file it wrote;
+* exact acceptance: seeded `solve_ff_unit` units of all four modes, each
+  with its bottom vertex's stored sectors moved to (a1 - d, a2 + d, a3 + d,
+  a4 - d), which keeps it flat-foldable, for every d in `FF_MOVES`: whether
+  `stitch` accepts the one-unit plan (or its refusal) and the unit's
+  `valid_branch_pairs`, the two checks that accept a pair of flat-foldable
+  curves from their transmission constants.
 
 One line per text gives that text's own hash, so a diff of two outputs names
 the texts that moved; the last line is the total.  It is a comparison tool,
@@ -167,6 +173,9 @@ N_FALLBACK = 6      # seeded vertices per kind where the bisection's guess
 MAX_SUM_MISS = 0.9e-9  # sectors summing this far from 2*pi pass Vertex4
 # targets whose tangent half-angle is 0 or subnormal
 TINY_TARGETS = (5e-324, -5e-324, 1e-300, -1e-300)
+# moves of a flat-foldable unit's bottom sectors, around the size whose
+# residual crosses TAU_UNIT (about 1.4e-9 on 80/100/60-degree designs)
+FF_MOVES = (0.0, 1e-12, 1e-10, 1e-9, 3e-9, 1e-8, 1e-6)
 
 
 def _sector(rng) -> float:
@@ -729,6 +738,35 @@ def cli_texts():
                 os.environ["QUADFOLD_CONFIG"] = saved_env
 
 
+def ff_acceptance_texts():
+    """The `stitch` verdict and the `valid_branch_pairs` of seeded
+    flat-foldable units with the bottom's sectors moved by each of
+    `FF_MOVES`."""
+    rng = random.Random(SEED + 11)
+
+    def stitched(u):
+        stitch(StitchPlan(columns=((u,),)))
+        return "stitched"
+
+    for k in range(N_UNITS):
+        a1, a2, a3 = _sector(rng), _sector(rng), _sector(rng)
+        for mode in FFUnitMode:
+            try:
+                u = solve_ff_unit(a1, a2, a3, mode)
+            except QuadfoldError as exc:
+                yield (f"ff acceptance {mode.value} {k}",
+                       f"{type(exc).__name__}: {exc}")
+                continue
+            b1, b2, b3, b4 = u.bottom.alpha
+            for d in FF_MOVES:
+                w = dataclasses.replace(u, bottom=Vertex4(
+                    (b1 - d, b2 + d, b3 + d, b4 - d)))
+                label = f"ff acceptance {mode.value} {k} d={d!r}"
+                yield f"{label} stitch", _outcome(lambda: stitched(w))
+                yield (f"{label} valid_branch_pairs",
+                       _outcome(lambda: valid_branch_pairs(w)))
+
+
 def texts():
     """Every text the digest covers, labelled, in a fixed order."""
     yield from vertex_texts()
@@ -752,6 +790,7 @@ def texts():
     yield from relayout_texts()
     yield from squashed_texts()
     yield from cli_texts()
+    yield from ff_acceptance_texts()
 
 
 def main() -> int:
