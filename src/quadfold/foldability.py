@@ -133,7 +133,9 @@ def _walk(p: QuadPattern, branches, ts) -> tuple:
     (`vertex._drive`) over the incoming angles the walk has not solved yet.
     A blanket stitched from a few units asks the same vertex question many
     times, so each distinct (sector angles, crease, angle, branch) is
-    solved once per walk.
+    solved once per walk.  Next to those solutions the memo keeps the
+    parameters `_drive` inverted at a bisected crease, so an angle whose
+    negation was driven earlier in the walk takes the mirrored parameter.
     """
     memo, refused, live = {}, {}, range(len(ts))
     # the driving angle folds the top-left vertex's left crease: the walk
@@ -147,7 +149,8 @@ def _walk(p: QuadPattern, branches, ts) -> tuple:
             else:
                 crease, src, k = 2, sols[0][j - 1] if j else left, 3
             v, branch = p.vertices[i][j], branches[i][j]
-            known = memo.setdefault((v.alpha, crease, branch), {})
+            known, inverted = memo.setdefault((v.alpha, crease, branch),
+                                              ({}, {}))
             col = sols[i][j] = []
             for s in src:
                 sol = known.get(s.rho[k])
@@ -159,7 +162,8 @@ def _walk(p: QuadPattern, branches, ts) -> tuple:
             angles = [s.rho[k] for s in src]
             new = [a for a in dict.fromkeys(angles) if a not in known]
             bad = {}
-            for a, out in zip(new, _drive(v, crease, new, branch)):
+            for a, out in zip(new, _drive(v, crease, new, branch,
+                                            inverted)):
                 if type(out) is tuple:
                     known[a] = VertexSolution(out[0], branch, out[1])
                 else:

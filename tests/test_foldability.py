@@ -21,8 +21,10 @@ from quadfold import (
     propagate,
     stitch,
     sweep,
+    validate_unit,
 )
 from quadfold import foldability
+from quadfold import vertex as vertex_mod
 from quadfold.config import TAU_COMPAT
 from quadfold.errors import QuadfoldError, WrongClass
 from quadfold.foldability import (
@@ -470,9 +472,9 @@ def driven(monkeypatch):
     """The number of vertex angles driven through `foldability._drive`."""
     count = [0]
 
-    def counting(v, crease, angles, branch):
+    def counting(v, crease, angles, branch, inverted):
         count[0] += len(angles)
-        return drive(v, crease, angles, branch)
+        return drive(v, crease, angles, branch, inverted)
 
     drive = foldability._drive
     monkeypatch.setattr(foldability, "_drive", counting)
@@ -513,8 +515,8 @@ def test_walk_refuses_each_angle_as_its_own_walk(monkeypatch, pat_a):
     assert [v.alpha for row in pat_a.vertices for v in row].count(
         pat_a.vertex(0, 1).alpha) == 1
 
-    def stub(v, crease, angles, branch):
-        out = drive(v, crease, angles, branch)
+    def stub(v, crease, angles, branch, inverted):
+        out = drive(v, crease, angles, branch, inverted)
         refuses, kind = rules.get((v.alpha, crease), (None, None))
         return [kind(f"stub refuses {a!r}") if refuses and refuses(a) else o
                 for a, o in zip(angles, out)]
@@ -557,6 +559,117 @@ def test_certify_shares_drives_across_samples(driven):
         propagate(tree, t)
     assert 0 < by_certify <= driven[0]
 
+
+
+def _mirror_outputs() -> list:
+    """Texts of what the mirrored crease inversion feeds, from fresh
+    stitches: the certify report (repr, dumps and summary) of every
+    enumerated branch choice of showcases A and B, of showcase A with
+    vertex (0,2)'s a1 up and a3 down by half a degree (it has failed
+    samples) and of the 8x8 and 3x5 herringbones; the coordinates of
+    12-frame sweeps of each of those that certifies on its defaults; and
+    the validate_unit reports of the herringbone units."""
+    def texts(report):
+        return repr(report), report.dumps(), report.summary()
+
+    out = []
+    perturbed = stitch(showcase_a_plan())
+    alpha = list(perturbed.vertex(0, 2).alpha)
+    alpha[0] += deg(0.5)
+    alpha[2] -= deg(0.5)
+    perturbed = perturbed.with_vertex(0, 2, Vertex4(alpha))
+    report = certify(perturbed, None, 200)
+    assert "propagation failed" in report.reason
+    out.append(texts(report))
+    for plan in (showcase_a_plan(), showcase_b_plan(), herringbone_plan(8, 8),
+                 herringbone_plan(3, 5)):
+        p = stitch(plan)
+        out += [texts(certify(p, c)) for c in enumerate_branch_choices(p)]
+        if certify(p).verdict:
+            out += [f.coords.tobytes() for f in sweep(p, n_frames=12).frames]
+    for plan in (herringbone_plan(8, 8), herringbone_plan(3, 5)):
+        out += [repr(validate_unit(u)) for u in plan.columns[0][:2]]
+    return out
+
+
+def test_mirrored_inversions_change_no_output(monkeypatch):
+    """Every certify report, sweep frame and herringbone unit report is
+    the same, repr for repr and byte for byte, when `_drive` bisects every
+    negated angle itself."""
+    mirrored = _mirror_outputs()
+    monkeypatch.setattr(vertex_mod, "_mirrors", lambda p, comp, angle: False)
+    assert _mirror_outputs() == mirrored
+
+
+def test_mirror_halves_the_herringbone_bisections(monkeypatch):
+    """A herringbone_plan(8, 8) certify bisects a crease 433 times, where
+    it bisected 866 times when each negated angle was bisected anew."""
+    count = [0]
+    bisect = vertex_mod._ArccosCurve.bisect
+
+    def counted(self, comp, target):
+        count[0] += 1
+        return bisect(self, comp, target)
+
+    monkeypatch.setattr(vertex_mod._ArccosCurve, "bisect", counted)
+    for expected in (433, 866):
+        p = stitch(herringbone_plan(8, 8))
+        count[0] = 0
+        certify(p)
+        assert count[0] == expected
+        monkeypatch.setattr(vertex_mod, "_mirrors",
+                            lambda p, comp, angle: False)
+
+
+def _guided_last_valid(ok, n_scan: int, guide: float, width: float) -> tuple:
+    """`last_valid(ok, n_scan)` with its bisection replayed around `guide`:
+    a midpoint within `width` of it is probed, one below takes the good
+    side unprobed, one above the bad side.  Returns the result and the
+    nearest midpoint skipped on each side (None where none was)."""
+    assert not ok(math.pi)
+    good, bad = 0.0, math.pi
+    for k in range(1, n_scan + 1):
+        t = math.pi * k / n_scan
+        if not ok(t):
+            bad = t
+            break
+        good = t
+    left = right = None
+    for _ in range(60):
+        mid = 0.5 * (good + bad)
+        if mid == good or mid == bad:
+            break
+        if abs(mid - guide) <= width:
+            good, bad = (mid, bad) if ok(mid) else (good, mid)
+        elif mid < guide:
+            good = left = mid
+        else:
+            bad = right = mid
+    return good, left, right
+
+
+def test_driving_limit_search_meets_a_non_monotone_band():
+    """Below t_max of herringbone_plan(8, 8, 96.5, 73.5) lies a band about
+    1.2e-10 wide where probes fail and pass in no order.  A guided limit
+    search whose window (1e-12 * t) fits inside the band can end in it:
+    both of its nearest skipped midpoints verify, and it returns another
+    t_max.  A window of 1e-8 * t, wider than the band, returns t_max."""
+    p = stitch(herringbone_plan(8, 8, 96.5, 73.5))
+    t_max = certify(p).interval[1]
+    assert t_max == 1.9656141180453335
+    tree, branches = build_tree(p), _branch_grid(p, None)
+
+    def ok(t):
+        return _probe(tree, t, branches)
+
+    assert not ok(1.9656141179296962)
+    lo = 1.965614117929696
+    assert "".join("1" if ok(lo + (t_max - lo) * k / 60) else "0"
+                   for k in range(61)) == (
+        "1100110110111101111111111100111111011011010011111111100110111")
+    moved, left, right = _guided_last_valid(ok, 48, lo, 1e-12 * lo)
+    assert moved == lo and ok(left) and not ok(right)
+    assert _guided_last_valid(ok, 48, lo, 1e-8 * lo)[0] == t_max
 
 class TestCertifyMemo:
     """`certify` keeps its reports on the pattern, keyed by its arguments."""

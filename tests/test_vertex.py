@@ -686,9 +686,9 @@ def test_guided_bisection_pinned_cases(make_param, comp, target, expected):
 
 def _herringbone_inversions(monkeypatch) -> tuple:
     """(inversions, arccos-argument evaluations inside them) of a certify of
-    a fresh herringbone_plan(8, 8) stitch.  Each lift evaluation computes
-    the arccos arguments once; the guide also reads them once at its
-    bracket."""
+    fresh herringbone_plan(8, 8) and herringbone_plan(8, 8, 96.5, 73.5)
+    stitches.  Each lift evaluation computes the arccos arguments once; the
+    guide also reads them once at its bracket."""
     from quadfold import certify, stitch
     from quadfold.fixtures import herringbone_plan
 
@@ -710,15 +710,16 @@ def _herringbone_inversions(monkeypatch) -> tuple:
 
     monkeypatch.setattr(vertex_mod, "_arccos_args", counted_args)
     monkeypatch.setattr(vertex_mod._ArccosCurve, "bisect", counted_bisect)
-    certify(stitch(herringbone_plan(8, 8)))
+    for plan in (herringbone_plan(8, 8), herringbone_plan(8, 8, 96.5, 73.5)):
+        certify(stitch(plan))
     return tuple(counts)
 
 
 def test_guided_bisection_evaluation_count(monkeypatch):
-    """A herringbone_plan(8, 8) certify evaluates the lift at most 20 times
-    per bisected inversion on average; the plain bisection, forced by a
-    guide window that skips nothing, takes over 45 on top of the stored
-    lifts at the ends and at 0 (51 when it evaluated those too)."""
+    """Herringbone 8x8 certifies evaluate the lift at most 20 times per
+    bisected inversion on average; the plain bisection, forced by a guide
+    window that skips nothing, takes over 45 on top of the stored lifts at
+    the ends and at 0 (51 when it evaluated those too)."""
     inversions, evaluations = _herringbone_inversions(monkeypatch)
     assert inversions > 1000
     assert evaluations / inversions <= 20.0
@@ -1138,6 +1139,118 @@ def test_drive_matches_solve_at_crease(rng):
                 n_refused_inside += 1
     assert n_accepted > 2000 and n_refused_inside > 500
 
+
+def _mirror_cases(rng):
+    """(vertex, branch, curve) of seeded generic vertices on both curve
+    branches, 4 and 0.5 degrees from any collinear sum, and of seeded
+    straight-line vertices with either collinear pair."""
+    for margin in (4.0, 0.5):
+        for _ in range(8):
+            v = random_generic_vertex(rng, margin)
+            for branch in (BranchId.BRANCH_1, BranchId.BRANCH_2):
+                yield v, branch, _branch_param(v.alpha, branch)
+            v = random_straightline_vertex(rng, margin)
+            for shift in (0, 1):
+                w = v.shifted(shift)
+                yield w, BranchId.BRANCH_2, _branch_param(w.alpha,
+                                                          BranchId.BRANCH_2)
+
+
+def _mirror_targets(rng, p, comp) -> list:
+    """Seeded targets of rho[comp], targets within 1e-12 of the angle it
+    reaches at r_max and the floats next to |lift_zero[comp]|."""
+    targets = [normalize_angle(p.fn(r)[comp])
+               for r in rng.uniform(-1.0, 1.0, size=3) * p.r_max]
+    targets += list(rng.uniform(-math.pi, math.pi, size=2))
+    end = normalize_angle(p.fn(p.r_max)[comp])
+    targets += [end + d for d in (-1e-12, -3e-13, 0.0, 3e-13, 1e-12)]
+    zero = abs(p.lift_zero[comp])
+    below, above = math.nextafter(zero, 0.0), math.nextafter(zero, 1.0)
+    targets += [math.nextafter(below, 0.0), below, zero, above,
+                math.nextafter(above, 1.0)]
+    return targets
+
+
+def _invert_or_type(p, comp, angle):
+    try:
+        return repr(p.invert(comp, angle))
+    except QuadfoldError as exc:
+        return type(exc)
+
+
+def test_mirrored_inversion_is_exact(rng):
+    """Wherever `_mirrors` holds, every bisected crease inverts -a to
+    -(its parameter at a), repr for repr, and refuses -a exactly where it
+    refuses a, with the same type: at seeded targets, at targets within
+    1e-12 of the angles reached at +-r_max and at the floats next to
+    |lift_zero|.  `_drive` over (a, -a), where the second takes the
+    mirrored parameter, returns what each angle gets alone."""
+    held = refused = next_to_zero = 0
+    for v, branch, p in _mirror_cases(rng):
+        assert len(p.bisected) == 2
+        for comp in p.bisected:
+            zero = abs(p.lift_zero[comp])
+            for a in _mirror_targets(rng, p, comp):
+                assert vertex_mod._mirrors(p, comp, a) == (zero < abs(a))
+                if not vertex_mod._mirrors(p, comp, a):
+                    continue
+                held += 1
+                next_to_zero += 0.0 < zero < abs(a) < 2.0 * zero
+                plus, minus = (_invert_or_type(p, comp, a),
+                               _invert_or_type(p, comp, -a))
+                if isinstance(plus, str):
+                    assert minus == repr(-p.invert(comp, a))
+                else:
+                    assert minus is plus
+                    refused += 1
+                assert (_drive_or_error(v, comp + 1, [a, -a], branch)
+                        == _drive_or_error(v, comp + 1, [a], branch)
+                        + _drive_or_error(v, comp + 1, [-a], branch))
+    assert held > 1200 and refused > 100 and next_to_zero > 20
+
+
+def test_mirror_guard_is_needed():
+    """At a target equal to the stored lift at r = 0 the bisection stops at
+    its first midpoint, r = 0, while the negated target bisects away from
+    it: `_mirrors` refuses both, and `_drive` bisects each."""
+    v = Vertex4((0.9473112183836143, 1.1173880097720161, 2.4183622088582677,
+                 1.800123870165688))
+    p = _branch_param(v.alpha, BranchId.BRANCH_1)
+    zero = p.lift_zero[1]
+    assert zero == 3.332000941824731e-08
+    assert p.invert(1, zero) == 0.0
+    assert p.invert(1, -zero) == -1.1590383321741577e-07
+    assert not vertex_mod._mirrors(p, 1, zero)
+    assert not vertex_mod._mirrors(p, 1, -zero)
+    inverted = {}
+    vertex_mod._drive(v, 2, [zero, -zero], BranchId.BRANCH_1, inverted)
+    assert inverted == {zero: 0.0, -zero: -1.1590383321741577e-07}
+
+
+def test_closed_form_creases_stay_out_of_the_memo(rng):
+    """`_drive` keeps the parameters of bisected creases only: a
+    flat-foldable curve, a segment, c1/c3 of a generic curve and the
+    collinear pair of a straight-line curve neither read nor fill it."""
+    sl = random_straightline_vertex(rng)
+    gen = random_generic_vertex(rng)
+    cases = [(random_ff_vertex(rng), BranchId.BRANCH_1, (1, 2, 3, 4)),
+             (random_ff_vertex(rng), BranchId.BRANCH_2, (1, 2, 3, 4)),
+             (sl, BranchId.LINE_SEGMENT_1, (1, 3)),
+             (gen, BranchId.BRANCH_1, (1, 3)),
+             (gen, BranchId.BRANCH_2, (1, 3)),
+             (sl, BranchId.BRANCH_2, (1, 3)),
+             (sl.shifted(1), BranchId.BRANCH_2, (2, 4))]
+    angles = [deg(20), -deg(20), deg(5), -deg(5)]
+    for v, branch, creases in cases:
+        for crease in creases:
+            # a stale entry that a read would turn into a wrong parameter
+            inverted = {a: 0.5 for a in angles}
+            got = vertex_mod._drive(v, crease, angles, branch, inverted)
+            assert got == vertex_mod._drive(v, crease, angles, branch)
+            assert inverted == {a: 0.5 for a in angles}
+    inverted = {}
+    vertex_mod._drive(gen, 2, angles, BranchId.BRANCH_1, inverted)
+    assert list(inverted) == angles
 
 def test_drive_trivial_vertex_flat_at_zero():
     """A trivial vertex, which has no branch, drives flat at 0 (the branch

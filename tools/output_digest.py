@@ -22,7 +22,10 @@ where the call raises:
   branches) and straight-line vertices (either collinear pair) with
   sectors at 20 and 160 degrees among them: the flat state's rounding
   residues and the angles reached at +-r_max and within 1e-12..1e-3 of 0
-  and of +-r_max;
+  and of +-r_max; and `solve_at_crease` at +-a for a at, just above and
+  just below the magnitude of a bisected crease's lift at r = 0, where that
+  lift is not zero, on seeded generic vertices (both branches), where a
+  walk's mirrored inversion starts and stops;
 * unit layer: the unit, its `validate_unit` report over 200 samples and its
   `valid_branch_pairs`, for seeded units from `solve_ff_unit` (all four
   modes), `make_flatfoldable_basic_unit`, `make_straightline_unit` and
@@ -51,7 +54,9 @@ where the call raises:
   `relayout(plan.lengths)`, coordinates in full precision;
 * walks: the `certify` report (200 samples) of showcase A with vertex
   (0,2)'s a1 and a3 moved by -+0.5 degree both ways, where some samples
-  fail to propagate, and of a 16x16 herringbone; and, with vertex (0,2)'s
+  fail to propagate, of a 16x16 herringbone and of
+  `herringbone_plan(8, 8, 96.5, 73.5)`, whose driving limit ends in a band
+  where probes fail and pass in no order; and, with vertex (0,2)'s
   a1 and a3 or a2 and a4 so moved both ways, `propagate` at each of the
   200 samples of that pattern's `certify` grid: the largest cut-crease
   residual, or the refusal's type and message, which names the vertex;
@@ -170,6 +175,10 @@ N_HARD = 8          # seeded vertices per kind driven at hard targets
 HARD_OFFSETS = (1e-12, 1e-9, 1e-6, 1e-3)
 N_FALLBACK = 6      # seeded vertices per kind where the bisection's guess
                     # may miss
+N_ZERO_LIFT = 12    # seeded generic vertices driven next to their lift at 0
+# a generic vertex whose c2 lift at r = 0 on branch 1 is 3.3e-8, not 0
+ZERO_LIFT_VERTEX = (0.9473112183836143, 1.1173880097720161,
+                    2.4183622088582677, 1.800123870165688)
 MAX_SUM_MISS = 0.9e-9  # sectors summing this far from 2*pi pass Vertex4
 # targets whose tangent half-angle is 0 or subnormal
 TINY_TARGETS = (5e-324, -5e-324, 1e-300, -1e-300)
@@ -393,6 +402,32 @@ def fallback_crease_texts():
                            _outcome(lambda: p.invert(crease - 1, t)))
 
 
+def zero_lift_texts():
+    """`solve_at_crease` at +-a, for a at |lift_zero| and the floats next to
+    it, at c2 and c4 of ZERO_LIFT_VERTEX and of seeded generic vertices on
+    both curve branches, wherever the curve's stored lift at r = 0 there is
+    not zero."""
+    rng = random.Random(SEED + 13)
+    vs = [Vertex4(ZERO_LIFT_VERTEX)]
+    while len(vs) <= N_ZERO_LIFT:
+        v = _generic(rng)
+        if not classify(v).flat_foldable:
+            vs.append(v)
+    for k, v in enumerate(vs):
+        for b in (BranchId.BRANCH_1, BranchId.BRANCH_2):
+            p = _branch_param(v.alpha, b)
+            for crease in (2, 4):
+                zero = abs(p.lift_zero[crease - 1])
+                if not zero:
+                    continue
+                for a in (math.nextafter(zero, 0.0), zero,
+                          math.nextafter(zero, math.inf)):
+                    for angle in (a, -a):
+                        yield (f"solve_at_crease zero lift {k} {b.value} "
+                               f"c{crease} {angle!r}",
+                               _outcome(lambda: _driven(v, crease, angle, b)))
+
+
 def units(rng):
     """(label, constructor call) pairs: seeded units of every constructor."""
     for k in range(N_UNITS):
@@ -512,10 +547,11 @@ def derived_texts():
 
 
 def walk_texts():
-    """`certify` reports (200 samples) where the walk refuses some of the
-    samples: showcase A's vertex (0,2) with a1 and a3 moved by -+0.5 degree
-    both ways; and a 16x16 herringbone, whose walk shares each column's
-    solves."""
+    """`certify` reports (200 samples): showcase A's vertex (0,2) with a1
+    and a3 moved by -+0.5 degree both ways, where the walk refuses some of
+    the samples; a 16x16 herringbone, whose walk shares each column's
+    solves; and herringbone_plan(8, 8, 96.5, 73.5), whose driving limit
+    ends in a band where probes fail and pass in no order."""
     p = stitch(showcase_a_plan())
     for sign in (1.0, -1.0):
         a = list(p.vertex(0, 2).alpha)
@@ -526,6 +562,9 @@ def walk_texts():
                _outcome(lambda: certify(bad, None, 200)))
     yield ("herringbone_16x16 certify",
            _outcome(lambda: certify(stitch(herringbone_plan(16, 16)))))
+    yield ("herringbone_8x8 96.5/73.5 certify",
+           _outcome(lambda: certify(stitch(herringbone_plan(8, 8, 96.5,
+                                                            73.5)))))
 
 
 def walk_refusal_texts():
@@ -773,6 +812,7 @@ def texts():
     yield from crease_texts()
     yield from hard_crease_texts()
     yield from fallback_crease_texts()
+    yield from zero_lift_texts()
     yield from unit_texts()
     yield from degenerate_shared_texts()
     yield from mode_texts()
