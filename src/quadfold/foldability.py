@@ -136,14 +136,27 @@ def _walk(p: QuadPattern, branches, ts) -> tuple:
     solved once per walk.  Next to those solutions the memo keeps the
     parameters `_drive` inverted at a bisected crease, so an angle whose
     negation was driven earlier in the walk takes the mirrored parameter.
+
+    Below the top row a column whose vertices and branches repeat an
+    earlier column's, driven by the same top-row c3 angles, asks exactly
+    that column's questions: it takes the earlier column's solution list
+    itself, row by row, and keeps sharing it to the end.  Whatever such a
+    twin would refuse its earlier column refuses first in the same row, so
+    every refusal is the one of the plain walk.
     """
     memo, refused, live = {}, {}, range(len(ts))
+    twin = range(p.n)  # column j's rows below the top are twin[j]'s
     # the driving angle folds the top-left vertex's left crease: the walk
     # reads it as the c4 angle of a vertex left of the blanket
     left = [VertexSolution((0.0, 0.0, 0.0, t), None) for t in ts]
     sols = [[None] * p.n for _ in range(p.m)]
     for i in range(p.m):
+        if i == 1:
+            twin = _twins(p, branches, sols[0])
         for j in range(p.n):
+            if twin[j] != j:
+                sols[i][j] = sols[i][twin[j]]
+                continue
             if i:
                 crease, src, k = 1, sols[i - 1][j], 2
             else:
@@ -176,10 +189,28 @@ def _walk(p: QuadPattern, branches, ts) -> tuple:
                 keep = [a not in bad for a in angles]
                 live = list(itertools.compress(live, keep))
                 angles = list(itertools.compress(angles, keep))
-                sols = [[c and list(itertools.compress(c, keep)) for c in row]
+                kept = {}  # by list: twins go on sharing theirs
+                sols = [[kept.setdefault(id(c), c and list(
+                             itertools.compress(c, keep))) for c in row]
                         for row in sols]
             sols[i][j] = [known[a] for a in angles]
     return sols, refused
+
+
+def _twins(p: QuadPattern, branches, top) -> list:
+    """For each column j, the first column whose vertices and branches
+    below the top row are j's and whose top-row vertex sends down the same
+    c3 angles (the walk's solution lists `top`)."""
+    cols = list(zip(*p.vertices[1:], *branches[1:]))
+    down = [[s.rho[2] for s in sols] for sols in top]
+    firsts, twin = [], []
+    for j in range(p.n):
+        r = next((r for r in firsts
+                  if down[r] == down[j] and cols[r] == cols[j]), j)
+        if r == j:
+            firsts.append(j)
+        twin.append(r)
+    return twin
 
 
 def _propagations(tree: TreeStructure, ts, branch_choice) -> tuple:
@@ -279,7 +310,8 @@ def _probe(tree, t, branches) -> bool:
     representational margin short of any crease folding completely flat.
     """
     sols, refused = _walk(tree.pattern, branches, (t,))
-    return not refused and max(abs(x) for row in sols for (sol,) in row
+    distinct = {id(c): c for row in sols for c in row}  # twins share theirs
+    return not refused and max(abs(x) for (sol,) in distinct.values()
                                for x in sol.rho) <= math.pi - _PI_MARGIN
 
 
@@ -324,18 +356,23 @@ def _certify(p: QuadPattern, branches, n_samples: int,
     grid = [t_max * (2.0 * k / (n_samples - 1) - 1.0) for k in range(n_samples)]
     cuts = tree.cut_creases
     sols, refused = _walk(p, branches, grid)
-    per_cut = [[abs(normalize_angle(theta.rho[3] - phi.rho[1]))
-                for theta, phi in zip(sols[i][j], sols[i][j + 1])]
-               for i, j in cuts]
+    # twin columns share their solution lists, and so their cuts' series
+    keys = [(id(sols[i][j]), id(sols[i][j + 1])) for i, j in cuts]
+    series = {}
+    for (i, j), key in zip(cuts, keys):
+        if key not in series:
+            series[key] = [abs(normalize_angle(theta.rho[3] - phi.rho[1]))
+                           for theta, phi in zip(sols[i][j], sols[i][j + 1])]
     verdict, reason = not refused, "ok"
     for k in sorted(refused):  # a refused sample's residuals are infinite
-        for series in per_cut:
-            series.insert(k, math.inf)
+        for rs in series.values():
+            rs.insert(k, math.inf)
         reason = (f"propagation failed at driving angle {grid[k]!r}: "
                   f"{refused[k]}")
     # the last series (0, inf where refused) shows only without cuts
-    residuals = [max(rs) for rs in zip(*per_cut, (
+    residuals = [max(rs) for rs in zip(*series.values(), (
         math.inf if k in refused else 0.0 for k in range(n_samples)))]
+    shared = {key: tuple(rs) for key, rs in series.items()}
     finite = [r for r in residuals if math.isfinite(r)]
     max_res = max(finite) if finite else math.inf
     if verdict and max_res >= compat_tol:
@@ -346,7 +383,7 @@ def _certify(p: QuadPattern, branches, n_samples: int,
         interval=(-t_max, t_max),
         samples=tuple(grid),
         residuals=tuple(residuals),
-        per_cut=tuple((cut, tuple(rs)) for cut, rs in zip(cuts, per_cut)),
+        per_cut=tuple((cut, shared[key]) for cut, key in zip(cuts, keys)),
         max_residual=max_res,
         verdict=verdict,
         reason=reason,

@@ -195,11 +195,20 @@ def _fold_frames(p: QuadPattern, props: Sequence[Propagation]) -> tuple:
         closure = np.fmax(closure, gap)
         rigidity = np.fmax(rigidity, strain)
 
+    # the oracle reads (sector angles, rho) only, and a blanket repeats a
+    # few: a column whose sector angles and solution objects are an earlier
+    # column's (a walk shares both) adds no state, so only the others are
+    # hashed, row-major as the whole grid would be
+    kinds = {}
+    kind = [kinds.setdefault(tuple(v.alpha for v in col), j)
+            for j, col in enumerate(zip(*p.vertices))]
     for k, prop in enumerate(props):
-        # the oracle reads these two only, and a blanket repeats a few
-        distinct = {(v.alpha, sol.rho): (v, sol)
+        seen = {}
+        cols = [j for j, col in enumerate(zip(*prop.solutions))
+                if seen.setdefault((kind[j], *map(id, col)), j) == j]
+        distinct = {(vs[j].alpha, sols[j].rho): (vs[j], sols[j])
                     for vs, sols in zip(p.vertices, prop.solutions)
-                    for v, sol in zip(vs, sols)}
+                    for j in cols}
         closure[k] = max(closure[k], *(loop_closure_residual(v, sol)
                                        for v, sol in distinct.values()))
         # a closure mismatch is the cause; a rigidity failure is its symptom

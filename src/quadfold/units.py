@@ -445,20 +445,28 @@ def _sup_gap(k: float, k2: float) -> float:
                            / (math.sqrt(abs(k)) + math.sqrt(abs(k2))) ** 2)
 
 
-def _acceptance_residual(u: Unit, n_samples: int) -> float:
-    """The residual that accepts or refuses `u`: exact, from the
+def _exact_residual(u: Unit):
+    """The supremum of `u`'s residual over the whole motion, from the
     transmission constants, when both vertices are flat-foldable curves
-    (whose connecting crease then covers [-pi, pi]); otherwise
-    `validate_unit(u, n_samples)`'s sampled max residual.  Argument checks
-    and the branch refusals (top vertex first) are `validate_unit`'s."""
-    check_count(n_samples, 2, "n_samples must be >= 2")
+    (whose connecting crease then covers [-pi, pi]); None otherwise.  The
+    branch refusals (top vertex first) are `validate_unit`'s."""
     top = _branch_param(u.top.alpha, u.branch_top)
     bottom = _branch_param(u.bottom.alpha, u.branch_bottom)
     if not (isinstance(top, _FFCurve) and isinstance(bottom, _FFCurve)):
-        return validate_unit(u, n_samples).max_residual
+        return None
     (t2, t4), (b2, b4) = _ff_slopes(top, 2), _ff_slopes(bottom, 0)
     s2, s4 = u.signs
     return max(_sup_gap(t2, s2 * b2), _sup_gap(t4, s4 * b4))
+
+
+def _acceptance_residual(u: Unit, n_samples: int) -> float:
+    """The residual that accepts or refuses `u`: `_exact_residual` where
+    there is one, otherwise `validate_unit(u, n_samples)`'s sampled max
+    residual.  Argument checks are `validate_unit`'s."""
+    check_count(n_samples, 2, "n_samples must be >= 2")
+    exact = _exact_residual(u)
+    return validate_unit(u, n_samples).max_residual if exact is None \
+        else exact
 
 
 def _validated(u: Unit, n_samples: int, what: str) -> Unit:

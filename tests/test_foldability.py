@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -35,7 +36,8 @@ from quadfold.foldability import (
     _branch_grid,
     _probe,
 )
-from quadfold.vertex import CURVE_BRANCHES, normalize_angle, solve_at_crease
+from quadfold.vertex import (CURVE_BRANCHES, VertexSolution, normalize_angle,
+                             solve_at_crease)
 from quadfold.fixtures import (
     herringbone_plan,
     showcase_a_plan,
@@ -558,6 +560,161 @@ def test_certify_shares_drives_across_samples(driven):
     for t in report.samples:
         propagate(tree, t)
     assert 0 < by_certify <= driven[0]
+
+
+def _reference_walk(p, branches, ts) -> tuple:
+    """Verbatim copy of `foldability._walk` as it stood before twin
+    columns shared their solution lists: every column of every row is
+    looked up in the memo or driven.  Only `_drive` is read through the
+    module, so a test's stub drives both walks."""
+    memo, refused, live = {}, {}, range(len(ts))
+    # the driving angle folds the top-left vertex's left crease: the walk
+    # reads it as the c4 angle of a vertex left of the blanket
+    left = [VertexSolution((0.0, 0.0, 0.0, t), None) for t in ts]
+    sols = [[None] * p.n for _ in range(p.m)]
+    for i in range(p.m):
+        for j in range(p.n):
+            if i:
+                crease, src, k = 1, sols[i - 1][j], 2
+            else:
+                crease, src, k = 2, sols[0][j - 1] if j else left, 3
+            v, branch = p.vertices[i][j], branches[i][j]
+            known, inverted = memo.setdefault((v.alpha, crease, branch),
+                                              ({}, {}))
+            col = sols[i][j] = []
+            for s in src:
+                sol = known.get(s.rho[k])
+                if sol is None:
+                    break
+                col.append(sol)
+            else:
+                continue
+            angles = [s.rho[k] for s in src]
+            new = [a for a in dict.fromkeys(angles) if a not in known]
+            bad = {}
+            for a, out in zip(new, foldability._drive(v, crease, new, branch,
+                                                      inverted)):
+                if type(out) is tuple:
+                    known[a] = VertexSolution(out[0], branch, out[1])
+                else:
+                    where = "top-row vertex" if i == 0 else "vertex"
+                    bad[a] = OutOfDomain(f"{where} ({i},{j}): {out}")
+                    bad[a].__cause__ = out
+            if bad:  # refused angles leave the walk, here and upstream
+                refused.update((at, bad[a]) for at, a in zip(live, angles)
+                               if a in bad)
+                keep = [a not in bad for a in angles]
+                live = list(itertools.compress(live, keep))
+                angles = list(itertools.compress(angles, keep))
+                sols = [[c and list(itertools.compress(c, keep)) for c in row]
+                        for row in sols]
+            sols[i][j] = [known[a] for a in angles]
+    return sols, refused
+
+
+def _walk_outcome(walk, p, branches, ts) -> tuple:
+    """Every solution of a walk (repr, with its raw_rho) and every refusal
+    (index, type, message and the type and message of its cause)."""
+    sols, refused = walk(p, branches, ts)
+    return ([[[(repr(s), repr(s.raw_rho)) for s in col] for col in row]
+             for row in sols],
+            sorted((k, type(e), str(e), type(e.__cause__), str(e.__cause__))
+                   for k, e in refused.items()))
+
+
+def _twin_patterns():
+    """(name, pattern, branch grids): herringbones with twin columns on
+    their defaults, uniformly on each curve branch and on a checkerboard of
+    the two; the showcases on every enumerated choice; and herringbones
+    whose twins stop part way: one vertex moved in a lower row (column 5),
+    or in the top row (column 4), which changes every c3 angle it sends
+    down from there on."""
+    def grids(p):
+        checker = tuple(tuple(CURVE_BRANCHES[(i + j) % 2] for j in range(p.n))
+                        for i in range(p.m))
+        return [_branch_grid(p, c) for c in
+                (None, BranchId.BRANCH_1, BranchId.BRANCH_2, checker)]
+
+    for m in (4, 8, 16):
+        p = stitch(herringbone_plan(m, m))
+        yield f"herringbone {m}x{m}", p, grids(p)
+    for name, plan in (("A", showcase_a_plan()), ("B", showcase_b_plan())):
+        p = stitch(plan)
+        yield name, p, [_branch_grid(p, c)
+                        for c in enumerate_branch_choices(p)]
+    p = stitch(herringbone_plan(8, 8))
+    for i, j in ((3, 5), (0, 4)):
+        alpha = list(p.vertex(i, j).alpha)
+        alpha[0] += deg(0.5)
+        alpha[2] -= deg(0.5)
+        moved = p.with_vertex(i, j, Vertex4(alpha))
+        yield f"herringbone 8x8, ({i},{j}) moved", moved, grids(moved)
+
+
+def test_walk_matches_reference_walk():
+    """Twin columns change no walk: over 61 driving angles across
+    [-pi, pi], the flat state (0.0, -0.0) and two small angles that the
+    lower-row move leaves foldable, every pattern and branch
+    grid of `_twin_patterns` gives the reference walk's solutions, repr
+    and raw_rho, and its refusals, index, type and message.  Twins do
+    occur, stop where a column is moved and refusals occur."""
+    ts = [math.pi * (k / 30 - 1) for k in range(61)] + [0.0, -0.0, 0.01,
+                                                        -0.05]
+    twinned = refusals = 0
+    for name, p, branch_grids in _twin_patterns():
+        for branches in branch_grids:
+            got = _walk_outcome(foldability._walk, p, branches, ts)
+            assert got == _walk_outcome(_reference_walk, p, branches, ts), \
+                name
+            refusals += len(got[1])
+            sols, _ = foldability._walk(p, branches, ts)
+            shared = {j for j in range(p.n) for r in range(j)
+                      if p.m > 1 and sols[1][j] is sols[1][r]}
+            twinned += len(shared)
+            if name == "herringbone 8x8, (3,5) moved":
+                assert 5 not in shared and 7 in shared, branches
+            if name == "herringbone 8x8, (0,4) moved" and \
+                    branches == p.branch_default:
+                assert not shared & {4, 5, 6} and {2, 3, 7} <= shared
+    assert twinned > 100 and refusals > 100
+
+
+def test_refusal_in_twin_columns_names_the_first(monkeypatch):
+    """With `_drive` stubbed to refuse incoming angles above 0.3 at the
+    herringbone's lower vertex (rows 1, 3, 5, 7, where every column asks
+    its question), each refused angle names the first column of its twins
+    in the first such row, as the reference walk and a walk of that angle
+    alone do, and the accepted angles keep their solutions."""
+    p = stitch(herringbone_plan(8, 8))
+    lower = p.vertex(1, 0).alpha
+    assert {v.alpha for v in p.vertices[1]} == {lower}
+    drive = foldability._drive
+
+    def stub(v, crease, angles, branch, inverted):
+        out = drive(v, crease, angles, branch, inverted)
+        if (v.alpha, crease) != (lower, 1):
+            return out
+        return [OutOfDomain(f"stub refuses {a!r}") if a > 0.3 else o
+                for a, o in zip(angles, out)]
+
+    monkeypatch.setattr(foldability, "_drive", stub)
+    branches = _branch_grid(p, None)
+    ts = [deg(x) for x in range(-100, 101, 5)]
+    got = _walk_outcome(foldability._walk, p, branches, ts)
+    assert got == _walk_outcome(_reference_walk, p, branches, ts)
+    sols, refused = foldability._walk(p, branches, ts)
+    assert sols[1][2] is sols[1][0] and sols[1][3] is sols[1][1]
+    where = {str(e).split(":")[0] for e in refused.values()}
+    assert where == {"vertex (1,0)", "vertex (1,1)"}
+    for k, t in enumerate(ts):
+        alone = _walk_outcome(foldability._walk, p, branches, (t,))
+        if k in refused:
+            e = refused[k]
+            assert alone[1] == [(0, type(e), str(e), type(e.__cause__),
+                                 str(e.__cause__))]
+        else:
+            assert alone[1] == []
+    assert 0 < len(refused) < len(ts)
 
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from quadfold import (
     FFUnitMode,
     PlanLengths,
     SerializationError,
+    StitchPlan,
     Unit,
     ValidationFailed,
     Vertex4,
@@ -647,6 +649,36 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "valid" in out
+
+    def test_unit_validate_decides_as_stitch(self, tmp_path, capsys):
+        """An A- unit whose bottom sectors moved by d = 1.386e-9 reads
+        below TAU_UNIT at 64 samples, but its exact residual, 1.002e-8,
+        is above it and `stitch` refuses it: `unit validate` prints the
+        sampled value, adds the exact one and exits 1.  At 200 samples
+        both say INVALID, and an unmoved unit is valid, with no extra
+        line."""
+        u = solve_ff_unit(deg(80), deg(100), deg(60), FFUnitMode.A_MINUS)
+        a1, a2, a3, a4 = u.bottom.alpha
+        d = 1.386e-9
+        moved = replace(u, bottom=Vertex4((a1 - d, a2 + d, a3 + d, a4 - d)))
+        with pytest.raises(ValidationFailed):
+            stitch(StitchPlan(columns=((moved,),)))
+        runs = {}
+        for name, unit in (("moved", moved), ("plain", u)):
+            f = tmp_path / f"{name}.json"
+            f.write_text(json.dumps(unit.to_json()))
+            for samples in ("64", "200"):
+                rc = main(["unit", "validate", str(f), "--samples", samples])
+                runs[name, samples] = rc, capsys.readouterr().out
+        assert runs["moved", "64"] == (1, (
+            "samples: 64\nmax_residual: 9.917e-09\n"
+            "exact max_residual: 1.002e-08\nINVALID\n"))
+        assert runs["moved", "200"] == (1, (
+            "samples: 200\nmax_residual: 1.002e-08\nINVALID\n"))
+        for samples in ("64", "200"):
+            rc, out = runs["plain", samples]
+            assert rc == 0 and out.endswith("\nvalid\n")
+            assert "exact" not in out
 
     def test_pattern_pipeline(self, tmp_path, capsys):
         plan_file = tmp_path / "plan.json"

@@ -104,6 +104,42 @@ class TestRealize:
             with pytest.raises(LayoutFailure, match=f"vertex \\({i},{j}\\)"):
                 realize(bad, prop)
 
+    def test_oracle_checks_each_distinct_state_once(self, monkeypatch,
+                                                    pat_a):
+        """Per frame, the rotation oracle runs once for each distinct
+        (sector angles, rho) of the grid, whichever column holds it: on a
+        herringbone sweep, whose twin columns share their solutions, and on
+        showcase A with column 1 given column 0's solution objects, which
+        its own sector angles do not close."""
+        checked = []
+
+        def recording(v, sol):
+            checked.append((v.alpha, sol.rho))
+            return oracle(v, sol)
+
+        oracle = realize_mod.loop_closure_residual
+        monkeypatch.setattr(realize_mod, "loop_closure_residual", recording)
+
+        def states(p, prop):
+            return {(v.alpha, s.rho)
+                    for vs, sols in zip(p.vertices, prop.solutions)
+                    for v, s in zip(vs, sols)}
+
+        p = stitch(herringbone_plan(8, 8))
+        frames = sweep(p, n_frames=5).frames
+        for state in frames:
+            want = states(p, state.angles)
+            got, checked[:len(want)] = checked[:len(want)], []
+            assert len(set(got)) == len(got) and set(got) == want
+        assert checked == [] and len(want) < p.m * p.n
+        prop = propagate(build_tree(pat_a), deg(12), None)
+        bad = replace(prop, solutions=tuple(
+            (row[0], row[0], *row[2:]) for row in prop.solutions))
+        with pytest.raises(ClosureViolation):
+            realize(pat_a, bad)
+        assert len(set(checked)) == len(checked)
+        assert set(checked) == states(pat_a, bad)
+
     def test_determinism(self, pat_a):
         prop = propagate(build_tree(pat_a), deg(9), None)
         s1 = realize(pat_a, prop)

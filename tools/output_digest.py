@@ -82,7 +82,11 @@ where the call raises:
   a4 - d), which keeps it flat-foldable, for every d in `FF_MOVES`: whether
   `stitch` accepts the one-unit plan (or its refusal) and the unit's
   `valid_branch_pairs`, the two checks that accept a pair of flat-foldable
-  curves from their transmission constants.
+  curves from their transmission constants;
+* twin columns: a seeded 16x16 herringbone's `certify` report and the
+  residuals of its 12-frame `sweep`, and an 8x8 herringbone with one
+  vertex moved in a lower row or in the top row, which ends its repeated
+  columns there: its report and `propagate` at 13 driving angles.
 
 One line per text gives that text's own hash, so a diff of two outputs names
 the texts that moved; the last line is the total.  It is a comparison tool,
@@ -806,6 +810,37 @@ def ff_acceptance_texts():
                        _outcome(lambda: valid_branch_pairs(w)))
 
 
+def twin_column_texts():
+    """Blankets whose columns partly repeat: the `certify` report (200
+    samples) and the residuals of a 12-frame `sweep` of a seeded 16x16
+    herringbone; and `herringbone_plan(8, 8)` with vertex (3,5), or
+    top-row vertex (0,4), moved by +0.5 degree on a1 and -0.5 on a3, so
+    its twin columns end there: the report and, at each of 13 driving
+    angles over [-1.9, 1.9] (inside the unmoved blanket's interval), the
+    largest cut-crease residual or the refusal."""
+    rng = random.Random(SEED + 13)
+    a, c = rng.uniform(*A_DEG), rng.uniform(*C_DEG)
+    p = stitch(herringbone_plan(16, 16, a, c))
+    yield (f"herringbone_16x16 {a!r}/{c!r} certify",
+           _outcome(lambda: certify(p)))
+    yield (f"herringbone_16x16 {a!r}/{c!r} sweep residuals",
+           _outcome(lambda: [(float(s.rigidity_residual),
+                              float(s.closure_residual))
+                             for s in sweep(p, n_frames=12).frames]))
+    p = stitch(herringbone_plan(8, 8))
+    for i, j in ((3, 5), (0, 4)):
+        alpha = list(p.vertex(i, j).alpha)
+        alpha[0] += math.radians(0.5)
+        alpha[2] -= math.radians(0.5)
+        moved = p.with_vertex(i, j, Vertex4(alpha))
+        tree = build_tree(moved)
+        yield (f"herringbone_8x8 ({i},{j}) moved certify",
+               _outcome(lambda: certify(moved)))
+        yield (f"herringbone_8x8 ({i},{j}) moved propagate",
+               "\n".join(_outcome(lambda: propagate(tree, t).max_residual())
+                         for t in (1.9 * (k / 6 - 1) for k in range(13))))
+
+
 def texts():
     """Every text the digest covers, labelled, in a fixed order."""
     yield from vertex_texts()
@@ -831,6 +866,7 @@ def texts():
     yield from squashed_texts()
     yield from cli_texts()
     yield from ff_acceptance_texts()
+    yield from twin_column_texts()
 
 
 def main() -> int:
