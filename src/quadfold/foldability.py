@@ -12,6 +12,7 @@ whole interval of the driving angle.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -25,8 +26,8 @@ from .pattern import QuadPattern, branch_chains
 from .vertex import (
     BranchId,
     VertexSolution,
+    _LimitSearch,
     _drive,
-    last_valid,
     normalize_angle,
 )
 
@@ -302,17 +303,102 @@ class CompatibilityReport:
 _PI_MARGIN = 1e-7
 
 
-def _probe(tree, t, branches) -> bool:
-    """Propagation succeeds and no fold angle is at the fully-flat +-pi.
+def _probes(tree, ts, branches) -> list:
+    """Each driving angle of `ts` as a driving-limit probe, from one walk:
+    the largest |rho| of its fold angles, or None where the walk refuses
+    it.  The angle passes (`_passes`) when the walk solves it and no fold
+    angle is within `_PI_MARGIN` of the fully-flat +-pi.
 
     Angles at exactly +-pi have an ambiguous sign representation, which
     would flip downstream inversions, so the certified interval stops a
     representational margin short of any crease folding completely flat.
     """
-    sols, refused = _walk(tree.pattern, branches, (t,))
+    sols, refused = _walk(tree.pattern, branches, ts)
     distinct = {id(c): c for row in sols for c in row}  # twins share theirs
-    return not refused and max(abs(x) for (sol,) in distinct.values()
-                               for x in sol.rho) <= math.pi - _PI_MARGIN
+    tops = iter([max(abs(x) for sol in at for x in sol.rho)
+                 for at in zip(*distinct.values())])
+    return [None if k in refused else next(tops) for k in range(len(ts))]
+
+
+def _passes(top) -> bool:
+    return top is not None and top <= math.pi - _PI_MARGIN
+
+
+def _probe(tree, t, branches) -> bool:
+    """Whether the driving angle `t` passes as a driving-limit probe: the
+    one-angle case of `_probes`.  `certify`'s t_max is `vertex.last_valid`
+    over this predicate; `_driving_limit` replays that search's decisions
+    from batched walks."""
+    return _passes(_probes(tree, (t,), branches)[0])
+
+
+def _guide(good: float, bad: float, tops: dict) -> float:
+    """Where the largest |rho| of the fold angles reaches pi - _PI_MARGIN,
+    as a driving-limit search's bracket [good, bad] suggests: by regula
+    falsi between its ends where the largest |rho| at bad is known (bad
+    failed by the margin), otherwise by the secant through good and the
+    nearest known point below it; just below bad where that secant does
+    not rise.  `tops` holds the largest |rho| (None where refused) of the
+    points decided so far, good among them."""
+    if tops.get(bad) is not None:
+        t0, t1 = good, bad
+    else:
+        t0, t1 = max((t for t, f in tops.items()
+                      if t < good and f is not None), default=good), good
+    f0, f1 = tops[t0], tops[t1]
+    if f1 <= f0:
+        return math.nextafter(bad, 0.0)
+    return t0 + (math.pi - _PI_MARGIN - f0) * (t1 - t0) / (f1 - f0)
+
+
+def _driving_limit(tree, branches) -> float:
+    """t_max: the result of `vertex.last_valid` for `_probe` with 48 scan
+    steps.  Every point that search evaluates is evaluated and every
+    decision it makes is made, in its order, but many points share a walk.
+
+    A batch is the path the search would take if each point t passed
+    exactly when t <= g, for the guide g (`_guide`) of the search's
+    bracket.  One walk (`_probes`) evaluates the whole path, since it gives
+    each angle the outcome a walk of that angle alone gives; the search
+    then takes the outcomes in order, up to and including the first that
+    contradicts its prediction.  So the guide sets how many points share a
+    walk and never which side a point takes.
+
+    The first batch is pi and the first two scan steps.  After a batch whose
+    predictions all held the next is twice as long; after one that went
+    wrong it is one point longer than the run of right predictions.  So a
+    walk decides at least one point, and the points wasted past wrong
+    predictions never outnumber the points decided: at most twice the
+    plain search's evaluations, in at most as many walks, whatever the
+    guide says.  A bisecting batch is cut shorter where the guide has
+    moved since the last batch: taking that move as its error, the batch
+    ends three midpoints after the halvings that narrow the bracket to it.
+    """
+    search = _LimitSearch(48)
+    tops = {0.0: 0.0}  # the flat state
+    size, g = 3, None
+    while search.point is not None:
+        g, last = _guide(search.good, search.bad, tops), g
+        n = size
+        if search.step is None and last is not None and g != last:
+            reach = (search.bad - search.good) / abs(g - last)
+            n = min(n, 3 + max(0, int(math.log2(reach))))
+        path, ahead = [], copy.copy(search)
+        while len(path) < n and ahead.point is not None:
+            path.append(ahead.point)
+            ahead.decide(ahead.point <= g)
+        run = 0
+        for t, top in zip(path, _probes(tree, path, branches)):
+            tops[t] = top
+            holds = _passes(top)
+            search.decide(holds)
+            if holds != (t <= g):
+                size = run + 1
+                break
+            run += 1
+        else:
+            size = 2 * run
+    return search.good
 
 
 def certify(p: QuadPattern, branch_choice: BranchChoice = None,
@@ -320,10 +406,15 @@ def certify(p: QuadPattern, branch_choice: BranchChoice = None,
             compat_tol: float = TAU_COMPAT) -> CompatibilityReport:
     """Certify rigid-foldability by sampled tree propagation.
 
-    The driving angle sweeps the largest symmetric closed interval on which
-    propagation succeeds (endpoints included).  The verdict is positive only
-    when the interval has positive length, propagation succeeded at every
-    sample, and every cut-crease residual stays below `compat_tol`.
+    The driving angle sweeps the symmetric closed interval [-t_max, t_max]
+    (endpoints included).  t_max is the result of the plain driving-limit
+    search, `vertex.last_valid` over `_probe` (the walk succeeds and no
+    fold angle is within 1e-7 of +-pi) with 48 scan steps; a probe can
+    fail below t_max, so t_max is where that search's decisions end, and
+    `_driving_limit` replays those decisions from batched walks.  The
+    verdict is positive only when the interval has positive length,
+    propagation succeeded at every sample, and every cut-crease residual
+    stays below `compat_tol`.
 
     Reports are memoised on the pattern, by branch grid, `n_samples` and
     `compat_tol`: the pattern and the report are immutable, so asking
@@ -346,7 +437,7 @@ def certify(p: QuadPattern, branch_choice: BranchChoice = None,
 def _certify(p: QuadPattern, branches, n_samples: int,
              compat_tol: float) -> CompatibilityReport:
     tree = build_tree(p)
-    t_max = last_valid(lambda t: _probe(tree, t, branches), 48)
+    t_max = _driving_limit(tree, branches)
     if t_max < TAU_EMPTY:
         raise EmptyInterval(
             "no driving interval: the tree cannot move away from the "

@@ -716,30 +716,64 @@ class _StraightLineCurve(_ArccosCurve):
         return angle if comp == self.shift else -angle
 
 
+class _LimitSearch:
+    """`last_valid`'s decision sequence, one decision at a time: pi when pi
+    holds; otherwise a scan of `n_scan` equal steps up to the first failure,
+    then bisection until the bracket is at most `tol`, the midpoint rounds
+    onto an end, or 60 halvings have run.
+
+    `point` is the next point to evaluate (None once the search has
+    decided) and `decide(holds)` takes its outcome.  [good, bad] is the
+    bracket and `good` the result so far; `step` is 0 while pi is next, k
+    while scan step k is, and None once the search bisects.  A copy
+    (`copy.copy`) decides on independently, so a caller can follow the
+    path that outcomes it predicts would take.
+    """
+
+    __slots__ = ("n_scan", "tol", "step", "good", "bad", "halvings", "point")
+
+    def __init__(self, n_scan: int, tol: float = 0.0):
+        self.n_scan, self.tol = n_scan, tol
+        self.step = 0
+        self.good, self.bad, self.halvings = 0.0, math.pi, 0
+        self.point = math.pi
+
+    def decide(self, holds: bool) -> None:
+        t, k = self.point, self.step
+        if holds:
+            self.good = t
+        else:
+            self.bad = t
+        if k is None:
+            self.halvings += 1
+        else:  # pi holds, a scan step fails or the last one holds: bisect
+            ends = holds if k == 0 else not holds or k == self.n_scan
+            k = self.step = None if ends else k + 1
+        if k is not None:
+            self.point = math.pi * k / self.n_scan
+            return
+        good, bad = self.good, self.bad
+        mid = 0.5 * (good + bad)
+        self.point = None if (self.halvings == 60 or bad - good <= self.tol
+                              or mid == good or mid == bad) else mid
+
+
 def last_valid(ok: Callable[[float], bool], n_scan: int,
                tol: float = 0.0) -> float:
-    """Largest r in [0, pi] with ok(r), for a predicate that holds from 0 up
-    to a threshold: pi when ok(pi) holds; otherwise a scan of `n_scan` equal
-    steps up to the first failure, then bisection until the bracket is at
-    most `tol`, the midpoint rounds onto an end, or 60 halvings have run."""
-    if ok(math.pi):
-        return math.pi
-    good, bad = 0.0, math.pi
-    for k in range(1, n_scan + 1):
-        r = math.pi * k / n_scan
-        if not ok(r):
-            bad = r
-            break
-        good = r
-    for _ in range(60):
-        mid = 0.5 * (good + bad)
-        if bad - good <= tol or mid == good or mid == bad:
-            break
-        if ok(mid):
-            good = mid
-        else:
-            bad = mid
-    return good
+    """The result of `_LimitSearch(n_scan, tol)` asking `ok` at each point
+    in turn.
+
+    Where ok holds from 0 up to a threshold and fails above it, this is the
+    largest passing r to within `tol`.  Elsewhere it is the passing point
+    the decisions end on: a blanket's driving-limit probes can fail in a
+    band below the result.  `certify`'s t_max is this result for
+    `foldability._probe`, and `foldability._driving_limit` replays these
+    decisions from batched walks.
+    """
+    search = _LimitSearch(n_scan, tol)
+    while search.point is not None:
+        search.decide(ok(search.point))
+    return search.good
 
 
 # The parametrization caches hold 4096 entries.  A cached arccos curve keeps

@@ -485,8 +485,9 @@ def driven(monkeypatch):
 
 def test_refused_samples_share_one_walk(pat_a, walks):
     """Where some samples are refused, certify still walks all samples
-    once, after the driving-limit probes: each failed sample keeps its own
-    infinite residual and the report equals the per-sample reference,
+    once, after the driving-limit search, whose walks hold every angle the
+    reference search probes, in its order: each failed sample keeps its
+    own infinite residual and the report equals the per-sample reference,
     reason included."""
     alpha = list(pat_a.vertex(0, 2).alpha)
     alpha[0] += deg(0.5)
@@ -494,7 +495,9 @@ def test_refused_samples_share_one_walk(pat_a, walks):
     p = pat_a.with_vertex(0, 2, Vertex4(alpha))
     report = certify(p, None, 200)
     assert walks[-1] == report.samples
-    assert all(len(ts) == 1 for ts in walks[:-1])
+    _, probed = _reference_probes(p, None, walks)
+    searched = iter([t for ts in walks[:-1] for t in ts])
+    assert all(t in searched for t in probed)
     assert not report.verdict
     assert "propagation failed" in report.reason
     reference = _reference_certify(p, None, 200)
@@ -759,8 +762,8 @@ def test_mirrored_inversions_change_no_output(monkeypatch):
 
 
 def test_mirror_halves_the_herringbone_bisections(monkeypatch):
-    """A herringbone_plan(8, 8) certify bisects a crease 433 times, where
-    it bisected 866 times when each negated angle was bisected anew."""
+    """A herringbone_plan(8, 8) certify bisects a crease 450 times, where
+    it bisects 900 times when each negated angle is bisected anew."""
     count = [0]
     bisect = vertex_mod._ArccosCurve.bisect
 
@@ -769,7 +772,7 @@ def test_mirror_halves_the_herringbone_bisections(monkeypatch):
         return bisect(self, comp, target)
 
     monkeypatch.setattr(vertex_mod._ArccosCurve, "bisect", counted)
-    for expected in (433, 866):
+    for expected in (450, 900):
         p = stitch(herringbone_plan(8, 8))
         count[0] = 0
         certify(p)
@@ -827,6 +830,107 @@ def test_driving_limit_search_meets_a_non_monotone_band():
     moved, left, right = _guided_last_valid(ok, 48, lo, 1e-12 * lo)
     assert moved == lo and ok(left) and not ok(right)
     assert _guided_last_valid(ok, 48, lo, 1e-8 * lo)[0] == t_max
+
+
+def _reference_probes(p, choice, walks) -> tuple:
+    """`_reference_driving_limit` on p and the angles it probes, in its
+    order, read from the `walks` fixture: each of its probes walks one
+    angle."""
+    n = len(walks)
+    ref = _reference_driving_limit(build_tree(p), _branch_grid(p, choice))
+    probed = [t for (t,) in walks[n:]]
+    del walks[n:]
+    return ref, probed
+
+
+def _perturbed(p, *at):
+    """p with the sector angles of each vertex in `at` moved, one
+    perturbation at a time, by +0.5 degree at k and -0.5 at k + 2."""
+    for i, j in at:
+        for k in range(4):
+            alpha = list(p.vertex(i, j).alpha)
+            alpha[k] += deg(0.5)
+            alpha[(k + 2) % 4] -= deg(0.5)
+            yield p.with_vertex(i, j, Vertex4(alpha))
+
+
+def _limit_cases():
+    """Blankets whose driving limit the batched search must meet: seeded
+    8x8 herringbones over the bench's (a, c) ranges, one whose limit ends
+    in a non-monotone band, showcase A with two vertices perturbed (some
+    probes fail below t_max) and every enumerated branch grid of showcase
+    B (the interval ends at a refusal)."""
+    rng = random.Random(26)
+    for _ in range(12):
+        plan = herringbone_plan(8, 8, rng.uniform(93.0, 97.0),
+                                rng.uniform(70.0, 74.0))
+        yield stitch(plan), None
+    yield stitch(herringbone_plan(8, 8, 96.5, 73.5)), None
+    for p in _perturbed(stitch(showcase_a_plan()), (1, 2), (0, 2)):
+        yield p, None
+    p = stitch(showcase_b_plan())
+    for choice in enumerate_branch_choices(p):
+        yield p, choice
+
+
+def test_batched_driving_limit_equals_reference_search():
+    """certify's interval equals, repr for repr, the reference search's on
+    every `_limit_cases` blanket; where the reference finds no interval
+    certify raises EmptyInterval."""
+    compared = 0
+    for p, choice in _limit_cases():
+        ref = _reference_driving_limit(build_tree(p), _branch_grid(p, choice))
+        if ref < 1e-9:
+            with pytest.raises(EmptyInterval):
+                certify(p, choice, 2)
+            continue
+        assert repr(certify(p, choice, 2).interval) == repr((-ref, ref))
+        compared += 1
+    assert compared == 25
+
+
+def _bisection_angles(ts) -> int:
+    scan = {math.pi * k / 48 for k in range(1, 49)}
+    return sum(t not in scan for t in ts)
+
+
+@pytest.mark.parametrize("guide", [0.0, math.pi, 1.965614117929696])
+def test_useless_guide_keeps_the_driving_limit(monkeypatch, walks, guide):
+    """With the guide stuck at 0, at pi or inside the non-monotone band of
+    herringbone_plan(8, 8, 96.5, 73.5), certify still meets the reference
+    search on that herringbone, showcase B and a perturbed showcase A.
+    Its search walks no more often than the reference probes, and
+    evaluates at most twice the reference's bisection angles."""
+    monkeypatch.setattr(foldability, "_guide",
+                        lambda good, bad, tops: guide)
+    pat_a = stitch(showcase_a_plan())
+    for p in (stitch(herringbone_plan(8, 8, 96.5, 73.5)),
+              stitch(showcase_b_plan()),
+              next(_perturbed(pat_a, (0, 2)))):
+        walks.clear()
+        report = certify(p, None, 2)
+        searched = walks[:-1]
+        ref, probed = _reference_probes(p, None, walks)
+        assert repr(report.interval) == repr((-ref, ref))
+        assert len(searched) <= len(probed)
+        assert _bisection_angles(t for ts in searched for t in ts) <= \
+            2 * _bisection_angles(probed)
+
+
+def test_driving_limit_walks(walks):
+    """A herringbone_plan(8, 8) certify walks at most 26 times, where the
+    reference search alone walks 79 times, and a showcase B certify walks
+    no more often than the reference search's probes and one sample walk."""
+    certify(stitch(herringbone_plan(8, 8)))
+    assert len(walks) <= 26
+    walks.clear()
+    p = stitch(showcase_b_plan())
+    certify(p)
+    n = len(walks)
+    assert n <= len(_reference_probes(p, None, walks)[1]) + 1
+    p = stitch(herringbone_plan(8, 8))
+    assert len(_reference_probes(p, None, walks)[1]) == 79
+
 
 class TestCertifyMemo:
     """`certify` keeps its reports on the pattern, keyed by its arguments."""

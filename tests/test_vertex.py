@@ -871,6 +871,55 @@ def test_fold_interval_end_matches_reference_search(rng):
         assert repr(p.r_max) == repr(ref)
 
 
+def _reference_last_valid(ok, n_scan: int, tol: float = 0.0) -> float:
+    """Verbatim copy of `last_valid` as it stood before its decisions moved
+    into `vertex._LimitSearch`."""
+    if ok(math.pi):
+        return math.pi
+    good, bad = 0.0, math.pi
+    for k in range(1, n_scan + 1):
+        r = math.pi * k / n_scan
+        if not ok(r):
+            bad = r
+            break
+        good = r
+    for _ in range(60):
+        mid = 0.5 * (good + bad)
+        if bad - good <= tol or mid == good or mid == bad:
+            break
+        if ok(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
+def test_last_valid_asks_what_the_reference_search_asks():
+    """On seeded predicates - thresholds, thresholds with failures in no
+    order below them, always and never - `last_valid` asks at the points
+    the reference search asks at, in its order, and returns its result,
+    for blanket and fold-interval scans and tolerances."""
+    rng = random.Random(26)
+    for _ in range(600):
+        kind = rng.choice(("threshold", "holes", "always", "never"))
+        cut, salt = rng.uniform(0.0, math.pi), rng.random()
+        n_scan, tol = rng.choice((48, 64, 5, 1)), rng.choice((0.0, TAU_ROOT,
+                                                             1e-3))
+
+        def ok(r, asked):
+            asked.append(r)
+            if kind in ("always", "never"):
+                return kind == "always"
+            return r <= cut and (kind == "threshold" or
+                                 random.Random(f"{r!r} {salt}").random() < 0.8)
+
+        asked, ref_asked = [], []
+        result = vertex_mod.last_valid(lambda r: ok(r, asked), n_scan, tol)
+        ref = _reference_last_valid(lambda r: ok(r, ref_asked), n_scan, tol)
+        assert repr(result) == repr(ref)
+        assert asked == ref_asked
+
+
 def _reference_base(p) -> tuple:
     """Verbatim copy of the 2*pi base as `_BranchParam.__init__` found it
     before the sector-angle rule: the multiples of 2*pi just off the flat

@@ -4,6 +4,7 @@ of a fixed input set.
 
     python3 tools/output_digest.py                        # this checkout's src/
     PYTHONPATH=/other/checkout/src python3 tools/output_digest.py
+    python3 tools/output_digest.py --texts                # the texts themselves
 
 A change that should leave every computed float alone prints the same hash
 before and after.  Each output is a repr, or the exception type and message
@@ -91,10 +92,18 @@ where the call raises:
 One line per text gives that text's own hash, so a diff of two outputs names
 the texts that moved; the last line is the total.  It is a comparison tool,
 not a golden: the hash is compared between two source trees, never stored.
+
+With --texts each text is printed in full, so a diff of two outputs shows the
+numbers that moved.  Each text is a block: a line `--- <n> bytes`, then the
+n bytes that the default mode hashes, its label line and its text, each
+ending in a newline.  The first 16 hex digits of a block's sha256 and its
+label make that text's default line, and one sha256 over all blocks in
+order is the total, which the last line prints as in the default mode.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -869,7 +878,12 @@ def texts():
     yield from twin_column_texts()
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Digest of quadfold's outputs over a fixed input set.")
+    parser.add_argument("--texts", action="store_true",
+                        help="print each text in full instead of its hash")
+    args = parser.parse_args(argv)
     print(f"quadfold from {Path(quadfold.__file__).parent}", file=sys.stderr)
     total = hashlib.sha256()
     n = 0
@@ -877,7 +891,11 @@ def main() -> int:
         data = f"{label}\n{text}\n".encode()
         total.update(data)
         n += 1
-        print(f"{hashlib.sha256(data).hexdigest()[:16]}  {label}")
+        if args.texts:
+            sys.stdout.flush()
+            sys.stdout.buffer.write(f"--- {len(data)} bytes\n".encode() + data)
+        else:
+            print(f"{hashlib.sha256(data).hexdigest()[:16]}  {label}")
     print(f"{total.hexdigest()}  ({n} texts)")
     return 0
 
