@@ -2,8 +2,11 @@
 
 All angles at this boundary are degrees.  Exit codes: 0 success, 1 validation
 failure, 2 usage error.  Set QUADFOLD_CONFIG to a JSON object file to
-override `tau_unit`, `tau_compat`, `tau_flat`, `samples` and `frames`; any
-other key is a usage error.  A `--samples`/`--frames` flag overrides its key.
+set `samples` and `frames`; any other key is a usage error.  A
+`--samples`/`--frames` flag overrides its key.  Every bound is the
+library's constant: `unit validate` accepts at `TAU_UNIT` as `stitch` does,
+`pattern certify` and `pattern sweep` decide at `TAU_COMPAT`, and `pattern
+svg` colours by the FOLD export's letters (`TAU_FLAT`).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import CONFIG_KEYS, CliConfig
+from .config import CONFIG_KEYS, TAU_UNIT, CliConfig
 from .errors import OutOfDomain, QuadfoldError, SerializationError
 from .foldability import certify, mv_assignment
 from .foldio import export_fold, export_obj, export_svg, fold_dumps, import_fold
@@ -126,8 +129,8 @@ def _cmd_unit_validate(args, cfg):
     print(f"samples: {report.n_samples}")
     print(f"max_residual: {report.max_residual:.3e}")
     # the verdict is stitch's: exact on a pair of flat-foldable curves
-    sampled_ok, exact = report.valid(cfg.tau_unit), _exact_residual(unit)
-    ok = sampled_ok if exact is None else exact < cfg.tau_unit
+    sampled_ok, exact = report.valid(), _exact_residual(unit)
+    ok = sampled_ok if exact is None else exact < TAU_UNIT
     if ok != sampled_ok:
         print(f"exact max_residual: {exact:.3e}")
     if report.degenerate_shared:
@@ -171,7 +174,7 @@ def _cmd_pattern_stitch(args, cfg):
 def _cmd_pattern_certify(args, cfg):
     p = _load_pattern(args.pattern)
     branches = _parse_branch_spec(args.branches, p)
-    report = certify(p, branches, cfg.samples, compat_tol=cfg.tau_compat)
+    report = certify(p, branches, cfg.samples)
     print(report.summary())
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -189,8 +192,7 @@ def _cmd_pattern_count(args, cfg):
 def _cmd_pattern_sweep(args, cfg):
     p = _load_pattern(args.pattern)
     branches = _parse_branch_spec(args.branches, p)
-    result = sweep(p, branches, cfg.frames, n_samples=cfg.samples,
-                   compat_tol=cfg.tau_compat)
+    result = sweep(p, branches, cfg.frames, n_samples=cfg.samples)
     os.makedirs(args.out_dir, exist_ok=True)
     for k, state in enumerate(result.frames):
         text = (export_obj(state, p) if args.format == "obj"
@@ -208,8 +210,7 @@ def _cmd_pattern_svg(args, cfg):
     p = _load_pattern(args.pattern)
     mv = None
     if args.rho is not None:
-        mv = mv_assignment(p, None, math.radians(args.rho),
-                           flat_tol=cfg.tau_flat)
+        mv = mv_assignment(p, None, math.radians(args.rho))
     svg = export_svg(p, mv)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)

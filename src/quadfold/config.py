@@ -1,18 +1,17 @@
 """Numerical tolerances and run configuration.
 
-The module-level constants are the library defaults.  The CLI lets a JSON
-file named by the QUADFOLD_CONFIG environment variable override exactly the
-values it passes on, the fields of `CliConfig`: three tolerances and two
-counts.
+The module-level tolerances are constants: the library and the CLI decide
+with them, and no argument or setting overrides one.  The CLI lets a JSON
+file named by the QUADFOLD_CONFIG environment variable set the two counts
+it passes on, the fields of `CliConfig`.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, fields
-from numbers import Integral, Real
+from numbers import Integral
 
 # classification sums (radians)
 TAU_ANGLE = 1e-9
@@ -45,19 +44,6 @@ TAU_EMPTY = 1e-9
 DEFAULT_SAMPLES = 200
 
 
-def check_tolerance(name: str, x) -> float:
-    """x as a float; ValueError naming `name` unless x is a real number,
-    not a bool, that is a positive finite float."""
-    real = isinstance(x, Real) and not isinstance(x, bool)
-    try:
-        f = float(x) if real else math.nan
-    except OverflowError:  # a number beyond the float range
-        f = math.inf
-    if not (math.isfinite(f) and f > 0):
-        raise ValueError(f"{name} must be a positive finite number, got {x!r}")
-    return f
-
-
 def check_count(x, least: int, message: str) -> None:
     """ValueError(message) unless x is an integer, not a bool, >= least."""
     if isinstance(x, bool) or not isinstance(x, Integral) or x < least:
@@ -66,23 +52,16 @@ def check_count(x, least: int, message: str) -> None:
 
 @dataclass
 class CliConfig:
-    """Runtime configuration for the command-line interface: the tolerances
-    it passes on (unit validation, cut-crease compatibility and the
-    flat-crease threshold of mountain/valley labels) and the sample and
-    frame counts.  Each field is named as its $QUADFOLD_CONFIG key.
+    """Runtime configuration for the command-line interface: the sample
+    and frame counts.  Each field is named as its $QUADFOLD_CONFIG key.
 
     All angle I/O at the CLI boundary is in degrees; internals are radians.
     """
 
-    tau_unit: float = TAU_UNIT
-    tau_compat: float = TAU_COMPAT
-    tau_flat: float = TAU_FLAT
     samples: int = DEFAULT_SAMPLES
     frames: int = 30
 
     def __post_init__(self):
-        for name in ("tau_unit", "tau_compat", "tau_flat"):
-            check_tolerance(name, getattr(self, name))
         for name, least in (("samples", 2), ("frames", 1)):
             x = getattr(self, name)
             check_count(x, least,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from .config import (DEFAULT_SAMPLES, TAU_COMPAT, TAU_EMPTY, TAU_FLAT,
-                     check_count, check_tolerance)
+                     check_count)
 from .errors import EmptyInterval, NotABlanket, OutOfDomain
 from .pattern import QuadPattern, branch_chains
 from .vertex import (
@@ -402,8 +402,7 @@ def _driving_limit(tree, branches) -> float:
 
 
 def certify(p: QuadPattern, branch_choice: BranchChoice = None,
-            n_samples: int = DEFAULT_SAMPLES, *,
-            compat_tol: float = TAU_COMPAT) -> CompatibilityReport:
+            n_samples: int = DEFAULT_SAMPLES) -> CompatibilityReport:
     """Certify rigid-foldability by sampled tree propagation.
 
     The driving angle sweeps the symmetric closed interval [-t_max, t_max]
@@ -414,28 +413,24 @@ def certify(p: QuadPattern, branch_choice: BranchChoice = None,
     `_driving_limit` replays those decisions from batched walks.  The
     verdict is positive only when the interval has positive length,
     propagation succeeded at every sample, and every cut-crease residual
-    stays below `compat_tol`.
+    stays below `TAU_COMPAT`.
 
-    Reports are memoised on the pattern, by branch grid, `n_samples` and
-    `compat_tol`: the pattern and the report are immutable, so asking
-    again returns the same report object.  A refusal is not memoised.
-    An `n_samples` that is not an integer of at least 2 (a bool is not
-    one), and a `compat_tol` that is not a positive finite number, are
-    refused with ValueError before any propagation runs.
+    Reports are memoised on the pattern, by branch grid and `n_samples`:
+    the pattern and the report are immutable, so asking again returns the
+    same report object.  A refusal is not memoised.  An `n_samples` that
+    is not an integer of at least 2 (a bool is not one) is refused with
+    ValueError before any propagation runs.
     """
     check_count(n_samples, 2, "n_samples must be >= 2")
-    compat_tol = check_tolerance("compat_tol", compat_tol)
     branches = _branch_grid(p, branch_choice)
-    key = (branches, n_samples, compat_tol)
+    key = (branches, n_samples)
     report = p.certified.get(key)
     if report is None:
-        report = p.certified[key] = _certify(p, branches, n_samples,
-                                             compat_tol)
+        report = p.certified[key] = _certify(p, branches, n_samples)
     return report
 
 
-def _certify(p: QuadPattern, branches, n_samples: int,
-             compat_tol: float) -> CompatibilityReport:
+def _certify(p: QuadPattern, branches, n_samples: int) -> CompatibilityReport:
     tree = build_tree(p)
     t_max = _driving_limit(tree, branches)
     if t_max < TAU_EMPTY:
@@ -466,10 +461,10 @@ def _certify(p: QuadPattern, branches, n_samples: int,
     shared = {key: tuple(rs) for key, rs in series.items()}
     finite = [r for r in residuals if math.isfinite(r)]
     max_res = max(finite) if finite else math.inf
-    if verdict and max_res >= compat_tol:
+    if verdict and max_res >= TAU_COMPAT:
         verdict = False
         reason = (f"cut-crease residual {max_res:.3e} exceeds "
-                  f"tolerance {compat_tol:.1e}")
+                  f"tolerance {TAU_COMPAT:.1e}")
     return CompatibilityReport(
         interval=(-t_max, t_max),
         samples=tuple(grid),
@@ -498,30 +493,27 @@ def enumerate_branch_choices(p: QuadPattern):
         yield tuple(tuple(chain[i] for chain in chains) for i in range(p.m))
 
 
-def mv_letter(angle: float, flat_tol: float) -> str:
+def mv_letter(angle: float) -> str:
     """Positive folding angles are valleys ("V"), negative mountains ("M"),
-    magnitudes below `flat_tol` are flat ("F")."""
-    if abs(angle) < flat_tol:
+    magnitudes below `TAU_FLAT` are flat ("F")."""
+    if abs(angle) < TAU_FLAT:
         return "F"
     return "V" if angle > 0 else "M"
 
 
 def mv_assignment(p: QuadPattern, branch_choice: BranchChoice = None,
-                  sample_rho: float = None, *,
-                  flat_tol: float = TAU_FLAT) -> dict:
+                  sample_rho: float = None) -> dict:
     """Mountain/valley/flat labels (`mv_letter`) for every crease at one
     driving angle; boundary edges get "B".
 
     Requires a certified pattern to be meaningful - the caller picks a
-    sample angle inside the certified interval.  A `flat_tol` that is not a
-    positive finite number is refused with ValueError.
+    sample angle inside the certified interval.
     """
     if sample_rho is None:
         raise ValueError("mv_assignment needs a sample driving angle")
-    check_tolerance("flat_tol", flat_tol)
     prop = propagate(build_tree(p), sample_rho, branch_choice)
     return {
         (a, b): "B" if kind == "boundary"
-        else mv_letter(prop.edge_angle(kind, a, b), flat_tol)
+        else mv_letter(prop.edge_angle(kind, a, b))
         for kind, a, b in p.edges()
     }

@@ -152,7 +152,7 @@ def export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
         angle = 0.0 if angles is None else angles.edge_angle(kind, a, b)
         letter = None if mv is None else _crease_letter(mv, a, b)
         if letter is None:
-            letter = mv_letter(angle, TAU_FLAT)
+            letter = mv_letter(angle)
         if _contradicts(letter, math.degrees(angle)):
             raise SerializationError(
                 f"assignment {letter} contradicts fold angle {angle!r}"

@@ -14,8 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .config import (DEFAULT_SAMPLES, TAU_CLOSURE, TAU_COMPAT, TAU_RIGID,
-                     check_count)
+from .config import DEFAULT_SAMPLES, TAU_CLOSURE, TAU_RIGID, check_count
 from .errors import ClosureViolation, RigidityViolation
 from .foldability import (BranchChoice, Propagation, _propagations,
                           build_tree, certify, check_solved_grid, crease_slot)
@@ -259,22 +258,22 @@ class SweepResult:
 
 
 def sweep(p: QuadPattern, branch_choice: BranchChoice = None,
-          n_frames: int = 30, *, n_samples: int = DEFAULT_SAMPLES,
-          compat_tol: float = TAU_COMPAT) -> SweepResult:
+          n_frames: int = 30, *,
+          n_samples: int = DEFAULT_SAMPLES) -> SweepResult:
     """Realize the folding motion over the certified interval.
 
     Frames run from the trivial state (driving angle 0) to the endpoint of
     the interval `certify` (memoised per pattern) gives for these
-    arguments.  One walk gives every frame's angles; all frames are folded
-    and verified together, in the column passes of `realize`, and the
-    maxima of the per-frame residuals are reported.  Where the walk refuses
-    a frame, the frames before it are folded first, then its refusal is
-    raised.  `compat_tol` is the certification bound (see `certify`).  An
-    `n_frames` that is not an integer >= 1 (a bool is not) is refused with
-    ValueError, as are `certify`'s bad arguments.
+    arguments; a pattern it does not certify at `TAU_COMPAT` is refused
+    with ClosureViolation.  One walk gives every frame's angles; all
+    frames are folded and verified together, in the column passes of
+    `realize`, and the maxima of the per-frame residuals are reported.
+    Where the walk refuses a frame, the frames before it are folded first,
+    then its refusal is raised.  An `n_frames` that is not an integer >= 1 (a bool is not) is
+    refused with ValueError, as are `certify`'s bad arguments.
     """
     check_count(n_frames, 1, "need at least one frame")
-    report = certify(p, branch_choice, n_samples, compat_tol=compat_tol)
+    report = certify(p, branch_choice, n_samples)
     if not report.verdict:
         raise ClosureViolation(
             f"cannot sweep an uncertified pattern: {report.reason}")

@@ -29,8 +29,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-from .config import (TAU_EMPTY, TAU_FLAT, TAU_UNIT, check_count,
-                     check_tolerance)
+from .config import TAU_EMPTY, TAU_FLAT, TAU_UNIT, check_count
 from .errors import (
     DegenerateVertex,
     EmptyInterval,
@@ -127,10 +126,9 @@ class UnitReport:
     def max_residual(self) -> float:
         return max(self.max_residual_24, self.max_residual_47)
 
-    def valid(self, tol: float = TAU_UNIT) -> bool:
-        """The residuals stay below `tol`, a positive finite number
-        (ValueError otherwise)."""
-        return self.max_residual < check_tolerance("tol", tol)
+    def valid(self) -> bool:
+        """The sampled residuals stay below `TAU_UNIT`."""
+        return self.max_residual < TAU_UNIT
 
 
 _CREASE_LENGTHS = {"shared": 1.0}
@@ -427,9 +425,8 @@ def validate_unit(u: Unit, n_samples: int = 200) -> UnitReport:
 def _ff_slopes(p: _FFCurve, connecting: int) -> tuple:
     """(k2, k4): tan(rho/2) = k * tan(t/2) at creases c2 and c4 of a
     flat-foldable curve, t being the fold of crease `connecting` (0 or 2)."""
-    m = ((1.0, p.K, 1.0, -p.K) if p.branch is BranchId.BRANCH_1
-         else (1.0, p.K, -1.0, p.K))
-    return m[1] * m[connecting], m[3] * m[connecting]
+    s = p.signs
+    return s[1] * p.K * s[connecting], s[3] * p.K * s[connecting]
 
 
 def _sup_gap(k: float, k2: float) -> float:
@@ -471,8 +468,8 @@ def _acceptance_residual(u: Unit, n_samples: int) -> float:
 
 def _validated(u: Unit, n_samples: int, what: str) -> Unit:
     """`u` itself when its acceptance residual is below TAU_UNIT, the bound
-    of `UnitReport.valid`; ValidationFailed, with the message prefix
-    `what`, otherwise."""
+    of `UnitReport.valid` and of `unit validate`; ValidationFailed, with
+    the message prefix `what`, otherwise."""
     residual = _acceptance_residual(u, n_samples)
     if not residual < TAU_UNIT:
         raise ValidationFailed(f"{what}: max residual {residual:.3e}")

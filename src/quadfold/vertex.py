@@ -320,33 +320,32 @@ class _Segment(_BranchParam):
 
 
 class _FFCurve(_BranchParam):
-    """Curve branch of a flat-foldable vertex: tan(rho2 / 2) = K tan(rho1 / 2)
-    with K fixed by a1, a2 and the branch; rho3 = rho1 and rho4 = -rho2 on
-    branch 1, rho3 = -rho1 and rho4 = rho2 on branch 2."""
+    """Curve branch of a flat-foldable vertex: c1 and c3 fold by +-r, c2 and
+    c4 by +-r2, where tan(r2 / 2) = K tan(r / 2) with K fixed by a1, a2 and
+    the branch.  `signs` is the one table of those signs, read by `fn`,
+    `invert` and the units' transmission slopes: rho3 = rho1 and
+    rho4 = -rho2 on branch 1, rho3 = -rho1 and rho4 = rho2 on branch 2."""
 
-    __slots__ = ("branch", "K")
+    __slots__ = ("K", "signs")
 
     def __init__(self, alpha: tuple, branch: BranchId):
         a1, a2 = alpha[0], alpha[1]
-        self.branch = branch
         if branch is BranchId.BRANCH_1:
             self.K = math.sin((a2 - a1) / 2.0) / math.sin((a2 + a1) / 2.0)
+            self.signs = (1, 1, 1, -1)
         else:  # a1 + a2 = pi is the pole, a segment in _branch_param
             self.K = -math.cos((a2 - a1) / 2.0) / math.cos((a2 + a1) / 2.0)
+            self.signs = (1, 1, -1, 1)
 
     def fn(self, r: float) -> tuple:
         r2 = 2.0 * math.atan2(self.K * math.sin(r / 2.0), math.cos(r / 2.0))
-        if self.branch is BranchId.BRANCH_1:
-            return (r, r2, r, -r2)
-        return (r, r2, -r, r2)
+        s1, s2, s3, s4 = self.signs
+        return (s1 * r, s2 * r2, s3 * r, s4 * r2)
 
     def invert(self, comp: int, angle: float) -> float:
-        branch1 = self.branch is BranchId.BRANCH_1
-        if comp == 0:
-            return angle
-        if comp == 2:
-            return (1.0 if branch1 else -1.0) * angle
-        K = -self.K if comp == 3 and branch1 else self.K
+        if comp % 2 == 0:
+            return self.signs[comp] * angle
+        K = self.signs[comp] * self.K
         if abs(K) < 1e-14:
             raise OutOfDomain(
                 f"crease {comp + 1} never folds on this branch (zero "

@@ -26,7 +26,7 @@ from quadfold import (
 )
 from quadfold import foldability
 from quadfold import vertex as vertex_mod
-from quadfold.config import TAU_COMPAT
+from quadfold.config import TAU_COMPAT, TAU_FLAT
 from quadfold.errors import QuadfoldError, WrongClass
 from quadfold.foldability import (
     BranchChoice,
@@ -35,6 +35,7 @@ from quadfold.foldability import (
     TreeStructure,
     _branch_grid,
     _probe,
+    mv_letter,
 )
 from quadfold.vertex import (CURVE_BRANCHES, VertexSolution, normalize_angle,
                              solve_at_crease)
@@ -390,8 +391,7 @@ def test_propagate_matches_reference(equivalence_patterns):
 
 
 def _reference_certify(p, branch_choice: BranchChoice = None,
-                       n_samples: int = 200,
-                       compat_tol: float = TAU_COMPAT) -> CompatibilityReport:
+                       n_samples: int = 200) -> CompatibilityReport:
     """Verbatim copy of `certify`'s sampling as it stood before the tree was
     walked once over all samples: the reference driving-limit search, then
     one reference propagation per sample."""
@@ -427,10 +427,10 @@ def _reference_certify(p, branch_choice: BranchChoice = None,
         residuals.append(worst)
     finite = [r for r in residuals if math.isfinite(r)]
     max_res = max(finite) if finite else math.inf
-    if verdict and max_res >= compat_tol:
+    if verdict and max_res >= TAU_COMPAT:
         verdict = False
         reason = (f"cut-crease residual {max_res:.3e} exceeds "
-                  f"tolerance {compat_tol:.1e}")
+                  f"tolerance {TAU_COMPAT:.1e}")
     return CompatibilityReport(
         interval=(-t_max, t_max),
         samples=tuple(grid),
@@ -951,7 +951,7 @@ class TestCertifyMemo:
 
     @pytest.mark.parametrize("args, kwargs", [
         ((None, 50), {}),
-        ((None,), {"compat_tol": 1e-15}),
+        ((None,), {"n_samples": 3}),
         ((BranchId.BRANCH_2,), {}),
     ])
     def test_other_arguments_recompute(self, counted, args, kwargs):
@@ -1007,20 +1007,27 @@ class TestCertifyMemo:
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8, True,
                                      "1e-8", None,
                                      pytest.param(10 ** 400, id="1e400")])
-    def test_compat_tol_must_be_positive_and_finite(self, pat_b, tol):
-        """Showcase B with vertex (2,0) on BRANCH_2 is refused at the
-        default tolerance; a tolerance that is not a positive finite
-        number (NaN would certify any residual) is refused before any
-        walk, by `certify` and by `sweep`."""
+    def test_compat_tol_must_be_positive_and_finite(self, counted, pat_b,
+                                                     tol):
+        """The compatibility bound is the constant TAU_COMPAT, positive
+        and finite, and no call replaces it by a bound that is not (NaN
+        would certify any residual): `certify` and `sweep` take no
+        `compat_tol` and refuse one with TypeError before any walk.
+        Showcase B with vertex (2,0) on BRANCH_2 is refused at
+        TAU_COMPAT."""
+        assert 0.0 < TAU_COMPAT < math.inf
         bad = [list(row) for row in pat_b.branch_default]
         bad[2][0] = BranchId.BRANCH_2
-        assert certify(pat_b, bad, 40).max_residual > 3.0
+        report = certify(pat_b, bad, 40)
+        assert report.max_residual > 3.0 and not report.verdict
+        assert report.reason.endswith("exceeds tolerance 1.0e-08")
+        counted.clear()
         for call in (lambda: certify(pat_b, bad, 40, compat_tol=tol),
                      lambda: sweep(pat_b, bad, 4, n_samples=40,
                                    compat_tol=tol)):
-            with pytest.raises(ValueError, match="compat_tol must be a "
-                               "positive finite number"):
+            with pytest.raises(TypeError, match="compat_tol"):
                 call()
+        assert counted == []
 
     @pytest.mark.parametrize("n", [2.5, 200.0, True, False, "200", None])
     def test_counts_must_be_integers(self, pat_a, n):
@@ -1038,22 +1045,6 @@ class TestCertifyMemo:
 
         assert certify(pat_a, None, np.int64(40)) is certify(pat_a, None, 40)
         assert len(sweep(pat_a, None, np.int32(3), n_samples=40)) == 3
-
-    def test_real_tolerances_are_tolerances(self, pat_b):
-        """A numpy float or a Fraction is a real number, as a numpy integer
-        is a count; the report, and the reason it gives, are the float's."""
-        from fractions import Fraction
-
-        import numpy as np
-
-        bad = [list(row) for row in pat_b.branch_default]
-        bad[2][0] = BranchId.BRANCH_2
-        want = certify(pat_b, bad, 40).reason
-        for tol in (np.float64(TAU_COMPAT), Fraction(1, 10 ** 8)):
-            p = stitch(showcase_b_plan())
-            report = certify(p, bad, 40, compat_tol=tol)
-            assert report.reason == want
-            assert certify(p, bad, 40) is report
 
     def test_copies_start_without_reports(self, pat_a):
         report = certify(pat_a, None, 60)
@@ -1195,7 +1186,15 @@ class TestMvAssignment:
                                      "1e-9"])
     def test_flat_tol_must_be_positive_and_finite(self, pat_a, tol):
         """NaN or a negative bound would label no crease F, inf every
-        crease; such a bound is refused."""
-        with pytest.raises(ValueError, match="flat_tol must be a positive "
-                           "finite number"):
+        crease.  The flat bound is the constant TAU_FLAT, positive and
+        finite: `mv_assignment` and `mv_letter` take no bound and refuse
+        one with TypeError, and label a crease F exactly when its angle's
+        magnitude is below TAU_FLAT."""
+        assert 0.0 < TAU_FLAT < math.inf
+        with pytest.raises(TypeError, match="flat_tol"):
             mv_assignment(pat_a, None, deg(12), flat_tol=tol)
+        with pytest.raises(TypeError):
+            mv_letter(deg(12), tol)
+        assert [mv_letter(x) for x in (
+            0.0, -0.0, 0.5 * TAU_FLAT, -0.5 * TAU_FLAT, TAU_FLAT,
+            -TAU_FLAT)] == ["F", "F", "F", "F", "V", "M"]

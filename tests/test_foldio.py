@@ -16,6 +16,7 @@ from quadfold import (
     Vertex4,
     build_tree,
     certify,
+    enumerate_branch_choices,
     export_fold,
     export_obj,
     export_svg,
@@ -29,13 +30,7 @@ from quadfold import (
     sweep,
 )
 from quadfold.cli import main
-from quadfold.config import (
-    CONFIG_KEYS,
-    TAU_COMPAT,
-    TAU_FLAT,
-    TAU_UNIT,
-    CliConfig,
-)
+from quadfold.config import CONFIG_KEYS, DEFAULT_SAMPLES, TAU_FLAT, CliConfig
 from quadfold.fixtures import (
     herringbone_plan,
     showcase_a_plan,
@@ -802,19 +797,17 @@ class TestCli:
     def test_config_keys_are_the_settings_fields(self, tmp_path,
                                                  monkeypatch):
         """One settings object: each $QUADFOLD_CONFIG key is a CliConfig
-        field of that name, defaulting to the library's value."""
-        assert CONFIG_KEYS == ("tau_unit", "tau_compat", "tau_flat",
-                               "samples", "frames")
+        field of that name, defaulting to the library's value.  The two
+        counts are the only settings; every bound is a constant."""
+        assert CONFIG_KEYS == ("samples", "frames")
         cfg = CliConfig()
-        assert (cfg.tau_unit, cfg.tau_compat, cfg.tau_flat, cfg.samples,
-                cfg.frames) == (TAU_UNIT, TAU_COMPAT, TAU_FLAT, 200, 30)
-        self._set_config(tmp_path, monkeypatch,
-                         {"tau_unit": 1e-6, "frames": 4})
-        assert CliConfig.from_env() == CliConfig(tau_unit=1e-6, frames=4)
+        assert (cfg.samples, cfg.frames) == (DEFAULT_SAMPLES, 30)
+        self._set_config(tmp_path, monkeypatch, {"frames": 4})
+        assert CliConfig.from_env() == CliConfig(frames=4)
 
     def test_config_override(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"samples": 33, "tau_compat": 1e-6}))
+        cfg.write_text(json.dumps({"samples": 33, "frames": 4}))
         monkeypatch.setenv("QUADFOLD_CONFIG", str(cfg))
         plan_file = tmp_path / "plan.json"
         plan_file.write_text(json.dumps(showcase_a_plan().to_json()))
@@ -839,17 +832,71 @@ class TestCli:
         cfg.write_text(json.dumps(doc))
         monkeypatch.setenv("QUADFOLD_CONFIG", str(cfg))
 
-    def test_sweep_honours_tau_compat(self, tmp_path, capsys, monkeypatch):
+    def test_certify_spelled_out_branches_and_report(self, tmp_path,
+                                                     capsys):
+        """`pattern certify --branches` certifies the grid it spells out,
+        a non-default choice on showcase B: its lines are that choice's
+        `certify(p, choice).summary()`, not the default's, and `--report`
+        writes the same report's `dumps()`."""
         fold_file = self._fold_file(tmp_path, showcase_b_plan())
-        sweep = ["pattern", "sweep", str(fold_file), "--frames", "2",
-                 "--out-dir", str(tmp_path / "frames")]
-        self._set_config(tmp_path, monkeypatch, {"samples": 33})
-        assert main(sweep) == 0
-        self._set_config(tmp_path, monkeypatch,
-                         {"samples": 33, "tau_compat": 1e-15})
-        assert main(["pattern", "certify", str(fold_file)]) == 1
-        assert main(sweep) == 1
-        assert "exceeds tolerance 1.0e-15" in capsys.readouterr().err
+        p = import_fold(json.loads(fold_file.read_text()))
+        choice = next(c for c in enumerate_branch_choices(p)
+                      if c != p.branch_default)
+        spec = ";".join(",".join(choice[i][j].value for i in range(p.m))
+                        for j in range(p.n))
+        report_file = tmp_path / "r.json"
+        capsys.readouterr()
+        rc = main(["pattern", "certify", str(fold_file), "--branches", spec,
+                   "--samples", "50", "--report", str(report_file)])
+        report = certify(p, choice, 50)
+        assert report.verdict and rc == 0
+        assert capsys.readouterr().out == (report.summary()
+                                           + f"\nwrote {report_file}\n")
+        assert report.summary() != certify(p, None, 50).summary()
+        assert report_file.read_text() == report.dumps()
+
+    def test_sweep_writes_fold_frames(self, tmp_path, capsys):
+        """`pattern sweep --format fold` writes each frame of the library's
+        `sweep` as `fold_dumps(export_fold(state, pattern=p))`."""
+        fold_file = self._fold_file(tmp_path, showcase_a_plan())
+        out_dir = tmp_path / "frames"
+        assert main(["pattern", "sweep", str(fold_file), "--frames", "3",
+                     "--out-dir", str(out_dir), "--format", "fold"]) == 0
+        p = import_fold(json.loads(fold_file.read_text()))
+        frames = sweep(p, None, 3).frames
+        assert sorted(os.listdir(out_dir)) == [
+            f"frame_{k:03d}.fold" for k in range(3)]
+        for k, state in enumerate(frames):
+            assert (out_dir / f"frame_{k:03d}.fold").read_text() == \
+                fold_dumps(export_fold(state, pattern=p))
+
+    def test_no_config_sets_a_bound(self, tmp_path, capsys, monkeypatch):
+        """The bounds are the library's constants.  A config that names
+        `tau_unit`, `tau_compat` or `tau_flat`, even with a value the
+        command line once took, exits 2 naming the key, and the command
+        does not run.  So `unit validate` cannot accept the unit that
+        `pattern stitch` refuses: the A- unit with bottom sectors moved by
+        1.386e-9 (exact residual 1.002e-8) under `{"tau_unit": 1e-7}`."""
+        u = solve_ff_unit(deg(80), deg(100), deg(60), FFUnitMode.A_MINUS)
+        a1, a2, a3, a4 = u.bottom.alpha
+        d = 1.386e-9
+        moved = replace(u, bottom=Vertex4((a1 - d, a2 + d, a3 + d, a4 - d)))
+        with pytest.raises(ValidationFailed):
+            stitch(StitchPlan(columns=((moved,),)))
+        unit_file = tmp_path / "moved.json"
+        unit_file.write_text(json.dumps(moved.to_json()))
+        for key, value in (("tau_unit", 1e-7), ("tau_compat", 1e-6),
+                           ("tau_flat", 1e-6)):
+            self._set_config(tmp_path, monkeypatch, {"samples": 64,
+                                                     key: value})
+            rc = main(["unit", "validate", str(unit_file)])
+            out, err = capsys.readouterr()
+            assert (rc, out) == (2, "")
+            assert err.startswith("bad QUADFOLD_CONFIG: unknown key "
+                                  f"{key!r}")
+        monkeypatch.delenv("QUADFOLD_CONFIG")
+        assert main(["unit", "validate", str(unit_file)]) == 1
+        assert capsys.readouterr().out.endswith("\nINVALID\n")
 
     @pytest.mark.parametrize("argv", [
         ["vertex", "solve", "--alphas", "80,95,75,110", "--rho1", "60",

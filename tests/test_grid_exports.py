@@ -32,7 +32,7 @@ from quadfold import (
     sweep,
 )
 from quadfold import pattern as pattern_mod
-from quadfold.config import TAU_FLAT, TAU_LAYOUT
+from quadfold.config import TAU_LAYOUT
 from quadfold.foldability import Propagation, mv_letter
 from quadfold.foldio import (
     _FLOAT_FMT,
@@ -199,7 +199,7 @@ def ref_export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = N
         angle = 0.0 if angles is None else angles.edge_angle(kind, a, b)
         letter = None if mv is None else _crease_letter(mv, a, b)
         if letter is None:
-            letter = mv_letter(angle, TAU_FLAT)
+            letter = mv_letter(angle)
         if _contradicts(letter, math.degrees(angle)):
             raise SerializationError(
                 f"assignment {letter} contradicts fold angle {angle!r}"

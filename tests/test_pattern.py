@@ -21,6 +21,7 @@ from quadfold import (
     count_dof,
     enumerate_branch_choices,
     identical_vertex_unit,
+    make_flatfoldable_basic_unit,
     make_straightline_unit,
     stitch,
     unit_from_descriptor,
@@ -85,6 +86,21 @@ class TestStitch:
         u2 = make_straightline_unit(Vertex4.from_degrees((75, 80, 100, 105)))
         with pytest.raises(IncompatibleUnits):
             stitch(StitchPlan(columns=((u1, u2),)))
+
+    def test_mismatched_shared_branch(self):
+        """Two stacked plain-copy units of one flat-foldable vertex, the
+        upper on BRANCH_1 and the lower on BRANCH_2: each unit is valid
+        and the shared vertex (1,0) is the same vertex, but the two units
+        put it on different branches."""
+        v = Vertex4.from_degrees((70, 95, 110, 85))
+        upper, lower = (identical_vertex_unit(v, b, mirrored=False)
+                        for b in (BranchId.BRANCH_1, BranchId.BRANCH_2))
+        assert upper.bottom.isclose(lower.top)
+        with pytest.raises(IncompatibleUnits, match=re.escape(
+                "column 0: units 0 and 1 assign different branches to "
+                "shared vertex (1,0)")):
+            stitch(StitchPlan(columns=((upper, lower),)))
+        stitch(StitchPlan(columns=((upper, upper),)))
 
     def test_mismatched_panel_between_columns(self):
         u1 = make_straightline_unit(Vertex4.from_degrees((70, 80, 100, 110)))
@@ -456,6 +472,15 @@ class TestPlanJson:
              "branch": "2"}
         )
         assert u.branch_top is BranchId.BRANCH_2
+
+    def test_flat_foldable_basic_descriptor(self):
+        """The descriptor builds what its constructor builds, from the two
+        free sector angles in degrees."""
+        u = unit_from_descriptor(
+            {"kind": "flat_foldable_basic", "alphas_deg": [70, 95]})
+        assert u == make_flatfoldable_basic_unit(math.radians(70),
+                                                 math.radians(95))
+        assert u.kind == "flat_foldable_basic"
 
     def test_ff_descriptor_solves_alpha4(self):
         u = unit_from_descriptor(

@@ -121,12 +121,18 @@ class TestValidateUnit:
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-8, True])
     def test_valid_refuses_a_bound_that_is_not_positive_and_finite(self,
                                                                    tol):
-        """inf would pass any unit, NaN none."""
+        """inf would pass any unit, NaN none.  `valid` decides at the
+        constant TAU_UNIT, positive and finite, the bound `stitch` and
+        `unit validate` accept at, and refuses any other bound with
+        TypeError."""
+        assert 0.0 < TAU_UNIT < math.inf
         u = solve_ff_unit(deg(80), deg(100), deg(60), FFUnitMode.A_PLUS)
         report = validate_unit(u, 40)
         assert report.valid()
-        with pytest.raises(ValueError, match="tol must be a positive "
-                           "finite number"):
+        for residual, valid in ((0.5 * TAU_UNIT, True), (TAU_UNIT, False)):
+            assert replace(report, max_residual_24=residual,
+                           max_residual_47=0.0).valid() is valid
+        with pytest.raises(TypeError):
             report.valid(tol)
 
     def test_perturbed_unit_fails(self):
@@ -562,7 +568,7 @@ def _ref_shared_interval(u: Unit) -> float:
     return min(reach(u.top, u.branch_top, 2), reach(u.bottom, u.branch_bottom, 0))
 
 
-def _ref_validate_unit(u: Unit, n_samples: int = 200, tol: float = TAU_UNIT) -> UnitReport:
+def _ref_validate_unit(u: Unit, n_samples: int = 200) -> UnitReport:
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     s2, s4 = u.signs

@@ -689,8 +689,7 @@ DESCRIPTOR_PLANS = {
                                      "mode": "10a-1"}]]},
 }
 # every $QUADFOLD_CONFIG key, each away from its default
-CLI_CONFIG = {"tau_unit": 1e-7, "tau_compat": 1e-6, "tau_flat": 1e-6,
-              "samples": 33, "frames": 3}
+CLI_CONFIG = {"samples": 33, "frames": 3}
 
 
 def _cli_commands():
