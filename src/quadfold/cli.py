@@ -4,7 +4,8 @@ All angles at this boundary are degrees.  Exit codes: 0 success, 1 validation
 failure, 2 usage error.  Set QUADFOLD_CONFIG to a JSON object file to
 set `samples` and `frames`; any other key is a usage error.  A
 `--samples`/`--frames` flag overrides its key.  Every bound is the
-library's constant: `unit validate` accepts at `TAU_UNIT` as `stitch` does,
+library's constant: `unit validate` decides as `stitch` does, exactly or
+at `UNIT_SAMPLES` samples (`--samples` sizes only its printed report),
 `pattern certify` and `pattern sweep` decide at `TAU_COMPAT`, and `pattern
 svg` colours by the FOLD export's letters (`TAU_FLAT`).
 """
@@ -18,14 +19,14 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import CONFIG_KEYS, TAU_UNIT, CliConfig
+from .config import CONFIG_KEYS, TAU_UNIT, UNIT_SAMPLES, CliConfig
 from .errors import OutOfDomain, QuadfoldError, SerializationError
 from .foldability import certify, mv_assignment
 from .foldio import export_fold, export_obj, export_svg, fold_dumps, import_fold
 from .pattern import StitchPlan, count_dof, stitch
 from .realize import sweep
-from .units import (FFUnitMode, Unit, _exact_residual, solve_ff_unit,
-                    validate_unit)
+from .units import (FFUnitMode, Unit, _acceptance_residual, _exact_residual,
+                    solve_ff_unit, validate_unit)
 from .vertex import (
     BranchId,
     Vertex4,
@@ -105,7 +106,7 @@ def _cmd_vertex_interval(args, cfg):
 def _cmd_unit_solve_ff(args, cfg):
     a1, a2, a3 = _parse_alphas(args.alphas, 3)
     mode = FFUnitMode.from_token(args.mode)
-    unit = solve_ff_unit(a1, a2, a3, mode, n_samples=cfg.samples)
+    unit = solve_ff_unit(a1, a2, a3, mode)
     alpha4 = unit.sector[5]  # bottom vertex's second free angle
     print(f"alpha4_deg: {_F(math.degrees(alpha4))}")
     print(fold_dumps(unit.to_json()))
@@ -128,11 +129,13 @@ def _cmd_unit_validate(args, cfg):
     report = validate_unit(unit, cfg.samples)
     print(f"samples: {report.n_samples}")
     print(f"max_residual: {report.max_residual:.3e}")
-    # the verdict is stitch's: exact on a pair of flat-foldable curves
-    sampled_ok, exact = report.valid(), _exact_residual(unit)
-    ok = sampled_ok if exact is None else exact < TAU_UNIT
-    if ok != sampled_ok:
-        print(f"exact max_residual: {exact:.3e}")
+    # stitch's verdict, and its residual where the report reads otherwise
+    residual = _acceptance_residual(unit)
+    ok = residual < TAU_UNIT
+    if ok != report.valid():
+        how = ("exact" if _exact_residual(unit) is not None
+               else f"{UNIT_SAMPLES}-sample")
+        print(f"{how} max_residual: {residual:.3e}")
     if report.degenerate_shared:
         print("note: connecting crease stays flat on this branch pair; "
               "validated through the side creases")

@@ -26,6 +26,8 @@ TAU_ROOT = 1e-10
 TAU_CLASS_BAND = 1e-6
 # unit validation residual bound
 TAU_UNIT = 1e-8
+# samples of the sweep that accepts a unit without an exact residual
+UNIT_SAMPLES = 33
 # theta/phi compatibility bound for rigid-foldability certification
 TAU_COMPAT = 1e-8
 # crease direction-vector equality for parallel-row detection

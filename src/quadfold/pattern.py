@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import TAU_DIR, TAU_LAYOUT, TAU_UNIT
+from .config import TAU_DIR, TAU_LAYOUT
 from .errors import (
     IncompatibleUnits,
     LayoutFailure,
@@ -36,7 +36,7 @@ from .errors import (
     NotABlanket,
     ValidationFailed,
 )
-from .units import DOF_TABLE, _acceptance_residual, json_keys, \
+from .units import DOF_TABLE, _validated, json_keys, \
     json_numbers, unit_from_descriptor, valid_branch_pairs
 from .vertex import Vertex4, normalize_angle
 
@@ -402,27 +402,22 @@ def stitch(plan: StitchPlan) -> QuadPattern:
     """Assemble a plan into a pattern, checking shared vertices and panels.
 
     Raises IncompatibleUnits for mismatched shared sector angles or branch
-    assignments, ValidationFailed for a unit whose transmissions do not
-    match, and LayoutFailure when the planar layout cannot be realized.  A
-    unit of two flat-foldable curves is checked exactly, from the
-    transmission constants; any other unit by a 33-sample `validate_unit`
-    sweep.
+    assignments, ValidationFailed for a unit that `_acceptance_residual`,
+    the one unit rule, refuses (exactly for two flat-foldable curves, by a
+    `UNIT_SAMPLES`-sample sweep otherwise), and LayoutFailure when the
+    planar layout cannot be realized.
     """
     m, n = plan.n_rows, plan.n_cols
     vertices = [[None] * n for _ in range(m)]
     branches = [[None] * n for _ in range(m)]
-    residuals = {}  # Unit -> its acceptance residual: equal units check once
+    accepted = set()  # equal units check once
 
     for j, col in enumerate(plan.columns):
         for k, u in enumerate(col):
-            residual = residuals.get(u)
-            if residual is None:
-                residual = residuals[u] = _acceptance_residual(u, 33)
-            if not residual < TAU_UNIT:
-                raise ValidationFailed(
-                    f"unit {k} of column {j} fails validation "
-                    f"(max residual {residual:.3e})"
-                )
+            if u not in accepted:
+                accepted.add(_validated(
+                    u, f"unit {k} of column {j} fails validation "
+                       "(max residual {:.3e})"))
             if k == 0:
                 vertices[0][j] = u.top
                 branches[0][j] = u.branch_top

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-from .config import TAU_EMPTY, TAU_FLAT, TAU_UNIT, check_count
+from .config import TAU_EMPTY, TAU_FLAT, TAU_UNIT, UNIT_SAMPLES, check_count
 from .errors import (
     DegenerateVertex,
     EmptyInterval,
@@ -393,9 +393,9 @@ def validate_unit(u: Unit, n_samples: int = 200) -> UnitReport:
     plus the shared crease staying flat; EmptyInterval is raised when neither
     parametrization moves.
 
-    This is the sampled report.  The unit constructors, `stitch` and
-    `valid_branch_pairs` accept or refuse a pair of flat-foldable curves
-    exactly instead, from the transmission constants.
+    This is the sampled report, sized by `n_samples`.  It does not decide
+    whether a unit is accepted: `_acceptance_residual` does, for the unit
+    constructors, `stitch`, `valid_branch_pairs` and `unit validate`.
     """
     check_count(n_samples, 2, "n_samples must be >= 2")
     s2, s4 = u.signs
@@ -456,23 +456,21 @@ def _exact_residual(u: Unit):
     return max(_sup_gap(t2, s2 * b2), _sup_gap(t4, s4 * b4))
 
 
-def _acceptance_residual(u: Unit, n_samples: int) -> float:
-    """The residual that accepts or refuses `u`: `_exact_residual` where
-    there is one, otherwise `validate_unit(u, n_samples)`'s sampled max
-    residual.  Argument checks are `validate_unit`'s."""
-    check_count(n_samples, 2, "n_samples must be >= 2")
+def _acceptance_residual(u: Unit) -> float:
+    """The residual that accepts `u` (below TAU_UNIT) or refuses it, the one
+    rule for every unit: `_exact_residual` where there is one, otherwise a
+    `UNIT_SAMPLES`-sample `validate_unit` sweep's max residual."""
     exact = _exact_residual(u)
-    return validate_unit(u, n_samples).max_residual if exact is None \
+    return validate_unit(u, UNIT_SAMPLES).max_residual if exact is None \
         else exact
 
 
-def _validated(u: Unit, n_samples: int, what: str) -> Unit:
-    """`u` itself when its acceptance residual is below TAU_UNIT, the bound
-    of `UnitReport.valid` and of `unit validate`; ValidationFailed, with
-    the message prefix `what`, otherwise."""
-    residual = _acceptance_residual(u, n_samples)
+def _validated(u: Unit, refusal: str) -> Unit:
+    """`u` if `_acceptance_residual` accepts it, else ValidationFailed
+    with the message `refusal.format(residual)`."""
+    residual = _acceptance_residual(u)
     if not residual < TAU_UNIT:
-        raise ValidationFailed(f"{what}: max residual {residual:.3e}")
+        raise ValidationFailed(refusal.format(residual))
     return u
 
 
@@ -491,7 +489,7 @@ def _with_signs(u: Unit, t_max: float) -> Unit:
 
 
 def identical_vertex_unit(v: Vertex4, branch: BranchId, *, mirrored: bool = True,
-                          kind: str = "custom", n_samples: int = 64) -> Unit:
+                          kind: str = "custom") -> Unit:
     """Unit whose bottom vertex is the same vertex, mirrored across the
     connecting crease (or the plain copy when `mirrored` is false).
 
@@ -503,14 +501,14 @@ def identical_vertex_unit(v: Vertex4, branch: BranchId, *, mirrored: bool = True
     curve of a straight-line vertex with pair (c2, c4), fails validation
     (ValidationFailed).
 
-    A flat-foldable vertex on a curve branch is accepted exactly, from its
-    transmission constant; any other vertex is swept at `n_samples`.
+    `_acceptance_residual` decides: exactly for a flat-foldable vertex on a
+    curve branch, by a `UNIT_SAMPLES`-sample sweep for any other vertex.
     """
     bottom = v.mirrored() if mirrored else v
     unit = Unit(top=v, bottom=bottom, branch_top=branch, branch_bottom=branch,
                 signs=(1, 1), kind=kind)
-    return _validated(_with_signs(unit, _shared_interval(unit)), n_samples,
-                      "unit validation failed")
+    return _validated(_with_signs(unit, _shared_interval(unit)),
+                      "unit validation failed: max residual {:.3e}")
 
 
 def make_straightline_unit(v: Vertex4) -> Unit:
@@ -527,7 +525,7 @@ def make_straightline_unit(v: Vertex4) -> Unit:
         branch = BranchId.BRANCH_2
     else:
         raise WrongClass("make_straightline_unit requires a straight-line vertex")
-    return identical_vertex_unit(v, branch, kind="straight_line", n_samples=200)
+    return identical_vertex_unit(v, branch, kind="straight_line")
 
 
 def make_flatfoldable_basic_unit(alpha1: float, alpha2: float) -> Unit:
@@ -536,7 +534,7 @@ def make_flatfoldable_basic_unit(alpha1: float, alpha2: float) -> Unit:
     _check_open_interval(alpha2, "alpha2")
     v = Vertex4((alpha1, alpha2, math.pi - alpha1, math.pi - alpha2))
     return identical_vertex_unit(v, BranchId.BRANCH_1, mirrored=False,
-                                 kind="flat_foldable_basic", n_samples=200)
+                                 kind="flat_foldable_basic")
 
 
 def _check_open_interval(x: float, name: str):
@@ -545,16 +543,16 @@ def _check_open_interval(x: float, name: str):
 
 
 def solve_ff_unit(alpha1: float, alpha2: float, alpha3: float,
-                  mode: FFUnitMode, n_samples: int = 200) -> Unit:
+                  mode: FFUnitMode) -> Unit:
     """Design a flat-foldable unit from three free sector angles.
 
     The fourth angle follows from the selected mode's tan-half identity; the
     top vertex is built from (alpha1, alpha2), the bottom from
     (alpha3, alpha4), each completed with the supplements that make it
     flat-foldable.  The branch pair and transmission signs are fixed by the
-    mode and verified exactly, from the transmission constants, before the
-    unit is returned.  A C-mode vertex with a1 + a2 = pi moves on a segment,
-    not a curve, and a unit with one is swept at `n_samples` instead.
+    mode and accepted exactly by `_acceptance_residual`; a C-mode vertex
+    with a1 + a2 = pi moves on a segment, not a curve, so a unit with one
+    is swept at `UNIT_SAMPLES` samples instead.
     """
     for x, name in ((alpha1, "alpha1"), (alpha2, "alpha2"), (alpha3, "alpha3")):
         _check_open_interval(x, name)
@@ -566,7 +564,8 @@ def solve_ff_unit(alpha1: float, alpha2: float, alpha3: float,
     unit = Unit(top=top, bottom=bottom, branch_top=mode.branch,
                 branch_bottom=mode.branch, signs=mode.signs,
                 kind="flat_foldable", mode=mode)
-    return _validated(unit, n_samples, f"mode {mode.value} unit failed validation")
+    return _validated(unit, f"mode {mode.value} unit failed validation: "
+                            "max residual {:.3e}")
 
 
 def valid_branch_pairs(u: Unit) -> list:
@@ -575,9 +574,9 @@ def valid_branch_pairs(u: Unit) -> list:
 
     A curve branch the vertex class lacks raises WrongClass or
     DegenerateVertex and is skipped.  The pairs whose connecting crease never
-    folds are dropped; those motions do not couple a stitched column.  A
-    pair of flat-foldable curves is checked exactly, from the transmission
-    constants; any other pair by a 33-sample `validate_unit` sweep.
+    folds are dropped; those motions do not couple a stitched column.  So
+    are those `_acceptance_residual` refuses: exactly for a pair of
+    flat-foldable curves, by a `UNIT_SAMPLES`-sample sweep otherwise.
     """
     pairs = []
     for bt in CURVE_BRANCHES:
@@ -587,12 +586,11 @@ def valid_branch_pairs(u: Unit) -> list:
                 t_max = _shared_interval(cand)
                 if t_max <= TAU_EMPTY:
                     continue
-                cand = _with_signs(cand, t_max)
-                residual = _acceptance_residual(cand, 33)
-            except (EmptyInterval, OutOfDomain, DegenerateVertex, WrongClass):
+                cand = _validated(_with_signs(cand, t_max), "")
+            except (EmptyInterval, OutOfDomain, DegenerateVertex, WrongClass,
+                    ValidationFailed):
                 continue
-            if residual < TAU_UNIT:
-                pairs.append((bt, bb, cand.signs))
+            pairs.append((bt, bb, cand.signs))
     return pairs
 
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from quadfold import (
+    BranchId,
     FFUnitMode,
     PlanLengths,
     SerializationError,
@@ -28,9 +29,13 @@ from quadfold import (
     solve_ff_unit,
     stitch,
     sweep,
+    valid_branch_pairs,
+    validate_unit,
 )
 from quadfold.cli import main
-from quadfold.config import CONFIG_KEYS, DEFAULT_SAMPLES, TAU_FLAT, CliConfig
+from quadfold.config import (CONFIG_KEYS, DEFAULT_SAMPLES, TAU_FLAT, TAU_UNIT,
+                             CliConfig)
+from quadfold.units import _acceptance_residual
 from quadfold.fixtures import (
     herringbone_plan,
     showcase_a_plan,
@@ -674,6 +679,43 @@ class TestCli:
             rc, out = runs["plain", samples]
             assert rc == 0 and out.endswith("\nvalid\n")
             assert "exact" not in out
+
+    def test_sampled_unit_validate_decides_as_stitch(self, tmp_path, capsys):
+        """A unit of two generic vertices, so sampled, whose residual is
+        9.939e-9 at 33 samples but 1.001e-8 at 64, 200 and 500: `unit
+        validate` exits as `pattern stitch` of its one-unit plan does at
+        every `--samples`, and `stitch`, `valid_branch_pairs` and the
+        acceptance residual agree in the library."""
+        u = Unit(top=Vertex4((1.0487673900869332, 1.841195053869466,
+                              1.5872927501457519, 1.805930113077436)),
+                 bottom=Vertex4((1.8059301155697016, 1.5872927501457519,
+                                 1.8411950513772002, 1.0487673900869332)),
+                 branch_top=BranchId.BRANCH_2, branch_bottom=BranchId.BRANCH_2,
+                 signs=(1, 1))
+        assert Unit.from_json(u.to_json()) == u
+        assert validate_unit(u, 33).valid()
+        assert not validate_unit(u, 64).valid()
+        unit_file = tmp_path / "unit.json"
+        unit_file.write_text(json.dumps(u.to_json()))
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps({"columns": [[u.to_json()]]}))
+
+        stitched = main(["pattern", "stitch", str(plan_file),
+                         "-o", str(tmp_path / "u.fold")])
+        capsys.readouterr()
+        assert stitched == 0
+        assert main(["unit", "validate", str(unit_file)]) == stitched
+        assert capsys.readouterr().out == (
+            "samples: 200\nmax_residual: 1.001e-08\n"
+            "33-sample max_residual: 9.939e-09\nvalid\n")
+        assert main(["unit", "validate", str(unit_file),
+                     "--samples", "500"]) == stitched
+        assert capsys.readouterr().out.endswith("\nvalid\n")
+
+        stitch(StitchPlan(columns=((u,),)))
+        assert (u.branch_top, u.branch_bottom, u.signs) in \
+            valid_branch_pairs(u)
+        assert _acceptance_residual(u) < TAU_UNIT
 
     def test_pattern_pipeline(self, tmp_path, capsys):
         plan_file = tmp_path / "plan.json"

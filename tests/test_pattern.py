@@ -28,6 +28,7 @@ from quadfold import (
 )
 from quadfold import fixtures as fixtures_mod
 from quadfold import pattern as pattern_mod
+from quadfold import units as units_mod
 from quadfold.units import _acceptance_residual
 from quadfold.fixtures import (
     herringbone_plan,
@@ -112,11 +113,11 @@ class TestStitch:
         plan = herringbone_plan(4, 3)
         seen = []
 
-        def counting(u, n_samples):
+        def counting(u):
             seen.append(u)
-            return _acceptance_residual(u, n_samples)
+            return _acceptance_residual(u)
 
-        monkeypatch.setattr(pattern_mod, "_acceptance_residual", counting)
+        monkeypatch.setattr(units_mod, "_acceptance_residual", counting)
         stitch(plan)
         units = list(plan.units())
         assert len(units) == 9
@@ -127,11 +128,11 @@ class TestStitch:
         bad = plan.columns[0][1]
         assert bad != plan.columns[0][0] and plan.columns[1][1] == bad
 
-        def failing(u, n_samples):
-            residual = _acceptance_residual(u, n_samples)
+        def failing(u):
+            residual = _acceptance_residual(u)
             return 1.0 if u == bad else residual
 
-        monkeypatch.setattr(pattern_mod, "_acceptance_residual", failing)
+        monkeypatch.setattr(units_mod, "_acceptance_residual", failing)
         with pytest.raises(ValidationFailed, match="unit 1 of column 0 "):
             stitch(plan)
 

@@ -33,8 +33,8 @@ from quadfold import (
 )
 from quadfold import fixtures
 from quadfold import units as units_mod
-from quadfold.config import TAU_UNIT
-from quadfold.fixtures import showcase_a_plan, showcase_b_plan
+from quadfold.config import TAU_UNIT, UNIT_SAMPLES
+from quadfold.fixtures import herringbone_plan, showcase_a_plan, showcase_b_plan
 from quadfold.pattern import StitchPlan, stitch
 from quadfold.units import UNIT_KINDS, _acceptance_residual
 from quadfold.vertex import _branch_param, _FFCurve
@@ -236,7 +236,7 @@ class TestExactAcceptance:
                                     (u.bottom, u.branch_bottom)))
             for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
                 w = replace(u, signs=signs)
-                exact = _acceptance_residual(w, 200)
+                exact = _acceptance_residual(w)
                 report = validate_unit(w, 200)
                 assert (exact < TAU_UNIT) == report.valid(), w
                 # the supremum bounds every sample, up to rounding
@@ -246,8 +246,7 @@ class TestExactAcceptance:
 
     def test_a_failure_between_samples_is_refused(self):
         u = _between_samples_unit()
-        assert _acceptance_residual(u, 33) == pytest.approx(1.002e-8,
-                                                            rel=1e-3)
+        assert _acceptance_residual(u) == pytest.approx(1.002e-8, rel=1e-3)
         assert validate_unit(u, 33).valid()
         assert validate_unit(u, 64).valid()
         assert not validate_unit(u, 200).valid()
@@ -261,25 +260,36 @@ class TestExactAcceptance:
                                     FFUnitMode.A_MINUS).bottom))
 
     def test_flat_foldable_designs_sweep_nothing(self, monkeypatch):
-        def unexpected(u, n_samples):
-            raise AssertionError("sampled sweep of a flat-foldable pair")
+        """Flat-foldable designs are accepted without a sweep, and every
+        other acceptance sweeps `UNIT_SAMPLES` samples."""
+        asked = []
+        sampled = units_mod.validate_unit
 
-        monkeypatch.setattr(units_mod, "validate_unit", unexpected)
+        def recording(u, n_samples):
+            asked.append(n_samples)
+            return sampled(u, n_samples)
+
+        def counts(build):
+            asked.clear()
+            build()
+            return asked[:]
+
+        monkeypatch.setattr(units_mod, "validate_unit", recording)
         for mode in FFUnitMode:
             u = solve_ff_unit(deg(80), deg(95), deg(60), mode)
-            stitch(StitchPlan(columns=((u,),)))
-            assert valid_branch_pairs(u)
-        make_flatfoldable_basic_unit(deg(70), deg(80))
-
-    @pytest.mark.parametrize("n", [1, 2.5, True])
-    def test_sample_counts_are_still_checked(self, n):
-        with pytest.raises(ValueError, match="n_samples must be >= 2"):
-            solve_ff_unit(deg(80), deg(100), deg(60), FFUnitMode.A_PLUS,
-                          n_samples=n)
-        v = Vertex4.from_degrees((70, 80, 110, 100))
-        assert classify(v).flat_foldable
-        with pytest.raises(ValueError, match="n_samples must be >= 2"):
-            identical_vertex_unit(v, BranchId.BRANCH_1, n_samples=n)
+            assert counts(lambda: stitch(StitchPlan(columns=((u,),)))) == []
+            assert counts(lambda: valid_branch_pairs(u)) == []
+        assert counts(
+            lambda: make_flatfoldable_basic_unit(deg(70), deg(80))) == []
+        generic = Vertex4.from_degrees((80, 95, 75, 110))
+        sl = make_straightline_unit(Vertex4.from_degrees((70, 80, 100, 110)))
+        for build in (
+                lambda: identical_vertex_unit(generic, BranchId.BRANCH_1),
+                lambda: make_straightline_unit(sl.top),
+                lambda: stitch(herringbone_plan(4, 3)),
+                lambda: valid_branch_pairs(sl)):
+            got = counts(build)
+            assert got and set(got) == {UNIT_SAMPLES}
 
 
 class TestStraightLineUnit:
@@ -553,7 +563,8 @@ class TestInfeasibility:
 
 # ---------------------------------------------------------------------------
 # reference: the unit pipeline as it stood before `_reach` and `_validated`,
-# copied verbatim but for the `_ref_` names it calls
+# copied verbatim but for the `_ref_` names it calls and its acceptance
+# sweeps, each now of `UNIT_SAMPLES` samples
 # ---------------------------------------------------------------------------
 
 
@@ -637,11 +648,11 @@ def _ref_finalize(u: Unit, n_samples: int) -> Unit:
 
 
 def _ref_identical_vertex_unit(v: Vertex4, branch: BranchId, *, mirrored: bool = True,
-                               kind: str = "custom", n_samples: int = 64) -> Unit:
+                               kind: str = "custom") -> Unit:
     bottom = v.mirrored() if mirrored else v
     unit = Unit(top=v, bottom=bottom, branch_top=branch, branch_bottom=branch,
                 signs=(1, 1), kind=kind)
-    return _ref_finalize(unit, n_samples)
+    return _ref_finalize(unit, UNIT_SAMPLES)
 
 
 def _ref_make_straightline_unit(v: Vertex4) -> Unit:
@@ -652,7 +663,7 @@ def _ref_make_straightline_unit(v: Vertex4) -> Unit:
                     branch_top=BranchId.LINE_SEGMENT_1,
                     branch_bottom=BranchId.LINE_SEGMENT_1,
                     signs=(1, 1), kind="straight_line")
-        report = _ref_validate_unit(unit)
+        report = _ref_validate_unit(unit, UNIT_SAMPLES)
         if not report.valid():
             raise ValidationFailed(
                 f"unit validation failed: max residual {report.max_residual:.3e}"
@@ -660,8 +671,7 @@ def _ref_make_straightline_unit(v: Vertex4) -> Unit:
         return unit
     if tag is not ClassTag.STRAIGHT_LINE:
         raise WrongClass("make_straightline_unit requires a straight-line vertex")
-    return _ref_identical_vertex_unit(v, BranchId.BRANCH_2, kind="straight_line",
-                                      n_samples=200)
+    return _ref_identical_vertex_unit(v, BranchId.BRANCH_2, kind="straight_line")
 
 
 def _ref_valid_branch_pairs(u: Unit) -> list:
@@ -683,7 +693,7 @@ def _ref_valid_branch_pairs(u: Unit) -> list:
                 if s2 is None and s4 is None and _ref_shared_interval(cand) <= 1e-9:
                     continue
                 cand = replace(cand, signs=(s2 or 1, s4 or 1))
-                report = _ref_validate_unit(cand, 33)
+                report = _ref_validate_unit(cand, UNIT_SAMPLES)
             except (EmptyInterval, OutOfDomain, DegenerateVertex, WrongClass):
                 continue
             if report.degenerate_shared:

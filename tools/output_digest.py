@@ -87,7 +87,12 @@ where the call raises:
 * twin columns: a seeded 16x16 herringbone's `certify` report and the
   residuals of its 12-frame `sweep`, and an 8x8 herringbone with one
   vertex moved in a lower row or in the top row, which ends its repeated
-  columns there: its report and `propagate` at 13 driving angles.
+  columns there: its report and `propagate` at 13 driving angles;
+* one acceptance rule: two units of generic vertices whose sampled
+  residual crosses `TAU_UNIT` between 33, 64 and 200 samples, each with
+  its `stitch` verdict, its `valid_branch_pairs` and `quadfold unit
+  validate` of the file its `to_json` writes, at the default samples and
+  at `--samples 500`.
 
 One line per text gives that text's own hash, so a diff of two outputs names
 the texts that moved; the last line is the total.  It is a comparison tool,
@@ -198,6 +203,19 @@ TINY_TARGETS = (5e-324, -5e-324, 1e-300, -1e-300)
 # moves of a flat-foldable unit's bottom sectors, around the size whose
 # residual crosses TAU_UNIT (about 1.4e-9 on 80/100/60-degree designs)
 FF_MOVES = (0.0, 1e-12, 1e-10, 1e-9, 3e-9, 1e-8, 1e-6)
+# (top, bottom) stored sectors of units on branch 2 of both vertices, signs
+# (1, 1), whose sampled residual crosses TAU_UNIT: A's is 9.939e-9 at 33
+# samples and 1.0009e-8 at 64, B's 1.0026e-8 at 33 and 9.984e-9 at 64
+THRESHOLD_UNITS = {
+    "A": ((1.0487673900869332, 1.841195053869466, 1.5872927501457519,
+           1.805930113077436),
+          (1.8059301155697016, 1.5872927501457519, 1.8411950513772002,
+           1.0487673900869332)),
+    "B": ((1.4899506918888203, 1.4449796707683553, 1.4577072898110597,
+           1.8905476547113516),
+          (1.8905476567442456, 1.4577072898110597, 1.4449796687354612,
+           1.4899506918888203)),
+}
 
 
 def _sector(rng) -> float:
@@ -769,18 +787,15 @@ def _cli_run(argv, config: bool) -> str:
     return repr((code, out.getvalue(), err.getvalue(), files))
 
 
-def cli_texts():
+@contextlib.contextmanager
+def _cli_dir():
+    """A temporary working directory for CLI runs, its path; the working
+    directory and $QUADFOLD_CONFIG are restored on leaving."""
     saved_cwd, saved_env = os.getcwd(), os.environ.get("QUADFOLD_CONFIG")
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            _write_inputs(Path(tmp))
-            for argv, flag in _cli_commands():
-                for with_flag in (False, True) if flag else (False,):
-                    run = argv + flag if with_flag else argv
-                    for config in (False, True):
-                        yield (f"cli {'config' if config else 'default'} "
-                               + " ".join(run), _cli_run(run, config))
+            yield Path(tmp)
         finally:
             os.chdir(saved_cwd)
             if saved_env is None:
@@ -789,15 +804,27 @@ def cli_texts():
                 os.environ["QUADFOLD_CONFIG"] = saved_env
 
 
+def cli_texts():
+    with _cli_dir() as tmp:
+        _write_inputs(tmp)
+        for argv, flag in _cli_commands():
+            for with_flag in (False, True) if flag else (False,):
+                run = argv + flag if with_flag else argv
+                for config in (False, True):
+                    yield (f"cli {'config' if config else 'default'} "
+                           + " ".join(run), _cli_run(run, config))
+
+
+def _stitched(u) -> str:
+    stitch(StitchPlan(columns=((u,),)))
+    return "stitched"
+
+
 def ff_acceptance_texts():
     """The `stitch` verdict and the `valid_branch_pairs` of seeded
     flat-foldable units with the bottom's sectors moved by each of
     `FF_MOVES`."""
     rng = random.Random(SEED + 11)
-
-    def stitched(u):
-        stitch(StitchPlan(columns=((u,),)))
-        return "stitched"
 
     for k in range(N_UNITS):
         a1, a2, a3 = _sector(rng), _sector(rng), _sector(rng)
@@ -813,7 +840,7 @@ def ff_acceptance_texts():
                 w = dataclasses.replace(u, bottom=Vertex4(
                     (b1 - d, b2 + d, b3 + d, b4 - d)))
                 label = f"ff acceptance {mode.value} {k} d={d!r}"
-                yield f"{label} stitch", _outcome(lambda: stitched(w))
+                yield f"{label} stitch", _outcome(lambda: _stitched(w))
                 yield (f"{label} valid_branch_pairs",
                        _outcome(lambda: valid_branch_pairs(w)))
 
@@ -849,6 +876,26 @@ def twin_column_texts():
                          for t in (1.9 * (k / 6 - 1) for k in range(13))))
 
 
+def threshold_unit_texts():
+    """Units A and B of `THRESHOLD_UNITS`: the `stitch` verdict, the
+    `valid_branch_pairs` and `quadfold unit validate` of the file the
+    unit's `to_json` writes (B's does not read back bit for bit), with
+    the default samples and with `--samples 500`."""
+    with _cli_dir():
+        for name, (top, bottom) in THRESHOLD_UNITS.items():
+            u = Unit(top=Vertex4(top), bottom=Vertex4(bottom),
+                     branch_top=BranchId.BRANCH_2,
+                     branch_bottom=BranchId.BRANCH_2, signs=(1, 1))
+            yield f"unit {name} stitch", _outcome(lambda: _stitched(u))
+            yield (f"unit {name} valid_branch_pairs",
+                   _outcome(lambda: valid_branch_pairs(u)))
+            Path(f"{name}.json").write_text(json.dumps(u.to_json()),
+                                            encoding="utf-8")
+            for flag in ([], ["--samples", "500"]):
+                argv = ["unit", "validate", f"{name}.json", *flag]
+                yield "cli default " + " ".join(argv), _cli_run(argv, False)
+
+
 def texts():
     """Every text the digest covers, labelled, in a fixed order."""
     yield from vertex_texts()
@@ -875,6 +922,7 @@ def texts():
     yield from cli_texts()
     yield from ff_acceptance_texts()
     yield from twin_column_texts()
+    yield from threshold_unit_texts()
 
 
 def main(argv=None) -> int:
