@@ -92,8 +92,9 @@ class Propagation:
 
         Cut creases report the value propagated from the left column.
         """
-        i, j, k = crease_slot(len(self.solutions), kind, a, b)
-        return self.solutions[i][j].rho[k]
+        rows = self.solutions
+        i, j, k = crease_slot(len(rows), len(rows and rows[0]), kind, a, b)
+        return rows[i][j].rho[k]
 
 
 def check_solved_grid(p: QuadPattern, prop: Propagation, error=ValueError):
@@ -105,22 +106,26 @@ def check_solved_grid(p: QuadPattern, prop: Propagation, error=ValueError):
                     f"pattern is {p.m}x{p.n}")
 
 
-def crease_slot(m: int, kind: str, a, b) -> tuple:
-    """(i, j, k): a grid crease of an m-row blanket (addressed as in
-    QuadPattern.edges) folds by rho[k] of inner vertex (i, j).  A cut
-    crease is the left column's R crease."""
+def crease_slot(m: int, n: int, kind: str, a, b) -> tuple:
+    """(i, j, k): a crease of an m x n blanket's grid (addressed as in
+    QuadPattern.edges, either end first) folds by rho[k] of inner vertex
+    (i, j).  A cut crease is the left column's R crease.  Any other
+    (kind, a, b), a boundary edge among them, is refused with ValueError."""
     (r1, c1), (r2, c2) = a, b
-    if kind == "col":
+    if kind == "col" and c1 == c2 and abs(r1 - r2) == 1 and 1 <= c1 <= n:
         r = min(r1, r2)
-        if r <= m - 1:
+        if 0 <= r < m:
             return r, c1 - 1, 0                # U crease of (r, c-1)
-        return m - 1, c1 - 1, 2                # bottom stub
-    if kind == "row":
+        if r == m:
+            return m - 1, c1 - 1, 2            # bottom stub
+    if kind == "row" and r1 == r2 and abs(c1 - c2) == 1 and 1 <= r1 <= m:
         c = min(c1, c2)
         if c == 0:
             return r1 - 1, 0, 1                # left stub
-        return r1 - 1, c - 1, 3                # R crease of (r-1, c-1)
-    raise ValueError("boundary edges do not fold")
+        if 0 < c <= n:
+            return r1 - 1, c - 1, 3            # R crease of (r-1, c-1)
+    raise ValueError(f"{kind} edge {a}-{b} is not a crease of the {m}x{n} "
+                     f"grid")
 
 
 def _walk(p: QuadPattern, branches, ts) -> tuple:
@@ -214,18 +219,11 @@ def _twins(p: QuadPattern, branches, top) -> list:
     return twin
 
 
-def _propagations(tree: TreeStructure, ts, branch_choice) -> tuple:
-    """`propagate` at each driving angle of `ts`, from one walk: the
-    Propagations before the first refused angle, and the OutOfDomain
-    `propagate` raises there (None when no angle is refused)."""
-    p, ts = tree.pattern, [float(t) for t in ts]
-    sols, refused = _walk(p, _branch_grid(p, branch_choice), ts)
-    first = min(refused, default=len(ts))
-    props = [Propagation(t, g, tuple(
-                 ((i, j), g[i][j].rho[3], g[i][j + 1].rho[1])
-                 for i, j in tree.cut_creases))
-             for t, g in zip(ts[:first], zip(*[zip(*row) for row in sols]))]
-    return props, refused.get(first)
+def _propagation(tree: TreeStructure, t: float, sols, k: int) -> Propagation:
+    """Frame k, driven by t, of a walk's grid of solution lists `sols`."""
+    g = tuple(tuple(c[k] for c in row) for row in sols)
+    return Propagation(t, g, tuple(((i, j), g[i][j].rho[3], g[i][j + 1].rho[1])
+                                   for i, j in tree.cut_creases))
 
 
 def propagate(tree: TreeStructure, driving: float,
@@ -236,10 +234,11 @@ def propagate(tree: TreeStructure, driving: float,
     This is the walk (`_walk`) of the one angle, with its refusal: a
     vertex that cannot be driven is named in an `OutOfDomain`.
     """
-    props, refusal = _propagations(tree, (driving,), branch_choice)
-    if refusal is not None:
-        raise refusal
-    return props[0]
+    p, t = tree.pattern, float(driving)
+    sols, refused = _walk(p, _branch_grid(p, branch_choice), (t,))
+    if refused:
+        raise refused[0]
+    return _propagation(tree, t, sols, 0)
 
 
 def _finite_or_none(x: float):

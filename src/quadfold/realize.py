@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_SAMPLES, TAU_CLOSURE, TAU_RIGID, check_count
 from .errors import ClosureViolation, RigidityViolation
-from .foldability import (BranchChoice, Propagation, _propagations,
+from .foldability import (BranchChoice, Propagation, _propagation, _walk,
                           build_tree, certify, check_solved_grid, crease_slot)
 from .pattern import QuadPattern, check_layout_angles
 from .vertex import Vertex4, VertexSolution
@@ -95,10 +95,13 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldedState:
     """Rigidly folded embedding of the whole grid at one driving angle
-    (`angles.driving`)."""
+    (`angles.driving`).
+
+    Equality and hashing go by identity: the coordinates are an array.
+    """
 
     coords: np.ndarray            # (m+2, n+2, 3)
     angles: Propagation           # the crease angles folded by
@@ -149,8 +152,10 @@ def _place_column(coords, T, pts, c) -> tuple:
             np.fmax.reduce(strains, axis=(0, 2)))
 
 
-def _fold_frames(p: QuadPattern, props: Sequence[Propagation]) -> tuple:
-    """Each propagation's FoldedState, folded one face column at a time.
+def _fold_frames(p: QuadPattern, sols, props) -> tuple:
+    """Each propagation of `props` as a FoldedState, folded one face
+    column at a time by the angles of `sols`, an m x n grid of solution
+    lists (a walk's) whose entry k is frame k's.
 
     Column 0 chains down its rows, one matmul per row over the frames;
     every later column is one matmul of the column on its left with one
@@ -170,8 +175,8 @@ def _fold_frames(p: QuadPattern, props: Sequence[Propagation]) -> tuple:
 
     def turns(kind, ends, sign):
         # crossing crease a->b from its right side to its left composes +rho
-        slots = [crease_slot(m, kind, a, b) for a, b in ends]
-        rho = np.array([[sign * prop.solutions[i][j].rho[k] for prop in props]
+        slots = [crease_slot(m, n, kind, a, b) for a, b in ends]
+        rho = np.array([[sign * s.rho[k] for s in sols[i][j][:frames]]
                         for i, j, k in slots])
         (ra, ca), (rb, cb) = np.array(ends).transpose(1, 2, 0)
         d = pts[rb, cb, :3] - pts[ra, ca, :3]
@@ -195,19 +200,13 @@ def _fold_frames(p: QuadPattern, props: Sequence[Propagation]) -> tuple:
         rigidity = np.fmax(rigidity, strain)
 
     # the oracle reads (sector angles, rho) only, and a blanket repeats a
-    # few: a column whose sector angles and solution objects are an earlier
-    # column's (a walk shares both) adds no state, so only the others are
-    # hashed, row-major as the whole grid would be
-    kinds = {}
-    kind = [kinds.setdefault(tuple(v.alpha for v in col), j)
-            for j, col in enumerate(zip(*p.vertices))]
-    for k, prop in enumerate(props):
-        seen = {}
-        cols = [j for j, col in enumerate(zip(*prop.solutions))
-                if seen.setdefault((kind[j], *map(id, col)), j) == j]
-        distinct = {(vs[j].alpha, sols[j].rho): (vs[j], sols[j])
-                    for vs, sols in zip(p.vertices, prop.solutions)
-                    for j in cols}
+    # few: a list twin columns share (the walk's, for equal vertices) is
+    # read once, then each distinct state of a frame is checked once,
+    # row-major as the whole grid would be
+    lists = {id(c): (v, c) for vs, row in zip(p.vertices, sols)
+             for v, c in zip(vs, row)}.values()
+    for k in range(frames):
+        distinct = {(v.alpha, c[k].rho): (v, c[k]) for v, c in lists}
         closure[k] = max(closure[k], *(loop_closure_residual(v, sol)
                                        for v, sol in distinct.values()))
         # a closure mismatch is the cause; a rigidity failure is its symptom
@@ -241,12 +240,16 @@ def realize(p: QuadPattern, prop: Propagation) -> FoldedState:
     with ValueError.  `sweep` folds all its frames in the same passes.
     """
     check_solved_grid(p, prop)
-    return _fold_frames(p, (prop,))[0]
+    return _fold_frames(p, [[[s] for s in row] for row in prop.solutions],
+                        [prop])[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Folding motion sampled from the trivial state to the final state."""
+    """Folding motion sampled from the trivial state to the final state.
+
+    Equality and hashing go by identity, as for its frames.
+    """
 
     frames: tuple                 # FoldedState per sample
     driving_angles: tuple
@@ -265,12 +268,15 @@ def sweep(p: QuadPattern, branch_choice: BranchChoice = None,
     Frames run from the trivial state (driving angle 0) to the endpoint of
     the interval `certify` (memoised per pattern) gives for these
     arguments; a pattern it does not certify at `TAU_COMPAT` is refused
-    with ClosureViolation.  One walk gives every frame's angles; all
-    frames are folded and verified together, in the column passes of
-    `realize`, and the maxima of the per-frame residuals are reported.
-    Where the walk refuses a frame, the frames before it are folded first,
-    then its refusal is raised.  An `n_frames` that is not an integer >= 1 (a bool is not) is
-    refused with ValueError, as are `certify`'s bad arguments.
+    with ClosureViolation.  One walk gives every frame's angles: its
+    solution lists go to the column passes of `realize` as they are, all
+    frames are folded and verified together, and the maxima of the
+    per-frame residuals are reported.  Each frame's `angles` is the
+    propagation `propagate` gives at its driving angle.  Where the walk
+    refuses a frame, the frames before it are folded first, then its
+    refusal is raised.  An `n_frames` that is not an integer >= 1 (a
+    bool is not) is refused with ValueError, as are `certify`'s bad
+    arguments.
     """
     check_count(n_frames, 1, "need at least one frame")
     report = certify(p, branch_choice, n_samples)
@@ -280,11 +286,14 @@ def sweep(p: QuadPattern, branch_choice: BranchChoice = None,
     t_end, tree = report.interval[1], build_tree(p)
     ts = tuple(0.0 if n_frames == 1 else t_end * k / (n_frames - 1)
                for k in range(n_frames))
-    props, refusal = _propagations(tree, ts, branch_choice)
+    # the walk takes the branch grid the report certified
+    sols, refused = _walk(p, report.branch_choice, ts)
     # frame by frame, the frames before a refused one come first
-    frames = _fold_frames(p, props) if props else ()
-    if refusal is not None:
-        raise refusal
+    props = [_propagation(tree, t, sols, k)
+             for k, t in enumerate(ts[:min(refused, default=n_frames)])]
+    frames = _fold_frames(p, sols, props) if props else ()
+    if refused:
+        raise refused[min(refused)]
     return SweepResult(
         frames=frames, driving_angles=ts,
         max_rigidity_residual=max(s.rigidity_residual for s in frames),

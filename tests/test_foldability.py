@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import itertools
 import json
 import math
@@ -35,6 +36,7 @@ from quadfold.foldability import (
     TreeStructure,
     _branch_grid,
     _probe,
+    crease_slot,
     mv_letter,
 )
 from quadfold.vertex import (CURVE_BRANCHES, VertexSolution, normalize_angle,
@@ -47,6 +49,8 @@ from quadfold.fixtures import (
     square_grid_plan,
 )
 
+# the package binds the function `realize` over the module's name
+realize_mod = importlib.import_module("quadfold.realize")
 deg = math.radians
 
 
@@ -124,6 +128,53 @@ class TestPropagate:
         tree = build_tree(stitch(herringbone_plan(4, 4)))
         with pytest.raises(OutOfDomain, match=r"top-row vertex \(0,0\)"):
             propagate(tree, driving)
+
+    @pytest.mark.parametrize("plan", [showcase_a_plan(),
+                                      herringbone_plan(3, 5),
+                                      herringbone_plan(5, 3)],
+                             ids=["showcase_a", "3x5", "5x3"])
+    def test_edge_angle_reads_creases_only(self, plan):
+        """Every crease of `QuadPattern.edges`, either end first, folds by
+        a crease of an inner vertex at one of its ends pointing at the
+        other: the lower end's U crease (the upper end's D at the bottom)
+        and the left end's R crease (the right end's L at the left), each
+        crease its own.  A boundary edge, under any kind, and an edge that
+        is not one of the grid's (off it, spanning two edges, diagonal) are
+        refused with ValueError."""
+        p = stitch(plan)
+        prop = propagate(build_tree(p), 0.2)
+        refused = f"edge .* is not a crease of the {p.m}x{p.n} grid"
+        toward = {0: (-1, 0), 1: (0, -1), 2: (1, 0), 3: (0, 1)}  # U L D R
+        slots = set()
+        for kind, a, b in p.edges():
+            if kind == "boundary":
+                for k in ("col", "row", "boundary"):
+                    for ends in ((a, b), (b, a)):
+                        with pytest.raises(ValueError, match=refused):
+                            prop.edge_angle(k, *ends)
+                continue
+            (i, j, k), = {crease_slot(p.m, p.n, kind, *ends)
+                          for ends in ((a, b), (b, a))}
+            at = (i + 1, j + 1)
+            if kind == "col":
+                assert at == (b if b[0] <= p.m else a)
+            else:
+                assert at == (a if a[1] >= 1 else b)
+            other, = {a, b} - {at}
+            assert (other[0] - at[0], other[1] - at[1]) == toward[k]
+            assert (i, j, k) not in slots
+            slots.add((i, j, k))
+            assert prop.edge_angle(kind, a, b) == prop.solutions[i][j].rho[k]
+        for kind, a, b in [("col", (p.m + 2, 1), (p.m + 3, 1)),
+                           ("col", (-1, 1), (0, 1)),
+                           ("col", (0, 1), (2, 1)),
+                           ("col", (1, 1), (1, 1)),
+                           ("row", (1, 1), (2, 2)),
+                           ("row", (1, p.n + 1), (1, p.n + 2)),
+                           ("row", (1, -1), (1, 0)),
+                           ("diag", (1, 1), (2, 1))]:
+            with pytest.raises(ValueError, match=refused):
+                prop.edge_angle(kind, a, b)
 
     def test_non_unit_pattern_incompatible(self, pat_b):
         # break one vertex: propagation still runs but theta != phi
@@ -967,7 +1018,9 @@ class TestCertifyMemo:
         fresh = certify(stitch(showcase_b_plan()), *args, **kwargs)
         assert repr(other) == repr(fresh)
 
-    def test_sweep_reuses_the_report(self, counted):
+    def test_sweep_reuses_the_report(self, monkeypatch, counted):
+        # `sweep` calls the walk it imported: route it through the count
+        monkeypatch.setattr(realize_mod, "_walk", foldability._walk)
         p = stitch(herringbone_plan(8, 8, 95.0, 72.0))
         certify(p)
         counted.clear()

@@ -16,6 +16,7 @@ from quadfold import (
     Vertex4,
     build_tree,
     certify,
+    enumerate_branch_choices,
     loop_closure_residual,
     propagate,
     realize,
@@ -146,6 +147,20 @@ class TestRealize:
         s2 = realize(pat_a, prop)
         assert np.array_equal(s1.coords, s2.coords)
 
+    def test_state_keeps_its_propagation(self, pat_a):
+        prop = propagate(build_tree(pat_a), deg(9), None)
+        assert realize(pat_a, prop).angles is prop
+
+    def test_states_and_sweeps_compare_by_identity(self, pat_a):
+        """A folded state and a sweep hold arrays: they compare and hash
+        by identity instead of raising."""
+        prop = propagate(build_tree(pat_a), deg(9), None)
+        s1, s2 = realize(pat_a, prop), realize(pat_a, prop)
+        r1, r2 = (sweep(pat_a, None, 3, n_samples=40) for _ in range(2))
+        for x, y in ((s1, s2), (r1, r2)):
+            assert x == x and x != y and not x == y
+            assert hash(x) == hash(x) and len({x, y, x}) == 2
+
 
 class TestSweep:
     def test_frames_from_trivial_to_final(self, pat_a):
@@ -175,6 +190,20 @@ class TestSweep:
         p = stitch(square_grid_plan(2, 2))
         res = sweep(p, None, 5, n_samples=30)
         assert res.max_rigidity_residual < 1e-12
+
+    @pytest.mark.parametrize("plan", [herringbone_plan(8, 8),
+                                      showcase_b_plan()],
+                             ids=["herringbone_8x8", "showcase_b"])
+    def test_frame_angles_are_propagate(self, plan):
+        """Each frame carries the propagation `propagate` gives at its
+        driving angle, on every enumerated branch grid."""
+        p = stitch(plan)
+        tree = build_tree(p)
+        for choice in enumerate_branch_choices(p):
+            res = sweep(p, choice, 7, n_samples=40)
+            for t, state in zip(res.driving_angles, res.frames, strict=True):
+                assert state.angles.driving == t
+                assert repr(state.angles) == repr(propagate(tree, t, choice))
 
 
 # ---------------------------------------------------------------------------
@@ -360,17 +389,22 @@ def _tampered(bad=(), fail_at=None, at=(1, 1)):
 
 
 def _tampered_walk(tampered):
-    """`foldability._propagations` built frame by frame from a tampered
-    `propagate`: the frames' propagations up to the first refused frame,
-    and that frame's refusal (None when no frame is refused)."""
-    def walk(tree, ts, choice=None):
-        props = []
-        for t in ts:
+    """`foldability._walk` built frame by frame from a tampered
+    `propagate`: each vertex's own list of its solutions at the frames
+    that propagate, and the OutOfDomain of each frame that does not."""
+    def walk(p, branches, ts):
+        tree, refused = build_tree(p), {}
+        sols = [[[] for _ in range(p.n)] for _ in range(p.m)]
+        for k, t in enumerate(ts):
             try:
-                props.append(tampered(tree, t, choice))
+                prop = tampered(tree, t, branches)
             except OutOfDomain as exc:
-                return props, exc
-        return props, None
+                refused[k] = exc
+                continue
+            for row, got in zip(sols, prop.solutions):
+                for col, sol in zip(row, got):
+                    col.append(sol)
+        return sols, refused
 
     return walk
 
@@ -396,7 +430,7 @@ def test_sweep_raises_as_frame_by_frame(monkeypatch, pat_a, bad, fail_at,
         monkeypatch.setattr(realize_mod, "TAU_CLOSURE", tau_closure)
     want = _outcome(lambda: _reference_sweep(pat_a, 8, 40,
                                              _tampered(bad, fail_at)))
-    monkeypatch.setattr(realize_mod, "_propagations",
+    monkeypatch.setattr(realize_mod, "_walk",
                         _tampered_walk(_tampered(bad, fail_at)))
     with pytest.raises(raised) as exc:
         sweep(pat_a, None, 8, n_samples=40)
@@ -417,7 +451,7 @@ def test_sweep_raises_as_frame_by_frame_on_3x5(monkeypatch, bad, fail_at,
         monkeypatch.setattr(realize_mod, "TAU_CLOSURE", tau_closure)
     want = _outcome(lambda: _reference_sweep(
         p, 8, 40, _tampered(bad, fail_at, at=(2, 3))))
-    monkeypatch.setattr(realize_mod, "_propagations",
+    monkeypatch.setattr(realize_mod, "_walk",
                         _tampered_walk(_tampered(bad, fail_at, at=(2, 3))))
     with pytest.raises(raised) as exc:
         sweep(p, None, 8, n_samples=40)

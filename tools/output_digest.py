@@ -92,7 +92,9 @@ where the call raises:
   residual crosses `TAU_UNIT` between 33, 64 and 200 samples, each with
   its `stitch` verdict, its `valid_branch_pairs` and `quadfold unit
   validate` of the file its `to_json` writes, at the default samples and
-  at `--samples 500`.
+  at `--samples 500`;
+* a large sweep: the FOLD and OBJ text of every frame of a 12-frame
+  `sweep` of `herringbone_plan(32, 32)`.
 
 One line per text gives that text's own hash, so a diff of two outputs names
 the texts that moved; the last line is the total.  It is a comparison tool,
@@ -896,6 +898,16 @@ def threshold_unit_texts():
                 yield "cli default " + " ".join(argv), _cli_run(argv, False)
 
 
+def large_sweep_texts():
+    """The FOLD and OBJ text of each frame of a 12-frame sweep of
+    `herringbone_plan(32, 32)`."""
+    p = stitch(herringbone_plan(32, 32))
+    for k, state in enumerate(sweep(p, n_frames=12).frames):
+        yield (f"herringbone_32x32 frame {k} fold",
+               fold_dumps(export_fold(state, pattern=p)))
+        yield f"herringbone_32x32 frame {k} obj", export_obj(state, p)
+
+
 def texts():
     """Every text the digest covers, labelled, in a fixed order."""
     yield from vertex_texts()
@@ -923,6 +935,7 @@ def texts():
     yield from ff_acceptance_texts()
     yield from twin_column_texts()
     yield from threshold_unit_texts()
+    yield from large_sweep_texts()
 
 
 def main(argv=None) -> int:
