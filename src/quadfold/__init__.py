@@ -6,7 +6,6 @@ validate transmission units, stitch them into blankets, certify the result
 rigid-foldable, realize the folding motion in 3D and export it.
 """
 
-from .config import CliConfig
 from .errors import (
     ClosureViolation,
     DegenerateVertex,

@@ -1,13 +1,15 @@
 """Command-line interface.
 
 All angles at this boundary are degrees.  Exit codes: 0 success, 1 validation
-failure, 2 usage error.  Set QUADFOLD_CONFIG to a JSON object file to
-set `samples` and `frames`; any other key is a usage error.  A
-`--samples`/`--frames` flag overrides its key.  Every bound is the
-library's constant: `unit validate` decides as `stitch` does, exactly or
-at `UNIT_SAMPLES` samples (`--samples` sizes only its printed report),
-`pattern certify` and `pattern sweep` decide at `TAU_COMPAT`, and `pattern
-svg` colours by the FOLD export's letters (`TAU_FLAT`).
+failure, 2 usage error.  The counts come from the `--samples` and
+`--frames` flags alone, defaulting to the library's `DEFAULT_SAMPLES` and
+`DEFAULT_FRAMES`; `pattern sweep` takes no `--samples` and certifies at
+`DEFAULT_SAMPLES`, as `sweep` does.  A set QUADFOLD_CONFIG is a usage
+error.  Every bound is the library's constant: `unit validate` decides as
+`stitch` does, exactly or at `UNIT_SAMPLES` samples (`--samples` sizes only
+its printed report), `pattern certify` and `pattern sweep` decide at
+`TAU_COMPAT`, and `pattern svg` colours by the FOLD export's letters
+(`TAU_FLAT`).
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
-from .config import CONFIG_KEYS, TAU_UNIT, UNIT_SAMPLES, CliConfig
+from .config import DEFAULT_FRAMES, DEFAULT_SAMPLES, TAU_UNIT, UNIT_SAMPLES
 from .errors import OutOfDomain, QuadfoldError, SerializationError
 from .foldability import certify, mv_assignment
 from .foldio import export_fold, export_obj, export_svg, fold_dumps, import_fold
@@ -40,7 +41,10 @@ _F = "{:.12g}".format
 
 
 def _parse_alphas(text: str, count: int):
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
+    if not all(p.strip() for p in parts):
+        raise argparse.ArgumentTypeError(
+            f"empty angle entry in --alphas {text!r}")
     if len(parts) != count:
         raise argparse.ArgumentTypeError(
             f"expected {count} comma-separated angles, got {len(parts)}"
@@ -75,7 +79,7 @@ def _classified(alphas: str):
     return v, cls
 
 
-def _cmd_vertex_solve(args, cfg):
+def _cmd_vertex_solve(args):
     v, cls = _classified(args.alphas)
     rho1 = math.radians(args.rho1)
     # checked first: a segment that keeps c1 flat takes any parameter, but
@@ -95,7 +99,7 @@ def _cmd_vertex_solve(args, cfg):
     return 0
 
 
-def _cmd_vertex_interval(args, cfg):
+def _cmd_vertex_interval(args):
     v, _ = _classified(args.alphas)
     iv = fold_interval(v, args.branch)
     print(f"branch: {args.branch.value}")
@@ -103,7 +107,7 @@ def _cmd_vertex_interval(args, cfg):
     return 0
 
 
-def _cmd_unit_solve_ff(args, cfg):
+def _cmd_unit_solve_ff(args):
     a1, a2, a3 = _parse_alphas(args.alphas, 3)
     mode = FFUnitMode.from_token(args.mode)
     unit = solve_ff_unit(a1, a2, a3, mode)
@@ -124,9 +128,9 @@ def _read_json(path):
             raise SerializationError(f"{path} is not JSON: {exc}") from None
 
 
-def _cmd_unit_validate(args, cfg):
+def _cmd_unit_validate(args):
     unit = Unit.from_json(_read_json(args.file))
-    report = validate_unit(unit, cfg.samples)
+    report = validate_unit(unit, args.samples)
     print(f"samples: {report.n_samples}")
     print(f"max_residual: {report.max_residual:.3e}")
     # stitch's verdict, and its residual where the report reads otherwise
@@ -151,7 +155,10 @@ def _parse_branch_spec(spec, p):
     """Columns separated by ';', per-row tokens separated by ','."""
     if spec is None:
         return None
-    cols = [s for s in spec.split(";") if s.strip()]
+    cols = spec.split(";")
+    if not all(col.strip() for col in cols):
+        raise argparse.ArgumentTypeError(
+            f"empty column group in --branches {spec!r}")
     if len(cols) != p.n:
         raise argparse.ArgumentTypeError(
             f"branch spec needs {p.n} column groups, got {len(cols)}"
@@ -165,7 +172,7 @@ def _parse_branch_spec(spec, p):
     return tuple(tuple(per_col[j][i] for j in range(p.n)) for i in range(p.m))
 
 
-def _cmd_pattern_stitch(args, cfg):
+def _cmd_pattern_stitch(args):
     pattern = stitch(StitchPlan.from_json(_read_json(args.plan)))
     doc = export_fold(pattern)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -174,10 +181,10 @@ def _cmd_pattern_stitch(args, cfg):
     return 0
 
 
-def _cmd_pattern_certify(args, cfg):
+def _cmd_pattern_certify(args):
     p = _load_pattern(args.pattern)
     branches = _parse_branch_spec(args.branches, p)
-    report = certify(p, branches, cfg.samples)
+    report = certify(p, branches, args.samples)
     print(report.summary())
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -186,16 +193,16 @@ def _cmd_pattern_certify(args, cfg):
     return 0 if report.verdict else 1
 
 
-def _cmd_pattern_count(args, cfg):
+def _cmd_pattern_count(args):
     report = count_dof(StitchPlan.from_json(_read_json(args.plan)))
     print(f"{report.caption()}; branches {report.branch_count}")
     return 0
 
 
-def _cmd_pattern_sweep(args, cfg):
+def _cmd_pattern_sweep(args):
     p = _load_pattern(args.pattern)
     branches = _parse_branch_spec(args.branches, p)
-    result = sweep(p, branches, cfg.frames, n_samples=cfg.samples)
+    result = sweep(p, branches, args.frames)
     os.makedirs(args.out_dir, exist_ok=True)
     for k, state in enumerate(result.frames):
         text = (export_obj(state, p) if args.format == "obj"
@@ -209,7 +216,7 @@ def _cmd_pattern_sweep(args, cfg):
     return 0
 
 
-def _cmd_pattern_svg(args, cfg):
+def _cmd_pattern_svg(args):
     p = _load_pattern(args.pattern)
     mv = None
     if args.rho is not None:
@@ -219,6 +226,20 @@ def _cmd_pattern_svg(args, cfg):
         fh.write(svg)
     print(f"wrote {args.output}")
     return 0
+
+
+def _count_at_least(least: int):
+    """An argparse type: an integer >= `least`."""
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {least}, got {text!r}")
+        return value
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_unit_solve_ff)
     s = uns.add_parser("validate", help="validate a unit JSON file")
     s.add_argument("file")
-    s.add_argument("--samples", type=int, default=None)
+    s.add_argument("--samples", type=_count_at_least(2),
+                   default=DEFAULT_SAMPLES)
     s.set_defaults(fn=_cmd_unit_validate)
 
     pt = sub.add_parser("pattern", help="stitched blankets")
@@ -268,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--branches", default=None,
                    help="per-vertex branches: columns ';'-separated, rows "
                         "','-separated (default: stored assignment)")
-    s.add_argument("--samples", type=int, default=None)
+    s.add_argument("--samples", type=_count_at_least(2),
+                   default=DEFAULT_SAMPLES)
     s.add_argument("--report", default=None, help="write JSON report here")
     s.set_defaults(fn=_cmd_pattern_certify)
     s = pts.add_parser("count", help="independent sector angles and branches")
@@ -276,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_pattern_count)
     s = pts.add_parser("sweep", help="realize the folding motion")
     s.add_argument("pattern")
-    s.add_argument("--frames", type=int, default=None)
+    s.add_argument("--frames", type=_count_at_least(1),
+                   default=DEFAULT_FRAMES)
     s.add_argument("--out-dir", required=True)
     s.add_argument("--format", choices=("obj", "fold"), default="obj")
     s.add_argument("--branches", default=None)
@@ -291,23 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if os.environ.get("QUADFOLD_CONFIG"):
+        print("error: QUADFOLD_CONFIG is not read; unset it and pass "
+              "--samples or --frames instead", file=sys.stderr)
+        return 2
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        cfg = CliConfig.from_env()
-    except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
-        print(f"bad QUADFOLD_CONFIG: {exc}", file=sys.stderr)
-        return 2
-    # a flag overrides its $QUADFOLD_CONFIG key; CliConfig checks both
-    for key in CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            try:
-                cfg = replace(cfg, **{key: value})
-            except ValueError as exc:
-                ap.error(f"argument --{key}: {exc}")  # exits with code 2
-    try:
-        return args.fn(args, cfg)
+        return args.fn(args)
     except argparse.ArgumentTypeError as exc:
         ap.error(str(exc))  # exits with code 2
     except (QuadfoldError, OSError) as exc:

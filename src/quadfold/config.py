@@ -1,16 +1,12 @@
-"""Numerical tolerances and run configuration.
+"""Numerical tolerances and default counts.
 
 The module-level tolerances are constants: the library and the CLI decide
-with them, and no argument or setting overrides one.  The CLI lets a JSON
-file named by the QUADFOLD_CONFIG environment variable set the two counts
-it passes on, the fields of `CliConfig`.
+with them, and no argument or setting overrides one.  The default sample
+and frame counts are the library's defaults and the CLI flags' defaults.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, fields
 from numbers import Integral
 
 # classification sums (radians)
@@ -44,6 +40,7 @@ TAU_FLAT = 1e-9
 TAU_EMPTY = 1e-9
 
 DEFAULT_SAMPLES = 200
+DEFAULT_FRAMES = 30
 
 
 def check_count(x, least: int, message: str) -> None:
@@ -51,48 +48,3 @@ def check_count(x, least: int, message: str) -> None:
     if isinstance(x, bool) or not isinstance(x, Integral) or x < least:
         raise ValueError(message)
 
-
-@dataclass
-class CliConfig:
-    """Runtime configuration for the command-line interface: the sample
-    and frame counts.  Each field is named as its $QUADFOLD_CONFIG key.
-
-    All angle I/O at the CLI boundary is in degrees; internals are radians.
-    """
-
-    samples: int = DEFAULT_SAMPLES
-    frames: int = 30
-
-    def __post_init__(self):
-        for name, least in (("samples", 2), ("frames", 1)):
-            x = getattr(self, name)
-            check_count(x, least,
-                        f"{name} must be an integer >= {least}, got {x!r}")
-
-    @classmethod
-    def from_env(cls) -> "CliConfig":
-        """Build a config, applying overrides from $QUADFOLD_CONFIG if set.
-
-        Raises ValueError for anything but a JSON object whose keys are among
-        CONFIG_KEYS and whose values are in range.
-        """
-        path = os.environ.get("QUADFOLD_CONFIG")
-        if not path:
-            return cls()
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError(
-                f"expected a JSON object, got {type(raw).__name__}"
-            )
-        unknown = sorted(set(raw) - set(CONFIG_KEYS))
-        if unknown:
-            raise ValueError(
-                "unknown key " + ", ".join(map(repr, unknown))
-                + "; allowed keys are " + ", ".join(CONFIG_KEYS)
-            )
-        return cls(**raw)
-
-
-# every key $QUADFOLD_CONFIG may set
-CONFIG_KEYS = tuple(f.name for f in fields(CliConfig))

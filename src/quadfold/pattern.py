@@ -484,9 +484,9 @@ def count_dof(plan: StitchPlan) -> DofReport:
     Each column's first unit contributes its kind's base count and every
     further stitched unit the kind's stitch increment (`DOF_TABLE`, from
     `units`); each inner-panel row whose column creases are not parallel in
-    the layout deducts its number of inner panels.  Raises NegativeDof when the total goes negative, and
-    whatever `stitch` raises for the plan (ValidationFailed for a failing
-    unit).
+    the layout deducts its number of inner panels.  Raises NegativeDof when
+    the total goes negative, and whatever `stitch` raises for the plan
+    (ValidationFailed for a failing unit).
     """
     pattern = stitch(plan)
     unit_terms = []

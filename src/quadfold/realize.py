@@ -14,7 +14,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .config import DEFAULT_SAMPLES, TAU_CLOSURE, TAU_RIGID, check_count
+from .config import (DEFAULT_FRAMES, DEFAULT_SAMPLES, TAU_CLOSURE, TAU_RIGID,
+                     check_count)
 from .errors import ClosureViolation, RigidityViolation
 from .foldability import (BranchChoice, Propagation, _propagation, _walk,
                           build_tree, certify, check_solved_grid, crease_slot)
@@ -261,7 +262,7 @@ class SweepResult:
 
 
 def sweep(p: QuadPattern, branch_choice: BranchChoice = None,
-          n_frames: int = 30, *,
+          n_frames: int = DEFAULT_FRAMES, *,
           n_samples: int = DEFAULT_SAMPLES) -> SweepResult:
     """Realize the folding motion over the certified interval.
 

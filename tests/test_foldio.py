@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import math
 import os
@@ -32,9 +34,8 @@ from quadfold import (
     valid_branch_pairs,
     validate_unit,
 )
-from quadfold.cli import main
-from quadfold.config import (CONFIG_KEYS, DEFAULT_SAMPLES, TAU_FLAT, TAU_UNIT,
-                             CliConfig)
+from quadfold.cli import _parse_branch_spec, main
+from quadfold.config import DEFAULT_FRAMES, DEFAULT_SAMPLES, TAU_FLAT, TAU_UNIT
 from quadfold.units import _acceptance_residual
 from quadfold.fixtures import (
     herringbone_plan,
@@ -836,31 +837,6 @@ class TestCli:
             main(["vertex", "solve", "--alphas", "80,95,75"])
         assert exc.value.code == 2
 
-    def test_config_keys_are_the_settings_fields(self, tmp_path,
-                                                 monkeypatch):
-        """One settings object: each $QUADFOLD_CONFIG key is a CliConfig
-        field of that name, defaulting to the library's value.  The two
-        counts are the only settings; every bound is a constant."""
-        assert CONFIG_KEYS == ("samples", "frames")
-        cfg = CliConfig()
-        assert (cfg.samples, cfg.frames) == (DEFAULT_SAMPLES, 30)
-        self._set_config(tmp_path, monkeypatch, {"frames": 4})
-        assert CliConfig.from_env() == CliConfig(frames=4)
-
-    def test_config_override(self, tmp_path, capsys, monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"samples": 33, "frames": 4}))
-        monkeypatch.setenv("QUADFOLD_CONFIG", str(cfg))
-        plan_file = tmp_path / "plan.json"
-        plan_file.write_text(json.dumps(showcase_a_plan().to_json()))
-        fold_file = tmp_path / "a.fold"
-        main(["pattern", "stitch", str(plan_file), "-o", str(fold_file)])
-        capsys.readouterr()
-        rc = main(["pattern", "certify", str(fold_file)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "(33 samples)" in out
-
     def _fold_file(self, tmp_path, plan):
         plan_file = tmp_path / "plan.json"
         plan_file.write_text(json.dumps(plan.to_json()))
@@ -868,11 +844,6 @@ class TestCli:
         assert main(["pattern", "stitch", str(plan_file),
                      "-o", str(fold_file)]) == 0
         return fold_file
-
-    def _set_config(self, tmp_path, monkeypatch, doc):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
-        monkeypatch.setenv("QUADFOLD_CONFIG", str(cfg))
 
     def test_certify_spelled_out_branches_and_report(self, tmp_path,
                                                      capsys):
@@ -912,13 +883,10 @@ class TestCli:
             assert (out_dir / f"frame_{k:03d}.fold").read_text() == \
                 fold_dumps(export_fold(state, pattern=p))
 
-    def test_no_config_sets_a_bound(self, tmp_path, capsys, monkeypatch):
-        """The bounds are the library's constants.  A config that names
-        `tau_unit`, `tau_compat` or `tau_flat`, even with a value the
-        command line once took, exits 2 naming the key, and the command
-        does not run.  So `unit validate` cannot accept the unit that
-        `pattern stitch` refuses: the A- unit with bottom sectors moved by
-        1.386e-9 (exact residual 1.002e-8) under `{"tau_unit": 1e-7}`."""
+    def test_no_config_sets_a_bound(self, tmp_path, capsys):
+        """The bounds are the library's constants, so `unit validate`
+        cannot accept the unit that `pattern stitch` refuses: the A- unit
+        with bottom sectors moved by 1.386e-9 (exact residual 1.002e-8)."""
         u = solve_ff_unit(deg(80), deg(100), deg(60), FFUnitMode.A_MINUS)
         a1, a2, a3, a4 = u.bottom.alpha
         d = 1.386e-9
@@ -927,16 +895,6 @@ class TestCli:
             stitch(StitchPlan(columns=((moved,),)))
         unit_file = tmp_path / "moved.json"
         unit_file.write_text(json.dumps(moved.to_json()))
-        for key, value in (("tau_unit", 1e-7), ("tau_compat", 1e-6),
-                           ("tau_flat", 1e-6)):
-            self._set_config(tmp_path, monkeypatch, {"samples": 64,
-                                                     key: value})
-            rc = main(["unit", "validate", str(unit_file)])
-            out, err = capsys.readouterr()
-            assert (rc, out) == (2, "")
-            assert err.startswith("bad QUADFOLD_CONFIG: unknown key "
-                                  f"{key!r}")
-        monkeypatch.delenv("QUADFOLD_CONFIG")
         assert main(["unit", "validate", str(unit_file)]) == 1
         assert capsys.readouterr().out.endswith("\nINVALID\n")
 
@@ -991,49 +949,103 @@ class TestCli:
         (["pattern", "sweep", "{fold}", "--out-dir", "{out}"], "--frames",
          "wrote {} frames"),
     ], ids=["unit-validate", "pattern-certify", "pattern-sweep"])
-    def test_flag_overrides_config(self, argv, flag, shown, tmp_path, capsys,
-                                   monkeypatch):
-        """The one precedence rule: a flag over its $QUADFOLD_CONFIG key
-        over the default."""
+    def test_count_flags_and_defaults(self, argv, flag, shown, tmp_path,
+                                      capsys):
+        """A count comes from its flag alone, else the library's default:
+        `DEFAULT_SAMPLES` samples, `DEFAULT_FRAMES` frames, the defaults of
+        `certify` and `sweep` too.  Every bound is a constant."""
+        assert (DEFAULT_SAMPLES, DEFAULT_FRAMES) == (200, 30)
+        assert inspect.signature(sweep).parameters["n_frames"].default == \
+            DEFAULT_FRAMES
         unit_file = tmp_path / "unit.json"
         unit_file.write_text(json.dumps(
             next(showcase_a_plan().units()).to_json()))
         paths = {"fold": str(self._fold_file(tmp_path, showcase_a_plan())),
                  "unit": str(unit_file), "out": str(tmp_path / "frames")}
         argv = [a.format(**paths) for a in argv]
-        key = flag[2:]
-        for config, extra, value in ((None, [], getattr(CliConfig(), key)),
-                                     ({key: 3}, [], 3),
-                                     ({key: 3}, [flag, "4"], 4),
-                                     (None, [flag, "4"], 4)):
-            if config is None:
-                monkeypatch.delenv("QUADFOLD_CONFIG", raising=False)
-            else:
-                self._set_config(tmp_path, monkeypatch, config)
+        default = {"--samples": DEFAULT_SAMPLES,
+                   "--frames": DEFAULT_FRAMES}[flag]
+        for extra, value in (([], default), ([flag, "4"], 4)):
             capsys.readouterr()
             assert main(argv + extra) == 0
             assert shown.format(value) in capsys.readouterr().out
 
-    @pytest.mark.parametrize("doc, named", [
-        ({"tau_compt": 1e-6}, "tau_compt"),
-        ({"tau_rigid": 1e-6}, "tau_rigid"),
-        ({"samples": "33"}, "samples"),
-        ({"samples": 1}, "samples"),
-        ({"frames": 0}, "frames"),
-        ({"frames": 2.0}, "frames"),
-        ({"tau_flat": -1e-9}, "tau_flat"),
-        ({"tau_unit": None}, "tau_unit"),
-        ([{"samples": 33}], "object"),
-        ({"tau_compat": 10 ** 400}, "tau_compat"),
-    ])
-    def test_bad_config_is_usage_error(self, doc, named, tmp_path, capsys,
+    @pytest.mark.parametrize("value", [
+        "{samples_33}", "{frames_0}", "{not_json}", "{missing}", " "])
+    def test_set_config_is_usage_error(self, value, tmp_path, capsys,
                                        monkeypatch):
-        self._set_config(tmp_path, monkeypatch, doc)
-        rc = main(["vertex", "interval", "--alphas", "80,95,75,110",
-                   "--branch", "1"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "bad QUADFOLD_CONFIG" in err and named in err
+        """The counts come only from the flags: a non-empty
+        $QUADFOLD_CONFIG, even one naming a well-formed `{"samples": 33}`,
+        exits 2 naming the variable, and no command runs.  An empty one is
+        unset."""
+        fold_file = self._fold_file(tmp_path, showcase_a_plan())
+        files = {"missing": tmp_path / "missing.json"}
+        for name, text in (("samples_33", '{"samples": 33}'),
+                           ("frames_0", '{"frames": 0}'),
+                           ("not_json", "{")):
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(text)
+        out_dir = tmp_path / "frames"
+        commands = (
+            ["vertex", "interval", "--alphas", "80,95,75,110", "--branch", "1"],
+            ["pattern", "certify", str(fold_file), "--samples", "50"],
+            ["pattern", "sweep", str(fold_file), "--out-dir", str(out_dir)],
+        )
+        capsys.readouterr()
+        monkeypatch.setenv("QUADFOLD_CONFIG", value.format(**files))
+        for argv in commands:
+            rc = main(argv)
+            out, err = capsys.readouterr()
+            assert (rc, out) == (2, "")
+            assert err.startswith("error: QUADFOLD_CONFIG ")
+            assert "--samples" in err and "--frames" in err
+        assert not out_dir.exists()
+        monkeypatch.setenv("QUADFOLD_CONFIG", "")
+        assert main(commands[0]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["vertex", "interval", "--alphas", "80,,95,75,110,", "--branch", "1"],
+        ["vertex", "interval", "--alphas", "80,95,75,110,", "--branch", "1"],
+        ["vertex", "solve", "--alphas", ",80,95,75,110", "--rho1", "10",
+         "--branch", "1"],
+        ["unit", "solve-ff", "--alphas", "80, ,60", "--mode", "10a-1"],
+    ])
+    def test_empty_alphas_entry_is_usage_error(self, argv, capsys):
+        """An empty `--alphas` entry is refused by name, not dropped."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "empty angle entry in --alphas" in captured.err
+
+    def test_alphas_take_whitespace_around_numbers(self, capsys):
+        assert main(["vertex", "interval", "--alphas", "80,95,75,110",
+                     "--branch", "1"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["vertex", "interval", "--alphas", " 80, 95 ,75 ,110 ",
+                     "--branch", "1"]) == 0
+        assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize("spec", [
+        "2,2,2;;1,1,1;2,2,2;", "2,2,2;1,1,1;2,2,2;", ";2,2,2;1,1,1;2,2,2",
+        "2,2,2; ;1,1,1"])
+    def test_empty_branches_group_is_usage_error(self, spec, pat_a,
+                                                 tmp_path, capsys):
+        """An empty `--branches` column group is refused by name, not
+        dropped; whitespace around a token is accepted."""
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match="empty column group in --branches"):
+            _parse_branch_spec(spec, pat_a)
+        fold_file = self._fold_file(tmp_path, showcase_a_plan())
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["pattern", "certify", str(fold_file), "--samples", "50",
+                  "--branches", spec])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "empty column group in --branches" in captured.err
+        spaced = _parse_branch_spec(" 2, 2,2 ;1,1 ,1; 2,2,2 ", pat_a)
+        assert spaced == _parse_branch_spec("2,2,2;1,1,1;2,2,2", pat_a)
 
     @pytest.mark.parametrize("doc, named", [
         (_ff_plan(mode="10c-9"), "mode"),

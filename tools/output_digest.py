@@ -74,10 +74,9 @@ where the call raises:
 * command line: `quadfold.cli.main` run in a temporary directory on
   `vertex solve`/`interval`, `unit solve-ff`/`validate` and `pattern
   stitch`/`count`/`certify`/`sweep`/`svg` over both showcases and two plans
-  written only as unit descriptors, each with the defaults, with its flag,
-  with a `$QUADFOLD_CONFIG` file and with both, which pins the precedence
-  flag, then config, then default.  Each run gives its exit code, stdout,
-  stderr and the hash of every file it wrote;
+  written only as unit descriptors, each with the defaults and with its
+  count or `--rho` flag.  Each run gives its exit code, stdout, stderr and
+  the hash of every file it wrote;
 * exact acceptance: seeded `solve_ff_unit` units of all four modes, each
   with its bottom vertex's stored sectors moved to (a1 - d, a2 + d, a3 + d,
   a4 - d), which keeps it flat-foldable, for every d in `FF_MOVES`: whether
@@ -708,8 +707,6 @@ DESCRIPTOR_PLANS = {
                                      "alphas_deg": [80, 100, 60],
                                      "mode": "10a-1"}]]},
 }
-# every $QUADFOLD_CONFIG key, each away from its default
-CLI_CONFIG = {"samples": 33, "frames": 3}
 
 
 def _cli_commands():
@@ -746,7 +743,7 @@ def _cli_commands():
 
 
 def _write_inputs(root: Path):
-    """The unit, plan, FOLD and config files the commands read."""
+    """The unit, plan and FOLD files the commands read."""
     inputs = root / "in"
     inputs.mkdir()
     docs = {f"{name}.json": doc for name, doc in DESCRIPTOR_PLANS.items()}
@@ -758,7 +755,6 @@ def _write_inputs(root: Path):
     docs["sl_unit.json"] = next(showcase_a_plan().units()).to_json()
     docs["double_collinear_unit.json"] = next(
         square_grid_plan(2, 2).units()).to_json()
-    docs["cfg.json"] = CLI_CONFIG
     for name, doc in docs.items():
         (inputs / name).write_text(json.dumps(doc), encoding="utf-8")
     for name in ("showcase_a", "showcase_b", *DESCRIPTOR_PLANS):
@@ -767,15 +763,11 @@ def _write_inputs(root: Path):
             fold_dumps(export_fold(stitch(plan))), encoding="utf-8")
 
 
-def _cli_run(argv, config: bool) -> str:
-    """Exit code, stdout, stderr and the written files of one run, with
-    $QUADFOLD_CONFIG naming the config file or unset, in a fresh out/."""
+def _cli_run(argv) -> str:
+    """Exit code, stdout, stderr and the written files of one run, in a
+    fresh out/."""
     shutil.rmtree("out", ignore_errors=True)
     os.mkdir("out")
-    if config:
-        os.environ["QUADFOLD_CONFIG"] = "in/cfg.json"
-    else:
-        os.environ.pop("QUADFOLD_CONFIG", None)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -792,18 +784,14 @@ def _cli_run(argv, config: bool) -> str:
 @contextlib.contextmanager
 def _cli_dir():
     """A temporary working directory for CLI runs, its path; the working
-    directory and $QUADFOLD_CONFIG are restored on leaving."""
-    saved_cwd, saved_env = os.getcwd(), os.environ.get("QUADFOLD_CONFIG")
+    directory is restored on leaving."""
+    saved_cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             yield Path(tmp)
         finally:
             os.chdir(saved_cwd)
-            if saved_env is None:
-                os.environ.pop("QUADFOLD_CONFIG", None)
-            else:
-                os.environ["QUADFOLD_CONFIG"] = saved_env
 
 
 def cli_texts():
@@ -812,9 +800,7 @@ def cli_texts():
         for argv, flag in _cli_commands():
             for with_flag in (False, True) if flag else (False,):
                 run = argv + flag if with_flag else argv
-                for config in (False, True):
-                    yield (f"cli {'config' if config else 'default'} "
-                           + " ".join(run), _cli_run(run, config))
+                yield "cli default " + " ".join(run), _cli_run(run)
 
 
 def _stitched(u) -> str:
@@ -895,7 +881,7 @@ def threshold_unit_texts():
                                             encoding="utf-8")
             for flag in ([], ["--samples", "500"]):
                 argv = ["unit", "validate", f"{name}.json", *flag]
-                yield "cli default " + " ".join(argv), _cli_run(argv, False)
+                yield "cli default " + " ".join(argv), _cli_run(argv)
 
 
 def large_sweep_texts():
