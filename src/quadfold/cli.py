@@ -23,7 +23,8 @@ import sys
 from .config import DEFAULT_FRAMES, DEFAULT_SAMPLES, TAU_UNIT, UNIT_SAMPLES
 from .errors import OutOfDomain, QuadfoldError, SerializationError
 from .foldability import certify, mv_assignment
-from .foldio import export_fold, export_obj, export_svg, fold_dumps, import_fold
+from .foldio import (_FLOAT_FMT, export_fold, export_obj, export_svg,
+                     fold_dumps, import_fold)
 from .pattern import StitchPlan, count_dof, stitch
 from .realize import sweep
 from .units import (FFUnitMode, Unit, _acceptance_residual, _exact_residual,
@@ -37,7 +38,7 @@ from .vertex import (
     xi_of,
 )
 
-_F = "{:.12g}".format
+_F = _FLOAT_FMT.format
 
 
 def _parse_alphas(text: str, count: int):
@@ -258,12 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--rho1", type=float, required=True,
                    help="driving angle (deg)")
     s.add_argument("--branch", required=True, type=_branch_token,
-                   help="branch: 1, 2 or line")
-    s.set_defaults(fn=_cmd_vertex_solve)
+                   help="branch: 1, 2, line1, line2 or line (line1)")
+    s.set_defaults(fn=_cmd_vertex_solve, parser=s)
     s = vxs.add_parser("interval", help="fold interval of a branch")
     s.add_argument("--alphas", required=True)
     s.add_argument("--branch", required=True, type=_branch_token)
-    s.set_defaults(fn=_cmd_vertex_interval)
+    s.set_defaults(fn=_cmd_vertex_interval, parser=s)
 
     un = sub.add_parser("unit", help="two-vertex transmission units")
     uns = un.add_subparsers(dest="subcommand", required=True)
@@ -272,19 +273,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="three free sector angles (deg)")
     s.add_argument("--mode", required=True,
                    choices=[m.value for m in FFUnitMode])
-    s.set_defaults(fn=_cmd_unit_solve_ff)
+    s.set_defaults(fn=_cmd_unit_solve_ff, parser=s)
     s = uns.add_parser("validate", help="validate a unit JSON file")
     s.add_argument("file")
     s.add_argument("--samples", type=_count_at_least(2),
                    default=DEFAULT_SAMPLES)
-    s.set_defaults(fn=_cmd_unit_validate)
+    s.set_defaults(fn=_cmd_unit_validate, parser=s)
 
     pt = sub.add_parser("pattern", help="stitched blankets")
     pts = pt.add_subparsers(dest="subcommand", required=True)
     s = pts.add_parser("stitch", help="assemble a plan into a FOLD file")
     s.add_argument("plan")
     s.add_argument("-o", "--output", required=True)
-    s.set_defaults(fn=_cmd_pattern_stitch)
+    s.set_defaults(fn=_cmd_pattern_stitch, parser=s)
     s = pts.add_parser("certify", help="certify rigid-foldability")
     s.add_argument("pattern")
     s.add_argument("--branches", default=None,
@@ -293,10 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--samples", type=_count_at_least(2),
                    default=DEFAULT_SAMPLES)
     s.add_argument("--report", default=None, help="write JSON report here")
-    s.set_defaults(fn=_cmd_pattern_certify)
+    s.set_defaults(fn=_cmd_pattern_certify, parser=s)
     s = pts.add_parser("count", help="independent sector angles and branches")
     s.add_argument("plan")
-    s.set_defaults(fn=_cmd_pattern_count)
+    s.set_defaults(fn=_cmd_pattern_count, parser=s)
     s = pts.add_parser("sweep", help="realize the folding motion")
     s.add_argument("pattern")
     s.add_argument("--frames", type=_count_at_least(1),
@@ -304,13 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out-dir", required=True)
     s.add_argument("--format", choices=("obj", "fold"), default="obj")
     s.add_argument("--branches", default=None)
-    s.set_defaults(fn=_cmd_pattern_sweep)
+    s.set_defaults(fn=_cmd_pattern_sweep, parser=s)
     s = pts.add_parser("svg", help="export the crease pattern drawing")
     s.add_argument("pattern")
     s.add_argument("-o", "--output", required=True)
     s.add_argument("--rho", type=float, default=None,
                    help="driving angle (deg) for mountain/valley colors")
-    s.set_defaults(fn=_cmd_pattern_svg)
+    s.set_defaults(fn=_cmd_pattern_svg, parser=s)
     return ap
 
 
@@ -319,12 +320,11 @@ def main(argv=None) -> int:
         print("error: QUADFOLD_CONFIG is not read; unset it and pass "
               "--samples or --frames instead", file=sys.stderr)
         return 2
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except argparse.ArgumentTypeError as exc:
-        ap.error(str(exc))  # exits with code 2
+    except argparse.ArgumentTypeError as exc:  # the leaf's usage, code 2
+        args.parser.error(str(exc))
     except (QuadfoldError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -36,8 +36,11 @@ TAU_RIGID = 1e-9
 TAU_CLOSURE = 1e-9
 # |folding angle| below this counts as an unfolded (flat) crease
 TAU_FLAT = 1e-9
-# an interval of half-width t_max <= this (certify's: < this) is empty
+# a driving interval of half-width t_max <= this is empty
 TAU_EMPTY = 1e-9
+# a cross product at most this times its vectors' squared size is degenerate
+# (parallel lines, a face with no area or plane): 1e4 times its rounding error
+TAU_DEGENERATE = 1e-12
 
 DEFAULT_SAMPLES = 200
 DEFAULT_FRAMES = 30

@@ -31,6 +31,13 @@ from .vertex import BranchId, Vertex4
 _rad = math.radians
 
 
+def _mirrored_pair(v: Vertex4, branch: BranchId, kind: str = "custom"):
+    """Two identical-vertex units of `v`, the second hung below the first:
+    mirroring twice gives `v` back exactly, so a column may alternate them."""
+    top = identical_vertex_unit(v, branch, kind=kind)
+    return top, identical_vertex_unit(top.bottom, branch, kind=kind)
+
+
 def showcase_a_plan() -> StitchPlan:
     """Straight-line columns flanking a flat-foldable column.
 
@@ -53,16 +60,10 @@ def showcase_a_plan() -> StitchPlan:
     ff_unit = solve_ff_unit(f1, f2, f3, FFUnitMode.A_MINUS)
     ff_basic = make_flatfoldable_basic_unit(math.pi - f3, math.pi - f4)
 
-    def sl_stack(v):
-        top = identical_vertex_unit(v, BranchId.BRANCH_2, kind="straight_line")
-        bottom = identical_vertex_unit(top.bottom, BranchId.BRANCH_2,
-                                       kind="straight_line")
-        return (top, bottom)
-
     return StitchPlan(columns=(
-        sl_stack(left_v),
+        _mirrored_pair(left_v, BranchId.BRANCH_2, "straight_line"),
         (ff_unit, ff_basic),
-        sl_stack(right_v),
+        _mirrored_pair(right_v, BranchId.BRANCH_2, "straight_line"),
     ), lengths=PlanLengths())
 
 
@@ -89,15 +90,10 @@ def showcase_b_plan() -> StitchPlan:
     w4 = 2.0 * math.pi - w1 - w2 - w3
     w_v = Vertex4((w1, w2, w3, w4))
 
-    def gen_stack(v):
-        top = identical_vertex_unit(v, BranchId.BRANCH_1)
-        bottom = identical_vertex_unit(top.bottom, BranchId.BRANCH_1)
-        return (top, bottom)
-
     return StitchPlan(columns=(
-        gen_stack(g_v),
+        _mirrored_pair(g_v, BranchId.BRANCH_1),
         (ff1, ff2),
-        gen_stack(w_v),
+        _mirrored_pair(w_v, BranchId.BRANCH_1),
     ), lengths=PlanLengths())
 
 
@@ -111,12 +107,8 @@ def herringbone_plan(rows: int = 4, cols: int = 4, a_deg: float = 95.0,
     herringbone-style blanket with two free sector angles.
     """
     v = Vertex4.from_degrees((a_deg, 180.0 - a_deg, c_deg, 180.0 - c_deg))
-    # u1 hangs below u0 and u0 below u1 again: mirroring twice gives v back
-    # exactly, so every column alternates the same two units
-    u0 = identical_vertex_unit(v, BranchId.BRANCH_2, kind="straight_line")
-    u1 = identical_vertex_unit(u0.bottom, BranchId.BRANCH_2,
-                               kind="straight_line")
-    col = tuple((u0, u1)[k % 2] for k in range(rows - 1))
+    pair = _mirrored_pair(v, BranchId.BRANCH_2, "straight_line")
+    col = tuple(pair[k % 2] for k in range(rows - 1))
     return StitchPlan(columns=(col,) * cols)
 
 

@@ -29,6 +29,7 @@ from .vertex import (
     _LimitSearch,
     _drive,
     normalize_angle,
+    symmetric_grid,
 )
 
 BranchChoice = Union[None, BranchId, Sequence]
@@ -409,10 +410,10 @@ def certify(p: QuadPattern, branch_choice: BranchChoice = None,
     search, `vertex.last_valid` over `_probe` (the walk succeeds and no
     fold angle is within 1e-7 of +-pi) with 48 scan steps; a probe can
     fail below t_max, so t_max is where that search's decisions end, and
-    `_driving_limit` replays those decisions from batched walks.  The
-    verdict is positive only when the interval has positive length,
-    propagation succeeded at every sample, and every cut-crease residual
-    stays below `TAU_COMPAT`.
+    `_driving_limit` replays those decisions from batched walks.  A t_max
+    of at most `TAU_EMPTY` is refused with EmptyInterval.  The verdict is
+    positive only when propagation succeeded at every sample and every
+    cut-crease residual stays below `TAU_COMPAT`.
 
     Reports are memoised on the pattern, by branch grid and `n_samples`:
     the pattern and the report are immutable, so asking again returns the
@@ -432,13 +433,13 @@ def certify(p: QuadPattern, branch_choice: BranchChoice = None,
 def _certify(p: QuadPattern, branches, n_samples: int) -> CompatibilityReport:
     tree = build_tree(p)
     t_max = _driving_limit(tree, branches)
-    if t_max < TAU_EMPTY:
+    if t_max <= TAU_EMPTY:
         raise EmptyInterval(
             "no driving interval: the tree cannot move away from the "
             "trivial state on these branches"
         )
 
-    grid = [t_max * (2.0 * k / (n_samples - 1) - 1.0) for k in range(n_samples)]
+    grid = symmetric_grid(t_max, n_samples)
     cuts = tree.cut_creases
     sols, refused = _walk(p, branches, grid)
     # twin columns share their solution lists, and so their cuts' series

@@ -15,11 +15,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .config import TAU_FLAT
+from .config import TAU_DEGENERATE, TAU_FLAT
 from .errors import SerializationError
 from .foldability import Propagation, check_solved_grid, mv_letter
 from .pattern import QuadPattern, StitchPlan, stitch
 from .realize import FoldedState, _norms
+from .units import is_json_number
 
 _FLOAT_FMT = "{:.12g}"
 _CREASE_LETTERS = ("M", "V", "F")
@@ -182,9 +183,7 @@ def export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
 
 
 def _finite_number(x) -> bool:
-    """A finite JSON number: an int or float, not a boolean."""
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x))
+    return is_json_number(x) and math.isfinite(x)
 
 
 def import_fold(doc: Union[dict, str]) -> QuadPattern:
@@ -265,9 +264,9 @@ def import_fold(doc: Union[dict, str]) -> QuadPattern:
 
 
 def export_obj(state: FoldedState, pattern: QuadPattern) -> str:
-    """Wavefront OBJ with quad faces; vertex order is grid row-major.  A
-    face of area at most 1e-12 (longer diagonal)^2 is refused as zero area,
-    and so is a state whose coordinates are not the pattern's point grid."""
+    """Wavefront OBJ with quad faces; vertex order is grid row-major.  A face
+    of area at most TAU_DEGENERATE (longer diagonal)^2 is refused as zero
+    area, and so is a state whose coordinates are not the pattern's grid."""
     _check_frame_shape(state, pattern)
     xs = state.coords
     if not np.isfinite(xs).all():
@@ -276,7 +275,8 @@ def export_obj(state: FoldedState, pattern: QuadPattern) -> str:
     # the diagonals (r, c)->(r+1, c+1) and (r+1, c)->(r, c+1) of every face
     d1, d2 = xs[1:, 1:] - xs[:-1, :-1], xs[:-1, 1:] - xs[1:, :-1]
     area = 0.5 * _norms(np.cross(d1, d2))
-    flat = ~(area > 1e-12 * np.fmax(np.vecdot(d1, d1), np.vecdot(d2, d2)))
+    size = np.fmax(np.vecdot(d1, d1), np.vecdot(d2, d2))
+    flat = ~(area > TAU_DEGENERATE * size)
     if flat.any():
         r, c = np.argwhere(flat)[0].tolist()
         raise SerializationError(

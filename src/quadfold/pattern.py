@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import TAU_DIR, TAU_LAYOUT
+from .config import TAU_DEGENERATE, TAU_DIR, TAU_LAYOUT
 from .errors import (
     IncompatibleUnits,
     LayoutFailure,
@@ -36,7 +36,7 @@ from .errors import (
     NotABlanket,
     ValidationFailed,
 )
-from .units import DOF_TABLE, _validated, json_keys, \
+from .units import DOF_TABLE, _validated, is_json_number, json_keys, \
     json_numbers, unit_from_descriptor, valid_branch_pairs
 from .vertex import Vertex4, normalize_angle
 
@@ -112,8 +112,7 @@ class StitchPlan:
         top, left = (tuple(json_numbers(doc, key)) if key in doc else None
                      for key in ("top_lengths", "left_lengths"))
         boundary = doc.get("boundary_length", 1.0)
-        if (isinstance(boundary, bool)
-                or not isinstance(boundary, (int, float))):
+        if not is_json_number(boundary):
             raise ValidationFailed(
                 f"boundary_length must be a number, got {boundary!r}")
         lengths = PlanLengths(top=top, left=left, boundary=float(boundary))
@@ -252,7 +251,7 @@ def _ray_intersection(p1, d1, p2, d2):
     """Parameters (t1, t2) with p1 + t1*u(d1) = p2 + t2*u(d2)."""
     u1, u2 = _unit_vec(d1), _unit_vec(d2)
     det = u1[0] * (-u2[1]) - (-u2[0]) * u1[1]
-    if abs(det) < 1e-12:
+    if abs(det) < TAU_DEGENERATE:
         return None
     rhs = p2 - p1
     t1 = (rhs[0] * (-u2[1]) - (-u2[0]) * rhs[1]) / det
@@ -341,9 +340,9 @@ def _layout(vertices, lengths: PlanLengths):
 def _check_faces(grid):
     """Every face must be a simple counter-clockwise quadrilateral in its
     corner order (`QuadPattern.face_corners`): positive signed area and at
-    most one corner turning clockwise by more than 1e-12 (longest edge)^2.
-    Coincident or collinear corners pass; a crossing (bow-tie) or inverted
-    face is refused with LayoutFailure naming it."""
+    most one corner turning clockwise by more than TAU_DEGENERATE (longest
+    edge)^2.  Coincident or collinear corners pass; a crossing (bow-tie) or
+    inverted face is refused with LayoutFailure naming it."""
     pts = grid.tolist()
     for r in range(len(pts) - 1):
         for c in range(len(pts[0]) - 1):
@@ -352,7 +351,7 @@ def _check_faces(grid):
             ex = [b[0] - a[0] for a, b in zip(q, nxt)]  # edge k: k -> k+1
             ey = [b[1] - a[1] for a, b in zip(q, nxt)]
             area = sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(q, nxt))
-            tol = 1e-12 * max(x * x + y * y for x, y in zip(ex, ey))
+            tol = TAU_DEGENERATE * max(x * x + y * y for x, y in zip(ex, ey))
             clockwise = sum(ex[k - 1] * ey[k] - ey[k - 1] * ex[k] < -tol
                             for k in range(4))
             if not area > 0.0 or clockwise > 1:

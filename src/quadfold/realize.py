@@ -14,8 +14,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .config import (DEFAULT_FRAMES, DEFAULT_SAMPLES, TAU_CLOSURE, TAU_RIGID,
-                     check_count)
+from .config import (DEFAULT_FRAMES, DEFAULT_SAMPLES, TAU_CLOSURE,
+                     TAU_DEGENERATE, TAU_RIGID, check_count)
 from .errors import ClosureViolation, RigidityViolation
 from .foldability import (BranchChoice, Propagation, _propagation, _walk,
                           build_tree, certify, check_solved_grid, crease_slot)
@@ -143,7 +143,7 @@ def _place_column(coords, T, pts, c) -> tuple:
     nrm = np.cross(e1, e2)
     nn = _norms(nrm)
     scale = np.fmax(np.fmax(_norms(e1), _norms(e2)), 1.0)
-    bent = nn > 1e-12 * scale * scale
+    bent = nn > TAU_DEGENERATE * scale * scale
     off = np.zeros_like(nn)
     off[bent] = np.abs(np.vecdot((folded[2] - folded[0])[bent],
                                  nrm[bent] / nn[bent, None])) / scale[bent]

@@ -50,6 +50,7 @@ from .vertex import (
     classify,
     normalize_angle,
     solve_on_branch,
+    symmetric_grid,
 )
 
 
@@ -331,13 +332,16 @@ def json_keys(doc: dict, allowed: tuple, what: str):
                 + ", ".join(allowed))
 
 
+def is_json_number(x) -> bool:
+    """A JSON number: an int or float, not a boolean."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def json_numbers(doc: dict, key: str, count: Optional[int] = None) -> list:
     """`doc[key]` when it is a list of JSON numbers, `count` of them unless
     `count` is None; ValidationFailed, naming the key, otherwise."""
     xs = doc.get(key) if isinstance(doc, dict) else None
-    if (not isinstance(xs, (list, tuple))
-            or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                   for x in xs)
+    if (not isinstance(xs, (list, tuple)) or not all(map(is_json_number, xs))
             or count is not None and len(xs) != count):
         raise ValidationFailed(
             f"{key} must be a list of {count or 'any number of'} numbers, "
@@ -408,7 +412,7 @@ def validate_unit(u: Unit, n_samples: int = 200) -> UnitReport:
             raise EmptyInterval(
                 "the unit's common fold interval on this branch pair is {0}"
             )
-    ts = [t_max * (2.0 * k / (n_samples - 1) - 1.0) for k in range(n_samples)]
+    ts = symmetric_grid(t_max, n_samples)
     if shared:
         sides = _drive_sides(u, 3, ts, 1, ts)
         i24, j24, s = 1, 1, s2

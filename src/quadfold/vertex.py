@@ -79,6 +79,11 @@ def clamped_acos(x: float, tol: float = TAU_CLAMP) -> float:
     return math.acos(x)
 
 
+def symmetric_grid(half: float, n: int) -> list:
+    """`n` >= 2 evenly spaced points of [-half, half], both ends included."""
+    return [half * (2.0 * k / (n - 1) - 1.0) for k in range(n)]
+
+
 class ClassTag(Enum):
     ADJACENT_COLLINEAR = "adjacent_collinear"
     STRAIGHT_LINE = "straight_line"
@@ -102,17 +107,12 @@ class BranchId(Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "BranchId":
+        """The branch of a value, or "line" (LINE_SEGMENT_1); case-blind."""
         token = str(token).strip().lower()
-        aliases = {
-            "1": cls.BRANCH_1, "branch1": cls.BRANCH_1, "b1": cls.BRANCH_1,
-            "2": cls.BRANCH_2, "branch2": cls.BRANCH_2, "b2": cls.BRANCH_2,
-            "line": cls.LINE_SEGMENT_1, "line1": cls.LINE_SEGMENT_1,
-            "ls1": cls.LINE_SEGMENT_1,
-            "line2": cls.LINE_SEGMENT_2, "ls2": cls.LINE_SEGMENT_2,
-        }
-        if token not in aliases:
-            raise ValueError(f"unknown branch token {token!r}")
-        return aliases[token]
+        try:
+            return cls.LINE_SEGMENT_1 if token == "line" else cls(token)
+        except ValueError:
+            raise ValueError(f"unknown branch token {token!r}") from None
 
 
 CURVE_BRANCHES = (BranchId.BRANCH_1, BranchId.BRANCH_2)
@@ -976,7 +976,7 @@ def monotonicity_check(v: Vertex4, branch: BranchId,
     # monotonicity is a statement about the continuous (unnormalized) lifts
     # of the folding angles; the normalized representatives wrap at +-pi
     lift = p.lift
-    rs = [p.r_max * (2.0 * k / (n_samples - 1) - 1.0) for k in range(n_samples)]
+    rs = symmetric_grid(p.r_max, n_samples)
     prev = lift(rs[0])
     min_slope = [math.inf] * 3
     direction = [0] * 3

@@ -27,7 +27,7 @@ from quadfold import (
 )
 from quadfold import foldability
 from quadfold import vertex as vertex_mod
-from quadfold.config import TAU_COMPAT, TAU_FLAT
+from quadfold.config import TAU_COMPAT, TAU_EMPTY, TAU_FLAT
 from quadfold.errors import QuadfoldError, WrongClass
 from quadfold.foldability import (
     BranchChoice,
@@ -89,6 +89,11 @@ class TestPropagate:
             for sol in row:
                 assert sol.rho == (0.0,) * 4
         assert prop.max_residual() == 0.0
+
+    def test_one_column_blanket_has_no_residual(self):
+        tree = build_tree(stitch(single_ff_unit_plan()))
+        assert tree.n_cuts == 0
+        assert propagate(tree, deg(30), None).max_residual() == 0.0
 
     def test_unit_pattern_compatible(self, pat_a):
         prop = propagate(build_tree(pat_a), deg(12), None)
@@ -296,6 +301,19 @@ class TestCertify:
         doc = json.loads(empty.dumps(), parse_constant=refuse)
         assert doc["max_residual"] is None
         assert doc["residuals"] == [None] * len(rep.residuals)
+
+    def test_half_width_of_tau_empty_is_empty(self, monkeypatch):
+        """A driving half-width of exactly TAU_EMPTY is empty, as a unit's
+        is; the next float above it is swept."""
+        p = stitch(showcase_a_plan())  # its own report memo
+        monkeypatch.setattr(foldability, "_driving_limit",
+                            lambda tree, branches: TAU_EMPTY)
+        with pytest.raises(EmptyInterval):
+            certify(p, None, 20)
+        above = math.nextafter(TAU_EMPTY, 1.0)
+        monkeypatch.setattr(foldability, "_driving_limit",
+                            lambda tree, branches: above)
+        assert certify(p, None, 20).interval == (-above, above)
 
     def test_zero_transmission_column_empty_interval(self):
         # symmetric flat-foldable vertices never fold their side creases on

@@ -6,6 +6,7 @@ import os
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from quadfold import (
@@ -146,6 +147,27 @@ class TestFold:
         p2 = import_fold(s1)
         s2 = fold_dumps(export_fold(p2))
         _numbers_close(json.loads(s1), json.loads(s2))
+
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_dumps_refuses_a_non_finite_float(self, value):
+        with pytest.raises(SerializationError, match="non-finite float"):
+            fold_dumps({"x": [1.0, value]})
+
+    @pytest.mark.parametrize("value, name", [
+        ({1, 2}, "set"), (object(), "object"), (b"1", "bytes")])
+    def test_dumps_refuses_a_value_it_cannot_serialize(self, value, name):
+        with pytest.raises(SerializationError,
+                           match=f"cannot serialize {name}$"):
+            fold_dumps({"x": value})
+
+    def test_export_refuses_a_frame_without_its_pattern(self, pat_a):
+        state = realize(pat_a, propagate(build_tree(pat_a), deg(12), None))
+        with pytest.raises(SerializationError,
+                           match="folded frames need their pattern"):
+            export_fold(state)
+        with pytest.raises(SerializationError, match="cannot export int"):
+            export_fold(42)
 
     def test_serialization_deterministic(self, pat_a):
         assert fold_dumps(export_fold(pat_a)) == fold_dumps(export_fold(pat_a))
@@ -831,6 +853,77 @@ class TestCli:
         assert err.startswith("error: ") and "unknown key 'sign'" in err
         with pytest.raises(ValidationFailed, match="'sign'"):
             Unit.from_json(doc)
+
+    @pytest.mark.parametrize("argv, usage, message", [
+        (["vertex", "interval", "--alphas", "80,,95,75,110,", "--branch",
+          "1"], "vertex interval",
+         "empty angle entry in --alphas '80,,95,75,110,'"),
+        (["vertex", "interval", "--alphas", "80,95,75", "--branch", "1"],
+         "vertex interval", "expected 4 comma-separated angles, got 3"),
+        (["vertex", "interval", "--alphas", "80,95,x,110", "--branch", "1"],
+         "vertex interval", "angle 'x' is not a number"),
+        (["vertex", "solve", "--alphas", "80,95,75", "--rho1", "10",
+          "--branch", "1"],
+         "vertex solve", "expected 4 comma-separated angles, got 3"),
+        (["pattern", "certify", "{fold}", "--branches", "1,1,1;1,1,1"],
+         "pattern certify", "branch spec needs 3 column groups, got 2"),
+        (["pattern", "certify", "{fold}", "--branches", "1,1,1;1,1;1,1,1"],
+         "pattern certify", "each column group needs 3 branch tokens"),
+        (["pattern", "certify", "{fold}", "--branches",
+          "1,1,1,1;1,1,1;1,1,1"],
+         "pattern certify", "each column group needs 3 branch tokens"),
+    ], ids=["alphas-empty", "alphas-count", "alphas-not-a-number",
+            "solve-alphas-count", "branches-groups", "branches-short-group",
+            "branches-long-group"])
+    def test_parse_error_prints_the_subcommand_usage(self, argv, usage,
+                                                     message, tmp_path,
+                                                     capsys):
+        """A flag read after parsing (`--alphas`, `--branches`) is refused
+        through the subcommand that owns it: its usage line, then the
+        message, exit code 2."""
+        fold = str(self._fold_file(tmp_path, showcase_a_plan()))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(fold=fold) for a in argv])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.startswith(f"usage: quadfold {usage} [-h]")
+        assert err.endswith(f"quadfold {usage}: error: {message}\n")
+
+    def test_unit_validate_notes_a_degenerate_shared_crease(self, tmp_path,
+                                                            capsys):
+        """A square-grid unit's line motion keeps its connecting crease
+        flat; `unit validate` says so and validates it through the side
+        creases."""
+        unit_file = tmp_path / "unit.json"
+        unit_file.write_text(json.dumps(
+            square_grid_plan().columns[0][0].to_json()))
+        assert main(["unit", "validate", str(unit_file), "--samples",
+                     "5"]) == 0
+        assert capsys.readouterr().out == (
+            "samples: 5\nmax_residual: 0.000e+00\n"
+            "note: connecting crease stays flat on this branch pair; "
+            "validated through the side creases\nvalid\n")
+
+    @pytest.mark.parametrize("token", [
+        "branch1", "b1", "branch2", "b2", "ls1", "ls2"])
+    def test_dropped_branch_spellings_are_refused(self, token, capsys):
+        """Only a `BranchId` value or `line` names a branch: the library,
+        a unit document's `branches` and `--branch` refuse the rest."""
+        with pytest.raises(ValueError, match="unknown branch token"):
+            BranchId.from_token(token)
+        doc = solve_ff_unit(deg(80), deg(100), deg(60),
+                            FFUnitMode.A_PLUS).to_json()
+        del doc["mode"]
+        with pytest.raises(ValidationFailed,
+                           match=f"branches: unknown branch token '{token}'"):
+            Unit.from_json(dict(doc, branches=["1", token]))
+        with pytest.raises(SystemExit) as exc:
+            main(["vertex", "interval", "--alphas", "80,95,75,110",
+                  "--branch", token])
+        assert exc.value.code == 2
+        assert (f"argument --branch: unknown branch token '{token}'"
+                in capsys.readouterr().err)
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -489,3 +489,19 @@ class TestPlanJson:
              "mode": "10b-1"}
         )
         assert math.degrees(u.sector[5]) == pytest.approx(120.0, abs=1e-12)
+
+
+class TestRefusals:
+    def test_plan_columns_hold_units(self):
+        u = single_ff_unit_plan().columns[0][0]
+        for columns in (((u,), ()), ((),), ()):
+            with pytest.raises(NotABlanket,
+                               match="at least one unit per column"):
+                StitchPlan(columns=columns)
+
+    def test_caption_without_deduction(self):
+        """A herringbone's panel rows are all parallel, so its caption
+        shows no deduction."""
+        report = count_dof(herringbone_plan(3, 3))
+        assert report.deduction == 0
+        assert report.caption() == "2 + 2 + 2 = 6"

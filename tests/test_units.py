@@ -11,6 +11,7 @@ from quadfold import (
     DegenerateVertex,
     EmptyInterval,
     FFUnitMode,
+    InvalidAngle,
     OutOfDomain,
     QuadfoldError,
     Unit,
@@ -28,6 +29,7 @@ from quadfold import (
     solve_at_crease,
     solve_ff_unit,
     solve_on_branch,
+    unit_from_descriptor,
     valid_branch_pairs,
     validate_unit,
 )
@@ -450,7 +452,7 @@ class TestUnitJson:
     def test_branches_must_be_two_known_tokens(self):
         doc = make_straightline_unit(Vertex4.from_degrees((70, 80, 100, 110))
                                      ).to_json()
-        u = Unit.from_json(dict(doc, branches=["line1", "b1"]))
+        u = Unit.from_json(dict(doc, branches=["line1", "1"]))
         assert (u.branch_top, u.branch_bottom) == (BranchId.LINE_SEGMENT_1,
                                                    BranchId.BRANCH_1)
         for branches in (["line1", "line1", "2"], ["1"], [], "12"):
@@ -826,3 +828,37 @@ def test_validate_unit_two_samples_matches_reference(rng):
                         kinds.add(got[0] if isinstance(got, tuple)
                                   else "shared=True" in got)
     assert {True, False, EmptyInterval, WrongClass} <= kinds
+
+
+class TestRefusals:
+    def test_signs_must_be_unit_pairs(self):
+        u = make_straightline_unit(Vertex4.from_degrees((70, 80, 100, 110)))
+        for signs in ((1, 0), (2, -1), (1, 1, 1), (1,)):
+            with pytest.raises(ValidationFailed, match="signs must be"):
+                replace(u, signs=signs)
+
+    @pytest.mark.parametrize("d", [[80, 100, 60], "custom", None])
+    def test_descriptor_must_be_an_object(self, d):
+        with pytest.raises(ValidationFailed,
+                           match="a unit descriptor must be a JSON object"):
+            unit_from_descriptor(d)
+
+    @pytest.mark.parametrize("d", [{"kind": "custom"}, {}])
+    def test_custom_descriptor_needs_mirror_of_deg(self, d):
+        with pytest.raises(ValidationFailed,
+                           match="cannot interpret unit descriptor"):
+            unit_from_descriptor(d)
+
+    def test_free_angles_lie_in_the_open_interval(self):
+        with pytest.raises(InvalidAngle, match=r"alpha1 must lie in \(0, pi\)"):
+            solve_ff_unit(0.0, deg(95), deg(60), FFUnitMode.A_PLUS)
+        with pytest.raises(InvalidAngle, match=r"alpha2 must lie in \(0, pi\)"):
+            make_flatfoldable_basic_unit(deg(70), math.pi)
+
+    def test_mode_yielding_alpha4_pi_is_refused(self):
+        """Free angles inside (0, pi) whose mode identity yields
+        alpha4 = pi exactly are refused, naming the mode."""
+        with pytest.raises(InvalidAngle,
+                           match="mode 10a-1 yields alpha4 = 3.14159"):
+            solve_ff_unit(1e-8, math.pi - 1e-9, math.pi - 1e-9,
+                          FFUnitMode.A_PLUS)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,7 +10,9 @@ from quadfold import (
     BranchId,
     ClassTag,
     DegenerateVertex,
+    FoldInterval,
     InvalidSectorAngles,
+    MonotonicityViolation,
     OutOfDomain,
     QuadfoldError,
     Vertex4,
@@ -1428,3 +1431,49 @@ def test_solve_generic_classifies_once_per_vertex_and_branch(monkeypatch):
     for k in range(20):
         solve_generic(v, deg(k), BranchId.BRANCH_1)
     assert len(calls) == 1
+
+
+class TestBranchToken:
+    @pytest.mark.parametrize("token, branch", [
+        ("1", BranchId.BRANCH_1), ("2", BranchId.BRANCH_2),
+        ("line1", BranchId.LINE_SEGMENT_1), ("line2", BranchId.LINE_SEGMENT_2),
+        ("line", BranchId.LINE_SEGMENT_1), (" LINE2 ", BranchId.LINE_SEGMENT_2),
+        ("Line", BranchId.LINE_SEGMENT_1), ("\t2\n", BranchId.BRANCH_2),
+    ])
+    def test_a_value_or_line_names_a_branch(self, token, branch):
+        """A branch is named by its `BranchId` value or by `line`, short
+        for LINE_SEGMENT_1, ignoring case and surrounding space."""
+        assert BranchId.from_token(token) is branch
+
+    @pytest.mark.parametrize("token", [
+        "branch1", "b1", "branch2", "b2", "ls1", "ls2",
+        "", "3", "line3", "l1", "branch", "1 1", "line 1"])
+    def test_any_other_spelling_is_refused(self, token):
+        with pytest.raises(ValueError, match="unknown branch token"):
+            BranchId.from_token(token)
+
+
+class TestRefusals:
+    def test_fold_interval_must_contain_zero(self):
+        with pytest.raises(ValueError, match="fold interval must contain 0"):
+            FoldInterval(0.1, 0.2, BranchId.BRANCH_1)
+
+    def test_class_solvers_refuse_a_branch_they_do_not_take(self):
+        with pytest.raises(WrongClass, match="solve_generic takes"):
+            solve_generic(GEN, 0.1, BranchId.LINE_SEGMENT_1)
+        with pytest.raises(WrongClass, match="straight-line branches are"):
+            solve_straightline(SL, 0.1, BranchId.BRANCH_1)
+        with pytest.raises(WrongClass, match="solve_flatfoldable takes"):
+            solve_flatfoldable(FF, 0.1, BranchId.LINE_SEGMENT_2)
+
+    def test_monotonicity_violation_names_component_and_samples(
+            self, monkeypatch):
+        """A lift whose rho3 turns back (rho3 = r^2 on [-1, 1]) fails the
+        scan at the first sample pair past the turn."""
+        stub = SimpleNamespace(r_max=1.0, lift=lambda r: (r, r, r * r, r))
+        monkeypatch.setattr(vertex_mod, "_branch_param", lambda a, b: stub)
+        with pytest.raises(MonotonicityViolation,
+                           match="rho3 not strictly monotone") as exc:
+            monotonicity_check(GEN, BranchId.BRANCH_1, 5)
+        assert exc.value.component == 3
+        assert exc.value.sample_pair == (0.0, 0.5)

@@ -93,7 +93,12 @@ where the call raises:
   validate` of the file its `to_json` writes, at the default samples and
   at `--samples 500`;
 * a large sweep: the FOLD and OBJ text of every frame of a 12-frame
-  `sweep` of `herringbone_plan(32, 32)`.
+  `sweep` of `herringbone_plan(32, 32)`;
+* usage errors: `quadfold.cli.main` run as above on malformed flags, each
+  refused with exit code 2 and a usage line: `--alphas` with an empty
+  entry, a wrong count or a non-number, `--branch b1`, `--branches` with a
+  wrong number of column groups or of tokens in a group, and `--samples 1`
+  (usage lines wrapped at 80 columns).
 
 One line per text gives that text's own hash, so a diff of two outputs names
 the texts that moved; the last line is the total.  It is a comparison tool,
@@ -123,6 +128,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 # PYTHONPATH comes first on sys.path, so it picks the source tree to digest.
 sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
@@ -884,6 +890,31 @@ def threshold_unit_texts():
                 yield "cli default " + " ".join(argv), _cli_run(argv)
 
 
+def _cli_usage_commands():
+    """Runs that each refuse a malformed flag."""
+    for alphas in ("80,,95,75,110,", "80,95,75", "80,95,x,110"):
+        yield ["vertex", "interval", "--alphas", alphas, "--branch", "1"]
+        yield ["vertex", "solve", "--alphas", alphas, "--rho1", "10",
+               "--branch", "1"]
+    yield ["unit", "solve-ff", "--alphas", "80,x,60", "--mode", "10a-1"]
+    yield ["vertex", "interval", "--alphas", "80,95,75,110", "--branch", "b1"]
+    fold = "in/showcase_a.fold"
+    for spec in ("1,1,1;1,1,1", "1,1,1;1,1;1,1,1", "1,1,1,1;1,1,1;1,1,1"):
+        yield ["pattern", "certify", fold, "--branches", spec]
+        yield ["pattern", "sweep", fold, "--out-dir", "out/frames",
+               "--branches", spec]
+    yield ["pattern", "certify", fold, "--samples", "1"]
+    yield ["unit", "validate", "in/ff_unit.json", "--samples", "1"]
+
+
+def cli_usage_texts():
+    # argparse wraps a usage line to the terminal's width, read from COLUMNS
+    with mock.patch.dict(os.environ, COLUMNS="80"), _cli_dir() as tmp:
+        _write_inputs(tmp)
+        for argv in _cli_usage_commands():
+            yield "cli usage " + " ".join(argv), _cli_run(argv)
+
+
 def large_sweep_texts():
     """The FOLD and OBJ text of each frame of a 12-frame sweep of
     `herringbone_plan(32, 32)`."""
@@ -922,6 +953,7 @@ def texts():
     yield from twin_column_texts()
     yield from threshold_unit_texts()
     yield from large_sweep_texts()
+    yield from cli_usage_texts()
 
 
 def main(argv=None) -> int:
