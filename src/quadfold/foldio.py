@@ -23,35 +23,49 @@ from .realize import FoldedState, _norms
 from .units import is_json_number
 
 _FLOAT_FMT = "{:.12g}"
+_OBJ_VERTEX = "v " + " ".join([_FLOAT_FMT] * 3)
 _CREASE_LETTERS = ("M", "V", "F")
 _FLAT_DEG = math.degrees(TAU_FLAT)
 
 
+def _float_text(value) -> str:
+    x = float(value)
+    if not math.isfinite(x):
+        raise SerializationError(f"non-finite float {x!r} in document")
+    s = _FLOAT_FMT.format(x)
+    return "0" if s == "-0" else s
+
+
+# each type's writer, looked up by exact type; a value of another type (a
+# numpy scalar, a subclass) takes the first writer whose types, in this
+# order, it is an instance of.  A str is written by json.dumps's own encoder.
+_WRITERS = {t: write for types, write in (
+    ((bool,), lambda v: "true" if v else "false"),
+    ((int, np.integer), lambda v: str(int(v))),
+    ((float, np.floating), _float_text),
+    ((str,), json.encoder.encode_basestring_ascii),
+    ((type(None),), lambda v: "null"),
+    ((list, tuple), lambda v: "[" + ",".join(map(_fmt, v)) + "]"),
+    ((dict,), lambda v: "{" + ",".join(f"{_fmt(str(k))}:{_fmt(x)}"
+                                       for k, x in sorted(v.items())) + "}"),
+) for t in types}
+
+
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if math.isnan(x) or math.isinf(x):
-            raise SerializationError(f"non-finite float {x!r} in document")
-        s = _FLOAT_FMT.format(x)
-        return "0" if s == "-0" else s
-    if isinstance(value, str):
-        return json.dumps(value)
-    if value is None:
-        return "null"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_fmt(v) for v in value) + "]"
-    if isinstance(value, dict):
-        items = sorted(value.items())
-        return "{" + ",".join(f"{_fmt(str(k))}:{_fmt(v)}" for k, v in items) + "}"
-    raise SerializationError(f"cannot serialize {type(value).__name__}")
+    write = _WRITERS.get(type(value))
+    if write is None:
+        write = next((w for t, w in _WRITERS.items() if isinstance(value, t)),
+                     None)
+        if write is None:
+            raise SerializationError(
+                f"cannot serialize {type(value).__name__}")
+    return write(value)
 
 
 def fold_dumps(doc: dict) -> str:
-    """Canonical FOLD serialization: sorted keys, 12-significant-digit floats."""
+    """Canonical FOLD serialization: sorted keys, 12-significant-digit floats
+    (-0 written 0).  Each value's writer is looked up in one table by exact
+    type, a numpy scalar's or a subclass's by isinstance in table order."""
     return _fmt(doc)
 
 
@@ -266,7 +280,9 @@ def import_fold(doc: Union[dict, str]) -> QuadPattern:
 def export_obj(state: FoldedState, pattern: QuadPattern) -> str:
     """Wavefront OBJ with quad faces; vertex order is grid row-major.  A face
     of area at most TAU_DEGENERATE (longer diagonal)^2 is refused as zero
-    area, and so is a state whose coordinates are not the pattern's grid."""
+    area, and so is a state whose coordinates are not the pattern's grid.
+    A vertex line is one format of three `_FLOAT_FMT` fields; the face lines
+    are `point_index` arithmetic."""
     _check_frame_shape(state, pattern)
     xs = state.coords
     if not np.isfinite(xs).all():
@@ -282,15 +298,14 @@ def export_obj(state: FoldedState, pattern: QuadPattern) -> str:
         raise SerializationError(
             f"face ({r},{c}) has zero area; refusing to emit")
     lines = ["# quadfold folded state"]
-    lines += ["v " + " ".join(_FLOAT_FMT.format(v) for v in xyz)
-              for row in xs.tolist() for xyz in row]
+    lines += [_OBJ_VERTEX.format(*xyz) for xyz in xs.reshape(-1, 3).tolist()]
     # OBJ counts from 1; a face's corners, in `face_corners` order, are
     # its (r, c), (r+1, c), (r+1, c+1) and (r, c+1), row-major by face
-    index = pattern.point_index(*np.indices(xs.shape[:2])) + 1
-    corners = np.stack([index[:-1, :-1], index[1:, :-1], index[1:, 1:],
-                        index[:-1, 1:]], axis=-1)
-    lines += ["f %d %d %d %d" % tuple(q)
-              for q in corners.reshape(-1, 4).tolist()]
+    down, right = pattern.point_index(1, 0), pattern.point_index(0, 1)
+    for r, c in pattern.faces():
+        q = pattern.point_index(r, c) + 1
+        lines.append("f %d %d %d %d"
+                     % (q, q + down, q + down + right, q + right))
     return "\n".join(lines) + "\n"
 
 

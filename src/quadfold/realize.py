@@ -35,12 +35,19 @@ def _rot3(ux, uy, uz, c, s):
 
 
 def _mat_mul(a, b):
-    # the explicit 0.0 + ... is the left-to-right float sum sum() computes
-    return tuple(
-        tuple(0.0 + a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
-              for j in range(3))
-        for i in range(3)
-    )
+    # straight-line for speed; the explicit 0.0 + ... is the left-to-right
+    # float sum sum() computes
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return ((0.0 + a00 * b00 + a01 * b10 + a02 * b20,
+             0.0 + a00 * b01 + a01 * b11 + a02 * b21,
+             0.0 + a00 * b02 + a01 * b12 + a02 * b22),
+            (0.0 + a10 * b00 + a11 * b10 + a12 * b20,
+             0.0 + a10 * b01 + a11 * b11 + a12 * b21,
+             0.0 + a10 * b02 + a11 * b12 + a12 * b22),
+            (0.0 + a20 * b00 + a21 * b10 + a22 * b20,
+             0.0 + a20 * b01 + a21 * b11 + a22 * b21,
+             0.0 + a20 * b02 + a21 * b12 + a22 * b22))
 
 
 def loop_closure_residual(v: Vertex4,
@@ -65,12 +72,12 @@ def loop_closure_residual(v: Vertex4,
             continue
         R = _mat_mul(R, _rot3(math.cos(phi), math.sin(phi), 0.0,
                               math.cos(r), math.sin(r)))
-    s = 0.0
-    for i in range(3):
-        for j in range(3):
-            d = R[i][j] - (1.0 if i == j else 0.0)
-            s += d * d
-    return math.sqrt(s)
+    # the squared entries of R - I, summed row-major from 0.0
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
+    r00, r11, r22 = r00 - 1.0, r11 - 1.0, r22 - 1.0
+    return math.sqrt(0.0 + r00 * r00 + r01 * r01 + r02 * r02 + r10 * r10
+                     + r11 * r11 + r12 * r12 + r20 * r20 + r21 * r21
+                     + r22 * r22)
 
 
 def _rotations(points, dirs, angles) -> np.ndarray:
@@ -110,47 +117,57 @@ class FoldedState:
     closure_residual: float       # worst vertex/cycle closure
 
 
+# a face's corners, in `face_corners` order, as offsets from its (r, c); its
+# edges and diagonals as corner pairs, (1, 0), (3, 0) and (2, 0) as planarity
+# reads them: the two edges spanning the plane, the diagonal measured off it
+_CORNER_DR, _CORNER_DC = np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1])
+_PAIR_A, _PAIR_B = np.array([1, 1, 2, 3, 2, 1]), np.array([0, 2, 3, 0, 0, 3])
+
+
 def _place_column(coords, T, pts, c) -> tuple:
     """Place face column c, folded by its transforms T (face, frame, 4, 4),
     into coords and verify it: per frame, the column's worst corner gap and
-    its worst strain (edges, diagonals, planarity)."""
+    its worst strain (edges, diagonals, planarity).  Each check is a few
+    array passes over the column's four corners or six corner pairs stacked,
+    (frame, corner or pair, face): the extra memory is one column's."""
     m = T.shape[0] - 1
-    # corner k of every face in the column, (frame, face, xyz) and the
-    # layout's; a matmul operand here is contiguous, as in `_rotations`
-    at = [(dr, c + dc) for dr, dc in ((0, 0), (1, 0), (1, 1), (0, 1))]
-    own = [(T @ pts[dr:dr + m + 1, cc, None, :, None].copy())[..., :3, 0]
-           .transpose(1, 0, 2) for dr, cc in at]
-    flat = [pts[dr:dr + m + 1, cc, :2] for dr, cc in at]
+    # corner k of face r is grid point (r + dr[k], c + dc[k]): the layout's,
+    # (face, corner, xyzw), and the face's own, (frame, corner, face, xyz);
+    # one contiguous matrix-vector operand per corner, as in `_rotations`
+    rows = np.arange(m + 1)[:, None] + _CORNER_DR
+    corners = pts[rows, c + _CORNER_DC]
+    own = (T[:, :, None] @ corners[:, None, :, :, None])[..., :3, 0]
+    own = own.transpose(1, 2, 0, 3)
     # a corner belongs to the first face (row-major) that has it: the face
     # above-left of it, except on the top row and left column
-    coords[:, 1:, c + 1] = own[2]
-    coords[:, 0, c + 1] = own[3][:, 0]
+    coords[:, 1:, c + 1] = own[:, 2]
+    coords[:, 0, c + 1] = own[:, 3, 0]
     if c == 0:
-        coords[:, 1:, 0] = own[1]
-        coords[:, 0, 0] = own[0][:, 0]
-    folded = [coords[:, dr:dr + m + 1, cc] for dr, cc in at]
-    # the face must agree with its corners' stored positions
-    gaps = [_norms(x - q3) for x, q3 in zip(own, folded)]
-    # congruence: edges and diagonals
-    strains = []
-    for a_i, b_i in ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)):
-        d2 = _norms(flat[a_i] - flat[b_i])
-        d3 = _norms(folded[a_i] - folded[b_i])
-        strains.append(np.abs(d3 - d2) / np.maximum(d2, 1.0))
+        coords[:, 1:, 0] = own[:, 1]
+        coords[:, 0, 0] = own[:, 0, 0]
+    folded = coords[:, rows.T, c + _CORNER_DC[:, None]]
+    # the face must agree with its corners' stored positions; a stack is
+    # dropped once read, and fmax, as max(), keeps the running value over NaN
+    gap = np.fmax.reduce(_norms(own - folded), axis=(1, 2))
+    del own
+    # congruence: edges and diagonals, each pair's length in the layout
+    # (pair, face) and folded (frame, pair, face)
+    d2 = _norms(corners[:, _PAIR_A, :2] - corners[:, _PAIR_B, :2]).T
+    edges = folded[:, _PAIR_A] - folded[:, _PAIR_B]
+    del folded
+    d3 = _norms(edges)
+    strain = np.fmax.reduce(np.abs(d3 - d2) / np.maximum(d2, 1.0),
+                            axis=(1, 2))
     # planarity; with three corners collinear (two may coincide) the normal
     # is rounding noise, so the bound scales with the face
-    e1, e2 = folded[1] - folded[0], folded[3] - folded[0]
-    nrm = np.cross(e1, e2)
+    nrm = np.cross(edges[:, 0], edges[:, 3])
     nn = _norms(nrm)
-    scale = np.fmax(np.fmax(_norms(e1), _norms(e2)), 1.0)
+    scale = np.fmax(np.fmax(d3[:, 0], d3[:, 3]), 1.0)
     bent = nn > TAU_DEGENERATE * scale * scale
     off = np.zeros_like(nn)
-    off[bent] = np.abs(np.vecdot((folded[2] - folded[0])[bent],
+    off[bent] = np.abs(np.vecdot(edges[:, 4][bent],
                                  nrm[bent] / nn[bent, None])) / scale[bent]
-    strains.append(off)
-    # fmax, as max(), keeps the running value against a NaN
-    return (np.fmax.reduce(gaps, axis=(0, 2)),
-            np.fmax.reduce(strains, axis=(0, 2)))
+    return gap, np.fmax(strain, np.fmax.reduce(off, axis=1))
 
 
 def _fold_frames(p: QuadPattern, sols, props) -> tuple:
@@ -160,10 +177,10 @@ def _fold_frames(p: QuadPattern, sols, props) -> tuple:
 
     Column 0 chains down its rows, one matmul per row over the frames;
     every later column is one matmul of the column on its left with one
-    rotation per (face, frame), then `_place_column`.  Every float is the
-    one a face by face, frame by frame walk computes, and the extra memory
-    is a few stacks of one column's transforms.  The oracle and the raises
-    follow, frame by frame.
+    rotation per (face, frame), then `_place_column`'s stacked checks.
+    Every float is the one a face by face, frame by frame walk computes,
+    and the extra memory is a few stacks of one column's transforms.  The
+    oracle and the raises follow, frame by frame.
     """
     g = p.grid
     check_layout_angles(p.vertices, g)

@@ -615,6 +615,9 @@ class InfeasibilityReport:
     margin: float
 
 
+_POLE_BOUND = 1e-12  # |1 - t_a*t_b| below this: the unbounded side's pole
+
+
 def infeasibility_witness(alpha1: float, alpha2: float, alpha3: float,
                           alpha4: float) -> InfeasibilityReport:
     """Show that the mixed branch pairings admit no sector-angle solution."""
@@ -630,7 +633,7 @@ def infeasibility_witness(alpha1: float, alpha2: float, alpha3: float,
     poles = []
     for prod in (t4 * t3, t2 * t1):
         den = 1.0 - prod
-        if abs(den) < 1e-12:
+        if abs(den) < _POLE_BOUND:
             unbounded.append(math.inf)
             poles.append(True)
         else:

@@ -251,7 +251,7 @@ def classify(v: Vertex4) -> VertexClass:
 def xi_of(v: Vertex4, rho1: float) -> float:
     """Auxiliary spherical angle xi for driving angle rho1; OutOfDomain
     outside [-pi, pi], NaN included."""
-    if not abs(rho1) <= math.pi + 1e-12:
+    if not abs(rho1) <= math.pi + _PI_SLACK:
         raise OutOfDomain(f"rho1 {rho1!r} outside [-pi, pi]")
     a1, a2 = v.alpha[0], v.alpha[1]
     arg = math.cos(a1) * math.cos(a2) - math.sin(a1) * math.sin(a2) * math.cos(rho1)
@@ -272,6 +272,10 @@ def xi_of(v: Vertex4, rho1: float) -> float:
 # xi_of contract: near the flat state the arguments equal +-1 exactly and
 # floating-point noise pushes them past by O(1e-12).
 _EVAL_CLAMP = 1e-9
+# the rounding by which a driving angle may pass +-pi (`xi_of`) and a branch
+# parameter its +-r_max (`_eval_param`) and still count as inside
+_PI_SLACK = 1e-12
+_R_MAX_SLACK = 1e-12
 
 
 class _BranchParam:
@@ -870,7 +874,7 @@ def _state(p: _BranchParam, r: float) -> tuple:
 
 
 def _eval_param(p: _BranchParam, r: float, branch: BranchId) -> VertexSolution:
-    if not abs(r) <= p.r_max + 1e-12:  # NaN included
+    if not abs(r) <= p.r_max + _R_MAX_SLACK:  # NaN included
         raise OutOfDomain(
             f"parameter {r!r} outside fold interval [-{p.r_max!r}, {p.r_max!r}]"
         )

@@ -1,4 +1,6 @@
 import argparse
+import collections
+import enum
 import inspect
 import json
 import math
@@ -139,6 +141,95 @@ def _angle_not_finite(p, doc):
 def _grid_plan(**edit):
     """Plan of a 2x2 square grid with its top-level keys edited."""
     return dict(square_grid_plan(2, 2).to_json(), **edit)
+
+
+def _reference_fmt(value) -> str:
+    """`fold_dumps` as one isinstance chain, the reference for its type
+    table."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        x = float(value)
+        if math.isnan(x) or math.isinf(x):
+            raise SerializationError(f"non-finite float {x!r} in document")
+        s = "{:.12g}".format(x)
+        return "0" if s == "-0" else s
+    if isinstance(value, str):
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(_reference_fmt(v) for v in value) + "]"
+    if isinstance(value, dict):
+        items = sorted(value.items())
+        return "{" + ",".join(f"{_reference_fmt(str(k))}:{_reference_fmt(v)}"
+                              for k, v in items) + "}"
+    raise SerializationError(f"cannot serialize {type(value).__name__}")
+
+
+class _Level(enum.IntEnum):
+    LOW = 3
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+_DUMPS_VALUES = [
+    True, False, 0, 7, -12, 2 ** 70, _Level.LOW,
+    np.int64(-5), np.int32(3), np.uint8(200),
+    1.5, 0.1, -0.0, 0.0, 1e-300, -2.5e17, 123456789.123456789, 1 / 3,
+    _Float(2.25), np.float32(0.1), np.float64(-0.0), np.float32(-0.0),
+    np.float64(1e-7),
+    None,
+    'a "quoted" back\\slash\nnew\tline \x01 \u00e9 \u2603', "", _Str("s"),
+    np.str_("numpy"),
+    (), [], (1, 2.5, "t"), [None, -0.0, (True, np.int64(4))],
+    {}, {3: "a", 1: [True, None]}, {(1, 2): 1.0, (0, 5): 2.0},
+    {2.5: "x", -1.0: "y"}, collections.OrderedDict([("b", 1), ("a", 2)]),
+    {"a": [{"b": (1.0, [None, {"c": np.int64(2), "d": np.float32(-0.0)}])}],
+     "e": {"f": {"g": ["h", 1e21, -1e-21]}}},
+]
+
+
+@pytest.mark.parametrize("value", _DUMPS_VALUES,
+                         ids=[f"{k}-{type(v).__name__}"
+                              for k, v in enumerate(_DUMPS_VALUES)])
+def test_dumps_matches_the_isinstance_chain(value):
+    """Every JSON type, numpy scalars, subclasses, -0 (written 0), escapes,
+    non-str keys and nesting: the same text, top level and nested."""
+    assert fold_dumps(value) == _reference_fmt(value)
+    assert fold_dumps({"k": [value]}) == _reference_fmt({"k": [value]})
+
+
+@pytest.mark.parametrize("value", [
+    math.nan, -math.inf, math.inf, np.float64("nan"), np.float32("inf"),
+    _Float("-inf"), object(), {1, 2}, b"1", np.bool_(True), np.array([1.0]),
+    1 + 2j, {1: "a", "b": 2}])
+def test_dumps_refuses_as_the_isinstance_chain(value):
+    """A non-finite float, a value of no JSON type and unorderable keys are
+    refused with the chain's exception, type and message."""
+    def outcome(dumps):
+        with pytest.raises(Exception) as exc:
+            dumps({"x": [value]})
+        return type(exc.value), str(exc.value)
+
+    got = outcome(fold_dumps)
+    assert got == outcome(_reference_fmt)
+    assert got[0] is SerializationError or isinstance(value, dict)
+
+
+def test_documents_dump_as_the_isinstance_chain(pat_a):
+    """Crease-pattern and folded-frame documents of showcase A."""
+    frame = sweep(pat_a, None, 3, n_samples=40).frames[2]
+    for doc in (export_fold(pat_a), export_fold(frame, pattern=pat_a)):
+        assert fold_dumps(doc) == _reference_fmt(doc)
 
 
 class TestFold:

@@ -322,7 +322,8 @@ def _parallel_grid():
 
 @pytest.fixture(scope="module")
 def bases():
-    """(name, pattern): both showcases and seeded herringbones."""
+    """(name, pattern): both showcases and seeded herringbones, square and
+    not (a writer that swaps rows and columns fails the last two)."""
     out = [("showcase_a", stitch(showcase_a_plan())),
            ("showcase_b", stitch(showcase_b_plan())),
            ("herringbone_4x4", stitch(herringbone_plan(4, 4)))]
@@ -331,6 +332,8 @@ def bases():
         a, c = rng.uniform(93.0, 97.0), rng.uniform(70.0, 74.0)
         out.append((f"herringbone_8x8_{k}",
                     stitch(herringbone_plan(8, 8, a, c))))
+    out += [("herringbone_3x6", stitch(herringbone_plan(3, 6))),
+            ("herringbone_6x3", stitch(herringbone_plan(6, 3)))]
     return out
 
 
