@@ -20,7 +20,8 @@ import math
 import os
 import sys
 
-from .config import DEFAULT_FRAMES, DEFAULT_SAMPLES, TAU_UNIT, UNIT_SAMPLES
+from .config import (DEFAULT_FRAMES, DEFAULT_SAMPLES, TAU_UNIT, UNIT_SAMPLES,
+                     check_count)
 from .errors import OutOfDomain, QuadfoldError, SerializationError
 from .foldability import certify, mv_assignment
 from .foldio import (_FLOAT_FMT, export_fold, export_obj, export_svg,
@@ -230,15 +231,14 @@ def _cmd_pattern_svg(args):
 
 
 def _count_at_least(least: int):
-    """An argparse type: an integer >= `least`."""
+    """An argparse type: an integer >= `least` (`check_count`)."""
     def count(text: str) -> int:
+        message = f"must be an integer >= {least}, got {text!r}"
         try:
             value = int(text)
+            check_count(value, least, message)
         except ValueError:
-            value = None
-        if value is None or value < least:
-            raise argparse.ArgumentTypeError(
-                f"must be an integer >= {least}, got {text!r}")
+            raise argparse.ArgumentTypeError(message) from None
         return value
     return count
 

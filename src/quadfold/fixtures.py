@@ -26,7 +26,7 @@ import math
 from .pattern import PlanLengths, StitchPlan
 from .units import FFUnitMode, Unit, identical_vertex_unit, \
     make_flatfoldable_basic_unit, solve_ff_unit
-from .vertex import BranchId, Vertex4
+from .vertex import TWO_PI, BranchId, Vertex4
 
 _rad = math.radians
 
@@ -48,7 +48,7 @@ def showcase_a_plan() -> StitchPlan:
     a = _rad(95.0)   # shared "a" angle of both straight-line vertices
     c = _rad(75.0)   # second free angle of the left column's vertex
 
-    f1 = 2.0 * math.pi - 2.0 * c - a
+    f1 = TWO_PI - 2.0 * c - a
     f3 = math.pi - a
     f4 = a
     f2 = FFUnitMode.A_MINUS.alpha4(f1, f4, f3)   # A-minus closure
@@ -81,13 +81,13 @@ def showcase_b_plan() -> StitchPlan:
     g4 = 0.5 * (h1 + h4)
     g1 = 0.5 * (math.pi - h3 + h6)
     g2 = _rad(98.0)
-    g3 = 2.0 * math.pi - g1 - g2 - g4
+    g3 = TWO_PI - g1 - g2 - g4
     g_v = Vertex4((g1, g2, g3, g4))
 
     w3 = 0.5 * (h2 + h3)
     w2 = 0.5 * (math.pi - h4 + h5)
     w1 = _rad(85.0)
-    w4 = 2.0 * math.pi - w1 - w2 - w3
+    w4 = TWO_PI - w1 - w2 - w3
     w_v = Vertex4((w1, w2, w3, w4))
 
     return StitchPlan(columns=(

@@ -301,6 +301,7 @@ class CompatibilityReport:
 
 
 _PI_MARGIN = 1e-7
+_PROBE_LIMIT = math.pi - _PI_MARGIN  # the largest |rho| a probe passes with
 
 
 def _probes(tree, ts, branches) -> list:
@@ -321,19 +322,11 @@ def _probes(tree, ts, branches) -> list:
 
 
 def _passes(top) -> bool:
-    return top is not None and top <= math.pi - _PI_MARGIN
-
-
-def _probe(tree, t, branches) -> bool:
-    """Whether the driving angle `t` passes as a driving-limit probe: the
-    one-angle case of `_probes`.  `certify`'s t_max is `vertex.last_valid`
-    over this predicate; `_driving_limit` replays that search's decisions
-    from batched walks."""
-    return _passes(_probes(tree, (t,), branches)[0])
+    return top is not None and top <= _PROBE_LIMIT
 
 
 def _guide(good: float, bad: float, tops: dict) -> float:
-    """Where the largest |rho| of the fold angles reaches pi - _PI_MARGIN,
+    """Where the largest |rho| of the fold angles reaches `_PROBE_LIMIT`,
     as a driving-limit search's bracket [good, bad] suggests: by regula
     falsi between its ends where the largest |rho| at bad is known (bad
     failed by the margin), otherwise by the secant through good and the
@@ -348,13 +341,13 @@ def _guide(good: float, bad: float, tops: dict) -> float:
     f0, f1 = tops[t0], tops[t1]
     if f1 <= f0:
         return math.nextafter(bad, 0.0)
-    return t0 + (math.pi - _PI_MARGIN - f0) * (t1 - t0) / (f1 - f0)
+    return t0 + (_PROBE_LIMIT - f0) * (t1 - t0) / (f1 - f0)
 
 
 def _driving_limit(tree, branches) -> float:
-    """t_max: the result of `vertex.last_valid` for `_probe` with 48 scan
-    steps.  Every point that search evaluates is evaluated and every
-    decision it makes is made, in its order, but many points share a walk.
+    """t_max: `vertex.last_valid` with 48 scan steps over the one-angle
+    case of `_probes`.  Every point that search evaluates is evaluated and
+    every decision it makes is made, in order, but many points share a walk.
 
     A batch is the path the search would take if each point t passed
     exactly when t <= g, for the guide g (`_guide`) of the search's
@@ -407,13 +400,13 @@ def certify(p: QuadPattern, branch_choice: BranchChoice = None,
 
     The driving angle sweeps the symmetric closed interval [-t_max, t_max]
     (endpoints included).  t_max is the result of the plain driving-limit
-    search, `vertex.last_valid` over `_probe` (the walk succeeds and no
-    fold angle is within 1e-7 of +-pi) with 48 scan steps; a probe can
-    fail below t_max, so t_max is where that search's decisions end, and
-    `_driving_limit` replays those decisions from batched walks.  A t_max
-    of at most `TAU_EMPTY` is refused with EmptyInterval.  The verdict is
-    positive only when propagation succeeded at every sample and every
-    cut-crease residual stays below `TAU_COMPAT`.
+    search, `vertex.last_valid` with 48 scan steps over the one-angle case
+    of `_probes` (the walk succeeds and no fold angle is within 1e-7 of
+    +-pi); a probe can fail below t_max, so t_max is where that search's
+    decisions end, and `_driving_limit` replays them from batched walks.
+    A t_max of at most `TAU_EMPTY` is refused with EmptyInterval.  The
+    verdict is positive only when propagation succeeded at every sample
+    and every cut-crease residual stays below `TAU_COMPAT`.
 
     Reports are memoised on the pattern, by branch grid and `n_samples`:
     the pattern and the report are immutable, so asking again returns the

@@ -299,13 +299,13 @@ def export_obj(state: FoldedState, pattern: QuadPattern) -> str:
             f"face ({r},{c}) has zero area; refusing to emit")
     lines = ["# quadfold folded state"]
     lines += [_OBJ_VERTEX.format(*xyz) for xyz in xs.reshape(-1, 3).tolist()]
-    # OBJ counts from 1; a face's corners, in `face_corners` order, are
-    # its (r, c), (r+1, c), (r+1, c+1) and (r, c+1), row-major by face
-    down, right = pattern.point_index(1, 0), pattern.point_index(0, 1)
+    # OBJ counts from 1; a face's corners (`face_corners`) as point-index
+    # offsets from its (r, c), row-major by face
+    k0, k1, k2, k3 = (pattern.point_index(*q) + 1
+                      for q in pattern.face_corners(0, 0))
     for r, c in pattern.faces():
-        q = pattern.point_index(r, c) + 1
-        lines.append("f %d %d %d %d"
-                     % (q, q + down, q + down + right, q + right))
+        q = pattern.point_index(r, c)
+        lines.append("f %d %d %d %d" % (q + k0, q + k1, q + k2, q + k3))
     return "\n".join(lines) + "\n"
 
 

@@ -38,9 +38,7 @@ from .errors import (
 )
 from .units import DOF_TABLE, _validated, is_json_number, json_keys, \
     json_numbers, unit_from_descriptor, valid_branch_pairs
-from .vertex import Vertex4, normalize_angle
-
-TWO_PI = 2.0 * math.pi
+from .vertex import TWO_PI, Vertex4, normalize_angle
 
 
 @dataclass(frozen=True)
@@ -180,7 +178,8 @@ class QuadPattern:
         """Grid quads as (r, c) of their top-left corner."""
         return [(r, c) for r in range(self.m + 1) for c in range(self.n + 1)]
 
-    def face_corners(self, r: int, c: int):
+    @staticmethod
+    def face_corners(r: int, c: int):
         return ((r, c), (r + 1, c), (r + 1, c + 1), (r, c + 1))
 
     def edges(self):
@@ -346,7 +345,7 @@ def _check_faces(grid):
     pts = grid.tolist()
     for r in range(len(pts) - 1):
         for c in range(len(pts[0]) - 1):
-            q = (pts[r][c], pts[r + 1][c], pts[r + 1][c + 1], pts[r][c + 1])
+            q = [pts[a][b] for a, b in QuadPattern.face_corners(r, c)]
             nxt = q[1:] + q[:1]
             ex = [b[0] - a[0] for a, b in zip(q, nxt)]  # edge k: k -> k+1
             ey = [b[1] - a[1] for a, b in zip(q, nxt)]

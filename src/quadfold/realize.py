@@ -117,10 +117,10 @@ class FoldedState:
     closure_residual: float       # worst vertex/cycle closure
 
 
-# a face's corners, in `face_corners` order, as offsets from its (r, c); its
-# edges and diagonals as corner pairs, (1, 0), (3, 0) and (2, 0) as planarity
+# a face's corners (`face_corners`) as offsets from its (r, c); its edges
+# and diagonals as corner pairs, (1, 0), (3, 0) and (2, 0) as planarity
 # reads them: the two edges spanning the plane, the diagonal measured off it
-_CORNER_DR, _CORNER_DC = np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1])
+_CORNER_DR, _CORNER_DC = np.array(QuadPattern.face_corners(0, 0)).T
 _PAIR_A, _PAIR_B = np.array([1, 1, 2, 3, 2, 1]), np.array([0, 2, 3, 0, 0, 3])
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from numbers import Integral
 from typing import Optional
 
 from .config import TAU_EMPTY, TAU_FLAT, TAU_UNIT, UNIT_SAMPLES, check_count
@@ -49,6 +50,7 @@ from .vertex import (
     _solved,
     classify,
     normalize_angle,
+    cyclic_shift,
     solve_on_branch,
     symmetric_grid,
 )
@@ -72,10 +74,11 @@ class FFUnitMode(Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "FFUnitMode":
-        for m in cls:
-            if m.value == str(token).strip().lower():
-                return m
-        raise ValueError(f"unknown flat-foldable unit mode {token!r}")
+        try:
+            return cls(str(token).strip().lower())
+        except ValueError:
+            raise ValueError(
+                f"unknown flat-foldable unit mode {token!r}") from None
 
     @property
     def branch(self) -> BranchId:
@@ -160,6 +163,16 @@ _KIND_NEEDS = {
 }
 
 
+def _sign_pair(signs, refusal: str) -> tuple:
+    """`signs`, a list or tuple of two integers each 1 or -1 (numpy's count,
+    bools do not), as ints; else ValidationFailed(refusal.format(signs))."""
+    if not (isinstance(signs, (list, tuple)) and len(signs) == 2 and all(
+            isinstance(s, Integral) and not isinstance(s, bool)
+            and s in (1, -1) for s in signs)):
+        raise ValidationFailed(refusal.format(signs))
+    return tuple(map(int, signs))
+
+
 @dataclass(frozen=True)
 class Unit:
     top: Vertex4
@@ -171,8 +184,8 @@ class Unit:
     mode: Optional[FFUnitMode] = None
 
     def __post_init__(self):
-        if tuple(self.signs) not in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            raise ValidationFailed(f"signs must be +/-1 pairs, got {self.signs}")
+        object.__setattr__(self, "signs", _sign_pair(
+            self.signs, "signs must be +/-1 pairs, got {}"))
         if self.kind not in UNIT_KINDS:
             raise ValidationFailed(
                 f"kind must be one of {', '.join(UNIT_KINDS)}, "
@@ -181,7 +194,7 @@ class Unit:
     @property
     def sector(self) -> tuple:
         """The 8 sector angles in role labels: top a1..a4, bottom a1..a4."""
-        return self.top.alpha + self.bottom.shifted(2).alpha
+        return self.top.alpha + cyclic_shift(self.bottom.alpha, 2)
 
     @property
     def sector_degrees(self) -> tuple:
@@ -223,11 +236,8 @@ class Unit:
                         "kind", "mode"), "a unit document")
         top = Vertex4(sector[:4])
         bottom = Vertex4(sector[4:]).shifted(2)  # role -> stored labels
-        signs = doc.get("signs", (1, 1))
-        if (not isinstance(signs, (list, tuple)) or len(signs) != 2
-                or any(type(s) is not int or s not in (1, -1) for s in signs)):
-            raise ValidationFailed(
-                f"signs must be two of the integers 1 and -1, got {signs!r}")
+        signs = _sign_pair(doc.get("signs", (1, 1)), "signs must be two of "
+                           "the integers 1 and -1, got {!r}")
         branches = doc.get("branches", ("1", "1"))
         if not isinstance(branches, (list, tuple)) or len(branches) != 2:
             raise ValidationFailed(
@@ -238,9 +248,8 @@ class Unit:
             raise ValidationFailed(f"branches: {exc}") from exc
         mode = (json_token(doc, "mode", FFUnitMode.from_token)
                 if "mode" in doc else None)
-        if mode is not None and (branch_top is not mode.branch
-                                 or branch_bottom is not mode.branch
-                                 or tuple(signs) != mode.signs):
+        if mode is not None and ((branch_top, branch_bottom, signs)
+                                 != (mode.branch, mode.branch, mode.signs)):
             raise ValidationFailed(
                 f"mode: {mode.value} pairs branch {mode.branch.value} on both "
                 f"vertices with signs {list(mode.signs)}, but the unit states "
@@ -267,7 +276,7 @@ class Unit:
             bottom=bottom,
             branch_top=branch_top,
             branch_bottom=branch_bottom,
-            signs=tuple(signs),
+            signs=signs,
             kind=kind,
             mode=mode,
         )
@@ -532,18 +541,22 @@ def make_straightline_unit(v: Vertex4) -> Unit:
     return identical_vertex_unit(v, branch, kind="straight_line")
 
 
+def _ff_sectors(a1: float, a2: float) -> tuple:
+    return (a1, a2, math.pi - a1, math.pi - a2)  # the flat-foldable vertex
+
+
 def make_flatfoldable_basic_unit(alpha1: float, alpha2: float) -> Unit:
     """Identical-vertex flat-foldable unit from its two free sector angles."""
-    _check_open_interval(alpha1, "alpha1")
-    _check_open_interval(alpha2, "alpha2")
-    v = Vertex4((alpha1, alpha2, math.pi - alpha1, math.pi - alpha2))
-    return identical_vertex_unit(v, BranchId.BRANCH_1, mirrored=False,
+    _check_open_intervals(alpha1, alpha2)
+    return identical_vertex_unit(Vertex4(_ff_sectors(alpha1, alpha2)),
+                                 BranchId.BRANCH_1, mirrored=False,
                                  kind="flat_foldable_basic")
 
 
-def _check_open_interval(x: float, name: str):
-    if not (0.0 < x < math.pi):
-        raise InvalidAngle(f"{name} must lie in (0, pi), got {x!r}")
+def _check_open_intervals(*alphas: float):
+    for k, x in enumerate(alphas, 1):
+        if not (0.0 < x < math.pi):
+            raise InvalidAngle(f"alpha{k} must lie in (0, pi), got {x!r}")
 
 
 def solve_ff_unit(alpha1: float, alpha2: float, alpha3: float,
@@ -558,13 +571,12 @@ def solve_ff_unit(alpha1: float, alpha2: float, alpha3: float,
     with a1 + a2 = pi moves on a segment, not a curve, so a unit with one
     is swept at `UNIT_SAMPLES` samples instead.
     """
-    for x, name in ((alpha1, "alpha1"), (alpha2, "alpha2"), (alpha3, "alpha3")):
-        _check_open_interval(x, name)
+    _check_open_intervals(alpha1, alpha2, alpha3)
     alpha4 = mode.alpha4(alpha1, alpha2, alpha3)
     if not (0.0 < alpha4 < math.pi):
         raise InvalidAngle(f"mode {mode.value} yields alpha4 = {alpha4!r}")
-    top = Vertex4((alpha1, alpha2, math.pi - alpha1, math.pi - alpha2))
-    bottom = Vertex4((math.pi - alpha3, math.pi - alpha4, alpha3, alpha4))
+    top = Vertex4(_ff_sectors(alpha1, alpha2))
+    bottom = Vertex4(cyclic_shift(_ff_sectors(alpha3, alpha4), 2))
     unit = Unit(top=top, bottom=bottom, branch_top=mode.branch,
                 branch_bottom=mode.branch, signs=mode.signs,
                 kind="flat_foldable", mode=mode)
@@ -621,24 +633,17 @@ _POLE_BOUND = 1e-12  # |1 - t_a*t_b| below this: the unbounded side's pole
 def infeasibility_witness(alpha1: float, alpha2: float, alpha3: float,
                           alpha4: float) -> InfeasibilityReport:
     """Show that the mixed branch pairings admit no sector-angle solution."""
-    for x, name in ((alpha1, "alpha1"), (alpha2, "alpha2"),
-                    (alpha3, "alpha3"), (alpha4, "alpha4")):
-        _check_open_interval(x, name)
+    _check_open_intervals(alpha1, alpha2, alpha3, alpha4)
     t1, t2 = _tan_half(alpha1), _tan_half(alpha2)
     t3, t4 = _tan_half(alpha3), _tan_half(alpha4)
 
     bounded = ((t2 - t1) / (t2 + t1), (t4 - t3) / (t4 + t3))
 
-    unbounded = []
-    poles = []
+    unbounded, poles = [], []
     for prod in (t4 * t3, t2 * t1):
         den = 1.0 - prod
-        if abs(den) < _POLE_BOUND:
-            unbounded.append(math.inf)
-            poles.append(True)
-        else:
-            unbounded.append((1.0 + prod) / den)
-            poles.append(False)
+        poles.append(abs(den) < _POLE_BOUND)
+        unbounded.append(math.inf if poles[-1] else (1.0 + prod) / den)
 
     worst_bounded = max(abs(x) for x in bounded)
     best_unbounded = min(abs(x) for x in unbounded)

@@ -126,6 +126,11 @@ class VertexClass:
     warnings: tuple = ()
 
 
+def cyclic_shift(xs: tuple, k: int) -> tuple:
+    """Cyclic relabelling of a vertex's four slots: new x_i = old x_{i+k}."""
+    return xs[k % 4:] + xs[:k % 4]
+
+
 @dataclass(frozen=True)
 class Vertex4:
     """Four sector angles of a developable degree-4 vertex, in radians.
@@ -159,9 +164,8 @@ class Vertex4:
         return tuple(math.degrees(x) for x in self.alpha)
 
     def shifted(self, k: int) -> "Vertex4":
-        """Cyclic relabelling: new a_i = old a_{i+k}."""
-        k %= 4
-        return Vertex4(self.alpha[k:] + self.alpha[:k])
+        """Cyclic relabelling: new a_i = old a_{i+k} (`cyclic_shift`)."""
+        return Vertex4(cyclic_shift(self.alpha, k))
 
     def mirrored(self) -> "Vertex4":
         """Reflected copy: sector order reversed as (a4, a3, a2, a1)."""
@@ -276,6 +280,7 @@ _EVAL_CLAMP = 1e-9
 # parameter its +-r_max (`_eval_param`) and still count as inside
 _PI_SLACK = 1e-12
 _R_MAX_SLACK = 1e-12
+_MARGIN_SLACK = 1e-13  # an arccos curve's margin below 0 that is still valid
 
 
 class _BranchParam:
@@ -431,9 +436,7 @@ _STRAIGHT_LINE_RHOS = (  # canonical labels; g = (A, D)
 # the same in stored labels, for each relabelling shift: stored rho_i is
 # canonical rho_{i - shift}
 _SHIFTED_STRAIGHT_LINE_RHOS = {
-    shift: tuple(_STRAIGHT_LINE_RHOS[(i - shift) % 4] for i in range(4))
-    for shift in (0, 1)
-}
+    shift: cyclic_shift(_STRAIGHT_LINE_RHOS, -shift) for shift in (0, 1)}
 
 
 # The guided bisection (`_ArccosCurve.bisect`) evaluates a plain-bisection
@@ -520,8 +523,8 @@ class _ArccosCurve(_BranchParam):
         self.base = tuple(TWO_PI if turned and k in outer else 0.0
                           for k in range(4))
         self.trig = _sector_trig(alpha, self.straight_line)
-        self.r_max = last_valid(lambda r: self.margin(r) >= -1e-13, 64,
-                                TAU_ROOT)
+        self.r_max = last_valid(
+            lambda r: self.margin(r) >= -_MARGIN_SLACK, 64, TAU_ROOT)
         self.lift_max = self._lifts_or_none(self.r_max)
         self.lift_zero = self._lifts_or_none(0.0)
 
@@ -551,7 +554,7 @@ class _ArccosCurve(_BranchParam):
         except OutOfDomain:
             return -1.0
         m = 1.0 - max(map(abs, args))
-        if m < -1e-13:
+        if m < -_MARGIN_SLACK:
             return m
         worst = max(map(abs, map(operator.sub, self._rhos_at(args, rr),
                                  self.base)))
@@ -769,9 +772,9 @@ def last_valid(ok: Callable[[float], bool], n_scan: int,
     Where ok holds from 0 up to a threshold and fails above it, this is the
     largest passing r to within `tol`.  Elsewhere it is the passing point
     the decisions end on: a blanket's driving-limit probes can fail in a
-    band below the result.  `certify`'s t_max is this result for
-    `foldability._probe`, and `foldability._driving_limit` replays these
-    decisions from batched walks.
+    band below the result.  `certify`'s t_max is this result for the
+    one-angle case of `foldability._probes`; `_driving_limit` there
+    replays these decisions from batched walks.
     """
     search = _LimitSearch(n_scan, tol)
     while search.point is not None:
@@ -831,7 +834,7 @@ def _branch_param(alpha: tuple, branch: BranchId) -> _BranchParam:
         if branch is BranchId.LINE_SEGMENT_1:
             return _Segment((shift, shift + 2))
         if branch is BranchId.BRANCH_2:
-            return _StraightLineCurve(v.shifted(shift).alpha, shift)
+            return _StraightLineCurve(cyclic_shift(v.alpha, shift), shift)
         raise WrongClass(
             "straight-line vertex has only LINE_SEGMENT_1 and BRANCH_2"
         )

@@ -35,7 +35,8 @@ from quadfold.foldability import (
     Propagation,
     TreeStructure,
     _branch_grid,
-    _probe,
+    _passes,
+    _probes,
     crease_slot,
     mv_letter,
 )
@@ -80,6 +81,18 @@ class TestBuildTree:
     def test_single_column_is_already_a_tree(self):
         p = stitch(single_ff_unit_plan())
         assert build_tree(p).n_cuts == 0
+
+    def test_a_pattern_without_inner_vertices_is_not_a_blanket(self):
+        """No constructor makes a pattern without inner vertices; one built
+        directly is refused by `build_tree`, and so by `certify`."""
+        import numpy as np
+        from quadfold import NotABlanket, QuadPattern
+
+        empty = QuadPattern(0, 0, (), (), None, np.zeros((2, 2, 2)), ())
+        for refuse in (build_tree, certify):
+            with pytest.raises(NotABlanket,
+                               match="^pattern has no inner vertices$"):
+                refuse(empty)
 
 
 class TestPropagate:
@@ -324,6 +337,12 @@ class TestCertify:
         p = stitch(StitchPlan(columns=((u,),)))
         with pytest.raises(EmptyInterval):
             certify(p, None, 20)
+
+
+def _probe(tree, t, branches) -> bool:
+    """Whether the driving angle `t` passes as a driving-limit probe: the
+    one-angle case of `_probes`."""
+    return _passes(_probes(tree, (t,), branches)[0])
 
 
 def _reference_driving_limit(tree, branches) -> float:

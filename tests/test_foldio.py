@@ -15,6 +15,7 @@ from quadfold import (
     BranchId,
     FFUnitMode,
     PlanLengths,
+    QuadPattern,
     SerializationError,
     StitchPlan,
     Unit,
@@ -37,8 +38,9 @@ from quadfold import (
     valid_branch_pairs,
     validate_unit,
 )
-from quadfold.cli import _parse_branch_spec, main
-from quadfold.config import DEFAULT_FRAMES, DEFAULT_SAMPLES, TAU_FLAT, TAU_UNIT
+from quadfold.cli import _count_at_least, _parse_branch_spec, main
+from quadfold.config import (DEFAULT_FRAMES, DEFAULT_SAMPLES, TAU_FLAT,
+                             TAU_UNIT, check_count)
 from quadfold.units import _acceptance_residual
 from quadfold.fixtures import (
     herringbone_plan,
@@ -233,6 +235,23 @@ def test_documents_dump_as_the_isinstance_chain(pat_a):
 
 
 class TestFold:
+    def test_export_builds_no_vertex(self, monkeypatch):
+        """The plan block reads each unit's role-labelled sectors
+        (`Unit.sector`) without building a vertex; it used to build one
+        per unit, 56 on this blanket."""
+        p = stitch(herringbone_plan(8, 8, 95, 72))
+        built = []
+        init = Vertex4.__init__
+
+        def counted(self, alpha):
+            built.append(alpha)
+            init(self, alpha)
+
+        monkeypatch.setattr(Vertex4, "__init__", counted)
+        doc = export_fold(p)
+        assert built == []
+        assert len(doc["quadfold:plan"]["columns"]) == 8
+
     def test_roundtrip_twelve_digits(self, pat_a):
         s1 = fold_dumps(export_fold(pat_a))
         p2 = import_fold(s1)
@@ -620,6 +639,13 @@ class TestSvg:
             export_svg(pat_a, {(a, b): "X"})
 
 
+    def test_refuses_a_pattern_without_inner_vertices(self):
+        """No constructor makes one; a pattern built directly is refused."""
+        empty = QuadPattern(0, 0, (), (), None, np.zeros((2, 2, 2)), ())
+        with pytest.raises(SerializationError, match="^empty pattern$"):
+            export_svg(empty)
+
+
 class TestMvKeys:
     """Both exports refuse an `mv` entry they would otherwise drop, naming
     it; `mv_assignment`'s own output, B on every boundary edge, exports as
@@ -669,6 +695,24 @@ class TestMvKeys:
 
 
 class TestCli:
+    @pytest.mark.parametrize("least", [1, 2])
+    def test_count_flag_rule_is_check_count(self, least):
+        """A count flag takes the text an integer parses from exactly when
+        `check_count` accepts that integer, and keeps argparse's message."""
+        count = _count_at_least(least)
+        for text in ("0", "1", "2", " 3 ", "+4", "-2", "007", "2.5", "x", "",
+                     "1e3", "True"):
+            try:
+                value = int(text)
+                check_count(value, least, "")
+            except ValueError:
+                with pytest.raises(argparse.ArgumentTypeError) as exc:
+                    count(text)
+                assert str(exc.value) == (f"must be an integer >= {least}, "
+                                          f"got {text!r}")
+            else:
+                assert count(text) == value
+
     def test_vertex_solve(self, capsys):
         rc = main(["vertex", "solve", "--alphas", "80,95,75,110",
                    "--rho1", "60", "--branch", "1"])

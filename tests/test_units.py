@@ -1,8 +1,10 @@
+import copy
 import json
 import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quadfold import (
@@ -862,3 +864,157 @@ class TestRefusals:
                            match="mode 10a-1 yields alpha4 = 3.14159"):
             solve_ff_unit(1e-8, math.pi - 1e-9, math.pi - 1e-9,
                           FFUnitMode.A_PLUS)
+
+
+def _constructor_units(rng) -> list:
+    """Seeded units of every constructor: `solve_ff_unit` in all four
+    modes, `make_flatfoldable_basic_unit`, `make_straightline_unit` (both
+    collinear pairs and double-collinear) and `identical_vertex_unit`
+    (generic and flat-foldable, both curve branches, mirrored and plain);
+    a design a constructor refuses is skipped."""
+    makes = []
+    for _ in range(4):
+        a1, a2, a3 = rng.uniform(deg(25), deg(155), size=3)
+        makes += [lambda m=m, a=(a1, a2, a3): solve_ff_unit(*a, m)
+                  for m in FFUnitMode]
+        makes.append(lambda a=(a1, a2): make_flatfoldable_basic_unit(*a))
+        s = random_straightline_vertex(rng)
+        makes += [lambda v=v: make_straightline_unit(v)
+                  for v in (s, s.shifted(1),
+                            Vertex4((a1, math.pi - a1, a1, math.pi - a1)))]
+        for v in (random_generic_vertex(rng), random_ff_vertex(rng)):
+            makes += [lambda v=v, b=b, m=m: identical_vertex_unit(
+                          v, b, mirrored=m)
+                      for b in (BranchId.BRANCH_1, BranchId.BRANCH_2)
+                      for m in (True, False)]
+    out = []
+    for make in makes:
+        try:
+            out.append(make())
+        except QuadfoldError:
+            pass
+    return out
+
+
+def _fixture_units() -> list:
+    return [u for plan in (showcase_a_plan(), showcase_b_plan())
+            for u in plan.units()]
+
+
+class TestOneDefinitionPerFact:
+    """A unit's role labels, the flat-foldable vertex, mode tokens and the
+    sign pair each have one definition."""
+
+    def test_sector_is_the_bottom_vertex_shifted_by_two(self, rng):
+        """`Unit.sector` is the top's sectors and the bottom's relabelled
+        by `shifted(2)`, repr for repr, without building a vertex."""
+        units = _fixture_units() + _constructor_units(rng)
+        assert len(units) > 60
+        for u in units:
+            assert repr(u.sector) == repr(u.top.alpha
+                                          + u.bottom.shifted(2).alpha)
+
+    def test_flat_foldable_vertex_of_two_free_angles(self, rng):
+        """Both flat-foldable constructors complete a1, a2 to
+        (a1, a2, pi - a1, pi - a2); `solve_ff_unit`'s bottom vertex is that
+        vertex of (alpha3, alpha4) relabelled by two."""
+        for a1, a2, a3 in rng.uniform(deg(25), deg(155), size=(8, 3)):
+            want = (a1, a2, math.pi - a1, math.pi - a2)
+            basic = make_flatfoldable_basic_unit(a1, a2)
+            assert basic.top.alpha == basic.bottom.alpha == want
+            for mode in FFUnitMode:
+                try:
+                    u = solve_ff_unit(a1, a2, a3, mode)
+                except QuadfoldError:
+                    continue
+                a4 = u.sector[5]
+                assert u.top.alpha == want
+                assert u.bottom.alpha == (math.pi - a3, math.pi - a4, a3, a4)
+
+    def test_mode_tokens_are_case_blind(self):
+        for mode in FFUnitMode:
+            for token in (mode.value, mode.value.upper(),
+                          f"  {mode.value.upper()}\n", f"\t{mode.value} "):
+                assert FFUnitMode.from_token(token) is mode
+
+    @pytest.mark.parametrize("token", ["10a", "10a-3", "A_PLUS", "a_plus",
+                                       "", "FFUnitMode.A_PLUS"])
+    def test_refused_mode_tokens(self, token):
+        """A refused token is named as given, in the library, in a unit
+        document's `mode` and in a flat-foldable descriptor."""
+        message = f"unknown flat-foldable unit mode {token!r}"
+        with pytest.raises(ValueError) as exc:
+            FFUnitMode.from_token(token)
+        assert str(exc.value) == message
+        doc = solve_ff_unit(deg(80), deg(95), deg(60), FFUnitMode.A_MINUS
+                            ).to_json()
+        with pytest.raises(ValidationFailed) as exc:
+            Unit.from_json(dict(doc, mode=token))
+        assert str(exc.value) == f"mode: {message}"
+        with pytest.raises(ValidationFailed) as exc:
+            unit_from_descriptor({"kind": "flat_foldable",
+                                  "alphas_deg": [80, 95, 60], "mode": token})
+        assert str(exc.value) == f"mode: {message}"
+
+    @pytest.mark.parametrize("signs", [(True, True), (1.0, -1.0),
+                                       (True, -1), (1, 1.0)])
+    def test_bool_and_float_signs_are_refused(self, signs):
+        """Before, `Unit` took these pairs (True == 1, 1.0 == 1) and wrote
+        documents that `Unit.from_json` then refused."""
+        u = make_straightline_unit(Vertex4.from_degrees((70, 80, 100, 110)))
+        with pytest.raises(ValidationFailed) as exc:
+            replace(u, signs=signs)
+        assert str(exc.value) == f"signs must be +/-1 pairs, got {signs}"
+        with pytest.raises(ValidationFailed) as exc:
+            Unit.from_json(dict(u.to_json(), signs=list(signs)))
+        assert str(exc.value) == ("signs must be two of the integers 1 and "
+                                  f"-1, got {list(signs)!r}")
+
+    def test_sign_pairs_are_stored_as_int_tuples(self):
+        """A list pair or numpy integers are stored as a tuple of int, so
+        the unit hashes, stitches and reads back from its document."""
+        plan = herringbone_plan(3, 3)
+        listed = [[replace(u, signs=list(u.signs)) for u in col]
+                  for col in plan.columns]
+        for col in listed:
+            for u in col:
+                assert type(u.signs) is tuple
+                assert all(type(s) is int for s in u.signs)
+        p = stitch(StitchPlan(columns=tuple(map(tuple, listed)),
+                              lengths=plan.lengths))
+        assert p.m == 3 and p.n == 3
+        u = next(plan.units())
+        wide = replace(u, signs=(np.int64(u.signs[0]), np.int32(u.signs[1])))
+        assert wide.signs == u.signs
+        assert all(type(s) is int for s in wide.signs)
+        assert wide == u and hash(wide) == hash(u)
+        doc = json.loads(json.dumps(wide.to_json()))
+        assert Unit.from_json(doc).signs == u.signs
+
+    def test_open_interval_refusals_name_each_angle(self):
+        with pytest.raises(InvalidAngle,
+                           match=r"^alpha3 must lie in \(0, pi\), got 0\.0$"):
+            solve_ff_unit(deg(80), deg(95), 0.0, FFUnitMode.A_PLUS)
+        with pytest.raises(InvalidAngle,
+                           match=r"^alpha4 must lie in \(0, pi\)"):
+            infeasibility_witness(deg(80), deg(95), deg(60), math.pi)
+        with pytest.raises(InvalidAngle,
+                           match=r"^alpha1 must lie in \(0, pi\)"):
+            infeasibility_witness(-1.0, math.pi, deg(60), math.pi)
+
+
+def test_reach_is_zero_where_the_branch_ends_before_r_max(monkeypatch):
+    """`_reach` reads 0 when the branch cannot be evaluated at the r_max
+    its parametrization reports.  No seeded vertex has been found whose
+    curve refuses its own r_max, so the parametrization here reports an
+    r_max past where its branch ends."""
+    v = Vertex4.from_degrees((80, 95, 75, 110))
+    b = BranchId.BRANCH_1
+    curve = _branch_param(v.alpha, b)
+    assert units_mod._reach(v, b, 2) > 0.0
+    past = copy.copy(curve)
+    past.r_max = math.nextafter(curve.r_max + 1e-9, math.inf)
+    with pytest.raises(OutOfDomain):
+        solve_on_branch(v, past.r_max, b)
+    monkeypatch.setattr(units_mod, "_branch_param", lambda alpha, br: past)
+    assert units_mod._reach(v, b, 2) == 0.0

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import random
@@ -33,7 +34,8 @@ from quadfold import (
 )
 from quadfold import vertex as vertex_mod
 from quadfold.config import TAU_ANGLE, TAU_CLASS_BAND, TAU_ROOT
-from quadfold.vertex import TWO_PI, _branch_param, _generic_param, clamped_acos
+from quadfold.vertex import (TWO_PI, _branch_param, _generic_param,
+                             clamped_acos, cyclic_shift)
 from conftest import (
     random_ff_vertex,
     random_generic_vertex,
@@ -1477,3 +1479,41 @@ class TestRefusals:
             monotonicity_check(GEN, BranchId.BRANCH_1, 5)
         assert exc.value.component == 3
         assert exc.value.sample_pair == (0.0, 0.5)
+
+
+def test_bisect_without_a_lift_at_r_max_refuses_at_the_first_step():
+    """A curve whose lift at r_max raises (`lift_max` None) refuses every
+    bisection, as the plain bisection does at its first evaluation, the
+    lift at -r_max.  No seeded vertex has been found whose curve refuses
+    its own r_max, so the curve here reports an r_max past its branch's
+    end (GEN's branch 1 ends at r = 2.5875; 1e-3 beyond, an arccos
+    argument leaves its range)."""
+    curve = _branch_param(GEN.alpha, BranchId.BRANCH_1)
+    assert curve.lift_max is not None
+    past = copy.copy(curve)
+    past.r_max = curve.r_max + 1e-3
+    past.lift_max = None
+    with pytest.raises(OutOfDomain):
+        past.lift(-past.r_max)
+    for comp in _bisected_comps(curve):
+        for target in (0.5, -0.5, curve.lift_max[comp]):
+            with pytest.raises(OutOfDomain):
+                past.bisect(comp, target)
+            with pytest.raises(OutOfDomain):
+                _reference_bisect_component(past, comp, target)
+
+
+def test_one_cyclic_relabelling():
+    """`Vertex4.shifted` and the straight-line curve's stored-label rho
+    table are `cyclic_shift`: new x_i = old x_{i+k}."""
+    for k in range(-5, 6):
+        assert GEN.shifted(k).alpha == cyclic_shift(GEN.alpha, k)
+        assert cyclic_shift(GEN.alpha, k) == tuple(
+            GEN.alpha[(i + k) % 4] for i in range(4))
+    table = vertex_mod._SHIFTED_STRAIGHT_LINE_RHOS
+    for shift in (0, 1):
+        assert table[shift] == tuple(
+            vertex_mod._STRAIGHT_LINE_RHOS[(i - shift) % 4] for i in range(4))
+    for v in (SL, SL.shifted(1)):
+        curve = _branch_param(v.alpha, BranchId.BRANCH_2)
+        assert curve.alpha == cyclic_shift(v.alpha, curve.shift)

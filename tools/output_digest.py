@@ -98,7 +98,15 @@ where the call raises:
   refused with exit code 2 and a usage line: `--alphas` with an empty
   entry, a wrong count or a non-number, `--branch b1`, `--branches` with a
   wrong number of column groups or of tokens in a group, and `--samples 1`
-  (usage lines wrapped at 80 columns).
+  (usage lines wrapped at 80 columns);
+* unit views: for every unit of the fixture plans and every unit the
+  unit-layer section builds, its role-labelled `sector`, its `swapped()`
+  unit and `Unit.from_json` of its `to_json` document (each unit as its
+  stored sectors, branches, signs, kind and mode); `FFUnitMode.from_token`
+  on each mode's token in several spellings and on refused tokens; and the
+  sign pairs `Unit` and `Unit.from_json` refuse or accept (bools, floats,
+  numpy integers, a list, wrong values and lengths), with `stitch` of a
+  3x3 herringbone whose units carry their pairs as lists.
 
 One line per text gives that text's own hash, so a diff of two outputs names
 the texts that moved; the last line is the total.  It is a comparison tool,
@@ -129,6 +137,8 @@ import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
+
+import numpy as np
 
 # PYTHONPATH comes first on sys.path, so it picks the source tree to digest.
 sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
@@ -175,6 +185,7 @@ from quadfold.fixtures import (  # noqa: E402
     herringbone_plan,
     showcase_a_plan,
     showcase_b_plan,
+    single_ff_unit_plan,
     square_grid_plan,
 )
 
@@ -925,6 +936,63 @@ def large_sweep_texts():
         yield f"herringbone_32x32 frame {k} obj", export_obj(state, p)
 
 
+def _unit_state(u) -> str:
+    return repr((u.top.alpha, u.bottom.alpha, u.branch_top, u.branch_bottom,
+                 u.signs, u.kind, u.mode))
+
+
+def _any_outcome(fn) -> str:
+    """repr of the result, or the type and message of any exception."""
+    try:
+        return repr(fn())
+    except Exception as exc:  # a TypeError or ValueError belongs here too
+        return f"{type(exc).__name__}: {exc}"
+
+
+# sign pairs as `Unit` takes them and as a unit document states them
+SIGN_PAIRS = ((1, -1), [1, -1], (True, True), (1.0, -1.0), (True, -1),
+              (1, 1.0), (np.int64(1), np.int32(-1)), (np.bool_(True), 1),
+              (1, 0), (2, -1), (1,), (1, 1, 1), "11", None)
+MODE_TOKENS = [t for m in FFUnitMode
+               for t in (m.value, m.value.upper(), f"  {m.value.upper()}\n")]
+MODE_TOKENS += ["10a", "10a-3", "A_PLUS", "a_plus", "", "FFUnitMode.A_PLUS",
+                7, None]
+
+
+def unit_view_texts():
+    fixture_plans = (showcase_a_plan(), showcase_b_plan(), herringbone_plan(),
+                     square_grid_plan(), single_ff_unit_plan())
+    views = [(f"fixture {k}", u) for k, u in enumerate(dict.fromkeys(
+        u for plan in fixture_plans for u in plan.units()))]
+    for label, make in units(random.Random(SEED + 1)):
+        try:
+            views.append((label, make()))
+        except QuadfoldError:
+            pass
+    for label, u in views:
+        yield (f"unit view {label}", "\n".join((
+            repr(u.sector), _outcome(lambda: _unit_state(u.swapped())),
+            _outcome(lambda: _unit_state(Unit.from_json(u.to_json()))))))
+    for token in MODE_TOKENS:
+        yield (f"mode token {token!r}",
+               _any_outcome(lambda: FFUnitMode.from_token(token)))
+    u = next(herringbone_plan(3, 3).units())
+    doc = u.to_json()
+    for signs in SIGN_PAIRS:
+        yield (f"sign pair {signs!r} Unit", _any_outcome(
+            lambda: _unit_state(dataclasses.replace(u, signs=signs))))
+        listed = signs if signs is None or isinstance(signs, str) else [
+            x.item() if isinstance(x, np.generic) else x for x in signs]
+        yield (f"sign pair {signs!r} Unit.from_json", _any_outcome(
+            lambda: _unit_state(Unit.from_json(dict(doc, signs=listed)))))
+    plan = herringbone_plan(3, 3)
+    listed = StitchPlan(columns=tuple(
+        tuple(dataclasses.replace(u, signs=list(u.signs)) for u in col)
+        for col in plan.columns), lengths=plan.lengths)
+    yield ("sign pair lists stitch", _any_outcome(
+        lambda: [[v.alpha for v in row] for row in stitch(listed).vertices]))
+
+
 def texts():
     """Every text the digest covers, labelled, in a fixed order."""
     yield from vertex_texts()
@@ -954,6 +1022,7 @@ def texts():
     yield from threshold_unit_texts()
     yield from large_sweep_texts()
     yield from cli_usage_texts()
+    yield from unit_view_texts()
 
 
 def main(argv=None) -> int:
