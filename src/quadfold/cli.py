@@ -61,11 +61,18 @@ def _parse_alphas(text: str, count: int):
     return angles
 
 
-def _branch_token(text: str) -> BranchId:
-    try:
-        return BranchId.from_token(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _usage_type(parse):
+    """An argparse type: `parse`, its ValueError a usage error that keeps
+    the message."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+_branch_token = _usage_type(BranchId.from_token)
 
 
 def _deg_list(values):
@@ -111,8 +118,7 @@ def _cmd_vertex_interval(args):
 
 def _cmd_unit_solve_ff(args):
     a1, a2, a3 = _parse_alphas(args.alphas, 3)
-    mode = FFUnitMode.from_token(args.mode)
-    unit = solve_ff_unit(a1, a2, a3, mode)
+    unit = solve_ff_unit(a1, a2, a3, args.mode)
     alpha4 = unit.sector[5]  # bottom vertex's second free angle
     print(f"alpha4_deg: {_F(math.degrees(alpha4))}")
     print(fold_dumps(unit.to_json()))
@@ -233,14 +239,14 @@ def _cmd_pattern_svg(args):
 def _count_at_least(least: int):
     """An argparse type: an integer >= `least` (`check_count`)."""
     def count(text: str) -> int:
-        message = f"must be an integer >= {least}, got {text!r}"
         try:
             value = int(text)
-            check_count(value, least, message)
         except ValueError:
-            raise argparse.ArgumentTypeError(message) from None
+            value = None  # refused below, with the same message
+        check_count(value, least, f"must be an integer >= {least}, got "
+                                  f"{text!r}")
         return value
-    return count
+    return _usage_type(count)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,7 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--alphas", required=True,
                    help="three free sector angles (deg)")
     s.add_argument("--mode", required=True,
-                   choices=[m.value for m in FFUnitMode])
+                   type=_usage_type(FFUnitMode.from_token),
+                   help="flat-foldable mode: "
+                        + ", ".join(m.value for m in FFUnitMode))
     s.set_defaults(fn=_cmd_unit_solve_ff, parser=s)
     s = uns.add_parser("validate", help="validate a unit JSON file")
     s.add_argument("file")

@@ -21,7 +21,7 @@ from typing import Sequence, Union
 
 from .config import (DEFAULT_SAMPLES, TAU_COMPAT, TAU_EMPTY, TAU_FLAT,
                      check_count)
-from .errors import EmptyInterval, NotABlanket, OutOfDomain
+from .errors import EmptyInterval, OutOfDomain
 from .pattern import QuadPattern, branch_chains
 from .vertex import (
     BranchId,
@@ -51,11 +51,9 @@ def build_tree(p: QuadPattern) -> TreeStructure:
     """Select the cut creases.
 
     The kept creases form a comb - the top row joins the columns and each
-    column hangs below its top-row vertex - so for every m, n >= 1 they span
-    the inner vertices without a cycle.
+    column hangs below its top-row vertex - so they span the inner vertices
+    of every pattern (m, n >= 1) without a cycle.
     """
-    if p.m < 1 or p.n < 1:
-        raise NotABlanket("pattern has no inner vertices")
     cuts = tuple((i, j) for i in range(1, p.m) for j in range(p.n - 1))
     return TreeStructure(pattern=p, cut_creases=cuts)
 

@@ -77,28 +77,19 @@ def _contradicts(letter: str, angle_deg: float) -> bool:
             or letter == "F" and abs(angle_deg) >= _FLAT_DEG)
 
 
-def _crease_letter(mv: dict, a: tuple, b: tuple) -> Optional[str]:
-    """The letter `mv` gives the crease between grid points a and b, keyed
-    either way round, or None where it gives none.  Anything but M, V or F
-    is refused, naming the crease."""
-    letter = mv.get((a, b))
-    if letter is None:
-        letter = mv.get((b, a))
-    if letter is not None and letter not in _CREASE_LETTERS:
-        raise SerializationError(
-            f"crease {a}-{b} is assigned {letter!r}; a crease takes M, V "
-            "or F")
-    return letter
-
-
-def _check_mv_keys(p: QuadPattern, mv: dict):
-    """SerializationError, naming the key, unless every key of `mv` is an
-    edge of `p` (either way round), a boundary edge's letter is B, and no
-    edge is given two letters (one each way round).  Crease letters are
-    checked as they are read (`_crease_letter`)."""
+def _mv_letters(p: QuadPattern, mv: Optional[dict]) -> dict:
+    """The letter `mv` gives each edge it names, keyed (a, b) as `p.edges()`
+    gives the edge; a crease keyed to None has none.  SerializationError
+    names the first key, in `mv`'s order, that names no edge of `p` either
+    way round, gives a boundary edge a letter other than B, gives an edge
+    a second letter keyed the other way round, or gives a crease a letter
+    other than M, V or F."""
+    if mv is None:
+        return {}
     edges = {}
     for kind, a, b in p.edges():
         edges[a, b] = edges[b, a] = (kind, a, b)
+    letters = {}
     for key, letter in mv.items():
         if key not in edges:
             raise SerializationError(
@@ -112,6 +103,12 @@ def _check_mv_keys(p: QuadPattern, mv: dict):
         if other != letter:
             raise SerializationError(
                 f"edge {a}-{b} is assigned both {letter!r} and {other!r}")
+        if kind != "boundary" and letter not in (None, *_CREASE_LETTERS):
+            raise SerializationError(
+                f"crease {a}-{b} is assigned {letter!r}; a crease takes M, V "
+                "or F")
+        letters[a, b] = letter
+    return letters
 
 
 def _check_frame_shape(state: FoldedState, pattern: QuadPattern):
@@ -134,10 +131,11 @@ def export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
     letters `mv_letter` derives from the angle signs.  A letter that
     contradicts its angle as `import_fold` reads it (V on a negative angle,
     M on a positive one, F on one not below `TAU_FLAT`) is refused, and so
-    is an `mv` key that names no edge, a boundary edge letter other than B
-    (`mv_assignment` gives B to each boundary edge) and an edge keyed both
-    ways round with two letters.  `angles` that do not solve the pattern's
-    m x n grid are refused with SerializationError.
+    is an `mv` that `_mv_letters` refuses: a key that names no edge, a
+    boundary edge letter other than B (`mv_assignment` gives B to each
+    boundary edge), a crease letter other than M, V or F, or an edge keyed
+    both ways round with two letters.  `angles` that do not solve the
+    pattern's m x n grid are refused with SerializationError.
     """
     if isinstance(obj, QuadPattern):
         p, points, frame_class = obj, obj.grid, "creasePattern"
@@ -152,8 +150,7 @@ def export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
         raise SerializationError(f"cannot export {type(obj).__name__}")
     if angles is not None:
         check_solved_grid(p, angles, SerializationError)
-    if mv is not None:
-        _check_mv_keys(p, mv)
+    letters = _mv_letters(p, mv)
 
     edges_vertices = []
     assignment = []
@@ -165,9 +162,7 @@ def export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
             fold_angle.append(0.0)
             continue
         angle = 0.0 if angles is None else angles.edge_angle(kind, a, b)
-        letter = None if mv is None else _crease_letter(mv, a, b)
-        if letter is None:
-            letter = mv_letter(angle)
+        letter = letters.get((a, b)) or mv_letter(angle)
         if _contradicts(letter, math.degrees(angle)):
             raise SerializationError(
                 f"assignment {letter} contradicts fold angle {angle!r}"
@@ -315,10 +310,7 @@ _SVG_COLORS = {"M": "#d62728", "V": "#1f77b4", "F": "#999999", "B": "#000000"}
 def export_svg(pattern: QuadPattern, mv: Optional[dict] = None) -> str:
     """Printable crease pattern: mountains red, valleys blue, flat grey,
     boundary black.  `mv` is refused as `export_fold` refuses it."""
-    if pattern.m < 1 or pattern.n < 1:
-        raise SerializationError("empty pattern")
-    if mv is not None:
-        _check_mv_keys(pattern, mv)
+    letters = _mv_letters(pattern, mv)
     pts = pattern.grid.reshape(-1, 2)
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
@@ -333,12 +325,7 @@ def export_svg(pattern: QuadPattern, mv: Optional[dict] = None) -> str:
         ),
     ]
     for kind, a, b in pattern.edges():
-        if kind == "boundary":
-            letter = "B"
-        elif mv is None:
-            letter = "F"
-        else:
-            letter = _crease_letter(mv, a, b) or "F"
+        letter = "B" if kind == "boundary" else (letters.get((a, b)) or "F")
         xa, ya = g[a[0]][a[1]]
         xb, yb = g[b[0]][b[1]]
         lines.append(

@@ -126,7 +126,8 @@ class StitchPlan:
 class QuadPattern:
     """Immutable stitched blanket: vertex grid, layout and branch defaults.
 
-    Equality and hashing go by identity: the layout is an array.
+    Equality and hashing go by identity: the layout is an array.  A pattern
+    has at least one inner vertex: NotABlanket refuses m or n below 1.
     """
 
     m: int
@@ -140,6 +141,8 @@ class QuadPattern:
     certified: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        if self.m < 1 or self.n < 1:
+            raise NotABlanket("pattern has no inner vertices")
         self.grid.flags.writeable = False
 
     @classmethod

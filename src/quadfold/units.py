@@ -64,7 +64,9 @@ class FFUnitMode(Enum):
     """The four surviving sign choices when both vertices are flat-foldable.
 
     A modes pair the first curve branch on both vertices, C modes the second.
-    Tokens follow the CLI spelling.
+    `from_token` reads a mode from its value, case and surrounding space
+    ignored, for the CLI's `--mode` and a unit document's or descriptor's
+    `mode` alike.
     """
 
     A_PLUS = "10a-1"

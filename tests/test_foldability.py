@@ -83,16 +83,14 @@ class TestBuildTree:
         assert build_tree(p).n_cuts == 0
 
     def test_a_pattern_without_inner_vertices_is_not_a_blanket(self):
-        """No constructor makes a pattern without inner vertices; one built
-        directly is refused by `build_tree`, and so by `certify`."""
+        """No pattern lacks inner vertices: `QuadPattern` refuses one when
+        it is built, so `build_tree` and `certify` never see it."""
         import numpy as np
         from quadfold import NotABlanket, QuadPattern
 
-        empty = QuadPattern(0, 0, (), (), None, np.zeros((2, 2, 2)), ())
-        for refuse in (build_tree, certify):
-            with pytest.raises(NotABlanket,
-                               match="^pattern has no inner vertices$"):
-                refuse(empty)
+        with pytest.raises(NotABlanket,
+                           match="^pattern has no inner vertices$"):
+            QuadPattern(0, 0, (), (), None, np.zeros((2, 2, 2)), ())
 
 
 class TestPropagate:

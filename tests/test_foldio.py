@@ -14,6 +14,7 @@ import pytest
 from quadfold import (
     BranchId,
     FFUnitMode,
+    NotABlanket,
     PlanLengths,
     QuadPattern,
     SerializationError,
@@ -41,6 +42,7 @@ from quadfold import (
 from quadfold.cli import _count_at_least, _parse_branch_spec, main
 from quadfold.config import (DEFAULT_FRAMES, DEFAULT_SAMPLES, TAU_FLAT,
                              TAU_UNIT, check_count)
+from quadfold.foldio import _mv_letters
 from quadfold.units import _acceptance_residual
 from quadfold.fixtures import (
     herringbone_plan,
@@ -640,10 +642,11 @@ class TestSvg:
 
 
     def test_refuses_a_pattern_without_inner_vertices(self):
-        """No constructor makes one; a pattern built directly is refused."""
-        empty = QuadPattern(0, 0, (), (), None, np.zeros((2, 2, 2)), ())
-        with pytest.raises(SerializationError, match="^empty pattern$"):
-            export_svg(empty)
+        """No pattern without inner vertices reaches `export_svg`:
+        `QuadPattern` refuses one when it is built."""
+        with pytest.raises(NotABlanket,
+                           match="^pattern has no inner vertices$"):
+            QuadPattern(0, 0, (), (), None, np.zeros((2, 2, 2)), ())
 
 
 class TestMvKeys:
@@ -682,6 +685,63 @@ class TestMvKeys:
             export(pat_a, {(a, b): "F", (b, a): "M"})
         assert export(pat_a, {(a, b): "F", (b, a): "F"}) == export(
             pat_a, {(a, b): "F"})
+
+    @staticmethod
+    def _single_faults(p):
+        """(map, message) for one map per fault `_mv_letters` refuses."""
+        _, a, b = next(e for e in p.edges() if e[0] != "boundary")
+        _, c, d = next(e for e in p.edges() if e[0] == "boundary")
+        key = ((9, 9), (9, 10))
+        return [
+            ({key: "M"}, f"mv key {key!r} names no edge of the 3x3 pattern"),
+            ({(d, c): "V"}, f"boundary edge {c}-{d} is assigned 'V'; a "
+                            "boundary edge takes B"),
+            ({(b, a): "X"}, f"crease {a}-{b} is assigned 'X'; a crease "
+                            "takes M, V or F"),
+            ({(a, b): "F", (b, a): "M"},
+             f"edge {a}-{b} is assigned both 'F' and 'M'"),
+        ]
+
+    @pytest.mark.parametrize("fault", range(4),
+                             ids=["no-edge", "boundary", "crease", "two"])
+    def test_each_single_fault_is_refused_by_both_exports(self, pat_a,
+                                                          fault):
+        """One check decides every key: a map with one fault is refused by
+        both exports, of a pattern and of a frame, with one message."""
+        mv, message = self._single_faults(pat_a)[fault]
+        state = realize(pat_a, propagate(build_tree(pat_a), deg(12), None))
+        for export in (export_svg, export_fold,
+                       lambda p, mv: export_fold(state, mv, pattern=p)):
+            with pytest.raises(SerializationError) as exc:
+                export(pat_a, mv)
+            assert str(exc.value) == message
+
+    def test_the_first_faulty_key_is_named(self, pat_a):
+        """The map is checked once, in its own order: a crease letter
+        outside M, V and F keyed ahead of a key that names no edge is the
+        fault named."""
+        faults = self._single_faults(pat_a)
+        (unknown, _), (bad_letter, message) = faults[0], faults[2]
+        for export in (export_svg, export_fold):
+            with pytest.raises(SerializationError) as exc:
+                export(pat_a, {**bad_letter, **unknown})
+            assert str(exc.value) == message
+
+    def test_letters_are_keyed_as_edges_gives_them(self, pat_a):
+        """Each letter is keyed as `edges()` gives its edge, whichever way
+        round the map keys it; a crease keyed to None keeps no letter of
+        its own and exports as if absent."""
+        creases = [(a, b) for kind, a, b in pat_a.edges()
+                   if kind != "boundary"]
+        boundary = next((a, b) for kind, a, b in pat_a.edges()
+                        if kind == "boundary")
+        (a, b), (c, d) = creases[:2]
+        mv = {(b, a): "M", (c, d): "V", boundary[::-1]: "B"}
+        assert _mv_letters(pat_a, mv) == {(a, b): "M", (c, d): "V",
+                                          boundary: "B"}
+        assert _mv_letters(pat_a, None) == {}
+        assert export_svg(pat_a, {(b, a): None}) == export_svg(pat_a)
+        assert export_fold(pat_a, {(b, a): None}) == export_fold(pat_a)
 
     def test_mv_assignment_exports_as_its_creases(self, pat_a):
         prop = propagate(build_tree(pat_a), deg(12), None)
@@ -1059,6 +1119,41 @@ class TestCli:
         assert exc.value.code == 2
         assert (f"argument --branch: unknown branch token '{token}'"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("mode", list(FFUnitMode), ids=lambda m: m.value)
+    def test_mode_flag_spells_as_from_token(self, mode, capsys):
+        """`--mode` reads its token through `FFUnitMode.from_token`, as a
+        unit document and a descriptor do: case and surrounding space are
+        ignored, and each spelling prints the mode's own output."""
+        argv = ["unit", "solve-ff", "--alphas", "80,100,60", "--mode"]
+        assert main([*argv, mode.value]) == 0
+        want = capsys.readouterr()
+        for token in (mode.value.upper(), f" {mode.value.upper()}",
+                      f"\t{mode.value} \n"):
+            assert main([*argv, token]) == 0
+            assert capsys.readouterr() == want
+
+    @pytest.mark.parametrize("token", ["10a-3", "10a", "A_PLUS", "",
+                                       "FFUnitMode.A_PLUS"])
+    def test_unknown_mode_is_a_usage_error(self, token, capsys):
+        """A refused mode exits 2 on `unit solve-ff`'s usage line, naming
+        the token as `from_token` names it."""
+        with pytest.raises(SystemExit) as exc:
+            main(["unit", "solve-ff", "--alphas", "80,100,60", "--mode",
+                  token])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.startswith("usage: quadfold unit solve-ff [-h]")
+        assert err.endswith(
+            "quadfold unit solve-ff: error: argument --mode: unknown "
+            f"flat-foldable unit mode {token!r}\n")
+
+    def test_mode_help_lists_the_four_modes(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["unit", "solve-ff", "-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "10a-1, 10a-2, 10b-1, 10b-2" in out
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

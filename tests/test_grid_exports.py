@@ -3,9 +3,10 @@ and the FOLD, OBJ and SVG exports against their point-by-point forms.
 
 The reference functions below are verbatim copies of the point-by-point
 implementations (renamed, `ref_export_obj` with its absolute 1e-12 zero-area
-bound).  The array forms must give the same grid bytes, directions, output
-text, and refusal type and message on every input here, except where the
-OBJ zero-area bound now scales with the face.
+bound), and `_crease_letter` is a verbatim copy of the per-crease letter
+lookup they used.  The array forms must give the same grid bytes,
+directions, output text, and refusal type and message on every input here,
+except where the OBJ zero-area bound now scales with the face.
 """
 
 import math
@@ -35,10 +36,10 @@ from quadfold import pattern as pattern_mod
 from quadfold.config import TAU_LAYOUT
 from quadfold.foldability import Propagation, mv_letter
 from quadfold.foldio import (
+    _CREASE_LETTERS,
     _FLOAT_FMT,
     _SVG_COLORS,
     _contradicts,
-    _crease_letter,
 )
 from quadfold.fixtures import (
     herringbone_plan,
@@ -161,6 +162,19 @@ def ref_check_layout_angles(vertices, grid):
                         f"layout does not realize sector a{k + 1} at vertex "
                         f"({i},{j}): measured {got!r} vs {want!r}"
                     )
+
+def _crease_letter(mv: dict, a: tuple, b: tuple) -> Optional[str]:
+    """The letter `mv` gives the crease between grid points a and b, keyed
+    either way round, or None where it gives none.  Anything but M, V or F
+    is refused, naming the crease."""
+    letter = mv.get((a, b))
+    if letter is None:
+        letter = mv.get((b, a))
+    if letter is not None and letter not in _CREASE_LETTERS:
+        raise SerializationError(
+            f"crease {a}-{b} is assigned {letter!r}; a crease takes M, V "
+            "or F")
+    return letter
 
 def ref_export_fold(obj: Union[QuadPattern, FoldedState], mv: Optional[dict] = None,
                 *, pattern: Optional[QuadPattern] = None,

@@ -492,6 +492,19 @@ class TestPlanJson:
 
 
 class TestRefusals:
+    @pytest.mark.parametrize("m, n", [(0, 0), (0, 3), (3, 0), (-1, 2)])
+    def test_a_pattern_has_inner_vertices(self, m, n, plan_a):
+        """`QuadPattern` refuses m or n below 1 when it is built, directly
+        or by `replace`, so no export, `realize`, `build_tree` or `certify`
+        meets a pattern without inner vertices."""
+        grid = np.zeros((max(m, 0) + 2, max(n, 0) + 2, 2))
+        with pytest.raises(NotABlanket,
+                           match="^pattern has no inner vertices$"):
+            pattern_mod.QuadPattern(m, n, (), (), None, grid, ())
+        with pytest.raises(NotABlanket,
+                           match="^pattern has no inner vertices$"):
+            replace(stitch(plan_a), m=m, n=n)
+
     def test_plan_columns_hold_units(self):
         u = single_ff_unit_plan().columns[0][0]
         for columns in (((u,), ()), ((),), ()):

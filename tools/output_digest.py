@@ -106,7 +106,15 @@ where the call raises:
   on each mode's token in several spellings and on refused tokens; and the
   sign pairs `Unit` and `Unit.from_json` refuse or accept (bools, floats,
   numpy integers, a list, wrong values and lengths), with `stitch` of a
-  3x3 herringbone whose units carry their pairs as lists.
+  3x3 herringbone whose units carry their pairs as lists;
+* input rules: `quadfold unit solve-ff` with each mode's token
+  upper-cased and padded and with refused tokens, and its `-h` text (at 80
+  columns); `QuadPattern` built directly with m or n of 0, and what
+  `export_fold`, `export_svg`, `build_tree`, `certify` and `realize` make
+  of each; and both exports of showcase A with mv maps that each hold one
+  fault (a key that names no edge, a boundary letter other than B, a
+  crease letter other than M, V or F, two letters for one edge), with a
+  crease keyed to None, and with two faults.
 
 One line per text gives that text's own hash, so a diff of two outputs names
 the texts that moved; the last line is the total.  It is a comparison tool,
@@ -150,6 +158,7 @@ from quadfold import (  # noqa: E402
     FFUnitMode,
     PlanLengths,
     QuadfoldError,
+    QuadPattern,
     StitchPlan,
     Unit,
     Vertex4,
@@ -167,6 +176,7 @@ from quadfold import (  # noqa: E402
     mv_assignment,
     make_straightline_unit,
     propagate,
+    realize,
     solve_at_crease,
     solve_ff_unit,
     solve_generic,
@@ -178,6 +188,7 @@ from quadfold import (  # noqa: E402
     xi_of,
 )
 from quadfold.cli import main as cli_main  # noqa: E402
+from quadfold.foldability import Propagation  # noqa: E402
 from quadfold.pattern import DOF_TABLE  # noqa: E402
 from quadfold.units import UNIT_KINDS  # noqa: E402
 from quadfold.vertex import _branch_param  # noqa: E402
@@ -993,6 +1004,61 @@ def unit_view_texts():
         lambda: [[v.alpha for v in row] for row in stitch(listed).vertices]))
 
 
+# `--mode` spellings: each mode's token upper-cased and padded, and refused
+# tokens
+MODE_FLAG_TOKENS = [t for m in FFUnitMode
+                    for t in (m.value.upper(), f" {m.value.upper()}",
+                              f"\t{m.value} \n")]
+MODE_FLAG_TOKENS += ["10a-3", "10a", "A_PLUS", ""]
+
+
+def _empty_pattern(m, n):
+    return QuadPattern(m, n, (), (), None, np.zeros((m + 2, n + 2, 2)), ())
+
+
+def _mv_maps(p):
+    """Named mv maps of `p`: one per single fault, a crease keyed to None
+    and a map with two faults."""
+    _, a, b = next(e for e in p.edges() if e[0] != "boundary")
+    _, c, d = next(e for e in p.edges() if e[0] == "boundary")
+    nowhere = ((9, 9), (9, 10))
+    return {
+        "unknown key": {nowhere: "M"},
+        "boundary letter": {(d, c): "V"},
+        "crease letter": {(b, a): "X"},
+        "two letters": {(a, b): "F", (b, a): "M"},
+        "crease None": {(b, a): None},
+        "crease letter then unknown key": {(b, a): "X", nowhere: "M"},
+    }
+
+
+def input_rule_texts():
+    with mock.patch.dict(os.environ, COLUMNS="80"), _cli_dir():
+        for token in MODE_FLAG_TOKENS:
+            argv = ["unit", "solve-ff", "--alphas", "80,100,60", "--mode",
+                    token]
+            yield f"cli mode {token!r}", _cli_run(argv)
+        yield "cli unit solve-ff -h", _cli_run(["unit", "solve-ff", "-h"])
+    uses = {
+        "export_fold": lambda p: fold_dumps(export_fold(p)),
+        "export_svg": export_svg,
+        "build_tree": lambda p: build_tree(p).cut_creases,
+        "certify": lambda p: certify(p).summary(),
+        "realize": lambda p: realize(p, Propagation(0.0, (), ())).coords,
+    }
+    for m, n in ((0, 0), (0, 2), (2, 0)):
+        yield (f"empty pattern {m}x{n}",
+               _any_outcome(lambda: _empty_pattern(m, n).grid.shape))
+        for name, use in uses.items():
+            yield (f"empty pattern {m}x{n} {name}",
+                   _any_outcome(lambda: use(_empty_pattern(m, n))))
+    p = stitch(showcase_a_plan())
+    for name, mv in _mv_maps(p).items():
+        yield (f"mv {name} export_fold",
+               _any_outcome(lambda: fold_dumps(export_fold(p, mv))))
+        yield f"mv {name} export_svg", _any_outcome(lambda: export_svg(p, mv))
+
+
 def texts():
     """Every text the digest covers, labelled, in a fixed order."""
     yield from vertex_texts()
@@ -1023,6 +1089,7 @@ def texts():
     yield from large_sweep_texts()
     yield from cli_usage_texts()
     yield from unit_view_texts()
+    yield from input_rule_texts()
 
 
 def main(argv=None) -> int:
