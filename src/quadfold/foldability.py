@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
-from .config import (DEFAULT_SAMPLES, TAU_COMPAT, TAU_EMPTY, TAU_FLAT,
-                     check_count)
+from .config import (DEFAULT_SAMPLES, PROBE_LIMIT, TAU_COMPAT, TAU_EMPTY,
+                     TAU_FLAT, check_count)
 from .errors import EmptyInterval, OutOfDomain
 from .pattern import QuadPattern, branch_chains
 from .vertex import (
@@ -298,15 +298,11 @@ class CompatibilityReport:
         return json.dumps(self.to_json(), sort_keys=True, indent=2)
 
 
-_PI_MARGIN = 1e-7
-_PROBE_LIMIT = math.pi - _PI_MARGIN  # the largest |rho| a probe passes with
-
-
 def _probes(tree, ts, branches) -> list:
     """Each driving angle of `ts` as a driving-limit probe, from one walk:
     the largest |rho| of its fold angles, or None where the walk refuses
     it.  The angle passes (`_passes`) when the walk solves it and no fold
-    angle is within `_PI_MARGIN` of the fully-flat +-pi.
+    angle is within `PI_MARGIN` of the fully-flat +-pi.
 
     Angles at exactly +-pi have an ambiguous sign representation, which
     would flip downstream inversions, so the certified interval stops a
@@ -320,11 +316,11 @@ def _probes(tree, ts, branches) -> list:
 
 
 def _passes(top) -> bool:
-    return top is not None and top <= _PROBE_LIMIT
+    return top is not None and top <= PROBE_LIMIT
 
 
 def _guide(good: float, bad: float, tops: dict) -> float:
-    """Where the largest |rho| of the fold angles reaches `_PROBE_LIMIT`,
+    """Where the largest |rho| of the fold angles reaches `PROBE_LIMIT`,
     as a driving-limit search's bracket [good, bad] suggests: by regula
     falsi between its ends where the largest |rho| at bad is known (bad
     failed by the margin), otherwise by the secant through good and the
@@ -339,7 +335,7 @@ def _guide(good: float, bad: float, tops: dict) -> float:
     f0, f1 = tops[t0], tops[t1]
     if f1 <= f0:
         return math.nextafter(bad, 0.0)
-    return t0 + (_PROBE_LIMIT - f0) * (t1 - t0) / (f1 - f0)
+    return t0 + (PROBE_LIMIT - f0) * (t1 - t0) / (f1 - f0)
 
 
 def _driving_limit(tree, branches) -> float:
@@ -399,8 +395,8 @@ def certify(p: QuadPattern, branch_choice: BranchChoice = None,
     The driving angle sweeps the symmetric closed interval [-t_max, t_max]
     (endpoints included).  t_max is the result of the plain driving-limit
     search, `vertex.last_valid` with 48 scan steps over the one-angle case
-    of `_probes` (the walk succeeds and no fold angle is within 1e-7 of
-    +-pi); a probe can fail below t_max, so t_max is where that search's
+    of `_probes` (the walk succeeds and no fold angle is within `PI_MARGIN`
+    of +-pi); a probe can fail below t_max, so t_max is where that search's
     decisions end, and `_driving_limit` replays them from batched walks.
     A t_max of at most `TAU_EMPTY` is refused with EmptyInterval.  The
     verdict is positive only when propagation succeeded at every sample

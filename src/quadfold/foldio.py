@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .config import TAU_DEGENERATE, TAU_FLAT
+from .config import TAU_DEGENERATE, TAU_FLAT, TAU_SVG_SPAN
 from .errors import SerializationError
 from .foldability import Propagation, check_solved_grid, mv_letter
 from .pattern import QuadPattern, StitchPlan, stitch
@@ -79,11 +79,11 @@ def _contradicts(letter: str, angle_deg: float) -> bool:
 
 def _mv_letters(p: QuadPattern, mv: Optional[dict]) -> dict:
     """The letter `mv` gives each edge it names, keyed (a, b) as `p.edges()`
-    gives the edge; a crease keyed to None has none.  SerializationError
-    names the first key, in `mv`'s order, that names no edge of `p` either
-    way round, gives a boundary edge a letter other than B, gives an edge
-    a second letter keyed the other way round, or gives a crease a letter
-    other than M, V or F."""
+    gives the edge.  SerializationError names the first key, in `mv`'s
+    order, that names no edge of `p` either way round, gives a boundary
+    edge a letter other than B, gives an edge a second letter keyed the
+    other way round, or gives a crease a letter other than M, V or F
+    (None included)."""
     if mv is None:
         return {}
     edges = {}
@@ -103,7 +103,7 @@ def _mv_letters(p: QuadPattern, mv: Optional[dict]) -> dict:
         if other != letter:
             raise SerializationError(
                 f"edge {a}-{b} is assigned both {letter!r} and {other!r}")
-        if kind != "boundary" and letter not in (None, *_CREASE_LETTERS):
+        if kind != "boundary" and letter not in _CREASE_LETTERS:
             raise SerializationError(
                 f"crease {a}-{b} is assigned {letter!r}; a crease takes M, V "
                 "or F")
@@ -315,7 +315,7 @@ def export_svg(pattern: QuadPattern, mv: Optional[dict] = None) -> str:
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = hi - lo
-    pad = 0.05 * max(span[0], span[1], 1e-9)
+    pad = 0.05 * max(span[0], span[1], TAU_SVG_SPAN)
     view = (lo[0] - pad, -(hi[1] + pad), span[0] + 2 * pad, span[1] + 2 * pad)
     g = pattern.grid.tolist()
     lines = [

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import TAU_DEGENERATE, TAU_DIR, TAU_LAYOUT
+from .config import TAU_DEGENERATE, TAU_DIR, TAU_LAYOUT, TAU_LAYOUT_MEASURED
 from .errors import (
     IncompatibleUnits,
     LayoutFailure,
@@ -127,7 +127,8 @@ class QuadPattern:
     """Immutable stitched blanket: vertex grid, layout and branch defaults.
 
     Equality and hashing go by identity: the layout is an array.  A pattern
-    has at least one inner vertex: NotABlanket refuses m or n below 1.
+    has at least one inner vertex: NotABlanket refuses m or n below 1, and
+    then any field whose shape does not fit m x n.
     """
 
     m: int
@@ -141,8 +142,19 @@ class QuadPattern:
     certified: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
+        m, n = self.m, self.n
+        if m < 1 or n < 1:
             raise NotABlanket("pattern has no inner vertices")
+        for name in ("vertices", "branch_default", "directions"):
+            rows = [len(row) for row in getattr(self, name)]
+            if rows != [n] * m:
+                raise NotABlanket(
+                    f"{name} has row lengths {rows}; the {m}x{n} pattern "
+                    f"needs {[n] * m}")
+        if self.grid.shape != (m + 2, n + 2, 2):
+            raise NotABlanket(
+                f"grid has shape {self.grid.shape}; the {m}x{n} pattern "
+                f"needs {(m + 2, n + 2, 2)}")
         self.grid.flags.writeable = False
 
     @classmethod
@@ -392,7 +404,7 @@ def check_layout_angles(vertices, grid):
             for k in range(4):
                 got = (ang[(k + 1) % 4] - ang[k]) % TWO_PI
                 want = v.alpha[k]
-                if abs(got - want) > TAU_LAYOUT * 10:
+                if abs(got - want) > TAU_LAYOUT_MEASURED:
                     raise LayoutFailure(
                         f"layout does not realize sector a{k + 1} at vertex "
                         f"({i},{j}): measured {got!r} vs {want!r}"

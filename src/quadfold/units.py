@@ -30,7 +30,8 @@ from enum import Enum
 from numbers import Integral
 from typing import Optional
 
-from .config import TAU_EMPTY, TAU_FLAT, TAU_UNIT, UNIT_SAMPLES, check_count
+from .config import (TAU_EMPTY, TAU_FLAT, TAU_POLE, TAU_UNIT, UNIT_SAMPLES,
+                     check_count)
 from .errors import (
     DegenerateVertex,
     EmptyInterval,
@@ -629,9 +630,6 @@ class InfeasibilityReport:
     margin: float
 
 
-_POLE_BOUND = 1e-12  # |1 - t_a*t_b| below this: the unbounded side's pole
-
-
 def infeasibility_witness(alpha1: float, alpha2: float, alpha3: float,
                           alpha4: float) -> InfeasibilityReport:
     """Show that the mixed branch pairings admit no sector-angle solution."""
@@ -644,7 +642,7 @@ def infeasibility_witness(alpha1: float, alpha2: float, alpha3: float,
     unbounded, poles = [], []
     for prod in (t4 * t3, t2 * t1):
         den = 1.0 - prod
-        poles.append(abs(den) < _POLE_BOUND)
+        poles.append(abs(den) < TAU_POLE)
         unbounded.append(math.inf if poles[-1] else (1.0 + prod) / den)
 
     worst_bounded = max(abs(x) for x in bounded)

@@ -45,8 +45,11 @@ from functools import lru_cache
 from enum import Enum
 from typing import Callable, Sequence
 
-from .config import (TAU_ANGLE, TAU_CLAMP, TAU_CLASS_BAND, TAU_ROOT,
-                     check_count)
+from .config import (GUIDE_KAPPA, GUIDE_WIDTH, GUIDE_ZONE, TAU_ANGLE,
+                     TAU_BRACKET, TAU_CLASS_BAND, TAU_DRIVE_FLAT,
+                     TAU_DRIVE_LANDING, TAU_DRIVE_PARAM, TAU_END,
+                     TAU_EVAL_CLAMP, TAU_MARGIN, TAU_ROOT, TAU_SECTOR_SUM,
+                     TAU_TRANSMISSION, TAU_WRAP, check_count)
 from .errors import (
     DegenerateVertex,
     InvalidSectorAngles,
@@ -66,7 +69,7 @@ def normalize_angle(x: float) -> float:
     return y
 
 
-def clamped_acos(x: float, tol: float = TAU_CLAMP) -> float:
+def clamped_acos(x: float, tol: float = TAU_END) -> float:
     """arccos with clamping only inside `tol` of the bounds; OutOfDomain beyond."""
     if x > 1.0:
         if x > 1.0 + tol:
@@ -149,7 +152,7 @@ class Vertex4:
         for x in a:
             if not math.isfinite(x) or x <= 0.0 or x >= TWO_PI:
                 raise InvalidSectorAngles(f"sector angle {x!r} outside (0, 2*pi)")
-        if abs(sum(a) - TWO_PI) > 1e-9:
+        if abs(sum(a) - TWO_PI) > TAU_SECTOR_SUM:
             raise InvalidSectorAngles(
                 f"sector angles sum to {sum(a)!r}, expected 2*pi (not developable)"
             )
@@ -255,7 +258,7 @@ def classify(v: Vertex4) -> VertexClass:
 def xi_of(v: Vertex4, rho1: float) -> float:
     """Auxiliary spherical angle xi for driving angle rho1; OutOfDomain
     outside [-pi, pi], NaN included."""
-    if not abs(rho1) <= math.pi + _PI_SLACK:
+    if not abs(rho1) <= math.pi + TAU_END:
         raise OutOfDomain(f"rho1 {rho1!r} outside [-pi, pi]")
     a1, a2 = v.alpha[0], v.alpha[1]
     arg = math.cos(a1) * math.cos(a2) - math.sin(a1) * math.sin(a2) * math.cos(rho1)
@@ -270,17 +273,6 @@ def xi_of(v: Vertex4, rho1: float) -> float:
 # canonical driving angle; for line segments r is the fold angle of the
 # moving line.
 # ---------------------------------------------------------------------------
-
-
-# Branch formulas tolerate a little more arccos overshoot than the public
-# xi_of contract: near the flat state the arguments equal +-1 exactly and
-# floating-point noise pushes them past by O(1e-12).
-_EVAL_CLAMP = 1e-9
-# the rounding by which a driving angle may pass +-pi (`xi_of`) and a branch
-# parameter its +-r_max (`_eval_param`) and still count as inside
-_PI_SLACK = 1e-12
-_R_MAX_SLACK = 1e-12
-_MARGIN_SLACK = 1e-13  # an arccos curve's margin below 0 that is still valid
 
 
 class _BranchParam:
@@ -355,7 +347,7 @@ class _FFCurve(_BranchParam):
         if comp % 2 == 0:
             return self.signs[comp] * angle
         K = self.signs[comp] * self.K
-        if abs(K) < 1e-14:
+        if abs(K) < TAU_TRANSMISSION:
             raise OutOfDomain(
                 f"crease {comp + 1} never folds on this branch (zero "
                 "transmission)"
@@ -363,9 +355,6 @@ class _FFCurve(_BranchParam):
         return normalize_angle(
             2.0 * math.atan2(math.sin(angle / 2.0), K * math.cos(angle / 2.0))
         )
-
-
-_WRAP_SLACK = 1e-9
 
 
 def _sector_trig(alpha: tuple, straight_line: bool) -> tuple:
@@ -392,7 +381,7 @@ def _arccos_args(trig: tuple, rr: float) -> tuple:
     x = x if x < 1.0 else 1.0
     xi = math.acos(x if x > -1.0 else -1.0)
     sx = math.sin(xi)
-    if sx < 1e-14:
+    if sx < TAU_TRANSMISSION:
         raise OutOfDomain("xi hit 0 or pi; transmission undefined here")
     cx = math.cos(xi)
     A = (c2 * cx - c1) / (s2 * sx)
@@ -412,26 +401,26 @@ def _arccos_args(trig: tuple, rr: float) -> tuple:
 _GENERIC_RHOS = {  # stored labels; g = (A, B, C, D, E)
     BranchId.BRANCH_1: (
         lambda g, rr: rr,
-        lambda g, rr: (clamped_acos(g[0], _EVAL_CLAMP)
-                       - clamped_acos(g[1], _EVAL_CLAMP)),
-        lambda g, rr: clamped_acos(g[2], _EVAL_CLAMP),
-        lambda g, rr: (clamped_acos(g[3], _EVAL_CLAMP)
-                       - clamped_acos(g[4], _EVAL_CLAMP)),
+        lambda g, rr: (clamped_acos(g[0], TAU_EVAL_CLAMP)
+                       - clamped_acos(g[1], TAU_EVAL_CLAMP)),
+        lambda g, rr: clamped_acos(g[2], TAU_EVAL_CLAMP),
+        lambda g, rr: (clamped_acos(g[3], TAU_EVAL_CLAMP)
+                       - clamped_acos(g[4], TAU_EVAL_CLAMP)),
     ),
     BranchId.BRANCH_2: (
         lambda g, rr: rr,
-        lambda g, rr: (clamped_acos(g[0], _EVAL_CLAMP)
-                       + clamped_acos(g[1], _EVAL_CLAMP)),
-        lambda g, rr: -clamped_acos(g[2], _EVAL_CLAMP),
-        lambda g, rr: (clamped_acos(g[3], _EVAL_CLAMP)
-                       + clamped_acos(g[4], _EVAL_CLAMP)),
+        lambda g, rr: (clamped_acos(g[0], TAU_EVAL_CLAMP)
+                       + clamped_acos(g[1], TAU_EVAL_CLAMP)),
+        lambda g, rr: -clamped_acos(g[2], TAU_EVAL_CLAMP),
+        lambda g, rr: (clamped_acos(g[3], TAU_EVAL_CLAMP)
+                       + clamped_acos(g[4], TAU_EVAL_CLAMP)),
     ),
 }
 _STRAIGHT_LINE_RHOS = (  # canonical labels; g = (A, D)
     lambda g, rr: rr,
-    lambda g, rr: 2.0 * clamped_acos(g[0], _EVAL_CLAMP),
+    lambda g, rr: 2.0 * clamped_acos(g[0], TAU_EVAL_CLAMP),
     lambda g, rr: -rr,
-    lambda g, rr: 2.0 * clamped_acos(g[1], _EVAL_CLAMP),
+    lambda g, rr: 2.0 * clamped_acos(g[1], TAU_EVAL_CLAMP),
 )
 # the same in stored labels, for each relabelling shift: stored rho_i is
 # canonical rho_{i - shift}
@@ -439,12 +428,6 @@ _SHIFTED_STRAIGHT_LINE_RHOS = {
     shift: cyclic_shift(_STRAIGHT_LINE_RHOS, -shift) for shift in (0, 1)}
 
 
-# The guided bisection (`_ArccosCurve.bisect`) evaluates a plain-bisection
-# midpoint only near the curve's closed-form guess of the root or in the
-# zones where the computed lift is not monotone at the scale of its rounding.
-_GUIDE_WIDTH = 1e-11   # midpoints this near the guess evaluate
-_GUIDE_KAPPA = 1e3     # safety factor on the lift's rounding noise
-_GUIDE_ZONE = 1e-6     # midpoints this near r = 0 or +-r_max always evaluate
 _ULP = 2.0 ** -52
 _EVERYWHERE = (-math.inf, math.inf)
 
@@ -461,12 +444,12 @@ def _tan_half_root(alpha: tuple, c4: bool, angle: float,
     k3 = cos(q - p - s) - cos o, k0 = cos(p + s + q) - cos o and
     b = 4 sin p sin q, where (p, s, q, o) is (a1, a2, a3, a4) at c2 and
     (a2, a1, a4, a3) at c4.  k0 is 0 on sectors that sum to 2*pi exactly;
-    it is kept for the sectors Vertex4 accepts up to 1e-9 off.  With
-    h = -(B + sign(B) sqrt(B^2 - 4 A C)) / 2 the roots are h / A, which
-    generic branch 1 takes with the sign of -y k2 (its slope at the flat
-    state), and C / h, which generic branch 2 and the straight-line curve
-    take; the result is 0 where h is 0.  An estimate: `_ArccosCurve.bisect`
-    uses it only to pick the midpoints it evaluates."""
+    it is kept for the sectors Vertex4 accepts up to TAU_SECTOR_SUM off.
+    With h = -(B + sign(B) sqrt(B^2 - 4 A C)) / 2 the roots are h / A,
+    which generic branch 1 takes with the sign of -y k2 (its slope at the
+    flat state), and C / h, which generic branch 2 and the straight-line
+    curve take; the result is 0 where h is 0.  An estimate:
+    `_ArccosCurve.bisect` uses it only to pick the midpoints it evaluates."""
     a1, a2, a3, a4 = alpha
     p, s, q, o = (a2, a1, a4, a3) if c4 else (a1, a2, a3, a4)
     co = math.cos(o)
@@ -524,7 +507,7 @@ class _ArccosCurve(_BranchParam):
                           for k in range(4))
         self.trig = _sector_trig(alpha, self.straight_line)
         self.r_max = last_valid(
-            lambda r: self.margin(r) >= -_MARGIN_SLACK, 64, TAU_ROOT)
+            lambda r: self.margin(r) >= -TAU_MARGIN, 64, TAU_ROOT)
         self.lift_max = self._lifts_or_none(self.r_max)
         self.lift_zero = self._lifts_or_none(0.0)
 
@@ -554,11 +537,11 @@ class _ArccosCurve(_BranchParam):
         except OutOfDomain:
             return -1.0
         m = 1.0 - max(map(abs, args))
-        if m < -_MARGIN_SLACK:
+        if m < -TAU_MARGIN:
             return m
         worst = max(map(abs, map(operator.sub, self._rhos_at(args, rr),
                                  self.base)))
-        return min(m, (math.pi + _WRAP_SLACK - worst) / math.pi)
+        return min(m, (math.pi + TAU_WRAP - worst) / math.pi)
 
     def guess(self, comp: int, angle: float) -> float:
         """The closed-form estimate of the r where rho[comp] (c2 or c4 in
@@ -574,17 +557,18 @@ class _ArccosCurve(_BranchParam):
         plain bisection evaluates only that component, bit for bit
         `self.lift(r)[comp]` (every arccos argument range-checked), at both
         ends and at each midpoint; it returns an exact zero's point, else
-        halves the bracket to 1e-15 or 90 times and returns its midpoint.
+        halves the bracket to TAU_BRACKET or 90 times and returns its
+        midpoint.
 
         Its midpoints depend only on its decisions, so `_replay` walks them
         and evaluates only those whose decision is in doubt: the midpoints
-        within 1e-11 of the curve's closed-form `guess` of the root, and
-        every midpoint at |r| < 1e-6 or |r| > r_max - 1e-6, where the
-        computed lift is not monotone at the scale of its rounding.  The
+        within GUIDE_WIDTH of the curve's closed-form `guess` of the root,
+        and every midpoint within GUIDE_ZONE of r = 0 or of +-r_max, where
+        the computed lift is not monotone at the scale of its rounding.  The
         others take their side unevaluated.  Then the nearest skipped
         midpoint on each side is evaluated and must clear the target by
-        tol, 1000 times the lift's rounding noise u / sqrt(1 - |arg|) from
-        the largest arccos argument at the guess.  If one does not, or a
+        tol, GUIDE_KAPPA times the lift's rounding noise u / sqrt(1 - |arg|)
+        from the largest arccos argument at the guess.  If one does not, or a
         guided evaluation raises, the same replay runs with every midpoint
         evaluated: the plain bisection.  So the guess picks only which
         midpoints are evaluated, never the result.  The lifts at the ends
@@ -592,14 +576,14 @@ class _ArccosCurve(_BranchParam):
         trig = self.trig
         fn = self.rhos[comp]
         base = self.base[comp]
-        top, bottom = 1.0 + _EVAL_CLAMP, -1.0 - _EVAL_CLAMP
+        top, bottom = 1.0 + TAU_EVAL_CLAMP, -1.0 - TAU_EVAL_CLAMP
 
         def lift(r: float) -> float:
             rr = abs(r)
             g = _arccos_args(trig, rr)
             for x in g:  # every argument, as in the full evaluation
                 if x > top or x < bottom:
-                    clamped_acos(x, _EVAL_CLAMP)  # raises OutOfDomain
+                    clamped_acos(x, TAU_EVAL_CLAMP)  # raises OutOfDomain
             x = fn(g, rr)
             if r >= 0:
                 return x - base
@@ -623,9 +607,9 @@ class _ArccosCurve(_BranchParam):
             try:
                 g = self.guess(comp, t)
                 x = max(map(abs, _arccos_args(trig, abs(g))))
-                tol = _GUIDE_KAPPA * _ULP / math.sqrt(max(1.0 - x, _ULP))
+                tol = GUIDE_KAPPA * _ULP / math.sqrt(max(1.0 - x, _ULP))
                 r, left, right = self._replay(
-                    lift, t, up, (g - _GUIDE_WIDTH, g + _GUIDE_WIDTH), v0)
+                    lift, t, up, (g - GUIDE_WIDTH, g + GUIDE_WIDTH), v0)
                 # lift - t has the sign of `up` on the upper side
                 s = 1.0 if up else -1.0
                 if ((left is None or s * (t - lift(left)) >= tol)
@@ -643,15 +627,16 @@ class _ArccosCurve(_BranchParam):
                 v0: float) -> tuple:
         """The plain bisection of lift - t over [-r_max, r_max], positive at
         r_max when `up`, with v0 the lift at 0 (None: evaluate it there):
-        halve to 1e-15 or 90 times, return an exact zero's point, else the
-        last bracket's midpoint.  Midpoints inside `window` or within
-        _GUIDE_ZONE of 0 or of +-r_max are evaluated; one below the window
+        halve to TAU_BRACKET or 90 times, return an exact zero's point, else
+        the last bracket's midpoint.  Midpoints inside `window` or within
+        GUIDE_ZONE of 0 or of +-r_max are evaluated; one below the window
         takes the lower side unevaluated, one above it the upper.  Returns
         (r, left, right), left and right the last midpoint skipped on each
         side (the nearest to the root) or None."""
         a, b = -self.r_max, self.r_max
         lo, hi = window
-        z, edge = _GUIDE_ZONE, self.r_max - _GUIDE_ZONE
+        z, edge = GUIDE_ZONE, self.r_max - GUIDE_ZONE
+        bracket = TAU_BRACKET
         left = right = None
         for _ in range(90):
             mid = 0.5 * (a + b)
@@ -667,7 +652,7 @@ class _ArccosCurve(_BranchParam):
                 b = right = mid
             else:
                 a = left = mid
-            if b - a < 1e-15:
+            if b - a < bracket:
                 break
         return 0.5 * (a + b), left, right
 
@@ -877,7 +862,7 @@ def _state(p: _BranchParam, r: float) -> tuple:
 
 
 def _eval_param(p: _BranchParam, r: float, branch: BranchId) -> VertexSolution:
-    if not abs(r) <= p.r_max + _R_MAX_SLACK:  # NaN included
+    if not abs(r) <= p.r_max + TAU_END:  # NaN included
         raise OutOfDomain(
             f"parameter {r!r} outside fold interval [-{p.r_max!r}, {p.r_max!r}]"
         )
@@ -1039,7 +1024,7 @@ def _drive(v: Vertex4, crease: int, angles, branch: BranchId,
     same sector angles, crease and branch, to its parameter r; without it
     the call keeps its own.  An angle whose negation is there, and that
     `_mirrors` accepts, takes -r without a bisection; the slack check, the
-    clamp, `_state` and the 1e-7 check then run on it as on any other.
+    clamp, `_state` and the landing check then run on it as on any other.
     Stitched blankets ask mirrored questions all over: a 200-sample
     certify of `herringbone_plan(8, 8)` bisects 450 times, 900 without the
     mirror.  Closed-form creases neither read nor fill `inverted`."""
@@ -1048,8 +1033,9 @@ def _drive(v: Vertex4, crease: int, angles, branch: BranchId,
     comp = crease - 1
     p = None
     out = []
+    flat, landing = TAU_DRIVE_FLAT, TAU_DRIVE_LANDING
     for angle in angles:
-        if abs(angle) < 1e-15:
+        if abs(angle) < flat:
             out.append(_FLAT)
             continue
         try:
@@ -1058,7 +1044,7 @@ def _drive(v: Vertex4, crease: int, angles, branch: BranchId,
             if p is None:
                 p = _branch_param(v.alpha, branch)
                 invert, r_max = p.invert, p.r_max
-                lo, slack = -r_max, r_max + 1e-9
+                lo, slack = -r_max, r_max + TAU_DRIVE_PARAM
                 if comp not in p.bisected:
                     inverted = None
                 elif inverted is None:
@@ -1079,7 +1065,7 @@ def _drive(v: Vertex4, crease: int, angles, branch: BranchId,
             # max(-r_max, min(r_max, r)), NaN included, without two builtins
             r = r if r < r_max else r_max
             state = _state(p, r if r > lo else lo)
-            if abs(normalize_angle(state[0][comp] - angle)) > 1e-7:
+            if abs(normalize_angle(state[0][comp] - angle)) > landing:
                 raise OutOfDomain(f"crease {crease} cannot reach {angle!r} "
                                   f"on branch {branch.value}")
         except (OutOfDomain, WrongClass, DegenerateVertex) as exc:
@@ -1108,7 +1094,7 @@ def solve_at_crease(v: Vertex4, crease: int, angle: float,
     (2, 4)), and by monotone bisection on the branch parameter at the rest:
     c2/c4 of a generic vertex and the two creases off the collinear pair of
     a straight-line vertex.  The bisection stops where the bracket is
-    narrower than 1e-15 or after 90 halvings.  It is guided
+    narrower than TAU_BRACKET or after 90 halvings.  It is guided
     (`_ArccosCurve.bisect`): it evaluates the lift only at the midpoints
     near the tan-half closed-form guess of the root (`guess`), near r = 0
     and near +-r_max, checks the sides it gave the others, and returns the
@@ -1118,8 +1104,8 @@ def solve_at_crease(v: Vertex4, crease: int, angle: float,
     r = 0 (`_mirrors`), so a walk (`_drive`) that asks both bisects once,
     which halves the bisections of a herringbone `certify`.  A single call
     always bisects.  On every branch a parameter beyond the fold interval
-    [-r_max, r_max] (by more than 1e-9) is refused, never wrapped, and so
-    is a non-finite angle.
+    [-r_max, r_max] (by more than TAU_DRIVE_PARAM) is refused, never
+    wrapped, and so is a non-finite angle.
     """
     (rho, raw), = _solved(_drive(v, crease, (angle,), branch))
     return VertexSolution(rho, branch, raw)

@@ -729,8 +729,7 @@ class TestMvKeys:
 
     def test_letters_are_keyed_as_edges_gives_them(self, pat_a):
         """Each letter is keyed as `edges()` gives its edge, whichever way
-        round the map keys it; a crease keyed to None keeps no letter of
-        its own and exports as if absent."""
+        round the map keys it."""
         creases = [(a, b) for kind, a, b in pat_a.edges()
                    if kind != "boundary"]
         boundary = next((a, b) for kind, a, b in pat_a.edges()
@@ -740,8 +739,17 @@ class TestMvKeys:
         assert _mv_letters(pat_a, mv) == {(a, b): "M", (c, d): "V",
                                           boundary: "B"}
         assert _mv_letters(pat_a, None) == {}
-        assert export_svg(pat_a, {(b, a): None}) == export_svg(pat_a)
-        assert export_fold(pat_a, {(b, a): None}) == export_fold(pat_a)
+
+    @pytest.mark.parametrize("export", EXPORTS)
+    def test_a_crease_keyed_to_none_is_refused(self, pat_a, export):
+        """None is no crease letter, as it is no boundary letter: the map
+        is refused, not read as if the key were absent."""
+        _, a, b = next(e for e in pat_a.edges() if e[0] != "boundary")
+        for key in ((a, b), (b, a)):
+            with pytest.raises(SerializationError, match=re.escape(
+                    f"crease {a}-{b} is assigned None; a crease takes M, V "
+                    "or F")):
+                export(pat_a, {key: None})
 
     def test_mv_assignment_exports_as_its_creases(self, pat_a):
         prop = propagate(build_tree(pat_a), deg(12), None)

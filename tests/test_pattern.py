@@ -505,6 +505,45 @@ class TestRefusals:
                            match="^pattern has no inner vertices$"):
             replace(stitch(plan_a), m=m, n=n)
 
+    def test_vertices_must_be_m_rows_of_n(self, plan_a):
+        """After m and n, each field must fit them: NotABlanket names the
+        field, its shape and the shape the pattern needs."""
+        p = stitch(plan_a)
+        for bad in (p.vertices[:2], p.vertices[:2] + (p.vertices[2][:2],)):
+            with pytest.raises(NotABlanket, match=re.escape(
+                    f"vertices has row lengths {[len(r) for r in bad]}; "
+                    "the 3x3 pattern needs [3, 3, 3]")):
+                replace(p, vertices=bad)
+
+    def test_branch_default_must_be_m_rows_of_n(self, plan_a):
+        p = stitch(plan_a)
+        bad = p.branch_default + (p.branch_default[0],)
+        with pytest.raises(NotABlanket, match=re.escape(
+                "branch_default has row lengths [3, 3, 3, 3]; the 3x3 "
+                "pattern needs [3, 3, 3]")):
+            replace(p, branch_default=bad)
+
+    def test_directions_must_be_m_by_n(self, plan_a):
+        p = stitch(plan_a)
+        bad = tuple(row[:1] for row in p.directions)
+        with pytest.raises(NotABlanket, match=re.escape(
+                "directions has row lengths [1, 1, 1]; the 3x3 pattern "
+                "needs [3, 3, 3]")):
+            replace(p, directions=bad)
+
+    def test_grid_must_be_m_plus_2_by_n_plus_2_points(self, plan_a):
+        """A 1x1 pattern over a 2x2 point grid (whose FOLD edges would name
+        points 0..8 over 4 coordinates) and a grid of the right size
+        without its last axis are refused."""
+        with pytest.raises(NotABlanket, match=re.escape(
+                "grid has shape (2, 2, 2); the 1x1 pattern needs (3, 3, 2)")):
+            pattern_mod.QuadPattern(1, 1, ((None,),), ((None,),), None,
+                                    np.zeros((2, 2, 2)), ((None,),))
+        p = stitch(plan_a)
+        with pytest.raises(NotABlanket, match=re.escape(
+                "grid has shape (5, 5); the 3x3 pattern needs (5, 5, 2)")):
+            replace(p, grid=p.grid[:, :, 0].copy())
+
     def test_plan_columns_hold_units(self):
         u = single_ff_unit_plan().columns[0][0]
         for columns in (((u,), ()), ((),), ()):

@@ -33,9 +33,11 @@ from quadfold import (
     xi_of,
 )
 from quadfold import vertex as vertex_mod
-from quadfold.config import TAU_ANGLE, TAU_CLASS_BAND, TAU_ROOT
-from quadfold.vertex import (TWO_PI, _branch_param, _generic_param,
-                             clamped_acos, cyclic_shift)
+from quadfold.config import (TAU_ANGLE, TAU_CLASS_BAND, TAU_END, TAU_ROOT,
+                             TAU_TRANSMISSION)
+from quadfold.vertex import (TWO_PI, _arccos_args, _branch_param, _FFCurve,
+                             _generic_param, _sector_trig, clamped_acos,
+                             cyclic_shift)
 from conftest import (
     random_ff_vertex,
     random_generic_vertex,
@@ -729,7 +731,7 @@ def test_guided_bisection_evaluation_count(monkeypatch):
     assert inversions > 1000
     assert evaluations / inversions <= 20.0
 
-    monkeypatch.setattr(vertex_mod, "_GUIDE_WIDTH", math.inf)
+    monkeypatch.setattr(vertex_mod, "GUIDE_WIDTH", math.inf)
     plain = _herringbone_inversions(monkeypatch)
     assert plain[0] == inversions
     assert plain[1] / inversions > 45.0
@@ -1479,6 +1481,70 @@ class TestRefusals:
             monotonicity_check(GEN, BranchId.BRANCH_1, 5)
         assert exc.value.component == 3
         assert exc.value.sample_pair == (0.0, 0.5)
+
+
+class TestEndSlack:
+    """One slack, TAU_END, lets a value pass a closed interval's end by
+    rounding: a value exactly TAU_END past the end is inside, and the next
+    float beyond it is refused with OutOfDomain."""
+
+    @staticmethod
+    def _past(end: float, sign: int) -> tuple:
+        at = sign * (end + TAU_END)
+        return at, math.nextafter(at, sign * math.inf)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_clamped_acos_at_one(self, sign):
+        at, beyond = self._past(1.0, sign)
+        assert clamped_acos(at) == math.acos(sign)
+        with pytest.raises(OutOfDomain, match="arccos argument"):
+            clamped_acos(beyond)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_xi_of_at_pi(self, sign):
+        at, beyond = self._past(math.pi, sign)
+        assert xi_of(GEN, at) == pytest.approx(xi_of(GEN, sign * math.pi),
+                                               abs=1e-9)
+        with pytest.raises(OutOfDomain, match=r"outside \[-pi, pi\]"):
+            xi_of(GEN, beyond)
+
+    @pytest.mark.parametrize("v, branch", [
+        (GEN, BranchId.BRANCH_1), (GEN, BranchId.BRANCH_2),
+        (SL, BranchId.BRANCH_2), (SL, BranchId.LINE_SEGMENT_1),
+        (FF, BranchId.BRANCH_1), (FF, BranchId.BRANCH_2)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_solve_on_branch_at_r_max(self, v, branch, sign):
+        at, beyond = self._past(_branch_param(v.alpha, branch).r_max, sign)
+        assert solve_on_branch(v, at, branch).branch is branch
+        with pytest.raises(OutOfDomain, match="outside fold interval"):
+            solve_on_branch(v, beyond, branch)
+
+
+class TestZeroTransmission:
+    """Both zero-transmission tests read TAU_TRANSMISSION and refuse with
+    OutOfDomain."""
+
+    def test_ff_curve_with_equal_sectors_never_folds_c2_or_c4(self):
+        """a1 = a2 on flat-foldable branch 1 makes K zero: c1 and c3 fold
+        with c2 and c4 flat, and driving c2 or c4 is refused."""
+        v = Vertex4.from_degrees((60, 60, 120, 120))
+        p = _branch_param(v.alpha, BranchId.BRANCH_1)
+        assert isinstance(p, _FFCurve) and abs(p.K) < TAU_TRANSMISSION
+        rho = solve_at_crease(v, 1, 0.3, BranchId.BRANCH_1).rho
+        assert rho[1] == rho[3] == 0.0
+        for crease in (2, 4):
+            with pytest.raises(OutOfDomain, match=(
+                    rf"^crease {crease} never folds on this branch "
+                    r"\(zero transmission\)$")):
+                solve_at_crease(v, crease, 0.3, BranchId.BRANCH_1)
+
+    def test_arccos_args_where_xi_hits_zero(self):
+        """Sectors a1 = a2 = pi/2 driven by pi put xi at 0, where sin xi is
+        below TAU_TRANSMISSION; a little short of pi they do not."""
+        trig = _sector_trig((math.pi / 2,) * 4, True)
+        with pytest.raises(OutOfDomain, match="^xi hit 0 or pi; "):
+            _arccos_args(trig, math.pi)
+        assert len(_arccos_args(trig, math.pi - 1e-6)) == 2
 
 
 def test_bisect_without_a_lift_at_r_max_refuses_at_the_first_step():
