@@ -183,7 +183,7 @@ def _walk(p: QuadPattern, branches, ts) -> tuple:
             for a, out in zip(new, _drive(v, crease, new, branch,
                                             inverted)):
                 if type(out) is tuple:
-                    known[a] = VertexSolution(out[0], branch, out[1])
+                    known[a] = VertexSolution(out, branch)
                 else:
                     where = "top-row vertex" if i == 0 else "vertex"
                     bad[a] = OutOfDomain(f"{where} ({i},{j}): {out}")

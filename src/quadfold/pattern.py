@@ -38,7 +38,7 @@ from .errors import (
 )
 from .units import DOF_TABLE, _validated, is_json_number, json_keys, \
     json_numbers, unit_from_descriptor, valid_branch_pairs
-from .vertex import TWO_PI, Vertex4, normalize_angle
+from .vertex import TWO_PI, BranchId, Vertex4, normalize_angle
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,10 @@ class QuadPattern:
     """Immutable stitched blanket: vertex grid, layout and branch defaults.
 
     Equality and hashing go by identity: the layout is an array.  A pattern
-    has at least one inner vertex: NotABlanket refuses m or n below 1, and
-    then any field whose shape does not fit m x n.
+    has at least one inner vertex: NotABlanket refuses m or n below 1, then
+    any field whose shape does not fit m x n, and then a `vertices` entry
+    that is not a Vertex4 or a `branch_default` entry that is not a
+    BranchId.
     """
 
     m: int
@@ -155,6 +157,7 @@ class QuadPattern:
             raise NotABlanket(
                 f"grid has shape {self.grid.shape}; the {m}x{n} pattern "
                 f"needs {(m + 2, n + 2, 2)}")
+        _check_entries(self.vertices, self.branch_default)
         self.grid.flags.writeable = False
 
     @classmethod
@@ -164,8 +167,9 @@ class QuadPattern:
 
         Rigid-foldability certification applies to any grid of developable
         vertices; this constructor supports blankets that were not stitched
-        from units.  NotABlanket refuses an empty or ragged vertex grid and
-        a branch grid of another shape; the layout checks the panels.
+        from units.  NotABlanket refuses an empty or ragged vertex grid, a
+        branch grid of another shape and an entry of the wrong type
+        (`_check_entries`); the layout checks the panels.
         """
         vertices = tuple(tuple(row) for row in vertices)
         branch_default = tuple(tuple(row) for row in branch_default)
@@ -177,6 +181,7 @@ class QuadPattern:
                     "vertices and branch_default must be grids of one "
                     f"non-empty shape; {name} has row lengths "
                     f"{[len(r) for r in rows]}")
+        _check_entries(vertices, branch_default)
         return _laid_out(vertices, branch_default, None,
                          lengths or PlanLengths())
 
@@ -226,12 +231,13 @@ class QuadPattern:
         return tuple(out)
 
     def with_vertex(self, i: int, j: int, v: Vertex4) -> "QuadPattern":
-        """Copy with one vertex replaced, skipping all validation.
+        """Copy with one vertex replaced, skipping geometric validation.
 
         Diagnostic helper: the result is generally *not* a valid blanket and
         exists so that certification can be exercised on broken input.  It
         keeps this pattern's layout and drops the plan, since no plan
-        stitches the changed grid.
+        stitches the changed grid.  NotABlanket still refuses a `v` that is
+        not a Vertex4.
         """
         rows = [list(row) for row in self.vertices]
         rows[i][j] = v
@@ -243,6 +249,19 @@ class QuadPattern:
         (if any) then records."""
         plan = self.plan and replace(self.plan, lengths=lengths)
         return _laid_out(self.vertices, self.branch_default, plan, lengths)
+
+
+def _check_entries(vertices, branch_default) -> None:
+    """NotABlanket, naming the field and (i, j), for a `vertices` entry
+    that is not a Vertex4 or a `branch_default` entry that is not a
+    BranchId."""
+    for name, rows, kind in (("vertices", vertices, Vertex4),
+                             ("branch_default", branch_default, BranchId)):
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if not isinstance(x, kind):
+                    raise NotABlanket(f"{name} entry ({i},{j}) is {x!r}, "
+                                      f"not a {kind.__name__}")
 
 
 def _vertex_directions(v: Vertex4, dir_u=None, dir_l=None):
@@ -414,12 +433,16 @@ def check_layout_angles(vertices, grid):
 def stitch(plan: StitchPlan) -> QuadPattern:
     """Assemble a plan into a pattern, checking shared vertices and panels.
 
-    Raises IncompatibleUnits for mismatched shared sector angles or branch
+    Raises NotABlanket for an argument that is not a StitchPlan,
+    IncompatibleUnits for mismatched shared sector angles or branch
     assignments, ValidationFailed for a unit that `_acceptance_residual`,
     the one unit rule, refuses (exactly for two flat-foldable curves, by a
     `UNIT_SAMPLES`-sample sweep otherwise), and LayoutFailure when the
     planar layout cannot be realized.
     """
+    if not isinstance(plan, StitchPlan):
+        raise NotABlanket(
+            f"stitch takes a StitchPlan, not {type(plan).__name__}")
     m, n = plan.n_rows, plan.n_cols
     vertices = [[None] * n for _ in range(m)]
     branches = [[None] * n for _ in range(m)]
@@ -499,7 +522,7 @@ def count_dof(plan: StitchPlan) -> DofReport:
     `units`); each inner-panel row whose column creases are not parallel in
     the layout deducts its number of inner panels.  Raises NegativeDof when
     the total goes negative, and whatever `stitch` raises for the plan
-    (ValidationFailed for a failing unit).
+    (NotABlanket for a non-plan, ValidationFailed for a failing unit).
     """
     pattern = stitch(plan)
     unit_terms = []

@@ -30,8 +30,8 @@ from enum import Enum
 from numbers import Integral
 from typing import Optional
 
-from .config import (TAU_EMPTY, TAU_FLAT, TAU_POLE, TAU_UNIT, UNIT_SAMPLES,
-                     check_count)
+from .config import (DEFAULT_SAMPLES, TAU_EMPTY, TAU_FLAT, TAU_POLE, TAU_UNIT,
+                     UNIT_SAMPLES, check_count)
 from .errors import (
     DegenerateVertex,
     EmptyInterval,
@@ -49,10 +49,10 @@ from .vertex import (
     _drive,
     _FFCurve,
     _solved,
+    _state,
     classify,
     normalize_angle,
     cyclic_shift,
-    solve_on_branch,
     symmetric_grid,
 )
 
@@ -205,7 +205,7 @@ class Unit:
 
     def solve(self, t: float) -> UnitState:
         """Configuration with the connecting crease folded by t."""
-        ((st, _), (sb, _)), = _drive_sides(self, 3, (t,), 1, (t,))
+        (st, sb), = _drive_sides(self, 3, (t,), 1, (t,))
         return UnitState(rho=(t, st[1], st[0], st[3], sb[1], sb[2], sb[3]))
 
     def swapped(self) -> "Unit":
@@ -377,18 +377,17 @@ def _reach(v: Vertex4, branch: BranchId, comp: int) -> float:
     """|rho[comp]| at the end of the branch's parameter range, r_max; 0 when
     the branch cannot be evaluated there."""
     try:
-        return abs(solve_on_branch(v, _branch_param(v.alpha, branch).r_max,
-                                   branch).rho[comp])
+        p = _branch_param(v.alpha, branch)
+        return abs(_state(p, p.r_max)[comp])
     except OutOfDomain:
         return 0.0
 
 
 def _drive_sides(u: Unit, crease_top: int, ts_top, crease_bottom: int,
                  ts_bottom):
-    """(top, bottom) per sample, each a (rho, raw_rho) pair: the top vertex
-    driven at `crease_top` through `ts_top` and the bottom one at
-    `crease_bottom` through `ts_bottom`.  When both refuse, the top
-    vertex's refusal is raised."""
+    """(top, bottom) rho per sample: the top vertex driven at `crease_top`
+    through `ts_top` and the bottom one at `crease_bottom` through
+    `ts_bottom`.  When both refuse, the top vertex's refusal is raised."""
     return zip(_solved(_drive(u.top, crease_top, ts_top, u.branch_top)),
                _solved(_drive(u.bottom, crease_bottom, ts_bottom,
                               u.branch_bottom)))
@@ -399,7 +398,8 @@ def _shared_interval(u: Unit) -> float:
     return min(_reach(u.top, u.branch_top, 2), _reach(u.bottom, u.branch_bottom, 0))
 
 
-def validate_unit(u: Unit, n_samples: int = 200) -> UnitReport:
+def validate_unit(u: Unit,
+                  n_samples: int = DEFAULT_SAMPLES) -> UnitReport:
     """Numerically check the equal-magnitude transmission conditions.
 
     Sweeps the connecting crease over the common fold interval and compares
@@ -432,7 +432,7 @@ def validate_unit(u: Unit, n_samples: int = 200) -> UnitReport:
         sides = _drive_sides(u, 2, ts, 2, [s2 * t for t in ts])
         i24, j24, s = 2, 0, 1  # the shared crease, flat on both
     worst24 = worst47 = 0.0
-    for (st, _), (sb, _) in sides:
+    for st, sb in sides:
         worst24 = max(worst24, abs(normalize_angle(st[i24] - s * sb[j24])))
         worst47 = max(worst47, abs(normalize_angle(st[3] - s4 * sb[3])))
     return UnitReport(worst24, worst47, n_samples, (-t_max, t_max), not shared)
@@ -496,7 +496,7 @@ def _with_signs(u: Unit, t_max: float) -> Unit:
     s2 = s4 = None
     if t_max > TAU_EMPTY:
         ts = [t_max * k / 10 for k in range(1, 10)]
-        for (st, _), (sb, _) in _drive_sides(u, 3, ts, 1, ts):
+        for st, sb in _drive_sides(u, 3, ts, 1, ts):
             if s2 is None and abs(sb[1]) > TAU_FLAT:
                 s2 = 1 if st[1] * sb[1] > 0 else -1
             if s4 is None and abs(sb[3]) > TAU_FLAT:
@@ -563,7 +563,7 @@ def _check_open_intervals(*alphas: float):
 
 
 def solve_ff_unit(alpha1: float, alpha2: float, alpha3: float,
-                  mode: FFUnitMode) -> Unit:
+                  mode: FFUnitMode | str) -> Unit:
     """Design a flat-foldable unit from three free sector angles.
 
     The fourth angle follows from the selected mode's tan-half identity; the
@@ -572,9 +572,12 @@ def solve_ff_unit(alpha1: float, alpha2: float, alpha3: float,
     flat-foldable.  The branch pair and transmission signs are fixed by the
     mode and accepted exactly by `_acceptance_residual`; a C-mode vertex
     with a1 + a2 = pi moves on a segment, not a curve, so a unit with one
-    is swept at `UNIT_SAMPLES` samples instead.
+    is swept at `UNIT_SAMPLES` samples instead.  A mode that is not an
+    FFUnitMode is read by `FFUnitMode.from_token`.
     """
     _check_open_intervals(alpha1, alpha2, alpha3)
+    if not isinstance(mode, FFUnitMode):
+        mode = FFUnitMode.from_token(mode)
     alpha4 = mode.alpha4(alpha1, alpha2, alpha3)
     if not (0.0 < alpha4 < math.pi):
         raise InvalidAngle(f"mode {mode.value} yields alpha4 = {alpha4!r}")

@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Real
 from functools import lru_cache
 from enum import Enum
 from typing import Callable, Sequence
@@ -129,6 +130,15 @@ class VertexClass:
     warnings: tuple = ()
 
 
+def _sector_float(x) -> float:
+    """float(x) for a real number x (an int, a float or a numpy real);
+    InvalidSectorAngles, naming x, for anything else: a str, a bool, None
+    or a complex."""
+    if isinstance(x, bool) or not isinstance(x, Real):
+        raise InvalidSectorAngles(f"sector angle {x!r} is not a real number")
+    return float(x)
+
+
 def cyclic_shift(xs: tuple, k: int) -> tuple:
     """Cyclic relabelling of a vertex's four slots: new x_i = old x_{i+k}."""
     return xs[k % 4:] + xs[:k % 4]
@@ -138,15 +148,16 @@ def cyclic_shift(xs: tuple, k: int) -> tuple:
 class Vertex4:
     """Four sector angles of a developable degree-4 vertex, in radians.
 
-    Angles must be positive and sum to 2*pi.  A single sector may equal or
-    exceed pi: exactly pi makes the flanking creases collinear (class (a)
-    motion), above pi the vertex cannot fold at all (trivial class).
+    Angles must be real numbers (a str, bool, None or complex is refused),
+    positive and sum to 2*pi.  A single sector may equal or exceed pi:
+    exactly pi makes the flanking creases collinear (class (a) motion),
+    above pi the vertex cannot fold at all (trivial class).
     """
 
     alpha: tuple
 
     def __init__(self, alpha: Sequence[float]):
-        a = tuple(float(x) for x in alpha)
+        a = tuple(x if type(x) is float else _sector_float(x) for x in alpha)
         if len(a) != 4:
             raise InvalidSectorAngles(f"expected 4 sector angles, got {len(a)}")
         for x in a:
@@ -186,13 +197,12 @@ class Vertex4:
 class VertexSolution:
     """One configuration on one branch: four folding angles.
 
-    `rho` is normalized to (-pi, pi]; `raw_rho` keeps the values before the
-    2*pi reduction for debugging.  The auxiliary angle is `xi_of(v, rho[0])`.
+    `rho` is normalized to (-pi, pi].  The auxiliary angle is
+    `xi_of(v, rho[0])`.
     """
 
     rho: tuple
     branch: BranchId
-    raw_rho: tuple = field(repr=False, default=())
 
     @property
     def degrees(self) -> tuple:
@@ -846,19 +856,17 @@ def _generic_param(a: tuple, branch: BranchId) -> _GenericCurve:
     return _GenericCurve(a, branch)
 
 
-_FLAT = ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
+_FLAT = (0.0, 0.0, 0.0, 0.0)
 
 
 def _state(p: _BranchParam, r: float) -> tuple:
-    """(rho, raw_rho) at parameter r: the flat state exactly at r = 0 (all
-    branches pass through it), else the branch's angles and their
-    reductions to (-pi, pi]."""
+    """rho at parameter r: the flat state exactly at r = 0 (all branches
+    pass through it), else the branch's angles reduced to (-pi, pi]."""
     if r == 0.0:
         return _FLAT
-    raw = p.fn(r)
-    x1, x2, x3, x4 = raw
+    x1, x2, x3, x4 = p.fn(r)
     return (normalize_angle(x1), normalize_angle(x2), normalize_angle(x3),
-            normalize_angle(x4)), raw
+            normalize_angle(x4))
 
 
 def _eval_param(p: _BranchParam, r: float, branch: BranchId) -> VertexSolution:
@@ -866,8 +874,7 @@ def _eval_param(p: _BranchParam, r: float, branch: BranchId) -> VertexSolution:
         raise OutOfDomain(
             f"parameter {r!r} outside fold interval [-{p.r_max!r}, {p.r_max!r}]"
         )
-    rho, raw = _state(p, r)
-    return VertexSolution(rho=rho, branch=branch, raw_rho=raw)
+    return VertexSolution(_state(p, r), branch)
 
 
 def solve_on_branch(v: Vertex4, r: float, branch: BranchId) -> VertexSolution:
@@ -1014,10 +1021,10 @@ def _mirrors(p: _ArccosCurve, comp: int, angle: float) -> bool:
 def _drive(v: Vertex4, crease: int, angles, branch: BranchId,
            inverted: dict = None) -> list:
     """`solve_at_crease` over a sequence of angles: one outcome per angle,
-    either the (rho, raw_rho) pair, bit for bit that call's solution, or the
-    OutOfDomain, WrongClass or DegenerateVertex that call raises, with its
-    type and message.  The branch is resolved at the first angle that is
-    not flat, so a vertex that lacks it still drives flat at 0.
+    either rho, bit for bit that call's solution, or the OutOfDomain,
+    WrongClass or DegenerateVertex that call raises, with its type and
+    message.  The branch is resolved at the first angle that is not flat,
+    so a vertex that lacks it still drives flat at 0.
 
     Where the crease is bisected (`bisected`), `inverted` maps each angle
     already inverted, in this call or by the caller's earlier calls on the
@@ -1065,7 +1072,7 @@ def _drive(v: Vertex4, crease: int, angles, branch: BranchId,
             # max(-r_max, min(r_max, r)), NaN included, without two builtins
             r = r if r < r_max else r_max
             state = _state(p, r if r > lo else lo)
-            if abs(normalize_angle(state[0][comp] - angle)) > landing:
+            if abs(normalize_angle(state[comp] - angle)) > landing:
                 raise OutOfDomain(f"crease {crease} cannot reach {angle!r} "
                                   f"on branch {branch.value}")
         except (OutOfDomain, WrongClass, DegenerateVertex) as exc:
@@ -1107,5 +1114,5 @@ def solve_at_crease(v: Vertex4, crease: int, angle: float,
     [-r_max, r_max] (by more than TAU_DRIVE_PARAM) is refused, never
     wrapped, and so is a non-finite angle.
     """
-    (rho, raw), = _solved(_drive(v, crease, (angle,), branch))
-    return VertexSolution(rho, branch, raw)
+    rho, = _solved(_drive(v, crease, (angle,), branch))
+    return VertexSolution(rho, branch)

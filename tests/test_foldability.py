@@ -425,14 +425,11 @@ def _reference_propagate(tree: TreeStructure, driving: float,
 
 
 def _propagation_outcome(fn, *args):
-    """repr plus every raw_rho of a propagation, or the exception's type and
-    message."""
+    """repr of a propagation, or the exception's type and message."""
     try:
-        prop = fn(*args)
+        return repr(fn(*args))
     except (QuadfoldError, ValueError) as exc:
         return type(exc), str(exc)
-    raw = tuple(sol.raw_rho for row in prop.solutions for sol in row)
-    return repr(prop), repr(raw)
 
 
 @pytest.fixture(scope="module")
@@ -684,7 +681,7 @@ def _reference_walk(p, branches, ts) -> tuple:
             for a, out in zip(new, foldability._drive(v, crease, new, branch,
                                                       inverted)):
                 if type(out) is tuple:
-                    known[a] = VertexSolution(out[0], branch, out[1])
+                    known[a] = VertexSolution(out, branch)
                 else:
                     where = "top-row vertex" if i == 0 else "vertex"
                     bad[a] = OutOfDomain(f"{where} ({i},{j}): {out}")
@@ -702,11 +699,10 @@ def _reference_walk(p, branches, ts) -> tuple:
 
 
 def _walk_outcome(walk, p, branches, ts) -> tuple:
-    """Every solution of a walk (repr, with its raw_rho) and every refusal
-    (index, type, message and the type and message of its cause)."""
+    """Every solution of a walk (repr) and every refusal (index, type,
+    message and the type and message of its cause)."""
     sols, refused = walk(p, branches, ts)
-    return ([[[(repr(s), repr(s.raw_rho)) for s in col] for col in row]
-             for row in sols],
+    return ([[[repr(s) for s in col] for col in row] for row in sols],
             sorted((k, type(e), str(e), type(e.__cause__), str(e.__cause__))
                    for k, e in refused.items()))
 
@@ -745,8 +741,8 @@ def test_walk_matches_reference_walk():
     [-pi, pi], the flat state (0.0, -0.0) and two small angles that the
     lower-row move leaves foldable, every pattern and branch
     grid of `_twin_patterns` gives the reference walk's solutions, repr
-    and raw_rho, and its refusals, index, type and message.  Twins do
-    occur, stop where a column is moved and refusals occur."""
+    for repr, and its refusals, index, type and message.  Twins do occur,
+    stop where a column is moved and refusals occur."""
     ts = [math.pi * (k / 30 - 1) for k in range(61)] + [0.0, -0.0, 0.01,
                                                         -0.05]
     twinned = refusals = 0

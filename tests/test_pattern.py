@@ -544,6 +544,55 @@ class TestRefusals:
                 "grid has shape (5, 5); the 3x3 pattern needs (5, 5, 2)")):
             replace(p, grid=p.grid[:, :, 0].copy())
 
+    def test_vertices_entries_are_vertex4(self, plan_a):
+        """After the shapes, each `vertices` entry must be a Vertex4:
+        NotABlanket names the field and the entry, whether the pattern is
+        built directly, by `replace`, by `with_vertex` (which skips only
+        the geometric checks) or by `from_vertices`."""
+        with pytest.raises(NotABlanket, match=re.escape(
+                "vertices entry (0,0) is None, not a Vertex4")):
+            pattern_mod.QuadPattern(1, 1, ((None,),), ((BranchId.BRANCH_1,),),
+                                    None, np.zeros((3, 3, 2)), ((None,),))
+        p = stitch(plan_a)
+        rows = [list(row) for row in p.vertices]
+        rows[2][1] = p.vertex(2, 1).alpha
+        with pytest.raises(NotABlanket, match=re.escape(
+                f"vertices entry (2,1) is {rows[2][1]!r}, not a Vertex4")):
+            replace(p, vertices=tuple(map(tuple, rows)))
+        with pytest.raises(NotABlanket, match=re.escape(
+                "vertices entry (1,2) is 'x', not a Vertex4")):
+            p.with_vertex(1, 2, "x")
+        with pytest.raises(NotABlanket, match=re.escape(
+                "vertices entry (0,0) is None, not a Vertex4")):
+            pattern_mod.QuadPattern.from_vertices([[None]],
+                                                  [[BranchId.BRANCH_1]])
+
+    def test_branch_default_entries_are_branch_ids(self, plan_a):
+        """Each `branch_default` entry must be a BranchId; a token is
+        refused, naming the field and the entry."""
+        p = stitch(plan_a)
+        rows = [list(row) for row in p.branch_default]
+        rows[0][1] = "1"
+        with pytest.raises(NotABlanket, match=re.escape(
+                "branch_default entry (0,1) is '1', not a BranchId")):
+            replace(p, branch_default=tuple(map(tuple, rows)))
+        with pytest.raises(NotABlanket, match=re.escape(
+                "branch_default entry (0,0) is None, not a BranchId")):
+            pattern_mod.QuadPattern.from_vertices([[p.vertex(0, 0)]],
+                                                  [[None]])
+
+    @pytest.mark.parametrize("plan, kind", [
+        (5, "int"), (None, "NoneType"), ("plan", "str"), ((), "tuple")])
+    def test_stitch_takes_a_plan(self, plan, kind, plan_a):
+        """`stitch` refuses anything but a StitchPlan, its columns
+        included, naming the type, and `count_dof` refuses it through
+        `stitch`."""
+        for bad, name in ((plan, kind), (plan_a.columns, "tuple")):
+            for fn in (stitch, count_dof):
+                with pytest.raises(NotABlanket, match=re.escape(
+                        f"stitch takes a StitchPlan, not {name}")):
+                    fn(bad)
+
     def test_plan_columns_hold_units(self):
         u = single_ff_unit_plan().columns[0][0]
         for columns in (((u,), ()), ((),), ()):

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -936,6 +937,19 @@ class TestOneDefinitionPerFact:
             for token in (mode.value, mode.value.upper(),
                           f"  {mode.value.upper()}\n", f"\t{mode.value} "):
                 assert FFUnitMode.from_token(token) is mode
+
+    def test_solve_ff_unit_reads_a_mode_token(self):
+        """`solve_ff_unit` reads a mode that is not an FFUnitMode through
+        `FFUnitMode.from_token`: a token designs the mode's unit, and a
+        refused one, or None, is named as `from_token` names it."""
+        for mode in FFUnitMode:
+            for token in (mode.value, f" {mode.value.upper()}\n"):
+                assert solve_ff_unit(1.2, 1.5, 1.1, token) == solve_ff_unit(
+                    1.2, 1.5, 1.1, mode)
+        for token in ("10a", None, 7):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"unknown flat-foldable unit mode {token!r}")):
+                solve_ff_unit(1.2, 1.5, 1.1, token)
 
     @pytest.mark.parametrize("token", ["10a", "10a-3", "A_PLUS", "a_plus",
                                        "", "FFUnitMode.A_PLUS"])

@@ -14,16 +14,16 @@ where the call raises:
   two sector angles moved by amounts that keep or break a collinear sum
   (warnings included), and `solve_generic` at seeded angles on both
   branches of seeded flat-foldable vertices, each solution as its `rho`,
-  `xi_of(v, rho[0])`, `branch` and `raw_rho`; and `solve_at_crease` (the
-  solution and its `raw_rho`) of seeded vertices of every class on every
-  curve and segment branch at all four creases, at 0, -0.0, 5e-16, +-pi,
-  4.0, NaN, seeded angles and angles the branch reaches, so refusals and
-  their messages are covered too; and `solve_at_crease` at the targets where
-  the computed lift is least monotone, on seeded generic vertices (both
-  branches) and straight-line vertices (either collinear pair) with
-  sectors at 20 and 160 degrees among them: the flat state's rounding
-  residues and the angles reached at +-r_max and within 1e-12..1e-3 of 0
-  and of +-r_max; and `solve_at_crease` at +-a for a at, just above and
+  `xi_of(v, rho[0])` and `branch`; and `solve_at_crease` of seeded
+  vertices of every class on every curve and segment branch at all four
+  creases, at 0, -0.0, 5e-16, +-pi, 4.0, NaN, seeded angles and angles
+  the branch reaches, so refusals and their messages are covered too; and
+  `solve_at_crease` at the targets where the computed lift is least
+  monotone, on seeded generic vertices (both branches) and straight-line
+  vertices (either collinear pair) with sectors at 20 and 160 degrees
+  among them: the flat state's rounding residues and the angles reached
+  at +-r_max and within 1e-12..1e-3 of 0 and of +-r_max; and
+  `solve_at_crease` at +-a for a at, just above and
   just below the magnitude of a bisected crease's lift at r = 0, where that
   lift is not zero, on seeded generic vertices (both branches), where a
   walk's mirrored inversion starts and stops;
@@ -114,7 +114,13 @@ where the call raises:
   of each; and both exports of showcase A with mv maps that each hold one
   fault (a key that names no edge, a boundary letter other than B, a
   crease letter other than M, V or F, two letters for one edge), with a
-  crease keyed to None, and with two faults.
+  crease keyed to None, and with two faults; `Vertex4` with a str, bool,
+  None, complex or numpy bool sector angle and with ints and numpy reals;
+  `QuadPattern` built directly, by `with_vertex` and by `from_vertices`
+  with a vertex or branch entry of the wrong type, and what `export_fold`
+  and `certify` make of the directly built one; `solve_ff_unit` with mode
+  tokens, refused tokens and None; and `stitch` and `count_dof` of
+  arguments that are not a StitchPlan.
 
 One line per text gives that text's own hash, so a diff of two outputs names
 the texts that moved; the last line is the total.  It is a comparison tool,
@@ -165,6 +171,7 @@ from quadfold import (  # noqa: E402
     build_tree,
     certify,
     classify,
+    count_dof,
     enumerate_branch_choices,
     export_fold,
     export_obj,
@@ -284,7 +291,7 @@ def _solution(v, fn):
         sol = fn()
     except QuadfoldError as exc:
         return f"{type(exc).__name__}: {exc}"
-    return repr((sol.rho, xi_of(v, sol.rho[0]), sol.branch, sol.raw_rho))
+    return repr((sol.rho, xi_of(v, sol.rho[0]), sol.branch))
 
 
 def vertex_texts():
@@ -307,11 +314,6 @@ def vertex_texts():
                        _solution(v, lambda: solve_generic(v, r, b)))
 
 
-def _driven(v, crease, angle, branch):
-    sol = solve_at_crease(v, crease, angle, branch)
-    return sol, sol.raw_rho
-
-
 def crease_texts():
     """`solve_at_crease` of seeded vertices of every class on every branch
     (curves and segments) at all four creases, over DRIVE_ANGLES, two
@@ -332,7 +334,8 @@ def crease_texts():
                 for angle in angles + [rho[crease - 1] for rho in reached]:
                     yield (f"solve_at_crease {name} {k} {b.value} c{crease} "
                            f"{angle!r}",
-                           _outcome(lambda: _driven(v, crease, angle, b)))
+                           _outcome(lambda: solve_at_crease(
+                               v, crease, angle, b)))
 
 
 def _hard_sector(rng) -> float:
@@ -383,7 +386,8 @@ def hard_crease_texts():
                     angle = rho[crease - 1]
                     yield (f"solve_at_crease hard {name} {k} {b.value} "
                            f"c{crease} {angle!r}",
-                           _outcome(lambda: _driven(v, crease, angle, b)))
+                           _outcome(lambda: solve_at_crease(
+                               v, crease, angle, b)))
 
 
 def _fallback_vertices(rng):
@@ -455,7 +459,8 @@ def fallback_crease_texts():
                     angle = rho[crease - 1]
                     yield (f"solve_at_crease fallback {name} {k} {b.value} "
                            f"c{crease} {angle!r}",
-                           _outcome(lambda: _driven(v, crease, angle, b)))
+                           _outcome(lambda: solve_at_crease(
+                               v, crease, angle, b)))
                 for t in TINY_TARGETS:
                     yield (f"invert fallback {name} {k} {b.value} "
                            f"c{crease} {t!r}",
@@ -485,7 +490,8 @@ def zero_lift_texts():
                     for angle in (a, -a):
                         yield (f"solve_at_crease zero lift {k} {b.value} "
                                f"c{crease} {angle!r}",
-                               _outcome(lambda: _driven(v, crease, angle, b)))
+                               _outcome(lambda: solve_at_crease(
+                                   v, crease, angle, b)))
 
 
 def units(rng):
@@ -1059,6 +1065,53 @@ def input_rule_texts():
         yield f"mv {name} export_svg", _any_outcome(lambda: export_svg(p, mv))
 
 
+QUARTER = math.pi / 2
+# (entry, the float it would stand for): sector angles `Vertex4` refuses
+# (a str float() parses, a bool, None, a complex, a numpy bool) or accepts
+# (ints and numpy reals)
+SECTOR_ENTRIES = ((str(QUARTER), QUARTER), (True, 1.0), (None, QUARTER),
+                  (complex(QUARTER, 0.0), QUARTER), (np.bool_(True), 1.0),
+                  (2, 2.0), (np.int64(2), 2.0), (np.float32(1.5), 1.5),
+                  (np.float64(QUARTER), QUARTER))
+ENTRY_MODE_TOKENS = ("10a-1", " 10B-2\n", "10a", "", None, 7)
+
+
+def entry_type_texts():
+    """The refusals of entries and arguments of the wrong type."""
+    q = QUARTER
+    for x, value in SECTOR_ENTRIES:
+        yield (f"Vertex4 entry {x!r}", _any_outcome(
+            lambda: Vertex4((q, x, q, 2 * math.pi - 2 * q - value)).alpha))
+    direct = {
+        "vertex None": (((None,),), ((BranchId.BRANCH_1,),)),
+        "branch None": (((Vertex4((q, q, q, q)),),), ((None,),)),
+        "branch token": (((Vertex4((q, q, q, q)),),), (("1",),)),
+    }
+    for label, (vs, bs) in direct.items():
+        def build():
+            return QuadPattern(1, 1, vs, bs, None, np.zeros((3, 3, 2)),
+                               ((None,),))
+        yield f"QuadPattern {label}", _any_outcome(lambda: build().m)
+        yield (f"QuadPattern {label} export_fold",
+               _any_outcome(lambda: fold_dumps(export_fold(build()))))
+        yield (f"QuadPattern {label} certify",
+               _any_outcome(lambda: certify(build()).summary()))
+        yield (f"QuadPattern.from_vertices {label}", _any_outcome(
+            lambda: QuadPattern.from_vertices(vs, bs).m))
+    p = stitch(showcase_a_plan())
+    for v in (None, "x", p.vertex(1, 2).alpha):
+        yield (f"with_vertex {v!r}",
+               _any_outcome(lambda: p.with_vertex(1, 2, v).m))
+    for token in ENTRY_MODE_TOKENS:
+        yield (f"solve_ff_unit mode {token!r}", _any_outcome(
+            lambda: _unit_state(solve_ff_unit(1.2, 1.5, 1.1, token))))
+    not_plans = {"5": 5, "None": None, "a str": "plan", "()": (),
+                 "showcase A's columns": showcase_a_plan().columns}
+    for label, plan in not_plans.items():
+        for fn in (stitch, count_dof):
+            yield (f"{fn.__name__} {label}", _any_outcome(lambda: fn(plan)))
+
+
 def texts():
     """Every text the digest covers, labelled, in a fixed order."""
     yield from vertex_texts()
@@ -1090,6 +1143,7 @@ def texts():
     yield from cli_usage_texts()
     yield from unit_view_texts()
     yield from input_rule_texts()
+    yield from entry_type_texts()
 
 
 def main(argv=None) -> int:
